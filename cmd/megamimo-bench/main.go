@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	megamimo-bench [flags] fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablations|robustness|amortization|workload|chaos|syncsweep|kernels|all
+//	megamimo-bench [flags] fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablations|robustness|amortization|workload|chaos|syncsweep|all
 //
 // Flags scale the experiment size; the defaults approximate the paper's
 // methodology (20 topologies per point, 10 APs max) and take minutes.
@@ -56,9 +56,8 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit per-figure metrics as JSON instead of tables")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceOut   = flag.String("trace-out", "", "workload/chaos only: write the merged flight-recorder trace to this file")
+		traceOut   = flag.String("trace-out", "", "workload/chaos only: write the merged flight-recorder trace to this file (JSONL streams live)")
 		traceFmt   = flag.String("trace-format", "jsonl", "trace file format: jsonl|chrome")
-		streamOut  = flag.String("stream-out", "", "workload only: stream the merged flight-recorder trace live to this JSONL file")
 		chaosJSON  = flag.String("chaos-json", "", "chaos only: write the sweep result as deterministic JSON to this file")
 	)
 	flag.Parse()
@@ -73,14 +72,10 @@ func main() {
 	experiment.SetWorkers(*workers)
 	air.SetWorkers(*workers)
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: megamimo-bench [flags] fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablations|robustness|amortization|workload|chaos|syncsweep|kernels|all")
+		fmt.Fprintln(os.Stderr, "usage: megamimo-bench [flags] fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablations|robustness|amortization|workload|chaos|syncsweep|all")
 		os.Exit(2)
 	}
 	which := flag.Arg(0)
-	if which == "kernels" {
-		fmt.Print(runKernels())
-		return
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -198,45 +193,13 @@ func main() {
 		if *quick {
 			loads, nAPs, seconds = []float64{2, 8}, 2, 0.005
 		}
-		cfg := core.DefaultConfig(nAPs, nAPs, experiment.HighSNR.Lo, experiment.HighSNR.Hi)
-		meta := tracefmt.Meta{SampleRate: cfg.SampleRate, CarrierHz: cfg.CarrierHz, APs: nAPs, Clients: nAPs}
-		if *streamOut != "" {
-			// Streamed export: each cell's recorder feeds a live merge, and
-			// the file on disk is byte-identical to the -trace-out export at
-			// any -workers count (what CI diffs).
-			f, err := os.Create(*streamOut)
-			if err != nil {
-				return "", err
-			}
-			sink, err := tracefmt.NewStreamSink(f, meta, tracefmt.StreamOptions{})
-			if err != nil {
-				_ = f.Close()
-				return "", err
-			}
-			r, err := experiment.RunWorkloadStreamed(loads, nAPs, maxInt(2, *topos/5), traffic.Poisson, seconds, *seed, 1<<18, sink)
-			if cerr := sink.Close(); err == nil {
-				err = cerr
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintln(r), nil
-		}
-		traceLimit := 0
-		if *traceOut != "" {
-			traceLimit = 1 << 18 // per-cell ring; merged below
-		}
-		r, events, err := experiment.RunWorkloadTrace(loads, nAPs, maxInt(2, *topos/5), traffic.Poisson, seconds, *seed, traceLimit)
+		var r *experiment.WorkloadResult
+		err := traceTo(*traceOut, format, sweepMeta(nAPs), func(sink core.TraceSink) (err error) {
+			r, err = experiment.RunWorkload(loads, nAPs, maxInt(2, *topos/5), traffic.Poisson, seconds, *seed, sink)
+			return err
+		})
 		if err != nil {
 			return "", err
-		}
-		if *traceOut != "" {
-			if err := tracefmt.WriteFile(*traceOut, format, meta, events); err != nil {
-				return "", err
-			}
 		}
 		return fmt.Sprintln(r), nil
 	})
@@ -246,20 +209,13 @@ func main() {
 		if *quick {
 			intensities, seconds = []float64{0, 600}, 0.005
 		}
-		traceLimit := 0
-		if *traceOut != "" {
-			traceLimit = 1 << 18 // per-cell ring; merged below
-		}
-		r, events, err := experiment.RunChaosTrace(intensities, nAPs, maxInt(2, *topos/5), seconds, *seed, traceLimit)
+		var r *experiment.ChaosResult
+		err := traceTo(*traceOut, format, sweepMeta(nAPs), func(sink core.TraceSink) (err error) {
+			r, err = experiment.RunChaos(intensities, nAPs, maxInt(2, *topos/5), seconds, *seed, sink)
+			return err
+		})
 		if err != nil {
 			return "", err
-		}
-		if *traceOut != "" {
-			cfg := core.DefaultConfig(nAPs, nAPs, experiment.HighSNR.Lo, experiment.HighSNR.Hi)
-			meta := tracefmt.Meta{SampleRate: cfg.SampleRate, CarrierHz: cfg.CarrierHz, APs: nAPs, Clients: nAPs}
-			if err := tracefmt.WriteFile(*traceOut, format, meta, events); err != nil {
-				return "", err
-			}
 		}
 		if *chaosJSON != "" {
 			b, err := r.JSON()
@@ -320,6 +276,53 @@ func main() {
 		}
 	}
 }
+
+// sweepMeta is the trace header of a workload or chaos sweep: every cell
+// runs the high-SNR default network with nAPs APs and as many clients.
+func sweepMeta(nAPs int) tracefmt.Meta {
+	cfg := core.DefaultConfig(nAPs, nAPs, experiment.HighSNR.Lo, experiment.HighSNR.Hi)
+	return tracefmt.Meta{SampleRate: cfg.SampleRate, CarrierHz: cfg.CarrierHz, APs: nAPs, Clients: nAPs}
+}
+
+// traceTo runs a sweep with its merged flight-recorder trace written to
+// path, or untraced when path is empty. JSONL streams live through a
+// StreamSink; the Chrome format needs the whole timeline, so its events
+// are collected first and written at the end.
+func traceTo(path string, format tracefmt.Format, meta tracefmt.Meta, run func(core.TraceSink) error) error {
+	if path == "" {
+		return run(nil)
+	}
+	if format == tracefmt.FormatChrome {
+		var events eventLog
+		if err := run(&events); err != nil {
+			return err
+		}
+		return tracefmt.WriteFile(path, format, meta, events)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	sink, err := tracefmt.NewStreamSink(f, meta, tracefmt.StreamOptions{})
+	if err != nil {
+		_ = f.Close()
+		return err
+	}
+	err = run(sink)
+	if cerr := sink.Close(); err == nil {
+		err = cerr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// eventLog collects a merged trace in memory. The StreamMerge feeding it
+// hands over one event at a time, so it needs no lock.
+type eventLog []core.TraceEvent
+
+func (l *eventLog) ConsumeTrace(e core.TraceEvent) { *l = append(*l, e) }
 
 func apCounts(maxAPs int) []int {
 	var out []int

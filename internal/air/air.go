@@ -96,6 +96,22 @@ type Air struct {
 	// accumulation buffers.
 	shardBufs    [][]complex128
 	shardBacking []complex128
+	// arrivals is observe's grow-only scratch of resolved emissions.
+	arrivals []arrival
+}
+
+// arrival is one emission as a receiver hears it in an observation
+// window: the ether span [lo, hi) it reaches (empty when lo >= hi) and
+// the carrier rotation at lo. Observe resolves every arrival serially, in
+// emission order, before any shard runs: reading an oscillator's phase
+// advances its wander walk, so the reads must happen in the same order at
+// every worker count.
+type arrival struct {
+	samples   []complex128 // after transmitter SFO resampling
+	taps      []complex128
+	lo, hi    int64
+	oLo       int // offset of lo into the full convolution output
+	rot, step complex128
 }
 
 // poolCap bounds the emission-buffer pool; see Air.pool.
@@ -208,10 +224,12 @@ func (a *Air) observe(rx int, osc *radio.Oscillator, start int64, n int) []compl
 	cut := sort.Search(len(a.emissions), func(i int) bool {
 		return a.emissions[i].start >= start+int64(n+tail)
 	})
+	arrivals := a.resolve(start, n+tail, rx, osc, cut)
+	defer clear(arrivals) // drop the sample references until the next observe
 	shards := (cut + shardSize - 1) / shardSize
 	switch {
 	case shards <= 1:
-		a.fillShard(ether, start, rx, osc, 0, cut)
+		fillShard(ether, start, arrivals)
 	default:
 		// Deterministic sharded summation: shard s accumulates emissions
 		// [s·shardSize, (s+1)·shardSize) in index order into its own
@@ -221,7 +239,7 @@ func (a *Air) observe(rx int, osc *radio.Oscillator, start int64, n int) []compl
 		bufs := a.shardBuffers(shards, n+tail)
 		if w := min(Workers(), shards); w <= 1 {
 			for s := 0; s < shards; s++ {
-				a.fillShard(bufs[s], start, rx, osc, s*shardSize, min(cut, (s+1)*shardSize))
+				fillShard(bufs[s], start, arrivals[s*shardSize:min(cut, (s+1)*shardSize)])
 			}
 		} else {
 			var next atomic.Int32
@@ -235,7 +253,7 @@ func (a *Air) observe(rx int, osc *radio.Oscillator, start int64, n int) []compl
 						if s >= shards {
 							return
 						}
-						a.fillShard(bufs[s], start, rx, osc, s*shardSize, min(cut, (s+1)*shardSize))
+						fillShard(bufs[s], start, arrivals[s*shardSize:min(cut, (s+1)*shardSize)])
 					}
 				}()
 			}
@@ -260,17 +278,15 @@ func (a *Air) observe(rx int, osc *radio.Oscillator, start int64, n int) []compl
 	return ether[:n]
 }
 
-// fillShard accumulates emissions [lo, hi) into dst in index order. dst is
-// either the ether buffer itself (single-shard observations) or one shard's
+// fillShard accumulates arrivals into dst in index order. dst is either
+// the ether buffer itself (single-shard observations) or one shard's
 // private buffer; shard workers touch disjoint buffers only.
-func (a *Air) fillShard(dst []complex128, start int64, rx int, osc *radio.Oscillator, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		e := a.emissions[i]
-		l := a.links[linkKey{e.tx, rx}]
-		if l == nil {
-			continue
+func fillShard(dst []complex128, start int64, arrivals []arrival) {
+	for _, r := range arrivals {
+		if r.lo < r.hi {
+			// Convolution, carrier rotation and summation run fused.
+			dsp.ConvolveRotateAdd(dst[r.lo-start:r.hi-start], r.samples, r.taps, r.oLo, r.rot, r.step)
 		}
-		a.addEmission(dst, start, e, l, osc)
 	}
 }
 
@@ -295,29 +311,38 @@ func (a *Air) shardBuffers(count, n int) [][]complex128 {
 	return bufs
 }
 
-// addEmission accumulates one emission into the ether window [start,
-// start+len(dst)). The convolution window is clamped to the overlap first,
-// so a non-overlapping emission costs a few comparisons and an emission
-// mostly outside the window only convolves the samples the receiver hears;
-// convolution, carrier rotation and summation run fused in one pass.
-func (a *Air) addEmission(dst []complex128, start int64, e emission, l *channel.Link, rxOsc *radio.Oscillator) {
-	samples := e.samples
-	if a.cfg.ModelSFO {
-		samples = dsp.Resample(samples, e.osc.SFORatio())
+// resolve computes the arrival of emissions [0, cut) at receive antenna
+// rx in the ether window [start, start+n), in emission order. The window
+// is clamped to the overlap first, so a non-overlapping or unlinked
+// emission costs a few comparisons and never reads an oscillator, and an
+// emission mostly outside the window only convolves the samples the
+// receiver hears.
+func (a *Air) resolve(start int64, n int, rx int, rxOsc *radio.Oscillator, cut int) []arrival {
+	arrivals := a.arrivals[:0]
+	for _, e := range a.emissions[:cut] {
+		var r arrival
+		if l := a.links[linkKey{e.tx, rx}]; l != nil {
+			r = arrival{samples: e.samples, taps: l.Taps}
+			if a.cfg.ModelSFO {
+				r.samples = dsp.Resample(r.samples, e.osc.SFORatio())
+			}
+			need := len(r.samples) + len(r.taps) - 1
+			arrive := e.start + int64(l.Delay)
+			r.lo = max64(arrive, start)
+			r.hi = min64(arrive+int64(need), start+int64(n))
+			r.oLo = int(r.lo - arrive)
+			if r.lo < r.hi {
+				// Carrier rotation e^{j(φ_tx(t)−φ_rx(t))}, advanced
+				// incrementally from lo.
+				dPhase := e.osc.CFORadPerSample() - rxOsc.CFORadPerSample()
+				r.rot = cmplxs.Expi(e.osc.PhaseAt(r.lo) - rxOsc.PhaseAt(r.lo))
+				r.step = cmplxs.Expi(units.PhaseAdvance(dPhase, 1))
+			}
+		}
+		arrivals = append(arrivals, r)
 	}
-	need := len(samples) + len(l.Taps) - 1
-	arrive := e.start + int64(l.Delay)
-	lo := max64(arrive, start)
-	hi := min64(arrive+int64(need), start+int64(len(dst)))
-	if lo >= hi {
-		return
-	}
-	// Carrier rotation e^{j(φ_tx(t)−φ_rx(t))}, advanced incrementally.
-	dPhase := e.osc.CFORadPerSample() - rxOsc.CFORadPerSample()
-	phase0 := e.osc.PhaseAt(lo) - rxOsc.PhaseAt(lo)
-	rot := cmplxs.Expi(phase0)
-	step := cmplxs.Expi(units.PhaseAdvance(dPhase, 1))
-	dsp.ConvolveRotateAdd(dst[lo-start:hi-start], samples, l.Taps, int(lo-arrive), rot, step)
+	a.arrivals = arrivals
+	return arrivals
 }
 
 // ClearBefore drops emissions that end before ether sample t, bounding

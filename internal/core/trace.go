@@ -542,35 +542,6 @@ func (e TraceEvent) String() string {
 	return b.String()
 }
 
-// MergeTraces concatenates per-cell recordings (e.g. one per parallel
-// experiment cell, in cell-index order) into one timeline, renumbering
-// sequence numbers and offsetting span IDs so they stay unique. The
-// result depends only on the input order, never on worker scheduling.
-func MergeTraces(cells ...[]TraceEvent) []TraceEvent {
-	var total int
-	for _, evs := range cells {
-		total += len(evs)
-	}
-	out := make([]TraceEvent, 0, total)
-	var seq, spanBase int64
-	for _, evs := range cells {
-		var maxSpan int64
-		for _, e := range evs {
-			if e.Span > maxSpan {
-				maxSpan = e.Span
-			}
-			e.Seq = seq
-			seq++
-			if e.Span > 0 {
-				e.Span += spanBase
-			}
-			out = append(out, e)
-		}
-		spanBase += maxSpan
-	}
-	return out
-}
-
 // Trace returns the network's tracer (always non-nil).
 func (n *Network) Trace() *Tracer {
 	if n.tracer == nil {

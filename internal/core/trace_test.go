@@ -275,33 +275,6 @@ func TestTracerConcurrentSpans(t *testing.T) {
 	}
 }
 
-func TestMergeTraces(t *testing.T) {
-	a := &Tracer{}
-	a.Enable(16)
-	sa := a.BeginSpan(0, KindRound, TraceAttrs{}, "cell a")
-	a.EndSpan(sa, 1)
-	b := &Tracer{}
-	b.Enable(16)
-	sb := b.BeginSpan(0, KindRound, TraceAttrs{}, "cell b")
-	b.Emit(1, KindDecode, TraceAttrs{}, "")
-	b.EndSpan(sb, 2)
-	merged := MergeTraces(a.Events(), b.Events())
-	if len(merged) != 5 {
-		t.Fatalf("merged %d events, want 5", len(merged))
-	}
-	for i, e := range merged {
-		if e.Seq != int64(i) {
-			t.Fatalf("merged seq not renumbered: %+v at %d", e, i)
-		}
-	}
-	if merged[0].Span == merged[2].Span {
-		t.Fatal("span ids collide across cells")
-	}
-	if merged[3].Span != merged[2].Span {
-		t.Fatal("cell b instant lost its span after offsetting")
-	}
-}
-
 // collectSink is a test TraceSink that keeps every event it is handed.
 type collectSink struct{ evs []TraceEvent }
 

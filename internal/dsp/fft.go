@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"megamimo/internal/cmplxs"
 )
 
 // FFTPlan caches twiddle factors and the bit-reversal permutation for a
@@ -26,9 +24,6 @@ type FFTPlan struct {
 	rev  []int32 // bit-reversal permutation
 	twF  []complex128
 	twI  []complex128
-	// Split (SoA) twin of the twiddle tables for the kernels that keep
-	// their data in split layout.
-	twFS, twIS cmplxs.Split
 }
 
 // NewFFTPlan returns a plan for size n, which must be a power of two ≥ 2.
@@ -51,10 +46,6 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 			p.twI[half-1+k] = complex(c, -s)
 		}
 	}
-	p.twFS = cmplxs.NewSplit(n - 1)
-	p.twIS = cmplxs.NewSplit(n - 1)
-	cmplxs.Unpack(p.twFS, p.twF)
-	cmplxs.Unpack(p.twIS, p.twI)
 	return p, nil
 }
 
@@ -105,9 +96,9 @@ func (p *FFTPlan) Inverse(dst, src []complex128) {
 
 // ForwardBatch computes independent DFTs of every n-length frame packed
 // contiguously in src into dst (len(src) must be a multiple of n; dst and
-// src may alias). Batching all symbols of a round into one call over a
-// single scratch arena keeps the plan's tables hot instead of re-entering
-// the transform once per symbol.
+// src may alias). It is a plain per-frame loop over Forward: a convenience
+// for callers that keep every symbol of a frame in one contiguous arena,
+// not a faster transform.
 func (p *FFTPlan) ForwardBatch(dst, src []complex128) {
 	p.checkBatch(dst, src)
 	for off := 0; off < len(src); off += p.n {
@@ -121,26 +112,6 @@ func (p *FFTPlan) InverseBatch(dst, src []complex128) {
 	for off := 0; off < len(src); off += p.n {
 		p.Inverse(dst[off:off+p.n], src[off:off+p.n])
 	}
-}
-
-// ForwardSplit computes the DFT over a split (SoA) vector in place after a
-// bit-reversed copy from src. It is the split-layout twin of Forward for
-// callers whose data already lives in split form.
-func (p *FFTPlan) ForwardSplit(dst, src cmplxs.Split) {
-	p.reorderSplit(dst, src)
-	p.butterfliesSplit(dst, p.twFS)
-}
-
-// InverseSplit is ForwardSplit for the scaled inverse transform.
-func (p *FFTPlan) InverseSplit(dst, src cmplxs.Split) {
-	p.reorderSplit(dst, src)
-	scale := 1 / float64(p.n)
-	dr, di := dst.Re[:p.n], dst.Im[:p.n]
-	for i := range dr {
-		dr[i] *= scale
-		di[i] *= scale
-	}
-	p.butterfliesSplit(dst, p.twIS)
 }
 
 func (p *FFTPlan) check(dst, src []complex128) {
@@ -171,28 +142,6 @@ func (p *FFTPlan) reorder(dst, src []complex128) {
 	}
 }
 
-func (p *FFTPlan) reorderSplit(dst, src cmplxs.Split) {
-	n := p.n
-	if src.Len() != n || dst.Len() < n {
-		panic("dsp: FFT buffer length mismatch")
-	}
-	sr, si := src.Re, src.Im
-	dr, di := dst.Re, dst.Im
-	if &dr[0] == &sr[0] {
-		for i, j := range p.rev {
-			if i < int(j) {
-				dr[i], dr[j] = dr[j], dr[i]
-				di[i], di[j] = di[j], di[i]
-			}
-		}
-	} else {
-		for i, j := range p.rev {
-			dr[i] = sr[j]
-			di[i] = si[j]
-		}
-	}
-}
-
 // butterflies runs the iterative Cooley-Tukey stages over bit-reversed
 // data with the given direction's per-stage twiddle table.
 func (p *FFTPlan) butterflies(dst []complex128, tw []complex128) {
@@ -216,36 +165,6 @@ func (p *FFTPlan) butterflies(dst []complex128, tw []complex128) {
 				b := hi[k] * stw[k+1]
 				lo[k] = a + b
 				hi[k] = a - b
-			}
-		}
-	}
-}
-
-func (p *FFTPlan) butterfliesSplit(dst cmplxs.Split, tw cmplxs.Split) {
-	n := p.n
-	dr, di := dst.Re[:n], dst.Im[:n]
-	for i := 0; i < n; i += 2 {
-		ar, ai, br, bi := dr[i], di[i], dr[i+1], di[i+1]
-		dr[i], di[i] = ar+br, ai+bi
-		dr[i+1], di[i+1] = ar-br, ai-bi
-	}
-	for size := 4; size <= n; size <<= 1 {
-		half := size >> 1
-		twr := tw.Re[half-1 : 2*half-1]
-		twi := tw.Im[half-1 : 2*half-1]
-		for start := 0; start < n; start += size {
-			ar, ai, br, bi := dr[start], di[start], dr[start+half], di[start+half]
-			dr[start], di[start] = ar+br, ai+bi
-			dr[start+half], di[start+half] = ar-br, ai-bi
-			for k := 1; k < half; k++ {
-				i, j := start+k, start+k+half
-				wr, wi := twr[k], twi[k]
-				xr, xi := dr[j], di[j]
-				br := xr*wr - xi*wi
-				bi := xr*wi + xi*wr
-				ar, ai := dr[i], di[i]
-				dr[i], di[i] = ar+br, ai+bi
-				dr[j], di[j] = ar-br, ai-bi
 			}
 		}
 	}

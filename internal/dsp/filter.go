@@ -1,10 +1,6 @@
 package dsp
 
-import (
-	"math/cmplx"
-
-	"megamimo/internal/cmplxs"
-)
+import "math/cmplx"
 
 // Convolve returns the full linear convolution of x and h
 // (length len(x)+len(h)-1). This is the multipath-channel kernel: x is the
@@ -70,71 +66,6 @@ func ConvolveInto(dst, x, h []complex128) int {
 			acc += h[t] * x[o-t]
 		}
 		dst[o] += acc
-	}
-	return n
-}
-
-// ConvolveSplitInto writes the convolution of x and h into the split
-// destination, accumulating like ConvolveInto. The SoA destination is for
-// kernels that keep working on the result in split form (the air medium
-// convolves, then rotates and sums), so the conversion back to
-// []complex128 happens once, fused with the final accumulation.
-func ConvolveSplitInto(dst cmplxs.Split, x, h []complex128) int {
-	n := len(x) + len(h) - 1
-	if len(x) == 0 || len(h) == 0 {
-		return 0
-	}
-	if dst.Len() < n {
-		panic("dsp: ConvolveSplitInto destination too short")
-	}
-	nx, nh := len(x), len(h)
-	dr, di := dst.Re, dst.Im
-	if nh == 4 && nx >= 4 {
-		h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
-		h0r, h0i := real(h0), imag(h0)
-		h1r, h1i := real(h1), imag(h1)
-		h2r, h2i := real(h2), imag(h2)
-		h3r, h3i := real(h3), imag(h3)
-		acc := func(o int, v complex128) {
-			dr[o] += real(v)
-			di[o] += imag(v)
-		}
-		acc(0, h0*x[0])
-		acc(1, h0*x[1]+h1*x[0])
-		acc(2, h0*x[2]+h1*x[1]+h2*x[0])
-		for o := 3; o < nx; o++ {
-			x0, x1, x2, x3 := x[o], x[o-1], x[o-2], x[o-3]
-			x0r, x0i := real(x0), imag(x0)
-			x1r, x1i := real(x1), imag(x1)
-			x2r, x2i := real(x2), imag(x2)
-			x3r, x3i := real(x3), imag(x3)
-			// Parenthesized per tap so each term rounds exactly like the
-			// complex multiply in ConvolveInto: the two layouts produce
-			// bit-identical convolutions.
-			dr[o] += (h0r*x0r - h0i*x0i) + (h1r*x1r - h1i*x1i) +
-				(h2r*x2r - h2i*x2i) + (h3r*x3r - h3i*x3i)
-			di[o] += (h0r*x0i + h0i*x0r) + (h1r*x1i + h1i*x1r) +
-				(h2r*x2i + h2i*x2r) + (h3r*x3i + h3i*x3r)
-		}
-		acc(nx, h1*x[nx-1]+h2*x[nx-2]+h3*x[nx-3])
-		acc(nx+1, h2*x[nx-1]+h3*x[nx-2])
-		acc(nx+2, h3*x[nx-1])
-		return n
-	}
-	for o := 0; o < n; o++ {
-		tLo, tHi := o-nx+1, o+1
-		if tLo < 0 {
-			tLo = 0
-		}
-		if tHi > nh {
-			tHi = nh
-		}
-		var acc complex128
-		for t := tLo; t < tHi; t++ {
-			acc += h[t] * x[o-t]
-		}
-		dr[o] += real(acc)
-		di[o] += imag(acc)
 	}
 	return n
 }

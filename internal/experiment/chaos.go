@@ -58,7 +58,6 @@ var chaosCounters = []string{
 type chaosCell struct {
 	mm, bl   *traffic.Report
 	counters [5]int64
-	trace    []core.TraceEvent
 }
 
 // chaosLoadMbpsPerClient keeps every stream backlogged enough that a fault
@@ -68,7 +67,8 @@ const chaosLoadMbpsPerClient = 6.0
 
 // runChaosCell builds two identically seeded networks over one topology,
 // materializes the fault schedule once, and replays it against each system.
-func runChaosCell(nAPs int, intensity, seconds float64, topoSeed, engSeed, planSeed int64, traceLimit int) (chaosCell, error) {
+// A non-nil sink receives the MegaMIMO network's flight-recorder events.
+func runChaosCell(nAPs int, intensity, seconds float64, topoSeed, engSeed, planSeed int64, sink core.TraceSink) (chaosCell, error) {
 	var cell chaosCell
 	run := func(sys traffic.System) (*traffic.Report, *core.Network, error) {
 		cfg := core.DefaultConfig(nAPs, nAPs, HighSNR.Lo, HighSNR.Hi)
@@ -78,8 +78,8 @@ func runChaosCell(nAPs int, intensity, seconds float64, topoSeed, engSeed, planS
 		if err != nil {
 			return nil, nil, err
 		}
-		if traceLimit > 0 && sys == traffic.SystemMegaMIMO {
-			n.Trace().Enable(traceLimit)
+		if sys == traffic.SystemMegaMIMO {
+			attachTrace(n, sink)
 		}
 		if _, err := n.MeasureAndPrecode(); err != nil {
 			return nil, nil, err
@@ -118,7 +118,6 @@ func runChaosCell(nAPs int, intensity, seconds float64, topoSeed, engSeed, planS
 		return cell, err
 	}
 	cell.mm = mm
-	cell.trace = n.Trace().Events()
 	for i, name := range chaosCounters {
 		cell.counters[i] = n.Metrics().Counter(name).Value()
 	}
@@ -132,35 +131,21 @@ func runChaosCell(nAPs int, intensity, seconds float64, topoSeed, engSeed, planS
 // Cells run on the parallel engine; every seed is a pure function of the
 // cell's (intensity, topology) coordinates, and every in-cell random fault
 // decision is a hash of the plan seed and a message identity, so the sweep
-// is byte-identical at any worker count.
-func RunChaos(intensities []float64, nAPs, topologies int, seconds float64, seed int64) (*ChaosResult, error) {
-	res, _, err := RunChaosTrace(intensities, nAPs, topologies, seconds, seed, 0)
-	return res, err
-}
-
-// RunChaosTrace is RunChaos with the flight recorder on: traceLimit > 0
-// enables each cell's MegaMIMO tracer with that ring size and returns the
-// merged trace (cells merge in index order, so it is worker-count
-// independent like the result).
-func RunChaosTrace(intensities []float64, nAPs, topologies int, seconds float64, seed int64, traceLimit int) (*ChaosResult, []core.TraceEvent, error) {
+// is byte-identical at any worker count. A non-nil trace receives the
+// merged flight-recorder stream, as in RunWorkload.
+func RunChaos(intensities []float64, nAPs, topologies int, seconds float64, seed int64, trace core.TraceSink) (*ChaosResult, error) {
+	merge := mergeCells(trace, len(intensities)*topologies)
 	cells, err := MapNamed("chaos", len(intensities)*topologies, func(i int) (chaosCell, error) {
+		defer merge.CloseCell(i)
 		ii := i / topologies
 		topo := i % topologies
 		topoSeed := seed + int64(topo)*7919
 		engSeed := seed + int64(ii)*104729 + int64(topo)*7919
 		planSeed := seed + int64(ii)*15485863 + int64(topo)*7919 + 13
-		return runChaosCell(nAPs, intensities[ii], seconds, topoSeed, engSeed, planSeed, traceLimit)
+		return runChaosCell(nAPs, intensities[ii], seconds, topoSeed, engSeed, planSeed, merge.Cell(i))
 	})
 	if err != nil {
-		return nil, nil, err
-	}
-	var trace []core.TraceEvent
-	if traceLimit > 0 {
-		cellTraces := make([][]core.TraceEvent, len(cells))
-		for i, c := range cells {
-			cellTraces[i] = c.trace
-		}
-		trace = core.MergeTraces(cellTraces...)
+		return nil, err
 	}
 	res := &ChaosResult{NAPs: nAPs, Topologies: topologies, Seconds: seconds, Seed: seed}
 	for ii, intensity := range intensities {
@@ -188,7 +173,7 @@ func RunChaosTrace(intensities []float64, nAPs, topologies int, seconds float64,
 		p.BaselineFairness = stats.Median(blF)
 		res.Points = append(res.Points, p)
 	}
-	return res, trace, nil
+	return res, nil
 }
 
 // deliveredRate is delivered packets over offered packets (1 when nothing

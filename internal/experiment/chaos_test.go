@@ -16,10 +16,14 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 	type out struct {
 		Res   *ChaosResult
-		Trace []core.TraceEvent
+		Trace []byte
 	}
 	runBoth(t, "chaos", func() (out, error) {
-		res, trace, err := RunChaosTrace([]float64{0, 600}, 3, 1, 0.01, 77, 4096)
+		var res *ChaosResult
+		trace, err := streamTrace(3, func(sink core.TraceSink) (err error) {
+			res, err = RunChaos([]float64{0, 600}, 3, 1, 0.01, 77, sink)
+			return err
+		})
 		return out{res, trace}, err
 	})
 }
@@ -31,7 +35,7 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload pipeline")
 	}
-	res, err := RunChaos([]float64{0, 600}, 4, 1, 0.02, 11)
+	res, err := RunChaos([]float64{0, 600}, 4, 1, 0.02, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +75,11 @@ func TestChaosDeepEqualReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload pipeline")
 	}
-	a, err := RunChaos([]float64{300}, 3, 1, 0.01, 5)
+	a, err := RunChaos([]float64{300}, 3, 1, 0.01, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChaos([]float64{300}, 3, 1, 0.01, 5)
+	b, err := RunChaos([]float64{300}, 3, 1, 0.01, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

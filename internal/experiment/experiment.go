@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"megamimo/internal/core"
+	"megamimo/internal/tracefmt"
 	"megamimo/internal/units"
 )
 
@@ -53,6 +54,30 @@ func networkForBin(nAPs, nClients int, bin SNRBin, seed int64) (*core.Network, e
 		return nil, err
 	}
 	return n, nil
+}
+
+// traceRing is the flight-recorder ring size of a traced sweep cell. The
+// ring only bounds the recorder's memory: the cell's sink sees every event.
+const traceRing = 1 << 18
+
+// mergeCells returns the StreamMerge that interleaves a sweep's per-cell
+// traces into out in cell-index order, or nil (every cell untraced) when
+// out is nil.
+func mergeCells(out core.TraceSink, cells int) *tracefmt.StreamMerge {
+	if out == nil {
+		return nil
+	}
+	return tracefmt.NewStreamMerge(out, cells)
+}
+
+// attachTrace starts n's flight recorder feeding sink; a nil sink leaves
+// the network untraced.
+func attachTrace(n *core.Network, sink core.TraceSink) {
+	if sink == nil {
+		return
+	}
+	n.Trace().SetSink(sink)
+	n.Trace().Enable(traceRing)
 }
 
 // Table renders aligned rows for terminal output.

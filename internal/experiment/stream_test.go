@@ -5,17 +5,23 @@ import (
 	"reflect"
 	"testing"
 
+	"megamimo/internal/core"
 	"megamimo/internal/tracefmt"
 	"megamimo/internal/traffic"
 )
 
+// eventLog is a core.TraceSink that keeps every event it receives. The
+// sweep's StreamMerge forwards downstream under its own mutex, so no
+// locking is needed here.
+type eventLog struct{ events []core.TraceEvent }
+
+func (l *eventLog) ConsumeTrace(e core.TraceEvent) { l.events = append(l.events, e) }
+
 // TestWorkloadStreamedByteIdentical is the streaming pipeline's core
 // determinism property: the JSONL a live StreamSink receives through the
-// StreamMerge — at one worker and at four — is byte-for-byte the file the
-// buffered RunWorkloadTrace + WriteJSONL path would have written, and the
-// sweep results agree too. Ring size is large enough that nothing
-// overflows (overflow is the one legitimate divergence: the stream keeps
-// everything, the ring only the tail).
+// sweep's StreamMerge — at one worker and at four — is byte-for-byte the
+// file WriteJSONL writes from the same merged events collected in memory,
+// and the sweep results agree too.
 func TestWorkloadStreamedByteIdentical(t *testing.T) {
 	defer SetWorkers(0)
 	loads := []float64{2, 6}
@@ -23,7 +29,6 @@ func TestWorkloadStreamedByteIdentical(t *testing.T) {
 		nAPs, topos = 2, 2
 		seconds     = 0.01
 		seed        = 3
-		limit       = 1 << 16
 	)
 	meta := tracefmt.Meta{
 		SampleRate: 20e6, CarrierHz: 2.437e9,
@@ -31,15 +36,16 @@ func TestWorkloadStreamedByteIdentical(t *testing.T) {
 	}
 
 	SetWorkers(1)
-	wantRes, events, err := RunWorkloadTrace(loads, nAPs, topos, traffic.CBR, seconds, seed, limit)
+	var log eventLog
+	wantRes, err := RunWorkload(loads, nAPs, topos, traffic.CBR, seconds, seed, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 {
+	if len(log.events) == 0 {
 		t.Fatal("buffered workload trace is empty; fixture records nothing")
 	}
 	var want bytes.Buffer
-	if err := tracefmt.WriteJSONL(&want, meta, events); err != nil {
+	if err := tracefmt.WriteJSONL(&want, meta, log.events); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,7 +56,7 @@ func TestWorkloadStreamedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunWorkloadStreamed(loads, nAPs, topos, traffic.CBR, seconds, seed, limit, sink)
+		res, err := RunWorkload(loads, nAPs, topos, traffic.CBR, seconds, seed, sink)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

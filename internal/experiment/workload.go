@@ -5,7 +5,6 @@ import (
 
 	"megamimo/internal/core"
 	"megamimo/internal/stats"
-	"megamimo/internal/tracefmt"
 	"megamimo/internal/traffic"
 )
 
@@ -33,36 +32,30 @@ type WorkloadResult struct {
 	Points  []WorkloadPoint
 }
 
-// workloadCell is one (load, topology) run of both systems. trace holds
-// the MegaMIMO network's flight-recorder events when tracing is on.
+// workloadCell is one (load, topology) run of both systems.
 type workloadCell struct {
 	mm, bl *traffic.Report
-	trace  []core.TraceEvent
 }
 
 // runWorkloadCell builds two identically seeded networks over the same
 // topology and drives each system's engine closed-loop for the window.
-// traceLimit > 0 enables the MegaMIMO network's flight recorder with that
-// ring size and returns its events; the baseline run is never traced (it
-// has no joint rounds to record, and tracing it would double the volume
-// without adding protocol telemetry).
-func runWorkloadCell(nAPs int, kind traffic.Kind, loadBps float64, seconds float64, topoSeed, engSeed int64, traceLimit int, sink core.TraceSink) (workloadCell, error) {
-	run := func(sys traffic.System) (*traffic.Report, []core.TraceEvent, error) {
+// A non-nil sink receives the MegaMIMO network's flight-recorder events;
+// the baseline run is never traced (it has no joint rounds to record, and
+// tracing it would double the volume without adding protocol telemetry).
+func runWorkloadCell(nAPs int, kind traffic.Kind, loadBps float64, seconds float64, topoSeed, engSeed int64, sink core.TraceSink) (workloadCell, error) {
+	run := func(sys traffic.System) (*traffic.Report, error) {
 		cfg := core.DefaultConfig(nAPs, nAPs, HighSNR.Lo, HighSNR.Hi)
 		cfg.Seed = topoSeed
 		cfg.WellConditioned = true
 		n, err := core.New(cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if traceLimit > 0 && sys == traffic.SystemMegaMIMO {
-			if sink != nil {
-				n.Trace().SetSink(sink)
-			}
-			n.Trace().Enable(traceLimit)
+		if sys == traffic.SystemMegaMIMO {
+			attachTrace(n, sink)
 		}
 		if _, err := n.MeasureAndPrecode(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		profiles := make([]traffic.Profile, n.NumStreams())
 		for i := range profiles {
@@ -74,23 +67,19 @@ func runWorkloadCell(nAPs int, kind traffic.Kind, loadBps float64, seconds float
 			Seed:     engSeed,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		rep, err := eng.Run(seconds)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rep, n.Trace().Events(), nil
+		return eng.Run(seconds)
 	}
-	mm, trace, err := run(traffic.SystemMegaMIMO)
+	mm, err := run(traffic.SystemMegaMIMO)
 	if err != nil {
 		return workloadCell{}, err
 	}
-	bl, _, err := run(traffic.SystemTDMA)
+	bl, err := run(traffic.SystemTDMA)
 	if err != nil {
 		return workloadCell{}, err
 	}
-	return workloadCell{mm: mm, bl: bl, trace: trace}, nil
+	return workloadCell{mm: mm, bl: bl}, nil
 }
 
 // RunWorkload sweeps per-client offered load and reports delivered
@@ -98,57 +87,20 @@ func runWorkloadCell(nAPs int, kind traffic.Kind, loadBps float64, seconds float
 // across random topologies. Cells run on the parallel engine; each cell's
 // seeds depend only on its (load, topology) coordinates, so the result is
 // byte-identical at any worker count.
-func RunWorkload(loadsMbps []float64, nAPs, topologies int, kind traffic.Kind, seconds float64, seed int64) (*WorkloadResult, error) {
-	res, _, err := RunWorkloadTrace(loadsMbps, nAPs, topologies, kind, seconds, seed, 0)
-	return res, err
-}
-
-// RunWorkloadTrace is RunWorkload with the flight recorder on:
-// traceLimit > 0 enables each cell's MegaMIMO tracer with that ring size
-// and returns the merged trace. Cells record independently and the merge
-// walks them in cell-index order (core.MergeTraces renumbers sequence
-// numbers and offsets span IDs), so the returned trace — like the result —
-// is byte-identical at any worker count.
-func RunWorkloadTrace(loadsMbps []float64, nAPs, topologies int, kind traffic.Kind, seconds float64, seed int64, traceLimit int) (*WorkloadResult, []core.TraceEvent, error) {
+//
+// A non-nil trace receives every cell's MegaMIMO flight-recorder events,
+// merged in cell-index order by a StreamMerge while the cells run, so the
+// merged stream is byte-identical at any worker count too. A nil trace
+// runs the sweep untraced.
+func RunWorkload(loadsMbps []float64, nAPs, topologies int, kind traffic.Kind, seconds float64, seed int64, trace core.TraceSink) (*WorkloadResult, error) {
+	merge := mergeCells(trace, len(loadsMbps)*topologies)
 	cells, err := MapNamed("workload", len(loadsMbps)*topologies, func(i int) (workloadCell, error) {
-		loadIdx := i / topologies
-		topo := i % topologies
-		topoSeed := seed + int64(topo)*7919
-		engSeed := seed + int64(loadIdx)*104729 + int64(topo)*7919
-		return runWorkloadCell(nAPs, kind, loadsMbps[loadIdx]*1e6, seconds, topoSeed, engSeed, traceLimit, nil)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var trace []core.TraceEvent
-	if traceLimit > 0 {
-		cellTraces := make([][]core.TraceEvent, len(cells))
-		for i, c := range cells {
-			cellTraces[i] = c.trace
-		}
-		trace = core.MergeTraces(cellTraces...)
-	}
-	return aggregateWorkload(cells, loadsMbps, topologies, nAPs, kind, seconds), trace, nil
-}
-
-// RunWorkloadStreamed is RunWorkloadTrace with the flight recorder
-// streaming live: each cell's tracer feeds its lane of a StreamMerge and
-// the merged, renumbered events reach `out` while cells are still
-// running. The merge replays core.MergeTraces' ordering online, so for
-// ring sizes that never overflow the streamed output is byte-identical
-// to the buffered RunWorkloadTrace export at any worker count. Cells
-// that finish out of order buffer inside the merge until the frontier
-// reaches them; `out` itself is always driven by one call at a time.
-func RunWorkloadStreamed(loadsMbps []float64, nAPs, topologies int, kind traffic.Kind, seconds float64, seed int64, traceLimit int, out core.TraceSink) (*WorkloadResult, error) {
-	merge := tracefmt.NewStreamMerge(out, len(loadsMbps)*topologies)
-	cells, err := MapNamed("workload", len(loadsMbps)*topologies, func(i int) (workloadCell, error) {
-		// Close the lane even on error so the merge still drains.
 		defer merge.CloseCell(i)
 		loadIdx := i / topologies
 		topo := i % topologies
 		topoSeed := seed + int64(topo)*7919
 		engSeed := seed + int64(loadIdx)*104729 + int64(topo)*7919
-		return runWorkloadCell(nAPs, kind, loadsMbps[loadIdx]*1e6, seconds, topoSeed, engSeed, traceLimit, merge.Cell(i))
+		return runWorkloadCell(nAPs, kind, loadsMbps[loadIdx]*1e6, seconds, topoSeed, engSeed, merge.Cell(i))
 	})
 	if err != nil {
 		return nil, err

@@ -2,9 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
-	"megamimo/internal/tracefmt"
+	"megamimo/internal/core"
 	"megamimo/internal/traffic"
 )
 
@@ -13,7 +14,7 @@ func TestWorkloadDeterministicAcrossWorkers(t *testing.T) {
 		old := Workers()
 		SetWorkers(workers)
 		defer SetWorkers(old)
-		r, err := RunWorkload([]float64{2, 8}, 2, 2, traffic.Poisson, 0.005, 7)
+		r, err := RunWorkload([]float64{2, 8}, 2, 2, traffic.Poisson, 0.005, 7, nil)
 		if err != nil {
 			t.Fatalf("RunWorkload(workers=%d): %v", workers, err)
 		}
@@ -27,32 +28,35 @@ func TestWorkloadDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestWorkloadTraceDeterministicAcrossWorkers checks the flight recorder
-// inherits the engine's determinism guarantee: the serialized JSONL trace
-// of a parallel run is byte-identical to a serial run's.
+// inherits the engine's determinism guarantee: the JSONL a StreamSink
+// receives through the sweep's StreamMerge, and the sweep result, are
+// identical at one engine and medium worker and at four. Tracing must not
+// perturb the simulation either: the traced result equals the untraced one.
 func TestWorkloadTraceDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) []byte {
-		old := Workers()
-		SetWorkers(workers)
-		defer SetWorkers(old)
-		_, trace, err := RunWorkloadTrace([]float64{2, 8}, 2, 2, traffic.Poisson, 0.005, 7, 1<<16)
-		if err != nil {
-			t.Fatalf("RunWorkloadTrace(workers=%d): %v", workers, err)
-		}
-		if len(trace) == 0 {
-			t.Fatalf("RunWorkloadTrace(workers=%d) recorded no events", workers)
-		}
-		var buf bytes.Buffer
-		meta := tracefmt.Meta{SampleRate: 20e6, CarrierHz: 2.462e9, APs: 2, Clients: 2}
-		if err := tracefmt.WriteJSONL(&buf, meta, trace); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	type out struct {
+		Res   *WorkloadResult
+		Trace []byte
 	}
-	serial := run(1)
-	parallel := run(4)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("serialized trace diverges across worker counts: %d vs %d bytes",
-			len(serial), len(parallel))
+	run := func(sink core.TraceSink) (*WorkloadResult, error) {
+		return RunWorkload([]float64{2, 8}, 2, 2, traffic.Poisson, 0.005, 7, sink)
+	}
+	var traced *WorkloadResult
+	runBoth(t, "workload trace", func() (out, error) {
+		trace, err := streamTrace(2, func(sink core.TraceSink) (err error) {
+			traced, err = run(sink)
+			return err
+		})
+		if err == nil && bytes.Count(trace, []byte("\n")) < 2 {
+			t.Fatal("workload trace recorded no events")
+		}
+		return out{traced, trace}, err
+	})
+	untraced, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(traced, untraced) {
+		t.Errorf("tracing changed the sweep result:\ntraced:   %+v\nuntraced: %+v", traced, untraced)
 	}
 }
 
@@ -60,7 +64,7 @@ func TestWorkloadSaturationGain(t *testing.T) {
 	// At a demand far beyond one AP's unicast capacity, joint
 	// transmission must deliver more than the equal-share baseline —
 	// the paper's headline claim, restated in workload terms.
-	r, err := RunWorkload([]float64{16}, 2, 2, traffic.Poisson, 0.01, 11)
+	r, err := RunWorkload([]float64{16}, 2, 2, traffic.Poisson, 0.01, 11, nil)
 	if err != nil {
 		t.Fatalf("RunWorkload: %v", err)
 	}

@@ -12,9 +12,9 @@ import (
 
 // Streaming trace pipeline: StreamSink serializes events to JSONL as they
 // are recorded (instead of waiting for the end-of-run ring export), and
-// StreamMerge reproduces core.MergeTraces' deterministic cell ordering
-// online, so a streamed multi-cell trace is byte-identical to the buffered
-// one at any worker count.
+// StreamMerge is the one merge of a multi-cell trace: it interleaves the
+// cells' streams online in a fixed cell order, so the merged trace is
+// byte-identical at any worker count.
 
 // SinkPolicy selects what a full StreamSink queue does to new events.
 type SinkPolicy int
@@ -216,11 +216,15 @@ func (s *StreamSink) Err() error {
 }
 
 // StreamMerge multiplexes per-cell event streams into one downstream sink
-// in exactly the order core.MergeTraces would produce: cells in index
-// order, seq renumbered from 0, span IDs offset by the running per-cell
-// maximum. The frontier cell's events pass through live; later cells
-// buffer until every earlier cell has closed — so with workers=1 nothing
-// ever buffers, and with workers=N the downstream bytes are identical.
+// in a deterministic order: cells in index order, seq renumbered from 0,
+// span IDs offset by the running per-cell maximum (so they stay unique
+// across cells and instants keep pointing at their own cell's spans). The
+// frontier cell's events pass through live; later cells buffer until
+// every earlier cell has closed — so with workers=1 nothing ever buffers,
+// and with workers=N the downstream bytes are identical.
+//
+// A nil *StreamMerge is an untraced sweep: Cell returns a nil sink and
+// CloseCell does nothing.
 type StreamMerge struct {
 	mu       sync.Mutex
 	out      core.TraceSink
@@ -245,7 +249,12 @@ func NewStreamMerge(out core.TraceSink, cells int) *StreamMerge {
 // Cell returns the sink for cell index i; attach it to that cell's tracer
 // (Tracer.SetSink). Events sent to an out-of-range or closed cell are
 // discarded.
-func (m *StreamMerge) Cell(i int) core.TraceSink { return cellSink{m: m, i: i} }
+func (m *StreamMerge) Cell(i int) core.TraceSink {
+	if m == nil {
+		return nil
+	}
+	return cellSink{m: m, i: i}
+}
 
 // cellSink tags incoming events with their cell index.
 type cellSink struct {
@@ -269,8 +278,8 @@ func (m *StreamMerge) consume(i int, e core.TraceEvent) {
 	m.cells[i].buf = append(m.cells[i].buf, e)
 }
 
-// forwardLocked renumbers one event exactly as core.MergeTraces does and
-// hands it downstream.
+// forwardLocked renumbers one event into the merged numbering and hands
+// it downstream.
 func (m *StreamMerge) forwardLocked(i int, e core.TraceEvent) {
 	if e.Span > m.cells[i].maxSpan {
 		m.cells[i].maxSpan = e.Span
@@ -287,6 +296,9 @@ func (m *StreamMerge) forwardLocked(i int, e core.TraceEvent) {
 // advances: each already-closed successor's buffer is flushed downstream
 // in order. Close every cell (any order) to drain the merge completely.
 func (m *StreamMerge) CloseCell(i int) {
+	if m == nil {
+		return
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if i < 0 || i >= len(m.cells) || m.cells[i].closed {
