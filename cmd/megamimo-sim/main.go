@@ -25,108 +25,109 @@ import (
 	"megamimo/internal/mac"
 	"megamimo/internal/metrics"
 	"megamimo/internal/obs"
-	psync "megamimo/internal/sync"
 	"megamimo/internal/tracefmt"
 	"megamimo/internal/traffic"
 	"megamimo/internal/units"
 )
 
-func main() {
-	var (
-		nAPs        = flag.Int("aps", 4, "number of access points")
-		nCli        = flag.Int("clients", 4, "number of clients")
-		snrLo       = flag.Float64("snr-lo", 18, "client SNR band low edge (dB)")
-		snrHi       = flag.Float64("snr-hi", 24, "client SNR band high edge (dB)")
-		packets     = flag.Int("packets", 8, "packets per client")
-		size        = flag.Int("size", 1500, "payload bytes")
-		seed        = flag.Int64("seed", 1, "random seed")
-		wellCnd     = flag.Bool("well-conditioned", true, "use the conditioning-controlled channel ensemble")
-		trace       = flag.Bool("trace", false, "print the protocol event timeline")
-		workload    = flag.String("workload", "", "drive a demand workload instead of a fixed batch: cbr|poisson|onoff|heavy")
-		chaos       = flag.String("chaos", "", "replay a fault scenario against the closed loop: slave-crash|lead-crash|lossy|churn|mixed")
-		load        = flag.Float64("load", 8, "workload offered load per client (Mb/s)")
-		duration    = flag.Float64("duration", 0.05, "workload window (simulated seconds)")
-		dumpMetrics = flag.Bool("metrics", false, "dump the runtime metrics registry as JSON on exit")
-		traceOut    = flag.String("trace-out", "", "write the flight-recorder trace to this file")
-		traceFmt    = flag.String("trace-format", "jsonl", "trace file format: jsonl|chrome")
-		driftPPM    = flag.Float64("drift-ppm", 0, "inject ±ppm oscillator drift: lead −ppm, slave APs +ppm (2×ppm relative)")
-		syncName    = flag.String("sync", "", "synchronization strategy: header|airsync|beamsync|beamsync-mistuned (default: the paper's header scheme)")
-		serveAddr   = flag.String("serve", "", "serve /metrics /healthz /trace /debug/pprof on this address during the run")
-		serveWait   = flag.Duration("serve-wait", 0, "keep the observability server up this long after the run completes")
-		streamOut   = flag.String("stream-out", "", "stream the flight recorder live to this JSONL file as events are recorded")
-		sinkPolicy  = flag.String("sink-policy", "block", "full stream queue behavior: block|drop-oldest")
-		sampleEvery = flag.Int("sample-every", 0, "workload/chaos: snapshot the metrics registry every N service rounds (0 = 64)")
-		seriesOut   = flag.String("series-out", "", "write the sampled metrics time series as JSONL to this file")
-		promOut     = flag.String("prom-out", "", "write the final metrics registry as Prometheus text to this file")
-		soak        = flag.Bool("soak", false, "run the resumable game-day soak harness (heavy load + fault storm + periodic checkpoints)")
-		ckptEvery   = flag.Int("checkpoint-every", 0, "soak: write a checkpoint every N service rounds (0 = no checkpoints)")
-		ckptDir     = flag.String("checkpoint-dir", "", "soak: directory for checkpoint files")
-		resume      = flag.String("resume", "", "soak: restore from this checkpoint and serve out the remaining window")
-		workers     = flag.Int("workers", 0, "soak: air-medium worker count (0 = GOMAXPROCS); output is byte-identical at any count")
-		faultsSec   = flag.Float64("faults-per-sec", 0, "soak: fault-storm intensity (expected events per simulated second)")
-		soakDrift   = flag.Float64("soak-drift-ppm", 0, "soak: inject ±ppm oscillator drift at -soak-drift-at (lead −ppm, slaves +ppm)")
-		soakDriftAt = flag.Float64("soak-drift-at", 0, "soak: simulated seconds into the run to apply -soak-drift-ppm")
-	)
-	flag.Parse()
+// runConfig is one invocation: every flag binds straight into it. The
+// embedded SoakConfig holds the run identity — topology, SNR band, seed,
+// sync strategy, load, window, storm, drift and checkpoint cadence — in
+// every mode, and its TracePath/SeriesPath are the -stream-out and
+// -series-out files; the soak harness receives it as is.
+type runConfig struct {
+	experiment.SoakConfig
+	packets         int
+	wellConditioned bool
+	trace           bool
+	workload, chaos string
+	dumpMetrics     bool
+	traceOut        string
+	traceFormat     string
+	serveAddr       string
+	serveWait       time.Duration
+	sinkPolicy      string
+	promOut         string
+	soak            bool
+	workers         int
+}
 
-	if *soak {
-		runSoak(soakFlags{
-			aps: *nAPs, clients: *nCli, snrLo: *snrLo, snrHi: *snrHi,
-			seed: *seed, sync: *syncName, load: *load, size: *size,
-			duration: *duration, faultsPerSec: *faultsSec,
-			sampleEvery: *sampleEvery, ckptEvery: *ckptEvery, ckptDir: *ckptDir,
-			resume: *resume, workers: *workers,
-			driftPPM: *soakDrift, driftAt: *soakDriftAt,
-			traceOut: *streamOut, seriesOut: *seriesOut,
-			serveAddr: *serveAddr, serveWait: *serveWait,
-		})
+// parseFlags binds every command-line flag into one runConfig.
+func parseFlags() *runConfig {
+	c := &runConfig{}
+	flag.IntVar(&c.APs, "aps", 4, "number of access points")
+	flag.IntVar(&c.Clients, "clients", 4, "number of clients")
+	flag.Float64Var(&c.SNRLoDB, "snr-lo", 18, "client SNR band low edge (dB)")
+	flag.Float64Var(&c.SNRHiDB, "snr-hi", 24, "client SNR band high edge (dB)")
+	flag.IntVar(&c.packets, "packets", 8, "packets per client")
+	flag.IntVar(&c.PacketBytes, "size", 1500, "payload bytes")
+	flag.Int64Var(&c.Seed, "seed", 1, "random seed")
+	flag.BoolVar(&c.wellConditioned, "well-conditioned", true, "use the conditioning-controlled channel ensemble")
+	flag.BoolVar(&c.trace, "trace", false, "print the protocol event timeline")
+	flag.StringVar(&c.workload, "workload", "", "drive a demand workload instead of a fixed batch: cbr|poisson|onoff|heavy")
+	flag.StringVar(&c.chaos, "chaos", "", "replay a fault scenario against the closed loop: slave-crash|lead-crash|lossy|churn|mixed")
+	flag.Float64Var(&c.LoadMbps, "load", 8, "workload offered load per client (Mb/s)")
+	flag.Float64Var(&c.Seconds, "duration", 0.05, "workload window (simulated seconds)")
+	flag.BoolVar(&c.dumpMetrics, "metrics", false, "dump the runtime metrics registry as JSON on exit")
+	flag.StringVar(&c.traceOut, "trace-out", "", "write the flight-recorder trace to this file")
+	flag.StringVar(&c.traceFormat, "trace-format", "jsonl", "trace file format: jsonl|chrome")
+	flag.Float64Var(&c.DriftPPM, "drift-ppm", 0, "inject ±ppm oscillator drift: lead −ppm, slave APs +ppm (2×ppm relative); soak mode applies it at -soak-drift-at")
+	flag.StringVar(&c.Sync, "sync", "", "synchronization strategy: header|airsync|beamsync (default: the paper's header scheme)")
+	flag.StringVar(&c.serveAddr, "serve", "", "serve /metrics /healthz /trace /debug/pprof on this address during the run")
+	flag.DurationVar(&c.serveWait, "serve-wait", 0, "keep the observability server up this long after the run completes")
+	flag.StringVar(&c.TracePath, "stream-out", "", "stream the flight recorder live to this JSONL file as events are recorded")
+	flag.StringVar(&c.sinkPolicy, "sink-policy", "block", "full stream queue behavior: block|drop-oldest")
+	flag.IntVar(&c.SampleEvery, "sample-every", 0, "workload/chaos: snapshot the metrics registry every N service rounds (0 = 64)")
+	flag.StringVar(&c.SeriesPath, "series-out", "", "write the sampled metrics time series as JSONL to this file")
+	flag.StringVar(&c.promOut, "prom-out", "", "write the final metrics registry as Prometheus text to this file")
+	flag.BoolVar(&c.soak, "soak", false, "run the resumable game-day soak harness (heavy load + fault storm + periodic checkpoints)")
+	flag.IntVar(&c.CheckpointEvery, "checkpoint-every", 0, "soak: write a checkpoint every N service rounds (0 = no checkpoints)")
+	flag.StringVar(&c.CheckpointDir, "checkpoint-dir", "", "soak: directory for checkpoint files")
+	flag.StringVar(&c.Resume, "resume", "", "soak: restore from this checkpoint and serve out the remaining window")
+	flag.IntVar(&c.workers, "workers", 0, "soak: air-medium worker count (0 = GOMAXPROCS); output is byte-identical at any count")
+	flag.Float64Var(&c.FaultsPerSec, "faults-per-sec", 0, "soak: fault-storm intensity (expected events per simulated second)")
+	flag.Float64Var(&c.DriftAtSeconds, "soak-drift-at", 0, "soak: simulated seconds into the run to apply -drift-ppm")
+	flag.Parse()
+	return c
+}
+
+func main() {
+	c := parseFlags()
+	if c.soak {
+		runSoak(c)
 		return
 	}
 
-	format, err := tracefmt.ParseFormat(*traceFmt)
+	format, err := tracefmt.ParseFormat(c.traceFormat)
 	if err != nil {
 		fatal(err)
 	}
-	policy, err := tracefmt.ParseSinkPolicy(*sinkPolicy)
+	policy, err := tracefmt.ParseSinkPolicy(c.sinkPolicy)
 	if err != nil {
 		fatal(err)
 	}
-	strategy, err := psync.Parse(*syncName)
+	cfg, err := c.CoreConfig()
 	if err != nil {
 		fatal(err)
 	}
-
-	cfg := core.DefaultConfig(*nAPs, *nCli, units.Decibels(*snrLo), units.Decibels(*snrHi))
-	cfg.Seed = *seed
-	cfg.WellConditioned = *wellCnd
-	cfg.Sync = strategy
+	cfg.WellConditioned = c.wellConditioned
 	net, err := core.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("network: %d APs, %d clients, %.0f-%.0f dB, %.0f MHz, sync strategy %q\n",
-		*nAPs, *nCli, *snrLo, *snrHi, cfg.SampleRate/1e6, net.SyncName())
-	tel, err := newTelemetry(net, runMeta(net, cfg, *nAPs, *nCli), *streamOut, policy,
-		*serveAddr, *serveWait, *seriesOut, *promOut)
+		c.APs, c.Clients, c.SNRLoDB, c.SNRHiDB, cfg.SampleRate/1e6, net.SyncName())
+	tel, err := newTelemetry(net, c, format, policy)
 	if err != nil {
 		fatal(err)
 	}
-	if *trace || *traceOut != "" || tel.active() {
+	if c.trace || c.traceOut != "" || tel.active() {
 		net.Trace().Enable(1 << 20)
 	}
-	if *driftPPM != 0 {
-		// Pull the lead and the slave APs apart by 2×ppm relative: the
-		// drift the anomaly detector's cfo-mandate check measures. Client
-		// oscillators keep their configured draws.
-		for _, ap := range net.APs {
-			if ap.Index == net.Lead().Index {
-				ap.Node.Osc.PPM = units.PPM(-*driftPPM)
-			} else {
-				ap.Node.Osc.PPM = units.PPM(*driftPPM)
-			}
-		}
+	if c.DriftPPM != 0 {
+		net.SetAPDrift(units.PPM(c.DriftPPM))
 		fmt.Printf("oscillator drift injected: lead %+.1f ppm, slaves %+.1f ppm (%.1f ppm relative)\n",
-			-*driftPPM, *driftPPM, 2*math.Abs(*driftPPM))
+			-c.DriftPPM, c.DriftPPM, 2*math.Abs(c.DriftPPM))
 	}
 
 	if err := net.Measure(); err != nil {
@@ -143,16 +144,14 @@ func main() {
 	fmt.Printf("precoder: zero-forcing, power scale k=%.3f (per-client signal %.1f dB over noise)\n",
 		p.PowerScale, dB(p.PowerScale*p.PowerScale/cfg.NoiseVar))
 
-	if *chaos != "" {
-		runChaos(net, *chaos, *load, *duration, *seed, *size, *dumpMetrics, tel.sampler, *sampleEvery)
-		writeTrace(net, cfg, *nAPs, *nCli, *traceOut, format)
+	if c.chaos != "" {
+		runChaos(net, c, tel.sampler)
 		tel.finish()
 		return
 	}
 
-	if *workload != "" {
-		runWorkload(net, cfg, *workload, *load, *duration, *seed, *size, *trace, *dumpMetrics, tel.sampler, *sampleEvery)
-		writeTrace(net, cfg, *nAPs, *nCli, *traceOut, format)
+	if c.workload != "" {
+		runWorkload(net, cfg, c, tel.sampler)
 		tel.finish()
 		return
 	}
@@ -164,7 +163,6 @@ func main() {
 		// strategy broken enough to kill every MCS is precisely what the
 		// trace anomaly gate exists to diagnose. The streaming surfaces
 		// flush too, so a live follower sees how far the run got.
-		writeTrace(net, cfg, *nAPs, *nCli, *traceOut, format)
 		tel.finish()
 		if err == nil {
 			err = fmt.Errorf("no deliverable MCS at this SNR")
@@ -173,9 +171,9 @@ func main() {
 	}
 	fmt.Printf("rate adaptation: %v\n", mcs)
 
-	sched := mac.NewScheduler(net, *seed)
+	sched := mac.NewScheduler(net, c.Seed)
 	sched.MCS = mcs
-	sched.FillQueue(*packets, *size, *seed+7)
+	sched.FillQueue(c.packets, c.PacketBytes, c.Seed+7)
 	st, err := sched.Run()
 	if err != nil {
 		fatal(err)
@@ -186,7 +184,7 @@ func main() {
 		st.DeliveredPackets, st.DeliveredBits, st.FailedPackets)
 	fmt.Printf("MegaMIMO throughput: %.1f Mb/s\n", st.ThroughputBps(cfg.SampleRate)/1e6)
 
-	bl, per, err := baseline.New(net).EqualShareThroughput(*size)
+	bl, per, err := baseline.New(net).EqualShareThroughput(c.PacketBytes)
 	if err != nil {
 		fatal(err)
 	}
@@ -196,41 +194,15 @@ func main() {
 	}
 	fmt.Println(")")
 	if bl > 0 {
-		fmt.Printf("gain: %.1fx with %d APs\n", st.ThroughputBps(cfg.SampleRate)/bl, *nAPs)
+		fmt.Printf("gain: %.1fx with %d APs\n", st.ThroughputBps(cfg.SampleRate)/bl, c.APs)
 	}
-	if *trace {
-		fmt.Println("\nprotocol timeline:")
-		for _, e := range net.Trace().Events() {
-			fmt.Println("  " + e.String())
-		}
+	if c.trace {
+		printTimeline(net)
 	}
-	if *dumpMetrics {
-		fmt.Println()
-		if err := net.Metrics().WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
+	if c.dumpMetrics {
+		dumpMetrics(net)
 	}
-	writeTrace(net, cfg, *nAPs, *nCli, *traceOut, format)
 	tel.finish()
-}
-
-// soakFlags carries the flag subset the soak harness consumes.
-type soakFlags struct {
-	aps, clients           int
-	snrLo, snrHi           float64
-	seed                   int64
-	sync                   string
-	load                   float64
-	size                   int
-	duration, faultsPerSec float64
-	sampleEvery, ckptEvery int
-	ckptDir, resume        string
-	workers                int
-	driftPPM, driftAt      float64
-	traceOut, seriesOut    string
-	serveAddr              string
-	serveWait              time.Duration
 }
 
 // runSoak drives experiment.RunSoak from the CLI: the long-horizon
@@ -238,47 +210,32 @@ type soakFlags struct {
 // restored tail of one. On resume it prints the checkpoint's logical
 // stream offsets, so a caller can splice the tail files onto an
 // uninterrupted run's output at exactly the right byte.
-func runSoak(f soakFlags) {
-	air.SetWorkers(f.workers)
-	cfg := experiment.SoakConfig{
-		APs: f.aps, Clients: f.clients,
-		SNRLoDB: f.snrLo, SNRHiDB: f.snrHi,
-		Seed: f.seed, Sync: f.sync,
-		LoadMbps: f.load, PacketBytes: f.size, Seconds: f.duration,
-		FaultsPerSec: f.faultsPerSec, SampleEvery: f.sampleEvery,
-		CheckpointEvery: f.ckptEvery, CheckpointDir: f.ckptDir,
-		Resume:    f.resume,
-		TracePath: f.traceOut, SeriesPath: f.seriesOut,
-		DriftPPM: f.driftPPM, DriftAtSeconds: f.driftAt,
-	}
-	if f.serveAddr != "" {
-		strategy, err := psync.Parse(f.sync)
+func runSoak(c *runConfig) {
+	air.SetWorkers(c.workers)
+	if c.serveAddr != "" {
+		cfg, err := c.CoreConfig()
 		if err != nil {
 			fatal(err)
 		}
-		ccfg := core.DefaultConfig(f.aps, f.clients, units.Decibels(f.snrLo), units.Decibels(f.snrHi))
-		srv, err := obs.New(obs.Config{Addr: f.serveAddr, Meta: tracefmt.Meta{
-			SampleRate: ccfg.SampleRate, CarrierHz: ccfg.CarrierHz,
-			APs: f.aps, Clients: f.clients, Sync: strategy.Name(),
-		}})
+		srv, err := obs.New(obs.Config{Addr: c.serveAddr, Meta: runMeta(cfg)})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(srv)
-		cfg.Server = srv
+		c.Server = srv
 	}
-	if f.resume != "" {
-		st, _, err := checkpoint.ReadAny(f.resume)
+	if c.Resume != "" {
+		st, _, err := checkpoint.ReadAny(c.Resume)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("soak: resuming %s from round %d (t=%d, trace offset %d, series offset %d)\n",
-			f.resume, st.Rounds, st.Now, st.TraceBytes, st.SeriesBytes)
+			c.Resume, st.Rounds, st.Now, st.TraceBytes, st.SeriesBytes)
 	} else {
 		fmt.Printf("soak: %d APs, %d clients, %.1f Mb/s per client, %.3fs window, %.0f faults/s, checkpoint every %d rounds\n",
-			f.aps, f.clients, f.load, f.duration, f.faultsPerSec, f.ckptEvery)
+			c.APs, c.Clients, c.LoadMbps, c.Seconds, c.FaultsPerSec, c.CheckpointEvery)
 	}
-	res, err := experiment.RunSoak(cfg)
+	res, err := experiment.RunSoak(c.SoakConfig)
 	if res != nil {
 		for _, p := range res.Checkpoints {
 			fmt.Printf("checkpoint: %s\n", p)
@@ -291,13 +248,13 @@ func runSoak(f soakFlags) {
 	fmt.Print(res.Report)
 	fmt.Printf("\nsoak complete: %d rounds, %d checkpoints, trace %d bytes, series %d bytes\n",
 		res.Rounds, len(res.Checkpoints), res.TraceBytes, res.SeriesBytes)
-	if cfg.Server != nil {
-		cfg.Server.MarkDone()
-		if f.serveWait > 0 {
-			fmt.Printf("observability server up for another %s\n", f.serveWait)
-			time.Sleep(f.serveWait)
+	if c.Server != nil {
+		c.Server.MarkDone()
+		if c.serveWait > 0 {
+			fmt.Printf("observability server up for another %s\n", c.serveWait)
+			time.Sleep(c.serveWait)
 		}
-		_ = cfg.Server.Close()
+		_ = c.Server.Close()
 	}
 }
 
@@ -306,64 +263,40 @@ func runSoak(f soakFlags) {
 // streaming sinks reuse it so a streamed file and a buffered -trace-out
 // export of the same run carry identical headers — overflow counters are
 // the one buffered-only addition (the stream never truncates).
-func runMeta(net *core.Network, cfg core.Config, nAPs, nCli int) tracefmt.Meta {
+func runMeta(cfg core.Config) tracefmt.Meta {
 	return tracefmt.Meta{
 		SampleRate: cfg.SampleRate,
 		CarrierHz:  cfg.CarrierHz,
-		APs:        nAPs,
-		Clients:    nCli,
-		Sync:       net.SyncName(),
+		APs:        cfg.NumAPs,
+		Clients:    cfg.NumClients,
+		Sync:       cfg.Sync.Name(),
 	}
 }
 
-// writeTrace exports the flight recorder to -trace-out. When the ring
-// overflowed, the header records how many events were displaced and the
-// ether time of the first loss, so readers know the head is truncated.
-func writeTrace(net *core.Network, cfg core.Config, nAPs, nCli int, path string, format tracefmt.Format) {
-	if path == "" {
-		return
-	}
-	meta := runMeta(net, cfg, nAPs, nCli)
-	meta.Overflowed = net.Trace().Overflowed()
-	if at, ok := net.Trace().FirstOverflowAt(); ok {
-		meta.OverflowAt = at
-	}
-	events := net.Trace().Events()
-	if err := tracefmt.WriteFile(path, format, meta, events); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("\ntrace: %d events -> %s (%s)\n", len(events), path, format)
-	if meta.Overflowed > 0 {
-		fmt.Printf("trace ring overflowed: %d events displaced (first at t=%d)\n",
-			meta.Overflowed, meta.OverflowAt)
-	}
-}
-
-// telemetry bundles the run's streaming observability surfaces: the live
-// JSONL stream, the HTTP server, and the metrics time-series sampler.
-// A zero surface set is valid — every method no-ops.
+// telemetry bundles the run's observability outputs: the -trace-out
+// export, the live JSONL stream, the HTTP server, and the metrics
+// time-series sampler. A zero surface set is valid — every method no-ops.
 type telemetry struct {
+	c          *runConfig
 	net        *core.Network
+	meta       tracefmt.Meta
+	format     tracefmt.Format
 	stream     *tracefmt.StreamSink
 	streamFile *os.File
-	streamPath string
 	server     *obs.Server
 	sampler    *metrics.Sampler
-	seriesOut  string
-	promOut    string
-	wait       time.Duration
 }
 
 // newTelemetry opens the requested surfaces and attaches them to the
 // network's tracer as a tee of sinks (the caller still enables the
 // recorder). The sampler publishes to the HTTP server on every sample,
 // so /metrics tracks the run live at the workload sampling cadence.
-func newTelemetry(net *core.Network, meta tracefmt.Meta, streamOut string, policy tracefmt.SinkPolicy,
-	serveAddr string, wait time.Duration, seriesOut, promOut string) (*telemetry, error) {
-	tel := &telemetry{net: net, streamPath: streamOut, seriesOut: seriesOut, promOut: promOut, wait: wait}
+func newTelemetry(net *core.Network, c *runConfig, format tracefmt.Format, policy tracefmt.SinkPolicy) (*telemetry, error) {
+	meta := runMeta(net.Cfg)
+	tel := &telemetry{c: c, net: net, meta: meta, format: format}
 	var sinks []core.TraceSink
-	if streamOut != "" {
-		f, err := os.Create(streamOut)
+	if c.TracePath != "" {
+		f, err := os.Create(c.TracePath)
 		if err != nil {
 			return nil, err
 		}
@@ -378,8 +311,8 @@ func newTelemetry(net *core.Network, meta tracefmt.Meta, streamOut string, polic
 		tel.stream, tel.streamFile = s, f
 		sinks = append(sinks, s)
 	}
-	if serveAddr != "" {
-		srv, err := obs.New(obs.Config{Addr: serveAddr, Meta: meta})
+	if c.serveAddr != "" {
+		srv, err := obs.New(obs.Config{Addr: c.serveAddr, Meta: meta})
 		if err != nil {
 			return nil, err
 		}
@@ -387,7 +320,7 @@ func newTelemetry(net *core.Network, meta tracefmt.Meta, streamOut string, polic
 		fmt.Println(srv)
 		sinks = append(sinks, srv)
 	}
-	if seriesOut != "" || tel.server != nil {
+	if c.SeriesPath != "" || tel.server != nil {
 		tel.sampler = metrics.NewSampler(net.Metrics())
 		if tel.server != nil {
 			srv := tel.server
@@ -403,18 +336,20 @@ func newTelemetry(net *core.Network, meta tracefmt.Meta, streamOut string, polic
 // active reports whether any surface needs the flight recorder enabled.
 func (tel *telemetry) active() bool { return tel.stream != nil || tel.server != nil }
 
-// finish flushes every surface at the end of the run: the series and
-// exposition files, the stream (fatal on a lost stream — a partial file
-// must not pass for a complete one), and finally the HTTP server, which
-// keeps serving the finished run's state for -serve-wait before closing.
+// finish flushes every surface at the end of the run: the -trace-out
+// export, the series and exposition files, the stream (fatal on a lost
+// stream — a partial file must not pass for a complete one), and finally
+// the HTTP server, which keeps serving the finished run's state for
+// -serve-wait before closing.
 func (tel *telemetry) finish() {
+	tel.writeTrace()
 	if tel.sampler != nil && len(tel.sampler.Series()) == 0 {
 		// Batch runs have no service rounds to pace sampling on; take the
 		// one end-of-run point so the series is never empty.
 		tel.sampler.Sample(tel.net.Now())
 	}
-	if tel.seriesOut != "" {
-		f, err := os.Create(tel.seriesOut)
+	if tel.c.SeriesPath != "" {
+		f, err := os.Create(tel.c.SeriesPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -424,10 +359,10 @@ func (tel *telemetry) finish() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("metrics series: %d samples -> %s\n", len(tel.sampler.Series()), tel.seriesOut)
+		fmt.Printf("metrics series: %d samples -> %s\n", len(tel.sampler.Series()), tel.c.SeriesPath)
 	}
-	if tel.promOut != "" {
-		f, err := os.Create(tel.promOut)
+	if tel.c.promOut != "" {
+		f, err := os.Create(tel.c.promOut)
 		if err != nil {
 			fatal(err)
 		}
@@ -437,7 +372,7 @@ func (tel *telemetry) finish() {
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("prometheus exposition -> %s\n", tel.promOut)
+		fmt.Printf("prometheus exposition -> %s\n", tel.c.promOut)
 	}
 	if tel.stream != nil {
 		err := tel.stream.Close()
@@ -447,16 +382,40 @@ func (tel *telemetry) finish() {
 		if err != nil {
 			fatal(fmt.Errorf("stream-out: %w", err))
 		}
-		fmt.Printf("stream: %s (%d lines dropped)\n", tel.streamPath, tel.stream.Dropped())
+		fmt.Printf("stream: %s (%d lines dropped)\n", tel.c.TracePath, tel.stream.Dropped())
 	}
 	if tel.server != nil {
 		_ = tel.server.PublishMetrics(tel.net.Metrics())
 		tel.server.MarkDone()
-		if tel.wait > 0 {
-			fmt.Printf("observability server up for another %s\n", tel.wait)
-			time.Sleep(tel.wait)
+		if tel.c.serveWait > 0 {
+			fmt.Printf("observability server up for another %s\n", tel.c.serveWait)
+			time.Sleep(tel.c.serveWait)
 		}
 		_ = tel.server.Close()
+	}
+}
+
+// writeTrace exports the flight recorder to -trace-out. When the ring
+// overflowed, the header records how many events were displaced and the
+// ether time of the first loss, so readers know the head is truncated.
+func (tel *telemetry) writeTrace() {
+	path := tel.c.traceOut
+	if path == "" {
+		return
+	}
+	meta := tel.meta
+	meta.Overflowed = tel.net.Trace().Overflowed()
+	if at, ok := tel.net.Trace().FirstOverflowAt(); ok {
+		meta.OverflowAt = at
+	}
+	events := tel.net.Trace().Events()
+	if err := tracefmt.WriteFile(path, tel.format, meta, events); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("\ntrace: %d events -> %s (%s)\n", len(events), path, tel.format)
+	if meta.Overflowed > 0 {
+		fmt.Printf("trace ring overflowed: %d events displaced (first at t=%d)\n",
+			meta.Overflowed, meta.OverflowAt)
 	}
 }
 
@@ -464,25 +423,25 @@ func (tel *telemetry) finish() {
 // demand profiles: MegaMIMO on the primary network, the 802.11 baseline
 // on a second network built from the same seed (identical topology and
 // channels), so both systems face the same demand.
-func runWorkload(net *core.Network, cfg core.Config, kindName string, loadMbps, seconds float64, seed int64, size int, trace, dumpMetrics bool, sampler *metrics.Sampler, sampleEvery int) {
-	kind, err := traffic.ParseKind(kindName)
+func runWorkload(net *core.Network, cfg core.Config, c *runConfig, sampler *metrics.Sampler) {
+	kind, err := traffic.ParseKind(c.workload)
 	if err != nil {
 		fatal(err)
 	}
 	profiles := make([]traffic.Profile, net.NumStreams())
 	for i := range profiles {
-		profiles[i] = traffic.ProfileFor(kind, loadMbps*1e6, size)
+		profiles[i] = traffic.ProfileFor(kind, c.LoadMbps*1e6, c.PacketBytes)
 	}
 	tcfg := traffic.Config{
-		System: traffic.SystemMegaMIMO, Profiles: profiles, Seed: seed + 1,
-		Sampler: sampler, SampleEvery: sampleEvery,
+		System: traffic.SystemMegaMIMO, Profiles: profiles, Seed: c.Seed + 1,
+		Sampler: sampler, SampleEvery: c.SampleEvery,
 	}
 	eng, err := traffic.New(net, tcfg)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("\nworkload: %s arrivals, %.1f Mb/s per client, %.3fs window\n\n", kind, loadMbps, seconds)
-	mm, err := eng.Run(seconds)
+	fmt.Printf("\nworkload: %s arrivals, %.1f Mb/s per client, %.3fs window\n\n", kind, c.LoadMbps, c.Seconds)
+	mm, err := eng.Run(c.Seconds)
 	if err != nil {
 		fatal(err)
 	}
@@ -503,7 +462,7 @@ func runWorkload(net *core.Network, cfg core.Config, kindName string, loadMbps, 
 	if err != nil {
 		fatal(err)
 	}
-	bl, err := blEng.Run(seconds)
+	bl, err := blEng.Run(c.Seconds)
 	if err != nil {
 		fatal(err)
 	}
@@ -512,18 +471,11 @@ func runWorkload(net *core.Network, cfg core.Config, kindName string, loadMbps, 
 	if bl.AggregateDeliveredBps > 0 {
 		fmt.Printf("\ngain under demand: %.1fx\n", mm.AggregateDeliveredBps/bl.AggregateDeliveredBps)
 	}
-	if trace {
-		fmt.Println("\nprotocol timeline:")
-		for _, e := range net.Trace().Events() {
-			fmt.Println("  " + e.String())
-		}
+	if c.trace {
+		printTimeline(net)
 	}
-	if dumpMetrics {
-		fmt.Println()
-		if err := net.Metrics().WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
+	if c.dumpMetrics {
+		dumpMetrics(net)
 	}
 }
 
@@ -572,12 +524,12 @@ func chaosPlan(net *core.Network, scenario string, seconds float64, seed int64) 
 // steady tail runs so -trace-out captures only the recovered state (the
 // anomaly gate must pass on it). The delivery rate covers both windows —
 // packets lost to the faults stay lost.
-func runChaos(net *core.Network, scenario string, loadMbps, seconds float64, seed int64, size int, dumpMetrics bool, sampler *metrics.Sampler, sampleEvery int) {
-	plan, err := chaosPlan(net, scenario, seconds, seed)
+func runChaos(net *core.Network, c *runConfig, sampler *metrics.Sampler) {
+	plan, err := chaosPlan(net, c.chaos, c.Seconds, c.Seed)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("\nchaos scenario %q: %d fault events over %.3fs\n", scenario, len(plan.Events), seconds)
+	fmt.Printf("\nchaos scenario %q: %d fault events over %.3fs\n", c.chaos, len(plan.Events), c.Seconds)
 	for i, ev := range plan.Events {
 		if i == 12 {
 			fmt.Printf("  ... and %d more\n", len(plan.Events)-i)
@@ -587,20 +539,20 @@ func runChaos(net *core.Network, scenario string, loadMbps, seconds float64, see
 	}
 	profiles := make([]traffic.Profile, net.NumStreams())
 	for i := range profiles {
-		profiles[i] = traffic.NewCBR(loadMbps*1e6, size)
+		profiles[i] = traffic.NewCBR(c.LoadMbps*1e6, c.PacketBytes)
 	}
 	eng, err := traffic.New(net, traffic.Config{
 		System:      traffic.SystemMegaMIMO,
 		Profiles:    profiles,
-		Seed:        seed + 1,
+		Seed:        c.Seed + 1,
 		Faults:      plan,
 		Sampler:     sampler,
-		SampleEvery: sampleEvery,
+		SampleEvery: c.SampleEvery,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	rep, err := eng.Run(seconds)
+	rep, err := eng.Run(c.Seconds)
 	if err != nil {
 		fatal(err)
 	}
@@ -611,7 +563,7 @@ func runChaos(net *core.Network, scenario string, loadMbps, seconds float64, see
 	if net.Trace().Enabled() {
 		net.Trace().Enable(1 << 20)
 	}
-	tail, err := eng.Run(seconds / 2)
+	tail, err := eng.Run(c.Seconds / 2)
 	if err != nil {
 		fatal(err)
 	}
@@ -631,13 +583,26 @@ func runChaos(net *core.Network, scenario string, loadMbps, seconds float64, see
 		rate = float64(del) / float64(off)
 	}
 	fmt.Printf("chaos delivery rate: %.3f (delivered %d / offered %d packets)\n", rate, del, off)
-	if dumpMetrics {
-		fmt.Println()
-		if err := net.Metrics().WriteJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
+	if c.dumpMetrics {
+		dumpMetrics(net)
 	}
+}
+
+// printTimeline prints the flight recorder, one event per line.
+func printTimeline(net *core.Network) {
+	fmt.Println("\nprotocol timeline:")
+	for _, e := range net.Trace().Events() {
+		fmt.Println("  " + e.String())
+	}
+}
+
+// dumpMetrics writes the runtime metrics registry to stdout as JSON.
+func dumpMetrics(net *core.Network) {
+	fmt.Println()
+	if err := net.Metrics().WriteJSON(os.Stdout); err != nil {
+		fatal(err)
+	}
+	fmt.Println()
 }
 
 func dB(x float64) float64 {

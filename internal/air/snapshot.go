@@ -3,6 +3,7 @@ package air
 import (
 	"fmt"
 
+	"megamimo/internal/cmplxs"
 	"megamimo/internal/radio"
 	"megamimo/internal/rng"
 )
@@ -11,19 +12,19 @@ import (
 // oscillator is referenced by transmit antenna ID and resolved on restore:
 // oscillators are owned by the network's nodes and checkpointed there.
 type EmissionState struct {
-	Tx      int
-	Start   int64
-	Samples []complex128
+	Tx      int                `json:"tx"`
+	Start   int64              `json:"start"`
+	Samples cmplxs.Interleaved `json:"samples"`
 }
 
 // State is the mutable state of the medium: the noise stream position and
 // the emissions still audible. Links are static channel realizations
 // rebuilt from the seed; the buffer pool and shard scratch are
-// capacity-only and never affect observed values. The checkpoint layer
-// owns the wire encoding (complex samples are not JSON-native).
+// capacity-only and never affect observed values. The json tags are the
+// checkpoint format's wire names.
 type State struct {
-	Noise     rng.State
-	Emissions []EmissionState
+	Noise     rng.State       `json:"noise"`
+	Emissions []EmissionState `json:"emissions,omitempty"`
 }
 
 // Snapshot captures the medium's mutable state. Emission samples are

@@ -4,84 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"megamimo/internal/air"
 	"megamimo/internal/backend"
 	"megamimo/internal/core"
 	"megamimo/internal/mac"
 	"megamimo/internal/metrics"
-	"megamimo/internal/radio"
-	"megamimo/internal/rng"
-	psync "megamimo/internal/sync"
 	"megamimo/internal/traffic"
 )
-
-// Cpx is a complex slice on the wire: [re0, im0, re1, im1, ...]. JSON has
-// no complex type and float64 round-trips exactly through encoding/json,
-// so this is lossless.
-type Cpx []complex128
-
-// MarshalJSON flattens to interleaved float64 pairs.
-func (c Cpx) MarshalJSON() ([]byte, error) {
-	flat := make([]float64, 0, 2*len(c))
-	for _, z := range c {
-		flat = append(flat, real(z), imag(z))
-	}
-	return json.Marshal(flat)
-}
-
-// UnmarshalJSON rebuilds the complex slice from interleaved pairs.
-func (c *Cpx) UnmarshalJSON(b []byte) error {
-	var flat []float64
-	if err := json.Unmarshal(b, &flat); err != nil {
-		return err
-	}
-	if len(flat)%2 != 0 {
-		return fmt.Errorf("checkpoint: complex slice has %d scalars (odd)", len(flat))
-	}
-	out := make(Cpx, len(flat)/2)
-	for i := range out {
-		out[i] = complex(flat[2*i], flat[2*i+1])
-	}
-	*c = out
-	return nil
-}
-
-// peerWire is one sync-peer entry: the flat Peer state with its complex
-// reference channel lifted out into the wire encoding.
-type peerWire struct {
-	AP     int        `json:"ap"`
-	Toward int        `json:"toward"`
-	Ref    Cpx        `json:"ref,omitempty"`
-	Peer   psync.Peer `json:"peer"` // Ref nilled before encode
-}
-
-// emissionWire is one in-flight medium emission.
-type emissionWire struct {
-	Tx      int   `json:"tx"`
-	Start   int64 `json:"start"`
-	Samples Cpx   `json:"samples"`
-}
-
-// airWire is the shared-medium state.
-type airWire struct {
-	Noise     rng.State      `json:"noise"`
-	Emissions []emissionWire `json:"emissions,omitempty"`
-}
-
-// netWire is core.NetworkState with its complex-valued members rewritten
-// into wire types.
-type netWire struct {
-	Now      int64            `json:"now"`
-	Rng      rng.State        `json:"rng"`
-	Crashed  []bool           `json:"crashed"`
-	SyncLoss []int64          `json:"sync_loss"`
-	Abstain  []bool           `json:"abstain"`
-	IsLead   []bool           `json:"is_lead"`
-	Oscs     []radio.OscState `json:"oscs"`
-	Tracer   core.TracerState `json:"tracer"`
-	Peers    []peerWire       `json:"peers,omitempty"`
-	Air      airWire          `json:"air"`
-}
 
 // busMsgWire is one in-flight backbone message. The payload is encoded by
 // kind: the only payload type alive during a traffic run is the MAC ACK.
@@ -114,7 +42,7 @@ type State struct {
 	TraceBytes  uint64 `json:"trace_bytes"`
 	SeriesBytes uint64 `json:"series_bytes"`
 
-	Net     netWire               `json:"net"`
+	Net     core.NetworkState     `json:"net"`
 	Engine  *traffic.EngineState  `json:"engine"`
 	Bus     busWire               `json:"bus"`
 	Metrics metrics.RegistryState `json:"metrics"`
@@ -139,7 +67,7 @@ func Capture(net *core.Network, eng *traffic.Engine, traceBytes, seriesBytes uin
 		Rounds:      es.Rounds,
 		TraceBytes:  traceBytes,
 		SeriesBytes: seriesBytes,
-		Net:         encodeNet(ns),
+		Net:         *ns,
 		Engine:      es,
 		Bus:         bus,
 		Metrics:     net.Metrics().Snapshot(),
@@ -156,11 +84,7 @@ func Capture(net *core.Network, eng *traffic.Engine, traceBytes, seriesBytes uin
 // registry is restored last so every increment the rebuild itself made is
 // wiped back to the captured totals.
 func (st *State) Restore(net *core.Network, eng *traffic.Engine) error {
-	ns, err := decodeNet(&st.Net)
-	if err != nil {
-		return err
-	}
-	if err := net.RestoreSnapshot(ns); err != nil {
+	if err := net.RestoreSnapshot(&st.Net); err != nil {
 		return err
 	}
 	if eng != nil {
@@ -180,61 +104,6 @@ func (st *State) Restore(net *core.Network, eng *traffic.Engine) error {
 		return err
 	}
 	return nil
-}
-
-// encodeNet rewrites a core snapshot into wire form.
-func encodeNet(ns *core.NetworkState) netWire {
-	w := netWire{
-		Now:      ns.Now,
-		Rng:      ns.Rng,
-		Crashed:  ns.Crashed,
-		SyncLoss: ns.SyncLoss,
-		Abstain:  ns.Abstain,
-		IsLead:   ns.IsLead,
-		Oscs:     ns.Oscs,
-		Tracer:   ns.Tracer,
-		Air: airWire{
-			Noise:     ns.Air.Noise,
-			Emissions: make([]emissionWire, len(ns.Air.Emissions)),
-		},
-	}
-	for i, em := range ns.Air.Emissions {
-		w.Air.Emissions[i] = emissionWire{Tx: em.Tx, Start: em.Start, Samples: Cpx(em.Samples)}
-	}
-	for _, ps := range ns.Peers {
-		p := ps.Peer
-		ref := Cpx(p.Ref)
-		p.Ref = nil
-		w.Peers = append(w.Peers, peerWire{AP: ps.AP, Toward: ps.Toward, Ref: ref, Peer: p})
-	}
-	return w
-}
-
-// decodeNet rebuilds the core snapshot from wire form.
-func decodeNet(w *netWire) (*core.NetworkState, error) {
-	ns := &core.NetworkState{
-		Now:      w.Now,
-		Rng:      w.Rng,
-		Crashed:  w.Crashed,
-		SyncLoss: w.SyncLoss,
-		Abstain:  w.Abstain,
-		IsLead:   w.IsLead,
-		Oscs:     w.Oscs,
-		Tracer:   w.Tracer,
-		Air: air.State{
-			Noise:     w.Air.Noise,
-			Emissions: make([]air.EmissionState, len(w.Air.Emissions)),
-		},
-	}
-	for i, em := range w.Air.Emissions {
-		ns.Air.Emissions[i] = air.EmissionState{Tx: em.Tx, Start: em.Start, Samples: em.Samples}
-	}
-	for _, pw := range w.Peers {
-		p := pw.Peer
-		p.Ref = pw.Ref
-		ns.Peers = append(ns.Peers, core.SyncPeerState{AP: pw.AP, Toward: pw.Toward, Peer: p})
-	}
-	return ns, nil
 }
 
 // encodeBus rewrites the backbone queue, typing each in-flight payload.

@@ -1,11 +1,11 @@
 package checkpoint
 
 import (
-	"encoding/json"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -110,26 +110,6 @@ func TestDigestMismatchNamesFields(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "aps") {
 		t.Fatalf("error %q names 'aps', which did not differ", err)
-	}
-}
-
-// TestCpxRoundTrip locks the complex wire encoding, including exact
-// float64 round-tripping through JSON.
-func TestCpxRoundTrip(t *testing.T) {
-	in := Cpx{complex(1.0/3.0, -2.718281828459045), complex(0, 1e-300), complex(-0, 42)}
-	b, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Cpx
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: %v != %v", out, in)
-	}
-	if err := json.Unmarshal([]byte(`[1,2,3]`), &out); err == nil {
-		t.Fatalf("odd-length scalar list accepted")
 	}
 }
 
@@ -239,3 +219,51 @@ func TestResumeEquivalenceAcrossBoundary(t *testing.T) {
 type errTestInterrupt struct{}
 
 func (errTestInterrupt) Error() string { return "test interrupt" }
+
+// pinnedCheckpointSHA256 is the SHA-256 of the checkpoint
+// TestCheckpointBytesStable writes. The snapshot structs encode
+// themselves, so a changed json tag, field order or complex layout moves
+// this hash; such a change must bump Version rather than silently rewrite
+// the payload under the old one.
+const pinnedCheckpointSHA256 = "8dc2320888d75b210af68882706fe0c87ccc020588650f5ec192429269fa1552"
+
+// TestCheckpointBytesStable pins the on-disk bytes of a real mid-run
+// checkpoint — sync peers with their reference channels, in-flight
+// emissions, oscillators, engine, bus and metrics — so a refactor of the
+// snapshot types cannot change the format under an unchanged Version.
+func TestCheckpointBytesStable(t *testing.T) {
+	const cutAt = 8
+	var captured *State
+	var net *core.Network
+	var eng *traffic.Engine
+	net, eng = buildCell(t, func(rounds int) error {
+		if rounds != cutAt {
+			return nil
+		}
+		st, err := Capture(net, eng, 100, 200)
+		if err != nil {
+			return err
+		}
+		captured = st
+		return errTestInterrupt{}
+	})
+	if _, err := eng.Run(0.008); err != (errTestInterrupt{}) {
+		t.Fatalf("run to round %d: got %v", cutAt, err)
+	}
+	path := filepath.Join(t.TempDir(), "pinned.ckpt")
+	if _, err := Write(path, []byte(`{"test":"pinned"}`), captured); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"peers":[`, `"ref":[`, `"emissions":[`, `"oscs":[`} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("checkpoint lacks %s: the pin would not cover that encoding", key)
+		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != pinnedCheckpointSHA256 {
+		t.Fatalf("checkpoint SHA-256 %s, pinned %s: the payload schema changed without a Version bump", got, pinnedCheckpointSHA256)
+	}
+}

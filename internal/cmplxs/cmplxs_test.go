@@ -1,9 +1,11 @@
 package cmplxs
 
 import (
+	"encoding/json"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -263,5 +265,25 @@ func BenchmarkAXPY(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		AXPY(dst, 0.5+0.5i, a)
+	}
+}
+
+// TestInterleavedRoundTrip locks the complex JSON encoding, including
+// exact float64 round-tripping through JSON.
+func TestInterleavedRoundTrip(t *testing.T) {
+	in := Interleaved{complex(1.0/3.0, -2.718281828459045), complex(0, 1e-300), complex(-0, 42)}
+	b, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out Interleaved
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip: %v != %v", out, in)
+	}
+	if err := json.Unmarshal([]byte(`[1,2,3]`), &out); err == nil {
+		t.Fatalf("odd-length scalar list accepted")
 	}
 }

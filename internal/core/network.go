@@ -502,6 +502,22 @@ func (n *Network) Lead() *AP {
 	return n.APs[0]
 }
 
+// SetAPDrift injects oscillator drift: the lead AP's oscillator runs at
+// −ppm and every other AP's at +ppm, pulling the slaves 2×ppm off the
+// lead carrier — the drift the anomaly gate's cfo-mandate check measures.
+// Client oscillators keep their configured draws. The call is an
+// idempotent set, so replaying it is harmless.
+func (n *Network) SetAPDrift(ppm units.PPM) {
+	lead := n.Lead().Index
+	for _, ap := range n.APs {
+		if ap.Index == lead {
+			ap.Node.Osc.PPM = -ppm
+		} else {
+			ap.Node.Osc.PPM = ppm
+		}
+	}
+}
+
 // Slaves returns all live non-lead APs.
 func (n *Network) Slaves() []*AP {
 	out := make([]*AP, 0, len(n.APs)-1)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"megamimo/internal/air"
+	"megamimo/internal/cmplxs"
 	"megamimo/internal/radio"
 	"megamimo/internal/rng"
 	psync "megamimo/internal/sync"
@@ -20,30 +21,34 @@ import (
 
 // SyncPeerState is one AP's synchronization state toward one potential
 // lead, addressed by (AP, Toward). Peer is sync's flat all-exported state
-// union; Ref is deep-copied on capture and restore.
+// union with its complex reference channel lifted out into Ref (Peer.Ref
+// is always nil here), so the whole entry encodes as JSON; Ref is
+// deep-copied on capture and restore.
 type SyncPeerState struct {
-	AP     int
-	Toward int
-	Peer   psync.Peer
+	AP     int                `json:"ap"`
+	Toward int                `json:"toward"`
+	Ref    cmplxs.Interleaved `json:"ref,omitempty"`
+	Peer   psync.Peer         `json:"peer"`
 }
 
-// NetworkState is the mutable post-build state of a Network. The bus is
-// captured separately by the checkpoint layer (its in-flight payloads need
+// NetworkState is the mutable post-build state of a Network. Its json
+// tags are the checkpoint format's wire names. The bus is captured
+// separately by the checkpoint layer (its in-flight payloads need
 // type-aware encoding the core cannot do), as is the metrics registry.
 type NetworkState struct {
-	Now      int64
-	Rng      rng.State
-	Crashed  []bool
-	SyncLoss []int64
-	Abstain  []bool
-	IsLead   []bool
+	Now      int64     `json:"now"`
+	Rng      rng.State `json:"rng"`
+	Crashed  []bool    `json:"crashed"`
+	SyncLoss []int64   `json:"sync_loss"`
+	Abstain  []bool    `json:"abstain"`
+	IsLead   []bool    `json:"is_lead"`
 	// Oscs holds every node oscillator in node order: APs 0..N−1, then
 	// clients 0..M−1. Oscillator PPM is mutable state here because drift
 	// drills inject it mid-run.
-	Oscs   []radio.OscState
-	Tracer TracerState
-	Peers  []SyncPeerState
-	Air    air.State
+	Oscs   []radio.OscState `json:"oscs"`
+	Tracer TracerState      `json:"tracer"`
+	Peers  []SyncPeerState  `json:"peers,omitempty"`
+	Air    air.State        `json:"air"`
 }
 
 // Snapshot captures the network's mutable state. It fails when a trace
@@ -79,8 +84,9 @@ func (n *Network) Snapshot() (*NetworkState, error) {
 		sort.Ints(towards)
 		for _, toward := range towards {
 			p := *ap.syncs[toward]
-			p.Ref = append([]complex128(nil), p.Ref...)
-			st.Peers = append(st.Peers, SyncPeerState{AP: i, Toward: toward, Peer: p})
+			ref := append(cmplxs.Interleaved(nil), p.Ref...)
+			p.Ref = nil
+			st.Peers = append(st.Peers, SyncPeerState{AP: i, Toward: toward, Ref: ref, Peer: p})
 		}
 	}
 	return st, nil
@@ -140,7 +146,7 @@ func (n *Network) RestoreSnapshot(st *NetworkState) error {
 		}
 		p := n.APs[ps.AP].syncTo(ps.Toward)
 		*p = ps.Peer
-		p.Ref = append([]complex128(nil), ps.Peer.Ref...)
+		p.Ref = append([]complex128(nil), ps.Ref...)
 	}
 	n.tracer.RestoreSnapshot(st.Tracer)
 	if err := n.Air.RestoreSnapshot(st.Air, n.OscForAntenna); err != nil {

@@ -32,52 +32,56 @@ import (
 // in-process stand-in for kill -9 that the resume tests use.
 var ErrInterrupted = errors.New("experiment: soak interrupted")
 
-// SoakConfig parameterizes RunSoak. The identity fields (everything that
-// shapes the simulation itself, not where its artifacts land) are hashed
-// into each checkpoint's config digest; a resume under a different
-// identity is rejected.
+// SoakConfig parameterizes RunSoak. Its JSON encoding is the run
+// identity: every field that shapes the simulation itself is hashed into
+// each checkpoint's config digest, and a resume under a different
+// identity is rejected. Fields that only say where artifacts land or how
+// the run is driven are tagged json:"-"; any field added later joins the
+// digest unless it is excluded the same way.
 type SoakConfig struct {
-	APs, Clients     int
-	SNRLoDB, SNRHiDB float64
-	Seed             int64
+	APs     int     `json:"aps"`
+	Clients int     `json:"clients"`
+	SNRLoDB float64 `json:"snr_lo_db"`
+	SNRHiDB float64 `json:"snr_hi_db"`
+	Seed    int64   `json:"seed"`
 	// Sync names the synchronization strategy (psync.Parse spelling;
 	// empty = the paper's header scheme).
-	Sync string
+	Sync string `json:"sync"`
 	// LoadMbps is the sustained per-client offered load.
-	LoadMbps    float64
-	PacketBytes int
+	LoadMbps    float64 `json:"load_mbps"`
+	PacketBytes int     `json:"packet_bytes"`
 	// Seconds is the simulated horizon.
-	Seconds float64
+	Seconds float64 `json:"seconds"`
 	// FaultsPerSec, when > 0, schedules a fault.Scenario storm at that
 	// expected event rate over the window.
-	FaultsPerSec float64
+	FaultsPerSec float64 `json:"faults_per_sec"`
 	// SampleEvery is the metrics time-series cadence in service rounds.
-	SampleEvery int
+	SampleEvery int `json:"sample_every"`
 	// CheckpointEvery writes a checkpoint every N service rounds into
 	// CheckpointDir (0 = no checkpointing).
-	CheckpointEvery int
-	CheckpointDir   string
+	CheckpointEvery int    `json:"checkpoint_every"`
+	CheckpointDir   string `json:"-"`
 	// Resume, when set, restores from this checkpoint file and runs the
 	// remaining window instead of starting fresh.
-	Resume string
+	Resume string `json:"-"`
 	// TracePath/SeriesPath stream the flight recorder and the sampled
 	// metrics series as JSONL. A resumed run writes only the tail (no
 	// trace header): splicing it onto the uninterrupted file at the
 	// checkpoint's recorded offset reproduces it byte-for-byte.
-	TracePath  string
-	SeriesPath string
+	TracePath  string `json:"-"`
+	SeriesPath string `json:"-"`
 	// DriftPPM, when nonzero, injects oscillator drift at DriftAtSeconds
 	// into the run: lead −ppm, slave APs +ppm (2×ppm relative) — the
 	// bisect drill's anomaly source.
-	DriftPPM       float64
-	DriftAtSeconds float64
+	DriftPPM       float64 `json:"drift_ppm"`
+	DriftAtSeconds float64 `json:"drift_at_seconds"`
 	// Server, when set, receives trace events, sampled metrics, and
 	// checkpoint publications for /healthz.
-	Server *obs.Server
+	Server *obs.Server `json:"-"`
 	// StopAfterRounds, when > 0, aborts the run with ErrInterrupted at
 	// the first OnRound at or past that round (after any checkpoint due
 	// there) — the resume tests' in-process interrupt.
-	StopAfterRounds int
+	StopAfterRounds int `json:"-"`
 }
 
 // withDefaults fills the zero-value identity fields so a CLI run and a
@@ -104,39 +108,22 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	return c
 }
 
-// soakIdentity is the digest-relevant subset of SoakConfig, marshaled
-// canonically (fixed field order) for hashing and embedded in every
-// checkpoint for mismatch diagnostics.
-type soakIdentity struct {
-	APs             int     `json:"aps"`
-	Clients         int     `json:"clients"`
-	SNRLoDB         float64 `json:"snr_lo_db"`
-	SNRHiDB         float64 `json:"snr_hi_db"`
-	Seed            int64   `json:"seed"`
-	Sync            string  `json:"sync"`
-	LoadMbps        float64 `json:"load_mbps"`
-	PacketBytes     int     `json:"packet_bytes"`
-	Seconds         float64 `json:"seconds"`
-	FaultsPerSec    float64 `json:"faults_per_sec"`
-	SampleEvery     int     `json:"sample_every"`
-	CheckpointEvery int     `json:"checkpoint_every"`
-	DriftPPM        float64 `json:"drift_ppm"`
-	DriftAtSeconds  float64 `json:"drift_at_seconds"`
+// IdentityJSON renders the canonical config JSON whose SHA-256 guards
+// every checkpoint of this run: the defaulted config's own encoding, in
+// field order.
+func (c SoakConfig) IdentityJSON() ([]byte, error) {
+	return json.Marshal(c.withDefaults())
 }
 
-// IdentityJSON renders the canonical config JSON whose SHA-256 guards
-// every checkpoint of this run.
-func (c SoakConfig) IdentityJSON() ([]byte, error) {
-	c = c.withDefaults()
-	return json.Marshal(soakIdentity{
-		APs: c.APs, Clients: c.Clients,
-		SNRLoDB: c.SNRLoDB, SNRHiDB: c.SNRHiDB,
-		Seed: c.Seed, Sync: c.Sync,
-		LoadMbps: c.LoadMbps, PacketBytes: c.PacketBytes,
-		Seconds: c.Seconds, FaultsPerSec: c.FaultsPerSec,
-		SampleEvery: c.SampleEvery, CheckpointEvery: c.CheckpointEvery,
-		DriftPPM: c.DriftPPM, DriftAtSeconds: c.DriftAtSeconds,
-	})
+// CoreConfig builds the network configuration of the cell: the default
+// configuration at the configured topology and SNR band, the seed, and
+// the parsed sync strategy.
+func (c SoakConfig) CoreConfig() (core.Config, error) {
+	cfg := core.DefaultConfig(c.APs, c.Clients, units.Decibels(c.SNRLoDB), units.Decibels(c.SNRHiDB))
+	cfg.Seed = c.Seed
+	var err error
+	cfg.Sync, err = psync.Parse(c.Sync)
+	return cfg, err
 }
 
 // SoakResult reports one soak run.
@@ -199,9 +186,8 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	// Rebuild path — identical for fresh and resumed runs: everything a
 	// checkpoint does not capture must come out of this path bit-for-bit.
-	ccfg := core.DefaultConfig(cfg.APs, cfg.Clients, units.Decibels(cfg.SNRLoDB), units.Decibels(cfg.SNRHiDB))
-	ccfg.Seed = cfg.Seed
-	if ccfg.Sync, err = psync.Parse(cfg.Sync); err != nil {
+	ccfg, err := cfg.CoreConfig()
+	if err != nil {
 		return nil, err
 	}
 	net, err := core.New(ccfg)
@@ -240,14 +226,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		if cfg.DriftPPM == 0 || net.Now() < driftAt {
 			return
 		}
-		lead := net.Lead().Index
-		for _, ap := range net.APs {
-			if ap.Index == lead {
-				ap.Node.Osc.PPM = units.PPM(-cfg.DriftPPM)
-			} else {
-				ap.Node.Osc.PPM = units.PPM(cfg.DriftPPM)
-			}
-		}
+		net.SetAPDrift(units.PPM(cfg.DriftPPM))
 	}
 
 	res := &SoakResult{Resumed: resumeSt != nil}

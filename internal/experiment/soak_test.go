@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -159,6 +160,67 @@ func TestSoakResumeRejectsMismatchedConfig(t *testing.T) {
 				t.Fatalf("rejection error %q does not name the config mismatch", err)
 			}
 		})
+	}
+}
+
+// TestSoakIdentityCoversEveryField pins the digest's coverage: setting
+// any SoakConfig field changes IdentityJSON exactly when the field is not
+// tagged json:"-", and the excluded fields are exactly the ones that say
+// where artifacts land or how the run is driven. A field added later
+// joins the digest unless it is excluded on purpose.
+func TestSoakIdentityCoversEveryField(t *testing.T) {
+	wantExcluded := map[string]bool{
+		"CheckpointDir": true, "Resume": true, "TracePath": true,
+		"SeriesPath": true, "Server": true, "StopAfterRounds": true,
+	}
+	base, err := SoakConfig{}.IdentityJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(SoakConfig{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var c SoakConfig
+		v := reflect.ValueOf(&c).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(97)
+		case reflect.Float64:
+			v.SetFloat(0.125)
+		case reflect.String:
+			v.SetString("nonzero")
+		case reflect.Pointer:
+			v.Set(reflect.New(f.Type.Elem()))
+		default:
+			t.Fatalf("field %s has kind %s; extend this test", f.Name, v.Kind())
+		}
+		got, err := c.IdentityJSON()
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		excluded := f.Tag.Get("json") == "-"
+		if changed := string(got) != string(base); changed == excluded {
+			t.Errorf("field %s (json:%q): identity changed=%v", f.Name, f.Tag.Get("json"), changed)
+		}
+		if excluded != wantExcluded[f.Name] {
+			t.Errorf("field %s excluded from the identity = %v, want %v", f.Name, excluded, wantExcluded[f.Name])
+		}
+	}
+}
+
+// TestSoakIdentityJSON pins the identity bytes, and with them every
+// existing checkpoint's config digest: same keys, same order.
+func TestSoakIdentityJSON(t *testing.T) {
+	c := soakTestConfig(t)
+	c.DriftPPM, c.DriftAtSeconds, c.Sync = 21, 0.03, "airsync"
+	c.CheckpointDir, c.TracePath = "ckpt", "trace.jsonl"
+	got, err := c.IdentityJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"aps":3,"clients":3,"snr_lo_db":18,"snr_hi_db":24,"seed":7,"sync":"airsync","load_mbps":12,"packet_bytes":200,"seconds":0.03,"faults_per_sec":400,"sample_every":4,"checkpoint_every":8,"drift_ppm":21,"drift_at_seconds":0.03}`
+	if string(got) != want {
+		t.Fatalf("IdentityJSON:\n got %s\nwant %s", got, want)
 	}
 }
 

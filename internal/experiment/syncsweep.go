@@ -91,30 +91,18 @@ const syncSweepLoad = chaosLoadMbpsPerClient
 // runSyncCell builds one network with the given strategy, injects the
 // condition, and drives the closed loop for the window, collecting the
 // phase-error telemetry from the flight recorder.
-func runSyncCell(strategy string, cond SyncCondition, nAPs int, seconds float64, topoSeed, engSeed, planSeed int64) (syncCell, error) {
+func runSyncCell(strategy psync.Strategy, cond SyncCondition, nAPs int, seconds float64, topoSeed, engSeed, planSeed int64) (syncCell, error) {
 	var cell syncCell
-	strat, err := psync.Parse(strategy)
-	if err != nil {
-		return cell, err
-	}
 	cfg := core.DefaultConfig(nAPs, nAPs, HighSNR.Lo, HighSNR.Hi)
 	cfg.Seed = topoSeed
 	cfg.WellConditioned = true
-	cfg.Sync = strat
+	cfg.Sync = strategy
 	n, err := core.New(cfg)
 	if err != nil {
 		return cell, err
 	}
 	if !cond.Chaos && cond.DriftPPM > 0 {
-		// Lead −ppm, slaves +ppm: 2×ppm relative, the drift the anomaly
-		// gate's cfo-mandate measures. Client oscillators keep their draws.
-		for _, ap := range n.APs {
-			if ap.Index == n.Lead().Index {
-				ap.Node.Osc.PPM = units.PPM(-cond.DriftPPM)
-			} else {
-				ap.Node.Osc.PPM = units.PPM(cond.DriftPPM)
-			}
-		}
+		n.SetAPDrift(units.PPM(cond.DriftPPM))
 	}
 	n.Trace().Enable(1 << 18)
 	if _, err := n.MeasureAndPrecode(); err != nil {
@@ -165,16 +153,17 @@ func runSyncCell(strategy string, cond SyncCondition, nAPs int, seconds float64,
 	return cell, nil
 }
 
-// RunSyncSweep races the given strategies across the condition grid:
+// RunSyncSweep races the given strategies (nil = the registry's header,
+// airsync and beamsync) across the condition grid:
 // every (strategy, condition) pair runs the offered-load closed loop over
 // the same seeded topologies, and the row reports pooled phase-error
 // statistics, median throughput and summed degradation counters. Cells run
 // on the parallel engine; every seed is a pure function of the cell's
 // coordinates and rows aggregate in cell-index order, so the table is
 // byte-identical at any worker count.
-func RunSyncSweep(strategies []string, conds []SyncCondition, nAPs, topologies int, seconds float64, seed int64) (*SyncSweepResult, error) {
+func RunSyncSweep(strategies []psync.Strategy, conds []SyncCondition, nAPs, topologies int, seconds float64, seed int64) (*SyncSweepResult, error) {
 	if len(strategies) == 0 {
-		strategies = []string{"header", "airsync", "beamsync"}
+		strategies = []psync.Strategy{psync.Header(), psync.NewAirSync(), psync.NewBeamSync()}
 	}
 	if len(conds) == 0 {
 		conds = DefaultSyncConditions()
@@ -198,7 +187,7 @@ func RunSyncSweep(strategies []string, conds []SyncCondition, nAPs, topologies i
 	}
 	for si, strat := range strategies {
 		for ci, cond := range conds {
-			row := SyncSweepRow{Strategy: strat, Condition: cond.Name()}
+			row := SyncSweepRow{Strategy: strat.Name(), Condition: cond.Name()}
 			var pooled []float64
 			var tput []float64
 			for topo := 0; topo < topologies; topo++ {

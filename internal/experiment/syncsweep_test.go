@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	psync "megamimo/internal/sync"
 )
 
 // quickSweep is the smallest grid covering the acceptance surface: all
@@ -82,15 +84,15 @@ func TestSyncSweepPhaseBudget(t *testing.T) {
 	}
 }
 
-// TestSyncSweepMistunedVariantDegrades pins the CI canary's mechanism: the
-// deliberately mistuned BeamSync inflates its CFO estimate ~100× relative
-// to the correctly tuned one under the same drift.
+// TestSyncSweepMistunedVariantDegrades pins the test-only canary's
+// mechanism: the deliberately mistuned BeamSync inflates its CFO estimate
+// ~100× relative to the correctly tuned one under the same drift.
 func TestSyncSweepMistunedVariantDegrades(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full closed-loop grid")
 	}
 	conds := []SyncCondition{{DriftPPM: 10}}
-	r, err := RunSyncSweep([]string{"beamsync", "beamsync-mistuned"}, conds, 2, 2, 0.005, 1)
+	r, err := RunSyncSweep([]psync.Strategy{psync.NewBeamSync(), psync.BeamSync{IntervalScale: 0.01}}, conds, 2, 2, 0.005, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

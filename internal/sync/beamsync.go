@@ -31,8 +31,9 @@ type BeamSync struct {
 	// IntervalScale models a mistuned deployment: the CFO estimator
 	// divides each burst's phase advance by IntervalScale × the true
 	// elapsed time (1 = correctly tuned; 0 selects 1). A scale ≪ 1
-	// inflates every CFO estimate by 1/scale — the deliberately mistuned
-	// variant the anomaly gate's ±40 ppm cfo-mandate must catch.
+	// inflates every CFO estimate by 1/scale: BeamSync{IntervalScale: 0.01}
+	// is the test-only canary the anomaly gate's ±40 ppm cfo-mandate must
+	// catch even when the real oscillators are nearly aligned.
 	IntervalScale float64
 }
 
@@ -42,15 +43,6 @@ const defaultBeamInterval units.Ticks = 40_000
 // NewBeamSync returns BeamSync with its default burst spacing.
 func NewBeamSync() Strategy {
 	return BeamSync{Interval: defaultBeamInterval, Gain: 0.25, IntervalScale: 1}
-}
-
-// MistunedBeamSync returns a deliberately misconfigured BeamSync whose CFO
-// estimator believes the bursts are 100× closer together than they are,
-// inflating every CFO estimate by 100×. CI uses it to prove the anomaly
-// gate rejects a broken strategy: the reported CFO blows through the
-// ±40 ppm cfo-mandate even when the real oscillators are nearly aligned.
-func MistunedBeamSync() Strategy {
-	return BeamSync{Interval: defaultBeamInterval, Gain: 0.25, IntervalScale: 0.01}
 }
 
 func (s BeamSync) interval() units.Ticks {
@@ -74,9 +66,9 @@ func (s BeamSync) scale() float64 {
 	return 1
 }
 
-// Name implements Strategy. A scale below 1 is the mistuned variant (a
-// scale above 1 would deflate the CFO the same way; the registry only
-// ships the inflating one).
+// Name implements Strategy. A scale below 1 is the mistuned canary (a
+// scale above 1 would deflate the CFO the same way); the registry ships
+// neither, but the name keeps a canary run recognizable in trace meta.
 func (s BeamSync) Name() string {
 	if s.scale() < 1 {
 		return "beamsync-mistuned"

@@ -146,15 +146,13 @@ func Parse(name string) (Strategy, error) {
 		return NewAirSync(), nil
 	case "beamsync":
 		return NewBeamSync(), nil
-	case "beamsync-mistuned":
-		return MistunedBeamSync(), nil
 	}
-	return nil, fmt.Errorf("sync: unknown strategy %q (header|airsync|beamsync|beamsync-mistuned)", name)
+	return nil, fmt.Errorf("sync: unknown strategy %q (header|airsync|beamsync)", name)
 }
 
 // Names lists the registry in presentation order.
 func Names() []string {
-	return []string{"header", "airsync", "beamsync", "beamsync-mistuned"}
+	return []string{"header", "airsync", "beamsync"}
 }
 
 // occCarriers, occCarrierSet and occBins cache the static occupied-carrier

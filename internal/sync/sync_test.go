@@ -153,6 +153,8 @@ func TestConfidenceContract(t *testing.T) {
 }
 
 // TestParseRegistry pins the registry names and the unknown-name error.
+// The mistuned BeamSync canary is test-only: it reports its own name in
+// trace meta but must not parse.
 func TestParseRegistry(t *testing.T) {
 	for _, name := range Names() {
 		s, err := Parse(name)
@@ -166,7 +168,12 @@ func TestParseRegistry(t *testing.T) {
 	if s, err := Parse(""); err != nil || s.Name() != "header" {
 		t.Errorf("Parse(\"\") = %v, %v; want the header scheme", s, err)
 	}
-	if _, err := Parse("nonesuch"); err == nil {
-		t.Error("Parse(\"nonesuch\") succeeded, want error")
+	for _, name := range []string{"nonesuch", "beamsync-mistuned"} {
+		if _, err := Parse(name); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", name)
+		}
+	}
+	if got := (BeamSync{IntervalScale: 0.01}).Name(); got != "beamsync-mistuned" {
+		t.Errorf("mistuned canary Name() = %q, want beamsync-mistuned", got)
 	}
 }

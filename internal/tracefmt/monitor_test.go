@@ -27,13 +27,7 @@ func fixtureTrace(t *testing.T, driftPPM float64, strategy psync.Strategy) (Meta
 	}
 	net.Trace().Enable(1 << 18)
 	if driftPPM != 0 {
-		for _, ap := range net.APs {
-			if ap.Index == net.Lead().Index {
-				ap.Node.Osc.PPM = units.PPM(-driftPPM)
-			} else {
-				ap.Node.Osc.PPM = units.PPM(driftPPM)
-			}
-		}
+		net.SetAPDrift(units.PPM(driftPPM))
 	}
 	if err := net.Measure(); err != nil {
 		t.Fatal(err)
@@ -77,6 +71,11 @@ func fixtureTrace(t *testing.T, driftPPM float64, strategy psync.Strategy) (Meta
 	return meta, net.Trace().Events()
 }
 
+// mistunedBeamSync is the test-only canary: BeamSync with its CFO
+// estimator believing the bursts are 100× closer together than they are,
+// so every CFO estimate is inflated 100×.
+var mistunedBeamSync = psync.BeamSync{IntervalScale: 0.01}
+
 // checkSet collapses anomalies to the set of check names.
 func checkSet(as []Anomaly) map[string]bool {
 	s := map[string]bool{}
@@ -109,7 +108,7 @@ func monitorFixtures(t *testing.T) map[string]struct {
 	}{}
 	cleanMeta, cleanEvs := fixtureTrace(t, 0, nil)
 	driftMeta, driftEvs := fixtureTrace(t, 21, nil)
-	misMeta, misEvs := fixtureTrace(t, 0, psync.MistunedBeamSync())
+	misMeta, misEvs := fixtureTrace(t, 0, mistunedBeamSync)
 	out["clean"] = struct {
 		meta   Meta
 		events []core.TraceEvent
@@ -225,6 +224,20 @@ func TestMonitorFirstViolation(t *testing.T) {
 	ts := trippedSet(m.Tripped())
 	if !ts["phase-budget"] && !ts["cfo-mandate"] {
 		t.Errorf("mistuned run never tripped a sync check online (tripped %v)", ts)
+	}
+}
+
+// TestMistunedBeamSyncCanary proves the anomaly gate rejects a broken
+// sync strategy: even at a tiny 2 ppm injected drift, the mistuned
+// BeamSync's inflated CFO estimates blow through the ±40 ppm mandate, and
+// the run's meta names the canary.
+func TestMistunedBeamSyncCanary(t *testing.T) {
+	meta, events := fixtureTrace(t, 2, mistunedBeamSync)
+	if meta.Sync != "beamsync-mistuned" {
+		t.Errorf("meta.Sync = %q, want beamsync-mistuned", meta.Sync)
+	}
+	if got := checkSet(FindAnomalies(meta, events, Budget{})); !got["cfo-mandate"] {
+		t.Errorf("mistuned BeamSync at 2 ppm not rejected citing cfo-mandate (checks %v)", got)
 	}
 }
 
