@@ -139,7 +139,7 @@ func main() {
 		return fmt.Sprintln(r), nil
 	})
 	run("fig8", func() (string, error) {
-		r, err := experiment.RunFig8(*maxAPs, maxInt(1, *topos/4), *seed)
+		r, err := experiment.RunFig8(*maxAPs, max(1, *topos/4), *seed)
 		if err != nil {
 			return "", err
 		}
@@ -160,28 +160,28 @@ func main() {
 		return out, nil
 	})
 	run("fig11", func() (string, error) {
-		r, err := experiment.RunFig11([]int{2, 4, 6, 8, 10}, maxInt(1, *topos/4), *seed)
+		r, err := experiment.RunFig11([]int{2, 4, 6, 8, 10}, max(1, *topos/4), *seed)
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintln(r), nil
 	})
 	run("ablations", func() (string, error) {
-		r, err := experiment.RunAblations(maxInt(2, *topos/5), *seed)
+		r, err := experiment.RunAblations(max(2, *topos/5), *seed)
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintln(r), nil
 	})
 	run("amortization", func() (string, error) {
-		r, err := experiment.RunAmortization([]int{1, 2, 4, 8, 16}, maxInt(2, *topos/5), *seed)
+		r, err := experiment.RunAmortization([]int{1, 2, 4, 8, 16}, max(2, *topos/5), *seed)
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintln(r), nil
 	})
 	run("robustness", func() (string, error) {
-		r, err := experiment.RunRobustness([]units.PPM{0.5, 2, 5, 10, 20}, maxInt(2, *topos/5), *seed)
+		r, err := experiment.RunRobustness([]units.PPM{0.5, 2, 5, 10, 20}, max(2, *topos/5), *seed)
 		if err != nil {
 			return "", err
 		}
@@ -195,7 +195,7 @@ func main() {
 		}
 		var r *experiment.WorkloadResult
 		err := traceTo(*traceOut, format, sweepMeta(nAPs), func(sink core.TraceSink) (err error) {
-			r, err = experiment.RunWorkload(loads, nAPs, maxInt(2, *topos/5), traffic.Poisson, seconds, *seed, sink)
+			r, err = experiment.RunWorkload(loads, nAPs, max(2, *topos/5), traffic.Poisson, seconds, *seed, sink)
 			return err
 		})
 		if err != nil {
@@ -211,7 +211,7 @@ func main() {
 		}
 		var r *experiment.ChaosResult
 		err := traceTo(*traceOut, format, sweepMeta(nAPs), func(sink core.TraceSink) (err error) {
-			r, err = experiment.RunChaos(intensities, nAPs, maxInt(2, *topos/5), seconds, *seed, sink)
+			r, err = experiment.RunChaos(intensities, nAPs, max(2, *topos/5), seconds, *seed, sink)
 			return err
 		})
 		if err != nil {
@@ -233,7 +233,7 @@ func main() {
 		if *quick {
 			nAPs, seconds = 2, 0.005
 		}
-		r, err := experiment.RunSyncSweep(nil, nil, nAPs, maxInt(2, *topos/5), seconds, *seed)
+		r, err := experiment.RunSyncSweep(nil, nil, nAPs, max(2, *topos/5), seconds, *seed)
 		if err != nil {
 			return "", err
 		}
@@ -330,12 +330,4 @@ func apCounts(maxAPs int) []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-func max(a, b int) int { return maxInt(a, b) }
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

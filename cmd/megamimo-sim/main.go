@@ -25,6 +25,7 @@ import (
 	"megamimo/internal/mac"
 	"megamimo/internal/metrics"
 	"megamimo/internal/obs"
+	"megamimo/internal/phy"
 	"megamimo/internal/tracefmt"
 	"megamimo/internal/traffic"
 	"megamimo/internal/units"
@@ -93,6 +94,9 @@ func parseFlags() *runConfig {
 
 func main() {
 	c := parseFlags()
+	if c.PacketBytes < 1 || c.PacketBytes > phy.MaxPSDU {
+		fatal(fmt.Errorf("-size %d out of range 1..%d", c.PacketBytes, phy.MaxPSDU))
+	}
 	if c.soak {
 		runSoak(c)
 		return
@@ -506,15 +510,7 @@ func chaosPlan(net *core.Network, scenario string, seconds float64, seed int64) 
 			{At: at, Kind: fault.KindClientLeave, Stream: net.NumStreams() - 1, Until: until},
 		}}, nil
 	case "mixed":
-		return fault.Scenario{
-			Seed:       seed,
-			Start:      start,
-			Horizon:    start + window,
-			SampleRate: net.Cfg.SampleRate,
-			NumAPs:     len(net.APs),
-			NumStreams: net.NumStreams(),
-			Intensity:  400,
-		}.Plan(), nil
+		return fault.Storm(net, seed, seconds, 400), nil
 	}
 	return nil, fmt.Errorf("unknown chaos scenario %q (slave-crash|lead-crash|lossy|churn|mixed)", scenario)
 }

@@ -328,8 +328,8 @@ func (a *Air) resolve(start int64, n int, rx int, rxOsc *radio.Oscillator, cut i
 			}
 			need := len(r.samples) + len(r.taps) - 1
 			arrive := e.start + int64(l.Delay)
-			r.lo = max64(arrive, start)
-			r.hi = min64(arrive+int64(need), start+int64(n))
+			r.lo = max(arrive, start)
+			r.hi = min(arrive+int64(need), start+int64(n))
 			r.oLo = int(r.lo - arrive)
 			if r.lo < r.hi {
 				// Carrier rotation e^{j(φ_tx(t)−φ_rx(t))}, advanced
@@ -395,18 +395,4 @@ func (a *Air) NumEmissions() int { return len(a.emissions) }
 func (a *Air) String() string {
 	return fmt.Sprintf("air{rate=%.0f links=%d emissions=%d noiseVar=%.3g}",
 		a.cfg.SampleRate, len(a.links), len(a.emissions), a.cfg.NoiseVar)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

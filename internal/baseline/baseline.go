@@ -12,7 +12,6 @@ import (
 
 	"megamimo/internal/core"
 	"megamimo/internal/matrix"
-	"megamimo/internal/ofdm"
 	"megamimo/internal/phy"
 	"megamimo/internal/rate"
 	"megamimo/internal/units"
@@ -66,7 +65,7 @@ func (u *Unicast) SelectRate(stream int) (mcs phy.MCS, ap int, ok bool, err erro
 	if err != nil {
 		return 0, 0, false, err
 	}
-	margin := units.DBToLinear(-u.Net.Cfg.RateMarginDB)
+	margin := units.DBToLinear(-core.RateMarginDB)
 	for i := range sub {
 		sub[i] *= margin
 	}
@@ -261,7 +260,7 @@ func (s *SingleAPMIMO) Throughput(payloadBytes int) (float64, []float64, error) 
 			return 0, nil, err
 		}
 		var clientRate float64
-		margin := units.DBToLinear(-s.Net.Cfg.RateMarginDB)
+		margin := units.DBToLinear(-core.RateMarginDB)
 		for _, sub := range snr {
 			scaled := make([]float64, len(sub))
 			for i := range sub {
@@ -276,6 +275,3 @@ func (s *SingleAPMIMO) Throughput(payloadBytes int) (float64, []float64, error) 
 	}
 	return total, per, nil
 }
-
-// OccupiedBinCount is exported for harness sanity checks.
-const OccupiedBinCount = ofdm.NData + ofdm.NPilot

@@ -133,7 +133,7 @@ func read(path string) (*State, [32]byte, error) {
 	plen := binary.BigEndian.Uint64(data[offLen:])
 	if got := uint64(len(data) - headerLen); plen != got {
 		return nil, digest, fmt.Errorf("checkpoint %s: truncated payload at byte offset %d: header says %d bytes, file holds %d",
-			path, offBody+int(min64(plen, got)), plen, got)
+			path, offBody+int(min(plen, got)), plen, got)
 	}
 	payload := data[offBody:]
 	wantCRC := binary.BigEndian.Uint32(data[offCRC:])
@@ -175,11 +175,4 @@ func diffConfigs(stored, current []byte) string {
 	}
 	sort.Strings(differ)
 	return fmt.Sprintf(" (differs in: %v)", differ)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,6 @@
 // Package cmplxs provides small kernels over []complex128 slices: the
-// element-wise arithmetic, inner products, energy/power accounting and
-// phase helpers that the DSP, OFDM and beamforming layers are built on.
+// element-wise arithmetic, rotation and phase helpers that the DSP, OFDM
+// and beamforming layers are built on.
 //
 // All functions that write into a destination slice require the destination
 // to be at least as long as the inputs and panic otherwise; silent
@@ -23,45 +23,6 @@ func Add(dst, a, b []complex128) []complex128 {
 	return dst
 }
 
-// Sub stores a[i]-b[i] into dst and returns dst. dst may alias a or b.
-func Sub(dst, a, b []complex128) []complex128 {
-	checkLen(len(dst), len(a), len(b))
-	for i := range a {
-		dst[i] = a[i] - b[i]
-	}
-	return dst
-}
-
-// Mul stores the element-wise product a[i]*b[i] into dst and returns dst.
-func Mul(dst, a, b []complex128) []complex128 {
-	checkLen(len(dst), len(a), len(b))
-	for i := range a {
-		dst[i] = a[i] * b[i]
-	}
-	return dst
-}
-
-// MulConj stores a[i]*conj(b[i]) into dst and returns dst. This is the
-// kernel behind channel estimation and correlation.
-func MulConj(dst, a, b []complex128) []complex128 {
-	checkLen(len(dst), len(a), len(b))
-	for i := range a {
-		dst[i] = a[i] * cmplx.Conj(b[i])
-	}
-	return dst
-}
-
-// Div stores a[i]/b[i] into dst and returns dst. Division by a zero element
-// yields the IEEE result (Inf/NaN components); callers in estimation paths
-// guard against zero reference symbols themselves.
-func Div(dst, a, b []complex128) []complex128 {
-	checkLen(len(dst), len(a), len(b))
-	for i := range a {
-		dst[i] = a[i] / b[i]
-	}
-	return dst
-}
-
 // Scale stores s*a[i] into dst and returns dst.
 func Scale(dst []complex128, a []complex128, s complex128) []complex128 {
 	checkLen(len(dst), len(a), len(a))
@@ -69,61 +30,6 @@ func Scale(dst []complex128, a []complex128, s complex128) []complex128 {
 		dst[i] = s * a[i]
 	}
 	return dst
-}
-
-// AXPY accumulates dst[i] += s*a[i] and returns dst, the canonical
-// "add a scaled signal into the air" kernel.
-func AXPY(dst []complex128, s complex128, a []complex128) []complex128 {
-	checkLen(len(dst), len(a), len(a))
-	for i := range a {
-		dst[i] += s * a[i]
-	}
-	return dst
-}
-
-// Conj stores conj(a[i]) into dst and returns dst.
-func Conj(dst, a []complex128) []complex128 {
-	checkLen(len(dst), len(a), len(a))
-	for i := range a {
-		dst[i] = cmplx.Conj(a[i])
-	}
-	return dst
-}
-
-// Dot returns the inner product sum a[i]*conj(b[i]).
-func Dot(a, b []complex128) complex128 {
-	checkLen(len(a), len(a), len(b))
-	var acc complex128
-	for i := range a {
-		acc += a[i] * cmplx.Conj(b[i])
-	}
-	return acc
-}
-
-// Sum returns the plain sum of the elements of a.
-func Sum(a []complex128) complex128 {
-	var acc complex128
-	for _, v := range a {
-		acc += v
-	}
-	return acc
-}
-
-// Energy returns sum |a[i]|^2.
-func Energy(a []complex128) float64 {
-	var acc float64
-	for _, v := range a {
-		acc += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return acc
-}
-
-// Power returns the mean of |a[i]|^2, or 0 for an empty slice.
-func Power(a []complex128) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	return Energy(a) / float64(len(a))
 }
 
 // Rotate stores a[i]*e^{j(phase0 + i*phaseStep)} into dst and returns dst.
@@ -158,12 +64,6 @@ func PhaseDiff(a, b complex128) units.Radians {
 	return Phase(a * cmplx.Conj(b))
 }
 
-// MeanPhase returns the circular mean of the phases of the elements of a,
-// weighting each element by its magnitude (a noise-robust phase estimate).
-func MeanPhase(a []complex128) units.Radians {
-	return Phase(Sum(a))
-}
-
 // Expi returns e^{jθ}.
 func Expi(theta units.Radians) complex128 {
 	//lint:ignore units math.Sincos takes the bare scalar; the rotation kernel is a legal stripping boundary
@@ -176,25 +76,6 @@ func Clone(a []complex128) []complex128 {
 	out := make([]complex128, len(a))
 	copy(out, a)
 	return out
-}
-
-// Zero sets every element of a to 0 and returns a.
-func Zero(a []complex128) []complex128 {
-	for i := range a {
-		a[i] = 0
-	}
-	return a
-}
-
-// MaxAbs returns the largest element magnitude in a, or 0 for empty input.
-func MaxAbs(a []complex128) float64 {
-	var m float64
-	for _, v := range a {
-		if ab := cmplx.Abs(v); ab > m {
-			m = ab
-		}
-	}
-	return m
 }
 
 // DB converts a linear power ratio to decibels.

@@ -55,11 +55,6 @@ type Config struct {
 	SNRRangeDB [2]units.Decibels
 	// LinkSpreadDB is the per-link gain variation around the client mean.
 	LinkSpreadDB units.Decibels
-	// APLinkSNRdB is the lead→slave link SNR (APs are infrastructure on
-	// ledges with strong mutual links).
-	APLinkSNRdB units.Decibels
-	// ChannelParams shapes the multipath profile.
-	ChannelParams channel.Params
 	// WellConditioned draws the AP→client matrix from a Haar-unitary
 	// mixing ensemble (scaled by per-client gains, plus mild extra
 	// multipath) instead of iid Rayleigh links. The paper's conference
@@ -76,10 +71,6 @@ type Config struct {
 	// repetitions averaged by the clients (§5.1: "repeated ... to reduce
 	// the impact of noise").
 	MeasurementRounds int
-	// RateMarginDB backs the idealized zero-forcing SNR prediction (k²/N)
-	// off before the MCS table lookup, covering receiver implementation
-	// loss (channel-estimation noise, pilot jitter, residual CFO).
-	RateMarginDB units.Decibels
 	// ExtrapolatePhase is the ablation switch for the paper's central
 	// design decision (§1, §5.2): when set, slaves skip the per-packet
 	// direct phase measurement and predict their correction as Δω̂·t from
@@ -117,6 +108,15 @@ type Config struct {
 	Seed int64
 }
 
+// APLinkSNRdB is the lead→slave link SNR (APs are infrastructure on
+// ledges with strong mutual links).
+const APLinkSNRdB units.Decibels = 32
+
+// RateMarginDB backs an idealized SNR prediction off before the MCS table
+// lookup, covering receiver implementation loss (channel-estimation noise,
+// pilot jitter, residual CFO).
+const RateMarginDB units.Decibels = 3
+
 // DefaultConfig mirrors the paper's USRP testbed at a given size and SNR
 // band.
 func DefaultConfig(nAPs, nClients int, snrLo, snrHi units.Decibels) Config {
@@ -131,11 +131,8 @@ func DefaultConfig(nAPs, nClients int, snrLo, snrHi units.Decibels) Config {
 		NoiseVar:            1e-3,
 		SNRRangeDB:          [2]units.Decibels{snrLo, snrHi},
 		LinkSpreadDB:        3,
-		APLinkSNRdB:         32,
-		ChannelParams:       channel.DefaultIndoor,
 		TriggerDelaySamples: 1500, // 150 µs at 10 MHz
 		MeasurementRounds:   4,
-		RateMarginDB:        3.0,
 		// 10 ms at 10 MHz: a handful of rounds of CFO extrapolation before
 		// a sync-starved slave must abstain.
 		SyncStalenessSamples: 100_000,
@@ -359,7 +356,7 @@ func (n *Network) buildLinks(src *rng.Source) {
 						//lint:ignore units rng draws are dimensionless; the spread bound re-enters as dB around the mean
 						snr := meanSNR + src.Uniform(-float64(cfg.LinkSpreadDB), float64(cfg.LinkSpreadDB))
 						gain := cfg.NoiseVar * pow10(snr/10)
-						l = channel.NewLink(src.Split(linkSeed(a, am, c, cm)), cfg.ChannelParams, gain, 0)
+						l = channel.NewLink(src.Split(linkSeed(a, am, c, cm)), channel.DefaultIndoor, gain, 0)
 					}
 					n.Air.SetLink(n.APAntennaID(a, am), n.ClientAntennaID(c, cm), l)
 				}
@@ -373,8 +370,8 @@ func (n *Network) buildLinks(src *rng.Source) {
 			if a == b {
 				continue
 			}
-			gain := cfg.NoiseVar * units.DBToLinear(cfg.APLinkSNRdB)
-			l := channel.NewLink(src.Split(0xAB0000+uint64(a*64+b)), cfg.ChannelParams, gain, 0)
+			gain := cfg.NoiseVar * units.DBToLinear(APLinkSNRdB)
+			l := channel.NewLink(src.Split(0xAB0000+uint64(a*64+b)), channel.DefaultIndoor, gain, 0)
 			n.Air.SetLink(n.APAntennaID(a, 0), n.APAntennaID(b, 0), l)
 		}
 	}

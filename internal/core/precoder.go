@@ -112,22 +112,6 @@ func (p *Precoder) GainColumn(txAnt, stream int) []complex128 {
 	return gain
 }
 
-// EffectiveSubcarrierSNR predicts each stream's per-bin SNR after
-// zero-forcing: |k|²/noiseVar on every occupied bin (§9's rate selection:
-// "the effective channel is kH⁻¹H = kI, giving signal strength k² at each
-// client").
-func (p *Precoder) EffectiveSubcarrierSNR(noiseVar float64) []float64 {
-	if noiseVar <= 0 {
-		noiseVar = 1e-12
-	}
-	out := make([]float64, len(p.Bins))
-	snr := p.PowerScale * p.PowerScale / noiseVar
-	for i := range out {
-		out[i] = snr
-	}
-	return out
-}
-
 // DiversitySubcarrierSNR predicts the per-bin SNR of the diversity mode
 // for the given measurement and stream: (Σ_a |h_a|)² / noiseVar per bin.
 func DiversitySubcarrierSNR(m *Measurement, stream int, noiseVar float64) []float64 {

@@ -454,34 +454,6 @@ func payloadLen(payloads [][]byte) int {
 	return 0
 }
 
-// SelectJointMCS picks the common MCS for a joint transmission from the
-// zero-forcing effective SNR of every stream (§9), returning ok=false when
-// even the lowest rate is undeliverable for some stream.
-func (n *Network) SelectJointMCS(p *Precoder) (phy.MCS, bool) {
-	best := phy.MCS7
-	ok := true
-	margin := units.DBToLinear(-n.Cfg.RateMarginDB)
-	for s := 0; s < p.Streams; s++ {
-		nv := n.Cfg.NoiseVar
-		if n.Msmt != nil && s < len(n.Msmt.NoiseVar) && n.Msmt.NoiseVar[s] > 0 {
-			nv = n.Msmt.NoiseVar[s]
-		}
-		sub := p.EffectiveSubcarrierSNR(nv)
-		for i := range sub {
-			sub[i] *= margin
-		}
-		mcs, o := rate.Select(sub)
-		if !o {
-			ok = false
-			continue
-		}
-		if mcs < best {
-			best = mcs
-		}
-	}
-	return best, ok
-}
-
 // SelectRateFromResult performs closed-loop rate adaptation: each decoded
 // frame's per-subcarrier error-vector SNR — which already includes
 // residual inter-stream interference and receiver implementation loss —

@@ -1,6 +1,6 @@
 // Package dsp supplies the signal-processing primitives beneath the OFDM
 // PHY: power-of-two FFT/IFFT, correlation and convolution kernels, and a
-// fractional-delay resampler used to model sampling-frequency offset.
+// linear resampler used to model sampling-frequency offset.
 package dsp
 
 import (

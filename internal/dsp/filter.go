@@ -234,24 +234,3 @@ func Resample(x []complex128, ratio float64) []complex128 {
 	}
 	return out
 }
-
-// FractionalDelay delays x by d samples (0 ≤ d < 1) using linear
-// interpolation; integer delays are the caller's job (slice offsets).
-func FractionalDelay(x []complex128, d float64) []complex128 {
-	if d == 0 {
-		out := make([]complex128, len(x))
-		copy(out, x)
-		return out
-	}
-	if d < 0 || d >= 1 {
-		panic("dsp: FractionalDelay wants 0 ≤ d < 1")
-	}
-	out := make([]complex128, len(x))
-	fd := complex(d, 0)
-	prev := complex128(0)
-	for i, v := range x {
-		out[i] = prev*fd + v*(1-fd)
-		prev = v
-	}
-	return out
-}

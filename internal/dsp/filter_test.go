@@ -173,29 +173,6 @@ func TestResamplePPMDrift(t *testing.T) {
 	}
 }
 
-func TestFractionalDelayRamp(t *testing.T) {
-	x := make([]complex128, 20)
-	for i := range x {
-		x[i] = complex(float64(i), 0)
-	}
-	y := FractionalDelay(x, 0.25)
-	// After warmup, y[i] = i - 0.25.
-	for i := 2; i < len(y); i++ {
-		if math.Abs(real(y[i])-(float64(i)-0.25)) > 1e-9 {
-			t.Fatalf("FractionalDelay[%d] = %v", i, real(y[i]))
-		}
-	}
-}
-
-func TestFractionalDelayZero(t *testing.T) {
-	x := []complex128{1, 2, 3}
-	y := FractionalDelay(x, 0)
-	y[0] = 99
-	if x[0] != 1 {
-		t.Fatal("FractionalDelay(0) must copy")
-	}
-}
-
 func BenchmarkConvolve(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := randSignal(r, 4096)

@@ -8,7 +8,6 @@ import (
 	"megamimo/internal/fault"
 	"megamimo/internal/stats"
 	"megamimo/internal/traffic"
-	"megamimo/internal/units"
 )
 
 // ChaosPoint is one fault-intensity step of the chaos sweep: delivery under
@@ -84,16 +83,7 @@ func runChaosCell(nAPs int, intensity, seconds float64, topoSeed, engSeed, planS
 		if _, err := n.MeasureAndPrecode(); err != nil {
 			return nil, nil, err
 		}
-		start := n.Now()
-		plan := fault.Scenario{
-			Seed:       planSeed,
-			Start:      start,
-			Horizon:    start + int64(units.TicksIn(seconds, n.Cfg.SampleRate)),
-			SampleRate: n.Cfg.SampleRate,
-			NumAPs:     nAPs,
-			NumStreams: n.NumStreams(),
-			Intensity:  intensity,
-		}.Plan()
+		plan := fault.Storm(n, planSeed, seconds, intensity)
 		profiles := make([]traffic.Profile, n.NumStreams())
 		for i := range profiles {
 			profiles[i] = traffic.NewCBR(chaosLoadMbpsPerClient*1e6, PayloadBytes)

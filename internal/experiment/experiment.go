@@ -39,23 +39,6 @@ const (
 	Dot11nSampleRate = 20e6
 )
 
-// networkForBin builds a measured MegaMIMO network with clients inside the
-// SNR bin. ZF regularization follows the MMSE rule (λ = noise), which
-// recovers on Rayleigh-ish simulated channels the conditioning the paper's
-// LOS-heavy conference room gave physically (see DESIGN.md §4).
-func networkForBin(nAPs, nClients int, bin SNRBin, seed int64) (*core.Network, error) {
-	cfg := core.DefaultConfig(nAPs, nClients, bin.Lo, bin.Hi)
-	cfg.Seed = seed
-	n, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.Measure(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
 // traceRing is the flight-recorder ring size of a traced sweep cell. The
 // ring only bounds the recorder's memory: the cell's sink sees every event.
 const traceRing = 1 << 18

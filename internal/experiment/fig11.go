@@ -81,7 +81,7 @@ func RunFig11(apCounts []int, draws int, seed int64) (*Fig11Result, error) {
 // channels, verifies it with real coherent transmissions, and returns the
 // delivered goodput plus the single-transmitter 802.11 reference.
 func diversityThroughput(n *core.Network, linkSNR units.Decibels) (mm, bl float64, err error) {
-	margin := units.DBToLinear(-n.Cfg.RateMarginDB)
+	margin := units.DBToLinear(-core.RateMarginDB)
 	sub := core.DiversitySubcarrierSNR(n.Msmt, 0, n.Cfg.NoiseVar)
 	for i := range sub {
 		sub[i] *= margin
@@ -114,7 +114,7 @@ func diversityThroughput(n *core.Network, linkSNR units.Decibels) (mm, bl float6
 		}
 	}
 	// 802.11 reference: one transmitter at the raw link SNR.
-	if mcs, ok := rate.SelectFlat(linkSNR - n.Cfg.RateMarginDB); ok {
+	if mcs, ok := rate.SelectFlat(linkSNR - core.RateMarginDB); ok {
 		bl = rate.ThroughputAtMCS(mcs, PayloadBytes, n.Cfg.SampleRate)
 	}
 	return mm, bl, nil

@@ -199,14 +199,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		return nil, err
 	}
 	start := net.Now()
-	window := int64(units.TicksIn(cfg.Seconds, ccfg.SampleRate))
 	var plan *fault.Plan
 	if cfg.FaultsPerSec > 0 {
-		plan = fault.Scenario{
-			Seed: cfg.Seed, Start: start, Horizon: start + window,
-			SampleRate: ccfg.SampleRate, NumAPs: cfg.APs,
-			NumStreams: net.NumStreams(), Intensity: cfg.FaultsPerSec,
-		}.Plan()
+		plan = fault.Storm(net, cfg.Seed, cfg.Seconds, cfg.FaultsPerSec)
 	}
 	profiles := make([]traffic.Profile, net.NumStreams())
 	for i := range profiles {

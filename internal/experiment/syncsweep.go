@@ -110,16 +110,7 @@ func runSyncCell(strategy psync.Strategy, cond SyncCondition, nAPs int, seconds 
 	}
 	var plan *fault.Plan
 	if cond.Chaos {
-		start := n.Now()
-		plan = fault.Scenario{
-			Seed:       planSeed,
-			Start:      start,
-			Horizon:    start + int64(units.TicksIn(seconds, n.Cfg.SampleRate)),
-			SampleRate: n.Cfg.SampleRate,
-			NumAPs:     nAPs,
-			NumStreams: n.NumStreams(),
-			Intensity:  400,
-		}.Plan()
+		plan = fault.Storm(n, planSeed, seconds, 400)
 	}
 	profiles := make([]traffic.Profile, n.NumStreams())
 	for i := range profiles {

@@ -162,6 +162,26 @@ func testNet(t *testing.T, nAPs int) *core.Network {
 	return n
 }
 
+func TestStormSpansTheNetworkWindow(t *testing.T) {
+	n := testNet(t, 3)
+	got := Storm(n, 7, 0.05, 400)
+	want := Scenario{
+		Seed:       7,
+		Start:      n.Now(),
+		Horizon:    n.Now() + 500_000, // 50 ms at 10 MHz
+		SampleRate: 10e6,
+		NumAPs:     3,
+		NumStreams: 3,
+		Intensity:  400,
+	}.Plan()
+	if len(got.Events) == 0 {
+		t.Fatal("storm produced no events")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Storm plan differs from the network's scenario:\n got %v\nwant %v", got.Events, want.Events)
+	}
+}
+
 func TestInjectorCrashAndAutoRestart(t *testing.T) {
 	n := testNet(t, 3)
 	plan := &Plan{Seed: 1, Events: []Event{

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"megamimo/internal/core"
 	"megamimo/internal/rng"
 	"megamimo/internal/units"
 )
@@ -19,6 +20,22 @@ type Scenario struct {
 	NumAPs     int
 	NumStreams int
 	Intensity  float64 // expected fault events per simulated second
+}
+
+// Storm plans a fault storm of intensity events per simulated second over
+// the next seconds of a live network's ether clock, sized to its APs and
+// streams.
+func Storm(net *core.Network, seed int64, seconds, intensity float64) *Plan {
+	start := net.Now()
+	return Scenario{
+		Seed:       seed,
+		Start:      start,
+		Horizon:    start + int64(units.TicksIn(seconds, net.Cfg.SampleRate)),
+		SampleRate: net.Cfg.SampleRate,
+		NumAPs:     len(net.APs),
+		NumStreams: net.NumStreams(),
+		Intensity:  intensity,
+	}.Plan()
 }
 
 // Plan materializes the scenario's fault schedule.

@@ -139,20 +139,6 @@ func (t *Topology) SNRdB(pl PathLoss, client, ap int, txPowerDBm, noiseFloorDBm 
 	return txPowerDBm + t.LinkGainDB(pl, client, ap) - noiseFloorDBm
 }
 
-// PropagationDelaySamples converts the link distance to a sample delay at
-// the given rate (speed of light).
-func (t *Topology) PropagationDelaySamples(client, ap int, sampleRate units.Hertz) units.Samples {
-	const c = 299792458.0 // meters per second
-	return units.Samples(units.Ratio(t.Clients[client].Distance(t.APs[ap]), c) * units.Ratio(sampleRate, 1))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Map renders the topology as an ASCII floor plan (A = AP, c = client),
 // the quick sanity check for experiment placements.
 func (t *Topology) Map(room Room, cols, rows int) string {

@@ -111,17 +111,6 @@ func TestLinkBudgetPlausible(t *testing.T) {
 	}
 }
 
-func TestPropagationDelaySamples(t *testing.T) {
-	top := &Topology{
-		APs:     []Point{{0, 0, 0}},
-		Clients: []Point{{29.9792458, 0, 0}}, // 100 ns of light travel
-	}
-	got := top.PropagationDelaySamples(0, 0, 10e6)
-	if units.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("delay %v samples, want 1.0", got)
-	}
-}
-
 func TestTopologyMap(t *testing.T) {
 	src := rng.New(5)
 	top := SampleTopology(src, ConferenceRoom, DefaultIndoor, 4, 3)

@@ -89,10 +89,7 @@ func MustCached(ncbps, nbpsc int) *Interleaver {
 	return it
 }
 
-// BlockSize returns the interleaver block length in bits.
-func (it *Interleaver) BlockSize() int { return it.ncbps }
-
-// Interleave permutes one block of exactly BlockSize bits.
+// Interleave permutes one block of exactly ncbps bits.
 func (it *Interleaver) Interleave(bits []byte) ([]byte, error) {
 	out := make([]byte, len(bits))
 	if err := it.InterleaveInto(out, bits); err != nil {
@@ -102,7 +99,7 @@ func (it *Interleaver) Interleave(bits []byte) ([]byte, error) {
 }
 
 // InterleaveInto is Interleave with a caller-supplied destination of exactly
-// BlockSize bits; it allocates nothing. dst must not alias bits.
+// ncbps bits; it allocates nothing. dst must not alias bits.
 func (it *Interleaver) InterleaveInto(dst, bits []byte) error {
 	if len(bits) != it.ncbps {
 		return fmt.Errorf("interleave: block of %d bits, want %d", len(bits), it.ncbps)
@@ -138,7 +135,7 @@ func (it *Interleaver) DeinterleaveLLR(llr []float64) ([]float64, error) {
 }
 
 // DeinterleaveLLRInto is DeinterleaveLLR with a caller-supplied destination
-// of exactly BlockSize values; it allocates nothing. dst must not alias llr.
+// of exactly ncbps values; it allocates nothing. dst must not alias llr.
 func (it *Interleaver) DeinterleaveLLRInto(dst, llr []float64) error {
 	if len(llr) != it.ncbps {
 		return fmt.Errorf("interleave: block of %d LLRs, want %d", len(llr), it.ncbps)

@@ -22,15 +22,9 @@ var elementwise2 = aliasRule{dst: []int{0}, src: []int{1}}
 
 // aliasRules maps the FullName of each checked function to its contract.
 var aliasRules = map[string]aliasRule{
-	"megamimo/internal/cmplxs.Add":     elementwise3,
-	"megamimo/internal/cmplxs.Sub":     elementwise3,
-	"megamimo/internal/cmplxs.Mul":     elementwise3,
-	"megamimo/internal/cmplxs.MulConj": elementwise3,
-	"megamimo/internal/cmplxs.Div":     elementwise3,
-	"megamimo/internal/cmplxs.Scale":   elementwise2,
-	"megamimo/internal/cmplxs.Conj":    elementwise2,
-	"megamimo/internal/cmplxs.Rotate":  elementwise2,
-	"megamimo/internal/cmplxs.AXPY":    {dst: []int{0}, src: []int{2}},
+	"megamimo/internal/cmplxs.Add":    elementwise3,
+	"megamimo/internal/cmplxs.Scale":  elementwise2,
+	"megamimo/internal/cmplxs.Rotate": elementwise2,
 
 	"(*megamimo/internal/dsp.FFTPlan).Forward": elementwise2,
 	"(*megamimo/internal/dsp.FFTPlan).Inverse": elementwise2,

@@ -11,7 +11,7 @@ import (
 func shiftedOverlap(x, b []complex128) {
 	cmplxs.Add(x[1:], x, b[1:])          // want "overlapping source"
 	cmplxs.Scale(x[2:], x[:len(x)-2], 2) // want "overlapping source"
-	cmplxs.AXPY(x[1:], 2, x)             // want "overlapping source"
+	cmplxs.Rotate(x[1:], x, 0.1, 0.01)   // want "overlapping source"
 }
 
 // convolveAliased violates ConvolveInto's strict disjointness contract.

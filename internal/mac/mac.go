@@ -204,6 +204,10 @@ type Scheduler struct {
 	qDepth     *metrics.Histogram
 }
 
+// DefaultMaxAttempts is the per-packet transmission bound a new Scheduler
+// starts with; the 802.11 baseline's TDMA service uses the same bound.
+const DefaultMaxAttempts = 4
+
 // NewScheduler wires a scheduler to a network whose measurement phase has
 // already run.
 func NewScheduler(net *core.Network, seed int64) *Scheduler {
@@ -211,7 +215,7 @@ func NewScheduler(net *core.Network, seed int64) *Scheduler {
 	return &Scheduler{
 		Net:         net,
 		Cont:        NewContention(net.Cfg.SampleRate, seed),
-		MaxAttempts: 4,
+		MaxAttempts: DefaultMaxAttempts,
 		MCS:         -1,
 		mRetx:       m.Counter("mac_retransmissions_total"),
 		mDelivered:  m.Counter("mac_packets_delivered_total"),

@@ -1,7 +1,7 @@
 // Package matrix implements the dense complex linear algebra MegaMIMO's
 // beamforming needs: matrix products, Hermitian transpose, inversion by
-// partially pivoted Gaussian elimination, regularized (Tikhonov)
-// pseudo-inverse, and norm/conditioning diagnostics.
+// partially pivoted Gaussian elimination, and regularized (Tikhonov)
+// pseudo-inverse.
 //
 // Matrices are small here — an N-AP MegaMIMO network inverts an N×N (or
 // (N·ants)×(N·ants)) channel matrix, with N ≤ a few tens — so clarity wins
@@ -11,7 +11,6 @@ package matrix
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
 	"strings"
 )
@@ -136,39 +135,6 @@ func (m *M) MulVec(x []complex128) []complex128 {
 	return out
 }
 
-// Add returns m+b.
-func (m *M) Add(b *M) *M {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("matrix: Add shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += b.Data[i]
-	}
-	return out
-}
-
-// Sub returns m-b.
-func (m *M) Sub(b *M) *M {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("matrix: Sub shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= b.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *M) Scale(s complex128) *M {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
 // H returns the Hermitian (conjugate) transpose of m.
 func (m *M) H() *M {
 	out := New(m.Cols, m.Rows)
@@ -178,26 +144,6 @@ func (m *M) H() *M {
 		}
 	}
 	return out
-}
-
-// T returns the plain transpose of m.
-func (m *M) T() *M {
-	out := New(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			out.Set(c, r, m.At(r, c))
-		}
-	}
-	return out
-}
-
-// FrobeniusNorm returns sqrt(sum |m_ij|^2).
-func (m *M) FrobeniusNorm() float64 {
-	var acc float64
-	for _, v := range m.Data {
-		acc += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(acc)
 }
 
 // MaxAbs returns the largest element magnitude.
@@ -288,16 +234,6 @@ func (m *M) PseudoInverse(lambda float64) (*M, error) {
 		return nil, err
 	}
 	return h.Mul(gi), nil
-}
-
-// ConditionEstimate returns ‖A‖_F·‖A⁻¹‖_F, a cheap upper-bound style
-// conditioning diagnostic (≥ the true 2-norm condition number / n).
-func (m *M) ConditionEstimate() (float64, error) {
-	inv, err := m.Inverse()
-	if err != nil {
-		return math.Inf(1), err
-	}
-	return m.FrobeniusNorm() * inv.FrobeniusNorm(), nil
 }
 
 // String renders the matrix for debugging.

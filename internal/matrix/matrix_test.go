@@ -17,6 +17,14 @@ func randomMatrix(r *rand.Rand, n int) *M {
 	return m
 }
 
+func frobenius(m *M) float64 {
+	var acc float64
+	for _, v := range m.Data {
+		acc += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return math.Sqrt(acc)
+}
+
 func TestIdentityMul(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	a := randomMatrix(r, 4)
@@ -113,14 +121,6 @@ func TestHermitian(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	a := FromRows([][]complex128{{1, 2, 3}, {4, 5, 6}})
-	tr := a.T()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatalf("T =\n%v", tr)
-	}
-}
-
 func TestPseudoInverseSquareMatchesInverse(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	a := randomMatrix(r, 6)
@@ -180,43 +180,8 @@ func TestPseudoInverseRegularizationShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1.FrobeniusNorm() >= p0.FrobeniusNorm() {
-		t.Fatalf("regularized norm %v >= unregularized %v", p1.FrobeniusNorm(), p0.FrobeniusNorm())
-	}
-}
-
-func TestAddSubScale(t *testing.T) {
-	a := FromRows([][]complex128{{1, 2}, {3, 4}})
-	b := FromRows([][]complex128{{1, 1}, {1, 1}})
-	if got := a.Add(b).At(1, 1); got != 5 {
-		t.Fatalf("Add = %v", got)
-	}
-	if got := a.Sub(b).At(0, 0); got != 0 {
-		t.Fatalf("Sub = %v", got)
-	}
-	if got := a.Scale(2i).At(0, 1); got != 4i {
-		t.Fatalf("Scale = %v", got)
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	a := FromRows([][]complex128{{3, 0}, {0, 4i}})
-	if got := a.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("FrobeniusNorm = %v", got)
-	}
-}
-
-func TestConditionEstimate(t *testing.T) {
-	// Identity has Frobenius condition estimate n.
-	got, err := Identity(4).ConditionEstimate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-4) > 1e-12 {
-		t.Fatalf("cond(I) = %v, want 4", got)
-	}
-	if _, err := FromRows([][]complex128{{1, 1}, {1, 1}}).ConditionEstimate(); err == nil {
-		t.Fatal("singular matrix should error")
+	if frobenius(p1) >= frobenius(p0) {
+		t.Fatalf("regularized norm %v >= unregularized %v", frobenius(p1), frobenius(p0))
 	}
 }
 

@@ -22,25 +22,9 @@ const (
 )
 
 // Valid reports whether s is one of the defined constellations. Scheme
-// values normally come from phy.MCS.Modulation or ParseScheme, both of
-// which only produce valid values; Valid guards the remaining paths.
+// values normally come from phy.MCS.Modulation, which only produces valid
+// values; Valid guards the remaining paths.
 func (s Scheme) Valid() bool { return s >= BPSK && s <= QAM64 }
-
-// ParseScheme is the validated constructor from a conventional name
-// ("BPSK", "QPSK", "16-QAM"/"QAM16", "64-QAM"/"QAM64").
-func ParseScheme(name string) (Scheme, error) {
-	switch name {
-	case "BPSK":
-		return BPSK, nil
-	case "QPSK":
-		return QPSK, nil
-	case "16-QAM", "QAM16":
-		return QAM16, nil
-	case "64-QAM", "QAM64":
-		return QAM64, nil
-	}
-	return 0, fmt.Errorf("modulation: unknown scheme %q", name)
-}
 
 // String returns the conventional name of the scheme.
 func (s Scheme) String() string {
@@ -358,34 +342,6 @@ func SlicePoint(s Scheme, v complex128) complex128 {
 		return complex(slicePAM(real(v)*norm64, 3)/norm64, slicePAM(imag(v)*norm64, 3)/norm64)
 	}
 	return v
-}
-
-// AppendHardDemap appends the hard-decision bits for one received symbol to
-// dst and returns the extended slice; it allocates nothing beyond dst growth.
-// The scheme must be valid.
-func AppendHardDemap(dst []byte, s Scheme, v complex128) []byte {
-	switch s {
-	case BPSK:
-		return appendPAMBits(dst, real(v), 1)
-	case QPSK:
-		dst = appendPAMBits(dst, real(v)*sqrt2, 1)
-		return appendPAMBits(dst, imag(v)*sqrt2, 1)
-	case QAM16:
-		dst = appendPAMBits(dst, real(v)*norm16, 2)
-		return appendPAMBits(dst, imag(v)*norm16, 2)
-	case QAM64:
-		dst = appendPAMBits(dst, real(v)*norm64, 3)
-		return appendPAMBits(dst, imag(v)*norm64, 3)
-	}
-	return dst
-}
-
-// appendPAMBits appends the Gray label of the nearest PAM level without the
-// intermediate slice pamDeGray would allocate.
-func appendPAMBits(dst []byte, v float64, width int) []byte {
-	nLevels := 1 << width
-	lv := int(math.Round((slicePAM(v, width) + float64(nLevels) - 1) / 2))
-	return append(dst, grayTables[width][lv]...)
 }
 
 // AppendSoftDemap appends the LLRs for one received symbol to dst and

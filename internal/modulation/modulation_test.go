@@ -256,15 +256,6 @@ func TestScalarPathsMatchSlicePaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := AppendHardDemap(nil, s, v)
-			if len(got) != len(hd) {
-				t.Fatalf("%v AppendHardDemap len %d want %d", s, len(got), len(hd))
-			}
-			for i := range hd {
-				if got[i] != hd[i] {
-					t.Fatalf("%v AppendHardDemap(%v) = %v, want %v", s, v, got, hd)
-				}
-			}
 			mapped, err := Map(s, hd)
 			if err != nil {
 				t.Fatal(err)
@@ -315,10 +306,8 @@ func TestScalarPathsMatchSlicePaths(t *testing.T) {
 
 func TestScalarDemapAllocFree(t *testing.T) {
 	llr := make([]float64, 0, 64)
-	bits := make([]byte, 0, 64)
 	n := testing.AllocsPerRun(200, func() {
 		llr = AppendSoftDemap(llr[:0], QAM64, 0.3-0.2i, 0.1)
-		bits = AppendHardDemap(bits[:0], QAM64, 0.3-0.2i)
 		_ = SlicePoint(QAM16, -0.4+0.9i)
 	})
 	if n > 0 {

@@ -109,23 +109,3 @@ func (e *Equalizer) RawCommonPhase() units.Radians { return e.raw }
 // Channel returns the equalizer's channel estimate (shared slice; callers
 // must not modify it).
 func (e *Equalizer) Channel() []complex128 { return e.h }
-
-// SNREstimate returns a per-data-subcarrier SNR estimate given equalized
-// symbols and the hard decisions already made on them: the error vector
-// power relative to unit signal power, inverted. It is the hook the
-// effective-SNR rate selector uses when operating on real received frames.
-func SNREstimate(equalized, decisions []complex128) (float64, error) {
-	if len(equalized) != len(decisions) || len(equalized) == 0 {
-		return 0, fmt.Errorf("ofdm: SNREstimate length mismatch")
-	}
-	var errP float64
-	for i := range equalized {
-		d := equalized[i] - decisions[i]
-		errP += real(d)*real(d) + imag(d)*imag(d)
-	}
-	errP /= float64(len(equalized))
-	if errP <= 0 {
-		errP = 1e-12
-	}
-	return 1 / errP, nil
-}

@@ -227,18 +227,6 @@ func (d *Demodulator) FreqBatchInto(dst, samples []complex128, count int) error 
 	return nil
 }
 
-// DataAndPilots splits a 64-bin frequency vector into the 48 data values
-// and 4 pilot values (in PilotCarriers order).
-func DataAndPilots(freq []complex128) (data [NData]complex128, pilots [NPilot]complex128) {
-	for i, k := range DataCarriers {
-		data[i] = freq[Bin(k)]
-	}
-	for i, k := range PilotCarriers {
-		pilots[i] = freq[Bin(k)]
-	}
-	return data, pilots
-}
-
 // PilotReference returns the expected pilot values for symbol index n.
 func PilotReference(n int) [NPilot]complex128 {
 	p := complex(PilotPolarity(n), 0)

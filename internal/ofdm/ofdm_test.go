@@ -80,16 +80,15 @@ func TestSymbolRoundTripCleanChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, pilots := DataAndPilots(freq)
-	for i := range data {
-		if cmplx.Abs(got[i]-data[i]) > 1e-9 {
-			t.Fatalf("data subcarrier %d: %v != %v", i, got[i], data[i])
+	for i, k := range DataCarriers {
+		if got := freq[Bin(k)]; cmplx.Abs(got-data[i]) > 1e-9 {
+			t.Fatalf("data subcarrier %d: %v != %v", i, got, data[i])
 		}
 	}
 	ref := PilotReference(0)
-	for i := range pilots {
-		if cmplx.Abs(pilots[i]-ref[i]) > 1e-9 {
-			t.Fatalf("pilot %d: %v != %v", i, pilots[i], ref[i])
+	for i, k := range PilotCarriers {
+		if got := freq[Bin(k)]; cmplx.Abs(got-ref[i]) > 1e-9 {
+			t.Fatalf("pilot %d: %v != %v", i, got, ref[i])
 		}
 	}
 }
@@ -335,27 +334,6 @@ func TestEqualizerRecoversDataThroughChannelAndCFO(t *testing.T) {
 				t.Fatalf("symbol %d subcarrier %d: %v vs %v", sidx, i, got[i], data[sidx][i])
 			}
 		}
-	}
-}
-
-func TestSNREstimate(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	clean := randQPSK(r, 480)
-	noisy := make([]complex128, len(clean))
-	nv := 0.01
-	s := rng.New(14)
-	for i := range clean {
-		noisy[i] = clean[i] + s.ComplexNormal(nv)
-	}
-	snr, err := SNREstimate(noisy, clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db := 10 * math.Log10(snr); math.Abs(db-20) > 1.5 {
-		t.Fatalf("SNR estimate %v dB, want ≈20", db)
-	}
-	if _, err := SNREstimate(noisy[:1], clean); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }
 

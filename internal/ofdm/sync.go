@@ -209,10 +209,3 @@ func SmoothChannel(h []complex128) {
 		h[Bin(k)] = acc / complex(w, 0)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

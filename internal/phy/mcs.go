@@ -62,14 +62,8 @@ func (m MCS) info() mcsInfo {
 // Modulation returns the constellation of this MCS.
 func (m MCS) Modulation() modulation.Scheme { return m.info().scheme }
 
-// CodeRate returns the convolutional code rate of this MCS.
-func (m MCS) CodeRate() fec.Rate { return m.info().rate }
-
 // DataBitsPerSymbol returns N_DBPS.
 func (m MCS) DataBitsPerSymbol() int { return m.info().ndbps }
-
-// CodedBitsPerSymbol returns N_CBPS.
-func (m MCS) CodedBitsPerSymbol() int { return m.info().ncbps }
 
 // BitRate returns the PHY data rate in bits/s at the given sample rate
 // (e.g. 54e6/80·216 at 20 Msample/s).

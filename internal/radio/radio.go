@@ -91,12 +91,6 @@ type Frontend struct {
 	BandwidthHz units.Hertz
 }
 
-// NoiseFloorDBm returns the receiver noise floor: −174 dBm/Hz + 10·log₁₀(B)
-// + NF.
-func (f *Frontend) NoiseFloorDBm() units.Decibels {
-	return -174 + units.LinearToDB(units.Ratio(f.BandwidthHz, 1)) + f.NoiseFigureDB
-}
-
 // Node is one radio device: an oscillator shared by one or more antenna
 // chains (a 2-antenna 802.11n AP is one Node with two antennas, exactly
 // like the paper's two externally clocked USRP2s).

@@ -80,14 +80,6 @@ func TestOscillatorsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestNoiseFloor(t *testing.T) {
-	f := Frontend{NoiseFigureDB: 6, BandwidthHz: 20e6}
-	want := units.Decibels(-174 + 10*math.Log10(20e6) + 6)
-	if got := f.NoiseFloorDBm(); units.Abs(got-want) > 1e-9 {
-		t.Fatalf("NoiseFloorDBm = %v, want %v", got, want)
-	}
-}
-
 func TestNewNode(t *testing.T) {
 	src := rng.New(11)
 	n := NewNode(3, src, 2, 2.4e9, 10e6, 6, 7)

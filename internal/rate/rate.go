@@ -138,18 +138,6 @@ func SelectFlat(snrDB units.Decibels) (phy.MCS, bool) {
 	return Select([]float64{units.DBToLinear(snrDB)})
 }
 
-// Throughput returns the expected MAC-layer throughput (bit/s) of
-// transmitting payloadBytes frames at the selected MCS over a link with
-// the given per-subcarrier SNRs, accounting for preamble and header
-// airtime. It returns 0 when no MCS is deliverable.
-func Throughput(subSNR []float64, payloadBytes int, sampleRate units.Hertz) float64 {
-	mcs, ok := Select(subSNR)
-	if !ok {
-		return 0
-	}
-	return ThroughputAtMCS(mcs, payloadBytes, sampleRate)
-}
-
 // ThroughputAtMCS returns goodput at a fixed MCS: payload bits divided by
 // the full frame airtime (preamble + SIGNAL + data symbols).
 func ThroughputAtMCS(mcs phy.MCS, payloadBytes int, sampleRate units.Hertz) float64 {

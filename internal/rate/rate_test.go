@@ -192,13 +192,6 @@ func TestThroughputAccounting(t *testing.T) {
 	}
 }
 
-func TestThroughputZeroWhenUndeliverable(t *testing.T) {
-	sub := []float64{cmplxs.FromDB(-10)}
-	if got := Throughput(sub, 1500, 10e6); got != 0 {
-		t.Fatalf("throughput %v at −10 dB", got)
-	}
-}
-
 func TestSelectMatchesPaper80211Anchors(t *testing.T) {
 	// §11.2: 802.11 at high SNR (>18 dB) ≈ 23.6 Mb/s on the 10 MHz
 	// testbed, medium ≈ 14.9, low ≈ 7.75. Check the selector lands on the

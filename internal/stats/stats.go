@@ -1,13 +1,11 @@
 // Package stats provides the small descriptive-statistics kit the
-// experiment harness uses: percentiles, CDFs, means and confidence
-// intervals.
+// experiment harness uses: percentiles, CDFs, means and fairness.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Mean returns the arithmetic mean, or 0 for empty input.
@@ -20,19 +18,6 @@ func Mean(xs []float64) float64 {
 		acc += x
 	}
 	return acc / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (n−1 normalization).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var acc float64
-	for _, x := range xs {
-		acc += (x - m) * (x - m)
-	}
-	return math.Sqrt(acc / float64(len(xs)-1))
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
@@ -122,18 +107,6 @@ func NewCDF(xs []float64) *CDF {
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.sorted) }
 
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	for i < len(c.sorted) && c.sorted[i] <= x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-quantile (0–1), or NaN for an empty CDF.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {
@@ -166,52 +139,4 @@ func (c *CDF) String() string {
 	}
 	return fmt.Sprintf("CDF{n=%d p10=%.3g p50=%.3g p90=%.3g}",
 		c.N(), c.Quantile(0.1), c.Quantile(0.5), c.Quantile(0.9))
-}
-
-// ConfidenceInterval95 returns the mean and its ±1.96·σ/√n half-width.
-func ConfidenceInterval95(xs []float64) (mean, half float64) {
-	mean = Mean(xs)
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	half = 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-	return mean, half
-}
-
-// Histogram bins xs into n equal-width buckets over [min, max] and renders
-// an ASCII sketch, for quick terminal inspection of experiment output.
-func Histogram(xs []float64, n int) string {
-	if len(xs) == 0 || n <= 0 {
-		return "(no data)"
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	//lint:ignore float-eq exact compare detects the all-identical-samples degenerate bin range
-	if hi == lo {
-		hi = lo + 1
-	}
-	counts := make([]int, n)
-	for _, x := range xs {
-		i := int(float64(n) * (x - lo) / (hi - lo))
-		if i >= n {
-			i = n - 1
-		}
-		counts[i]++
-	}
-	maxC := 0
-	for _, c := range counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range counts {
-		left := lo + float64(i)*(hi-lo)/float64(n)
-		bar := strings.Repeat("#", int(math.Round(40*float64(c)/float64(maxC))))
-		fmt.Fprintf(&b, "%10.4g | %-40s %d\n", left, bar, c)
-	}
-	return b.String()
 }

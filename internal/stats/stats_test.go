@@ -2,22 +2,18 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestMeanStd(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if got := StdDev(xs); math.Abs(got-2.1380899) > 1e-6 {
-		t.Fatalf("StdDev = %v", got)
-	}
-	if Mean(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Fatal("degenerate cases wrong")
+	if Mean(nil) != 0 {
+		t.Fatal("Mean(nil) != 0")
 	}
 }
 
@@ -98,15 +94,6 @@ func TestPercentileUnsortedInputUnmodified(t *testing.T) {
 
 func TestCDF(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 2, 3})
-	if got := c.At(0); got != 0 {
-		t.Fatalf("At(0) = %v", got)
-	}
-	if got := c.At(2); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("At(2) = %v", got)
-	}
-	if got := c.At(10); got != 1 {
-		t.Fatalf("At(10) = %v", got)
-	}
 	if got := c.Quantile(0.5); got != 2 {
 		t.Fatalf("Quantile(0.5) = %v", got)
 	}
@@ -134,32 +121,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestConfidenceInterval(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	xs := make([]float64, 4000)
-	for i := range xs {
-		xs[i] = 10 + r.NormFloat64()
-	}
-	mean, half := ConfidenceInterval95(xs)
-	if math.Abs(mean-10) > 0.1 {
-		t.Fatalf("mean = %v", mean)
-	}
-	want := 1.96 / math.Sqrt(4000)
-	if math.Abs(half-want) > 0.3*want {
-		t.Fatalf("half-width = %v, want ≈%v", half, want)
-	}
-}
-
-func TestHistogramRenders(t *testing.T) {
-	h := Histogram([]float64{1, 1, 2, 3, 3, 3}, 3)
-	if !strings.Contains(h, "#") {
-		t.Fatalf("histogram missing bars:\n%s", h)
-	}
-	if Histogram(nil, 3) != "(no data)" {
-		t.Fatal("empty histogram")
-	}
-}
-
 // Property: quantiles are monotone and bounded by the sample range.
 func TestQuickQuantileMonotone(t *testing.T) {
 	f := func(raw []float64) bool {
@@ -177,34 +138,6 @@ func TestQuickQuantileMonotone(t *testing.T) {
 		for q := 0.0; q <= 1.0; q += 0.1 {
 			v := c.Quantile(q)
 			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: CDF.At is a valid CDF (monotone, 0→1).
-func TestQuickCDFMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		c := NewCDF(xs)
-		prev := -1.0
-		for q := -1e6; q <= 1e6; q += 2e5 {
-			v := c.At(q)
-			if v < prev || v < 0 || v > 1 {
 				return false
 			}
 			prev = v

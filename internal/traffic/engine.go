@@ -46,8 +46,6 @@ type Config struct {
 	Seed int64
 	// QueueCap drop-tails the shared queue when > 0.
 	QueueCap int
-	// MaxAttempts bounds retransmissions per packet (0 = mac default).
-	MaxAttempts int
 	// Faults, when non-nil, is the seeded fault schedule replayed against
 	// the run: the engine applies due events every iteration and handles
 	// the client-churn ones itself.
@@ -202,9 +200,6 @@ func New(net *core.Network, cfg Config) (*Engine, error) {
 		e.queue = &e.tq
 	default:
 		e.sched = mac.NewScheduler(net, cfg.Seed^0x51ed)
-		if cfg.MaxAttempts > 0 {
-			e.sched.MaxAttempts = cfg.MaxAttempts
-		}
 		e.queue = &e.sched.Queue
 	}
 	m := net.Metrics()
@@ -216,14 +211,6 @@ func New(net *core.Network, cfg Config) (*Engine, error) {
 		e.inj = fault.NewInjector(net, cfg.Faults)
 	}
 	return e, nil
-}
-
-// maxAttempts returns the retransmission bound for TDMA service.
-func (e *Engine) maxAttempts() int {
-	if e.cfg.MaxAttempts > 0 {
-		return e.cfg.MaxAttempts
-	}
-	return 4
 }
 
 // Prepare resolves rates before the measurement window opens so neither
@@ -352,7 +339,7 @@ func (e *Engine) serveTDMA() error {
 		return nil
 	}
 	p.Attempts++
-	if p.Attempts >= e.maxAttempts() {
+	if p.Attempts >= mac.DefaultMaxAttempts {
 		e.queue.Remove(p)
 		e.failed[p.Stream]++
 	}

@@ -11,8 +11,8 @@
 //     medium. Measure runs the channel-measurement phase; JointTransmit
 //     delivers one packet per client concurrently; DiversityTransmit
 //     coherently combines every AP toward one client.
-//   - Rate control: ComputeZF / SelectJointMCS / ProbeAndSelectRate mirror
-//     the paper's effective-SNR link adaptation.
+//   - Rate control: ComputeZF builds the zero-forcing precoder and
+//     ProbeAndSelectRate mirrors the paper's effective-SNR link adaptation.
 //   - Experiments: RunFig6 … Fig13From regenerate every figure of the
 //     paper's evaluation section.
 //

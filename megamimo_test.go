@@ -83,10 +83,3 @@ func TestPublicAPIPrecoders(t *testing.T) {
 		t.Fatal("diversity precoder malformed")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
