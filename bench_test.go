@@ -11,6 +11,7 @@ package megamimo
 import (
 	"math"
 	"megamimo/internal/units"
+	"runtime"
 	"testing"
 
 	"megamimo/internal/core"
@@ -361,5 +362,23 @@ func TestJointTransmitAllocBudget(t *testing.T) {
 	if allocs > budget {
 		t.Errorf("JointTransmit allocates %.0f objects per 4x4 transmission, budget is %d; "+
 			"a hot-path buffer is being reallocated per symbol or per frame", allocs, budget)
+	}
+	// The count alone misses a few large buffers sized by the stream, so
+	// the bytes are gated too.
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := n.JointTransmit(payloads, phy.MCS2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	const byteBudget = 3.5e6
+	t.Logf("JointTransmit: %.0f allocs, %.2f MB per 4x4 transmission", allocs, bytes/1e6)
+	if bytes > byteBudget {
+		t.Errorf("JointTransmit allocates %.2f MB per 4x4 transmission, budget is %.1f MB; "+
+			"a buffer the length of the received stream is being allocated per frame", bytes/1e6, byteBudget/1e6)
 	}
 }

@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"megamimo/internal/cmplxs"
@@ -24,6 +25,10 @@ func main() {
 		seed    = flag.Int64("seed", 42, "random seed")
 	)
 	flag.Parse()
+	if err := validate(*trials, *bytes, *snrLo, *snrHi, *snrStep); err != nil {
+		fmt.Fprintln(os.Stderr, "phy-loopback:", err)
+		os.Exit(2)
+	}
 
 	tx, rx := phy.NewTX(), phy.NewRX()
 	src := rng.New(*seed)
@@ -59,4 +64,20 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// validate rejects flag values the sweep cannot run with: they would
+// panic, loop forever, or print rates over zero trials.
+func validate(trials, bytes int, snrLo, snrHi, snrStep float64) error {
+	switch {
+	case trials < 1:
+		return fmt.Errorf("-trials %d must be at least 1", trials)
+	case bytes < 0 || bytes > phy.MaxPSDU:
+		return fmt.Errorf("-bytes %d out of range 0..%d", bytes, phy.MaxPSDU)
+	case !(snrStep > 0):
+		return fmt.Errorf("-snr-step %v must be positive", snrStep)
+	case !(snrHi-snrLo >= 0) || math.IsInf(snrHi-snrLo, 0):
+		return fmt.Errorf("-snr-lo %v to -snr-hi %v is not a finite, ascending range", snrLo, snrHi)
+	}
+	return nil
 }

@@ -169,47 +169,6 @@ func CrossCorrelate(x, ref []complex128) []complex128 {
 	return out
 }
 
-// AutoCorrelateLag returns a[k] = Σ_{i=k..k+win-1} x[i]·conj(x[i+lag]) for
-// each window start k — the Schmidl-Cox style metric behind coarse timing
-// and CFO estimation on a periodic preamble.
-func AutoCorrelateLag(x []complex128, lag, win int) []complex128 {
-	if lag <= 0 || win <= 0 || len(x) < lag+win {
-		return nil
-	}
-	out := make([]complex128, len(x)-lag-win+1)
-	// Sliding update: each step adds one product and removes another.
-	var acc complex128
-	for i := 0; i < win; i++ {
-		acc += x[i] * cmplx.Conj(x[i+lag])
-	}
-	out[0] = acc
-	for k := 1; k < len(out); k++ {
-		acc -= x[k-1] * cmplx.Conj(x[k-1+lag])
-		acc += x[k+win-1] * cmplx.Conj(x[k+win-1+lag])
-		out[k] = acc
-	}
-	return out
-}
-
-// MovingAverage returns the win-point moving average of the real signal x
-// (length len(x)-win+1), used for normalizing detection metrics.
-func MovingAverage(x []float64, win int) []float64 {
-	if win <= 0 || len(x) < win {
-		return nil
-	}
-	out := make([]float64, len(x)-win+1)
-	var acc float64
-	for i := 0; i < win; i++ {
-		acc += x[i]
-	}
-	out[0] = acc / float64(win)
-	for k := 1; k < len(out); k++ {
-		acc += x[k+win-1] - x[k-1]
-		out[k] = acc / float64(win)
-	}
-	return out
-}
-
 // Resample performs linear-interpolation resampling of x at a rate ratio
 // r = Fs_out/Fs_in, producing floor((len(x)-1)*r)+1 samples. A ratio just
 // below or above 1 models a sampling-frequency offset between transmitter

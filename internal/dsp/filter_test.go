@@ -81,60 +81,6 @@ func TestCrossCorrelatePeakAtOffset(t *testing.T) {
 	}
 }
 
-func TestAutoCorrelateLagDetectsPeriodicity(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	period := randSignal(r, 16)
-	// Periodic region [64, 64+4*16) inside noise.
-	x := randSignal(r, 192)
-	for rep := 0; rep < 4; rep++ {
-		copy(x[64+rep*16:64+(rep+1)*16], period)
-	}
-	m := AutoCorrelateLag(x, 16, 32)
-	best, bestAbs := -1, 0.0
-	for k, v := range m {
-		if a := cmplx.Abs(v); a > bestAbs {
-			best, bestAbs = k, a
-		}
-	}
-	if best < 60 || best > 84 {
-		t.Fatalf("periodicity metric peak at %d, want near 64", best)
-	}
-}
-
-func TestAutoCorrelateLagPhaseEncodesCFO(t *testing.T) {
-	// A pure rotation applied to a periodic signal shows up as the phase
-	// of the lag-autocorrelation: phase = -lag·2πΔf/Fs.
-	n, lag := 128, 16
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = cmplx.Exp(complex(0, 2*math.Pi*float64(i%lag)/float64(lag)))
-	}
-	step := 0.01 // rad/sample
-	for i := range x {
-		x[i] *= cmplx.Exp(complex(0, step*float64(i)))
-	}
-	m := AutoCorrelateLag(x, lag, 64)
-	got := cmplx.Phase(m[0])
-	want := -step * float64(lag)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("lag-corr phase = %v, want %v", got, want)
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	got := MovingAverage(x, 3)
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("MovingAverage = %v", got)
-		}
-	}
-	if MovingAverage(x, 6) != nil {
-		t.Fatal("window larger than input should be nil")
-	}
-}
-
 func TestResampleUnitRatio(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	x := randSignal(r, 100)
@@ -180,15 +126,6 @@ func BenchmarkConvolve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Convolve(x, h)
-	}
-}
-
-func BenchmarkAutoCorrelateLag(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	x := randSignal(r, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		AutoCorrelateLag(x, 16, 64)
 	}
 }
 

@@ -173,20 +173,85 @@ func DecodeSoft(llr []float64, n int, rate Rate) ([]byte, error) {
 }
 
 // Decoder is a reusable Viterbi decoder. The zero value is ready to use;
-// scratch buffers (depunctured LLRs, the traceback matrix, the decoded
-// bits) grow to the largest frame seen and are reused across calls, so a
-// long-lived Decoder takes the per-packet trellis allocations off the
-// signal path. A Decoder is not safe for concurrent use, and the slice
-// returned by DecodeSoft is overwritten by the next call.
+// scratch buffers grow to the largest frame seen and are reused across
+// calls, so a long-lived Decoder takes the per-packet trellis allocations
+// off the signal path. A Decoder is not safe for concurrent use, and the
+// slice returned by DecodeSoft is overwritten by the next call.
 type Decoder struct {
-	full    []float64 // depunctured (A, B) LLR pairs, 2*total
-	backptr []uint8   // chosen predecessor per step per state, total*numStates
-	bits    []byte    // decoded bits incl. tail, total
+	// Trellis scratch, allocated once a frame first needs the trellis.
+	full      []float64 // depunctured (A, B) LLR pairs, 2*total
+	survivors []uint64  // per step, bit s set = state s kept its odd predecessor
+	bits      []byte    // decoded bits incl. tail, total
 }
+
+// unreachable is the path metric of a state the trellis cannot be in yet.
+// Adding a branch metric leaves it far above any real path metric, so the
+// add-compare-select needs no reachability guard.
+const unreachable = math.MaxFloat64 / 4
 
 // DecodeSoft is the allocating-free variant of the package-level
 // DecodeSoft: the returned slice aliases the decoder's scratch and is
-// valid until the next call.
+// valid until the next call. A frame cleanPath certifies skips the
+// trellis, which would return the same bits.
+func (d *Decoder) DecodeSoft(llr []float64, n int, rate Rate) ([]byte, error) {
+	if want := EncodedLen(n, rate); len(llr) != want {
+		return nil, fmt.Errorf("fec: got %d coded LLRs, want %d for %d bits at rate %s", len(llr), want, n, rate)
+	}
+	if d.cleanPath(llr, n, rate) {
+		return d.bits[:n], nil
+	}
+	return d.trellis(llr, n, rate), nil
+}
+
+// cleanPath rebuilds the n+6 input bits from the hard decisions of llr
+// into d.bits and reports whether the trellis provably decodes to exactly
+// them: the bits re-encode to the hard decisions and end in state 0, every
+// LLR is finite and non-zero with Σ|LLR| ≤ unreachable, and min|LLR| >
+// 2·γ(total+1)·Σ|LLR| with γ(k) = k·u/(1−k·u), u = 2⁻⁵³. A path merging
+// into the hard path differs from it in both mother-code bits at the
+// merge, so it loses by at least 2·min|LLR| exactly — more than the
+// float64 rounding of both path metrics (DESIGN.md §11).
+func (d *Decoder) cleanPath(llr []float64, n int, rate Rate) bool {
+	total := d.grow(n)
+	pat := rate.pattern()
+	bits := d.bits[:total]
+	minAbs, sum := math.Inf(1), 0.0
+	state, src, p := 0, 0, 0
+	for step := range bits {
+		out := outputs[state][0] // input 1 flips both bits
+		in := byte(2)            // not yet decided
+		for k := 1; k >= 0; k-- {
+			kept := pat[p]
+			p = (p + 1) % len(pat)
+			if !kept {
+				continue
+			}
+			l := llr[src]
+			src++
+			a := math.Abs(l)
+			if !(a > 0 && a <= math.MaxFloat64) {
+				return false
+			}
+			minAbs, sum = min(minAbs, a), sum+a
+			b := out >> k & 1 // the input bit this coded bit implies
+			if l < 0 {
+				b ^= 1
+			}
+			if in != 2 && in != b {
+				return false
+			}
+			in = b
+		}
+		bits[step] = in
+		state = state>>1 | int(in)<<(constraintLen-2)
+	}
+	ku := float64(total+1) * 0x1p-53
+	return state == 0 && sum <= unreachable && minAbs > 2*ku/(1-ku)*sum
+}
+
+// trellis runs the full Viterbi trellis over llr and returns the n
+// decoded data bits. It is the path DecodeSoft takes whenever
+// cleanPath cannot certify the hard decisions.
 //
 // The trellis update runs as a butterfly over next-state pairs: states j
 // and j+32 share the predecessors 2j and 2j+1, and because generators
@@ -195,14 +260,15 @@ type Decoder struct {
 // into 32 iterations of pure adds and compares — no reachability guard,
 // no per-branch sign decisions — which is what makes soft decoding of
 // full frames affordable on the hot path.
-func (d *Decoder) DecodeSoft(llr []float64, n int, rate Rate) ([]byte, error) {
-	if want := EncodedLen(n, rate); len(llr) != want {
-		return nil, fmt.Errorf("fec: got %d coded LLRs, want %d for %d bits at rate %s", len(llr), want, n, rate)
+func (d *Decoder) trellis(llr []float64, n int, rate Rate) []byte {
+	total := d.grow(n)
+	if cap(d.full) < 2*total {
+		d.full = make([]float64, 2*total)
+		d.survivors = make([]uint64, total)
 	}
-	total := n + constraintLen - 1 // trellis steps including tail
 	// Depuncture into per-step (A, B) LLRs.
 	pat := rate.pattern()
-	full := d.grow(total)
+	full := d.full[:2*total]
 	src := 0
 	for i := range full {
 		if pat[i%len(pat)] {
@@ -213,16 +279,13 @@ func (d *Decoder) DecodeSoft(llr []float64, n int, rate Rate) ([]byte, error) {
 		}
 	}
 	// Viterbi with full traceback (packet-scale trellises are small).
-	// Unreachable states carry inf/4; adding a branch metric to one leaves
-	// it far above any real path metric, so no explicit guard is needed.
-	const inf = math.MaxFloat64 / 4
 	var metricBuf [2][numStates]float64
 	mp, np := &metricBuf[0], &metricBuf[1]
 	for s := 1; s < numStates; s++ {
-		mp[s] = inf
+		mp[s] = unreachable
 	}
-	backptr := d.backptr
-	for step := 0; step < total; step++ {
+	survivors := d.survivors[:total]
+	for step := range survivors {
 		la, lb := full[2*step], full[2*step+1]
 		// bm[out] for out = A<<1|B; LLR>0 favors bit 0, cost is minimized.
 		var bm [4]float64
@@ -230,7 +293,7 @@ func (d *Decoder) DecodeSoft(llr []float64, n int, rate Rate) ([]byte, error) {
 		bm[1] = -la + lb
 		bm[2] = la - lb
 		bm[3] = la + lb
-		bp := backptr[step*numStates : step*numStates+numStates : step*numStates+numStates]
+		var lo, hi uint64 // survivor bits of states j and j+32
 		for j := 0; j < numStates/2; j++ {
 			a := mp[2*j]
 			b := mp[2*j+1]
@@ -245,42 +308,36 @@ func (d *Decoder) DecodeSoft(llr []float64, n int, rate Rate) ([]byte, error) {
 			sel := uint64(int64(math.Float64bits(m1-m0)) >> 63)
 			mb := (math.Float64bits(m0) &^ sel) | (math.Float64bits(m1) & sel)
 			np[j] = math.Float64frombits(mb)
-			bp[j] = uint8(2*j) + uint8(sel&1)
+			bit := uint64(1) << j
+			lo |= sel & bit
 			// in = 1 lands in state j+32 with both signs flipped.
 			m0, m1 = a-v, b+v
 			sel = uint64(int64(math.Float64bits(m1-m0)) >> 63)
 			mb = (math.Float64bits(m0) &^ sel) | (math.Float64bits(m1) & sel)
 			np[j+numStates/2] = math.Float64frombits(mb)
-			bp[j+numStates/2] = uint8(2*j) + uint8(sel&1)
+			hi |= sel & bit
 		}
+		survivors[step] = lo | hi<<(numStates/2)
 		mp, np = np, mp
 	}
-	// Trellis is terminated: trace back from state 0.
+	// Trellis is terminated: trace back from state 0. The predecessors of
+	// state s are (s<<1)&63 and that | 1.
 	state := 0
 	bits := d.bits[:total]
 	for step := total - 1; step >= 0; step-- {
-		prev := int(backptr[step*numStates+state])
-		// Input bit that moved prev→state is the MSB of state.
+		// The input bit that led into state is its MSB.
 		bits[step] = byte(state >> (constraintLen - 2))
-		state = prev
+		state = (state<<1)&(numStates-1) | int(survivors[step]>>state&1)
 	}
-	return bits[:n], nil
+	return bits[:n]
 }
 
-// grow sizes the scratch buffers for a trellis of total steps and returns
-// the depuncture buffer.
-func (d *Decoder) grow(total int) []float64 {
-	if cap(d.full) < 2*total {
-		d.full = make([]float64, 2*total)
-		d.backptr = make([]uint8, total*numStates)
+// grow sizes the decoded-bit buffer for n data bits and returns the
+// number of trellis steps, tail included.
+func (d *Decoder) grow(n int) int {
+	total := n + constraintLen - 1
+	if cap(d.bits) < total {
 		d.bits = make([]byte, total)
 	}
-	d.full = d.full[:2*total]
-	if len(d.backptr) < total*numStates {
-		d.backptr = make([]uint8, total*numStates)
-	}
-	if len(d.bits) < total {
-		d.bits = make([]byte, total)
-	}
-	return d.full
+	return total
 }

@@ -1,6 +1,7 @@
 package fec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -208,6 +209,164 @@ func TestQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// codewordLLRs maps coded bits to LLRs of the matching sign whose
+// magnitudes come from mag.
+func codewordLLRs(coded []byte, mag func() float64) []float64 {
+	llr := make([]float64, len(coded))
+	for i, b := range coded {
+		llr[i] = mag()
+		if b == 1 {
+			llr[i] = -llr[i]
+		}
+	}
+	return llr
+}
+
+// trellisDecode decodes through the full trellis, bypassing cleanPath.
+func trellisDecode(llr []float64, n int, rate Rate) []byte {
+	var d Decoder
+	return append([]byte(nil), d.trellis(llr, n, rate)...)
+}
+
+// TestDecodeSoftMatchesTrellis pins the clean-frame shortcut to the
+// trellis bit for bit: whatever inputs cleanPath certifies, the trellis
+// decodes to the same bits. The LLR families cover clean and noisy
+// frames, quantized tie-prone LLRs, magnitudes near underflow and near
+// the unreachable-state metric, and isolated tiny LLRs that a long
+// frame's rounding error could swallow.
+func TestDecodeSoftMatchesTrellis(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	uniform := func() float64 { return 0.25 + 4*r.Float64() }
+	quantized := func() float64 { return float64(1 + r.Intn(3)) }
+	families := []struct {
+		name  string
+		llr   func(coded []byte) []float64
+		clean bool // expected to take the shortcut at least sometimes
+	}{
+		{"clean", func(c []byte) []float64 { return codewordLLRs(c, uniform) }, true},
+		{"quantized", func(c []byte) []float64 { return codewordLLRs(c, quantized) }, true},
+		{"quantized-noisy", func(c []byte) []float64 {
+			llr := codewordLLRs(c, quantized)
+			for i := range llr {
+				switch r.Intn(20) {
+				case 0:
+					llr[i] = -llr[i]
+				case 1:
+					llr[i] = 0
+				}
+			}
+			return llr
+		}, false},
+		{"gaussian", func(c []byte) []float64 {
+			llr := codewordLLRs(c, func() float64 { return 1 })
+			for i := range llr {
+				llr[i] = 4 * (llr[i] + 0.6*r.NormFloat64())
+			}
+			return llr
+		}, true},
+		{"scaled-1e-300", func(c []byte) []float64 {
+			return codewordLLRs(c, func() float64 { return 1e-300 * uniform() })
+		}, true},
+		{"subnormal", func(c []byte) []float64 {
+			return codewordLLRs(c, func() float64 { return 1e-310 * uniform() })
+		}, true},
+		{"scaled-1e305", func(c []byte) []float64 {
+			return codewordLLRs(c, func() float64 { return 1e305 * uniform() })
+		}, false},
+		{"isolated-1e-12", func(c []byte) []float64 {
+			llr := codewordLLRs(c, uniform)
+			llr[r.Intn(len(llr))] *= 1e-12
+			return llr
+		}, false},
+	}
+	var dec Decoder
+	for _, rate := range allRates {
+		for _, f := range families {
+			fired := 0
+			const frames = 500
+			for i := 0; i < frames; i++ {
+				n := 1 + r.Intn(200)
+				llr := f.llr(Encode(randBits(r, n), rate))
+				want := trellisDecode(llr, n, rate)
+				got, err := dec.DecodeSoft(llr, n, rate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Fatalf("rate %s %s frame %d (n=%d): DecodeSoft differs from the trellis", rate, f.name, i, n)
+				}
+				if dec.cleanPath(llr, n, rate) {
+					fired++
+				}
+			}
+			if f.clean && fired == 0 {
+				t.Errorf("rate %s %s: the shortcut never fired in %d frames", rate, f.name, frames)
+			}
+		}
+	}
+}
+
+// TestCleanShortcutFires shows that a noiseless frame skips the trellis
+// and that each broken certificate condition sends the frame back to it.
+func TestCleanShortcutFires(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	const n = 400
+	for _, rate := range allRates {
+		data := randBits(r, n)
+		clean := codewordLLRs(Encode(data, rate), func() float64 { return 1 + r.Float64() })
+		var dec Decoder
+		if !dec.cleanPath(clean, n, rate) {
+			t.Fatalf("rate %s: a noiseless frame did not take the shortcut", rate)
+		}
+		got, err := dec.DecodeSoft(clean, n, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(data) {
+			t.Fatalf("rate %s: the shortcut returned the wrong bits", rate)
+		}
+		// A codeword whose trellis does not end in state 0: encode past
+		// the frame and keep only its first n+6 steps.
+		tail := append(append([]byte(nil), data...), 1, 0, 1, 1, 0, 1)
+		open := codewordLLRs(Encode(tail, rate)[:len(clean)], func() float64 { return 1 })
+		at := len(clean) / 2
+		for name, llr := range map[string][]float64{
+			"flipped sign":         withLLR(clean, at, -clean[at]),
+			"zero LLR":             withLLR(clean, at, 0),
+			"NaN":                  withLLR(clean, at, math.NaN()),
+			"Inf":                  withLLR(clean, at, math.Inf(1)),
+			"non-zero tail":        open,
+			"tiny LLR":             withLLR(clean, at, 1e-15),
+			"sum past unreachable": scaled(clean, 1e305),
+		} {
+			if dec.cleanPath(llr, n, rate) {
+				t.Errorf("rate %s %s: took the shortcut", rate, name)
+			}
+			got, err := dec.DecodeSoft(llr, n, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := trellisDecode(llr, n, rate); string(got) != string(want) {
+				t.Errorf("rate %s %s: DecodeSoft differs from the trellis", rate, name)
+			}
+		}
+	}
+}
+
+func withLLR(llr []float64, i int, v float64) []float64 {
+	out := append([]float64(nil), llr...)
+	out[i] = v
+	return out
+}
+
+func scaled(llr []float64, k float64) []float64 {
+	out := append([]float64(nil), llr...)
+	for i := range out {
+		out[i] *= k
+	}
+	return out
 }
 
 func BenchmarkEncodeRate12(b *testing.B) {

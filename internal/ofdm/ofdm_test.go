@@ -237,6 +237,200 @@ func TestDetectWithNoiseAndDelayRange(t *testing.T) {
 	}
 }
 
+// arrayDetect is the array-based detector Detect replaced: it builds the
+// lag-16 autocorrelation and the 80-sample moving energy average over the
+// whole stream, then searches them. It is the oracle Detect's streaming
+// plateau search must match bit for bit.
+func arrayDetect(rx []complex128, threshold float64) (*Sync, error) {
+	if len(rx) < PreambleLen+SymbolLen {
+		return nil, ErrNoPacket
+	}
+	const win = 64
+	auto := autoCorrelateLag(rx, STFPeriod, win)
+	if auto == nil {
+		return nil, ErrNoPacket
+	}
+	energy := make([]float64, len(rx))
+	for i, v := range rx {
+		energy[i] = real(v)*real(v) + imag(v)*imag(v)
+	}
+	eAvg := movingAverage(energy, win+STFPeriod)
+	coarse, best := -1, 0.0
+	metric := func(i int) float64 {
+		e := eAvg[i] * float64(win+STFPeriod)
+		if e <= 0 {
+			return 0
+		}
+		return cmplx.Abs(auto[i]) / (e * float64(win) / float64(win+STFPeriod))
+	}
+	limit := min(len(auto), len(eAvg))
+	for i := 0; i < limit; i++ {
+		m := metric(i)
+		if m <= threshold {
+			continue
+		}
+		best, coarse = m, i
+		for j := i + 1; j < limit && j < i+STFLen; j++ {
+			if mj := metric(j); mj > best {
+				best, coarse = mj, j
+			}
+		}
+		break
+	}
+	if coarse < 0 {
+		return nil, ErrNoPacket
+	}
+	coarseCFO := units.RadPerSample(-cmplx.Phase(auto[coarse]) / float64(STFPeriod))
+	ltfRef := LTF()[LTFGuard : LTFGuard+NFFT]
+	searchLo := coarse
+	searchHi := coarse + STFLen + LTFGuard + 3*NFFT
+	if searchHi+NFFT > len(rx) {
+		searchHi = len(rx) - NFFT
+	}
+	if searchHi <= searchLo {
+		return nil, ErrNoPacket
+	}
+	win2 := cmplxs.Clone(rx[searchLo:min(searchHi+NFFT, len(rx))])
+	cmplxs.Rotate(win2, win2, 0, -coarseCFO)
+	xc := dsp.CrossCorrelate(win2, ltfRef)
+	bestPos, bestVal := -1, 0.0
+	for i := 0; i+NFFT < len(xc); i++ {
+		v := cmplx.Abs(xc[i]) + cmplx.Abs(xc[i+NFFT])
+		if v > bestVal {
+			bestVal, bestPos = v, i
+		}
+	}
+	if bestPos < 0 {
+		return nil, ErrNoPacket
+	}
+	ltf1 := searchLo + bestPos
+	payload := ltf1 + 2*NFFT
+	if payload+SymbolLen > len(rx) {
+		return nil, ErrNoPacket
+	}
+	var acc complex128
+	for i := 0; i < NFFT; i++ {
+		acc += rx[ltf1+i] * cmplx.Conj(rx[ltf1+NFFT+i])
+	}
+	fineCFO := units.RadPerSample(-cmplx.Phase(acc) / float64(NFFT))
+	k := math.Round(units.Ratio(units.PhaseAdvance(coarseCFO-fineCFO, NFFT), 2*math.Pi))
+	cfo := fineCFO + units.RadiansOver(units.Radians(2*math.Pi*k), NFFT)
+	return &Sync{PayloadStart: payload, CFO: cfo, LTFStart: ltf1 - LTFGuard, Metric: best}, nil
+}
+
+// autoCorrelateLag returns a[k] = Σ_{i=k..k+win-1} x[i]·conj(x[i+lag]) for
+// each window start k, as a sliding sum.
+func autoCorrelateLag(x []complex128, lag, win int) []complex128 {
+	if lag <= 0 || win <= 0 || len(x) < lag+win {
+		return nil
+	}
+	out := make([]complex128, len(x)-lag-win+1)
+	var acc complex128
+	for i := 0; i < win; i++ {
+		acc += x[i] * cmplx.Conj(x[i+lag])
+	}
+	out[0] = acc
+	for k := 1; k < len(out); k++ {
+		acc -= x[k-1] * cmplx.Conj(x[k-1+lag])
+		acc += x[k+win-1] * cmplx.Conj(x[k+win-1+lag])
+		out[k] = acc
+	}
+	return out
+}
+
+// movingAverage returns the win-point moving average of x as a sliding
+// sum (length len(x)-win+1).
+func movingAverage(x []float64, win int) []float64 {
+	if win <= 0 || len(x) < win {
+		return nil
+	}
+	out := make([]float64, len(x)-win+1)
+	var acc float64
+	for i := 0; i < win; i++ {
+		acc += x[i]
+	}
+	out[0] = acc / float64(win)
+	for k := 1; k < len(out); k++ {
+		acc += x[k+win-1] - x[k-1]
+		out[k] = acc / float64(win)
+	}
+	return out
+}
+
+// TestDetectMatchesArrayOracle pins the streaming plateau search to the
+// array-based detector: the same *Sync, bit for bit, and the same error
+// on noise, packets at random offsets, plateaus found within one STF
+// length of the stream's end, zero-energy prefixes and NaN samples.
+func TestDetectMatchesArrayOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	noise := rng.New(14)
+	withPacket := func(n, off int, cfo units.RadPerSample, nv float64) []complex128 {
+		frame, _ := buildFrame(r, 1+r.Intn(3))
+		rx := make([]complex128, n)
+		copy(rx[min(off, n):], frame)
+		cmplxs.Rotate(rx, rx, units.Radians(r.Float64()), cfo)
+		for i := range rx {
+			rx[i] += noise.ComplexNormal(nv)
+		}
+		return rx
+	}
+	type stream struct {
+		name string
+		rx   []complex128
+	}
+	var streams []stream
+	for i := 0; i < 60; i++ {
+		n := 300 + r.Intn(2000)
+		streams = append(streams, stream{"noise", noise.ComplexNormalVec(make([]complex128, n), 1)})
+		off := r.Intn(1000)
+		cfo := units.RadPerSample(0.04 * (r.Float64() - 0.5))
+		nv := []float64{0, 1e-3, 0.1, 1}[r.Intn(4)]
+		streams = append(streams, stream{"packet", withPacket(off+800+r.Intn(400), off, cfo, nv)})
+		// The STF starts less than one STF length before the last
+		// autocorrelation window, so the plateau scan runs off the end.
+		n = 600 + r.Intn(600)
+		streams = append(streams, stream{"plateau at end", withPacket(n, n-80-r.Intn(STFLen), cfo, nv)})
+		rx := withPacket(off+800, off, cfo, nv)
+		clear(rx[:off])
+		streams = append(streams, stream{"zero prefix", rx})
+		rx = withPacket(off+800, off, cfo, nv)
+		rx[r.Intn(len(rx))] = complex(math.NaN(), 0)
+		streams = append(streams, stream{"NaN sample", rx})
+	}
+	streams = append(streams,
+		stream{"all zero", make([]complex128, 1000)},
+		stream{"too short", withPacket(PreambleLen+SymbolLen-1, 0, 0, 0)},
+		stream{"shortest", withPacket(PreambleLen+SymbolLen, 0, 0, 0)})
+	same := func(a, b *Sync) bool {
+		if a == nil || b == nil {
+			return a == b
+		}
+		return a.PayloadStart == b.PayloadStart && a.LTFStart == b.LTFStart &&
+			math.Float64bits(float64(a.CFO)) == math.Float64bits(float64(b.CFO)) &&
+			math.Float64bits(a.Metric) == math.Float64bits(b.Metric)
+	}
+	found := map[string]int{}
+	for _, th := range []float64{0.2, 0.5, 0.9} {
+		for i, s := range streams {
+			got, err := Detect(s.rx, th)
+			want, wantErr := arrayDetect(s.rx, th)
+			if err != wantErr || !same(got, want) {
+				t.Fatalf("threshold %v stream %d (%s): Detect = %+v, %v; oracle = %+v, %v",
+					th, i, s.name, got, err, want, wantErr)
+			}
+			if err == nil {
+				found[s.name]++
+			}
+		}
+	}
+	// Every family with a packet in it must exercise the success path.
+	for _, name := range []string{"packet", "zero prefix", "NaN sample", "shortest"} {
+		if found[name] == 0 {
+			t.Errorf("no %q stream was detected; the oracle comparison only saw errors", name)
+		}
+	}
+}
+
 func TestChannelEstimateFlatChannel(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	frame, _ := buildFrame(r, 1)

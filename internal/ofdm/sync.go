@@ -33,59 +33,64 @@ type Sync struct {
 // timing; the lag-64 correlation across the two LTF repetitions refines the
 // CFO. threshold is the minimum normalized plateau metric (0.5 is a robust
 // default at SNR ≥ 0 dB).
+//
+// The plateau search streams: the lag-16 autocorrelation over a 64-sample
+// window and the energy over the 80 samples it spans are running sums,
+// updated one sample at a time, and the scan stops one STF length past the
+// first window over the threshold, so the search reads the stream only up
+// to the plateau and allocates nothing the length of rx.
 func Detect(rx []complex128, threshold float64) (*Sync, error) {
 	if len(rx) < PreambleLen+SymbolLen {
 		return nil, ErrNoPacket
 	}
 	const win = 64
-	auto := dsp.AutoCorrelateLag(rx, STFPeriod, win)
-	if auto == nil {
-		return nil, ErrNoPacket
+	const span = win + STFPeriod // samples one autocorrelation window reads
+	var auto complex128
+	for i := 0; i < win; i++ {
+		auto += rx[i] * cmplx.Conj(rx[i+STFPeriod])
 	}
-	// Normalize by windowed energy to get a scale-free metric.
-	energy := make([]float64, len(rx))
-	for i, v := range rx {
-		energy[i] = real(v)*real(v) + imag(v)*imag(v)
+	var energy float64
+	for i := 0; i < span; i++ {
+		energy += power(rx[i])
 	}
-	eAvg := dsp.MovingAverage(energy, win+STFPeriod)
 	// Take the FIRST plateau that clears the threshold (scanning to its
 	// local maximum within one STF length), not the global best — a later
 	// frame in the same stream may correlate more strongly, but acquisition
 	// must lock to the earliest packet.
 	coarse, best := -1, 0.0
-	metric := func(i int) float64 {
-		e := eAvg[i] * float64(win+STFPeriod)
-		if e <= 0 {
-			return 0
+	var peak complex128 // autocorrelation at the plateau maximum
+	for i, stop := 0, len(rx)-span+1; i < stop; i++ {
+		if i > 0 {
+			auto -= rx[i-1] * cmplx.Conj(rx[i-1+STFPeriod])
+			auto += rx[i+win-1] * cmplx.Conj(rx[i+win-1+STFPeriod])
+			energy += power(rx[i+span-1]) - power(rx[i-1])
 		}
-		return cmplx.Abs(auto[i]) / (e * float64(win) / float64(win+STFPeriod))
-	}
-	limit := len(auto)
-	if len(eAvg) < limit {
-		limit = len(eAvg)
-	}
-	for i := 0; i < limit; i++ {
-		m := metric(i)
-		if m <= threshold {
+		// Normalize by windowed energy to get a scale-free metric. The
+		// energy round-trips through its window mean because detection
+		// results are pinned bit for bit to that operation order. A NaN
+		// energy yields a NaN metric, which clears any threshold.
+		m := 0.0
+		if e := energy / span * span; !(e <= 0) {
+			m = cmplx.Abs(auto) / (e * win / span)
+		}
+		if coarse < 0 {
+			if m <= threshold {
+				continue
+			}
+			stop = min(stop, i+STFLen)
+		} else if !(m > best) {
 			continue
 		}
-		best, coarse = m, i
-		for j := i + 1; j < limit && j < i+STFLen; j++ {
-			if mj := metric(j); mj > best {
-				best, coarse = mj, j
-			}
-		}
-		break
+		best, coarse, peak = m, i, auto
 	}
 	if coarse < 0 {
 		return nil, ErrNoPacket
 	}
 	// Coarse CFO from the STF plateau: phase of lag-16 correlation.
-	coarseCFO := units.RadPerSample(-cmplx.Phase(auto[coarse]) / float64(STFPeriod))
+	coarseCFO := units.RadPerSample(-cmplx.Phase(peak) / float64(STFPeriod))
 
 	// Fine timing: cross-correlate a derotated window with the known LTF
 	// long symbol. Search around the expected LTF location.
-	ltfRef := LTF()[LTFGuard : LTFGuard+NFFT]
 	searchLo := coarse
 	searchHi := coarse + STFLen + LTFGuard + 3*NFFT
 	if searchHi+NFFT > len(rx) {
@@ -96,7 +101,7 @@ func Detect(rx []complex128, threshold float64) (*Sync, error) {
 	}
 	win2 := cmplxs.Clone(rx[searchLo:min(searchHi+NFFT, len(rx))])
 	cmplxs.Rotate(win2, win2, 0, -coarseCFO)
-	xc := dsp.CrossCorrelate(win2, ltfRef)
+	xc := dsp.CrossCorrelate(win2, ltfTimeRef)
 	// The LTF long symbol appears twice, 64 samples apart; find the pair
 	// with the largest combined magnitude.
 	bestPos, bestVal := -1, 0.0
@@ -135,6 +140,15 @@ func Detect(rx []complex128, threshold float64) (*Sync, error) {
 		Metric:       best,
 	}, nil
 }
+
+// power is |v|², the per-sample energy.
+func power(v complex128) float64 {
+	return real(v)*real(v) + imag(v)*imag(v)
+}
+
+// ltfTimeRef is one time-domain LTF long symbol, the immutable fine-timing
+// reference shared by every detection.
+var ltfTimeRef = LTF()[LTFGuard : LTFGuard+NFFT]
 
 // ltfFreqRef is the immutable LTF reference shared by every channel
 // estimate, so per-frame decodes don't rebuild it.
