@@ -20,6 +20,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"megamimo/internal/air"
@@ -29,6 +31,10 @@ import (
 	"megamimo/internal/traffic"
 	"megamimo/internal/units"
 )
+
+// figures are the accepted figure arguments.
+var figures = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
+	"ablations", "robustness", "amortization", "workload", "chaos", "syncsweep", "all"}
 
 // figMetrics is one figure's machine-readable record for -json mode. One
 // "op" is one full figure regeneration; NsPerOp and the allocation columns
@@ -66,16 +72,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trace-format: %v\n", err)
 		os.Exit(2)
 	}
+	which := flag.Arg(0)
+	if flag.NArg() != 1 || !slices.Contains(figures, which) {
+		if flag.NArg() == 1 {
+			fmt.Fprintf(os.Stderr, "megamimo-bench: unknown figure %q\n", which)
+		}
+		fmt.Fprintln(os.Stderr, "usage: megamimo-bench [flags] "+strings.Join(figures, "|"))
+		os.Exit(2)
+	}
+	// The user's values are checked before -quick overrides them.
+	for _, c := range []struct {
+		flag     string
+		val, min int
+	}{{"-topologies", *topos, 1}, {"-rounds", *rounds, 1}, {"-max-aps", *maxAPs, 2}, {"-workers", *workers, 0}} {
+		if c.val < c.min {
+			fmt.Fprintf(os.Stderr, "megamimo-bench: %s must be at least %d, got %d\n", c.flag, c.min, c.val)
+			os.Exit(2)
+		}
+	}
 	if *quick {
 		*topos, *rounds, *maxAPs = 2, 2, 6
 	}
 	experiment.SetWorkers(*workers)
 	air.SetWorkers(*workers)
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: megamimo-bench [flags] fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablations|robustness|amortization|workload|chaos|syncsweep|all")
-		os.Exit(2)
-	}
-	which := flag.Arg(0)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -3,12 +3,13 @@
 // regressions, so the perf trajectory of the signal path is recorded and
 // enforced rather than anecdotal.
 //
-// Two metrics are gated per figure, each against -max-regress (default
+// Three metrics are gated per figure, each against -max-regress (default
 // 15%):
 //
-//   - allocs_per_op: compared raw. Allocation counts are deterministic at
-//     -workers=1 for a fixed seed and Go version, so any growth is a real
-//     change in the code's allocation behavior.
+//   - allocs_per_op and bytes_per_op: compared raw. Allocation counts and
+//     allocated bytes are deterministic at -workers=1 for a fixed seed and
+//     Go version, so any growth is a real change in the code's allocation
+//     behavior; the bytes catch a few large buffers the count misses.
 //   - ns_per_op: machine-normalized first. The snapshot and the current
 //     run usually come from different machines, so raw wall time is
 //     meaningless; instead each figure's current/snapshot ratio is divided
@@ -87,17 +88,21 @@ func main() {
 	for _, name := range shared {
 		b, c := base[name], cur[name]
 		allocRatio := ratio(float64(c.AllocsPerOp), float64(b.AllocsPerOp))
+		bytesRatio := ratio(float64(c.BytesPerOp), float64(b.BytesPerOp))
 		nsRatio := ratio(float64(c.NsPerOp), float64(b.NsPerOp)) / speed
 		status := "ok"
-		if allocRatio > 1+*maxRegress {
+		switch limit := 1 + *maxRegress; {
+		case allocRatio > limit:
 			status = "ALLOC REGRESSION"
-			failed = true
-		} else if nsRatio > 1+*maxRegress {
+		case bytesRatio > limit:
+			status = "BYTES REGRESSION"
+		case nsRatio > limit:
 			status = "TIME REGRESSION"
-			failed = true
 		}
-		fmt.Printf("  %-14s allocs %12d -> %12d (%+6.1f%%)   time x%.3f (normalized)   %s\n",
-			name, b.AllocsPerOp, c.AllocsPerOp, (allocRatio-1)*100, nsRatio, status)
+		failed = failed || status != "ok"
+		fmt.Printf("  %-14s allocs %10d -> %10d (%+6.1f%%)   bytes %12d -> %12d (%+6.1f%%)   time x%.3f (normalized)   %s\n",
+			name, b.AllocsPerOp, c.AllocsPerOp, (allocRatio-1)*100,
+			b.BytesPerOp, c.BytesPerOp, (bytesRatio-1)*100, nsRatio, status)
 	}
 	if failed {
 		fmt.Fprintln(os.Stderr, "megamimo-perfgate: regression vs committed snapshot; if intentional, regenerate BENCH_PERF.json (see README)")

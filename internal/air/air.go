@@ -185,32 +185,47 @@ func (a *Air) emissionBuf(n int) []complex128 {
 
 // Observe returns n samples of what receive antenna rx hears starting at
 // ether sample start, through the receiver's own oscillator, with noise.
+// The window is freshly allocated; ObserveInto reuses the caller's.
 func (a *Air) Observe(rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
-	out := a.observe(rx, osc, start, n)
+	return a.ObserveInto(nil, rx, osc, start, n)
+}
+
+// ObserveInto is Observe building the window in dst's backing array: dst
+// is grown to n plus observeTail samples when its capacity falls short,
+// cleared and filled. Without SFO modeling the returned window aliases
+// dst, so a caller that reuses one buffer must consume each window before
+// the next observation.
+func (a *Air) ObserveInto(dst []complex128, rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
+	out := a.observe(dst, rx, osc, start, n)
 	for i := range out {
 		out[i] += a.noise.ComplexNormal(a.cfg.NoiseVar)
 	}
 	return out
 }
 
-// ObserveClean is Observe without the noise term; the experiment harness
-// uses it to measure interference power directly (the paper's INR metric
-// compares received interference against a known noise floor).
-func (a *Air) ObserveClean(rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
-	return a.observe(rx, osc, start, n)
+// ObserveCleanInto is ObserveInto without the noise term; the experiment
+// harness uses it to measure interference power directly (the paper's INR
+// metric compares received interference against a known noise floor).
+func (a *Air) ObserveCleanInto(dst []complex128, rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
+	return a.observe(dst, rx, osc, start, n)
 }
 
-func (a *Air) observe(rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
+// observeTail is the extra ether span every window builds past its n
+// samples, so receiver SFO resampling has material to interpolate into.
+const observeTail = 2
+
+func (a *Air) observe(dst []complex128, rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
 	if osc == nil {
 		panic("air: Observe requires an oscillator")
 	}
 	if n <= 0 {
 		return nil
 	}
-	// Build at ether rate with a small tail so receiver SFO resampling has
-	// material to interpolate into.
-	tail := 2
-	ether := make([]complex128, n+tail)
+	if cap(dst) < n+observeTail {
+		dst = make([]complex128, n+observeTail)
+	}
+	ether := dst[:n+observeTail]
+	clear(ether)
 	if a.unsorted {
 		es := a.emissions
 		sort.SliceStable(es, func(i, j int) bool { return es[i].start < es[j].start })
@@ -222,9 +237,9 @@ func (a *Air) observe(rx int, osc *radio.Oscillator, start int64, n int) []compl
 	// the window skip per-emission on the overlap clamp, before any
 	// convolution work.
 	cut := sort.Search(len(a.emissions), func(i int) bool {
-		return a.emissions[i].start >= start+int64(n+tail)
+		return a.emissions[i].start >= start+int64(n+observeTail)
 	})
-	arrivals := a.resolve(start, n+tail, rx, osc, cut)
+	arrivals := a.resolve(start, n+observeTail, rx, osc, cut)
 	defer clear(arrivals) // drop the sample references until the next observe
 	shards := (cut + shardSize - 1) / shardSize
 	switch {
@@ -236,7 +251,7 @@ func (a *Air) observe(rx int, osc *radio.Oscillator, start int64, n int) []compl
 		// buffer, and the buffers reduce in shard order. Workers only
 		// decide who computes a shard, never what is summed in which
 		// order, so one worker and sixteen produce identical bytes.
-		bufs := a.shardBuffers(shards, n+tail)
+		bufs := a.shardBuffers(shards, n+observeTail)
 		if w := min(Workers(), shards); w <= 1 {
 			for s := 0; s < shards; s++ {
 				fillShard(bufs[s], start, arrivals[s*shardSize:min(cut, (s+1)*shardSize)])
@@ -384,9 +399,6 @@ func (a *Air) recycle(buf []complex128) {
 	}
 	a.pool = append(a.pool, buf)
 }
-
-// PoolSize reports the pooled emission-buffer count (tests, diagnostics).
-func (a *Air) PoolSize() int { return len(a.pool) }
 
 // NumEmissions reports the pending emission count (diagnostics).
 func (a *Air) NumEmissions() int { return len(a.emissions) }

@@ -38,7 +38,7 @@ func TestFlatLinkPassthrough(t *testing.T) {
 	osc := testOsc(0)
 	x := ramp(100)
 	a.Transmit(0, osc, 0, x)
-	y := a.ObserveClean(1, testOsc(0), 0, 100)
+	y := a.ObserveCleanInto(nil, 1, testOsc(0), 0, 100)
 	for i := range x {
 		if cmplx.Abs(y[i]-0.5*x[i]) > 1e-9 {
 			t.Fatalf("sample %d: %v != %v", i, y[i], 0.5*x[i])
@@ -49,7 +49,7 @@ func TestFlatLinkPassthrough(t *testing.T) {
 func TestNoLinkMeansSilence(t *testing.T) {
 	a := newTestAir(0)
 	a.Transmit(0, testOsc(0), 0, ramp(50))
-	y := a.ObserveClean(1, testOsc(0), 0, 50)
+	y := a.ObserveCleanInto(nil, 1, testOsc(0), 0, 50)
 	for _, v := range y {
 		if v != 0 {
 			t.Fatal("unconnected antennas leaked signal")
@@ -61,7 +61,7 @@ func TestDelayShiftsArrival(t *testing.T) {
 	a := newTestAir(0)
 	a.SetLink(0, 1, &channel.Link{Taps: []complex128{1}, Delay: 7})
 	a.Transmit(0, testOsc(0), 10, ramp(20))
-	y := a.ObserveClean(1, testOsc(0), 0, 40)
+	y := a.ObserveCleanInto(nil, 1, testOsc(0), 0, 40)
 	for i := 0; i < 17; i++ {
 		if y[i] != 0 {
 			t.Fatalf("energy before arrival at %d", i)
@@ -77,7 +77,7 @@ func TestObserveWindowing(t *testing.T) {
 	a.SetLink(0, 1, flatLink(1))
 	a.Transmit(0, testOsc(0), 100, ramp(50))
 	// Window starting mid-emission.
-	y := a.ObserveClean(1, testOsc(0), 120, 10)
+	y := a.ObserveCleanInto(nil, 1, testOsc(0), 120, 10)
 	for i := range y {
 		want := complex(float64(20+i+1), 0)
 		if cmplx.Abs(y[i]-want) > 1e-9 {
@@ -92,7 +92,7 @@ func TestMultipathConvolution(t *testing.T) {
 	a.SetLink(0, 1, &channel.Link{Taps: taps})
 	x := []complex128{1, 2}
 	a.Transmit(0, testOsc(0), 0, x)
-	y := a.ObserveClean(1, testOsc(0), 0, 3)
+	y := a.ObserveCleanInto(nil, 1, testOsc(0), 0, 3)
 	want := []complex128{1, 2 + 0.5i, 1i}
 	for i := range want {
 		if cmplx.Abs(y[i]-want[i]) > 1e-12 {
@@ -108,7 +108,7 @@ func TestTwoTransmittersSuperpose(t *testing.T) {
 	osc := testOsc(0)
 	a.Transmit(0, osc, 0, []complex128{1, 1, 1})
 	a.Transmit(1, osc, 1, []complex128{2i, 2i})
-	y := a.ObserveClean(2, testOsc(0), 0, 4)
+	y := a.ObserveCleanInto(nil, 2, testOsc(0), 0, 4)
 	want := []complex128{1, 1 + 2i, 1 + 2i, 0}
 	for i := range want {
 		if cmplx.Abs(y[i]-want[i]) > 1e-12 {
@@ -128,7 +128,7 @@ func TestCFORotatesReceivedSignal(t *testing.T) {
 		x[i] = 1
 	}
 	a.Transmit(0, tx, 0, x)
-	y := a.ObserveClean(1, rx, 0, n)
+	y := a.ObserveCleanInto(nil, 1, rx, 0, n)
 	w := tx.CFORadPerSample()
 	for _, i := range []int{0, 100, 999} {
 		want := cmplxs.Expi(units.PhaseAdvance(w, units.Samples(i)))
@@ -148,7 +148,7 @@ func TestRelativeCFOIsDifferenceOfOffsets(t *testing.T) {
 		x[i] = 1
 	}
 	a.Transmit(0, tx, 0, x)
-	y := a.ObserveClean(1, rx, 0, n)
+	y := a.ObserveCleanInto(nil, 1, rx, 0, n)
 	if cmplxs.PhaseDiff(y[n-1], y[0]) > 1e-9 {
 		t.Fatal("matched oscillators still rotated")
 	}
@@ -167,9 +167,9 @@ func TestPhaseContinuityAcrossObservations(t *testing.T) {
 		x[i] = 1
 	}
 	a.Transmit(0, tx, 0, x)
-	full := a.ObserveClean(1, rx, 0, n)
-	part1 := a.ObserveClean(1, rx, 0, n/2)
-	part2 := a.ObserveClean(1, rx, int64(n/2), n/2)
+	full := a.ObserveCleanInto(nil, 1, rx, 0, n)
+	part1 := a.ObserveCleanInto(nil, 1, rx, 0, n/2)
+	part2 := a.ObserveCleanInto(nil, 1, rx, int64(n/2), n/2)
 	for i := 0; i < n/2; i++ {
 		if cmplx.Abs(part1[i]-full[i]) > 1e-9 || cmplx.Abs(part2[i]-full[n/2+i]) > 1e-9 {
 			t.Fatalf("windowed observation diverges at %d", i)
@@ -192,10 +192,40 @@ func TestNoiseStatistics(t *testing.T) {
 
 func TestObserveCleanIsNoiseless(t *testing.T) {
 	a := newTestAir(1)
-	y := a.ObserveClean(1, testOsc(0), 0, 100)
+	y := a.ObserveCleanInto(nil, 1, testOsc(0), 0, 100)
 	for _, v := range y {
 		if v != 0 {
-			t.Fatal("ObserveClean added noise")
+			t.Fatal("ObserveCleanInto added noise")
+		}
+	}
+}
+
+// TestObserveIntoReusesDirtyWindow: ObserveInto clears and refills the
+// caller's buffer, so a window built over stale samples equals a fresh
+// Observe bit for bit, single-shard and sharded alike, and aliases dst.
+func TestObserveIntoReusesDirtyWindow(t *testing.T) {
+	for _, emissions := range []int{1, 3 * shardSize} {
+		build := func() *Air {
+			a := newTestAir(0.01)
+			for tx := 0; tx < emissions; tx++ {
+				a.SetLink(tx, 99, &channel.Link{Taps: []complex128{0.5, 0.1i}, Delay: tx})
+				a.Transmit(tx, testOsc(units.PPM(tx)), int64(10*tx), ramp(80))
+			}
+			return a
+		}
+		want := build().Observe(99, testOsc(1), 0, 200)
+		dst := make([]complex128, 300)
+		for i := range dst {
+			dst[i] = complex(float64(i), -1)
+		}
+		got := build().ObserveInto(dst, 99, testOsc(1), 0, 200)
+		if &got[0] != &dst[0] {
+			t.Fatalf("%d emissions: ObserveInto did not reuse dst", emissions)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d emissions: sample %d is %v over a dirty buffer, %v fresh", emissions, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -213,7 +243,7 @@ func TestSFOStretchesWaveform(t *testing.T) {
 		x[i] = 1
 	}
 	a.Transmit(0, tx, 0, x)
-	y := a.ObserveClean(1, testOsc(0), 0, n+5)
+	y := a.ObserveCleanInto(nil, 1, testOsc(0), 0, n+5)
 	// Count nonzero span.
 	span := 0
 	for _, v := range y {
@@ -305,21 +335,21 @@ func TestEmissionPoolCapTrim(t *testing.T) {
 		a.Transmit(0, osc, int64(i*10), ramp(32))
 	}
 	a.Reset()
-	if got := a.PoolSize(); got != poolCap {
+	if got := len(a.pool); got != poolCap {
 		t.Fatalf("pool holds %d buffers after burst reset, want cap %d", got, poolCap)
 	}
 	// Recycling into a full pool stays capped.
 	a.Transmit(0, osc, 0, ramp(32))
 	a.Reset()
-	if got := a.PoolSize(); got != poolCap {
-		t.Fatalf("pool grew past cap: %d > %d", a.PoolSize(), poolCap)
+	if got := len(a.pool); got != poolCap {
+		t.Fatalf("pool grew past cap: %d > %d", len(a.pool), poolCap)
 	}
 	// ClearBefore trims through the same path.
 	for i := 0; i < 2*poolCap; i++ {
 		a.Transmit(0, osc, int64(i*10), ramp(32))
 	}
 	a.ClearBefore(1 << 40)
-	if got := a.PoolSize(); got != poolCap {
+	if got := len(a.pool); got != poolCap {
 		t.Fatalf("pool holds %d buffers after ClearBefore, want cap %d", got, poolCap)
 	}
 }
@@ -345,10 +375,10 @@ func TestShardedObservationWorkerInvariance(t *testing.T) {
 		return a
 	}
 	SetWorkers(1)
-	serial := build().ObserveClean(99, testOsc(1.5), 0, 1200)
+	serial := build().ObserveCleanInto(nil, 99, testOsc(1.5), 0, 1200)
 	for _, w := range []int{2, 4, 16} {
 		SetWorkers(w)
-		got := build().ObserveClean(99, testOsc(1.5), 0, 1200)
+		got := build().ObserveCleanInto(nil, 99, testOsc(1.5), 0, 1200)
 		for i := range serial {
 			if got[i] != serial[i] {
 				t.Fatalf("workers=%d: sample %d differs from serial: %v != %v", w, i, got[i], serial[i])

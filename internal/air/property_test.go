@@ -30,15 +30,15 @@ func TestQuickSuperpositionLinearity(t *testing.T) {
 		both := mk()
 		both.Transmit(0, o0, 0, x0)
 		both.Transmit(1, o1, 37, x1)
-		yBoth := both.ObserveClean(9, or, 0, 300)
+		yBoth := both.ObserveCleanInto(nil, 9, or, 0, 300)
 
 		only0 := mk()
 		only0.Transmit(0, o0, 0, x0)
-		y0 := only0.ObserveClean(9, or, 0, 300)
+		y0 := only0.ObserveCleanInto(nil, 9, or, 0, 300)
 
 		only1 := mk()
 		only1.Transmit(1, o1, 37, x1)
-		y1 := only1.ObserveClean(9, or, 0, 300)
+		y1 := only1.ObserveCleanInto(nil, 9, or, 0, 300)
 
 		for i := range yBoth {
 			if cmplx.Abs(yBoth[i]-(y0[i]+y1[i])) > 1e-9 {
@@ -68,12 +68,12 @@ func TestQuickObservationHomogeneity(t *testing.T) {
 		a := New(Config{SampleRate: 10e6, NoiseVar: 0, Seed: 1})
 		a.SetLink(0, 9, channel.NewLink(rng.New(seed).Split(7), channel.DefaultIndoor, 1, 0))
 		a.Transmit(0, osc, 5, x)
-		y := a.ObserveClean(9, or, 0, 160)
+		y := a.ObserveCleanInto(nil, 9, or, 0, 160)
 
 		b := New(Config{SampleRate: 10e6, NoiseVar: 0, Seed: 1})
 		b.SetLink(0, 9, channel.NewLink(rng.New(seed).Split(7), channel.DefaultIndoor, 1, 0))
 		b.Transmit(0, osc, 5, scaled)
-		ys := b.ObserveClean(9, or, 0, 160)
+		ys := b.ObserveCleanInto(nil, 9, or, 0, 160)
 
 		for i := range y {
 			if cmplx.Abs(ys[i]-k*y[i]) > 1e-9 {

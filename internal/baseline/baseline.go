@@ -23,9 +23,11 @@ type Unicast struct {
 	Net *core.Network
 
 	// tx/rx are reused across Transmit calls so per-packet workload
-	// service doesn't rebuild modulator state every frame.
-	tx *phy.TX
-	rx *phy.RX
+	// service doesn't rebuild modulator state every frame, and wave/win
+	// hold each packet's waveform and receive window.
+	tx        *phy.TX
+	rx        *phy.RX
+	wave, win []complex128
 }
 
 // New returns a baseline driver over an already measured network.
@@ -81,17 +83,18 @@ func (u *Unicast) Transmit(stream, ap int, payload []byte, mcs phy.MCS) (*phy.Rx
 	if u.tx == nil {
 		u.tx, u.rx = phy.NewTX(), phy.NewRX()
 	}
-	wave, err := u.tx.Frame(payload, mcs)
+	wave, err := u.tx.FrameInto(u.wave, payload, mcs)
 	if err != nil {
 		return nil, 0, err
 	}
+	u.wave = wave
 	start := n.Now() + 64
 	apNode := n.APs[ap].Node
 	n.Air.Transmit(n.APAntennaID(ap, 0), apNode.Osc, start, wave)
 	cl := n.Clients[stream/n.Cfg.AntennasPerClient]
 	ant := stream % n.Cfg.AntennasPerClient
-	win := n.Air.Observe(n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, start-128, len(wave)+256)
-	frame, err := u.rx.Decode(win)
+	u.win = n.Air.ObserveInto(u.win, n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, start-128, len(wave)+256)
+	frame, err := u.rx.Decode(u.win)
 	airtime := int64(len(wave))
 	n.AdvanceTime(airtime + 384)
 	n.Air.ClearBefore(n.Now())

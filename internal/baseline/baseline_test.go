@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"megamimo/internal/core"
@@ -61,6 +62,50 @@ func TestUnicastTransmitDelivers(t *testing.T) {
 	}
 	if frame == nil || !frame.FCSOK || !bytes.Equal(frame.Payload, payload) {
 		t.Fatal("unicast frame not delivered at selected rate")
+	}
+}
+
+// TestUnicastTransmitAllocBudget gates the steady-state 802.11 baseline
+// packet. The Unicast owns its waveform and receive window, so a
+// transmission allocates only the decoded frame and its retained fields:
+// ~70 allocations and ~7 KB for a 1500-byte packet, where a fresh
+// waveform, window and per-symbol frame bins cost ~210 allocations and
+// ~565 KB. The budgets sit well above the retained results and far below
+// one stream-length buffer.
+func TestUnicastTransmitAllocBudget(t *testing.T) {
+	n := measuredNet(t, 2, 2, 61, 20, 25)
+	u := New(n)
+	payload := rng.New(11).Bytes(make([]byte, 1500))
+	mcs, ap, ok, err := u.SelectRate(0)
+	if err != nil || !ok {
+		t.Fatalf("rate: %v %v", ok, err)
+	}
+	send := func() {
+		frame, _, err := u.Transmit(0, ap, payload, mcs)
+		if err != nil || frame == nil || !frame.FCSOK {
+			t.Fatalf("unicast packet lost: %v", err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		send() // warm the grow-only buffers and the medium's pool
+	}
+	allocs := testing.AllocsPerRun(10, send)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		send()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("Unicast.Transmit: %.0f allocs, %.1f KB per 1500-byte packet", allocs, bytes/1e3)
+	const budget, byteBudget = 150, 50e3
+	if allocs > budget {
+		t.Errorf("Unicast.Transmit allocates %.0f objects per packet, budget is %d", allocs, budget)
+	}
+	if bytes > byteBudget {
+		t.Errorf("Unicast.Transmit allocates %.1f KB per packet, budget is %.0f KB; "+
+			"a waveform or receive window is being allocated per packet", bytes/1e3, byteBudget/1e3)
 	}
 }
 

@@ -71,13 +71,6 @@ func Expi(theta units.Radians) complex128 {
 	return complex(c, s)
 }
 
-// Clone returns a fresh copy of a.
-func Clone(a []complex128) []complex128 {
-	out := make([]complex128, len(a))
-	copy(out, a)
-	return out
-}
-
 // DB converts a linear power ratio to decibels.
 func DB(linear float64) units.Decibels { return units.Decibels(10 * math.Log10(linear)) }
 

@@ -114,15 +114,6 @@ func TestDBRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	a := []complex128{1, 2}
-	b := Clone(a)
-	b[0] = 99
-	if a[0] != 1 {
-		t.Fatal("Clone shares backing array")
-	}
-}
-
 func TestLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

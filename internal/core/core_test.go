@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"megamimo/internal/phy"
@@ -236,6 +237,52 @@ func TestNullingINRIsSmall(t *testing.T) {
 	// should be small. Allow slack but catch gross misalignment.
 	if inrDB > 3 {
 		t.Fatalf("INR %v dB — nulls not holding", inrDB)
+	}
+}
+
+// TestRxFrameOutlivesLaterRounds: every client decodes through the
+// network's one receiver from its one observation window, so a decoded
+// frame must own its fields — a later JointTransmit and NullingINR on the
+// same network leave them unchanged.
+func TestRxFrameOutlivesLaterRounds(t *testing.T) {
+	n := buildNet(t, 3, 3, 18, 24, 9)
+	if _, err := n.MeasureAndPrecode(); err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(21)
+	round := func() *TxResult {
+		payloads := make([][]byte, n.NumStreams())
+		for j := range payloads {
+			payloads[j] = src.Bytes(make([]byte, 300))
+		}
+		res, err := n.JointTransmit(payloads, phy.MCS2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := round()
+	type fields struct {
+		channel []complex128
+		payload []byte
+		snr     []float64
+	}
+	kept := make([]fields, len(res.Frames))
+	for j, f := range res.Frames {
+		if f == nil || !f.FCSOK {
+			t.Fatalf("stream %d not delivered", j)
+		}
+		kept[j] = fields{slices.Clone(f.Channel), slices.Clone(f.Payload), slices.Clone(f.SubcarrierSNR)}
+	}
+	round()
+	if _, err := n.NullingINR(0, 300, phy.MCS2); err != nil {
+		t.Fatal(err)
+	}
+	for j, f := range res.Frames {
+		if !slices.Equal(f.Channel, kept[j].channel) || !bytes.Equal(f.Payload, kept[j].payload) ||
+			!slices.Equal(f.SubcarrierSNR, kept[j].snr) {
+			t.Errorf("stream %d: a later round overwrote the decoded frame's fields", j)
+		}
 	}
 }
 

@@ -72,7 +72,7 @@ func (n *Network) MeasureDot11n() error {
 		antOfOwner := g % n.Cfg.AntennasPerAP
 		tH := n.now + 64
 		// Sync header from L1 (the legacy symbols of a mixed-mode frame).
-		n.Air.Transmit(n.APAntennaID(lead.Index, 0), lead.Node.Osc, tH, ofdm.Preamble())
+		n.Air.Transmit(n.APAntennaID(lead.Index, 0), lead.Node.Osc, tH, syncHeader)
 
 		// Slaves track their lead offset from the header.
 		for _, ap := range n.Slaves() {
@@ -109,7 +109,7 @@ func (n *Network) MeasureDot11n() error {
 				st := states[[2]int{cl.Index, cm}]
 				winStart := tH - winLead
 				winLen := int(tS-winStart) + 2*ofdm.SymbolLen + 64
-				win := n.Air.Observe(n.ClientAntennaID(cl.Index, cm), cl.Node.Osc, winStart, winLen)
+				win := n.observe(n.ClientAntennaID(cl.Index, cm), cl.Node.Osc, winStart, winLen)
 				var cfo units.RadPerSample
 				if sync, err := ofdm.Detect(win[:ofdm.PreambleLen+winLead+192], 0.5); err == nil {
 					cfo = sync.CFO
@@ -208,7 +208,7 @@ func (n *Network) MeasureDot11n() error {
 // CFO across subsequent slots.
 func (n *Network) slaveCaptureHeaderReference(ap *AP, t0 int64) error {
 	winStart := t0 - winLead
-	win := n.Air.Observe(n.APAntennaID(ap.Index, 0), ap.Node.Osc, winStart, ofdm.PreambleLen+winLead+192)
+	win := n.observe(n.APAntennaID(ap.Index, 0), ap.Node.Osc, winStart, ofdm.PreambleLen+winLead+192)
 	sync, err := ofdm.Detect(win, 0.5)
 	if err != nil {
 		return err

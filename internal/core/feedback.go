@@ -31,23 +31,21 @@ func (n *Network) uplinkDeliver(rep *csi.Report, fromAnt int, asm *csi.Assembler
 	}
 	lead := n.Lead()
 	cl := n.Clients[rep.Client]
-	tx := phy.NewTX()
-	rx := phy.NewRX()
 	var done *csi.Report
 	for _, chunk := range chunks {
 		const maxAttempts = 4
 		delivered := false
 		for attempt := 0; attempt < maxAttempts && !delivered; attempt++ {
-			wave, err := tx.Frame(chunk, feedbackMCS)
+			wave, err := n.tx.Frame(chunk, feedbackMCS)
 			if err != nil {
 				return nil, err
 			}
 			start := n.now + 64
 			n.Air.Transmit(n.ClientAntennaID(rep.Client, fromAnt), cl.Node.Osc, start, wave)
-			win := n.Air.Observe(n.APAntennaID(lead.Index, 0), lead.Node.Osc, start-winLead, len(wave)+winLead+192)
+			win := n.observe(n.APAntennaID(lead.Index, 0), lead.Node.Osc, start-winLead, len(wave)+winLead+192)
 			n.now = start + int64(len(wave)) + 256
 			n.Air.ClearBefore(n.now)
-			frame, err := rx.Decode(win)
+			frame, err := n.rx.Decode(win)
 			if err != nil || !frame.FCSOK {
 				continue // lost: retransmit
 			}

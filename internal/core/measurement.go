@@ -154,7 +154,7 @@ func (n *Network) MeasureDecoupled(groups [][]int, gapSamples int64) error {
 			gi, lead.Index, sched.nAPs, sched.rounds, sched.nAPs*sched.antsPer, group)
 
 		// (a) Collecting measurements: post every transmission.
-		n.Air.Transmit(n.APAntennaID(lead.Index, 0), lead.Node.Osc, t0, ofdm.Preamble())
+		n.Air.Transmit(n.APAntennaID(lead.Index, 0), lead.Node.Osc, t0, syncHeader)
 		stf80 := acquisitionWave()
 		for _, ap := range n.APs {
 			// CFO block from antenna 0: STF segment + two training symbols.
@@ -295,7 +295,7 @@ const ltfPhaseOffset = winLead + ofdm.STFLen + ofdm.LTFGuard
 func (n *Network) slaveCaptureReference(ap *AP, sched schedule) error {
 	winStart := sched.t0 - winLead
 	winLen := int(sched.end()-winStart) + 64
-	win := n.Air.Observe(n.APAntennaID(ap.Index, 0), ap.Node.Osc, winStart, winLen)
+	win := n.observe(n.APAntennaID(ap.Index, 0), ap.Node.Osc, winStart, winLen)
 	lead := n.Lead()
 	var sync *ofdm.Sync
 	if ap.Index != lead.Index {
@@ -406,7 +406,7 @@ func (n *Network) clientEstimate(cl *Client, rxAnt int, sched schedule) (*csi.Re
 	winStart := sched.t0 - winLead
 	winLen := int(sched.end()-winStart) + 64
 	rxID := n.ClientAntennaID(cl.Index, rxAnt)
-	win := n.Air.Observe(rxID, cl.Node.Osc, winStart, winLen)
+	win := n.observe(rxID, cl.Node.Osc, winStart, winLen)
 
 	// Acquire the lead header for timing; t0Idx is where the header begins
 	// in the window. Deep-fade clients (Fig. 11's 0 dB dead spots) cannot

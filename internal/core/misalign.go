@@ -44,7 +44,7 @@ func (n *Network) MeasureMisalignment(rounds int, gapSamples int64) ([]float64, 
 		// Lead sync header; slave derives its correction exactly as it
 		// would for a data transmission.
 		t1 := n.now + 64
-		n.Air.Transmit(n.APAntennaID(lead.Index, 0), lead.Node.Osc, t1, ofdm.Preamble())
+		n.Air.Transmit(n.APAntennaID(lead.Index, 0), lead.Node.Osc, t1, syncHeader)
 		c, err := n.slaveMeasureRatio(slave, t1)
 		if err != nil {
 			return nil, fmt.Errorf("round %d: %w", r, err)
@@ -84,7 +84,7 @@ func (n *Network) MeasureMisalignment(rounds int, gapSamples int64) ([]float64, 
 		// coherently — comparing the scalar sum Σp[b] across rounds would
 		// lose accuracy whenever the two channels' delay difference sweeps
 		// the product phase across the band and the sum nearly cancels.
-		win := n.Air.Observe(n.ClientAntennaID(cl.Index, 0), cl.Node.Osc, tA, 2*pairs*ofdm.SymbolLen+32)
+		win := n.observe(n.ClientAntennaID(cl.Index, 0), cl.Node.Osc, tA, 2*pairs*ofdm.SymbolLen+32)
 		//lint:ignore hotalloc round 0's product is retained as refProd across all later rounds
 		prod := make([]complex128, ofdm.NFFT)
 		for k := 0; k < pairs; k++ {

@@ -178,7 +178,6 @@ func (ap *AP) syncTo(peer int) *psync.Peer {
 type Client struct {
 	Index int
 	Node  *radio.Node
-	rx    *phy.RX
 	// NoiseVarEst is the client's own noise estimate, reported with CSI.
 	NoiseVarEst float64
 }
@@ -226,13 +225,20 @@ type Network struct {
 	// measurements (Sherman–Morrison) instead of re-inverted per round.
 	zf *ZFCache
 
-	// tx and dem are the network's reusable PHY pipelines, and arena the
-	// per-network scratch for hot-path buffers. A Network is single-threaded,
-	// so owning them here keeps independent networks goroutine-independent
-	// while eliminating per-transmission churn.
+	// tx, rx and dem are the network's reusable PHY pipelines, and arena
+	// the per-network scratch for hot-path buffers. A Network is
+	// single-threaded, so owning them here keeps independent networks
+	// goroutine-independent while eliminating per-transmission churn. Every
+	// client decodes through the one rx, one after another; an RxFrame
+	// never aliases its scratch.
 	tx    *phy.TX
+	rx    *phy.RX
 	dem   *ofdm.Demodulator
 	arena dsp.Scratch
+	// win is the one observation window observe fills; frames holds one
+	// reusable frame per stream for JointTransmit and DiversityTransmit.
+	win    []complex128
+	frames []phy.FrameSymbols
 	// estBuf/estFreq are the symbol-channel-estimation scratch pair
 	// (lazily sized in estimateSymbolChannel).
 	estBuf  []complex128
@@ -268,6 +274,24 @@ func (n *Network) SyncName() string { return n.sync.Name() }
 // AdvanceTime moves the clock forward (test hook / idle periods).
 func (n *Network) AdvanceTime(samples int64) { n.now += samples }
 
+// observe is Air.Observe into the network's one observation window. The
+// returned samples stay valid until the next observation, so every caller
+// consumes its window before observing again.
+func (n *Network) observe(rx int, osc *radio.Oscillator, start int64, count int) []complex128 {
+	n.win = n.Air.ObserveInto(n.win, rx, osc, start, count)
+	return n.win
+}
+
+// observeClean is observe without the noise term.
+func (n *Network) observeClean(rx int, osc *radio.Oscillator, start int64, count int) []complex128 {
+	n.win = n.Air.ObserveCleanInto(n.win, rx, osc, start, count)
+	return n.win
+}
+
+// syncHeader is the lead's sync header, one read-only waveform shared by
+// every network: Air.Transmit copies its input.
+var syncHeader = ofdm.Preamble()
+
 // New builds a network: nodes with independent oscillators, Rayleigh/Rician
 // links sized to the configured SNR band, and an Ethernet bus.
 func New(cfg Config) (*Network, error) {
@@ -294,8 +318,10 @@ func New(cfg Config) (*Network, error) {
 		}),
 		rng: src,
 		tx:  phy.NewTX(),
+		rx:  phy.NewRX(),
 		dem: ofdm.NewDemodulator(),
 	}
+	n.frames = make([]phy.FrameSymbols, n.NumStreams())
 	n.sync = cfg.Sync
 	if n.sync == nil {
 		n.sync = psync.Header()
@@ -320,7 +346,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		node := radio.NewNode(1000+c, src.Split(uint64(c)+500), cfg.PPMBudget, cfg.CarrierHz, cfg.SampleRate, ants...)
 		node.Osc.WanderStd = cfg.WanderStd
-		n.Clients = append(n.Clients, &Client{Index: c, Node: node, rx: phy.NewRX()})
+		n.Clients = append(n.Clients, &Client{Index: c, Node: node})
 		busIDs = append(busIDs, 1000+c)
 	}
 	n.Bus = backend.New(int64(units.TicksIn(50e-6, cfg.SampleRate)), busIDs...) // 50 µs backbone hop

@@ -103,7 +103,7 @@ func ComputeDiversity(m *Measurement, stream int) (*Precoder, error) {
 
 // GainColumn returns the 64-bin per-subcarrier gain vector that transmit
 // antenna txAnt applies to stream's frame (zeros outside occupied bins) —
-// the argument to phy.SynthesizeWithGain.
+// the per-stream gain phy.TX.SynthesizeJointInto applies.
 func (p *Precoder) GainColumn(txAnt, stream int) []complex128 {
 	gain := make([]complex128, ofdm.NFFT)
 	for i, b := range p.Bins {

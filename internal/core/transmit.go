@@ -97,8 +97,8 @@ func (n *Network) JointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, erro
 		if p == nil {
 			continue
 		}
-		f, err := tx.FrameSymbols(p, mcs)
-		if err != nil {
+		f := &n.frames[j]
+		if err := tx.FrameSymbolsInto(f, p, mcs); err != nil {
 			return nil, err
 		}
 		if frameLen >= 0 && f.SampleLen() != frameLen {
@@ -139,8 +139,8 @@ func (n *Network) JointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, erro
 			if frames[j] == nil {
 				continue
 			}
-			win := n.Air.Observe(n.ClientAntennaID(cl.Index, cm), cl.Node.Osc, tD-winLead, frameLen+winLead+128)
-			f, err := cl.rx.Decode(win)
+			win := n.observe(n.ClientAntennaID(cl.Index, cm), cl.Node.Osc, tD-winLead, frameLen+winLead+128)
+			f, err := n.rx.Decode(win)
 			if err != nil {
 				n.mDecodeFailures.Inc()
 				n.trace(tD, KindDecode, TraceAttrs{Client: cl.Index, Stream: j, Cause: "decode"},
@@ -207,7 +207,7 @@ func (n *Network) postJointFrames(tx *phy.TX, frames []*phy.FrameSymbols) (t1, t
 	// 1. Lead sync header.
 	t1 = n.now + 64
 	lead := n.Lead()
-	n.Air.Transmit(n.APAntennaID(lead.Index, 0), lead.Node.Osc, t1, ofdm.Preamble())
+	n.Air.Transmit(n.APAntennaID(lead.Index, 0), lead.Node.Osc, t1, syncHeader)
 	n.mSyncHeaders.Inc()
 	n.mSyncHeaderSmpls.Add(int64(ofdm.PreambleLen))
 	n.trace(t1, KindSyncHeader, TraceAttrs{AP: lead.Index}, "lead AP %d", lead.Index)
@@ -364,8 +364,8 @@ func (n *Network) DiversityTransmit(stream int, payload []byte, mcs phy.MCS) (*T
 	}
 	n.SetPrecoder(p)
 	tx := n.tx
-	f, err := tx.FrameSymbols(payload, mcs)
-	if err != nil {
+	f := &n.frames[stream]
+	if err := tx.FrameSymbolsInto(f, payload, mcs); err != nil {
 		return nil, err
 	}
 	frames := []*phy.FrameSymbols{f}
@@ -386,8 +386,8 @@ func (n *Network) DiversityTransmit(stream int, payload []byte, mcs phy.MCS) (*T
 	}
 	cl := n.Clients[stream/n.Cfg.AntennasPerClient]
 	ant := stream % n.Cfg.AntennasPerClient
-	win := n.Air.Observe(n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, tD-winLead, frameLen+winLead+128)
-	if fr, err := cl.rx.Decode(win); err == nil {
+	win := n.observe(n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, tD-winLead, frameLen+winLead+128)
+	if fr, err := n.rx.Decode(win); err == nil {
 		res.Frames[0] = fr
 		res.OK[0] = fr.FCSOK
 		if !fr.FCSOK {
@@ -428,7 +428,7 @@ func (n *Network) slaveMeasureRatio(ap *AP, t1 int64) (psync.Correction, error) 
 	if n.syncLossUntil[ap.Index] > t1 {
 		return psync.Correction{}, fmt.Errorf("sync header corrupted (injected, until t=%d)", n.syncLossUntil[ap.Index])
 	}
-	win := n.Air.Observe(n.APAntennaID(ap.Index, 0), ap.Node.Osc, winStart, ofdm.PreambleLen+winLead+192)
+	win := n.observe(n.APAntennaID(ap.Index, 0), ap.Node.Osc, winStart, ofdm.PreambleLen+winLead+192)
 	sync, err := ofdm.Detect(win, 0.5)
 	if err != nil {
 		return psync.Correction{}, err
@@ -543,7 +543,7 @@ func (n *Network) NullingINR(victim int, payloadBytes int, mcs phy.MCS) (float64
 	frameLen := int(res.AirtimeSamples) - int(ofdm.PreambleLen)
 	cl := n.Clients[victim/n.Cfg.AntennasPerClient]
 	ant := victim % n.Cfg.AntennasPerClient
-	obs := n.Air.ObserveClean(n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, tD+int64(ofdm.PreambleLen), frameLen-ofdm.PreambleLen)
+	obs := n.observeClean(n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, tD+int64(ofdm.PreambleLen), frameLen-ofdm.PreambleLen)
 	bins := occupiedBins()
 	freq := make([]complex128, ofdm.NFFT)
 	var acc float64

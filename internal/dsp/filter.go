@@ -150,14 +150,15 @@ func ConvolveRotateAdd(dst, x, h []complex128, oLo int, rot, step complex128) {
 	}
 }
 
-// CrossCorrelate returns c[k] = Σ_i x[i+k]·conj(ref[i]) for
-// k in [0, len(x)-len(ref)], the sliding correlation used for packet
+// CrossCorrelateInto writes c[k] = Σ_i x[i+k]·conj(ref[i]) for
+// k in [0, len(x)-len(ref)] into dst, which must hold that many values,
+// and returns the filled prefix: the sliding correlation used for packet
 // detection against a known preamble.
-func CrossCorrelate(x, ref []complex128) []complex128 {
+func CrossCorrelateInto(dst, x, ref []complex128) []complex128 {
 	if len(ref) == 0 || len(x) < len(ref) {
 		return nil
 	}
-	out := make([]complex128, len(x)-len(ref)+1)
+	out := dst[:len(x)-len(ref)+1]
 	for k := range out {
 		var acc complex128
 		win := x[k : k+len(ref)]

@@ -69,7 +69,7 @@ func TestCrossCorrelatePeakAtOffset(t *testing.T) {
 	x := make([]complex128, 200)
 	off := 77
 	copy(x[off:], ref)
-	c := CrossCorrelate(x, ref)
+	c := CrossCorrelateInto(make([]complex128, len(x)-len(ref)+1), x, ref)
 	best, bestAbs := -1, 0.0
 	for k, v := range c {
 		if a := cmplx.Abs(v); a > bestAbs {

@@ -46,19 +46,27 @@ func (r Rate) Fraction() float64 {
 
 // puncture patterns over the mother-code output stream (pairs A,B per input
 // bit): true = transmit, false = puncture. Patterns follow 802.11-1999 §17.
+// Each has even length, so an input bit's A and B always fall in one
+// period. The tables are shared and read-only.
 func (r Rate) pattern() []bool {
 	switch r {
 	case Rate12:
-		return []bool{true, true}
+		return pattern12
 	case Rate23:
-		// A1 B1 A2 (B2 punctured), period 2 input bits.
-		return []bool{true, true, true, false}
+		return pattern23
 	case Rate34:
-		// A1 B1 A2 (B2) (A3) B3, period 3 input bits.
-		return []bool{true, true, true, false, false, true}
+		return pattern34
 	}
 	panic("fec: unknown rate")
 }
+
+var (
+	pattern12 = []bool{true, true}
+	// A1 B1 A2 (B2 punctured), period 2 input bits.
+	pattern23 = []bool{true, true, true, false}
+	// A1 B1 A2 (B2) (A3) B3, period 3 input bits.
+	pattern34 = []bool{true, true, true, false, false, true}
+)
 
 const (
 	constraintLen = 7
@@ -101,47 +109,56 @@ func parity(x int) byte {
 	return p
 }
 
-// Encode convolutionally encodes data bits (0/1 values) at the given rate.
-// The encoder appends constraintLen-1 zero tail bits to terminate the
-// trellis, matching what Decode assumes. Output length is
-// ceil(2*(len(data)+6) * kept/patternLen) after puncturing.
-func Encode(data []byte, rate Rate) []byte {
+// Encode convolutionally encodes data bits (0/1 values) at the given rate
+// into a fresh slice; see AppendEncode.
+func Encode(data []byte, rate Rate) []byte { return AppendEncode(nil, data, rate) }
+
+// AppendEncode convolutionally encodes data bits (0/1 values) at the given
+// rate, appends the EncodedLen(len(data), rate) punctured coded bits to dst
+// and returns the extended slice. The encoder appends constraintLen-1 zero
+// tail bits to terminate the trellis, matching what Decode assumes, and
+// punctures as it encodes. dst grows at most once, so a dst with room for
+// the coded bits makes the call allocation-free.
+func AppendEncode(dst, data []byte, rate Rate) []byte {
 	pat := rate.pattern()
-	mother := make([]byte, 0, 2*(len(data)+constraintLen-1))
-	state := 0
-	emit := func(bit byte) {
+	if need := len(dst) + EncodedLen(len(data), rate); cap(dst) < need {
+		dst = append(make([]byte, 0, need), dst...)
+	}
+	state, p := 0, 0
+	for i := 0; i < len(data)+constraintLen-1; i++ {
+		var bit byte
+		if i < len(data) {
+			bit = data[i] & 1
+		}
 		out := outputs[state][bit]
-		mother = append(mother, out>>1, out&1)
+		if pat[p] {
+			dst = append(dst, out>>1)
+		}
+		if pat[p+1] {
+			dst = append(dst, out&1)
+		}
+		p = (p + 2) % len(pat)
 		state = (state >> 1) | (int(bit) << (constraintLen - 2))
 	}
-	for _, b := range data {
-		emit(b & 1)
-	}
-	for i := 0; i < constraintLen-1; i++ {
-		emit(0)
-	}
-	// Puncture.
-	out := make([]byte, 0, len(mother))
-	for i, b := range mother {
-		if pat[i%len(pat)] {
-			out = append(out, b)
-		}
-	}
-	return out
+	return dst
 }
 
 // EncodedLen returns the number of coded bits Encode produces for n data
-// bits at the given rate.
+// bits at the given rate: the kept bits of every full pattern period of
+// the 2(n+6)-bit mother code, plus those of the last partial period.
 func EncodedLen(n int, rate Rate) int {
-	motherLen := 2 * (n + constraintLen - 1)
 	pat := rate.pattern()
-	kept := 0
-	for i := 0; i < motherLen; i++ {
-		if pat[i%len(pat)] {
-			kept++
+	motherLen := 2 * (n + constraintLen - 1)
+	perPeriod, partial := 0, 0
+	for i, kept := range pat {
+		if kept {
+			perPeriod++
+			if i < motherLen%len(pat) {
+				partial++
+			}
 		}
 	}
-	return kept
+	return motherLen/len(pat)*perPeriod + partial
 }
 
 // DecodeHard runs Viterbi over hard-decision coded bits and returns the

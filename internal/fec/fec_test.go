@@ -3,6 +3,7 @@ package fec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -26,6 +27,76 @@ func TestEncodedLenMatchesEncode(t *testing.T) {
 				t.Fatalf("rate %s n=%d: Encode len %d, EncodedLen %d", rate, n, got, want)
 			}
 		}
+	}
+}
+
+// twoPassEncode is the reference encoder AppendEncode replaced: the whole
+// mother code first, then a puncturing pass over it.
+func twoPassEncode(data []byte, rate Rate) []byte {
+	pat := rate.pattern()
+	var mother []byte
+	state := 0
+	for i := 0; i < len(data)+constraintLen-1; i++ {
+		var bit byte
+		if i < len(data) {
+			bit = data[i] & 1
+		}
+		out := outputs[state][bit]
+		mother = append(mother, out>>1, out&1)
+		state = (state >> 1) | (int(bit) << (constraintLen - 2))
+	}
+	var out []byte
+	for i, b := range mother {
+		if pat[i%len(pat)] {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
+func TestAppendEncodeMatchesTwoPass(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	prefix := []byte{1, 0, 1}
+	for _, rate := range allRates {
+		for trial := 0; trial < 200; trial++ {
+			data := randBits(r, r.Intn(600))
+			want := twoPassEncode(data, rate)
+			if got := AppendEncode(nil, data, rate); !slices.Equal(got, want) {
+				t.Fatalf("rate %s n=%d: AppendEncode differs from the two-pass encoder", rate, len(data))
+			}
+			got := AppendEncode(slices.Clone(prefix), data, rate)
+			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+				t.Fatalf("rate %s n=%d: AppendEncode clobbered or misplaced its prefix", rate, len(data))
+			}
+		}
+	}
+}
+
+func TestEncodedLenMatchesLoop(t *testing.T) {
+	for _, rate := range allRates {
+		pat := rate.pattern()
+		for n := 0; n <= 10000; n++ {
+			want := 0
+			for i := 0; i < 2*(n+constraintLen-1); i++ {
+				if pat[i%len(pat)] {
+					want++
+				}
+			}
+			if got := EncodedLen(n, rate); got != want {
+				t.Fatalf("rate %s n=%d: EncodedLen %d, loop counts %d", rate, n, got, want)
+			}
+		}
+	}
+}
+
+func TestAppendEncodePresizedAllocatesNothing(t *testing.T) {
+	data := randBits(rand.New(rand.NewSource(4)), 8*1504)
+	buf := make([]byte, 0, EncodedLen(len(data), Rate34))
+	if n := testing.AllocsPerRun(10, func() { AppendEncode(buf[:0], data, Rate34) }); n != 0 {
+		t.Fatalf("AppendEncode into a presized slice allocates %.0f times", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { Encode(data, Rate34) }); n != 1 {
+		t.Fatalf("Encode allocates %.0f times, want 1", n)
 	}
 }
 

@@ -89,17 +89,9 @@ func MustCached(ncbps, nbpsc int) *Interleaver {
 	return it
 }
 
-// Interleave permutes one block of exactly ncbps bits.
-func (it *Interleaver) Interleave(bits []byte) ([]byte, error) {
-	out := make([]byte, len(bits))
-	if err := it.InterleaveInto(out, bits); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InterleaveInto is Interleave with a caller-supplied destination of exactly
-// ncbps bits; it allocates nothing. dst must not alias bits.
+// InterleaveInto permutes one block of exactly ncbps bits into a
+// caller-supplied destination of exactly ncbps bits; it allocates nothing.
+// dst must not alias bits.
 func (it *Interleaver) InterleaveInto(dst, bits []byte) error {
 	if len(bits) != it.ncbps {
 		return fmt.Errorf("interleave: block of %d bits, want %d", len(bits), it.ncbps)
@@ -125,17 +117,9 @@ func (it *Interleaver) Deinterleave(bits []byte) ([]byte, error) {
 	return out, nil
 }
 
-// DeinterleaveLLR inverts the permutation on soft values.
-func (it *Interleaver) DeinterleaveLLR(llr []float64) ([]float64, error) {
-	out := make([]float64, len(llr))
-	if err := it.DeinterleaveLLRInto(out, llr); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DeinterleaveLLRInto is DeinterleaveLLR with a caller-supplied destination
-// of exactly ncbps values; it allocates nothing. dst must not alias llr.
+// DeinterleaveLLRInto inverts the permutation on one block of soft values
+// into a caller-supplied destination of exactly ncbps values; it allocates
+// nothing. dst must not alias llr.
 func (it *Interleaver) DeinterleaveLLRInto(dst, llr []float64) error {
 	if len(llr) != it.ncbps {
 		return fmt.Errorf("interleave: block of %d LLRs, want %d", len(llr), it.ncbps)

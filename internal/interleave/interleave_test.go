@@ -17,7 +17,7 @@ func TestRoundTripAllConfigs(t *testing.T) {
 		for i := range bits {
 			bits[i] = byte(r.Intn(2))
 		}
-		inter, err := it.Interleave(bits)
+		inter, err := interleave(it, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,13 +87,13 @@ func TestBadParameters(t *testing.T) {
 
 func TestBlockSizeValidation(t *testing.T) {
 	it := MustNew(48, 1)
-	if _, err := it.Interleave(make([]byte, 47)); err == nil {
+	if _, err := interleave(it, make([]byte, 47)); err == nil {
 		t.Fatal("accepted short block")
 	}
 	if _, err := it.Deinterleave(make([]byte, 49)); err == nil {
 		t.Fatal("accepted long block")
 	}
-	if _, err := it.DeinterleaveLLR(make([]float64, 1)); err == nil {
+	if _, err := deinterleaveLLR(it, make([]float64, 1)); err == nil {
 		t.Fatal("accepted short LLR block")
 	}
 }
@@ -106,7 +106,7 @@ func TestDeinterleaveLLRMatchesBits(t *testing.T) {
 	for i := range bits {
 		bits[i] = byte(r.Intn(2))
 	}
-	inter, _ := it.Interleave(bits)
+	inter, _ := interleave(it, bits)
 	for i, b := range inter {
 		if b == 0 {
 			llr[i] = 1
@@ -114,7 +114,7 @@ func TestDeinterleaveLLRMatchesBits(t *testing.T) {
 			llr[i] = -1
 		}
 	}
-	dl, err := it.DeinterleaveLLR(llr)
+	dl, err := deinterleaveLLR(it, llr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				bits[i] = raw[i%len(raw)] & 1
 			}
 		}
-		inter, err := it.Interleave(bits)
+		inter, err := interleave(it, bits)
 		if err != nil {
 			return false
 		}
@@ -153,4 +153,15 @@ func TestQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// interleave and deinterleaveLLR run the Into forms into fresh blocks.
+func interleave(it *Interleaver, bits []byte) ([]byte, error) {
+	out := make([]byte, it.ncbps)
+	return out, it.InterleaveInto(out, bits)
+}
+
+func deinterleaveLLR(it *Interleaver, llr []float64) ([]float64, error) {
+	out := make([]float64, it.ncbps)
+	return out, it.DeinterleaveLLRInto(out, llr)
 }

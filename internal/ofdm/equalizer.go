@@ -37,20 +37,11 @@ func NewEqualizer(h []complex128) (*Equalizer, error) {
 	return e, nil
 }
 
-// Symbol equalizes one received frequency-domain symbol (64 bins) and
-// returns the 48 equalized data-subcarrier values. The pilot tones are
-// used to estimate and remove the common phase error of this symbol before
-// the data is returned.
-func (e *Equalizer) Symbol(freq []complex128) ([]complex128, error) {
-	out := make([]complex128, NData)
-	if err := e.SymbolInto(out, freq); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SymbolInto is Symbol with a caller-supplied destination of length NData;
-// it allocates nothing. dst must not alias freq.
+// SymbolInto equalizes one received frequency-domain symbol (64 bins)
+// into the 48 data-subcarrier values of dst (length NData). The pilot
+// tones are used to estimate and remove the common phase error of this
+// symbol before the data is written. It allocates nothing; dst must not
+// alias freq.
 func (e *Equalizer) SymbolInto(dst, freq []complex128) error {
 	if len(freq) != NFFT {
 		return fmt.Errorf("ofdm: symbol has %d bins, want %d", len(freq), NFFT)

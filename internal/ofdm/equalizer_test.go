@@ -48,7 +48,7 @@ func TestEqualizerRemovesCommonPhase(t *testing.T) {
 	// A constant 0.3 rad common phase on every symbol must vanish.
 	for s := 0; s < 6; s++ {
 		freq := buildRxSymbol(t, data, s, gain, 0.3, noise, 1e-6)
-		out, err := eq.Symbol(freq)
+		out, err := equalize(eq, freq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestEqualizerTracksPhaseRamp(t *testing.T) {
 		data := randQPSK(r, NData)
 		cpe := units.Radians(0.03 * float64(s))
 		freq := buildRxSymbol(t, data, s, 1, cpe, noise, 1e-5)
-		out, err := eq.Symbol(freq)
+		out, err := equalize(eq, freq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestEqualizerRawVsSmoothedPhase(t *testing.T) {
 			cpe = 0.2
 		}
 		freq := buildRxSymbol(t, randQPSK(r, NData), s, 1, cpe, noise, 1e-6)
-		if _, err := eq.Symbol(freq); err != nil {
+		if _, err := equalize(eq, freq); err != nil {
 			t.Fatal(err)
 		}
 		raws = append(raws, eq.RawCommonPhase())
@@ -141,7 +141,7 @@ func TestEqualizerRejectsWrongLengths(t *testing.T) {
 		t.Fatal("short channel accepted")
 	}
 	eq, _ := NewEqualizer(make([]complex128, NFFT))
-	if _, err := eq.Symbol(make([]complex128, 10)); err == nil {
+	if _, err := equalize(eq, make([]complex128, 10)); err == nil {
 		t.Fatal("short symbol accepted")
 	}
 }
@@ -154,7 +154,7 @@ func TestEqualizerZeroChannelBins(t *testing.T) {
 	for i := range freq {
 		freq[i] = 1
 	}
-	out, err := eq.Symbol(freq)
+	out, err := equalize(eq, freq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,4 +202,10 @@ func (f *fakeLink) freqResponse() []complex128 {
 		out[k] = acc
 	}
 	return out
+}
+
+// equalize runs SymbolInto into a fresh destination.
+func equalize(eq *Equalizer, freq []complex128) ([]complex128, error) {
+	out := make([]complex128, NData)
+	return out, eq.SymbolInto(out, freq)
 }

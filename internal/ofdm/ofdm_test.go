@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"megamimo/internal/cmplxs"
@@ -290,9 +291,9 @@ func arrayDetect(rx []complex128, threshold float64) (*Sync, error) {
 	if searchHi <= searchLo {
 		return nil, ErrNoPacket
 	}
-	win2 := cmplxs.Clone(rx[searchLo:min(searchHi+NFFT, len(rx))])
+	win2 := slices.Clone(rx[searchLo:min(searchHi+NFFT, len(rx))])
 	cmplxs.Rotate(win2, win2, 0, -coarseCFO)
-	xc := dsp.CrossCorrelate(win2, ltfRef)
+	xc := dsp.CrossCorrelateInto(make([]complex128, len(win2)-len(ltfRef)+1), win2, ltfRef)
 	bestPos, bestVal := -1, 0.0
 	for i := 0; i+NFFT < len(xc); i++ {
 		v := cmplx.Abs(xc[i]) + cmplx.Abs(xc[i+NFFT])
@@ -454,6 +455,32 @@ func TestChannelEstimateFlatChannel(t *testing.T) {
 	}
 }
 
+// TestReceiveFrontEndAllocations pins the acquisition path's allocations:
+// Detect keeps its fine-timing window and cross-correlation on the stack
+// and allocates only the *Sync it returns; EstimateChannelLTF allocates
+// only the returned estimate.
+func TestReceiveFrontEndAllocations(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	frame, _ := buildFrame(r, 4)
+	src := rng.New(12)
+	rx := make([]complex128, 250+len(frame)+80)
+	copy(rx[250:], frame)
+	cmplxs.Rotate(rx, rx, 0.4, 0.002)
+	for i := range rx {
+		rx[i] += src.ComplexNormal(1e-3)
+	}
+	sync, err := Detect(rx, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = Detect(rx, 0.5) }); n > 1 {
+		t.Errorf("Detect allocates %.0f times, want at most 1 (the *Sync)", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = EstimateChannelLTF(rx, sync) }); n > 1 {
+		t.Errorf("EstimateChannelLTF allocates %.0f times, want at most 1 (the estimate)", n)
+	}
+}
+
 func TestChannelEstimateMultipath(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	frame, _ := buildFrame(r, 1)
@@ -512,14 +539,14 @@ func TestEqualizerRecoversDataThroughChannelAndCFO(t *testing.T) {
 	dem := NewDemodulator()
 	// Derotate payload using estimated CFO, referenced like the channel
 	// estimate (phase 0 at each symbol handled by pilot tracking).
-	payload := cmplxs.Clone(rx[sync.PayloadStart:])
+	payload := slices.Clone(rx[sync.PayloadStart:])
 	cmplxs.Rotate(payload, payload, units.PhaseAdvance(-sync.CFO, units.Samples(sync.PayloadStart)), -sync.CFO)
 	for sidx := 0; sidx < nsym; sidx++ {
 		freq, err := dem.Freq(payload[sidx*SymbolLen:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eq.Symbol(freq)
+		got, err := equalize(eq, freq)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,9 +99,10 @@ func Detect(rx []complex128, threshold float64) (*Sync, error) {
 	if searchHi <= searchLo {
 		return nil, ErrNoPacket
 	}
-	win2 := cmplxs.Clone(rx[searchLo:min(searchHi+NFFT, len(rx))])
+	var winBuf, xcBuf [fineSpan]complex128
+	win2 := winBuf[:copy(winBuf[:], rx[searchLo:min(searchHi+NFFT, len(rx))])]
 	cmplxs.Rotate(win2, win2, 0, -coarseCFO)
-	xc := dsp.CrossCorrelate(win2, ltfTimeRef)
+	xc := dsp.CrossCorrelateInto(xcBuf[:], win2, ltfTimeRef)
 	// The LTF long symbol appears twice, 64 samples apart; find the pair
 	// with the largest combined magnitude.
 	bestPos, bestVal := -1, 0.0
@@ -141,6 +142,11 @@ func Detect(rx []complex128, threshold float64) (*Sync, error) {
 	}, nil
 }
 
+// fineSpan bounds Detect's fine-timing window: the LTF search spans
+// STFLen+LTFGuard+3·NFFT start positions past the plateau plus one long
+// symbol, so the window and its cross-correlation live on the stack.
+const fineSpan = STFLen + LTFGuard + 4*NFFT
+
 // power is |v|², the per-sample energy.
 func power(v complex128) float64 {
 	return real(v)*real(v) + imag(v)*imag(v)
@@ -167,8 +173,8 @@ func EstimateChannelLTF(rx []complex128, sync *Sync) ([]complex128, error) {
 	plan := dsp.MustPlanFor(NFFT)
 	ref := ltfFreqRef
 	h := make([]complex128, NFFT)
-	buf := make([]complex128, NFFT)
-	freq := make([]complex128, NFFT)
+	var bufArr, freqArr [NFFT]complex128
+	buf, freq := bufArr[:], freqArr[:]
 	for rep := 0; rep < 2; rep++ {
 		start := ltf1 + rep*NFFT
 		copy(buf, rx[start:start+NFFT])
@@ -202,24 +208,32 @@ func EstimateChannelLTF(rx []complex128, sync *Sync) ([]complex128, error) {
 // MegaMIMO clients apply it to their per-AP measurement-phase estimates
 // too, which deepens the zero-forcing nulls on ill-conditioned bins.
 func SmoothChannel(h []complex128) {
-	ks := OccupiedCarriers()
-	orig := make([]complex128, len(h))
-	copy(orig, h)
-	occupied := make(map[int]bool, len(ks))
-	for _, k := range ks {
-		occupied[k] = true
-	}
-	for _, k := range ks {
+	var orig [NFFT]complex128
+	copy(orig[:], h)
+	for _, k := range occupiedCarriers {
 		acc := 2 * orig[Bin(k)]
 		w := 2.0
-		if occupied[k-1] {
+		if occupiedBin[Bin(k-1)] {
 			acc += orig[Bin(k-1)]
 			w++
 		}
-		if occupied[k+1] {
+		if occupiedBin[Bin(k+1)] {
 			acc += orig[Bin(k+1)]
 			w++
 		}
 		h[Bin(k)] = acc / complex(w, 0)
 	}
 }
+
+// occupiedCarriers and occupiedBin are SmoothChannel's read-only carrier
+// tables: the occupied logical indices, and per FFT bin whether it is
+// occupied. The neighbours ±27 of the band edges fold to bins 37 and 27,
+// both unoccupied, so the bin table answers for them too.
+var occupiedCarriers = OccupiedCarriers()
+
+var occupiedBin = func() (t [NFFT]bool) {
+	for _, k := range occupiedCarriers {
+		t[Bin(k)] = true
+	}
+	return t
+}()

@@ -173,12 +173,12 @@ func TestSynthesizeWithGainScalesWaveform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit := tx.Synthesize(f)
+	unit := synth(tx, f, nil)
 	gain := make([]complex128, ofdm.NFFT)
 	for i := range gain {
 		gain[i] = 0.5i
 	}
-	scaled := tx.SynthesizeWithGain(f, gain)
+	scaled := synth(tx, f, gain)
 	if len(scaled) != len(unit) {
 		t.Fatal("length changed with gain")
 	}
@@ -203,7 +203,7 @@ func TestSynthesizeWithFrequencySelectiveGainDecodes(t *testing.T) {
 	for i := range gain {
 		gain[i] = cmplxs.Expi(units.Radians(0.1*float64(i))) * complex(0.8+0.2*math.Sin(float64(i)), 0)
 	}
-	wave := tx.SynthesizeWithGain(f, gain)
+	wave := synth(tx, f, gain)
 	stream := make([]complex128, 150+len(wave)+50)
 	copy(stream[150:], wave)
 	n := rng.New(10)
@@ -219,13 +219,49 @@ func TestSynthesizeWithFrequencySelectiveGainDecodes(t *testing.T) {
 	}
 }
 
+// TestFrameSymbolsIntoReusesFrame: refilling one frame value with a long
+// frame and then shorter ones at other rates gives the same symbols as
+// fresh frames, and reuses the symbol block.
+func TestFrameSymbolsIntoReusesFrame(t *testing.T) {
+	tx := NewTX()
+	s := rng.New(13)
+	var f FrameSymbols
+	for i, c := range []struct {
+		size int
+		mcs  MCS
+	}{{1500, MCS0}, {300, MCS7}, {40, MCS3}, {1500, MCS0}} {
+		payload := s.Bytes(make([]byte, c.size))
+		if err := tx.FrameSymbolsInto(&f, payload, c.mcs); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && &f.Symbols[0][0] != &f.bins[0] {
+			t.Fatalf("frame %d: symbols left the reused block", i)
+		}
+		want, err := NewTX().FrameSymbols(payload, c.mcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.MCS != want.MCS || f.PSDULen != want.PSDULen || f.NumSymbols() != want.NumSymbols() {
+			t.Fatalf("frame %d: header %v/%d/%d, fresh %v/%d/%d", i, f.MCS, f.PSDULen, f.NumSymbols(),
+				want.MCS, want.PSDULen, want.NumSymbols())
+		}
+		for k := range want.Symbols {
+			for b := range want.Symbols[k] {
+				if f.Symbols[k][b] != want.Symbols[k][b] {
+					t.Fatalf("frame %d: symbol %d bin %d is %v reused, %v fresh", i, k, b, f.Symbols[k][b], want.Symbols[k][b])
+				}
+			}
+		}
+	}
+}
+
 func TestAirtimeAndSampleLen(t *testing.T) {
 	tx := NewTX()
 	f, err := tx.FrameSymbols(make([]byte, 100), MCS0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wave := tx.Synthesize(f)
+	wave := synth(tx, f, nil)
 	if len(wave) != f.SampleLen() {
 		t.Fatalf("SampleLen %d != synthesized %d", f.SampleLen(), len(wave))
 	}
@@ -291,4 +327,10 @@ func BenchmarkRXDecode1500B(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// synth synthesizes f into a destination longer than the frame, so the
+// returned prefix's length is SynthesizeWithGainInto's own.
+func synth(tx *TX, f *FrameSymbols, gain []complex128) []complex128 {
+	return tx.SynthesizeWithGainInto(make([]complex128, f.SampleLen()+7), f, gain)
 }

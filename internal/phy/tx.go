@@ -33,6 +33,9 @@ type FrameSymbols struct {
 	Symbols [][]complex128 // per-symbol 64-bin frequency vectors
 	MCS     MCS
 	PSDULen int // bytes, including FCS
+	// bins is the one contiguous block Symbols slices into; it grows to the
+	// longest frame FrameSymbolsInto has written into this value.
+	bins []complex128
 }
 
 // NumSymbols returns the data-field symbol count including SIGNAL.
@@ -60,6 +63,11 @@ type TX struct {
 	ltfT     []complex128 // one LTF period, time domain
 	mapBuf   []complex128 // 48 mapped data values per symbol
 	blockBuf []byte       // interleaved coded bits per symbol (grow-only)
+	// Frame-encoding scratch (grow-only): the PSDU with its FCS, the
+	// scrambled DATA bits and the coded bits of one field.
+	psdu, bits, coded []byte
+	// frame is FrameInto's reusable frequency-domain frame.
+	frame FrameSymbols
 	// Joint-synthesis scratch: all accumulated symbol bins of one frame,
 	// transformed with a single batched IFFT (grow-only).
 	jointFreq []complex128
@@ -79,17 +87,28 @@ func NewTX() *TX {
 }
 
 // FrameSymbols encodes payload (with a CRC-32 FCS appended) at the given
-// MCS and returns the frequency-domain frame.
+// MCS and returns a freshly allocated frequency-domain frame.
 func (tx *TX) FrameSymbols(payload []byte, mcs MCS) (*FrameSymbols, error) {
+	f := new(FrameSymbols)
+	if err := tx.FrameSymbolsInto(f, payload, mcs); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// FrameSymbolsInto is FrameSymbols overwriting f, reusing its symbol block:
+// a frame value refilled every round allocates nothing once it has held
+// the longest frame. Frames refilled this way must not be shared.
+func (tx *TX) FrameSymbolsInto(f *FrameSymbols, payload []byte, mcs MCS) error {
 	if !mcs.Valid() {
-		return nil, fmt.Errorf("phy: invalid MCS %d", int(mcs))
+		return fmt.Errorf("phy: invalid MCS %d", int(mcs))
 	}
 	if len(payload) > MaxPSDU {
-		return nil, fmt.Errorf("phy: payload %d bytes exceeds %d", len(payload), MaxPSDU)
+		return fmt.Errorf("phy: payload %d bytes exceeds %d", len(payload), MaxPSDU)
 	}
-	psdu := make([]byte, len(payload)+4)
-	copy(psdu, payload)
-	binary.LittleEndian.PutUint32(psdu[len(payload):], crc32.ChecksumIEEE(payload))
+	psdu := append(tx.psdu[:0], payload...)
+	psdu = binary.LittleEndian.AppendUint32(psdu, crc32.ChecksumIEEE(payload))
+	tx.psdu = psdu
 
 	info := mcs.info()
 	// SIGNAL: RATE(4) + R(1) + LENGTH(12) + PARITY(1) = 18 info bits; the
@@ -108,105 +127,87 @@ func (tx *TX) FrameSymbols(payload []byte, mcs MCS) (*FrameSymbols, error) {
 		par ^= b
 	}
 	sigBits = append(sigBits, par)
-	sigCoded := fec.Encode(sigBits, fec.Rate12)
-	if len(sigCoded) != 48 {
-		//lint:ignore panic-policy internal invariant: 18 info bits + tail always code to 48 bits
-		panic("phy: SIGNAL encoding produced wrong length")
-	}
-	sigIl := interleave.MustCached(48, 1)
-	sigInter, err := sigIl.Interleave(sigCoded)
-	if err != nil {
-		return nil, err
-	}
-	sigSyms, err := modulation.Map(modulation.BPSK, sigInter)
-	if err != nil {
-		return nil, err
-	}
 
 	// DATA field: SERVICE(16 zeros) + PSDU bits + pad to symbol boundary,
 	// scrambled; the encoder's zero tail plays the standard's tail bits.
 	nInfoBits := 16 + 8*len(psdu)
 	nsym := (nInfoBits + 6 + info.ndbps - 1) / info.ndbps
+	f.MCS, f.PSDULen = mcs, len(psdu)
+	if cap(f.bins) < (1+nsym)*ofdm.NFFT {
+		f.bins = make([]complex128, (1+nsym)*ofdm.NFFT)
+		f.Symbols = make([][]complex128, 0, 1+nsym)
+	}
+	f.Symbols = f.Symbols[:0]
+	for s := 0; s <= nsym; s++ {
+		f.Symbols = append(f.Symbols, f.bins[s*ofdm.NFFT:(s+1)*ofdm.NFFT])
+	}
+
+	// SIGNAL symbol (pilot polarity index 0; data symbols continue from 1).
+	tx.coded = fec.AppendEncode(tx.coded[:0], sigBits, fec.Rate12)
+	if len(tx.coded) != 48 {
+		//lint:ignore panic-policy internal invariant: 18 info bits + tail always code to 48 bits
+		panic("phy: SIGNAL encoding produced wrong length")
+	}
+	if err := tx.symbol(f.Symbols[0], interleave.MustCached(48, 1), modulation.BPSK, tx.coded, 0); err != nil {
+		return err
+	}
+
 	padded := nsym*info.ndbps - 6
-	bits := make([]byte, padded)
+	if cap(tx.bits) < padded {
+		tx.bits = make([]byte, padded)
+	}
+	bits := tx.bits[:padded]
+	clear(bits)
 	for i := 0; i < 8*len(psdu); i++ {
 		bits[16+i] = (psdu[i/8] >> (i % 8)) & 1 // LSB-first per octet
 	}
 	scramble.New(scramblerSeed).Apply(bits)
-	coded := fec.Encode(bits, info.rate)
+	tx.coded = fec.AppendEncode(tx.coded[:0], bits, info.rate)
+	coded := tx.coded
 	if len(coded) != nsym*info.ncbps {
 		//lint:ignore panic-policy internal invariant: the pad computation above sizes bits to fill nsym symbols exactly
 		panic(fmt.Sprintf("phy: coded length %d != %d symbols × %d", len(coded), nsym, info.ncbps))
 	}
-
 	il := interleave.MustCached(info.ncbps, info.scheme.BitsPerSymbol())
-	if cap(tx.blockBuf) < info.ncbps {
-		tx.blockBuf = make([]byte, info.ncbps)
-	}
-	block := tx.blockBuf[:info.ncbps]
-	out := &FrameSymbols{MCS: mcs, PSDULen: len(psdu)}
-	out.Symbols = make([][]complex128, 0, 1+nsym)
-	// SIGNAL symbol (pilot polarity index 0; data symbols continue from 1).
-	freq, err := dataSymbolFreq(sigSyms, 0)
-	if err != nil {
-		return nil, err
-	}
-	out.Symbols = append(out.Symbols, freq)
 	for s := 0; s < nsym; s++ {
-		if err := il.InterleaveInto(block, coded[s*info.ncbps:(s+1)*info.ncbps]); err != nil {
-			return nil, err
+		if err := tx.symbol(f.Symbols[s+1], il, info.scheme, coded[s*info.ncbps:(s+1)*info.ncbps], s+1); err != nil {
+			return err
 		}
-		if err := modulation.MapInto(tx.mapBuf, info.scheme, block); err != nil {
-			return nil, err
-		}
-		freq, err := dataSymbolFreq(tx.mapBuf, s+1)
-		if err != nil {
-			return nil, err
-		}
-		out.Symbols = append(out.Symbols, freq)
 	}
-	return out, nil
+	return nil
 }
 
-// dataSymbolFreq places 48 data values and the pilots for symbol index n
-// onto a 64-bin grid. The returned slice is freshly allocated: it is
-// retained in FrameSymbols.Symbols for the life of the frame.
-func dataSymbolFreq(data []complex128, n int) ([]complex128, error) {
-	if len(data) != ofdm.NData {
-		return nil, fmt.Errorf("phy: %d data subcarriers", len(data))
+// symbol interleaves and maps one symbol's coded bits and places the 48
+// data values and the pilots for symbol index n onto the 64-bin grid dst.
+func (tx *TX) symbol(dst []complex128, il *interleave.Interleaver, scheme modulation.Scheme, coded []byte, n int) error {
+	if cap(tx.blockBuf) < len(coded) {
+		tx.blockBuf = make([]byte, len(coded))
 	}
-	freq := make([]complex128, ofdm.NFFT)
+	block := tx.blockBuf[:len(coded)]
+	if err := il.InterleaveInto(block, coded); err != nil {
+		return err
+	}
+	if err := modulation.MapInto(tx.mapBuf, scheme, block); err != nil {
+		return err
+	}
+	clear(dst)
 	for i, k := range ofdm.DataCarriers {
-		freq[ofdm.Bin(k)] = data[i]
+		dst[ofdm.Bin(k)] = tx.mapBuf[i]
 	}
 	ref := ofdm.PilotReference(n)
 	for i, k := range ofdm.PilotCarriers {
-		freq[ofdm.Bin(k)] = ref[i]
+		dst[ofdm.Bin(k)] = ref[i]
 	}
-	return freq, nil
+	return nil
 }
 
-// Synthesize converts a frequency-domain frame to time-domain samples with
-// unit spatial gain.
-func (tx *TX) Synthesize(f *FrameSymbols) []complex128 {
-	return tx.SynthesizeWithGain(f, nil)
-}
-
-// SynthesizeWithGain builds the transmit waveform, applying an optional
-// per-FFT-bin complex gain to every symbol including the preamble. This is
-// the beamforming hook: passing the precoder column for one (AP, client)
-// pair yields that AP's contribution to that client's frame. Passing nil
-// applies unit gain.
-func (tx *TX) SynthesizeWithGain(f *FrameSymbols, gain []complex128) []complex128 {
-	out := make([]complex128, f.SampleLen())
-	tx.SynthesizeWithGainInto(out, f, gain)
-	return out
-}
-
-// SynthesizeWithGainInto is SynthesizeWithGain writing into a caller-owned
-// destination of length ≥ f.SampleLen(); it allocates nothing, which is what
-// the joint-transmission hot path needs (one waveform per AP antenna per
-// client per frame). It returns the filled prefix dst[:f.SampleLen()].
+// SynthesizeWithGainInto builds the transmit waveform into a caller-owned
+// destination of length ≥ f.SampleLen() and returns the filled prefix
+// dst[:f.SampleLen()], applying an optional per-FFT-bin complex gain to
+// every symbol including the preamble. This is the beamforming hook:
+// passing the precoder column for one (AP, client) pair yields that AP's
+// contribution to that client's frame. Passing nil applies unit gain. It
+// allocates nothing.
 func (tx *TX) SynthesizeWithGainInto(dst []complex128, f *FrameSymbols, gain []complex128) []complex128 {
 	if gain != nil && len(gain) != ofdm.NFFT {
 		//lint:ignore panic-policy documented precondition, a caller bug rather than bad input; silent truncation would masquerade as an RF impairment
@@ -376,11 +377,21 @@ func (tx *TX) synthPreambleWithGainInto(dst []complex128, gain []complex128) {
 	copy(dst[n:], tx.ltfT)
 }
 
-// Frame is the one-call TX path: payload → waveform at unit gain.
+// Frame is the one-call TX path: payload → freshly allocated waveform at
+// unit gain.
 func (tx *TX) Frame(payload []byte, mcs MCS) ([]complex128, error) {
-	f, err := tx.FrameSymbols(payload, mcs)
-	if err != nil {
+	return tx.FrameInto(nil, payload, mcs)
+}
+
+// FrameInto is Frame synthesizing into dst, grown when it is shorter than
+// the frame, through the TX's own reusable frequency-domain frame. It
+// returns the waveform prefix of dst.
+func (tx *TX) FrameInto(dst []complex128, payload []byte, mcs MCS) ([]complex128, error) {
+	if err := tx.FrameSymbolsInto(&tx.frame, payload, mcs); err != nil {
 		return nil, err
 	}
-	return tx.Synthesize(f), nil
+	if n := tx.frame.SampleLen(); cap(dst) < n {
+		dst = make([]complex128, n)
+	}
+	return tx.SynthesizeWithGainInto(dst[:cap(dst)], &tx.frame, nil), nil
 }
