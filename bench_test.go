@@ -384,3 +384,60 @@ func TestJointTransmitAllocBudget(t *testing.T) {
 			"a buffer the length of the received stream is being allocated per frame", bytes/1e6, byteBudget/1e6)
 	}
 }
+
+// TestMeasurePrecodeAllocBudget is the allocation regression gate for the
+// re-measurement round a moving client triggers: EvolveClientLinks on every
+// client, then Measure and the incremental Precode. With the per-round
+// channel estimates in a network-owned arena, in-place CFO demodulation
+// and the ZF cache's own Gram and inversion scratch, an 8-AP round keeps
+// allocating only what its callers keep: the measured H, the precoder W,
+// the CSI reports and the trace records. The budgets sit about 2x (count)
+// and 5x (bytes) above that steady state, so a per-symbol estimate or a
+// per-bin matrix copy trips them.
+func TestMeasurePrecodeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full measurement pipeline")
+	}
+	const aps = 8
+	cfg := core.DefaultConfig(aps, aps, 18, 24)
+	cfg.WellConditioned = true
+	n, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		for c := 0; c < aps; c++ {
+			n.EvolveClientLinks(c, 0.995)
+		}
+		if err := n.Measure(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Precode(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the grow-only scratch and the ZF cache.
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	allocs := testing.AllocsPerRun(5, round)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("EvolveClientLinks+Measure+Precode: %.0f allocs, %.3f MB per 8-AP round", allocs, bytes/1e6)
+	const budget = 800
+	if allocs > budget {
+		t.Errorf("an 8-AP re-measurement round allocates %.0f objects, budget is %d; "+
+			"a per-symbol estimate or a per-bin matrix is being reallocated", allocs, budget)
+	}
+	const byteBudget = 1.25e6
+	if bytes > byteBudget {
+		t.Errorf("an 8-AP re-measurement round allocates %.2f MB, budget is %.2f MB; "+
+			"a measurement or zero-forcing buffer is being reallocated per round", bytes/1e6, byteBudget/1e6)
+	}
+}

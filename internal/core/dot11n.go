@@ -36,10 +36,12 @@ func (n *Network) MeasureDot11n() error {
 	if totalAnts < 2 {
 		return fmt.Errorf("core: 802.11n measurement needs ≥ 2 antennas")
 	}
-	train := symbolWave()
+	train := symbolWave
 	trainNeg := cmplxs.Scale(make([]complex128, len(train)), train, -1)
-	ref := ltfRef()
+	ref := ltfRef
 	bins := occupiedBins()
+	sounding := n.estimateSlots(2)
+	h1, h2 := sounding[0], sounding[1]
 
 	// Sounding slots: slot 0 pairs L1 with the next lead antenna (or, for
 	// single-antenna leads, with the first slave antenna), later slots
@@ -121,12 +123,10 @@ func (n *Network) MeasureDot11n() error {
 					cfo = lag64CFO(win, winLead+ofdm.STFLen+ofdm.LTFGuard)
 				}
 				symIdx := int(tS - winStart)
-				h1, err := n.estimateSymbolChannel(win, symIdx, symIdx, cfo, ref, bins)
-				if err != nil {
+				if err := n.estimateSymbolChannel(h1, win, symIdx, symIdx, cfo, ref, bins); err != nil {
 					return err
 				}
-				h2, err := n.estimateSymbolChannel(win, symIdx+ofdm.SymbolLen, symIdx, cfo, ref, bins)
-				if err != nil {
+				if err := n.estimateSymbolChannel(h2, win, symIdx+ofdm.SymbolLen, symIdx, cfo, ref, bins); err != nil {
 					return err
 				}
 				//lint:ignore hotalloc retained in per-slot state (hRef0/est) across the measurement

@@ -189,7 +189,7 @@ func (n *Network) weightsForMask(mask uint64) (*maskedWeights, error) {
 	for c, g := range ants {
 		mw.gain[g] = make([][]complex128, streams)
 		for j := 0; j < served; j++ {
-			mw.gain[g][j] = p.GainColumn(c, j)
+			mw.gain[g][j] = p.gainColumnInto(nil, c, j)
 		}
 	}
 	e.mw = mw

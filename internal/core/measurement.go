@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/cmplx"
-	"sync"
 
 	"megamimo/internal/cmplxs"
 	"megamimo/internal/csi"
@@ -136,7 +135,7 @@ func (n *Network) MeasureDecoupled(groups [][]int, gapSamples int64) error {
 		}
 	}
 	lead := n.Lead()
-	train := symbolWave()
+	train := symbolWave
 	var reports []*csi.Report
 	type uplinkJob struct {
 		rep *csi.Report
@@ -155,7 +154,7 @@ func (n *Network) MeasureDecoupled(groups [][]int, gapSamples int64) error {
 
 		// (a) Collecting measurements: post every transmission.
 		n.Air.Transmit(n.APAntennaID(lead.Index, 0), lead.Node.Osc, t0, syncHeader)
-		stf80 := acquisitionWave()
+		stf80 := acquisitionWave
 		for _, ap := range n.APs {
 			// CFO block from antenna 0: STF segment + two training symbols.
 			n.Air.Transmit(n.APAntennaID(ap.Index, 0), ap.Node.Osc, sched.cfoSymbolAt(ap.Index, 0), stf80)
@@ -312,10 +311,10 @@ func (n *Network) slaveCaptureReference(ap *AP, sched schedule) error {
 		s.PayloadStart = winLead + ofdm.PreambleLen
 		sync = s
 	}
-	dem := n.dem
-	ref := ltfRef()
+	ref := ltfRef
 	bins := occupiedBins()
 	total := sched.nAPs * sched.antsPer
+	ests := n.estimateSlots(sched.rounds)
 
 	for _, peer := range n.APs {
 		if peer.Index == ap.Index {
@@ -329,7 +328,7 @@ func (n *Network) slaveCaptureReference(ap *AP, sched schedule) error {
 		if peer.Index == lead.Index {
 			cfo = sync.CFO
 		} else {
-			c, err := cfoFromBlock(dem, win, winLead, peer.Index, sched, bins)
+			c, err := n.cfoFromBlock(win, winLead, peer.Index, sched, bins)
 			if err != nil {
 				return err
 			}
@@ -342,16 +341,12 @@ func (n *Network) slaveCaptureReference(ap *AP, sched schedule) error {
 		// round-to-round phase drift is the small residual offset, free of
 		// 2π ambiguity.
 		base := int(sched.csSymbolAt(0, g) - winStart)
-		var ests [][]complex128
 		for iter := 0; iter < 3; iter++ {
-			ests = make([][]complex128, sched.rounds)
 			for r := 0; r < sched.rounds; r++ {
 				idx := int(sched.csSymbolAt(r, g) - winStart)
-				e, err := n.estimateSymbolChannel(win, idx, base, cfo, ref, bins)
-				if err != nil {
+				if err := n.estimateSymbolChannel(ests[r], win, idx, base, cfo, ref, bins); err != nil {
 					return err
 				}
-				ests[r] = e
 			}
 			var racc complex128
 			for r := 0; r+1 < sched.rounds; r++ {
@@ -419,10 +414,11 @@ func (n *Network) clientEstimate(cl *Client, rxAnt int, sched schedule) (*csi.Re
 		t0Idx = sync.PayloadStart - ofdm.PreambleLen
 	}
 
-	dem := n.dem
-	ref := ltfRef()
+	ref := ltfRef
 	bins := occupiedBins()
 	total := sched.nAPs * sched.antsPer
+	ests := n.estimateSlots(sched.antsPer * sched.rounds)
+	antEsts := func(m int) [][]complex128 { return ests[m*sched.rounds : (m+1)*sched.rounds] } // [round][bin]
 
 	report := &csi.Report{
 		Client:     cl.Index,
@@ -438,7 +434,7 @@ func (n *Network) clientEstimate(cl *Client, rxAnt int, sched schedule) (*csi.Re
 		// Coarse CFO: lag-16 over the AP's 16-periodic acquisition symbol
 		// (unambiguous to ±π/16 rad/sample ≈ ±80 ppm relative at 10 MHz),
 		// refined by the training pair's lag-80 phase.
-		cfo, err := cfoFromBlock(dem, win, t0Idx, a, sched, bins)
+		cfo, err := n.cfoFromBlock(win, t0Idx, a, sched, bins)
 		if err != nil {
 			return nil, err
 		}
@@ -446,18 +442,14 @@ func (n *Network) clientEstimate(cl *Client, rxAnt int, sched schedule) (*csi.Re
 		// Iteratively refined per-round estimates for each antenna of AP a,
 		// phase referenced at the interleaved-block center.
 		midIdx := t0Idx + int(sched.refMid()-sched.t0)
-		ests := make([][][]complex128, sched.antsPer) // [ant][round][bin]
 		for iter := 0; iter < 2; iter++ {
 			for m := 0; m < sched.antsPer; m++ {
 				g := a*sched.antsPer + m
-				ests[m] = make([][]complex128, sched.rounds)
-				for r := 0; r < sched.rounds; r++ {
+				for r, e := range antEsts(m) {
 					idx := t0Idx + int(sched.csSymbolAt(r, g)-sched.t0)
-					h, err := n.estimateSymbolChannel(win, idx, midIdx, cfo, ref, bins)
-					if err != nil {
+					if err := n.estimateSymbolChannel(e, win, idx, midIdx, cfo, ref, bins); err != nil {
 						return nil, err
 					}
-					ests[m][r] = h
 				}
 			}
 			// Residual CFO from round-to-round phase drift (spacing
@@ -465,9 +457,10 @@ func (n *Network) clientEstimate(cl *Client, rxAnt int, sched schedule) (*csi.Re
 			if iter == 0 && sched.rounds > 1 {
 				var racc complex128
 				for m := 0; m < sched.antsPer; m++ {
+					e := antEsts(m)
 					for r := 0; r+1 < sched.rounds; r++ {
 						for _, b := range bins {
-							racc += ests[m][r+1][b] * cmplx.Conj(ests[m][r][b])
+							racc += e[r+1][b] * cmplx.Conj(e[r][b])
 						}
 					}
 				}
@@ -480,11 +473,11 @@ func (n *Network) clientEstimate(cl *Client, rxAnt int, sched schedule) (*csi.Re
 			g := a*sched.antsPer + m
 			//lint:ignore hotalloc the averaged estimate is retained in report.H
 			avg := make([]complex128, ofdm.NFFT)
-			for _, h := range ests[m] {
+			for _, h := range antEsts(m) {
 				cmplxs.Add(avg, avg, h)
 			}
 			cmplxs.Scale(avg, avg, complex(1/float64(sched.rounds), 0))
-			for _, h := range ests[m] {
+			for _, h := range antEsts(m) {
 				for _, b := range bins {
 					d := h[b] - avg[b]
 					noiseAcc += real(d)*real(d) + imag(d)*imag(d)
@@ -507,49 +500,44 @@ func (n *Network) clientEstimate(cl *Client, rxAnt int, sched schedule) (*csi.Re
 	return report, nil
 }
 
-// symbolFreq demodulates the 80-sample symbol at window index idx.
-func symbolFreq(dem *ofdm.Demodulator, win []complex128, idx int) ([]complex128, error) {
-	if idx < 0 || idx+symLen > len(win) {
-		return nil, fmt.Errorf("core: symbol window [%d, %d) out of range", idx, idx+symLen)
-	}
-	return dem.Freq(win[idx : idx+symLen])
-}
-
-// ltfRef caches the immutable LTF frequency reference used by every
-// channel estimate.
-var ltfRefOnce struct {
-	sync.Once
-	f []complex128
-}
-
-func ltfRef() []complex128 {
-	ltfRefOnce.Do(func() { ltfRefOnce.f = ofdm.LTFFreq() })
-	return ltfRefOnce.f
-}
+// ltfRef is the immutable LTF frequency reference every channel estimate
+// divides by.
+var ltfRef = ofdm.LTFFreq()
 
 // estimateSymbolChannel derotates the symbol at window index idx by cfo —
 // phase referenced to window index refIdx, so every symbol shares one
 // reference and residual CFO error is multiplied only by (idx − refIdx) —
-// demodulates it and divides by the known training values. The returned
-// estimate is freshly allocated (callers retain it across rounds); the
-// rotate/demod scratch lives on the network.
-func (n *Network) estimateSymbolChannel(win []complex128, idx, refIdx int, cfo units.RadPerSample, ref []complex128, bins []int) ([]complex128, error) {
+// demodulates it and divides by the known training values. It writes only
+// the occupied bins of dst, a slot from estimateSlots; the rotate/demod
+// scratch lives on the network.
+func (n *Network) estimateSymbolChannel(dst, win []complex128, idx, refIdx int, cfo units.RadPerSample, ref []complex128, bins []int) error {
 	if idx < 0 || idx+symLen > len(win) {
-		return nil, fmt.Errorf("core: symbol window [%d, %d) out of range", idx, idx+symLen)
+		return fmt.Errorf("core: symbol window [%d, %d) out of range", idx, idx+symLen)
 	}
-	if n.estBuf == nil {
-		n.estBuf = make([]complex128, symLen)
-		n.estFreq = make([]complex128, ofdm.NFFT)
-	}
+	freq := n.freqs[0]
 	cmplxs.Rotate(n.estBuf, win[idx:idx+symLen], units.PhaseAdvance(-cfo, units.Samples(idx-refIdx)), -cfo)
-	if err := n.dem.FreqInto(n.estFreq, n.estBuf); err != nil {
-		return nil, err
+	if err := n.dem.FreqInto(freq, n.estBuf); err != nil {
+		return err
 	}
-	h := make([]complex128, ofdm.NFFT)
 	for _, b := range bins {
-		h[b] = n.estFreq[b] / ref[b]
+		dst[b] = freq[b] / ref[b]
 	}
-	return h, nil
+	return nil
+}
+
+// estimateSlots returns k 64-bin channel-estimate slots from the
+// network's grow-only estimate arena. The slots are shared with the next
+// call, and only estimateSymbolChannel writes them — always on the
+// occupied bins — so every other bin stays zero.
+func (n *Network) estimateSlots(k int) [][]complex128 {
+	if len(n.estSlots) < k {
+		buf := make([]complex128, k*ofdm.NFFT)
+		n.estSlots = make([][]complex128, k)
+		for i := range n.estSlots {
+			n.estSlots[i] = buf[i*ofdm.NFFT : (i+1)*ofdm.NFFT : (i+1)*ofdm.NFFT]
+		}
+	}
+	return n.estSlots[:k]
 }
 
 // assembleMeasurement builds per-bin channel matrices from the CSI reports
@@ -603,25 +591,16 @@ var occBins = func() []int {
 func occupiedBins() []int { return occBins }
 
 // acquisitionWave is the 80-sample 16-periodic coarse-CFO segment each AP
-// prepends to its CFO block. The wave is immutable and computed once;
-// Air.Transmit copies it, so sharing across networks is safe.
-var acquisitionWaveOnce struct {
-	sync.Once
-	w []complex128
-}
-
-func acquisitionWave() []complex128 {
-	acquisitionWaveOnce.Do(func() {
-		acquisitionWaveOnce.w = ofdm.STF()[:symLen]
-	})
-	return acquisitionWaveOnce.w
-}
+// prepends to its CFO block, one read-only wave shared by every network:
+// Air.Transmit copies its input.
+var acquisitionWave = ofdm.STF()[:symLen]
 
 // cfoFromBlock estimates AP a's carrier offset from its CFO block inside a
 // measurement-packet window whose t0 sits at index t0Idx: lag-16 over the
 // acquisition symbol gives the unambiguous coarse value; the training
-// pair's lag-80 phase refines it.
-func cfoFromBlock(dem *ofdm.Demodulator, win []complex128, t0Idx, a int, sched schedule, bins []int) (units.RadPerSample, error) {
+// pair's lag-80 phase refines it. The pair demodulates into the network's
+// two frequency buffers.
+func (n *Network) cfoFromBlock(win []complex128, t0Idx, a int, sched schedule, bins []int) (units.RadPerSample, error) {
 	stfIdx := t0Idx + int(sched.cfoSymbolAt(a, 0)-sched.t0)
 	if stfIdx < 0 || stfIdx+symLen > len(win) {
 		return 0, fmt.Errorf("core: CFO block out of window")
@@ -631,13 +610,15 @@ func cfoFromBlock(dem *ofdm.Demodulator, win []complex128, t0Idx, a int, sched s
 		acc += win[stfIdx+i] * cmplx.Conj(win[stfIdx+i+16])
 	}
 	coarse := units.RadiansOver(units.Radians(-cmplx.Phase(acc)), 16)
-	f1, err := symbolFreq(dem, win, t0Idx+int(sched.cfoSymbolAt(a, 1)-sched.t0))
-	if err != nil {
-		return 0, err
-	}
-	f2, err := symbolFreq(dem, win, t0Idx+int(sched.cfoSymbolAt(a, 2)-sched.t0))
-	if err != nil {
-		return 0, err
+	f1, f2 := n.freqs[0], n.freqs[1]
+	for k, f := range [2][]complex128{f1, f2} {
+		idx := t0Idx + int(sched.cfoSymbolAt(a, k+1)-sched.t0)
+		if idx < 0 || idx+symLen > len(win) {
+			return 0, fmt.Errorf("core: symbol window [%d, %d) out of range", idx, idx+symLen)
+		}
+		if err := n.dem.FreqInto(f, win[idx:idx+symLen]); err != nil {
+			return 0, err
+		}
 	}
 	var pacc complex128
 	for _, b := range bins {

@@ -28,8 +28,7 @@ func (n *Network) MeasureMisalignment(rounds int, gapSamples int64) ([]float64, 
 	}
 	lead := n.Lead()
 	cl := n.Clients[0]
-	train := symbolWave()
-	dem := ofdm.NewDemodulator()
+	train := symbolWave
 	bins := occupiedBins()
 
 	var refProd []complex128
@@ -61,7 +60,7 @@ func (n *Network) MeasureMisalignment(rounds int, gapSamples int64) ([]float64, 
 		const pairs = 4
 		tA := t1 + int64(ofdm.PreambleLen) + int64(n.Cfg.TriggerDelaySamples)
 		// Slave symbol with the per-bin ratio applied in frequency domain.
-		freq := ltfRef()
+		freq := ltfRef
 		for i := range g {
 			g[i] = freq[i] * c.Ratio[i]
 		}
@@ -87,13 +86,12 @@ func (n *Network) MeasureMisalignment(rounds int, gapSamples int64) ([]float64, 
 		win := n.observe(n.ClientAntennaID(cl.Index, 0), cl.Node.Osc, tA, 2*pairs*ofdm.SymbolLen+32)
 		//lint:ignore hotalloc round 0's product is retained as refProd across all later rounds
 		prod := make([]complex128, ofdm.NFFT)
+		fLead, fSlave := n.freqs[0], n.freqs[1]
 		for k := 0; k < pairs; k++ {
-			fLead, err := dem.Freq(win[2*k*ofdm.SymbolLen:])
-			if err != nil {
+			if err := n.dem.FreqInto(fLead, win[2*k*ofdm.SymbolLen:]); err != nil {
 				return nil, err
 			}
-			fSlave, err := dem.Freq(win[(2*k+1)*ofdm.SymbolLen:])
-			if err != nil {
+			if err := n.dem.FreqInto(fSlave, win[(2*k+1)*ofdm.SymbolLen:]); err != nil {
 				return nil, err
 			}
 			for _, b := range bins {

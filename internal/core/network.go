@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"megamimo/internal/air"
 	"megamimo/internal/backend"
@@ -239,10 +238,14 @@ type Network struct {
 	// reusable frame per stream for JointTransmit and DiversityTransmit.
 	win    []complex128
 	frames []phy.FrameSymbols
-	// estBuf/estFreq are the symbol-channel-estimation scratch pair
-	// (lazily sized in estimateSymbolChannel).
-	estBuf  []complex128
-	estFreq []complex128
+	// estBuf is estimateSymbolChannel's derotated symbol and freqs the two
+	// 64-bin buffers the measurement path demodulates into; estSlots is
+	// the grow-only per-round estimate arena estimateSlots hands out.
+	// evolve is the generator EvolveClientLinks reseeds.
+	estBuf   []complex128
+	freqs    [2][]complex128
+	estSlots [][]complex128
+	evolve   *rng.Source
 
 	// Msmt is the latest channel-measurement state (H estimate and the
 	// reference time); nil until Measure runs.
@@ -316,10 +319,13 @@ func New(cfg Config) (*Network, error) {
 			ModelSFO:   cfg.ModelSFO,
 			Seed:       cfg.Seed + 7,
 		}),
-		rng: src,
-		tx:  phy.NewTX(),
-		rx:  phy.NewRX(),
-		dem: ofdm.NewDemodulator(),
+		rng:    src,
+		tx:     phy.NewTX(),
+		rx:     phy.NewRX(),
+		dem:    ofdm.NewDemodulator(),
+		estBuf: make([]complex128, symLen),
+		freqs:  [2][]complex128{make([]complex128, ofdm.NFFT), make([]complex128, ofdm.NFFT)},
+		evolve: rng.New(0),
 	}
 	n.frames = make([]phy.FrameSymbols, n.NumStreams())
 	n.sync = cfg.Sync
@@ -575,7 +581,7 @@ func (n *Network) SetLead(index int) error {
 // elapsed time to ρ). Used to study measurement staleness: §9 notes stale
 // channel state to one client corrupts only that client's packets.
 func (n *Network) EvolveClientLinks(client int, rho float64) {
-	src := n.rng.Split(0xE701 + uint64(client)<<8 + uint64(n.now))
+	src := n.rng.SplitInto(n.evolve, 0xE701+uint64(client)<<8+uint64(n.now))
 	for a := 0; a < n.Cfg.NumAPs; a++ {
 		for am := 0; am < n.Cfg.AntennasPerAP; am++ {
 			for cm := 0; cm < n.Cfg.AntennasPerClient; cm++ {
@@ -615,23 +621,13 @@ func (n *Network) StrongestAP(stream int) int {
 	return best
 }
 
-// symbolWave returns one known OFDM training symbol (the LTF sequence on
-// its 52 bins) used for CFO blocks and interleaved measurement. The wave is
-// immutable and computed once; Air.Transmit copies it, so sharing across
-// networks (and goroutines) is safe.
-var symbolWaveOnce struct {
-	sync.Once
-	w []complex128
-}
-
-func symbolWave() []complex128 {
-	symbolWaveOnce.Do(func() {
-		mod := ofdm.NewModulator()
-		sym, err := mod.RawSymbol(ofdm.LTFFreq())
-		if err != nil {
-			panic(err)
-		}
-		symbolWaveOnce.w = sym
-	})
-	return symbolWaveOnce.w
-}
+// symbolWave is one known OFDM training symbol (the LTF sequence on its 52
+// bins) used for CFO blocks and interleaved measurement, one read-only wave
+// shared by every network: Air.Transmit copies its input.
+var symbolWave = func() []complex128 {
+	sym, err := ofdm.NewModulator().RawSymbol(ofdm.LTFFreq())
+	if err != nil {
+		panic(err)
+	}
+	return sym
+}()

@@ -39,18 +39,28 @@ func ComputeZF(m *Measurement, lambda float64) (*Precoder, error) {
 		return nil, fmt.Errorf("core: %d tx antennas cannot serve %d streams", txAnts, streams)
 	}
 	p := &Precoder{Bins: m.Bins, W: make([]*matrix.M, len(m.H)), Streams: streams, TxAnts: txAnts}
-	// Per-antenna average transmit power before scaling.
-	perAnt := make([]float64, txAnts)
 	for i, h := range m.H {
 		w, err := h.PseudoInverse(lambda)
 		if err != nil {
 			return nil, fmt.Errorf("core: bin %d: %w", m.Bins[i], err)
 		}
 		p.W[i] = w
-		for a := 0; a < txAnts; a++ {
-			row := w.Row(a)
+	}
+	if err := p.normalizePower(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// normalizePower applies the per-antenna power constraint: it sets
+// PowerScale so the antenna with the highest average power across bins
+// transmits at unit power, and scales every W by it.
+func (p *Precoder) normalizePower() error {
+	perAnt := make([]float64, p.TxAnts)
+	for _, w := range p.W {
+		for a := range perAnt {
 			var pw float64
-			for _, v := range row {
+			for _, v := range w.Row(a) {
 				pw += real(v)*real(v) + imag(v)*imag(v)
 			}
 			perAnt[a] += pw
@@ -58,13 +68,13 @@ func ComputeZF(m *Measurement, lambda float64) (*Precoder, error) {
 	}
 	maxP := 0.0
 	for a := range perAnt {
-		perAnt[a] /= float64(len(m.H))
+		perAnt[a] /= float64(len(p.W))
 		if perAnt[a] > maxP {
 			maxP = perAnt[a]
 		}
 	}
 	if maxP <= 0 {
-		return nil, fmt.Errorf("core: degenerate precoder (zero channel)")
+		return fmt.Errorf("core: degenerate precoder (zero channel)")
 	}
 	p.PowerScale = 1 / math.Sqrt(maxP)
 	s := complex(p.PowerScale, 0)
@@ -73,7 +83,7 @@ func ComputeZF(m *Measurement, lambda float64) (*Precoder, error) {
 			w.Data[i] *= s
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // ComputeDiversity builds the coherent-combining precoder of §8: every AP
@@ -101,15 +111,20 @@ func ComputeDiversity(m *Measurement, stream int) (*Precoder, error) {
 	return p, nil
 }
 
-// GainColumn returns the 64-bin per-subcarrier gain vector that transmit
-// antenna txAnt applies to stream's frame (zeros outside occupied bins) —
-// the per-stream gain phy.TX.SynthesizeJointInto applies.
-func (p *Precoder) GainColumn(txAnt, stream int) []complex128 {
-	gain := make([]complex128, ofdm.NFFT)
-	for i, b := range p.Bins {
-		gain[b] = p.W[i].At(txAnt, stream)
+// gainColumnInto returns the 64-bin per-subcarrier gain vector that
+// transmit antenna txAnt applies to stream's frame (zeros outside occupied
+// bins) — the per-stream gain phy.TX.SynthesizeJointInto applies. A 64-bin
+// dst is cleared and refilled, a nil one allocated.
+func (p *Precoder) gainColumnInto(dst []complex128, txAnt, stream int) []complex128 {
+	if dst == nil {
+		dst = make([]complex128, ofdm.NFFT)
+	} else {
+		clear(dst)
 	}
-	return gain
+	for i, b := range p.Bins {
+		dst[b] = p.W[i].At(txAnt, stream)
+	}
+	return dst
 }
 
 // DiversitySubcarrierSNR predicts the per-bin SNR of the diversity mode

@@ -46,14 +46,20 @@ func (r *TxResult) GoodputBits() float64 {
 
 // SetPrecoder distributes precoder rows to every AP over the backbone
 // (logical distribution — the lead computes W and each AP keeps its rows).
+// An AP whose columns already have the precoder's shape has them cleared
+// and refilled in place.
 func (n *Network) SetPrecoder(p *Precoder) {
+	aa := n.Cfg.AntennasPerAP
 	for _, ap := range n.APs {
-		ap.weights = make([][][]complex128, n.Cfg.AntennasPerAP)
-		for m := 0; m < n.Cfg.AntennasPerAP; m++ {
-			g := ap.Index*n.Cfg.AntennasPerAP + m
-			ap.weights[m] = make([][]complex128, p.Streams)
-			for j := 0; j < p.Streams; j++ {
-				ap.weights[m][j] = p.GainColumn(g, j)
+		if len(ap.weights) != aa || len(ap.weights[0]) != p.Streams {
+			ap.weights = make([][][]complex128, aa)
+			for m := range ap.weights {
+				ap.weights[m] = make([][]complex128, p.Streams)
+			}
+		}
+		for m, cols := range ap.weights {
+			for j := range cols {
+				cols[j] = p.gainColumnInto(cols[j], ap.Index*aa+m, j)
 			}
 		}
 	}

@@ -61,9 +61,16 @@ type zfEntry struct {
 // ZFCache holds incremental zero-forcing state for one network: one entry
 // per participation mask (zfFullMask for the whole array), unifying the
 // steady-state precoder path with the N−1 degraded-round rebuilds that
-// previously kept their own per-measurement cache.
+// previously kept their own per-measurement cache. It also owns the
+// scratch every refresh reuses: the Gram matrix, the inverse and
+// elimination workspaces of a full inversion, and the Sherman–Morrison
+// working copies and row vectors.
 type ZFCache struct {
 	entries map[uint64]*zfEntry
+
+	gram, inv, elim *matrix.M
+	work, cur       *matrix.M
+	vecs            []complex128
 }
 
 // zfFullMask keys the full-participation entry.
@@ -128,22 +135,30 @@ func (c *ZFCache) entry(mask uint64, m *Measurement, lambda float64) (*zfEntry, 
 			gi:         make([]*matrix.M, len(m.H)),
 			updates:    make([]int, len(m.H)),
 		}
+		for i := range m.H {
+			e.h[i] = matrix.New(streams, txAnts)
+			e.gi[i] = matrix.New(streams, streams)
+		}
 		c.entries[mask] = e
 	}
 	for i, h := range m.H {
-		if !fresh && e.updates[i] < zfMaxUpdates && shermanMorrison(e.gi[i], e.h[i], h, &e.updates[i]) {
+		if !fresh && e.updates[i] < zfMaxUpdates && c.shermanMorrison(e.gi[i], e.h[i], h, &e.updates[i]) {
 			e.incrementalBins++
 		} else {
-			g := gram(h, lambda)
-			gi, err := g.Inverse()
-			if err != nil {
+			// Invert into scratch and swap only on success, so a singular
+			// bin leaves the cached (h, gi) pair consistent.
+			c.gram = reshape(c.gram, streams, streams)
+			c.inv = reshape(c.inv, streams, streams)
+			c.elim = reshape(c.elim, streams, streams)
+			gramInto(c.gram, h, lambda)
+			if err := c.gram.InverseInto(c.inv, c.elim); err != nil {
 				return nil, fmt.Errorf("core: bin %d: %w", m.Bins[i], err)
 			}
-			e.gi[i] = gi
+			e.gi[i], c.inv = c.inv, e.gi[i]
 			e.updates[i] = 0
 			e.fullInversions++
 		}
-		e.h[i] = h.Clone()
+		copy(e.h[i].Data, h.Data)
 	}
 	pre, err := precoderFromInverses(m, e.gi)
 	if err != nil {
@@ -155,23 +170,45 @@ func (c *ZFCache) entry(mask uint64, m *Measurement, lambda float64) (*zfEntry, 
 	return e, nil
 }
 
-// gram builds G = H·Hᴴ + λI (streams × streams).
-func gram(h *matrix.M, lambda float64) *matrix.M {
-	g := h.Mul(h.H())
+// reshape returns m resized to rows×cols, reusing its storage (contents
+// stale) when it is large enough and allocating a zero matrix otherwise.
+func reshape(m *matrix.M, rows, cols int) *matrix.M {
+	if m == nil || cap(m.Data) < rows*cols {
+		return matrix.New(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+	return m
+}
+
+// gramInto writes G = H·Hᴴ + λI (streams × streams) into g without forming
+// Hᴴ. It accumulates like h.Mul(h.H()) — k ascending, zero factors of H
+// skipped — so G is bit-identical to that product.
+func gramInto(g, h *matrix.M, lambda float64) {
+	clear(g.Data)
+	for i := 0; i < h.Rows; i++ {
+		grow := g.Row(i)
+		for k, a := range h.Row(i) {
+			if a == 0 {
+				continue
+			}
+			for j := range grow {
+				grow[j] += a * cmplx.Conj(h.At(j, k))
+			}
+		}
+	}
 	for i := 0; i < g.Rows; i++ {
 		g.Set(i, i, g.At(i, i)+complex(lambda, 0))
 	}
-	return g
 }
 
-// shermanMorrison updates gi — the inverse of gram(hOld, λ) — in place so
-// it inverts gram(hNew, λ), applying two rank-1 corrections per changed
-// channel row: changing row r of H perturbs row r and column r of the Gram
-// matrix, G' = G + e_r·uᴴ + v·e_rᴴ with u = H·δᴴ and v = u + e_r·‖δ‖²
-// evaluated against the updated row. It reports false — leaving gi
+// shermanMorrison updates gi — the inverse of hOld's Gram matrix H·Hᴴ + λI
+// — in place so it inverts hNew's, applying two rank-1 corrections per
+// changed channel row: changing row r of H perturbs row r and column r of
+// the Gram matrix, G' = G + e_r·uᴴ + v·e_rᴴ with u = H·δᴴ and
+// v = u + e_r·‖δ‖² evaluated against the updated row. It reports false — leaving gi
 // untouched — when the drift is too large or a denominator falls under
 // zfCondFloor, and adds the applied corrections to *updates.
-func shermanMorrison(gi, hOld, hNew *matrix.M, updates *int) bool {
+func (c *ZFCache) shermanMorrison(gi, hOld, hNew *matrix.M, updates *int) bool {
 	var driftSq, normSq float64
 	for i, v := range hOld.Data {
 		d := hNew.Data[i] - v
@@ -187,15 +224,19 @@ func shermanMorrison(gi, hOld, hNew *matrix.M, updates *int) bool {
 	n := gi.Rows
 	cols := hOld.Cols
 	// Work on a copy so a mid-row fallback never leaves gi half-updated.
-	work := gi.Clone()
+	c.work = reshape(c.work, n, n)
+	work := c.work
+	copy(work.Data, gi.Data)
 	// cur tracks the channel with already-processed rows replaced, since u
 	// for a later row must see the earlier rows' new values.
-	cur := hOld.Clone()
-	// Per-row scratch, hoisted out of the row loop.
-	u := make([]complex128, n)
-	uhg := make([]complex128, n)
-	gv := make([]complex128, n)
-	rowR := make([]complex128, n)
+	c.cur = reshape(c.cur, hOld.Rows, cols)
+	cur := c.cur
+	copy(cur.Data, hOld.Data)
+	// Per-row vectors, fully rewritten before each read.
+	if len(c.vecs) < 4*n {
+		c.vecs = make([]complex128, 4*n)
+	}
+	u, uhg, gv, rowR := c.vecs[:n], c.vecs[n:2*n], c.vecs[2*n:3*n], c.vecs[3*n:4*n]
 	applied := 0
 	for r := 0; r < hOld.Rows; r++ {
 		rowOld := cur.Row(r)
@@ -278,35 +319,26 @@ func shermanMorrison(gi, hOld, hNew *matrix.M, updates *int) bool {
 func precoderFromInverses(m *Measurement, gi []*matrix.M) (*Precoder, error) {
 	streams, txAnts := m.H[0].Rows, m.H[0].Cols
 	p := &Precoder{Bins: m.Bins, W: make([]*matrix.M, len(m.H)), Streams: streams, TxAnts: txAnts}
-	perAnt := make([]float64, txAnts)
 	for i, h := range m.H {
-		w := h.H().Mul(gi[i])
-		p.W[i] = w
+		// w = Hᴴ·G⁻¹ without forming Hᴴ, accumulated like h.H().Mul(gi[i])
+		// (k ascending, zero factors skipped) so it is bit-identical.
+		w := matrix.New(txAnts, streams)
 		for a := 0; a < txAnts; a++ {
-			row := w.Row(a)
-			var pw float64
-			for _, v := range row {
-				pw += real(v)*real(v) + imag(v)*imag(v)
+			wrow := w.Row(a)
+			for k := 0; k < streams; k++ {
+				f := cmplx.Conj(h.At(k, a))
+				if f == 0 {
+					continue
+				}
+				for j, v := range gi[i].Row(k) {
+					wrow[j] += f * v
+				}
 			}
-			perAnt[a] += pw
 		}
+		p.W[i] = w
 	}
-	maxP := 0.0
-	for a := range perAnt {
-		perAnt[a] /= float64(len(m.H))
-		if perAnt[a] > maxP {
-			maxP = perAnt[a]
-		}
-	}
-	if maxP <= 0 {
-		return nil, fmt.Errorf("core: degenerate precoder (zero channel)")
-	}
-	p.PowerScale = 1 / math.Sqrt(maxP)
-	s := complex(p.PowerScale, 0)
-	for _, w := range p.W {
-		for i := range w.Data {
-			w.Data[i] *= s
-		}
+	if err := p.normalizePower(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -157,13 +159,15 @@ func TestShermanMorrisonConditioningFallback(t *testing.T) {
 	hNew := hOld.Clone()
 	hNew.Set(1, 1, complex(eps*kappa, 0))
 
-	gi, err := gram(hOld, 0).Inverse()
+	g := matrix.New(2, 2)
+	gramInto(g, hOld, 0)
+	gi, err := g.Inverse()
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := gi.Clone()
 	updates := 0
-	if shermanMorrison(gi, hOld, hNew, &updates) {
+	if NewZFCache().shermanMorrison(gi, hOld, hNew, &updates) {
 		t.Fatal("near-singular update was accepted; want conditioning fallback")
 	}
 	if updates != 0 {
@@ -240,5 +244,94 @@ func TestZFCacheMaskedEntries(t *testing.T) {
 	}
 	if mw3 == mw1 {
 		t.Fatal("degraded weights not rebuilt after a fresh measurement")
+	}
+}
+
+// TestDirectProductsMatchMul pins gramInto and precoderFromInverses, which
+// never form Hᴴ, bit for bit to the h.Mul(h.H()) and h.H().Mul(gi)
+// products they replace, on random matrices with planted exact zeros
+// (including a negative zero) that Mul's zero-factor skip sees.
+func TestDirectProductsMatchMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	negZero := complex(math.Copysign(0, -1), 0)
+	for _, shape := range []struct{ streams, txAnts int }{{2, 2}, {3, 3}, {3, 5}, {4, 8}} {
+		m := randomMeasurement(rng, 6, shape.streams, shape.txAnts)
+		gi := randomMeasurement(rng, len(m.H), shape.streams, shape.streams).H
+		for b, h := range m.H {
+			for r := 0; r < h.Rows; r++ {
+				h.Set(r, b%h.Cols, 0) // a silent tx antenna
+			}
+			h.Data[(5*b+1)%len(h.Data)] = negZero
+			gi[b].Data[(3*b)%len(gi[b].Data)] = 0
+		}
+		const lambda = 0.25
+		g := matrix.New(shape.streams, shape.streams)
+		for b, h := range m.H {
+			for i := range g.Data {
+				g.Data[i] = complex(float64(i), -1) // stale contents
+			}
+			gramInto(g, h, lambda)
+			want := h.Mul(h.H())
+			for i := 0; i < want.Rows; i++ {
+				want.Set(i, i, want.At(i, i)+complex(lambda, 0))
+			}
+			for i := range want.Data {
+				if math.Float64bits(real(g.Data[i])) != math.Float64bits(real(want.Data[i])) ||
+					math.Float64bits(imag(g.Data[i])) != math.Float64bits(imag(want.Data[i])) {
+					t.Fatalf("%dx%d bin %d: gram[%d] = %v, Mul gives %v", shape.streams, shape.txAnts, b, i, g.Data[i], want.Data[i])
+				}
+			}
+		}
+		p, err := precoderFromInverses(m, gi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := complex(p.PowerScale, 0)
+		for b, h := range m.H {
+			want := h.H().Mul(gi[b])
+			for i := range want.Data {
+				w := want.Data[i] * s
+				if math.Float64bits(real(p.W[b].Data[i])) != math.Float64bits(real(w)) ||
+					math.Float64bits(imag(p.W[b].Data[i])) != math.Float64bits(imag(w)) {
+					t.Fatalf("%dx%d bin %d: W[%d] = %v, Mul gives %v", shape.streams, shape.txAnts, b, i, p.W[b].Data[i], w)
+				}
+			}
+		}
+	}
+}
+
+// TestZFCacheSurvivesSingularBin makes one bin's Gram matrix singular, on
+// a cold cache and on a warm one, and checks that the failed Compute
+// reports ErrSingular and leaves the cache usable: the next good
+// measurement still matches ComputeZF.
+func TestZFCacheSurvivesSingularBin(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, warm := range []bool{false, true} {
+		for _, bin := range []int{0, 5} {
+			c := NewZFCache()
+			m := randomMeasurement(rng, 8, 3, 5)
+			if warm {
+				if _, err := c.Compute(m, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bad := perturb(rng, m, 0)
+			bad.H[bin] = matrix.New(3, 5) // a zero channel: G = 0 at λ = 0
+			if _, err := c.Compute(bad, 0); !errors.Is(err, matrix.ErrSingular) {
+				t.Fatalf("warm=%v bin %d: err = %v, want ErrSingular", warm, bin, err)
+			}
+			next := perturb(rng, m, 0.01)
+			got, err := c.Compute(next, 0)
+			if err != nil {
+				t.Fatalf("warm=%v bin %d: compute after the singular bin: %v", warm, bin, err)
+			}
+			full, err := ComputeZF(next, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxWeightDiff(t, got, full); d > 1e-9 {
+				t.Fatalf("warm=%v bin %d: precoder after the singular bin differs from ComputeZF by %.3g", warm, bin, d)
+			}
+		}
 	}
 }

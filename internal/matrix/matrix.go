@@ -161,16 +161,36 @@ func (m *M) MaxAbs() float64 {
 // pivoting. It returns ErrSingular when a pivot falls below a scale-aware
 // threshold.
 func (m *M) Inverse() (*M, error) {
+	inv := New(m.Rows, m.Rows)
+	if err := m.InverseInto(inv, New(m.Rows, m.Rows)); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
+// InverseInto is Inverse into caller-owned n×n matrices: inv receives m⁻¹
+// and scratch holds the elimination workspace, so it allocates nothing.
+// m is left unchanged; neither buffer may alias m or the other. On error
+// the contents of inv and scratch are unspecified.
+func (m *M) InverseInto(inv, scratch *M) error {
 	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("matrix: Inverse of non-square %dx%d", m.Rows, m.Cols)
+		return fmt.Errorf("matrix: Inverse of non-square %dx%d", m.Rows, m.Cols)
 	}
 	n := m.Rows
+	if inv.Rows != n || inv.Cols != n || scratch.Rows != n || scratch.Cols != n {
+		return fmt.Errorf("matrix: InverseInto buffers %dx%d and %dx%d for a %dx%d matrix",
+			inv.Rows, inv.Cols, scratch.Rows, scratch.Cols, n, n)
+	}
 	// Augment [A | I] and reduce in place.
-	a := m.Clone()
-	inv := Identity(n)
+	a := scratch
+	copy(a.Data, m.Data)
+	clear(inv.Data)
+	for i := 0; i < n; i++ {
+		inv.Set(i, i, 1)
+	}
 	scale := a.MaxAbs()
 	if scale == 0 {
-		return nil, ErrSingular
+		return ErrSingular
 	}
 	tol := scale * float64(n) * 1e-14
 	for col := 0; col < n; col++ {
@@ -182,7 +202,7 @@ func (m *M) Inverse() (*M, error) {
 			}
 		}
 		if pivAbs <= tol {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if pivRow != col {
 			swapRows(a, pivRow, col)
@@ -203,7 +223,7 @@ func (m *M) Inverse() (*M, error) {
 			axpyRow(inv, r, col, -f)
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 // PseudoInverse returns the regularized right/left pseudo-inverse of m.

@@ -255,3 +255,59 @@ func BenchmarkMul10x10(b *testing.B) {
 		x.Mul(y)
 	}
 }
+
+// TestInverseIntoMatchesInverse reuses one dirty pair of buffers across
+// matrices of one size and checks every result is bit-equal to Inverse,
+// m is left unchanged, and the errors match Inverse's.
+func TestInverseIntoMatchesInverse(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const n = 5
+	inv, scratch := New(n, n), New(n, n)
+	for i := range inv.Data {
+		inv.Data[i] = complex(r.NormFloat64(), 1)
+		scratch.Data[i] = complex(-1, r.NormFloat64())
+	}
+	for trial := 0; trial < 20; trial++ {
+		m := randomMatrix(r, n)
+		// Planted exact zeros exercise the elimination's zero-factor skip
+		// and, on the diagonal, the pivot search.
+		m.Set(trial%n, (trial+1)%n, 0)
+		m.Set(trial%n, trial%n, 0)
+		orig := m.Clone()
+		want, err := m.Inverse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.InverseInto(inv, scratch); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if inv.Data[i] != want.Data[i] {
+				t.Fatalf("trial %d: InverseInto[%d] = %v, Inverse = %v", trial, i, inv.Data[i], want.Data[i])
+			}
+		}
+		for i := range orig.Data {
+			if m.Data[i] != orig.Data[i] {
+				t.Fatalf("trial %d: InverseInto modified its receiver", trial)
+			}
+		}
+	}
+
+	singular := FromRows([][]complex128{{1, 2}, {2, 4}})
+	_, wantErr := singular.Inverse()
+	if err := singular.InverseInto(New(2, 2), New(2, 2)); !errors.Is(err, ErrSingular) || err != wantErr {
+		t.Fatalf("singular: InverseInto err = %v, Inverse err = %v", err, wantErr)
+	}
+	if err := New(3, 3).InverseInto(New(3, 3), New(3, 3)); !errors.Is(err, ErrSingular) {
+		t.Fatalf("zero matrix: InverseInto err = %v, want ErrSingular", err)
+	}
+	wide := New(2, 3)
+	_, wantErr = wide.Inverse()
+	err := wide.InverseInto(New(2, 2), New(2, 2))
+	if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("non-square: InverseInto err = %v, Inverse err = %v", err, wantErr)
+	}
+	if err := randomMatrix(r, 3).InverseInto(New(2, 2), New(3, 3)); err == nil {
+		t.Fatal("no error for a mis-sized destination")
+	}
+}

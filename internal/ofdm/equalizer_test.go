@@ -24,9 +24,8 @@ func buildRxSymbol(t *testing.T, data []complex128, symIdx int, h complex128, cp
 	for i := range sym {
 		rx[i] = sym[i]*rot + noise.ComplexNormal(nv)
 	}
-	dem := NewDemodulator()
-	freq, err := dem.Freq(rx)
-	if err != nil {
+	freq := make([]complex128, NFFT)
+	if err := NewDemodulator().FreqInto(freq, rx); err != nil {
 		t.Fatal(err)
 	}
 	return freq

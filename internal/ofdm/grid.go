@@ -172,19 +172,10 @@ func NewDemodulator() *Demodulator {
 	return &Demodulator{plan: dsp.MustPlanFor(NFFT), scratch: make([]complex128, NFFT)}
 }
 
-// Freq returns the 64 frequency bins of one received symbol (CP stripped).
-// samples must hold at least SymbolLen samples; the first CPLen are the
-// cyclic prefix.
-func (d *Demodulator) Freq(samples []complex128) ([]complex128, error) {
-	out := make([]complex128, NFFT)
-	if err := d.FreqInto(out, samples); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FreqInto is Freq with a caller-supplied destination of length ≥ NFFT; it
-// allocates nothing. dst must not alias samples.
+// FreqInto writes the 64 frequency bins of one received symbol (CP
+// stripped) into dst, which holds at least NFFT bins; it allocates nothing.
+// samples must hold at least SymbolLen samples, the first CPLen being the
+// cyclic prefix. dst must not alias samples.
 func (d *Demodulator) FreqInto(dst, samples []complex128) error {
 	if len(samples) < SymbolLen {
 		return fmt.Errorf("ofdm: %d samples, want ≥ %d", len(samples), SymbolLen)

@@ -77,8 +77,8 @@ func TestSymbolRoundTripCleanChannel(t *testing.T) {
 	if len(sym) != SymbolLen {
 		t.Fatalf("symbol length %d", len(sym))
 	}
-	freq, err := dem.Freq(sym)
-	if err != nil {
+	freq := make([]complex128, NFFT)
+	if err := dem.FreqInto(freq, sym); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range DataCarriers {
@@ -541,9 +541,9 @@ func TestEqualizerRecoversDataThroughChannelAndCFO(t *testing.T) {
 	// estimate (phase 0 at each symbol handled by pilot tracking).
 	payload := slices.Clone(rx[sync.PayloadStart:])
 	cmplxs.Rotate(payload, payload, units.PhaseAdvance(-sync.CFO, units.Samples(sync.PayloadStart)), -sync.CFO)
+	freq := make([]complex128, NFFT)
 	for sidx := 0; sidx < nsym; sidx++ {
-		freq, err := dem.Freq(payload[sidx*SymbolLen:])
-		if err != nil {
+		if err := dem.FreqInto(freq, payload[sidx*SymbolLen:]); err != nil {
 			t.Fatal(err)
 		}
 		got, err := equalize(eq, freq)

@@ -91,12 +91,23 @@ func (s *Source) Restore(st State) error {
 // different ids (or from parents with different seeds) are decorrelated via
 // a 64-bit mix, and the parent's sequence is not consumed.
 func (s *Source) Split(id uint64) *Source {
+	// SplitInto seeds the child, so its register starts unseeded.
+	src := &lfsr{}
+	return s.SplitInto(&Source{src: src, r: rand.New(src)}, id)
+}
+
+// SplitInto is Split into an existing Source: it reseeds dst as the child
+// labeled id and clears its Bytes carry and split base, so dst draws
+// exactly what Split(id) would. It returns dst.
+func (s *Source) SplitInto(dst *Source, id uint64) *Source {
 	// splitmix64-style finalizer over (parent seed draw, id).
 	z := uint64(s.base()) ^ (id * 0x9e3779b97f4a7c15)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return New(int64(z))
+	dst.src.Seed(int64(z))
+	dst.readVal, dst.readPos, dst.splitBase = 0, 0, 0
+	return dst
 }
 
 // base returns a stable per-source value used by Split without consuming

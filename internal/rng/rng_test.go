@@ -208,3 +208,35 @@ func TestBoundedParetoMeanAlphaOne(t *testing.T) {
 		t.Fatalf("α=1 branch discontinuous: %v vs %v", atOne, general)
 	}
 }
+
+// TestSplitIntoMatchesSplit reseeds a Source that has already drawn
+// normals and carried Bytes, and checks it then draws exactly what a fresh
+// Split child draws — including its own later splits.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	parent := New(21)
+	dst := parent.Split(99)
+	dst.Norm()
+	dst.Bytes(make([]byte, 3)) // leave a Bytes carry behind
+	_ = dst.Split(5)           // and a split base
+	for _, id := range []uint64{1, 0xE701, 1 << 40} {
+		want := New(21).Split(id)
+		got := parent.SplitInto(dst, id)
+		if got != dst {
+			t.Fatal("SplitInto did not return dst")
+		}
+		wb, gb := want.Bytes(make([]byte, 11)), got.Bytes(make([]byte, 11))
+		for i := range wb {
+			if wb[i] != gb[i] {
+				t.Fatalf("id %#x: byte %d = %d, Split draws %d", id, i, gb[i], wb[i])
+			}
+		}
+		for i := 0; i < 50; i++ {
+			if w, g := want.Norm(), got.Norm(); w != g {
+				t.Fatalf("id %#x: draw %d = %v, Split draws %v", id, i, g, w)
+			}
+		}
+		if w, g := want.Split(3).Float64(), got.Split(3).Float64(); w != g {
+			t.Fatalf("id %#x: grandchild draws %v, Split's draws %v", id, g, w)
+		}
+	}
+}
