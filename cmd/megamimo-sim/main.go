@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"math"
@@ -47,7 +48,6 @@ type runConfig struct {
 	traceFormat     string
 	serveAddr       string
 	serveWait       time.Duration
-	sinkPolicy      string
 	promOut         string
 	soak            bool
 	workers         int
@@ -77,7 +77,6 @@ func parseFlags() *runConfig {
 	flag.StringVar(&c.serveAddr, "serve", "", "serve /metrics /healthz /trace /debug/pprof on this address during the run")
 	flag.DurationVar(&c.serveWait, "serve-wait", 0, "keep the observability server up this long after the run completes")
 	flag.StringVar(&c.TracePath, "stream-out", "", "stream the flight recorder live to this JSONL file as events are recorded")
-	flag.StringVar(&c.sinkPolicy, "sink-policy", "block", "full stream queue behavior: block|drop-oldest")
 	flag.IntVar(&c.SampleEvery, "sample-every", 0, "workload/chaos: snapshot the metrics registry every N service rounds (0 = 64)")
 	flag.StringVar(&c.SeriesPath, "series-out", "", "write the sampled metrics time series as JSONL to this file")
 	flag.StringVar(&c.promOut, "prom-out", "", "write the final metrics registry as Prometheus text to this file")
@@ -92,10 +91,29 @@ func parseFlags() *runConfig {
 	return c
 }
 
+// validate rejects flag values outside the range a run can use.
+func (c *runConfig) validate() error {
+	switch {
+	case c.PacketBytes < 1 || c.PacketBytes > phy.MaxPSDU:
+		return fmt.Errorf("-size %d out of range 1..%d", c.PacketBytes, phy.MaxPSDU)
+	case c.packets < 1:
+		return fmt.Errorf("-packets %d must be at least 1", c.packets)
+	case !(c.Seconds > 0):
+		return fmt.Errorf("-duration %g must be positive", c.Seconds)
+	case !(c.LoadMbps > 0):
+		return fmt.Errorf("-load %g must be positive", c.LoadMbps)
+	case !(c.SNRLoDB <= c.SNRHiDB):
+		return fmt.Errorf("-snr-lo %g above -snr-hi %g", c.SNRLoDB, c.SNRHiDB)
+	case c.CheckpointEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d must not be negative", c.CheckpointEvery)
+	}
+	return nil
+}
+
 func main() {
 	c := parseFlags()
-	if c.PacketBytes < 1 || c.PacketBytes > phy.MaxPSDU {
-		fatal(fmt.Errorf("-size %d out of range 1..%d", c.PacketBytes, phy.MaxPSDU))
+	if err := c.validate(); err != nil {
+		fatal(err)
 	}
 	if c.soak {
 		runSoak(c)
@@ -103,10 +121,6 @@ func main() {
 	}
 
 	format, err := tracefmt.ParseFormat(c.traceFormat)
-	if err != nil {
-		fatal(err)
-	}
-	policy, err := tracefmt.ParseSinkPolicy(c.sinkPolicy)
 	if err != nil {
 		fatal(err)
 	}
@@ -121,7 +135,7 @@ func main() {
 	}
 	fmt.Printf("network: %d APs, %d clients, %.0f-%.0f dB, %.0f MHz, sync strategy %q\n",
 		c.APs, c.Clients, c.SNRLoDB, c.SNRHiDB, cfg.SampleRate/1e6, net.SyncName())
-	tel, err := newTelemetry(net, c, format, policy)
+	tel, err := newTelemetry(net, c, format)
 	if err != nil {
 		fatal(err)
 	}
@@ -278,8 +292,9 @@ func runMeta(cfg core.Config) tracefmt.Meta {
 }
 
 // telemetry bundles the run's observability outputs: the -trace-out
-// export, the live JSONL stream, the HTTP server, and the metrics
-// time-series sampler. A zero surface set is valid — every method no-ops.
+// export, the live JSONL trace and series streams, the HTTP server, and
+// the metrics time-series sampler. A zero surface set is valid — every
+// method no-ops.
 type telemetry struct {
 	c          *runConfig
 	net        *core.Network
@@ -289,13 +304,18 @@ type telemetry struct {
 	streamFile *os.File
 	server     *obs.Server
 	sampler    *metrics.Sampler
+	samples    int
+	series     *bufio.Writer
+	seriesFile *os.File
+	seriesErr  error
 }
 
 // newTelemetry opens the requested surfaces and attaches them to the
 // network's tracer as a tee of sinks (the caller still enables the
-// recorder). The sampler publishes to the HTTP server on every sample,
-// so /metrics tracks the run live at the workload sampling cadence.
-func newTelemetry(net *core.Network, c *runConfig, format tracefmt.Format, policy tracefmt.SinkPolicy) (*telemetry, error) {
+// recorder). The sampler streams each sample to -series-out and
+// publishes to the HTTP server, so /metrics tracks the run live at the
+// workload sampling cadence.
+func newTelemetry(net *core.Network, c *runConfig, format tracefmt.Format) (*telemetry, error) {
 	meta := runMeta(net.Cfg)
 	tel := &telemetry{c: c, net: net, meta: meta, format: format}
 	var sinks []core.TraceSink
@@ -305,7 +325,6 @@ func newTelemetry(net *core.Network, c *runConfig, format tracefmt.Format, polic
 			return nil, err
 		}
 		s, err := tracefmt.NewStreamSink(f, meta, tracefmt.StreamOptions{
-			Policy:  policy,
 			Dropped: net.Metrics().Counter("trace_sink_dropped_total"),
 		})
 		if err != nil {
@@ -324,12 +343,16 @@ func newTelemetry(net *core.Network, c *runConfig, format tracefmt.Format, polic
 		fmt.Println(srv)
 		sinks = append(sinks, srv)
 	}
+	if c.SeriesPath != "" {
+		f, err := os.Create(c.SeriesPath)
+		if err != nil {
+			return nil, err
+		}
+		tel.series, tel.seriesFile = bufio.NewWriter(f), f
+	}
 	if c.SeriesPath != "" || tel.server != nil {
 		tel.sampler = metrics.NewSampler(net.Metrics())
-		if tel.server != nil {
-			srv := tel.server
-			tel.sampler.OnSample = func(metrics.Sample) { _ = srv.PublishMetrics(net.Metrics()) }
-		}
+		tel.sampler.OnSample = tel.onSample
 	}
 	if s := core.TeeSinks(sinks...); s != nil {
 		net.Trace().SetSink(s)
@@ -337,33 +360,49 @@ func newTelemetry(net *core.Network, c *runConfig, format tracefmt.Format, polic
 	return tel, nil
 }
 
+// onSample streams one sample to -series-out and publishes the registry
+// to the HTTP server.
+func (tel *telemetry) onSample(sm metrics.Sample) {
+	tel.samples++
+	if tel.series != nil && tel.seriesErr == nil {
+		line, err := metrics.MarshalSample(sm)
+		if err == nil {
+			_, err = tel.series.Write(line)
+		}
+		tel.seriesErr = err
+	}
+	if tel.server != nil {
+		_ = tel.server.PublishMetrics(tel.net.Metrics())
+	}
+}
+
 // active reports whether any surface needs the flight recorder enabled.
 func (tel *telemetry) active() bool { return tel.stream != nil || tel.server != nil }
 
 // finish flushes every surface at the end of the run: the -trace-out
 // export, the series and exposition files, the stream (fatal on a lost
-// stream — a partial file must not pass for a complete one), and finally
-// the HTTP server, which keeps serving the finished run's state for
-// -serve-wait before closing.
+// series or stream — a partial file must not pass for a complete one),
+// and finally the HTTP server, which keeps serving the finished run's
+// state for -serve-wait before closing.
 func (tel *telemetry) finish() {
 	tel.writeTrace()
-	if tel.sampler != nil && len(tel.sampler.Series()) == 0 {
+	if tel.sampler != nil && tel.samples == 0 {
 		// Batch runs have no service rounds to pace sampling on; take the
 		// one end-of-run point so the series is never empty.
 		tel.sampler.Sample(tel.net.Now())
 	}
-	if tel.c.SeriesPath != "" {
-		f, err := os.Create(tel.c.SeriesPath)
+	if tel.series != nil {
+		err := tel.seriesErr
+		if ferr := tel.series.Flush(); err == nil {
+			err = ferr
+		}
+		if cerr := tel.seriesFile.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("series-out: %w", err))
 		}
-		if err := tel.sampler.WriteJSONL(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("metrics series: %d samples -> %s\n", len(tel.sampler.Series()), tel.c.SeriesPath)
+		fmt.Printf("metrics series: %d samples -> %s\n", tel.samples, tel.c.SeriesPath)
 	}
 	if tel.c.promOut != "" {
 		f, err := os.Create(tel.c.promOut)

@@ -43,23 +43,41 @@ func runSim(t *testing.T, args ...string) (string, int) {
 	return "", 0
 }
 
+// TestSizeOutOfRangeRejected covers every range-checked flag: each value
+// a run cannot use exits 1 with a message naming the flag, in every mode
+// that reads it, and never panics.
 func TestSizeOutOfRangeRejected(t *testing.T) {
 	tooBig := strconv.Itoa(phy.MaxPSDU + 1)
-	for _, args := range [][]string{
-		{"-size", "-5"},
-		{"-size", "0"},
-		{"-size", tooBig},
-		{"-size", "70000"},
-		{"-workload", "cbr", "-size", "-5"},
-		{"-workload", "poisson", "-size", "70000"},
-		{"-chaos", "mixed", "-size", "-5"},
-		{"-soak", "-size", "0"},
-		{"-soak", "-size", "70000"},
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-size", []string{"-size", "-5"}},
+		{"-size", []string{"-size", "0"}},
+		{"-size", []string{"-size", tooBig}},
+		{"-size", []string{"-size", "70000"}},
+		{"-size", []string{"-workload", "cbr", "-size", "-5"}},
+		{"-size", []string{"-workload", "poisson", "-size", "70000"}},
+		{"-size", []string{"-chaos", "mixed", "-size", "-5"}},
+		{"-size", []string{"-soak", "-size", "0"}},
+		{"-size", []string{"-soak", "-size", "70000"}},
+		{"-duration", []string{"-workload", "cbr", "-duration", "-1"}},
+		{"-duration", []string{"-workload", "cbr", "-duration", "0"}},
+		{"-duration", []string{"-chaos", "lossy", "-duration", "0"}},
+		{"-duration", []string{"-soak", "-duration", "-1"}},
+		{"-load", []string{"-workload", "cbr", "-load", "-5"}},
+		{"-load", []string{"-chaos", "mixed", "-load", "0"}},
+		{"-load", []string{"-soak", "-load", "-5"}},
+		{"-packets", []string{"-packets", "-1"}},
+		{"-packets", []string{"-packets", "0"}},
+		{"-snr-lo", []string{"-snr-lo", "30", "-snr-hi", "10"}},
+		{"-snr-lo", []string{"-workload", "cbr", "-snr-lo", "30", "-snr-hi", "10"}},
+		{"-checkpoint-every", []string{"-soak", "-checkpoint-every", "-5"}},
 	} {
-		out, code := runSim(t, args...)
-		if code != 1 || !strings.Contains(out, "-size") || strings.Contains(out, "panic") {
-			t.Errorf("megamimo-sim %s: exit %d, want 1 with a -size error; output:\n%s",
-				strings.Join(args, " "), code, out)
+		out, code := runSim(t, tc.args...)
+		if code != 1 || !strings.Contains(out, tc.flag) || strings.Contains(out, "panic") {
+			t.Errorf("megamimo-sim %s: exit %d, want 1 with a %s error; output:\n%s",
+				strings.Join(tc.args, " "), code, tc.flag, out)
 		}
 	}
 }

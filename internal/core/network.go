@@ -88,8 +88,6 @@ type Config struct {
 	// "the receivers then communicate these estimated channels back to
 	// the transmitters over the wireless channel."
 	WirelessFeedback bool
-	// ModelSFO enables sampling-frequency-offset simulation in the medium.
-	ModelSFO bool
 	// WanderStd adds Wiener oscillator phase noise (rad/√sample).
 	WanderStd float64
 	// SyncStalenessSamples is the sync-abstain staleness budget: when a
@@ -316,7 +314,6 @@ func New(cfg Config) (*Network, error) {
 		Air: air.New(air.Config{
 			SampleRate: cfg.SampleRate,
 			NoiseVar:   cfg.NoiseVar,
-			ModelSFO:   cfg.ModelSFO,
 			Seed:       cfg.Seed + 7,
 		}),
 		rng:    src,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -23,10 +24,10 @@ import (
 // and a seeded fault storm, run for a long horizon with periodic
 // checkpoints. A killed run resumes from its latest checkpoint and the
 // resumed trace/metrics tail is byte-identical to the uninterrupted run —
-// at any -workers count, with the storm active across the boundary. The
-// streaming sinks here are deliberately synchronous: every event is
-// encoded and counted on the sim goroutine, so the logical stream
-// position recorded in each checkpoint is exact.
+// at any -workers count, with the storm active across the boundary.
+// Trace events (through the synchronous tracefmt.StreamSink) and series
+// samples are encoded and counted on the sim goroutine, so the logical
+// stream positions recorded in each checkpoint are exact.
 
 // ErrInterrupted is the sentinel a StopAfterRounds soak run returns: the
 // in-process stand-in for kill -9 that the resume tests use.
@@ -140,32 +141,6 @@ type SoakResult struct {
 	Resumed bool
 }
 
-// countingTraceSink encodes and writes trace events synchronously,
-// tracking the logical byte position of the stream. The position advances
-// even if the disk write fails, so checkpoint contents stay a pure
-// function of the simulation.
-type countingTraceSink struct {
-	bw  *bufio.Writer // nil = count only
-	n   *uint64
-	err error
-}
-
-func (s *countingTraceSink) ConsumeTrace(e core.TraceEvent) {
-	line, err := tracefmt.MarshalEvent(e)
-	if err != nil {
-		if s.err == nil {
-			s.err = err
-		}
-		return
-	}
-	*s.n += uint64(len(line))
-	if s.bw != nil && s.err == nil {
-		if _, werr := s.bw.Write(line); werr != nil {
-			s.err = werr
-		}
-	}
-}
-
 // RunSoak drives the game-day soak: build the cell, apply the load and
 // the storm, checkpoint every CheckpointEvery rounds — or, with Resume
 // set, rebuild identically, overwrite with the checkpointed state, and
@@ -225,19 +200,20 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	}
 
 	res := &SoakResult{Resumed: resumeSt != nil}
-	var traceN, seriesN uint64
+	var traceOffset, seriesN uint64
 	if resumeSt != nil {
-		traceN, seriesN = resumeSt.TraceBytes, resumeSt.SeriesBytes
+		traceOffset, seriesN = resumeSt.TraceBytes, resumeSt.SeriesBytes
 	}
 
 	var eng *traffic.Engine
+	var ts *tracefmt.StreamSink // opened after any restore, before the first round
 	tcfg := traffic.Config{
 		System: traffic.SystemMegaMIMO, Profiles: profiles, Seed: cfg.Seed + 1,
 		Faults: plan, Sampler: sampler, SampleEvery: cfg.SampleEvery,
 		OnRound: func(rounds int) error {
 			applyDrift()
 			if cfg.CheckpointEvery > 0 && rounds%cfg.CheckpointEvery == 0 {
-				st, err := checkpoint.Capture(net, eng, traceN, seriesN)
+				st, err := checkpoint.Capture(net, eng, ts.Bytes(), seriesN)
 				if err != nil {
 					return err
 				}
@@ -289,33 +265,25 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	// Streaming surfaces attach only now, after any restore, so rebuild
 	// events never leak into the resumed stream. A fresh run's trace file
-	// opens with the format header; a resumed tail file carries none.
+	// opens with the format header; a resumed tail continues at the
+	// checkpoint's offset and carries none.
 	meta := tracefmt.Meta{
 		SampleRate: ccfg.SampleRate, CarrierHz: ccfg.CarrierHz,
 		APs: cfg.APs, Clients: cfg.Clients, Sync: net.SyncName(),
 	}
-	ts := &countingTraceSink{n: &traceN}
 	var traceFile, seriesFile *os.File
-	var traceBW, seriesBW *bufio.Writer
+	var traceW io.Writer = io.Discard
 	if cfg.TracePath != "" {
 		if traceFile, err = os.Create(cfg.TracePath); err != nil {
 			return nil, err
 		}
-		traceBW = bufio.NewWriter(traceFile)
-		ts.bw = traceBW
+		traceW = traceFile
 	}
-	if resumeSt == nil {
-		line, err := tracefmt.MarshalHeader(meta)
-		if err != nil {
-			return nil, err
-		}
-		traceN += uint64(len(line))
-		if traceBW != nil {
-			if _, err := traceBW.Write(line); err != nil {
-				return nil, err
-			}
-		}
+	ts, err = tracefmt.NewStreamSink(traceW, meta, tracefmt.StreamOptions{Offset: traceOffset})
+	if err != nil {
+		return nil, err
 	}
+	var seriesBW *bufio.Writer
 	if cfg.SeriesPath != "" {
 		if seriesFile, err = os.Create(cfg.SeriesPath); err != nil {
 			return nil, err
@@ -349,12 +317,10 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		rep, runErr = eng.Run(cfg.Seconds)
 	}
 
-	var closeErr error
-	for _, bw := range []*bufio.Writer{traceBW, seriesBW} {
-		if bw != nil {
-			if err := bw.Flush(); err != nil && closeErr == nil {
-				closeErr = err
-			}
+	closeErr := ts.Close()
+	if seriesBW != nil {
+		if err := seriesBW.Flush(); err != nil && closeErr == nil {
+			closeErr = err
 		}
 	}
 	for _, f := range []*os.File{traceFile, seriesFile} {
@@ -365,16 +331,13 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		}
 	}
 	res.Report = rep
-	res.TraceBytes, res.SeriesBytes = traceN, seriesN
+	res.TraceBytes, res.SeriesBytes = ts.Bytes(), seriesN
 	if rep != nil {
 		res.Rounds = rep.Rounds
 	}
 	if runErr != nil {
 		res.Report = nil
 		return res, runErr
-	}
-	if ts.err != nil {
-		return res, fmt.Errorf("soak: trace stream: %w", ts.err)
 	}
 	if closeErr != nil {
 		return res, fmt.Errorf("soak: close streams: %w", closeErr)

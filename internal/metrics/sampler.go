@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"io"
 	"sort"
 )
 
@@ -41,15 +40,15 @@ type Sample struct {
 	Histograms []HistSample    `json:"histograms,omitempty"`
 }
 
-// Sampler turns a Registry's cumulative instruments into an append-only
-// time series on the ether clock: each Sample() call snapshots every
-// instrument in sorted-name order and records counter deltas against the
-// previous sample. Like the registry it reads, a Sampler is
-// single-threaded — the simulation loop drives it between rounds.
+// Sampler turns a Registry's cumulative instruments into a time series on
+// the ether clock: each Sample() call snapshots every instrument in
+// sorted-name order and records counter deltas against the previous
+// sample. It keeps no series; OnSample streams each point as it is taken.
+// Like the registry it reads, a Sampler is single-threaded — the
+// simulation loop drives it between rounds.
 type Sampler struct {
-	reg    *Registry
-	prev   map[string]int64
-	series []Sample
+	reg  *Registry
+	prev map[string]int64
 
 	// OnSample, when set, observes each sample as it is taken (e.g. to
 	// publish it to a live endpoint or stream it to disk).
@@ -61,8 +60,8 @@ func NewSampler(reg *Registry) *Sampler {
 	return &Sampler{reg: reg, prev: map[string]int64{}}
 }
 
-// Sample snapshots the registry at ether time `at`, appends the point to
-// the series, and returns it.
+// Sample snapshots the registry at ether time `at`, hands the point to
+// OnSample, and returns it.
 func (s *Sampler) Sample(at int64) Sample {
 	out := Sample{At: at}
 
@@ -101,32 +100,15 @@ func (s *Sampler) Sample(at int64) Sample {
 		})
 	}
 
-	s.series = append(s.series, out)
 	if s.OnSample != nil {
 		s.OnSample(out)
 	}
 	return out
 }
 
-// Series returns the samples taken so far (the live backing array; do
-// not mutate).
-func (s *Sampler) Series() []Sample { return s.series }
-
-// WriteJSONL writes the series one sample per line — deterministic for
-// identical recorded state, and `jq`-able while a run is still going
-// when streamed through an OnSample hook instead.
-func (s *Sampler) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for i := range s.series {
-		if err := enc.Encode(&s.series[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // MarshalSample renders one sample as its JSONL line, newline included —
-// what an OnSample hook streams to disk.
+// what an OnSample hook streams to disk, `jq`-able while a run is still
+// going.
 func MarshalSample(sm Sample) ([]byte, error) {
 	b, err := json.Marshal(sm)
 	if err != nil {

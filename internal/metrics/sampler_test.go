@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -89,12 +90,15 @@ func TestEmptyRegistrySamplePinned(t *testing.T) {
 }
 
 // TestSamplerDeltas checks counters sample as deltas against the prior
-// point while totals stay cumulative.
+// point while totals stay cumulative, and that OnSample sees each point
+// as Sample returns it.
 func TestSamplerDeltas(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("tx_total")
 	g := r.Gauge("queue_depth")
 	s := NewSampler(r)
+	var series []Sample
+	s.OnSample = func(sm Sample) { series = append(series, sm) }
 
 	c.Add(5)
 	g.Set(3)
@@ -116,25 +120,8 @@ func TestSamplerDeltas(t *testing.T) {
 	if s2.Gauges[0].Value != 1 {
 		t.Fatalf("gauge not point-in-time: %+v", s2.Gauges[0])
 	}
-	if len(s.Series()) != 3 {
-		t.Fatalf("series holds %d samples, want 3", len(s.Series()))
-	}
-
-	var buf bytes.Buffer
-	if err := s.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("JSONL series has %d lines, want 3:\n%s", len(lines), buf.String())
-	}
-	// Streamed (OnSample) and batch (WriteJSONL) lines must agree.
-	want, err := MarshalSample(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines[0]+"\n" != string(want) {
-		t.Fatalf("WriteJSONL line %q != MarshalSample %q", lines[0], want)
+	if !reflect.DeepEqual(series, []Sample{s1, s2, s3}) {
+		t.Fatalf("OnSample saw %+v, want the three returned samples", series)
 	}
 }
 

@@ -2,7 +2,6 @@ package tracefmt
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sync"
 
@@ -11,208 +10,113 @@ import (
 )
 
 // Streaming trace pipeline: StreamSink serializes events to JSONL as they
-// are recorded (instead of waiting for the end-of-run ring export), and
+// are recorded (WriteJSONL is the same sink over a finished slice), and
 // StreamMerge is the one merge of a multi-cell trace: it interleaves the
 // cells' streams online in a fixed cell order, so the merged trace is
 // byte-identical at any worker count.
 
-// SinkPolicy selects what a full StreamSink queue does to new events.
-type SinkPolicy int
-
-const (
-	// SinkBlock makes the emitting goroutine wait for queue space: lossless
-	// and deterministic (the default — required for byte-identity with the
-	// buffered export), at the price of coupling the simulation to the
-	// writer's throughput.
-	SinkBlock SinkPolicy = iota
-	// SinkDropOldest evicts the oldest queued line to admit the new one,
-	// counting the loss (Dropped, trace_sink_dropped_total): the simulation
-	// never stalls, the stream keeps the newest events, but it is no longer
-	// gap-free.
-	SinkDropOldest
-)
-
-// String returns the policy's flag spelling.
-func (p SinkPolicy) String() string {
-	if p == SinkDropOldest {
-		return "drop-oldest"
-	}
-	return "block"
-}
-
-// ParseSinkPolicy validates a -sink-policy flag value.
-func ParseSinkPolicy(s string) (SinkPolicy, error) {
-	switch s {
-	case "block", "":
-		return SinkBlock, nil
-	case "drop-oldest":
-		return SinkDropOldest, nil
-	}
-	return 0, fmt.Errorf("tracefmt: unknown sink policy %q (want block or drop-oldest)", s)
-}
-
-// StreamOptions configures a StreamSink's backpressure behavior.
+// StreamOptions configures a StreamSink.
 type StreamOptions struct {
-	// Policy is the full-queue behavior (default SinkBlock).
-	Policy SinkPolicy
-	// Queue bounds the number of encoded lines awaiting the writer
-	// (0 = 4096).
-	Queue int
-	// Dropped, when set, is incremented once per line lost to
-	// SinkDropOldest eviction (the trace_sink_dropped_total metric).
+	// Offset, when non-zero, continues an earlier stream at that logical
+	// byte position: no header is written, and Bytes counts on from it.
+	Offset uint64
+	// Dropped, when set, is incremented once per event line lost to a
+	// failed writer (the trace_sink_dropped_total metric).
 	Dropped *metrics.Counter
 }
 
-// StreamSink is a core.TraceSink that streams events as JSONL through a
-// bounded queue serviced by one writer goroutine. The header line is
-// written synchronously at construction, so the stream is a valid trace
-// file from its first byte; each event line is encoded by MarshalEvent and
-// therefore byte-identical to what WriteJSONL would emit.
+// StreamSink is the JSONL trace writer, a core.TraceSink that writes
+// synchronously: ConsumeTrace encodes each event with MarshalEvent and
+// writes the line to a buffered writer under the sink's mutex. WriteJSONL
+// is the same sink over a finished slice. The ether clock is simulated,
+// so writing on the record path distorts nothing.
 //
-// ConsumeTrace is called under the owning tracer's mutex; the sink only
-// encodes and enqueues there (and, under SinkBlock, waits for space) —
-// the actual I/O happens on the writer goroutine. A StreamSink is safe
-// for concurrent producers (e.g. behind a StreamMerge it is driven by
-// one goroutine; attached directly to several tracers it still works).
+// The stream's logical position (Bytes) advances by every encoded line,
+// even after the writer has failed, so a position recorded mid-run is a
+// pure function of the simulation. A StreamSink is safe for concurrent
+// producers.
 type StreamSink struct {
 	mu      sync.Mutex
-	space   sync.Cond // signaled when queue space frees up
-	work    sync.Cond // signaled when lines or close arrive
-	queue   [][]byte
-	policy  SinkPolicy
-	limit   int
+	bw      *bufio.Writer
+	n       uint64
 	dropped int64
 	dropCtr *metrics.Counter
 	err     error
 	closed  bool
-	done    chan struct{}
-	bw      *bufio.Writer
 }
 
-// NewStreamSink writes the header line for meta and starts the writer
-// goroutine. Call Close to flush and stop it.
+// NewStreamSink starts a stream on w: the header line for meta first,
+// unless opts.Offset continues an earlier stream. Call Close to flush.
 func NewStreamSink(w io.Writer, meta Meta, opts StreamOptions) (*StreamSink, error) {
-	line, err := MarshalHeader(meta)
-	if err != nil {
-		return nil, err
+	s := &StreamSink{bw: bufio.NewWriter(w), n: opts.Offset, dropCtr: opts.Dropped}
+	if opts.Offset == 0 {
+		line, err := MarshalHeader(meta)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := s.bw.Write(line); err != nil {
+			return nil, err
+		}
+		s.n = uint64(len(line))
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(line); err != nil {
-		return nil, err
-	}
-	limit := opts.Queue
-	if limit <= 0 {
-		limit = 4096
-	}
-	s := &StreamSink{
-		policy:  opts.Policy,
-		limit:   limit,
-		dropCtr: opts.Dropped,
-		done:    make(chan struct{}),
-		bw:      bw,
-	}
-	s.space.L = &s.mu
-	s.work.L = &s.mu
-	go s.writeLoop()
 	return s, nil
 }
 
-// ConsumeTrace encodes one event and enqueues its line, applying the
-// backpressure policy when the queue is full. Events after Close, after a
-// write error, or with an invalid kind are discarded (invalid kinds also
-// record the error; the tracer never hands a sink one).
+// ConsumeTrace encodes one event and writes its line. Once the stream has
+// failed (a write or an encode error), each further line is counted in
+// Bytes and in Dropped but not written. Events after Close are
+// discarded; an invalid kind records the error (the tracer never hands a
+// sink one).
 func (s *StreamSink) ConsumeTrace(e core.TraceEvent) {
 	line, err := MarshalEvent(e)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
 	if err != nil {
 		if s.err == nil {
 			s.err = err
 		}
 		return
 	}
-	if s.closed || s.err != nil {
-		return
+	s.n += uint64(len(line))
+	if s.err == nil {
+		_, s.err = s.bw.Write(line)
 	}
-	for len(s.queue) >= s.limit {
-		if s.policy == SinkDropOldest {
-			s.queue = s.queue[1:]
-			s.dropped++
-			if s.dropCtr != nil {
-				s.dropCtr.Inc()
-			}
-			break
-		}
-		s.space.Wait()
-		if s.closed || s.err != nil {
-			return
-		}
-	}
-	s.queue = append(s.queue, line)
-	s.work.Signal()
-}
-
-// writeLoop drains the queue onto the buffered writer until Close.
-func (s *StreamSink) writeLoop() {
-	defer close(s.done)
-	s.mu.Lock()
-	for {
-		for len(s.queue) == 0 && !s.closed {
-			s.work.Wait()
-		}
-		if len(s.queue) == 0 && s.closed {
-			s.mu.Unlock()
-			return
-		}
-		batch := s.queue
-		s.queue = nil
-		s.space.Broadcast()
-		s.mu.Unlock()
-		var werr error
-		for _, line := range batch {
-			if _, werr = s.bw.Write(line); werr != nil {
-				break
-			}
-		}
-		s.mu.Lock()
-		if werr != nil && s.err == nil {
-			s.err = werr
-			s.space.Broadcast() // unblock producers; they now discard
+	if s.err != nil {
+		s.dropped++
+		if s.dropCtr != nil {
+			s.dropCtr.Inc()
 		}
 	}
 }
 
-// Close stops the writer after draining the queue, flushes, and returns
-// the first error the stream hit (encode, write, or flush).
-func (s *StreamSink) Close() error {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		s.work.Signal()
-		s.space.Broadcast()
-	}
-	s.mu.Unlock()
-	<-s.done
+// Bytes returns the logical stream position: the offset the sink started
+// from plus every header and event line it encoded.
+func (s *StreamSink) Bytes() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.n
+}
+
+// Close flushes the stream and returns the first error it hit (encode,
+// write, or flush).
+func (s *StreamSink) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
 	if ferr := s.bw.Flush(); ferr != nil && s.err == nil {
 		s.err = ferr
 	}
 	return s.err
 }
 
-// Dropped returns the number of lines evicted under SinkDropOldest.
+// Dropped returns the number of event lines lost to a failed writer.
 func (s *StreamSink) Dropped() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// Err returns the first error the stream hit (nil while healthy).
-func (s *StreamSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // StreamMerge multiplexes per-cell event streams into one downstream sink

@@ -122,7 +122,7 @@ func metaFrom(h header) Meta {
 }
 
 // MarshalHeader renders the Meta as the one-line JSONL header, trailing
-// newline included — byte-identical to the first line WriteJSONL emits.
+// newline included.
 func MarshalHeader(meta Meta) ([]byte, error) {
 	b, err := json.Marshal(headerFor(meta))
 	if err != nil {
@@ -132,8 +132,7 @@ func MarshalHeader(meta Meta) ([]byte, error) {
 }
 
 // MarshalEvent renders one event as its JSONL line, trailing newline
-// included — byte-identical to the corresponding WriteJSONL line. The
-// kind is validated against the closed vocabulary.
+// included. The kind is validated against the closed vocabulary.
 func MarshalEvent(e core.TraceEvent) ([]byte, error) {
 	if !core.ValidKind(e.Kind) {
 		return nil, fmt.Errorf("tracefmt: event kind %q outside the vocabulary", e.Kind)
@@ -231,24 +230,19 @@ func fromJSON(j jsonEvent) (core.TraceEvent, error) {
 }
 
 // WriteJSONL writes the versioned header line followed by one event per
-// line. The output is a pure function of (meta, events): field order is
-// fixed, floats use Go's shortest representation, nothing depends on map
-// iteration — so identical traces serialize byte-identically.
+// line, through a StreamSink over the events. The output is a pure
+// function of (meta, events): field order is fixed, floats use Go's
+// shortest representation, nothing depends on map iteration — so
+// identical traces serialize byte-identically.
 func WriteJSONL(w io.Writer, meta Meta, events []core.TraceEvent) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(headerFor(meta)); err != nil {
+	s, err := NewStreamSink(w, meta, StreamOptions{})
+	if err != nil {
 		return err
 	}
 	for i := range events {
-		if !core.ValidKind(events[i].Kind) {
-			return fmt.Errorf("tracefmt: event %d has kind %q outside the vocabulary", i, events[i].Kind)
-		}
-		if err := enc.Encode(toJSON(events[i])); err != nil {
-			return err
-		}
+		s.ConsumeTrace(events[i])
 	}
-	return bw.Flush()
+	return s.Close()
 }
 
 // ReadJSONL parses a JSONL trace, checking the header's schema/version

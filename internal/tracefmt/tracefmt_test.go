@@ -80,6 +80,54 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzReadJSONL feeds arbitrary bytes to the JSONL reader. It must never
+// panic, and whatever it accepts must survive a write/re-read cycle: the
+// written trace re-reads to an equal (meta, events), and writing that
+// again is byte-identical to the first write.
+func FuzzReadJSONL(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, sampleMeta(), sampleEvents()); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	header := valid[:bytes.IndexByte(valid, '\n')+1]
+	f.Add(valid)
+	f.Add(header)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:len(header)+7])
+	f.Add([]byte{})
+	f.Add(append(append([]byte{}, header...), "\n  \n{\"seq\":1,\"at\":2,\"kind\":\"round\"}\n"...))
+	f.Add(append(append([]byte{}, header...), "not json\n"...))
+	f.Add(append(append([]byte{}, header...), `{"seq":"x","kind":"round"}`+"\n"...))
+	f.Add(append(append([]byte{}, header...), `{"seq":0,"kind":"round","ph":"Q"}`+"\n"...))
+	f.Add([]byte("\x00\xff{garbage\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, events, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteJSONL(&first, meta, events); err != nil {
+			t.Fatalf("writing an accepted trace: %v", err)
+		}
+		meta2, events2, err := ReadJSONL(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v", err)
+		}
+		if meta2 != meta || !reflect.DeepEqual(events2, events) {
+			t.Fatalf("write/re-read changed the trace:\nmeta %+v -> %+v\nevents %+v -> %+v",
+				meta, meta2, events, events2)
+		}
+		var second bytes.Buffer
+		if err := WriteJSONL(&second, meta2, events2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("second write differs:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
 func TestJSONLRejectsUnknownKind(t *testing.T) {
 	bad := []core.TraceEvent{{Seq: 0, At: 0, Kind: "mystery", Ph: core.PhInstant}}
 	if err := WriteJSONL(&bytes.Buffer{}, sampleMeta(), bad); err == nil {

@@ -199,6 +199,8 @@ func TestEngineSamplerCadence(t *testing.T) {
 	n := testNetwork(t, 31)
 	n.Trace().Enable(1 << 16)
 	s := metrics.NewSampler(n.Metrics())
+	var series []metrics.Sample
+	s.OnSample = func(sm metrics.Sample) { series = append(series, sm) }
 	profiles := []Profile{NewCBR(4e6, 1200), NewCBR(4e6, 1200)}
 	eng, err := New(n, Config{
 		System: SystemMegaMIMO, Profiles: profiles, Seed: 5,
@@ -211,7 +213,6 @@ func TestEngineSamplerCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := s.Series()
 	wantLen := rep.Rounds/4 + 1 // cadence points + the final horizon point
 	if len(series) != wantLen {
 		t.Fatalf("sampler took %d points over %d rounds (every 4), want %d",
