@@ -84,18 +84,9 @@ type Air struct {
 	links     map[linkKey]*channel.Link
 	emissions []emission
 	noise     *rng.Source
-	// pool recycles emission sample buffers (Transmit copies the caller's
-	// waveform, so callers may reuse their buffers immediately). It is
-	// capped at poolCap buffers; excess returns to the GC so a burst of
-	// traffic cannot pin its high-water mark forever.
-	pool [][]complex128
 	// unsorted marks that an out-of-order Transmit broke the by-start
 	// ordering observe's time index relies on; the next observe re-sorts.
 	unsorted bool
-	// shardBufs slices the grow-only shardBacking block into per-shard
-	// accumulation buffers.
-	shardBufs    [][]complex128
-	shardBacking []complex128
 	// arrivals is observe's grow-only scratch of resolved emissions.
 	arrivals []arrival
 }
@@ -113,9 +104,6 @@ type arrival struct {
 	oLo       int // offset of lo into the full convolution output
 	rot, step complex128
 }
-
-// poolCap bounds the emission-buffer pool; see Air.pool.
-const poolCap = 64
 
 // shardSize is the number of consecutive emissions each observation shard
 // accumulates. The partition is a pure function of the emission list, so
@@ -152,6 +140,9 @@ func (a *Air) Link(tx, rx int) *channel.Link {
 // Transmit posts an emission from antenna tx starting at ether sample
 // start. The oscillator provides the carrier phase trajectory; samples are
 // the baseband waveform at nominal rate in the transmitter's own clock.
+// The samples are copied into a buffer borrowed from dsp's recycler until
+// ClearBefore or Reset drops the emission, so callers may reuse theirs
+// immediately.
 func (a *Air) Transmit(tx int, osc *radio.Oscillator, start int64, samples []complex128) {
 	if osc == nil {
 		panic("air: Transmit requires an oscillator")
@@ -159,28 +150,12 @@ func (a *Air) Transmit(tx int, osc *radio.Oscillator, start int64, samples []com
 	if len(samples) == 0 {
 		return
 	}
-	buf := a.emissionBuf(len(samples))
+	buf := dsp.Borrow[complex128](len(samples))
 	copy(buf, samples)
 	if k := len(a.emissions); k > 0 && start < a.emissions[k-1].start {
 		a.unsorted = true
 	}
 	a.emissions = append(a.emissions, emission{tx: tx, osc: osc, start: start, samples: buf})
-}
-
-// emissionBuf returns a buffer of length n, reusing a pooled one when
-// possible. Buffer identity never affects observed values, so pool order is
-// irrelevant to determinism.
-func (a *Air) emissionBuf(n int) []complex128 {
-	for i := len(a.pool) - 1; i >= 0; i-- {
-		if cap(a.pool[i]) >= n {
-			b := a.pool[i][:n]
-			a.pool[i] = a.pool[len(a.pool)-1]
-			a.pool[len(a.pool)-1] = nil
-			a.pool = a.pool[:len(a.pool)-1]
-			return b
-		}
-	}
-	return make([]complex128, n)
 }
 
 // Observe returns n samples of what receive antenna rx hears starting at
@@ -191,7 +166,7 @@ func (a *Air) Observe(rx int, osc *radio.Oscillator, start int64, n int) []compl
 }
 
 // ObserveInto is Observe building the window in dst's backing array: dst
-// is grown to n plus observeTail samples when its capacity falls short,
+// is grown to n plus ObserveTail samples when its capacity falls short,
 // cleared and filled. Without SFO modeling the returned window aliases
 // dst, so a caller that reuses one buffer must consume each window before
 // the next observation.
@@ -210,9 +185,10 @@ func (a *Air) ObserveCleanInto(dst []complex128, rx int, osc *radio.Oscillator, 
 	return a.observe(dst, rx, osc, start, n)
 }
 
-// observeTail is the extra ether span every window builds past its n
-// samples, so receiver SFO resampling has material to interpolate into.
-const observeTail = 2
+// ObserveTail is the extra ether span every window builds past its n
+// samples, so receiver SFO resampling has material to interpolate into: a
+// dst for ObserveInto with capacity n+ObserveTail is never reallocated.
+const ObserveTail = 2
 
 func (a *Air) observe(dst []complex128, rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
 	if osc == nil {
@@ -221,10 +197,10 @@ func (a *Air) observe(dst []complex128, rx int, osc *radio.Oscillator, start int
 	if n <= 0 {
 		return nil
 	}
-	if cap(dst) < n+observeTail {
-		dst = make([]complex128, n+observeTail)
+	if cap(dst) < n+ObserveTail {
+		dst = make([]complex128, n+ObserveTail)
 	}
-	ether := dst[:n+observeTail]
+	ether := dst[:n+ObserveTail]
 	clear(ether)
 	if a.unsorted {
 		es := a.emissions
@@ -237,9 +213,9 @@ func (a *Air) observe(dst []complex128, rx int, osc *radio.Oscillator, start int
 	// the window skip per-emission on the overlap clamp, before any
 	// convolution work.
 	cut := sort.Search(len(a.emissions), func(i int) bool {
-		return a.emissions[i].start >= start+int64(n+observeTail)
+		return a.emissions[i].start >= start+int64(n+ObserveTail)
 	})
-	arrivals := a.resolve(start, n+observeTail, rx, osc, cut)
+	arrivals := a.resolve(start, n+ObserveTail, rx, osc, cut)
 	defer clear(arrivals) // drop the sample references until the next observe
 	shards := (cut + shardSize - 1) / shardSize
 	switch {
@@ -250,11 +226,15 @@ func (a *Air) observe(dst []complex128, rx int, osc *radio.Oscillator, start int
 		// [s·shardSize, (s+1)·shardSize) in index order into its own
 		// buffer, and the buffers reduce in shard order. Workers only
 		// decide who computes a shard, never what is summed in which
-		// order, so one worker and sixteen produce identical bytes.
-		bufs := a.shardBuffers(shards, n+observeTail)
+		// order, so one worker and sixteen produce identical bytes. The
+		// shard buffers are disjoint regions of one borrowed block, so
+		// shard workers never share a buffer.
+		m := len(ether)
+		backing := dsp.Borrow[complex128](shards * m)
+		clear(backing)
 		if w := min(Workers(), shards); w <= 1 {
 			for s := 0; s < shards; s++ {
-				fillShard(bufs[s], start, arrivals[s*shardSize:min(cut, (s+1)*shardSize)])
+				fillShard(backing[s*m:(s+1)*m], start, arrivals[s*shardSize:min(cut, (s+1)*shardSize)])
 			}
 		} else {
 			var next atomic.Int32
@@ -268,18 +248,19 @@ func (a *Air) observe(dst []complex128, rx int, osc *radio.Oscillator, start int
 						if s >= shards {
 							return
 						}
-						fillShard(bufs[s], start, arrivals[s*shardSize:min(cut, (s+1)*shardSize)])
+						fillShard(backing[s*m:(s+1)*m], start, arrivals[s*shardSize:min(cut, (s+1)*shardSize)])
 					}
 				}()
 			}
 			wg.Wait()
 		}
 		for s := 0; s < shards; s++ {
-			b := bufs[s]
+			b := backing[s*m : (s+1)*m]
 			for i := range ether {
 				ether[i] += b[i]
 			}
 		}
+		dsp.Release(backing)
 	}
 	if a.cfg.ModelSFO {
 		r := dsp.Resample(ether, 1/osc.SFORatio())
@@ -303,27 +284,6 @@ func fillShard(dst []complex128, start int64, arrivals []arrival) {
 			dsp.ConvolveRotateAdd(dst[r.lo-start:r.hi-start], r.samples, r.taps, r.oLo, r.rot, r.step)
 		}
 	}
-}
-
-// shardBuffers returns count zeroed buffers of length n, sliced out of one
-// grow-only backing block (disjoint regions, so shard workers never share
-// a buffer).
-func (a *Air) shardBuffers(count, n int) [][]complex128 {
-	if cap(a.shardBacking) < count*n {
-		a.shardBacking = make([]complex128, count*n)
-	}
-	backing := a.shardBacking[:count*n]
-	for i := range backing {
-		backing[i] = 0
-	}
-	for len(a.shardBufs) < count {
-		a.shardBufs = append(a.shardBufs, nil)
-	}
-	bufs := a.shardBufs[:count]
-	for s := range bufs {
-		bufs[s] = backing[s*n : (s+1)*n : (s+1)*n]
-	}
-	return bufs
 }
 
 // resolve computes the arrival of emissions [0, cut) at receive antenna
@@ -361,8 +321,9 @@ func (a *Air) resolve(start int64, n int, rx int, rxOsc *radio.Oscillator, cut i
 }
 
 // ClearBefore drops emissions that end before ether sample t, bounding
-// memory in long simulations; their sample buffers return to the pool. The
-// margin accounts for the longest link delay plus tap spread.
+// memory in long simulations; their sample buffers return to the
+// recycler. The margin accounts for the longest link delay plus tap
+// spread.
 func (a *Air) ClearBefore(t int64) {
 	const margin = 256
 	kept := a.emissions[:0]
@@ -370,7 +331,7 @@ func (a *Air) ClearBefore(t int64) {
 		if e.start+int64(len(e.samples))+margin >= t {
 			kept = append(kept, e)
 		} else {
-			a.recycle(e.samples)
+			dsp.Release(e.samples)
 		}
 	}
 	for i := len(kept); i < len(a.emissions); i++ {
@@ -379,25 +340,14 @@ func (a *Air) ClearBefore(t int64) {
 	a.emissions = kept
 }
 
-// Reset drops all emissions, returning their buffers to the pool.
+// Reset drops all emissions, returning their buffers to the recycler.
 func (a *Air) Reset() {
 	for i := range a.emissions {
-		a.recycle(a.emissions[i].samples)
+		dsp.Release(a.emissions[i].samples)
 		a.emissions[i] = emission{}
 	}
 	a.emissions = a.emissions[:0]
 	a.unsorted = false
-}
-
-// recycle returns an emission buffer to the pool, trimming at poolCap:
-// beyond the cap the buffer is dropped for the GC, so the pool's footprint
-// is bounded by poolCap × the largest frame instead of the busiest burst
-// the medium ever carried.
-func (a *Air) recycle(buf []complex128) {
-	if len(a.pool) >= poolCap {
-		return
-	}
-	a.pool = append(a.pool, buf)
 }
 
 // NumEmissions reports the pending emission count (diagnostics).

@@ -326,34 +326,6 @@ func BenchmarkObserveJointTransmission(b *testing.B) {
 	}
 }
 
-func TestEmissionPoolCapTrim(t *testing.T) {
-	a := newTestAir(0)
-	osc := testOsc(0)
-	// One burst far beyond the pool cap; Reset recycles what fits and drops
-	// the rest, so a single busy round cannot pin its high-water mark.
-	for i := 0; i < 3*poolCap; i++ {
-		a.Transmit(0, osc, int64(i*10), ramp(32))
-	}
-	a.Reset()
-	if got := len(a.pool); got != poolCap {
-		t.Fatalf("pool holds %d buffers after burst reset, want cap %d", got, poolCap)
-	}
-	// Recycling into a full pool stays capped.
-	a.Transmit(0, osc, 0, ramp(32))
-	a.Reset()
-	if got := len(a.pool); got != poolCap {
-		t.Fatalf("pool grew past cap: %d > %d", len(a.pool), poolCap)
-	}
-	// ClearBefore trims through the same path.
-	for i := 0; i < 2*poolCap; i++ {
-		a.Transmit(0, osc, int64(i*10), ramp(32))
-	}
-	a.ClearBefore(1 << 40)
-	if got := len(a.pool); got != poolCap {
-		t.Fatalf("pool holds %d buffers after ClearBefore, want cap %d", got, poolCap)
-	}
-}
-
 func TestShardedObservationWorkerInvariance(t *testing.T) {
 	defer SetWorkers(0)
 	build := func() *Air {

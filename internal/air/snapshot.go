@@ -19,9 +19,8 @@ type EmissionState struct {
 
 // State is the mutable state of the medium: the noise stream position and
 // the emissions still audible. Links are static channel realizations
-// rebuilt from the seed; the buffer pool and shard scratch are
-// capacity-only and never affect observed values. The json tags are the
-// checkpoint format's wire names.
+// rebuilt from the seed. The json tags are the checkpoint format's wire
+// names.
 type State struct {
 	Noise     rng.State       `json:"noise"`
 	Emissions []EmissionState `json:"emissions,omitempty"`

@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"math"
 
+	"megamimo/internal/air"
 	"megamimo/internal/core"
+	"megamimo/internal/dsp"
 	"megamimo/internal/matrix"
 	"megamimo/internal/phy"
 	"megamimo/internal/rate"
@@ -23,11 +25,9 @@ type Unicast struct {
 	Net *core.Network
 
 	// tx/rx are reused across Transmit calls so per-packet workload
-	// service doesn't rebuild modulator state every frame, and wave/win
-	// hold each packet's waveform and receive window.
-	tx        *phy.TX
-	rx        *phy.RX
-	wave, win []complex128
+	// service doesn't rebuild modulator state every frame.
+	tx *phy.TX
+	rx *phy.RX
 }
 
 // New returns a baseline driver over an already measured network.
@@ -77,24 +77,27 @@ func (u *Unicast) SelectRate(stream int) (mcs phy.MCS, ap int, ok bool, err erro
 
 // Transmit sends one unicast frame from the AP's antenna 0 to the stream's
 // client antenna over the air and decodes it — a real 802.11 transmission
-// on the shared medium (all other APs stay silent, as CSMA forces).
+// on the shared medium (all other APs stay silent, as CSMA forces). The
+// packet's waveform and receive window are borrowed from dsp's recycler
+// for the call.
 func (u *Unicast) Transmit(stream, ap int, payload []byte, mcs phy.MCS) (*phy.RxFrame, int64, error) {
 	n := u.Net
 	if u.tx == nil {
 		u.tx, u.rx = phy.NewTX(), phy.NewRX()
 	}
-	wave, err := u.tx.FrameInto(u.wave, payload, mcs)
+	wave, err := u.tx.Frame(payload, mcs)
 	if err != nil {
 		return nil, 0, err
 	}
-	u.wave = wave
+	defer dsp.Release(wave)
 	start := n.Now() + 64
 	apNode := n.APs[ap].Node
 	n.Air.Transmit(n.APAntennaID(ap, 0), apNode.Osc, start, wave)
 	cl := n.Clients[stream/n.Cfg.AntennasPerClient]
 	ant := stream % n.Cfg.AntennasPerClient
-	u.win = n.Air.ObserveInto(u.win, n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, start-128, len(wave)+256)
-	frame, err := u.rx.Decode(u.win)
+	win := n.Air.ObserveInto(dsp.Borrow[complex128](len(wave)+256+air.ObserveTail), n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, start-128, len(wave)+256)
+	defer dsp.Release(win)
+	frame, err := u.rx.Decode(win)
 	airtime := int64(len(wave))
 	n.AdvanceTime(airtime + 384)
 	n.Air.ClearBefore(n.Now())

@@ -66,11 +66,11 @@ func TestUnicastTransmitDelivers(t *testing.T) {
 }
 
 // TestUnicastTransmitAllocBudget gates the steady-state 802.11 baseline
-// packet. The Unicast owns its waveform and receive window, so a
-// transmission allocates only the decoded frame and its retained fields:
-// ~70 allocations and ~7 KB for a 1500-byte packet, where a fresh
-// waveform, window and per-symbol frame bins cost ~210 allocations and
-// ~565 KB. The budgets sit well above the retained results and far below
+// packet. The Unicast borrows its waveform and receive window from the
+// recycler, so a transmission allocates only the decoded frame and its
+// retained fields: ~60 allocations and ~6 KB for a 1500-byte packet,
+// where a fresh waveform, window and per-symbol frame bins cost ~210
+// allocations and ~565 KB. The budgets sit well above the retained results and far below
 // one stream-length buffer.
 func TestUnicastTransmitAllocBudget(t *testing.T) {
 	n := measuredNet(t, 2, 2, 61, 20, 25)
@@ -87,7 +87,7 @@ func TestUnicastTransmitAllocBudget(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		send() // warm the grow-only buffers and the medium's pool
+		send() // warm the recycler
 	}
 	allocs := testing.AllocsPerRun(10, send)
 	const runs = 10

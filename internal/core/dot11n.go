@@ -6,6 +6,7 @@ import (
 
 	"megamimo/internal/cmplxs"
 	"megamimo/internal/csi"
+	"megamimo/internal/dsp"
 	"megamimo/internal/ofdm"
 	psync "megamimo/internal/sync"
 	"megamimo/internal/units"
@@ -123,10 +124,12 @@ func (n *Network) MeasureDot11n() error {
 					cfo = lag64CFO(win, winLead+ofdm.STFLen+ofdm.LTFGuard)
 				}
 				symIdx := int(tS - winStart)
-				if err := n.estimateSymbolChannel(h1, win, symIdx, symIdx, cfo, ref, bins); err != nil {
-					return err
+				err := n.estimateSymbolChannel(h1, win, symIdx, symIdx, cfo, ref, bins)
+				if err == nil {
+					err = n.estimateSymbolChannel(h2, win, symIdx+ofdm.SymbolLen, symIdx, cfo, ref, bins)
 				}
-				if err := n.estimateSymbolChannel(h2, win, symIdx+ofdm.SymbolLen, symIdx, cfo, ref, bins); err != nil {
+				dsp.Release(win)
+				if err != nil {
 					return err
 				}
 				//lint:ignore hotalloc retained in per-slot state (hRef0/est) across the measurement
@@ -209,6 +212,7 @@ func (n *Network) MeasureDot11n() error {
 func (n *Network) slaveCaptureHeaderReference(ap *AP, t0 int64) error {
 	winStart := t0 - winLead
 	win := n.observe(n.APAntennaID(ap.Index, 0), ap.Node.Osc, winStart, ofdm.PreambleLen+winLead+192)
+	defer dsp.Release(win)
 	sync, err := ofdm.Detect(win, 0.5)
 	if err != nil {
 		return err

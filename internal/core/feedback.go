@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"megamimo/internal/csi"
+	"megamimo/internal/dsp"
 	"megamimo/internal/ofdm"
 	"megamimo/internal/phy"
 )
@@ -44,8 +45,10 @@ func (n *Network) uplinkDeliver(rep *csi.Report, fromAnt int, asm *csi.Assembler
 			n.Air.Transmit(n.ClientAntennaID(rep.Client, fromAnt), cl.Node.Osc, start, wave)
 			win := n.observe(n.APAntennaID(lead.Index, 0), lead.Node.Osc, start-winLead, len(wave)+winLead+192)
 			n.now = start + int64(len(wave)) + 256
+			dsp.Release(wave)
 			n.Air.ClearBefore(n.now)
 			frame, err := n.rx.Decode(win)
+			dsp.Release(win)
 			if err != nil || !frame.FCSOK {
 				continue // lost: retransmit
 			}

@@ -6,6 +6,7 @@ import (
 
 	"megamimo/internal/cmplxs"
 	"megamimo/internal/csi"
+	"megamimo/internal/dsp"
 	"megamimo/internal/matrix"
 	"megamimo/internal/ofdm"
 	psync "megamimo/internal/sync"
@@ -295,6 +296,7 @@ func (n *Network) slaveCaptureReference(ap *AP, sched schedule) error {
 	winStart := sched.t0 - winLead
 	winLen := int(sched.end()-winStart) + 64
 	win := n.observe(n.APAntennaID(ap.Index, 0), ap.Node.Osc, winStart, winLen)
+	defer dsp.Release(win)
 	lead := n.Lead()
 	var sync *ofdm.Sync
 	if ap.Index != lead.Index {
@@ -402,6 +404,7 @@ func (n *Network) clientEstimate(cl *Client, rxAnt int, sched schedule) (*csi.Re
 	winLen := int(sched.end()-winStart) + 64
 	rxID := n.ClientAntennaID(cl.Index, rxAnt)
 	win := n.observe(rxID, cl.Node.Osc, winStart, winLen)
+	defer dsp.Release(win)
 
 	// Acquire the lead header for timing; t0Idx is where the header begins
 	// in the window. Deep-fade clients (Fig. 11's 0 dB dead spots) cannot

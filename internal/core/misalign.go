@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 
 	"megamimo/internal/cmplxs"
+	"megamimo/internal/dsp"
 	"megamimo/internal/ofdm"
 	"megamimo/internal/units"
 )
@@ -98,6 +99,7 @@ func (n *Network) MeasureMisalignment(rounds int, gapSamples int64) ([]float64, 
 				prod[b] += fSlave[b] * cmplx.Conj(fLead[b])
 			}
 		}
+		dsp.Release(win) // an error return above leaves it to the GC
 		if !haveRef {
 			refProd = prod
 			haveRef = true

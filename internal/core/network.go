@@ -222,20 +222,14 @@ type Network struct {
 	// measurements (Sherman–Morrison) instead of re-inverted per round.
 	zf *ZFCache
 
-	// tx, rx and dem are the network's reusable PHY pipelines, and arena
-	// the per-network scratch for hot-path buffers. A Network is
-	// single-threaded, so owning them here keeps independent networks
-	// goroutine-independent while eliminating per-transmission churn. Every
-	// client decodes through the one rx, one after another; an RxFrame
-	// never aliases its scratch.
-	tx    *phy.TX
-	rx    *phy.RX
-	dem   *ofdm.Demodulator
-	arena dsp.Scratch
-	// win is the one observation window observe fills; frames holds one
-	// reusable frame per stream for JointTransmit and DiversityTransmit.
-	win    []complex128
-	frames []phy.FrameSymbols
+	// tx, rx and dem are the network's reusable PHY pipelines. A Network
+	// is single-threaded, so owning them here keeps independent networks
+	// goroutine-independent. Every client decodes through the one rx, one
+	// after another; an RxFrame never aliases its scratch. Buffers sized
+	// by the frame are borrowed from dsp's recycler for one call instead.
+	tx  *phy.TX
+	rx  *phy.RX
+	dem *ofdm.Demodulator
 	// estBuf is estimateSymbolChannel's derotated symbol and freqs the two
 	// 64-bin buffers the measurement path demodulates into; estSlots is
 	// the grow-only per-round estimate arena estimateSlots hands out.
@@ -275,18 +269,15 @@ func (n *Network) SyncName() string { return n.sync.Name() }
 // AdvanceTime moves the clock forward (test hook / idle periods).
 func (n *Network) AdvanceTime(samples int64) { n.now += samples }
 
-// observe is Air.Observe into the network's one observation window. The
-// returned samples stay valid until the next observation, so every caller
-// consumes its window before observing again.
+// observe is Air.Observe into a window borrowed from dsp's recycler; the
+// caller hands it back with dsp.Release once it has consumed it.
 func (n *Network) observe(rx int, osc *radio.Oscillator, start int64, count int) []complex128 {
-	n.win = n.Air.ObserveInto(n.win, rx, osc, start, count)
-	return n.win
+	return n.Air.ObserveInto(dsp.Borrow[complex128](count+air.ObserveTail), rx, osc, start, count)
 }
 
 // observeClean is observe without the noise term.
 func (n *Network) observeClean(rx int, osc *radio.Oscillator, start int64, count int) []complex128 {
-	n.win = n.Air.ObserveCleanInto(n.win, rx, osc, start, count)
-	return n.win
+	return n.Air.ObserveCleanInto(dsp.Borrow[complex128](count+air.ObserveTail), rx, osc, start, count)
 }
 
 // syncHeader is the lead's sync header, one read-only waveform shared by
@@ -324,7 +315,6 @@ func New(cfg Config) (*Network, error) {
 		freqs:  [2][]complex128{make([]complex128, ofdm.NFFT), make([]complex128, ofdm.NFFT)},
 		evolve: rng.New(0),
 	}
-	n.frames = make([]phy.FrameSymbols, n.NumStreams())
 	n.sync = cfg.Sync
 	if n.sync == nil {
 		n.sync = psync.Header()

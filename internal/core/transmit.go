@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"megamimo/internal/cmplxs"
+	"megamimo/internal/dsp"
 	"megamimo/internal/ofdm"
 	"megamimo/internal/phy"
 	"megamimo/internal/rate"
@@ -95,15 +96,21 @@ func (n *Network) JointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, erro
 		}
 	}
 	// Build the per-stream frames (every AP has every payload via the
-	// backbone, §5.2a).
+	// backbone, §5.2a) in symbol blocks borrowed for the call.
 	tx := n.tx
+	fs := make([]phy.FrameSymbols, streams)
+	defer func() {
+		for i := range fs {
+			fs[i].Release()
+		}
+	}()
 	frames := make([]*phy.FrameSymbols, streams)
 	frameLen := -1
 	for j, p := range payloads {
 		if p == nil {
 			continue
 		}
-		f := &n.frames[j]
+		f := &fs[j]
 		if err := tx.FrameSymbolsInto(f, p, mcs); err != nil {
 			return nil, err
 		}
@@ -147,6 +154,7 @@ func (n *Network) JointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, erro
 			}
 			win := n.observe(n.ClientAntennaID(cl.Index, cm), cl.Node.Osc, tD-winLead, frameLen+winLead+128)
 			f, err := n.rx.Decode(win)
+			dsp.Release(win)
 			if err != nil {
 				n.mDecodeFailures.Inc()
 				n.trace(tD, KindDecode, TraceAttrs{Client: cl.Index, Stream: j, Cause: "decode"},
@@ -289,15 +297,16 @@ func (n *Network) postJointFrames(tx *phy.TX, frames []*phy.FrameSymbols) (t1, t
 			break
 		}
 	}
-	// Arena-backed waveform buffers: Air.Transmit copies its input, so one
-	// waveform buffer and one per-stream gain block serve every antenna, and
-	// the whole block is recycled on the next cycle's Reset. Each antenna's
-	// waveform is synthesized jointly — the streams sum in the frequency
-	// domain and one batched IFFT covers the whole frame — so the synthesis
-	// cost scales with symbols, not streams × symbols.
-	n.arena.Reset()
-	wave := n.arena.Complex(frameLen)
-	gainArena := n.arena.Complex(len(frames) * ofdm.NFFT)
+	// Borrowed waveform buffers: Air.Transmit copies its input, so one
+	// waveform buffer and one per-stream gain block serve every antenna.
+	// Both are fully written before they are read. Each antenna's waveform
+	// is synthesized jointly — the streams sum in the frequency domain and
+	// one batched IFFT covers the whole frame — so the synthesis cost
+	// scales with symbols, not streams × symbols.
+	wave := dsp.Borrow[complex128](frameLen)
+	defer dsp.Release(wave)
+	gainArena := dsp.Borrow[complex128](len(frames) * ofdm.NFFT)
+	defer dsp.Release(gainArena)
 	gains := make([][]complex128, len(frames))
 	for _, ap := range n.APs {
 		if n.crashed[ap.Index] || n.abstain[ap.Index] {
@@ -370,7 +379,8 @@ func (n *Network) DiversityTransmit(stream int, payload []byte, mcs phy.MCS) (*T
 	}
 	n.SetPrecoder(p)
 	tx := n.tx
-	f := &n.frames[stream]
+	f := new(phy.FrameSymbols)
+	defer f.Release()
 	if err := tx.FrameSymbolsInto(f, payload, mcs); err != nil {
 		return nil, err
 	}
@@ -393,6 +403,7 @@ func (n *Network) DiversityTransmit(stream int, payload []byte, mcs phy.MCS) (*T
 	cl := n.Clients[stream/n.Cfg.AntennasPerClient]
 	ant := stream % n.Cfg.AntennasPerClient
 	win := n.observe(n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, tD-winLead, frameLen+winLead+128)
+	defer dsp.Release(win)
 	if fr, err := n.rx.Decode(win); err == nil {
 		res.Frames[0] = fr
 		res.OK[0] = fr.FCSOK
@@ -435,6 +446,7 @@ func (n *Network) slaveMeasureRatio(ap *AP, t1 int64) (psync.Correction, error) 
 		return psync.Correction{}, fmt.Errorf("sync header corrupted (injected, until t=%d)", n.syncLossUntil[ap.Index])
 	}
 	win := n.observe(n.APAntennaID(ap.Index, 0), ap.Node.Osc, winStart, ofdm.PreambleLen+winLead+192)
+	defer dsp.Release(win)
 	sync, err := ofdm.Detect(win, 0.5)
 	if err != nil {
 		return psync.Correction{}, err
@@ -550,6 +562,7 @@ func (n *Network) NullingINR(victim int, payloadBytes int, mcs phy.MCS) (float64
 	cl := n.Clients[victim/n.Cfg.AntennasPerClient]
 	ant := victim % n.Cfg.AntennasPerClient
 	obs := n.observeClean(n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, tD+int64(ofdm.PreambleLen), frameLen-ofdm.PreambleLen)
+	defer dsp.Release(obs)
 	bins := occupiedBins()
 	freq := make([]complex128, ofdm.NFFT)
 	var acc float64

@@ -1,6 +1,10 @@
 package dsp
 
-import "sync"
+import (
+	"slices"
+	"sort"
+	"sync"
+)
 
 // planCache holds one immutable FFTPlan per transform size. An FFTPlan is
 // read-only after construction (Forward/Inverse only read its tables), so a
@@ -38,45 +42,95 @@ func MustPlanFor(n int) *FFTPlan {
 	return p
 }
 
-// Scratch is a grow-only arena of complex128 buffers for hot signal paths.
-// Complex hands out zeroed buffers in call order; Reset recycles every
-// buffer at once. After the first cycle with a given call pattern the arena
-// allocates nothing: each Complex call reuses the block the same call got
-// last cycle (blocks grow monotonically when a cycle asks for more).
-//
-// Buffers are only valid until the next Reset — callers must copy anything
-// that outlives the cycle. A Scratch is not safe for concurrent use; the
-// intended ownership is one Scratch per simulated network, which keeps
-// independent networks goroutine-independent.
-type Scratch struct {
-	blocks [][]complex128
-	next   int
+// Elem is the element types the scratch recycler serves.
+type Elem interface {
+	complex128 | float64 | uint64 | byte
 }
 
-// Complex returns a zeroed buffer of length n, valid until Reset.
-func (s *Scratch) Complex(n int) []complex128 {
-	if s.next < len(s.blocks) && cap(s.blocks[s.next]) >= n {
-		b := s.blocks[s.next][:n]
-		s.next++
-		for i := range b {
-			b[i] = 0
-		}
-		return b
-	}
-	b := make([]complex128, n)
-	if s.next < len(s.blocks) {
-		s.blocks[s.next] = b
-	} else {
-		s.blocks = append(s.blocks, b)
-	}
-	s.next++
-	return b
+// recycleCap bounds the bytes the recycler holds: above the working set
+// of two concurrent 10-AP networks, so a burst cannot pin its high-water
+// mark while steady rounds find every buffer they need.
+const recycleCap = 32 << 20
+
+// recycler is the process-wide free list every network borrows its
+// scratch from, so buffers outlive the network that first allocated them
+// and a new topology starts warm. A mutex rather than a sync.Pool guards
+// it, so which buffers a serial run reuses, and hence its allocation
+// counts, do not depend on when the GC runs. Each element type has its
+// own list, sorted by capacity.
+var recycler struct {
+	sync.Mutex
+	held int // bytes across every list
+	c128 [][]complex128
+	f64  [][]float64
+	u64  [][]uint64
+	u8   [][]byte
+	// onRelease, when set by tests, sees every buffer as it is returned.
+	onRelease func(any)
 }
 
-// Reset recycles every buffer handed out since the last Reset. All slices
-// previously returned by Complex become invalid.
-func (s *Scratch) Reset() { s.next = 0 }
+// listOf returns T's free list and T's size in bytes; the caller holds
+// the recycler's lock.
+func listOf[T Elem]() (*[][]T, int) {
+	var l any
+	size := 8
+	switch any(*new(T)).(type) {
+	case complex128:
+		l, size = &recycler.c128, 16
+	case float64:
+		l = &recycler.f64
+	case uint64:
+		l = &recycler.u64
+	default:
+		l, size = &recycler.u8, 1
+	}
+	return l.(*[][]T), size
+}
 
-// Live reports how many buffers are checked out in the current cycle
-// (diagnostics and tests).
-func (s *Scratch) Live() int { return s.next }
+// Borrow returns a buffer of length n from the recycler: the smallest held
+// buffer whose capacity fits and is at most twice n, or a fresh one (so a
+// small request never ties up a large buffer). A reused buffer keeps the
+// contents its last borrower left, so the caller must clear or fully
+// overwrite it before reading, and hand it back with Release once it is
+// done.
+func Borrow[T Elem](n int) []T {
+	recycler.Lock()
+	l, size := listOf[T]()
+	i := sort.Search(len(*l), func(i int) bool { return cap((*l)[i]) >= n })
+	if i == len(*l) || cap((*l)[i]) > 2*n {
+		recycler.Unlock()
+		return make([]T, n)
+	}
+	b := (*l)[i]
+	*l = slices.Delete(*l, i, i+1)
+	recycler.held -= cap(b) * size
+	recycler.Unlock()
+	return b[:n]
+}
+
+// Release hands b back to the recycler; the caller must not touch it
+// afterwards. Over the byte cap, smaller held buffers of the same type
+// make room for a larger b, and otherwise b is left to the GC. A nil or
+// empty-capacity b is ignored.
+func Release[T Elem](b []T) {
+	if cap(b) == 0 {
+		return
+	}
+	b = b[:cap(b)]
+	recycler.Lock()
+	defer recycler.Unlock()
+	if recycler.onRelease != nil {
+		recycler.onRelease(b)
+	}
+	l, size := listOf[T]()
+	for recycler.held+cap(b)*size > recycleCap && len(*l) > 0 && cap((*l)[0]) < cap(b) {
+		recycler.held -= cap((*l)[0]) * size
+		*l = slices.Delete(*l, 0, 1)
+	}
+	if recycler.held+cap(b)*size > recycleCap {
+		return
+	}
+	i := sort.Search(len(*l), func(i int) bool { return cap((*l)[i]) >= cap(b) })
+	*l = slices.Insert(*l, i, b)
+	recycler.held += cap(b) * size
+}

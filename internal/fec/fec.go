@@ -7,6 +7,8 @@ package fec
 import (
 	"fmt"
 	"math"
+
+	"megamimo/internal/dsp"
 )
 
 // Rate is a coding rate.
@@ -179,26 +181,23 @@ func DecodeHard(coded []byte, n int, rate Rate) ([]byte, error) {
 // DecodeSoft runs Viterbi over per-bit LLRs (positive = bit 0) and returns
 // the n decoded data bits. Punctured positions are reinserted as zero-LLR
 // erasures before trellis traversal. The returned slice is freshly
-// allocated; hot paths should hold a Decoder and call its method instead.
+// allocated; DecodeSoftInto decodes into the caller's buffer.
 func DecodeSoft(llr []float64, n int, rate Rate) ([]byte, error) {
-	var d Decoder
-	bits, err := d.DecodeSoft(llr, n, rate)
-	if err != nil {
+	bits := make([]byte, n)
+	if err := DecodeSoftInto(bits, llr, rate); err != nil {
 		return nil, err
 	}
-	return append([]byte(nil), bits...), nil
+	return bits, nil
 }
 
-// Decoder is a reusable Viterbi decoder. The zero value is ready to use;
-// scratch buffers grow to the largest frame seen and are reused across
-// calls, so a long-lived Decoder takes the per-packet trellis allocations
-// off the signal path. A Decoder is not safe for concurrent use, and the
-// slice returned by DecodeSoft is overwritten by the next call.
-type Decoder struct {
-	// Trellis scratch, allocated once a frame first needs the trellis.
-	full      []float64 // depunctured (A, B) LLR pairs, 2*total
-	survivors []uint64  // per step, bit s set = state s kept its odd predecessor
-	bits      []byte    // decoded bits incl. tail, total
+// Decoder is DecodeSoft as a method, for callers that hold a decoder
+// value. It has no state: the trellis scratch is borrowed from dsp's
+// recycler for each call, so the zero value is ready to use.
+type Decoder struct{}
+
+// DecodeSoft is the package-level DecodeSoft.
+func (Decoder) DecodeSoft(llr []float64, n int, rate Rate) ([]byte, error) {
+	return DecodeSoft(llr, n, rate)
 }
 
 // unreachable is the path metric of a state the trellis cannot be in yet.
@@ -206,35 +205,37 @@ type Decoder struct {
 // add-compare-select needs no reachability guard.
 const unreachable = math.MaxFloat64 / 4
 
-// DecodeSoft is the allocating-free variant of the package-level
-// DecodeSoft: the returned slice aliases the decoder's scratch and is
-// valid until the next call. A frame cleanPath certifies skips the
-// trellis, which would return the same bits.
-func (d *Decoder) DecodeSoft(llr []float64, n int, rate Rate) ([]byte, error) {
+// DecodeSoftInto is DecodeSoft writing the len(dst) decoded data bits
+// into dst. A frame cleanPath certifies skips the trellis, which would
+// write the same bits; otherwise the trellis scratch is borrowed from
+// dsp's recycler for the call, so a warm process decodes without
+// allocating.
+func DecodeSoftInto(dst []byte, llr []float64, rate Rate) error {
+	n := len(dst)
 	if want := EncodedLen(n, rate); len(llr) != want {
-		return nil, fmt.Errorf("fec: got %d coded LLRs, want %d for %d bits at rate %s", len(llr), want, n, rate)
+		return fmt.Errorf("fec: got %d coded LLRs, want %d for %d bits at rate %s", len(llr), want, n, rate)
 	}
-	if d.cleanPath(llr, n, rate) {
-		return d.bits[:n], nil
+	if !cleanPath(dst, llr, rate) {
+		trellis(dst, llr, rate)
 	}
-	return d.trellis(llr, n, rate), nil
+	return nil
 }
 
-// cleanPath rebuilds the n+6 input bits from the hard decisions of llr
-// into d.bits and reports whether the trellis provably decodes to exactly
-// them: the bits re-encode to the hard decisions and end in state 0, every
-// LLR is finite and non-zero with Σ|LLR| ≤ unreachable, and min|LLR| >
+// cleanPath rebuilds the input bits from the hard decisions of llr, the
+// len(dst) data bits into dst and the 6 tail bits checked only, and
+// reports whether the trellis provably decodes to exactly them: the bits
+// re-encode to the hard decisions and end in state 0, every LLR is finite
+// and non-zero with Σ|LLR| ≤ unreachable, and min|LLR| >
 // 2·γ(total+1)·Σ|LLR| with γ(k) = k·u/(1−k·u), u = 2⁻⁵³. A path merging
 // into the hard path differs from it in both mother-code bits at the
 // merge, so it loses by at least 2·min|LLR| exactly — more than the
 // float64 rounding of both path metrics (DESIGN.md §11).
-func (d *Decoder) cleanPath(llr []float64, n int, rate Rate) bool {
-	total := d.grow(n)
+func cleanPath(dst []byte, llr []float64, rate Rate) bool {
+	total := len(dst) + constraintLen - 1
 	pat := rate.pattern()
-	bits := d.bits[:total]
 	minAbs, sum := math.Inf(1), 0.0
 	state, src, p := 0, 0, 0
-	for step := range bits {
+	for step := 0; step < total; step++ {
 		out := outputs[state][0] // input 1 flips both bits
 		in := byte(2)            // not yet decided
 		for k := 1; k >= 0; k-- {
@@ -259,16 +260,18 @@ func (d *Decoder) cleanPath(llr []float64, n int, rate Rate) bool {
 			}
 			in = b
 		}
-		bits[step] = in
+		if step < len(dst) {
+			dst[step] = in
+		}
 		state = state>>1 | int(in)<<(constraintLen-2)
 	}
 	ku := float64(total+1) * 0x1p-53
 	return state == 0 && sum <= unreachable && minAbs > 2*ku/(1-ku)*sum
 }
 
-// trellis runs the full Viterbi trellis over llr and returns the n
-// decoded data bits. It is the path DecodeSoft takes whenever
-// cleanPath cannot certify the hard decisions.
+// trellis runs the full Viterbi trellis over llr and writes the len(dst)
+// decoded data bits into dst. It is the path DecodeSoftInto takes
+// whenever cleanPath cannot certify the hard decisions.
 //
 // The trellis update runs as a butterfly over next-state pairs: states j
 // and j+32 share the predecessors 2j and 2j+1, and because generators
@@ -277,15 +280,14 @@ func (d *Decoder) cleanPath(llr []float64, n int, rate Rate) bool {
 // into 32 iterations of pure adds and compares — no reachability guard,
 // no per-branch sign decisions — which is what makes soft decoding of
 // full frames affordable on the hot path.
-func (d *Decoder) trellis(llr []float64, n int, rate Rate) []byte {
-	total := d.grow(n)
-	if cap(d.full) < 2*total {
-		d.full = make([]float64, 2*total)
-		d.survivors = make([]uint64, total)
-	}
+func trellis(dst []byte, llr []float64, rate Rate) {
+	total := len(dst) + constraintLen - 1
+	full := dsp.Borrow[float64](2 * total)
+	survivors := dsp.Borrow[uint64](total)
+	defer dsp.Release(full)
+	defer dsp.Release(survivors)
 	// Depuncture into per-step (A, B) LLRs.
 	pat := rate.pattern()
-	full := d.full[:2*total]
 	src := 0
 	for i := range full {
 		if pat[i%len(pat)] {
@@ -301,7 +303,6 @@ func (d *Decoder) trellis(llr []float64, n int, rate Rate) []byte {
 	for s := 1; s < numStates; s++ {
 		mp[s] = unreachable
 	}
-	survivors := d.survivors[:total]
 	for step := range survivors {
 		la, lb := full[2*step], full[2*step+1]
 		// bm[out] for out = A<<1|B; LLR>0 favors bit 0, cost is minimized.
@@ -340,21 +341,11 @@ func (d *Decoder) trellis(llr []float64, n int, rate Rate) []byte {
 	// Trellis is terminated: trace back from state 0. The predecessors of
 	// state s are (s<<1)&63 and that | 1.
 	state := 0
-	bits := d.bits[:total]
 	for step := total - 1; step >= 0; step-- {
 		// The input bit that led into state is its MSB.
-		bits[step] = byte(state >> (constraintLen - 2))
+		if step < len(dst) {
+			dst[step] = byte(state >> (constraintLen - 2))
+		}
 		state = (state<<1)&(numStates-1) | int(survivors[step]>>state&1)
 	}
-	return bits[:n]
-}
-
-// grow sizes the decoded-bit buffer for n data bits and returns the
-// number of trellis steps, tail included.
-func (d *Decoder) grow(n int) int {
-	total := n + constraintLen - 1
-	if cap(d.bits) < total {
-		d.bits = make([]byte, total)
-	}
-	return total
 }

@@ -297,8 +297,14 @@ func codewordLLRs(coded []byte, mag func() float64) []float64 {
 
 // trellisDecode decodes through the full trellis, bypassing cleanPath.
 func trellisDecode(llr []float64, n int, rate Rate) []byte {
-	var d Decoder
-	return append([]byte(nil), d.trellis(llr, n, rate)...)
+	bits := make([]byte, n)
+	trellis(bits, llr, rate)
+	return bits
+}
+
+// shortcut reports whether cleanPath certifies llr as an n-bit frame.
+func shortcut(llr []float64, n int, rate Rate) bool {
+	return cleanPath(make([]byte, n), llr, rate)
 }
 
 // TestDecodeSoftMatchesTrellis pins the clean-frame shortcut to the
@@ -368,7 +374,7 @@ func TestDecodeSoftMatchesTrellis(t *testing.T) {
 				if string(got) != string(want) {
 					t.Fatalf("rate %s %s frame %d (n=%d): DecodeSoft differs from the trellis", rate, f.name, i, n)
 				}
-				if dec.cleanPath(llr, n, rate) {
+				if shortcut(llr, n, rate) {
 					fired++
 				}
 			}
@@ -388,7 +394,7 @@ func TestCleanShortcutFires(t *testing.T) {
 		data := randBits(r, n)
 		clean := codewordLLRs(Encode(data, rate), func() float64 { return 1 + r.Float64() })
 		var dec Decoder
-		if !dec.cleanPath(clean, n, rate) {
+		if !shortcut(clean, n, rate) {
 			t.Fatalf("rate %s: a noiseless frame did not take the shortcut", rate)
 		}
 		got, err := dec.DecodeSoft(clean, n, rate)
@@ -412,7 +418,7 @@ func TestCleanShortcutFires(t *testing.T) {
 			"tiny LLR":             withLLR(clean, at, 1e-15),
 			"sum past unreachable": scaled(clean, 1e305),
 		} {
-			if dec.cleanPath(llr, n, rate) {
+			if shortcut(llr, n, rate) {
 				t.Errorf("rate %s %s: took the shortcut", rate, name)
 			}
 			got, err := dec.DecodeSoft(llr, n, rate)

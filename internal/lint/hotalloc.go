@@ -10,10 +10,10 @@ import (
 // loops in the hot signal-path packages. A make([]complex128, …) executed
 // per symbol or per frame is how the per-transmission allocation count
 // reached six figures before the scratch-arena refactor; new code must
-// hoist the buffer out of the loop, reuse an owned scratch field, or draw
-// from a dsp.Scratch arena. Deliberate allocations (results retained by
-// the caller, grow-only reallocation) are suppressed with a //lint:ignore
-// hotalloc directive explaining why.
+// hoist the buffer out of the loop, reuse an owned scratch field, or
+// borrow it from dsp's recycler (dsp.Borrow, dsp.Release). Deliberate
+// allocations (results retained by the caller, grow-only reallocation)
+// are suppressed with a //lint:ignore hotalloc directive explaining why.
 var HotAllocAnalyzer = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "per-iteration make([]complex128, …) in hot signal-path packages (phy, ofdm, dsp, air, core)",
@@ -64,7 +64,7 @@ func runHotAlloc(p *Pass) {
 				}
 				seen[call.Pos()] = true
 				p.Reportf(call.Pos(),
-					"make(%s, …) inside a loop allocates every iteration on the hot signal path; hoist the buffer, reuse an owned scratch field, or draw from a dsp.Scratch arena",
+					"make(%s, …) inside a loop allocates every iteration on the hot signal path; hoist the buffer, reuse an owned scratch field, or borrow it with dsp.Borrow and hand it back with dsp.Release",
 					types.TypeString(t, types.RelativeTo(p.Pkg.Types)))
 				return true
 			})

@@ -102,7 +102,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return pkg, nil
 	}
 	if dir, ok := l.dirFor(path); ok {
-		pkg, err := l.checkDir(dir, path, importFiles)
+		pkg, err := l.checkDir(dir, path, importFiles, l)
 		if err != nil {
 			return nil, err
 		}
@@ -176,14 +176,15 @@ func (l *Loader) listDirs(patterns []string) ([]listedDir, error) {
 // LoadDir parses and type-checks the package in dir under the given import
 // path, test files included. It returns one Package for the base package
 // (with in-package test files) and, when present, one for the external
-// _test package.
+// _test package, which sees the base package with its in-package test
+// files, as go test builds it, so it may use an export_test.go.
 func (l *Loader) LoadDir(dir, importPath string) ([]*Package, error) {
-	base, err := l.checkDir(dir, importPath, includeInPackageTests)
+	base, err := l.checkDir(dir, importPath, includeInPackageTests, l)
 	if err != nil {
 		return nil, err
 	}
 	pkgs := []*Package{base}
-	xtest, err := l.checkDir(dir, importPath+"_test", onlyExternalTests)
+	xtest, err := l.checkDir(dir, importPath+"_test", onlyExternalTests, testImporter{l, base})
 	if err != nil {
 		return nil, err
 	}
@@ -191,6 +192,20 @@ func (l *Loader) LoadDir(dir, importPath string) ([]*Package, error) {
 		pkgs = append(pkgs, xtest)
 	}
 	return pkgs, nil
+}
+
+// testImporter resolves the package under test to its type-checked view
+// with in-package test files, and every other import through the Loader.
+type testImporter struct {
+	*Loader
+	base *Package
+}
+
+func (t testImporter) Import(path string) (*types.Package, error) {
+	if path == t.base.Path && t.base.Types != nil {
+		return t.base.Types, nil
+	}
+	return t.Loader.Import(path)
 }
 
 // File-selection modes for checkDir.
@@ -203,9 +218,10 @@ const (
 )
 
 // checkDir parses the .go files of dir selected by mode and type-checks
-// them as one package. It returns a Package with no Files when the mode
-// selects nothing (e.g. no external test package exists).
-func (l *Loader) checkDir(dir, importPath string, mode fileMode) (*Package, error) {
+// them as one package, resolving imports through imp. It returns a
+// Package with no Files when the mode selects nothing (e.g. no external
+// test package exists).
+func (l *Loader) checkDir(dir, importPath string, mode fileMode, imp types.Importer) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
@@ -267,7 +283,7 @@ func (l *Loader) checkDir(dir, importPath string, mode fileMode) (*Package, erro
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: l}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(importPath, l.Fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, err)

@@ -1,6 +1,6 @@
 // Package multifile_test is an external test package: the loader must
 // type-check it as a separate Package that imports the base package by its
-// module path.
+// module path, with the base package's export_test.go in view.
 package multifile_test
 
 import (
@@ -10,7 +10,7 @@ import (
 )
 
 func TestExported(t *testing.T) {
-	if multifile.Exported() != 0 {
+	if multifile.Exported() != multifile.ExportedForTest() {
 		t.Fatal("non-zero")
 	}
 }

@@ -221,11 +221,12 @@ func TestSynthesizeWithFrequencySelectiveGainDecodes(t *testing.T) {
 
 // TestFrameSymbolsIntoReusesFrame: refilling one frame value with a long
 // frame and then shorter ones at other rates gives the same symbols as
-// fresh frames, and reuses the symbol block.
+// fresh frames, reuses the symbol block, and Release empties the frame.
 func TestFrameSymbolsIntoReusesFrame(t *testing.T) {
 	tx := NewTX()
 	s := rng.New(13)
 	var f FrameSymbols
+	var block *complex128
 	for i, c := range []struct {
 		size int
 		mcs  MCS
@@ -234,7 +235,9 @@ func TestFrameSymbolsIntoReusesFrame(t *testing.T) {
 		if err := tx.FrameSymbolsInto(&f, payload, c.mcs); err != nil {
 			t.Fatal(err)
 		}
-		if i > 0 && &f.Symbols[0][0] != &f.bins[0] {
+		if i == 0 {
+			block = &f.bins[0]
+		} else if &f.Symbol(0)[0] != block {
 			t.Fatalf("frame %d: symbols left the reused block", i)
 		}
 		want, err := NewTX().FrameSymbols(payload, c.mcs)
@@ -245,13 +248,17 @@ func TestFrameSymbolsIntoReusesFrame(t *testing.T) {
 			t.Fatalf("frame %d: header %v/%d/%d, fresh %v/%d/%d", i, f.MCS, f.PSDULen, f.NumSymbols(),
 				want.MCS, want.PSDULen, want.NumSymbols())
 		}
-		for k := range want.Symbols {
-			for b := range want.Symbols[k] {
-				if f.Symbols[k][b] != want.Symbols[k][b] {
-					t.Fatalf("frame %d: symbol %d bin %d is %v reused, %v fresh", i, k, b, f.Symbols[k][b], want.Symbols[k][b])
+		for k := range want.NumSymbols() {
+			for b, v := range want.Symbol(k) {
+				if f.Symbol(k)[b] != v {
+					t.Fatalf("frame %d: symbol %d bin %d is %v reused, %v fresh", i, k, b, f.Symbol(k)[b], v)
 				}
 			}
 		}
+	}
+	f.Release()
+	if f.NumSymbols() != 0 {
+		t.Fatalf("released frame still holds %d symbols", f.NumSymbols())
 	}
 }
 

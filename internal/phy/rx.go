@@ -9,6 +9,7 @@ import (
 	"math/cmplx"
 
 	"megamimo/internal/cmplxs"
+	"megamimo/internal/dsp"
 	"megamimo/internal/fec"
 	"megamimo/internal/interleave"
 	"megamimo/internal/modulation"
@@ -51,24 +52,13 @@ type RxFrame struct {
 	CommonPhases []units.Radians
 }
 
-// RX decodes PPDUs from sample streams. An RX owns reusable scratch
-// buffers, so it is not safe for concurrent use; each simulated receiver
-// keeps its own.
+// RX decodes PPDUs from sample streams. Its demodulator is not safe for
+// concurrent use, so each simulated receiver keeps its own RX. Scratch
+// sized by the frame is borrowed from dsp's recycler for one decode.
 type RX struct {
 	dem *ofdm.Demodulator
 	// DetectThreshold is the normalized preamble metric cutoff (default 0.5).
 	DetectThreshold float64
-	// Grow-only decode scratch, reused across frames.
-	freqBuf []complex128 // one demodulated symbol, 64 bins
-	eqdBuf  []complex128 // one equalized symbol, 48 values
-	payload []complex128 // CFO-derotated payload window
-	freqAll []complex128 // batch-demodulated data-field bins, nsym×64
-	symLLR  []float64    // per-symbol LLRs before deinterleaving
-	deilBuf []float64    // per-symbol LLRs after deinterleaving
-	llrBuf  []float64    // whole-frame LLR stream
-	scNum   []float64    // per-subcarrier EVM accumulator
-	scCnt   []float64
-	dec     fec.Decoder // reusable Viterbi trellis scratch
 }
 
 // NewRX returns a receiver pipeline.
@@ -76,10 +66,6 @@ func NewRX() *RX {
 	return &RX{
 		dem:             ofdm.NewDemodulator(),
 		DetectThreshold: 0.5,
-		freqBuf:         make([]complex128, ofdm.NFFT),
-		eqdBuf:          make([]complex128, ofdm.NData),
-		scNum:           make([]float64, ofdm.NData),
-		scCnt:           make([]float64, ofdm.NData),
 	}
 }
 
@@ -108,28 +94,27 @@ func (r *RX) DecodeAt(rx []complex128, sync *ofdm.Sync) (*RxFrame, error) {
 	// referenced consistently with the channel estimate (at the first LTF
 	// sample).
 	ltf1 := sync.LTFStart + ofdm.LTFGuard
-	if cap(r.payload) < len(rx)-sync.PayloadStart {
-		r.payload = make([]complex128, len(rx)-sync.PayloadStart)
-	}
-	payload := r.payload[:len(rx)-sync.PayloadStart]
+	payload := dsp.Borrow[complex128](len(rx) - sync.PayloadStart)
+	defer dsp.Release(payload)
 	cmplxs.Rotate(payload, rx[sync.PayloadStart:], units.PhaseAdvance(-sync.CFO, units.Samples(sync.PayloadStart-ltf1)), -sync.CFO)
 
 	// SIGNAL symbol.
 	if len(payload) < ofdm.SymbolLen {
 		return nil, ErrTruncated
 	}
-	if err := r.dem.FreqInto(r.freqBuf, payload); err != nil {
+	var freq [ofdm.NFFT]complex128 // one demodulated symbol
+	var eqd [ofdm.NData]complex128 // one equalized symbol
+	if err := r.dem.FreqInto(freq[:], payload); err != nil {
 		return nil, err
 	}
-	if err := eq.SymbolInto(r.eqdBuf, r.freqBuf); err != nil {
+	if err := eq.SymbolInto(eqd[:], freq[:]); err != nil {
 		return nil, err
 	}
-	mcs, psduLen, err := parseSignal(r.eqdBuf)
+	mcs, psduLen, err := parseSignal(eqd[:])
 	if err != nil {
 		return nil, err
 	}
-	out := &RxFrame{MCS: mcs, Channel: h, Sync: sync}
-	out.CommonPhases = append(out.CommonPhases, eq.CommonPhase())
+	signalPhase := eq.CommonPhase()
 
 	info := mcs.info()
 	nInfoBits := 16 + 8*psduLen
@@ -137,40 +122,33 @@ func (r *RX) DecodeAt(rx []complex128, sync *ofdm.Sync) (*RxFrame, error) {
 	if len(payload) < (1+nsym)*ofdm.SymbolLen {
 		return nil, ErrTruncated
 	}
+	out := &RxFrame{MCS: mcs, Channel: h, Sync: sync, CommonPhases: make([]units.Radians, 1, nsym+1)}
+	out.CommonPhases[0] = signalPhase
 
 	il := interleave.MustCached(info.ncbps, info.scheme.BitsPerSymbol())
-	if cap(r.llrBuf) < nsym*info.ncbps {
-		r.llrBuf = make([]float64, 0, nsym*info.ncbps)
-	}
-	llr := r.llrBuf[:0]
-	if cap(r.deilBuf) < info.ncbps {
-		r.deilBuf = make([]float64, info.ncbps)
-	}
-	deil := r.deilBuf[:info.ncbps]
+	// Per-symbol LLRs, then the whole frame's deinterleaved LLR stream.
+	symLLR := dsp.Borrow[float64](info.ncbps)
+	defer dsp.Release(symLLR)
+	llr := dsp.Borrow[float64](nsym * info.ncbps)
+	defer dsp.Release(llr)
 	var evmAcc float64
 	var evmN int
-	scSNRNum := r.scNum
-	scSNRCnt := r.scCnt
-	for i := range scSNRNum {
-		scSNRNum[i], scSNRCnt[i] = 0, 0
-	}
+	var scSNRNum, scSNRCnt [ofdm.NData]float64 // per-subcarrier EVM accumulator
 	// The whole data field demodulates in one batched FFT call; the
 	// per-symbol loop below then works over slices of the bin block.
-	if cap(r.freqAll) < nsym*ofdm.NFFT {
-		r.freqAll = make([]complex128, nsym*ofdm.NFFT)
-	}
-	freqAll := r.freqAll[:nsym*ofdm.NFFT]
+	freqAll := dsp.Borrow[complex128](nsym * ofdm.NFFT)
+	defer dsp.Release(freqAll)
 	if err := r.dem.FreqBatchInto(freqAll, payload[ofdm.SymbolLen:], nsym); err != nil {
 		return nil, err
 	}
 	for s := 0; s < nsym; s++ {
-		if err := eq.SymbolInto(r.eqdBuf, freqAll[s*ofdm.NFFT:(s+1)*ofdm.NFFT]); err != nil {
+		if err := eq.SymbolInto(eqd[:], freqAll[s*ofdm.NFFT:(s+1)*ofdm.NFFT]); err != nil {
 			return nil, err
 		}
 		out.CommonPhases = append(out.CommonPhases, eq.CommonPhase())
 		// Per-subcarrier soft demap with channel-weighted noise.
-		symLLR := r.symLLR[:0]
-		for i, v := range r.eqdBuf {
+		symLLR = symLLR[:0]
+		for i, v := range eqd[:] {
 			b := ofdm.Bin(ofdm.DataCarriers[i])
 			g2 := real(h[b])*real(h[b]) + imag(h[b])*imag(h[b])
 			nv := noiseVar
@@ -186,17 +164,14 @@ func (r *RX) DecodeAt(rx []complex128, sync *ofdm.Sync) (*RxFrame, error) {
 			scSNRNum[i] += ep
 			scSNRCnt[i]++
 		}
-		r.symLLR = symLLR
-		if err := il.DeinterleaveLLRInto(deil, symLLR); err != nil {
+		if err := il.DeinterleaveLLRInto(llr[s*info.ncbps:(s+1)*info.ncbps], symLLR); err != nil {
 			return nil, err
 		}
-		llr = append(llr, deil...)
 	}
-	r.llrBuf = llr
 
-	padded := nsym*info.ndbps - 6
-	bits, err := r.dec.DecodeSoft(llr, padded, info.rate)
-	if err != nil {
+	bits := dsp.Borrow[byte](nsym*info.ndbps - 6)
+	defer dsp.Release(bits)
+	if err := fec.DecodeSoftInto(bits, llr, info.rate); err != nil {
 		return nil, err
 	}
 	scramble.New(scramblerSeed).Apply(bits)

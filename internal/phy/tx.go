@@ -30,20 +30,31 @@ const scramblerSeed = 0x5d
 // first). A joint beamformer applies per-subcarrier complex gains to this
 // representation and synthesizes per-transmitter waveforms from it.
 type FrameSymbols struct {
-	Symbols [][]complex128 // per-symbol 64-bin frequency vectors
 	MCS     MCS
 	PSDULen int // bytes, including FCS
-	// bins is the one contiguous block Symbols slices into; it grows to the
-	// longest frame FrameSymbolsInto has written into this value.
+	// bins holds the symbols' 64-bin vectors back to back, in a block
+	// borrowed from dsp's recycler until Release.
 	bins []complex128
 }
 
+// Symbol returns symbol s's 64 frequency bins (SIGNAL is symbol 0).
+func (f *FrameSymbols) Symbol(s int) []complex128 {
+	return f.bins[s*ofdm.NFFT : (s+1)*ofdm.NFFT]
+}
+
 // NumSymbols returns the data-field symbol count including SIGNAL.
-func (f *FrameSymbols) NumSymbols() int { return len(f.Symbols) }
+func (f *FrameSymbols) NumSymbols() int { return len(f.bins) / ofdm.NFFT }
 
 // SampleLen returns the time-domain frame length in samples.
 func (f *FrameSymbols) SampleLen() int {
-	return ofdm.PreambleLen + len(f.Symbols)*ofdm.SymbolLen
+	return ofdm.PreambleLen + f.NumSymbols()*ofdm.SymbolLen
+}
+
+// Release hands the frame's symbol block back to dsp's recycler and
+// empties the frame, which FrameSymbolsInto may refill.
+func (f *FrameSymbols) Release() {
+	dsp.Release(f.bins)
+	f.bins = nil
 }
 
 // AirtimeSeconds returns the frame duration at the given sample rate.
@@ -66,11 +77,6 @@ type TX struct {
 	// Frame-encoding scratch (grow-only): the PSDU with its FCS, the
 	// scrambled DATA bits and the coded bits of one field.
 	psdu, bits, coded []byte
-	// frame is FrameInto's reusable frequency-domain frame.
-	frame FrameSymbols
-	// Joint-synthesis scratch: all accumulated symbol bins of one frame,
-	// transformed with a single batched IFFT (grow-only).
-	jointFreq []complex128
 }
 
 // NewTX returns a transmitter pipeline.
@@ -87,7 +93,8 @@ func NewTX() *TX {
 }
 
 // FrameSymbols encodes payload (with a CRC-32 FCS appended) at the given
-// MCS and returns a freshly allocated frequency-domain frame.
+// MCS and returns a new frequency-domain frame, whose symbol block the
+// caller may hand back with Release.
 func (tx *TX) FrameSymbols(payload []byte, mcs MCS) (*FrameSymbols, error) {
 	f := new(FrameSymbols)
 	if err := tx.FrameSymbolsInto(f, payload, mcs); err != nil {
@@ -96,9 +103,9 @@ func (tx *TX) FrameSymbols(payload []byte, mcs MCS) (*FrameSymbols, error) {
 	return f, nil
 }
 
-// FrameSymbolsInto is FrameSymbols overwriting f, reusing its symbol block:
-// a frame value refilled every round allocates nothing once it has held
-// the longest frame. Frames refilled this way must not be shared.
+// FrameSymbolsInto is FrameSymbols overwriting f, reusing its symbol block
+// when it is large enough and borrowing one from dsp's recycler otherwise.
+// Frames refilled this way must not be shared.
 func (tx *TX) FrameSymbolsInto(f *FrameSymbols, payload []byte, mcs MCS) error {
 	if !mcs.Valid() {
 		return fmt.Errorf("phy: invalid MCS %d", int(mcs))
@@ -134,13 +141,10 @@ func (tx *TX) FrameSymbolsInto(f *FrameSymbols, payload []byte, mcs MCS) error {
 	nsym := (nInfoBits + 6 + info.ndbps - 1) / info.ndbps
 	f.MCS, f.PSDULen = mcs, len(psdu)
 	if cap(f.bins) < (1+nsym)*ofdm.NFFT {
-		f.bins = make([]complex128, (1+nsym)*ofdm.NFFT)
-		f.Symbols = make([][]complex128, 0, 1+nsym)
+		f.Release()
+		f.bins = dsp.Borrow[complex128]((1 + nsym) * ofdm.NFFT)
 	}
-	f.Symbols = f.Symbols[:0]
-	for s := 0; s <= nsym; s++ {
-		f.Symbols = append(f.Symbols, f.bins[s*ofdm.NFFT:(s+1)*ofdm.NFFT])
-	}
+	f.bins = f.bins[:(1+nsym)*ofdm.NFFT]
 
 	// SIGNAL symbol (pilot polarity index 0; data symbols continue from 1).
 	tx.coded = fec.AppendEncode(tx.coded[:0], sigBits, fec.Rate12)
@@ -148,7 +152,7 @@ func (tx *TX) FrameSymbolsInto(f *FrameSymbols, payload []byte, mcs MCS) error {
 		//lint:ignore panic-policy internal invariant: 18 info bits + tail always code to 48 bits
 		panic("phy: SIGNAL encoding produced wrong length")
 	}
-	if err := tx.symbol(f.Symbols[0], interleave.MustCached(48, 1), modulation.BPSK, tx.coded, 0); err != nil {
+	if err := tx.symbol(f.Symbol(0), interleave.MustCached(48, 1), modulation.BPSK, tx.coded, 0); err != nil {
 		return err
 	}
 
@@ -170,7 +174,7 @@ func (tx *TX) FrameSymbolsInto(f *FrameSymbols, payload []byte, mcs MCS) error {
 	}
 	il := interleave.MustCached(info.ncbps, info.scheme.BitsPerSymbol())
 	for s := 0; s < nsym; s++ {
-		if err := tx.symbol(f.Symbols[s+1], il, info.scheme, coded[s*info.ncbps:(s+1)*info.ncbps], s+1); err != nil {
+		if err := tx.symbol(f.Symbol(s+1), il, info.scheme, coded[s*info.ncbps:(s+1)*info.ncbps], s+1); err != nil {
 			return err
 		}
 	}
@@ -219,7 +223,8 @@ func (tx *TX) SynthesizeWithGainInto(dst []complex128, f *FrameSymbols, gain []c
 	}
 	tx.synthPreambleWithGainInto(dst[:ofdm.PreambleLen], gain)
 	off := ofdm.PreambleLen
-	for _, freq := range f.Symbols {
+	for s := range f.NumSymbols() {
+		freq := f.Symbol(s)
 		src := freq
 		if gain != nil {
 			for i := range tx.gainFreq {
@@ -276,14 +281,11 @@ func (tx *TX) SynthesizeJointInto(dst []complex128, frames []*FrameSymbols, gain
 		//lint:ignore panic-policy documented precondition, a caller bug rather than bad input
 		panic(fmt.Sprintf("phy: destination holds %d samples, frame needs %d", len(dst), frameLen))
 	}
-	nf := nsym * ofdm.NFFT
-	if cap(tx.jointFreq) < nf {
-		tx.jointFreq = make([]complex128, nf)
-	}
-	comb := tx.jointFreq[:nf]
-	for i := range comb {
-		comb[i] = 0
-	}
+	// All accumulated symbol bins of the frame, transformed with a single
+	// batched IFFT.
+	comb := dsp.Borrow[complex128](nsym * ofdm.NFFT)
+	defer dsp.Release(comb)
+	clear(comb)
 	gainSum := tx.gainFreq
 	for i := range gainSum {
 		gainSum[i] = 0
@@ -296,7 +298,8 @@ func (tx *TX) SynthesizeJointInto(dst []complex128, frames []*FrameSymbols, gain
 		for i := range gainSum {
 			gainSum[i] += g[i]
 		}
-		for s, freq := range f.Symbols {
+		for s := range nsym {
+			freq := f.Symbol(s)
 			acc := comb[s*ofdm.NFFT : (s+1)*ofdm.NFFT]
 			for i := range acc {
 				acc[i] += freq[i] * g[i]
@@ -377,21 +380,14 @@ func (tx *TX) synthPreambleWithGainInto(dst []complex128, gain []complex128) {
 	copy(dst[n:], tx.ltfT)
 }
 
-// Frame is the one-call TX path: payload → freshly allocated waveform at
-// unit gain.
+// Frame is the one-call TX path: payload → waveform at unit gain, in a
+// buffer borrowed from dsp's recycler that the caller may hand back with
+// dsp.Release once it is done with it.
 func (tx *TX) Frame(payload []byte, mcs MCS) ([]complex128, error) {
-	return tx.FrameInto(nil, payload, mcs)
-}
-
-// FrameInto is Frame synthesizing into dst, grown when it is shorter than
-// the frame, through the TX's own reusable frequency-domain frame. It
-// returns the waveform prefix of dst.
-func (tx *TX) FrameInto(dst []complex128, payload []byte, mcs MCS) ([]complex128, error) {
-	if err := tx.FrameSymbolsInto(&tx.frame, payload, mcs); err != nil {
+	var f FrameSymbols
+	if err := tx.FrameSymbolsInto(&f, payload, mcs); err != nil {
 		return nil, err
 	}
-	if n := tx.frame.SampleLen(); cap(dst) < n {
-		dst = make([]complex128, n)
-	}
-	return tx.SynthesizeWithGainInto(dst[:cap(dst)], &tx.frame, nil), nil
+	defer f.Release()
+	return tx.SynthesizeWithGainInto(dsp.Borrow[complex128](f.SampleLen()), &f, nil), nil
 }
