@@ -23,6 +23,9 @@
 //	           gate on each inter-checkpoint window of the trace, naming
 //	           the first window that violates a budget; exits 1 on a
 //	           violation (usage: bisect <checkpoint-dir> <trace-file>)
+//
+// The budgets are tracefmt.DefaultBudget's (π/18, ±40 ppm). Exit 1 means a
+// budget violation; a usage error or an unreadable input exits 2.
 package main
 
 import (
@@ -38,18 +41,12 @@ import (
 
 	"megamimo/internal/checkpoint"
 	"megamimo/internal/tracefmt"
-	"megamimo/internal/units"
 )
 
 func main() {
 	var (
-		budgetRad = flag.Float64("budget-rad", math.Pi/18, "phase-error budget per slave AP (rad, median)")
-		maxPPM    = flag.Float64("max-ppm", 40, "relative CFO mandate between lead and slave (ppm)")
-		nullDB    = flag.Float64("null-degrade-db", 3, "flag null depths this far below the run median (dB)")
-		evmDB     = flag.Float64("evm-degrade-db", 6, "flag decodes this far below their stream median EVM SNR (dB)")
-		window    = flag.Int("window", 0, "follow: online monitor sliding-window length (0 = default)")
-		poll      = flag.Duration("poll", 200*time.Millisecond, "follow: poll interval while the stream is idle")
-		idleExit  = flag.Duration("idle-exit", 5*time.Second, "follow: exit after the stream has been idle this long")
+		poll     = flag.Duration("poll", 200*time.Millisecond, "follow: poll interval while the stream is idle")
+		idleExit = flag.Duration("idle-exit", 5*time.Second, "follow: exit after the stream has been idle this long")
 	)
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: megamimo-trace [flags] summary|phases|spans|anomalies|follow <trace-file>")
@@ -67,15 +64,10 @@ func main() {
 		os.Exit(2)
 	}
 	path := flag.Arg(1)
-	budget := tracefmt.Budget{
-		PhaseBudgetRad: units.Radians(*budgetRad),
-		MaxRelPPM:      units.PPM(*maxPPM),
-		NullDegradeDB:  units.Decibels(*nullDB),
-		EVMDegradeDB:   units.Decibels(*evmDB),
-	}
+	budget := tracefmt.DefaultBudget()
 
 	if cmd == "follow" {
-		os.Exit(follow(path, budget, *window, *poll, *idleExit))
+		os.Exit(follow(path, budget, *poll, *idleExit))
 	}
 	if cmd == "bisect" {
 		os.Exit(bisect(path, flag.Arg(2), budget))
@@ -228,10 +220,7 @@ func bisect(dir, tracePath string, b tracefmt.Budget) int {
 // the online anomaly monitor and printing violations the moment they
 // trip. Partial lines (the writer mid-flush) stay buffered until their
 // newline arrives. Returns the process exit code: 0 healthy, 1 tripped.
-func follow(path string, b tracefmt.Budget, window int, poll, idleExit time.Duration) int {
-	if window <= 0 {
-		window = tracefmt.DefaultMonitorWindow
-	}
+func follow(path string, b tracefmt.Budget, poll, idleExit time.Duration) int {
 	deadline := time.Now().Add(idleExit)
 	var f *os.File
 	for {
@@ -275,7 +264,7 @@ func follow(path string, b tracefmt.Budget, window int, poll, idleExit time.Dura
 					if err != nil {
 						fatal(err)
 					}
-					mon = tracefmt.NewMonitor(meta, b, window)
+					mon = tracefmt.NewMonitor(meta, b, tracefmt.DefaultMonitorWindow)
 					fmt.Printf("following %s: %d APs, %d clients, sync %q\n",
 						path, meta.APs, meta.Clients, meta.Sync)
 					continue
@@ -312,7 +301,8 @@ func follow(path string, b tracefmt.Budget, window int, poll, idleExit time.Dura
 	return 1
 }
 
+// fatal exits 2: the input could not be judged.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "megamimo-trace:", err)
-	os.Exit(1)
+	os.Exit(2)
 }

@@ -96,6 +96,22 @@ func TestFormatCorruptionDetection(t *testing.T) {
 	}
 }
 
+// FuzzParse feeds the loader arbitrary bytes, both as a whole file and as
+// a payload behind a valid header so the JSON decoder is reached: it never
+// panics, and every error it returns names a byte offset.
+func FuzzParse(f *testing.F) {
+	f.Add(frame(Digest(nil), []byte(`{"now":42,"rounds":7}`)))
+	f.Add([]byte(`{"now":42,"rounds":7,"config":{"seed":1}}`))
+	f.Add([]byte(Magic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, b := range [][]byte{data, frame(Digest(nil), data)} {
+			if _, _, err := parse("fuzz", b); err != nil && !strings.Contains(err.Error(), "byte offset") {
+				t.Errorf("error names no byte offset: %v", err)
+			}
+		}
+	})
+}
+
 // TestDigestMismatchNamesFields locks satellite #1's diagnostics: the
 // rejection error names the differing config fields, not just two hashes.
 func TestDigestMismatchNamesFields(t *testing.T) {

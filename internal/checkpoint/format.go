@@ -63,14 +63,7 @@ func Write(path string, cfgJSON []byte, st *State) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("checkpoint: encode payload: %w", err)
 	}
-	buf := make([]byte, headerLen+len(payload))
-	copy(buf[offMagic:], Magic)
-	binary.BigEndian.PutUint32(buf[offVer:], Version)
-	digest := Digest(cfgJSON)
-	copy(buf[offDigest:], digest[:])
-	binary.BigEndian.PutUint64(buf[offLen:], uint64(len(payload)))
-	binary.BigEndian.PutUint32(buf[offCRC:], crc32.ChecksumIEEE(payload))
-	copy(buf[offBody:], payload)
+	buf := frame(Digest(cfgJSON), payload)
 	// Atomic publish: a reader (or a kill -9) never sees a half-written
 	// checkpoint under the final name.
 	tmp := path + ".tmp"
@@ -81,6 +74,18 @@ func Write(path string, cfgJSON []byte, st *State) (int64, error) {
 		return 0, err
 	}
 	return int64(len(buf)), nil
+}
+
+// frame puts the header in front of payload.
+func frame(digest [32]byte, payload []byte) []byte {
+	buf := make([]byte, headerLen+len(payload))
+	copy(buf[offMagic:], Magic)
+	binary.BigEndian.PutUint32(buf[offVer:], Version)
+	copy(buf[offDigest:], digest[:])
+	binary.BigEndian.PutUint64(buf[offLen:], uint64(len(payload)))
+	binary.BigEndian.PutUint32(buf[offCRC:], crc32.ChecksumIEEE(payload))
+	copy(buf[offBody:], payload)
+	return buf
 }
 
 // ReadAny loads a checkpoint without checking whose run it belongs to,
@@ -113,11 +118,16 @@ func Read(path string, cfgJSON []byte) (*State, error) {
 
 // read performs the shared integrity-checked load.
 func read(path string) (*State, [32]byte, error) {
-	var digest [32]byte
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, digest, err
+		return nil, [32]byte{}, err
 	}
+	return parse(path, data)
+}
+
+// parse checks and decodes the bytes of the checkpoint file at path.
+func parse(path string, data []byte) (*State, [32]byte, error) {
+	var digest [32]byte
 	if len(data) < headerLen {
 		return nil, digest, fmt.Errorf("checkpoint %s: truncated at byte offset %d: %d bytes, header needs %d",
 			path, len(data), len(data), headerLen)

@@ -95,7 +95,7 @@ func (n *Network) MeasureDot11n() error {
 
 		// Two-symbol orthogonal sounding: L1 sends [T, T]; antenna g sends
 		// [T, −T].
-		tS := tH + int64(ofdm.PreambleLen) + int64(n.Cfg.TriggerDelaySamples)
+		tS := tH + int64(ofdm.PreambleLen) + triggerDelaySamples
 		if slot == 0 {
 			t0Sym = tS
 		}

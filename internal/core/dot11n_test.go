@@ -18,7 +18,6 @@ func dot11nConfig(seed int64, snrLo, snrHi units.Decibels) Config {
 	cfg.AntennasPerAP = 2
 	cfg.AntennasPerClient = 2
 	cfg.SampleRate = 20e6
-	cfg.TriggerDelaySamples = 1500
 	cfg.Seed = seed
 	return cfg
 }

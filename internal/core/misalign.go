@@ -59,7 +59,7 @@ func (n *Network) MeasureMisalignment(rounds int, gapSamples int64) ([]float64, 
 		// occupies even slots, the corrected slave odd slots, for `pairs`
 		// repetitions averaged at the receiver.
 		const pairs = 4
-		tA := t1 + int64(ofdm.PreambleLen) + int64(n.Cfg.TriggerDelaySamples)
+		tA := t1 + int64(ofdm.PreambleLen) + triggerDelaySamples
 		// Slave symbol with the per-bin ratio applied in frequency domain.
 		freq := ltfRef
 		for i := range g {

@@ -63,9 +63,6 @@ type Config struct {
 	// not observe. The experiment harness enables this for the throughput
 	// figures; microbenchmarks run both ways.
 	WellConditioned bool
-	// TriggerDelaySamples is t∆, the fixed turnaround between the lead's
-	// sync header and the joint data transmission (§10: 150 µs).
-	TriggerDelaySamples int
 	// MeasurementRounds is the number of interleaved channel-measurement
 	// repetitions averaged by the clients (§5.1: "repeated ... to reduce
 	// the impact of noise").
@@ -114,22 +111,24 @@ const APLinkSNRdB units.Decibels = 32
 // pilot jitter, residual CFO).
 const RateMarginDB units.Decibels = 3
 
+// triggerDelaySamples is t∆, sync header to joint data (§10: 150 µs at 10 MHz).
+const triggerDelaySamples = 1500
+
 // DefaultConfig mirrors the paper's USRP testbed at a given size and SNR
 // band.
 func DefaultConfig(nAPs, nClients int, snrLo, snrHi units.Decibels) Config {
 	return Config{
-		NumAPs:              nAPs,
-		NumClients:          nClients,
-		AntennasPerAP:       1,
-		AntennasPerClient:   1,
-		SampleRate:          10e6,
-		CarrierHz:           2.437e9,
-		PPMBudget:           2,
-		NoiseVar:            1e-3,
-		SNRRangeDB:          [2]units.Decibels{snrLo, snrHi},
-		LinkSpreadDB:        3,
-		TriggerDelaySamples: 1500, // 150 µs at 10 MHz
-		MeasurementRounds:   4,
+		NumAPs:            nAPs,
+		NumClients:        nClients,
+		AntennasPerAP:     1,
+		AntennasPerClient: 1,
+		SampleRate:        10e6,
+		CarrierHz:         2.437e9,
+		PPMBudget:         2,
+		NoiseVar:          1e-3,
+		SNRRangeDB:        [2]units.Decibels{snrLo, snrHi},
+		LinkSpreadDB:      3,
+		MeasurementRounds: 4,
 		// 10 ms at 10 MHz: a handful of rounds of CFO extrapolation before
 		// a sync-starved slave must abstain.
 		SyncStalenessSamples: 100_000,

@@ -11,7 +11,7 @@ import (
 
 // Trace event kinds: the closed vocabulary of the protocol timeline.
 // Kind values are part of the versioned trace format (tracefmt.SchemaVersion;
-// megamimo-trace and the CI trace-smoke gate key on them), so they are
+// megamimo-trace and its gate drills key on them), so they are
 // exported constants rather than ad-hoc strings, and the tracer rejects —
 // and counts — anything outside the set.
 const (

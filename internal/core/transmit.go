@@ -289,7 +289,7 @@ func (n *Network) postJointFrames(tx *phy.TX, frames []*phy.FrameSymbols) (t1, t
 	}
 
 	// 3. Joint data transmission after the fixed turnaround t∆ (§10).
-	tD = t1 + int64(ofdm.PreambleLen) + int64(n.Cfg.TriggerDelaySamples)
+	tD = t1 + int64(ofdm.PreambleLen) + triggerDelaySamples
 	frameLen := 0
 	for _, f := range frames {
 		if f != nil {
@@ -557,7 +557,7 @@ func (n *Network) NullingINR(victim int, payloadBytes int, mcs phy.MCS) (float64
 	// (The CP splice carries an un-nulled linear-convolution transient —
 	// real beamforming hardware has it too — but no receiver ever looks at
 	// those samples.)
-	tD := startBefore + 64 + int64(ofdm.PreambleLen) + int64(n.Cfg.TriggerDelaySamples)
+	tD := startBefore + 64 + int64(ofdm.PreambleLen) + triggerDelaySamples
 	frameLen := int(res.AirtimeSamples) - int(ofdm.PreambleLen)
 	cl := n.Clients[victim/n.Cfg.AntennasPerClient]
 	ant := victim % n.Cfg.AntennasPerClient

@@ -148,3 +148,23 @@ func verifyReport(t *testing.T, want, got *Report, bins []int) {
 		}
 	}
 }
+
+// FuzzAssemblerFeed feeds one assembler two arbitrary payloads in turn, so
+// a second chunk can land on the partial report the first one opened. It
+// must never panic.
+func FuzzAssemblerFeed(f *testing.F) {
+	bins := occupied()
+	chunks, err := sampleReport(rng.New(5), 3, 64, bins).MarshalChunks(bins, 600)
+	if err != nil || len(chunks) < 2 {
+		f.Fatalf("%d seed chunks: %v", len(chunks), err)
+	}
+	f.Add(chunks[0], chunks[1])
+	f.Add(chunks[1], chunks[1])
+	f.Add(chunks[0][:len(chunks[0])/2], []byte{})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		asm := NewAssembler()
+		for _, p := range [][]byte{a, b} {
+			_, _ = asm.Feed(p, 3, 64)
+		}
+	})
+}

@@ -37,7 +37,7 @@ type ChaosResult struct {
 	Points     []ChaosPoint
 }
 
-// JSON renders the result deterministically for the CI determinism gate.
+// JSON renders the result deterministically for the determinism gate.
 func (r *ChaosResult) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }

@@ -3,30 +3,7 @@ package experiment
 import (
 	"reflect"
 	"testing"
-
-	"megamimo/internal/core"
 )
-
-// TestChaosDeterministic: the chaos sweep — including the injected faults,
-// the degraded rounds and the merged flight-recorder trace — must be
-// byte-identical at any worker count.
-func TestChaosDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full workload pipeline")
-	}
-	type out struct {
-		Res   *ChaosResult
-		Trace []byte
-	}
-	runBoth(t, "chaos", func() (out, error) {
-		var res *ChaosResult
-		trace, err := streamTrace(3, func(sink core.TraceSink) (err error) {
-			res, err = RunChaos([]float64{0, 600}, 3, 1, 0.01, 77, sink)
-			return err
-		})
-		return out{res, trace}, err
-	})
-}
 
 // TestChaosGracefulDegradation: faults must cost delivery, not correctness —
 // at high intensity MegaMIMO still delivers a meaningful fraction of offered

@@ -15,13 +15,6 @@ func quickSweep() (*SyncSweepResult, error) {
 	return RunSyncSweep(nil, nil, 2, 2, 0.005, 1)
 }
 
-func TestSyncSweepDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full closed-loop grid")
-	}
-	runBoth(t, "syncsweep", quickSweep)
-}
-
 // TestSyncSweepCoversAcceptanceGrid checks the default table shape: three
 // strategies × (three drift points + chaos), every cell populated.
 func TestSyncSweepCoversAcceptanceGrid(t *testing.T) {

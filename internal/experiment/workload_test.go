@@ -6,57 +6,81 @@ import (
 	"testing"
 
 	"megamimo/internal/core"
+	"megamimo/internal/tracefmt"
 	"megamimo/internal/traffic"
 )
 
-func TestWorkloadDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) string {
-		old := Workers()
-		SetWorkers(workers)
-		defer SetWorkers(old)
-		r, err := RunWorkload([]float64{2, 8}, 2, 2, traffic.Poisson, 0.005, 7, nil)
-		if err != nil {
-			t.Fatalf("RunWorkload(workers=%d): %v", workers, err)
-		}
-		return r.String()
-	}
-	serial := run(1)
-	parallel := run(4)
-	if serial != parallel {
-		t.Fatalf("workload sweep diverges across worker counts:\n-- workers=1 --\n%s\n-- workers=4 --\n%s", serial, parallel)
-	}
+// runWorkload is the small Poisson sweep the workload invariance tests
+// share.
+func runWorkload(sink core.TraceSink) (*WorkloadResult, error) {
+	return RunWorkload([]float64{2, 8}, 2, 2, traffic.Poisson, 0.005, 7, sink)
 }
 
-// TestWorkloadTraceDeterministicAcrossWorkers checks the flight recorder
-// inherits the engine's determinism guarantee: the JSONL a StreamSink
-// receives through the sweep's StreamMerge, and the sweep result, are
-// identical at one engine and medium worker and at four. Tracing must not
-// perturb the simulation either: the traced result equals the untraced one.
-func TestWorkloadTraceDeterministicAcrossWorkers(t *testing.T) {
-	type out struct {
-		Res   *WorkloadResult
-		Trace []byte
-	}
-	run := func(sink core.TraceSink) (*WorkloadResult, error) {
-		return RunWorkload([]float64{2, 8}, 2, 2, traffic.Poisson, 0.005, 7, sink)
-	}
-	var traced *WorkloadResult
-	runBoth(t, "workload trace", func() (out, error) {
+// eventLog is a core.TraceSink that keeps every event it receives.
+type eventLog struct{ events []core.TraceEvent }
+
+func (l *eventLog) ConsumeTrace(e core.TraceEvent) { l.events = append(l.events, e) }
+
+// TestWorkloadDeterministicAcrossWorkers is the workload sweep's row of
+// the worker-invariance table: the result and the JSONL trace are the
+// same at one worker and at four.
+func TestWorkloadDeterministicAcrossWorkers(t *testing.T) {
+	runBoth(t, func(t *testing.T) (any, error) {
+		var res *WorkloadResult
 		trace, err := streamTrace(2, func(sink core.TraceSink) (err error) {
-			traced, err = run(sink)
+			res, err = runWorkload(sink)
 			return err
 		})
 		if err == nil && bytes.Count(trace, []byte("\n")) < 2 {
 			t.Fatal("workload trace recorded no events")
 		}
-		return out{traced, trace}, err
+		return []any{res, trace}, err
 	})
-	untraced, err := run(nil)
+}
+
+// TestWorkloadTraceDeterministicAcrossWorkers checks tracing does not
+// perturb the simulation: at four workers, where the sweep's StreamMerge
+// interleaves the cells, the traced result equals the untraced one.
+func TestWorkloadTraceDeterministicAcrossWorkers(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(4)
+	var log eventLog
+	traced, err := runWorkload(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.events) == 0 {
+		t.Fatal("workload trace recorded no events")
+	}
+	untraced, err := runWorkload(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(traced, untraced) {
 		t.Errorf("tracing changed the sweep result:\ntraced:   %+v\nuntraced: %+v", traced, untraced)
+	}
+}
+
+// TestWorkloadStreamedByteIdentical checks the JSONL a live StreamSink
+// receives at four workers is byte for byte the file WriteJSONL writes
+// from the same merged events collected in memory.
+func TestWorkloadStreamedByteIdentical(t *testing.T) {
+	defer SetWorkers(0)
+	SetWorkers(4)
+	var log eventLog
+	streamed, err := streamTrace(2, func(sink core.TraceSink) error {
+		_, err := runWorkload(core.TeeSinks(sink, &log))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buffered bytes.Buffer
+	if err := tracefmt.WriteJSONL(&buffered, traceMeta(2), log.events); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamed, buffered.Bytes()) {
+		t.Errorf("streamed JSONL differs from the buffered export (%d vs %d bytes)", len(streamed), buffered.Len())
 	}
 }
 

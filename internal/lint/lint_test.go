@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -61,8 +62,9 @@ func wantsIn(t *testing.T, pkgs []*Package) map[string][]string {
 
 // runGolden checks one analyzer against its testdata package: every want
 // must be matched by a diagnostic on its line, every diagnostic must have
-// a want, and suppressed lines (which carry no want) must stay silent.
-func runGolden(t *testing.T, a *Analyzer, dirName string) {
+// a want, and suppressed lines (which carry no want) must stay silent. It
+// returns the wants.
+func runGolden(t *testing.T, a *Analyzer, dirName string) map[string][]string {
 	pkgs := loadTestdata(t, dirName)
 	wants := wantsIn(t, pkgs)
 	diags := Run(pkgs, []*Analyzer{a})
@@ -93,6 +95,7 @@ func runGolden(t *testing.T, a *Analyzer, dirName string) {
 			t.Logf("got: %s", d)
 		}
 	}
+	return wants
 }
 
 func TestAliasingGolden(t *testing.T)    { runGolden(t, AliasingAnalyzer, "aliasing") }
@@ -110,7 +113,18 @@ func TestUncheckedErrorGolden(t *testing.T) {
 	runGolden(t, UncheckedErrorAnalyzer, "uncheckederr")
 }
 func TestTraceFieldsGolden(t *testing.T) { runGolden(t, TraceFieldsAnalyzer, "tracefields") }
-func TestUnitsGolden(t *testing.T)       { runGolden(t, UnitsAnalyzer, "units") }
+
+// TestUnitsGolden also requires the fixture to keep asserting all three
+// rules: a want deleted along with its rule would otherwise pass silently.
+func TestUnitsGolden(t *testing.T) {
+	wants := fmt.Sprint(runGolden(t, UnitsAnalyzer, "units"))
+	for _, rule := range []string{"reinterprets units", "strips units", "declared as bare"} {
+		if !strings.Contains(wants, rule) {
+			t.Errorf("units fixture lost coverage of %q", rule)
+		}
+	}
+}
+
 func TestTraceFieldsSchemaGolden(t *testing.T) {
 	runGolden(t, TraceFieldsAnalyzer, "tracefieldsv2")
 }
@@ -166,6 +180,20 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range Run(pkgs, All()) {
 		t.Errorf("repo not lint-clean: %s", d)
+	}
+}
+
+// TestAllAnalyzers pins the suite TestRepoIsClean and megamimo-lint run,
+// so an analyzer dropped from All() fails here instead of thinning it.
+func TestAllAnalyzers(t *testing.T) {
+	var got []string
+	for _, a := range All() {
+		got = append(got, a.Name)
+	}
+	want := []string{"aliasing", "determinism", "faultpath", "float-eq", "hotalloc",
+		"panic-policy", "tracefields", "unchecked-error", "units"}
+	if !slices.Equal(got, want) {
+		t.Errorf("All() = %v, want %v", got, want)
 	}
 }
 

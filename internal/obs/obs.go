@@ -32,8 +32,6 @@ type Config struct {
 	// Meta is the run's trace metadata: /trace stamps it on the tail and
 	// the online monitor needs its rates for the cfo-mandate check.
 	Meta tracefmt.Meta
-	// Budget holds the anomaly thresholds (zero fields take defaults).
-	Budget tracefmt.Budget
 	// Window is the monitor's sliding-window length
 	// (0 = tracefmt.DefaultMonitorWindow).
 	Window int
@@ -74,7 +72,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		meta:    cfg.Meta,
-		monitor: tracefmt.NewMonitor(cfg.Meta, cfg.Budget, window),
+		monitor: tracefmt.NewMonitor(cfg.Meta, tracefmt.DefaultBudget(), window),
 		tailCap: tailCap,
 		ln:      ln,
 	}

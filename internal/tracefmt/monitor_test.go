@@ -57,7 +57,7 @@ func fixtureTrace(t *testing.T, driftPPM float64, strategy psync.Strategy) (Meta
 	}
 	// A deliberately broken sync strategy can kill every MCS ("mac: no
 	// deliverable rate") — the run still leaves the trace the anomaly
-	// gate exists to diagnose, exactly like the CI sync-smoke job.
+	// gate exists to diagnose, as in the sync rows of TestGateDrills.
 	if _, err := eng.Run(0.05); err != nil {
 		t.Logf("fixture run ended early (expected for broken sync): %v", err)
 	}
@@ -95,7 +95,7 @@ func trippedSet(vs []Violation) map[string]bool {
 }
 
 // monitorFixtures are the equivalence corpus: a clean run, the 21 ppm
-// oscillator-drift run the CI stream-smoke gate uses, and a mistuned
+// oscillator-drift run the gate drills use, and a mistuned
 // BeamSync run.
 func monitorFixtures(t *testing.T) map[string]struct {
 	meta   Meta
