@@ -299,8 +299,7 @@ func main() {
 // sweepMeta is the trace header of a workload or chaos sweep: every cell
 // runs the high-SNR default network with nAPs APs and as many clients.
 func sweepMeta(nAPs int) tracefmt.Meta {
-	cfg := core.DefaultConfig(nAPs, nAPs, experiment.HighSNR.Lo, experiment.HighSNR.Hi)
-	return tracefmt.Meta{SampleRate: cfg.SampleRate, CarrierHz: cfg.CarrierHz, APs: nAPs, Clients: nAPs}
+	return tracefmt.MetaFor(core.DefaultConfig(nAPs, nAPs, experiment.HighSNR.Lo, experiment.HighSNR.Hi))
 }
 
 // traceTo runs a sweep with its merged flight-recorder trace written to

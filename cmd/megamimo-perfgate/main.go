@@ -24,6 +24,10 @@
 // minimum ns_per_op across all -current files before comparing (the
 // standard benchstat-style noise floor).
 //
+// Each figure's printed output is gated too: a fresh run whose output
+// differs from the snapshot's by a single byte fails with OUTPUT CHANGED,
+// so a perf change cannot quietly move a figure.
+//
 // Exit status: 0 clean, 1 regression, 2 usage or I/O error.
 package main
 
@@ -43,6 +47,7 @@ type figMetrics struct {
 	AllocsPerOp uint64 `json:"allocs_per_op"`
 	BytesPerOp  uint64 `json:"bytes_per_op"`
 	Workers     int    `json:"workers"`
+	Output      string `json:"output"`
 }
 
 func main() {
@@ -63,14 +68,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cur, err := readMetrics(paths[0])
-	if err != nil {
-		fatal(err)
-	}
-	for _, path := range paths[1:] {
+	// changed names every figure whose output differs from the snapshot's
+	// in any fresh run: outputs are deterministic, so one run is enough.
+	cur := map[string]figMetrics{}
+	changed := map[string]bool{}
+	for _, path := range paths {
 		more, err := readMetrics(path)
 		if err != nil {
 			fatal(err)
+		}
+		for name, m := range more {
+			if b, ok := base[name]; ok && m.Output != b.Output {
+				changed[name] = true
+			}
 		}
 		mergeMin(cur, more)
 	}
@@ -92,6 +102,8 @@ func main() {
 		nsRatio := ratio(float64(c.NsPerOp), float64(b.NsPerOp)) / speed
 		status := "ok"
 		switch limit := 1 + *maxRegress; {
+		case changed[name]:
+			status = "OUTPUT CHANGED"
 		case allocRatio > limit:
 			status = "ALLOC REGRESSION"
 		case bytesRatio > limit:
@@ -105,7 +117,7 @@ func main() {
 			b.BytesPerOp, c.BytesPerOp, (bytesRatio-1)*100, nsRatio, status)
 	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "megamimo-perfgate: regression vs committed snapshot; if intentional, regenerate BENCH_PERF.json (see README)")
+		fmt.Fprintln(os.Stderr, "megamimo-perfgate: regression or changed output vs committed snapshot; if intentional, regenerate BENCH_PERF.json (see README)")
 		os.Exit(1)
 	}
 	fmt.Println("perf gate clean")

@@ -27,11 +27,11 @@ func TestMain(m *testing.M) {
 // snapshot is a small suite of figure records.
 func snapshot() []figMetrics {
 	return []figMetrics{
-		{Figure: "fig5", NsPerOp: 150_000, AllocsPerOp: 190, BytesPerOp: 26_000, Workers: 1},
-		{Figure: "fig8", NsPerOp: 800_000_000, AllocsPerOp: 100_000, BytesPerOp: 290_000_000, Workers: 1},
-		{Figure: "fig9", NsPerOp: 1_200_000_000, AllocsPerOp: 130_000, BytesPerOp: 330_000_000, Workers: 1},
-		{Figure: "chaos", NsPerOp: 400_000_000, AllocsPerOp: 35_000, BytesPerOp: 64_000_000, Workers: 1},
-		{Figure: "workload", NsPerOp: 190_000_000, AllocsPerOp: 18_000, BytesPerOp: 31_000_000, Workers: 1},
+		{Figure: "fig5", NsPerOp: 150_000, AllocsPerOp: 190, BytesPerOp: 26_000, Workers: 1, Output: "Fig 5\n"},
+		{Figure: "fig8", NsPerOp: 800_000_000, AllocsPerOp: 100_000, BytesPerOp: 290_000_000, Workers: 1, Output: "Fig 8\n"},
+		{Figure: "fig9", NsPerOp: 1_200_000_000, AllocsPerOp: 130_000, BytesPerOp: 330_000_000, Workers: 1, Output: "Fig 9\n2  4.1  8.2\n"},
+		{Figure: "chaos", NsPerOp: 400_000_000, AllocsPerOp: 35_000, BytesPerOp: 64_000_000, Workers: 1, Output: "Chaos\n"},
+		{Figure: "workload", NsPerOp: 190_000_000, AllocsPerOp: 18_000, BytesPerOp: 31_000_000, Workers: 1, Output: "Demand\n"},
 	}
 }
 
@@ -79,6 +79,7 @@ func TestGate(t *testing.T) {
 		{"allocs+20%", func(m *figMetrics) { m.AllocsPerOp = m.AllocsPerOp * 6 / 5 }, "ALLOC REGRESSION", 1},
 		{"time+25%", func(m *figMetrics) { m.NsPerOp = m.NsPerOp * 5 / 4 }, "TIME REGRESSION", 1},
 		{"bytes+10%", func(m *figMetrics) { m.BytesPerOp = m.BytesPerOp * 11 / 10 }, "ok", 0},
+		{"output", func(m *figMetrics) { m.Output = strings.Replace(m.Output, "8.2", "8.3", 1) }, "OUTPUT CHANGED", 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -40,7 +40,6 @@ import (
 type runConfig struct {
 	experiment.SoakConfig
 	packets         int
-	wellConditioned bool
 	trace           bool
 	workload, chaos string
 	dumpMetrics     bool
@@ -63,7 +62,6 @@ func parseFlags() *runConfig {
 	flag.IntVar(&c.packets, "packets", 8, "packets per client")
 	flag.IntVar(&c.PacketBytes, "size", 1500, "payload bytes")
 	flag.Int64Var(&c.Seed, "seed", 1, "random seed")
-	flag.BoolVar(&c.wellConditioned, "well-conditioned", true, "use the conditioning-controlled channel ensemble")
 	flag.BoolVar(&c.trace, "trace", false, "print the protocol event timeline")
 	flag.StringVar(&c.workload, "workload", "", "drive a demand workload instead of a fixed batch: cbr|poisson|onoff|heavy")
 	flag.StringVar(&c.chaos, "chaos", "", "replay a fault scenario against the closed loop: slave-crash|lead-crash|lossy|churn|mixed")
@@ -128,7 +126,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.WellConditioned = c.wellConditioned
+	// Batch, workload and chaos runs draw the Haar-mixing ensemble of the
+	// throughput figures; the soak keeps the iid links of CoreConfig.
+	cfg.WellConditioned = true
 	net, err := core.New(cfg)
 	if err != nil {
 		fatal(err)
@@ -235,7 +235,7 @@ func runSoak(c *runConfig) {
 		if err != nil {
 			fatal(err)
 		}
-		srv, err := obs.New(obs.Config{Addr: c.serveAddr, Meta: runMeta(cfg)})
+		srv, err := obs.New(obs.Config{Addr: c.serveAddr, Meta: tracefmt.MetaFor(cfg)})
 		if err != nil {
 			fatal(err)
 		}
@@ -276,21 +276,6 @@ func runSoak(c *runConfig) {
 	}
 }
 
-// runMeta stamps the run parameters the analyzers need (sample rate,
-// carrier, network size, sync strategy) into trace metadata. The
-// streaming sinks reuse it so a streamed file and a buffered -trace-out
-// export of the same run carry identical headers — overflow counters are
-// the one buffered-only addition (the stream never truncates).
-func runMeta(cfg core.Config) tracefmt.Meta {
-	return tracefmt.Meta{
-		SampleRate: cfg.SampleRate,
-		CarrierHz:  cfg.CarrierHz,
-		APs:        cfg.NumAPs,
-		Clients:    cfg.NumClients,
-		Sync:       cfg.Sync.Name(),
-	}
-}
-
 // telemetry bundles the run's observability outputs: the -trace-out
 // export, the live JSONL trace and series streams, the HTTP server, and
 // the metrics time-series sampler. A zero surface set is valid — every
@@ -316,7 +301,10 @@ type telemetry struct {
 // publishes to the HTTP server, so /metrics tracks the run live at the
 // workload sampling cadence.
 func newTelemetry(net *core.Network, c *runConfig, format tracefmt.Format) (*telemetry, error) {
-	meta := runMeta(net.Cfg)
+	// One header for every surface, so a streamed file and a buffered
+	// -trace-out export of the same run match; overflow counters are the
+	// one buffered-only addition (the stream never truncates).
+	meta := tracefmt.MetaFor(net.Cfg)
 	tel := &telemetry{c: c, net: net, meta: meta, format: format}
 	var sinks []core.TraceSink
 	if c.TracePath != "" {

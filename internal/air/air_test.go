@@ -338,11 +338,13 @@ func TestShardedObservationWorkerInvariance(t *testing.T) {
 			})
 		}
 		// Enough emissions to span many shards, deliberately posted out of
-		// start order to exercise the re-sort.
+		// start order to exercise the re-sort. Each is long enough that a
+		// sample sums arrivals from three or more shards, so a change in
+		// the shard reduction order moves its rounding.
 		for i := 0; i < 10*shardSize; i++ {
 			tx := i % 6
 			start := int64(((i * 37) % 40) * 25)
-			a.Transmit(tx, testOsc(units.PPM(float64(tx)-2.5)), start, ramp(64))
+			a.Transmit(tx, testOsc(units.PPM(float64(tx)-2.5)), start, ramp(320))
 		}
 		return a
 	}

@@ -26,23 +26,32 @@ type AblationResult struct {
 func RunAblations(draws int, seed int64) (*AblationResult, error) {
 	res := &AblationResult{}
 
-	// Each draw is one engine cell; a NaN marks a singular draw to skip.
-	inrRun := func(mod func(*core.Config), wait int64) (float64, error) {
-		cells, err := MapNamed("ablation-inr", draws, func(d int) (float64, error) {
-			cfg := core.DefaultConfig(3, 3, 18, 24)
-			cfg.Seed = seed + int64(d)*211
-			cfg.WellConditioned = true
-			if mod != nil {
-				mod(&cfg)
+	// meanOver averages f over the draws, one engine cell per draw; a NaN
+	// marks a singular draw to skip.
+	meanOver := func(name string, f func(d int) (float64, error)) (float64, error) {
+		cells, err := MapNamed(name, draws, f)
+		if err != nil {
+			return 0, err
+		}
+		var vals []float64
+		for _, v := range cells {
+			if !math.IsNaN(v) {
+				vals = append(vals, v)
 			}
-			n, err := core.New(cfg)
+		}
+		return stats.Mean(vals), nil
+	}
+
+	inrRun := func(mod func(*core.Config), wait int64) (float64, error) {
+		return meanOver("ablation-inr", func(d int) (float64, error) {
+			n, err := network(haar, 3, 3, 18, 24, seed+int64(d)*211, mod)
 			if err != nil {
 				return 0, err
 			}
 			if err := n.Measure(); err != nil {
 				return 0, err
 			}
-			if _, err := n.Precode(cfg.NoiseVar); err != nil {
+			if _, err := n.Precode(n.Cfg.NoiseVar); err != nil {
 				return math.NaN(), nil
 			}
 			if wait > 0 {
@@ -54,16 +63,6 @@ func RunAblations(draws int, seed int64) (*AblationResult, error) {
 			}
 			return units.Ratio(cmplxs.DB(inr), 1), nil
 		})
-		if err != nil {
-			return 0, err
-		}
-		var vals []float64
-		for _, v := range cells {
-			if !math.IsNaN(v) {
-				vals = append(vals, v)
-			}
-		}
-		return stats.Mean(vals), nil
 	}
 
 	type cell struct {
@@ -87,20 +86,17 @@ func RunAblations(draws int, seed int64) (*AblationResult, error) {
 		res.Rows = append(res.Rows, [2]string{"INR: " + c.label, fmt.Sprintf("%.1f dB", v)})
 	}
 
-	// ZF vs MMSE on iid Rayleigh (WellConditioned off): adapted-rate joint
-	// throughput.
+	// ZF vs MMSE on iid Rayleigh: adapted-rate joint throughput.
 	tput := func(lambdaTimesNv float64) (float64, error) {
-		cells, err := MapNamed("ablation-precoder", draws, func(d int) (float64, error) {
-			cfg := core.DefaultConfig(5, 5, 18, 24)
-			cfg.Seed = seed + int64(d)*431
-			n, err := core.New(cfg)
+		return meanOver("ablation-precoder", func(d int) (float64, error) {
+			n, err := network(rayleigh, 5, 5, 18, 24, seed+int64(d)*431, nil)
 			if err != nil {
 				return 0, err
 			}
 			if err := n.Measure(); err != nil {
 				return 0, err
 			}
-			if _, err := n.Precode(lambdaTimesNv * cfg.NoiseVar); err != nil {
+			if _, err := n.Precode(lambdaTimesNv * n.Cfg.NoiseVar); err != nil {
 				return math.NaN(), nil
 			}
 			mcs, ok, err := n.ProbeAndSelectRate(256)
@@ -110,26 +106,12 @@ func RunAblations(draws int, seed int64) (*AblationResult, error) {
 			if !ok {
 				return 0, nil
 			}
-			payloads := make([][]byte, 5)
-			for j := range payloads {
-				payloads[j] = make([]byte, PayloadBytes)
-			}
-			r, err := n.JointTransmit(payloads, mcs)
+			airtime, bits, err := jointRounds(n, mcs, 1)
 			if err != nil {
 				return 0, err
 			}
-			return r.GoodputBits() / units.Duration(units.Ticks(r.AirtimeSamples), cfg.SampleRate) / 1e6, nil
+			return stats.Sum(bits) / units.Duration(units.Ticks(airtime), n.Cfg.SampleRate) / 1e6, nil
 		})
-		if err != nil {
-			return 0, err
-		}
-		var vals []float64
-		for _, v := range cells {
-			if !math.IsNaN(v) {
-				vals = append(vals, v)
-			}
-		}
-		return stats.Mean(vals), nil
 	}
 	for _, lam := range []float64{0, 4} {
 		v, err := tput(lam)

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"megamimo/internal/core"
 	"megamimo/internal/phy"
 	"megamimo/internal/stats"
 	"megamimo/internal/units"
@@ -44,10 +43,7 @@ func RunAmortization(periods []int, draws int, seed int64) (*AmortizationResult,
 	cells, err := MapNamed("amortization", len(periods)*draws, func(i int) (amortCell, error) {
 		period := periods[i/draws]
 		d := i % draws
-		cfg := core.DefaultConfig(4, 4, 18, 24)
-		cfg.Seed = seed + int64(d)*617
-		cfg.WellConditioned = true
-		n, err := core.New(cfg)
+		n, err := network(haar, 4, 4, 18, 24, seed+int64(d)*617, nil)
 		if err != nil {
 			return amortCell{}, err
 		}
@@ -64,7 +60,7 @@ func RunAmortization(periods []int, draws int, seed int64) (*AmortizationResult,
 			// The cached precode path pays full inversions only on the
 			// first pass; later re-measurements of this static channel are
 			// rank-1 Sherman–Morrison updates.
-			if _, err := n.Precode(cfg.NoiseVar); err != nil {
+			if _, err := n.Precode(n.Cfg.NoiseVar); err != nil {
 				return amortCell{}, err
 			}
 			msmtAir += n.Now() - before
@@ -78,19 +74,14 @@ func RunAmortization(periods []int, draws int, seed int64) (*AmortizationResult,
 				}
 				mcs = int(m)
 			}
-			for k := 0; k < period && sent < totalPackets; k++ {
-				payloads := make([][]byte, 4)
-				for j := range payloads {
-					payloads[j] = make([]byte, PayloadBytes)
-				}
-				r, err := n.JointTransmit(payloads, phy.MCS(mcs))
-				if err != nil {
-					return amortCell{}, err
-				}
-				dataAir += r.AirtimeSamples
-				bits += r.GoodputBits()
-				sent++
+			rounds := min(period, totalPackets-sent)
+			air, delivered, err := jointRounds(n, phy.MCS(mcs), rounds)
+			if err != nil {
+				return amortCell{}, err
 			}
+			dataAir += air
+			bits += stats.Sum(delivered)
+			sent += rounds
 		}
 		total := dataAir + msmtAir
 		if total == 0 {
@@ -98,7 +89,7 @@ func RunAmortization(periods []int, draws int, seed int64) (*AmortizationResult,
 		}
 		return amortCell{
 			overhead: float64(msmtAir) / float64(total),
-			tput:     bits / units.Duration(units.Ticks(total), cfg.SampleRate),
+			tput:     bits / units.Duration(units.Ticks(total), n.Cfg.SampleRate),
 			ok:       true,
 		}, nil
 	})

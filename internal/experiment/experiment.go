@@ -11,7 +11,10 @@ import (
 	"strings"
 
 	"megamimo/internal/core"
+	"megamimo/internal/fault"
+	"megamimo/internal/phy"
 	"megamimo/internal/tracefmt"
+	"megamimo/internal/traffic"
 	"megamimo/internal/units"
 )
 
@@ -38,6 +41,102 @@ const (
 	// Dot11nSampleRate is the 802.11n testbed's 20 MHz channel.
 	Dot11nSampleRate = 20e6
 )
+
+// ensemble names the channel draw behind a sweep cell's AP→client matrix
+// (DESIGN.md §3b, decision 2).
+type ensemble bool
+
+const (
+	// haar mixes the links with a Haar-unitary matrix scaled by per-client
+	// gains: the "random and well conditioned" channels of §11.2.
+	haar ensemble = true
+	// rayleigh draws every link iid Rayleigh.
+	rayleigh ensemble = false
+)
+
+// cellConfig is the configuration every sweep cell starts from: the USRP
+// testbed defaults at aps APs, clients clients and the [lo, hi] dB band,
+// drawn from ens with seed.
+func cellConfig(ens ensemble, aps, clients int, lo, hi units.Decibels, seed int64) core.Config {
+	cfg := core.DefaultConfig(aps, clients, lo, hi)
+	cfg.Seed = seed
+	cfg.WellConditioned = bool(ens)
+	return cfg
+}
+
+// network builds a sweep cell's network from cellConfig, after edit (nil =
+// none) adjusts the configuration.
+func network(ens ensemble, aps, clients int, lo, hi units.Decibels, seed int64, edit func(*core.Config)) (*core.Network, error) {
+	cfg := cellConfig(ens, aps, clients, lo, hi, seed)
+	if edit != nil {
+		edit(&cfg)
+	}
+	return core.New(cfg)
+}
+
+// jointRounds sends rounds joint transmissions at mcs, each carrying a
+// PayloadBytes payload per stream, and returns the summed airtime and the
+// payload bits each stream delivered.
+func jointRounds(n *core.Network, mcs phy.MCS, rounds int) (airtime int64, bits []float64, err error) {
+	bits = make([]float64, n.NumStreams())
+	payloads := make([][]byte, len(bits))
+	for j := range payloads {
+		payloads[j] = make([]byte, PayloadBytes)
+	}
+	for r := 0; r < rounds; r++ {
+		res, err := n.JointTransmit(payloads, mcs)
+		if err != nil {
+			return 0, nil, err
+		}
+		airtime += res.AirtimeSamples
+		for j, ok := range res.OK {
+			if ok {
+				bits[j] += 8 * PayloadBytes
+			}
+		}
+	}
+	return airtime, bits, nil
+}
+
+// closedLoop runs one closed-loop cell over the high-SNR Haar topology of
+// nAPs APs and as many clients drawn from topoSeed, once per system:
+// MegaMIMO, traced into sink when non-nil, then the 802.11 baseline on an
+// identically seeded network, untraced (it has no joint rounds to record).
+// Each run measures and precodes its network, then serves every stream
+// profile for seconds under the fault schedule plan draws on it (nil plan
+// = none). The MegaMIMO network is returned for its counters.
+func closedLoop(nAPs int, profile traffic.Profile, seconds float64, topoSeed, engSeed int64, sink core.TraceSink, plan func(*core.Network) *fault.Plan) (mm, bl *traffic.Report, mmNet *core.Network, err error) {
+	run := func(sys traffic.System, sink core.TraceSink) (*traffic.Report, *core.Network, error) {
+		n, err := network(haar, nAPs, nAPs, HighSNR.Lo, HighSNR.Hi, topoSeed, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		attachTrace(n, sink)
+		if _, err := n.MeasureAndPrecode(); err != nil {
+			return nil, nil, err
+		}
+		tcfg := traffic.Config{System: sys, Profiles: make([]traffic.Profile, n.NumStreams()), Seed: engSeed}
+		for i := range tcfg.Profiles {
+			tcfg.Profiles[i] = profile
+		}
+		if plan != nil {
+			tcfg.Faults = plan(n)
+		}
+		eng, err := traffic.New(n, tcfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		rep, err := eng.Run(seconds)
+		return rep, n, err
+	}
+	if mm, mmNet, err = run(traffic.SystemMegaMIMO, sink); err != nil {
+		return nil, nil, nil, err
+	}
+	if bl, _, err = run(traffic.SystemTDMA, nil); err != nil {
+		return nil, nil, nil, err
+	}
+	return mm, bl, mmNet, nil
+}
 
 // traceRing is the flight-recorder ring size of a traced sweep cell. The
 // ring only bounds the recorder's memory: the cell's sink sees every event.

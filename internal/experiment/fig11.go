@@ -38,10 +38,9 @@ func RunFig11(apCounts []int, draws int, seed int64) (*Fig11Result, error) {
 		nAPs := apCounts[i/(len(snrGrid)*draws)]
 		snr := snrGrid[(i/draws)%len(snrGrid)]
 		d := i % draws
-		cfg := core.DefaultConfig(nAPs, 1, snr, snr+0.5)
-		cfg.Seed = seed + int64(d)*733 + int64(nAPs)*17 + int64(snr*10)
-		cfg.LinkSpreadDB = 0.5 // "roughly similar SNRs to all APs"
-		n, err := core.New(cfg)
+		n, err := network(rayleigh, nAPs, 1, snr, snr+0.5, seed+int64(d)*733+int64(nAPs)*17+int64(snr*10), func(c *core.Config) {
+			c.LinkSpreadDB = 0.5 // "roughly similar SNRs to all APs"
+		})
 		if err != nil {
 			return cell{}, err
 		}

@@ -42,15 +42,13 @@ func RunFig12(topologies, txRounds int, seed int64) (*Fig12Result, error) {
 		binIdx := i / topologies
 		topo := i % topologies
 		bin := AllBins[binIdx]
-		cfg := core.DefaultConfig(2, 2, bin.Lo, bin.Hi)
-		cfg.AntennasPerAP = 2
-		cfg.AntennasPerClient = 2
-		cfg.SampleRate = Dot11nSampleRate
-		cfg.Seed = seed + int64(topo)*577 + int64(binIdx)*3
-		cfg.WellConditioned = true
-		// The Intel 5300 reports CSI in a signed fixed-point format.
-		cfg.CSIQuantBits = 7
-		n, err := core.New(cfg)
+		n, err := network(haar, 2, 2, bin.Lo, bin.Hi, seed+int64(topo)*577+int64(binIdx)*3, func(c *core.Config) {
+			c.AntennasPerAP = 2
+			c.AntennasPerClient = 2
+			c.SampleRate = Dot11nSampleRate
+			// The Intel 5300 reports CSI in a signed fixed-point format.
+			c.CSIQuantBits = 7
+		})
 		if err != nil {
 			return fig12Cell{}, err
 		}
@@ -59,7 +57,7 @@ func RunFig12(topologies, txRounds int, seed int64) (*Fig12Result, error) {
 		if err := n.MeasureDot11n(); err != nil {
 			return fig12Cell{}, err
 		}
-		if _, err := n.Precode(cfg.NoiseVar); err != nil {
+		if _, err := n.Precode(n.Cfg.NoiseVar); err != nil {
 			return fig12Cell{skipped: true}, nil
 		}
 
@@ -77,22 +75,12 @@ func RunFig12(topologies, txRounds int, seed int64) (*Fig12Result, error) {
 		}
 		var mm float64
 		if ok {
-			var airtime int64
-			var bits float64
-			for round := 0; round < txRounds; round++ {
-				payloads := make([][]byte, 4)
-				for j := range payloads {
-					payloads[j] = make([]byte, PayloadBytes)
-				}
-				r, err := n.JointTransmit(payloads, mcs)
-				if err != nil {
-					return fig12Cell{}, err
-				}
-				airtime += r.AirtimeSamples
-				bits += r.GoodputBits()
+			airtime, bits, err := jointRounds(n, mcs, txRounds)
+			if err != nil {
+				return fig12Cell{}, err
 			}
 			if airtime > 0 {
-				mm = bits / units.Duration(units.Ticks(airtime), cfg.SampleRate)
+				mm = stats.Sum(bits) / units.Duration(units.Ticks(airtime), n.Cfg.SampleRate)
 			}
 		}
 		return fig12Cell{mm: mm, bl: bl}, nil

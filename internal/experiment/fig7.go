@@ -22,15 +22,14 @@ type Fig7Result struct {
 // seeded network.
 func RunFig7(placements, roundsPerPlacement int, seed int64) (*Fig7Result, error) {
 	cells, err := MapNamed("fig7-coherence", placements, func(p int) ([]float64, error) {
-		cfg := core.DefaultConfig(2, 1, 24, 30)
-		cfg.Seed = seed + int64(p)*97
-		// Real oscillators wander: a modest Wiener phase-noise process
-		// (the USRP2's TCXO class) drifts a few hundredths of a radian
-		// over the header→symbols turnaround, which is what puts the
-		// paper's floor at 0.017 rad rather than the thermal-noise-only
-		// value.
-		cfg.WanderStd = 2e-4
-		n, err := core.New(cfg)
+		n, err := network(rayleigh, 2, 1, 24, 30, seed+int64(p)*97, func(c *core.Config) {
+			// Real oscillators wander: a modest Wiener phase-noise process
+			// (the USRP2's TCXO class) drifts a few hundredths of a radian
+			// over the header→symbols turnaround, which is what puts the
+			// paper's floor at 0.017 rad rather than the thermal-noise-only
+			// value.
+			c.WanderStd = 2e-4
+		})
 		if err != nil {
 			return nil, err
 		}

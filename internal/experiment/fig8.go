@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"megamimo/internal/cmplxs"
-	"megamimo/internal/core"
 	"megamimo/internal/phy"
 	"megamimo/internal/stats"
 	"megamimo/internal/units"
@@ -40,17 +39,14 @@ func RunFig8(maxN, topologies int, seed int64) (*Fig8Result, error) {
 		nAPs := 2 + (i/topologies)%nCounts
 		topo := i % topologies
 		bin := AllBins[binIdx]
-		cfg := core.DefaultConfig(nAPs, nAPs, bin.Lo, bin.Hi)
-		cfg.Seed = seed + int64(topo)*131 + int64(nAPs)*7 + int64(binIdx)
-		cfg.WellConditioned = true
-		n, err := core.New(cfg)
+		n, err := network(haar, nAPs, nAPs, bin.Lo, bin.Hi, seed+int64(topo)*131+int64(nAPs)*7+int64(binIdx), nil)
 		if err != nil {
 			return nil, err
 		}
 		if err := n.Measure(); err != nil {
 			return nil, err
 		}
-		if _, err := n.Precode(cfg.NoiseVar); err != nil {
+		if _, err := n.Precode(n.Cfg.NoiseVar); err != nil {
 			return nil, nil // singular draw
 		}
 		inrs := make([]float64, 0, nAPs)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"megamimo/internal/baseline"
-	"megamimo/internal/core"
 	"megamimo/internal/stats"
 	"megamimo/internal/units"
 )
@@ -32,17 +31,14 @@ type Fig9Result struct {
 // topologyRun measures one random topology end to end and returns total and
 // per-stream throughputs for MegaMIMO and the 802.11 baseline.
 func topologyRun(nAPs int, bin SNRBin, seed int64, txRounds int) (mm float64, mmPer []float64, bl float64, blPer []float64, err error) {
-	cfg := core.DefaultConfig(nAPs, nAPs, bin.Lo, bin.Hi)
-	cfg.Seed = seed
-	cfg.WellConditioned = true
-	n, err := core.New(cfg)
+	n, err := network(haar, nAPs, nAPs, bin.Lo, bin.Hi, seed, nil)
 	if err != nil {
 		return 0, nil, 0, nil, err
 	}
 	if err := n.Measure(); err != nil {
 		return 0, nil, 0, nil, err
 	}
-	if _, err := n.Precode(cfg.NoiseVar); err != nil {
+	if _, err := n.Precode(n.Cfg.NoiseVar); err != nil {
 		return 0, nil, 0, nil, err
 	}
 
@@ -61,36 +57,21 @@ func topologyRun(nAPs int, bin SNRBin, seed int64, txRounds int) (mm float64, mm
 	if err != nil {
 		return 0, nil, 0, nil, err
 	}
-	mmPer = make([]float64, nAPs)
 	if !ok {
-		return 0, mmPer, bl, blPer, nil
+		return 0, make([]float64, nAPs), bl, blPer, nil
 	}
-	var airtime int64
-	perBits := make([]float64, nAPs)
-	for round := 0; round < txRounds; round++ {
-		payloads := make([][]byte, nAPs)
-		for j := range payloads {
-			payloads[j] = make([]byte, PayloadBytes)
-		}
-		res, txErr := n.JointTransmit(payloads, mcs)
-		if txErr != nil {
-			return 0, nil, 0, nil, txErr
-		}
-		airtime += res.AirtimeSamples
-		for j, okj := range res.OK {
-			if okj {
-				perBits[j] += float64(8 * PayloadBytes)
-			}
-		}
+	airtime, mmPer, err := jointRounds(n, mcs, txRounds)
+	if err != nil {
+		return 0, nil, 0, nil, err
 	}
 	// Measurement overhead amortized: one measurement packet per
 	// coherence time, shared across all transmissions inside it.
 	const coherenceSamples = 0.25 * USRPSampleRate
-	msmtSamples := float64(nAPs*cfg.MeasurementRounds*80 + 2*80*nAPs + 800)
+	msmtSamples := float64(nAPs*n.Cfg.MeasurementRounds*80 + 2*80*nAPs + 800)
 	overhead := 1 + msmtSamples/coherenceSamples
-	seconds := units.Duration(units.Ticks(airtime), cfg.SampleRate) * overhead
-	for j := range perBits {
-		mmPer[j] = perBits[j] / seconds
+	seconds := units.Duration(units.Ticks(airtime), n.Cfg.SampleRate) * overhead
+	for j := range mmPer {
+		mmPer[j] /= seconds
 		mm += mmPer[j]
 	}
 	return mm, mmPer, bl, blPer, nil

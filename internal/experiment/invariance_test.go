@@ -56,11 +56,10 @@ func render(v any) string {
 	return ""
 }
 
-// traceMeta is the trace header of the high-SNR default network with nAPs
-// APs and as many clients.
+// traceMeta is the trace header of a closed-loop sweep cell with nAPs APs
+// and as many clients.
 func traceMeta(nAPs int) tracefmt.Meta {
-	cfg := core.DefaultConfig(nAPs, nAPs, HighSNR.Lo, HighSNR.Hi)
-	return tracefmt.Meta{SampleRate: cfg.SampleRate, CarrierHz: cfg.CarrierHz, APs: nAPs, Clients: nAPs}
+	return tracefmt.MetaFor(cellConfig(haar, nAPs, nAPs, HighSNR.Lo, HighSNR.Hi, 0))
 }
 
 // streamTrace runs fn with a JSONL StreamSink attached and returns the

@@ -47,10 +47,8 @@ func RunRobustness(budgets []units.PPM, draws int, seed int64) (*RobustnessResul
 		d := i % draws
 		var out robustnessCell
 		// Misalignment (Fig. 7 machinery, 2 APs, 1 client).
-		mcfg := core.DefaultConfig(2, 1, 24, 30)
-		mcfg.Seed = seed + int64(d)*353
-		mcfg.PPMBudget = ppm
-		mn, err := core.New(mcfg)
+		budget := func(c *core.Config) { c.PPMBudget = ppm }
+		mn, err := network(rayleigh, 2, 1, 24, 30, seed+int64(d)*353, budget)
 		if err != nil {
 			return out, err
 		}
@@ -64,18 +62,14 @@ func RunRobustness(budgets []units.PPM, draws int, seed int64) (*RobustnessResul
 		out.mis = devs
 
 		// INR + delivery (3×3 joint).
-		cfg := core.DefaultConfig(3, 3, 18, 24)
-		cfg.Seed = seed + int64(d)*353 + 7
-		cfg.PPMBudget = ppm
-		cfg.WellConditioned = true
-		n, err := core.New(cfg)
+		n, err := network(haar, 3, 3, 18, 24, seed+int64(d)*353+7, budget)
 		if err != nil {
 			return out, err
 		}
 		if err := n.Measure(); err != nil {
 			return out, err
 		}
-		if _, err := n.Precode(cfg.NoiseVar); err != nil {
+		if _, err := n.Precode(n.Cfg.NoiseVar); err != nil {
 			return out, nil // singular draw
 		}
 		inr, err := n.NullingINR(0, 700, phy.MCS0)
@@ -91,21 +85,11 @@ func RunRobustness(budgets []units.PPM, draws int, seed int64) (*RobustnessResul
 			out.hasOK = true
 			return out, nil
 		}
-		payloads := make([][]byte, 3)
-		for j := range payloads {
-			payloads[j] = make([]byte, PayloadBytes)
-		}
-		r, err := n.JointTransmit(payloads, mcs)
+		_, bits, err := jointRounds(n, mcs, 1)
 		if err != nil {
 			return out, err
 		}
-		delivered := 0
-		for _, o := range r.OK {
-			if o {
-				delivered++
-			}
-		}
-		out.okRate, out.hasOK = float64(delivered)/3, true
+		out.okRate, out.hasOK = stats.Sum(bits)/(8*PayloadBytes)/3, true
 		return out, nil
 	})
 	if err != nil {

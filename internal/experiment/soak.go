@@ -116,12 +116,11 @@ func (c SoakConfig) IdentityJSON() ([]byte, error) {
 	return json.Marshal(c.withDefaults())
 }
 
-// CoreConfig builds the network configuration of the cell: the default
-// configuration at the configured topology and SNR band, the seed, and
-// the parsed sync strategy.
+// CoreConfig builds the network configuration of the cell: the sweep-cell
+// configuration at the configured topology, SNR band and seed on iid
+// Rayleigh links, and the parsed sync strategy.
 func (c SoakConfig) CoreConfig() (core.Config, error) {
-	cfg := core.DefaultConfig(c.APs, c.Clients, units.Decibels(c.SNRLoDB), units.Decibels(c.SNRHiDB))
-	cfg.Seed = c.Seed
+	cfg := cellConfig(rayleigh, c.APs, c.Clients, units.Decibels(c.SNRLoDB), units.Decibels(c.SNRHiDB), c.Seed)
 	var err error
 	cfg.Sync, err = psync.Parse(c.Sync)
 	return cfg, err
@@ -267,10 +266,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	// events never leak into the resumed stream. A fresh run's trace file
 	// opens with the format header; a resumed tail continues at the
 	// checkpoint's offset and carries none.
-	meta := tracefmt.Meta{
-		SampleRate: ccfg.SampleRate, CarrierHz: ccfg.CarrierHz,
-		APs: cfg.APs, Clients: cfg.Clients, Sync: net.SyncName(),
-	}
+	meta := tracefmt.MetaFor(ccfg)
 	var traceFile, seriesFile *os.File
 	var traceW io.Writer = io.Discard
 	if cfg.TracePath != "" {

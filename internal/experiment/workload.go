@@ -37,51 +37,6 @@ type workloadCell struct {
 	mm, bl *traffic.Report
 }
 
-// runWorkloadCell builds two identically seeded networks over the same
-// topology and drives each system's engine closed-loop for the window.
-// A non-nil sink receives the MegaMIMO network's flight-recorder events;
-// the baseline run is never traced (it has no joint rounds to record, and
-// tracing it would double the volume without adding protocol telemetry).
-func runWorkloadCell(nAPs int, kind traffic.Kind, loadBps float64, seconds float64, topoSeed, engSeed int64, sink core.TraceSink) (workloadCell, error) {
-	run := func(sys traffic.System) (*traffic.Report, error) {
-		cfg := core.DefaultConfig(nAPs, nAPs, HighSNR.Lo, HighSNR.Hi)
-		cfg.Seed = topoSeed
-		cfg.WellConditioned = true
-		n, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if sys == traffic.SystemMegaMIMO {
-			attachTrace(n, sink)
-		}
-		if _, err := n.MeasureAndPrecode(); err != nil {
-			return nil, err
-		}
-		profiles := make([]traffic.Profile, n.NumStreams())
-		for i := range profiles {
-			profiles[i] = traffic.ProfileFor(kind, loadBps, PayloadBytes)
-		}
-		eng, err := traffic.New(n, traffic.Config{
-			System:   sys,
-			Profiles: profiles,
-			Seed:     engSeed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return eng.Run(seconds)
-	}
-	mm, err := run(traffic.SystemMegaMIMO)
-	if err != nil {
-		return workloadCell{}, err
-	}
-	bl, err := run(traffic.SystemTDMA)
-	if err != nil {
-		return workloadCell{}, err
-	}
-	return workloadCell{mm: mm, bl: bl}, nil
-}
-
 // RunWorkload sweeps per-client offered load and reports delivered
 // throughput for MegaMIMO vs the 802.11 equal-share baseline, medians
 // across random topologies. Cells run on the parallel engine; each cell's
@@ -100,7 +55,9 @@ func RunWorkload(loadsMbps []float64, nAPs, topologies int, kind traffic.Kind, s
 		topo := i % topologies
 		topoSeed := seed + int64(topo)*7919
 		engSeed := seed + int64(loadIdx)*104729 + int64(topo)*7919
-		return runWorkloadCell(nAPs, kind, loadsMbps[loadIdx]*1e6, seconds, topoSeed, engSeed, merge.Cell(i))
+		profile := traffic.ProfileFor(kind, loadsMbps[loadIdx]*1e6, PayloadBytes)
+		mm, bl, _, err := closedLoop(nAPs, profile, seconds, topoSeed, engSeed, merge.Cell(i), nil)
+		return workloadCell{mm: mm, bl: bl}, err
 	})
 	if err != nil {
 		return nil, err

@@ -8,16 +8,21 @@ import (
 	"sort"
 )
 
+// Sum returns the sum of xs in index order, or 0 for empty input.
+func Sum(xs []float64) float64 {
+	var acc float64
+	for _, x := range xs {
+		acc += x
+	}
+	return acc
+}
+
 // Mean returns the arithmetic mean, or 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	var acc float64
-	for _, x := range xs {
-		acc += x
-	}
-	return acc / float64(len(xs))
+	return Sum(xs) / float64(len(xs))
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear

@@ -53,6 +53,17 @@ type Meta struct {
 	OverflowAt int64
 }
 
+// MetaFor is the header of a trace recorded on a network built from cfg:
+// its sample rate, carrier and size, and its sync strategy's name ("" when
+// cfg.Sync is nil, the default header scheme).
+func MetaFor(cfg core.Config) Meta {
+	m := Meta{SampleRate: cfg.SampleRate, CarrierHz: cfg.CarrierHz, APs: cfg.NumAPs, Clients: cfg.NumClients}
+	if cfg.Sync != nil {
+		m.Sync = cfg.Sync.Name()
+	}
+	return m
+}
+
 // jsonEvent is the wire form of one event: flat, fixed field order
 // (declaration order drives encoding/json), zero-valued attributes
 // omitted. One marshaled jsonEvent per JSONL line; the same struct rides
