@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	megamimo-bench [flags] fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablations|robustness|amortization|workload|chaos|syncsweep|all
+//	megamimo-bench [flags] fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|fig13|ablations|robustness|amortization|workload|chaos|all
 //
 // Flags scale the experiment size; the defaults approximate the paper's
 // methodology (20 topologies per point, 10 APs max) and take minutes.
@@ -34,7 +34,7 @@ import (
 
 // figures are the accepted figure arguments.
 var figures = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-	"ablations", "robustness", "amortization", "workload", "chaos", "syncsweep", "all"}
+	"ablations", "robustness", "amortization", "workload", "chaos", "all"}
 
 // figMetrics is one figure's machine-readable record for -json mode. One
 // "op" is one full figure regeneration; NsPerOp and the allocation columns
@@ -244,17 +244,6 @@ func main() {
 			if err := os.WriteFile(*chaosJSON, append(b, '\n'), 0o644); err != nil {
 				return "", err
 			}
-		}
-		return fmt.Sprintln(r), nil
-	})
-	run("syncsweep", func() (string, error) {
-		nAPs, seconds := 4, 0.02
-		if *quick {
-			nAPs, seconds = 2, 0.005
-		}
-		r, err := experiment.RunSyncSweep(nil, nil, nAPs, max(2, *topos/5), seconds, *seed)
-		if err != nil {
-			return "", err
 		}
 		return fmt.Sprintln(r), nil
 	})

@@ -34,7 +34,7 @@ import (
 
 // runConfig is one invocation: every flag binds straight into it. The
 // embedded SoakConfig holds the run identity — topology, SNR band, seed,
-// sync strategy, load, window, storm, drift and checkpoint cadence — in
+// load, window, storm, drift and checkpoint cadence — in
 // every mode, and its TracePath/SeriesPath are the -stream-out and
 // -series-out files; the soak harness receives it as is.
 type runConfig struct {
@@ -71,7 +71,6 @@ func parseFlags() *runConfig {
 	flag.StringVar(&c.traceOut, "trace-out", "", "write the flight-recorder trace to this file")
 	flag.StringVar(&c.traceFormat, "trace-format", "jsonl", "trace file format: jsonl|chrome")
 	flag.Float64Var(&c.DriftPPM, "drift-ppm", 0, "inject ±ppm oscillator drift: lead −ppm, slave APs +ppm (2×ppm relative); soak mode applies it at -soak-drift-at")
-	flag.StringVar(&c.Sync, "sync", "", "synchronization strategy: header|airsync|beamsync (default: the paper's header scheme)")
 	flag.StringVar(&c.serveAddr, "serve", "", "serve /metrics /healthz /trace /debug/pprof on this address during the run")
 	flag.DurationVar(&c.serveWait, "serve-wait", 0, "keep the observability server up this long after the run completes")
 	flag.StringVar(&c.TracePath, "stream-out", "", "stream the flight recorder live to this JSONL file as events are recorded")
@@ -122,10 +121,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg, err := c.CoreConfig()
-	if err != nil {
-		fatal(err)
-	}
+	cfg := c.CoreConfig()
 	// Batch, workload and chaos runs draw the Haar-mixing ensemble of the
 	// throughput figures; the soak keeps the iid links of CoreConfig.
 	cfg.WellConditioned = true
@@ -133,8 +129,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("network: %d APs, %d clients, %.0f-%.0f dB, %.0f MHz, sync strategy %q\n",
-		c.APs, c.Clients, c.SNRLoDB, c.SNRHiDB, cfg.SampleRate/1e6, net.SyncName())
+	fmt.Printf("network: %d APs, %d clients, %.0f-%.0f dB, %.0f MHz\n",
+		c.APs, c.Clients, c.SNRLoDB, c.SNRHiDB, cfg.SampleRate/1e6)
 	tel, err := newTelemetry(net, c, format)
 	if err != nil {
 		fatal(err)
@@ -178,7 +174,7 @@ func main() {
 	if err != nil || !ok {
 		// Export the flight recorder before dying: the rate probe's joint
 		// transmissions already traced the slave measurements, and a sync
-		// strategy broken enough to kill every MCS is precisely what the
+		// loop broken enough to kill every MCS is precisely what the
 		// trace anomaly gate exists to diagnose. The streaming surfaces
 		// flush too, so a live follower sees how far the run got.
 		tel.finish()
@@ -231,11 +227,7 @@ func main() {
 func runSoak(c *runConfig) {
 	air.SetWorkers(c.workers)
 	if c.serveAddr != "" {
-		cfg, err := c.CoreConfig()
-		if err != nil {
-			fatal(err)
-		}
-		srv, err := obs.New(obs.Config{Addr: c.serveAddr, Meta: tracefmt.MetaFor(cfg)})
+		srv, err := obs.New(obs.Config{Addr: c.serveAddr, Meta: tracefmt.MetaFor(c.CoreConfig())})
 		if err != nil {
 			fatal(err)
 		}

@@ -265,8 +265,7 @@ func follow(path string, b tracefmt.Budget, poll, idleExit time.Duration) int {
 						fatal(err)
 					}
 					mon = tracefmt.NewMonitor(meta, b, tracefmt.DefaultMonitorWindow)
-					fmt.Printf("following %s: %d APs, %d clients, sync %q\n",
-						path, meta.APs, meta.Clients, meta.Sync)
+					fmt.Printf("following %s: %d APs, %d clients\n", path, meta.APs, meta.Clients)
 					continue
 				}
 				e, err := tracefmt.UnmarshalEvent(line)

@@ -48,11 +48,6 @@ var (
 	soakArgs = append(slices.Clone(soakBase), "-stream-out", "@soak.jsonl")
 )
 
-// syncArgs records a 0 ppm workload under the named sync strategy.
-func syncArgs(strategy string) []string {
-	return []string{"-sync=" + strategy, "-workload", "cbr", "-load", "6", "-duration", "0.01", "-trace-out", "@" + strategy + ".jsonl"}
-}
-
 // TestGateDrills drives megamimo-sim and megamimo-trace end to end through
 // the paper's gates: the π/18 phase budget and the ±20 ppm oscillator
 // mandate (§11.1b), lead handover (§9), strict telemetry exports and the
@@ -157,10 +152,6 @@ func TestGateDrills(t *testing.T) {
 				t.Errorf("lead crash: failovers=%v delivery=%v, want ≥1 and ≥0.5", f, r)
 			}
 		}},
-		{name: "sync-header/clean", sim: syncArgs("header"), trace: []string{"anomalies", "@header.jsonl"}, want: []string{"no anomalies"},
-			check: func(t *testing.T, _ string) { syncHeader(t, read(t, "header.jsonl"), "header") }},
-		{name: "sync-airsync/clean", sim: syncArgs("airsync"), trace: []string{"anomalies", "@airsync.jsonl"}, want: []string{"no anomalies"},
-			check: func(t *testing.T, _ string) { syncHeader(t, read(t, "airsync.jsonl"), "airsync") }},
 		{name: "soak/bisect", sim: soakArgs, trace: []string{"bisect", "@ckpt", "@soak.jsonl"},
 			exit: 1, want: []string{": clean (", "first violation localized to window"}},
 		{name: "soak/resume-other-seed", setup: soak, sim: append(slices.Clone(soakBase), "-seed", "99", "-resume", "@ckpt/soak-00000012.ckpt"),
@@ -218,14 +209,6 @@ func match(t *testing.T, out, re string) float64 {
 		t.Fatal(err)
 	}
 	return v
-}
-
-// syncHeader checks that the trace header names the sync strategy.
-func syncHeader(t *testing.T, trace, strategy string) {
-	header, _, _ := strings.Cut(trace, "\n")
-	if want := fmt.Sprintf(`"sync":%q`, strategy); !strings.Contains(header, want) {
-		t.Errorf("trace header lacks %s: %s", want, header)
-	}
 }
 
 // checkChrome checks that a Chrome export is one JSON object stamped with

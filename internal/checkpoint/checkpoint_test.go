@@ -241,7 +241,7 @@ func (errTestInterrupt) Error() string { return "test interrupt" }
 // themselves, so a changed json tag, field order or complex layout moves
 // this hash; such a change must bump Version rather than silently rewrite
 // the payload under the old one.
-const pinnedCheckpointSHA256 = "8dc2320888d75b210af68882706fe0c87ccc020588650f5ec192429269fa1552"
+const pinnedCheckpointSHA256 = "0c790cc08cd4c51b86fadb8c5203601d5f02722f96705116e55234d98d79e371"
 
 // TestCheckpointBytesStable pins the on-disk bytes of a real mid-run
 // checkpoint — sync peers with their reference channels, in-flight

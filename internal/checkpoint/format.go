@@ -16,7 +16,7 @@
 //	    56     —  payload (JSON State)
 //
 // The digest is in the header so a resume against the wrong run
-// (different topology, seed, or sync strategy) is rejected before any
+// (different topology, seed, or load) is rejected before any
 // payload is parsed; the payload also embeds the config JSON itself so
 // the mismatch error can name the fields that differ. Every load-path
 // failure — truncation, bit rot, version skew — is returned as an error
@@ -39,7 +39,7 @@ const (
 	Magic = "MMCKPT1\n"
 	// Version is the current format version; bump it on any payload
 	// schema change that an older reader would misinterpret.
-	Version = 1
+	Version = 2
 
 	headerLen = 56
 	offMagic  = 0
@@ -102,8 +102,7 @@ func ReadAny(path string) (*State, []byte, error) {
 
 // Read loads a checkpoint and verifies it was taken under exactly the
 // given run configuration, rejecting a resume across a different
-// topology, seed, or sync strategy with an error naming the fields that
-// differ.
+// topology, seed, or load with an error naming the fields that differ.
 func Read(path string, cfgJSON []byte) (*State, error) {
 	st, digest, err := read(path)
 	if err != nil {

@@ -224,7 +224,7 @@ func (n *Network) slaveCaptureHeaderReference(ap *AP, t0 int64) error {
 		return err
 	}
 	ps := ap.syncTo(n.Lead().Index)
-	// One-symbol baseline: the strategy seeds its precision weight as
+	// One-symbol baseline: the sync scheme seeds its precision weight as
 	// Baseline².
 	n.sync.Init(ps, psync.RefCapture{
 		Ref:      h,

@@ -386,7 +386,7 @@ func (n *Network) slaveCaptureReference(ap *AP, sched schedule) error {
 			refAt = winStart + int64(base)
 		}
 		// The fine estimate's effective baseline is the interleaved block
-		// span; the strategy seeds its precision weight from it and lets
+		// span; the sync scheme seeds its precision weight from it and lets
 		// the reference itself be the first phase snapshot (phase(ĥ/ĥ) = 0
 		// at refAt) so the very next packet already fuses a long baseline.
 		span := float64((sched.rounds - 1) * total * symLen)

@@ -94,10 +94,6 @@ type Config struct {
 	// withholds its antennas from the joint transmission rather than fire
 	// with a garbage phase ratio.
 	SyncStalenessSamples units.Ticks
-	// Sync selects the distributed phase-synchronization strategy (the
-	// measure→predict→correct loop of internal/sync). nil selects the
-	// paper's sync-header scheme.
-	Sync psync.Strategy
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -149,7 +145,7 @@ type AP struct {
 	// head-of-queue packet's designated AP as lead, so every AP keeps a
 	// reference to every potential lead, captured from the same
 	// measurement packet). The state machine lives in the network's
-	// sync.Strategy; the AP only owns the per-peer state.
+	// sync.HeaderSync; the AP only owns the per-peer state.
 	syncs map[int]*psync.Peer
 
 	// weights hold this AP's precoder rows after the lead distributes the
@@ -189,9 +185,9 @@ type Network struct {
 	now    int64
 	rng    *rng.Source
 	tracer *Tracer
-	// sync is the phase-synchronization strategy every slave runs toward
-	// its lead (Cfg.Sync, defaulted to the paper's header scheme).
-	sync psync.Strategy
+	// sync is the paper's phase-synchronization scheme every slave runs
+	// toward its lead (§5.2).
+	sync psync.HeaderSync
 
 	// metrics is the network's telemetry registry; the m* fields cache the
 	// boundary instruments so hot-path recording is a field increment, not
@@ -262,9 +258,6 @@ func (n *Network) NumTxAntennas() int { return n.Cfg.NumAPs * n.Cfg.AntennasPerA
 // Now returns the current ether time in samples.
 func (n *Network) Now() int64 { return n.now }
 
-// SyncName reports the active synchronization strategy's registry name.
-func (n *Network) SyncName() string { return n.sync.Name() }
-
 // AdvanceTime moves the clock forward (test hook / idle periods).
 func (n *Network) AdvanceTime(samples int64) { n.now += samples }
 
@@ -314,10 +307,7 @@ func New(cfg Config) (*Network, error) {
 		freqs:  [2][]complex128{make([]complex128, ofdm.NFFT), make([]complex128, ofdm.NFFT)},
 		evolve: rng.New(0),
 	}
-	n.sync = cfg.Sync
-	if n.sync == nil {
-		n.sync = psync.Header()
-	}
+	n.sync = psync.Header()
 	n.initMetrics()
 	n.initTracer()
 	busIDs := make([]int, 0, cfg.NumAPs)

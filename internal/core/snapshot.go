@@ -21,7 +21,7 @@ import (
 
 // SyncPeerState is one AP's synchronization state toward one potential
 // lead, addressed by (AP, Toward). Peer is sync's flat all-exported state
-// union with its complex reference channel lifted out into Ref (Peer.Ref
+// with its complex reference channel lifted out into Ref (Peer.Ref
 // is always nil here), so the whole entry encodes as JSON; Ref is
 // deep-copied on capture and restore.
 type SyncPeerState struct {

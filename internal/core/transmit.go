@@ -227,7 +227,7 @@ func (n *Network) postJointFrames(tx *phy.TX, frames []*phy.FrameSymbols) (t1, t
 	n.trace(t1, KindSyncHeader, TraceAttrs{AP: lead.Index}, "lead AP %d", lead.Index)
 
 	// 2. Slaves measure the lead's current channel and derive their phase
-	//    correction (§5.2b) through the configured sync.Strategy.
+	//    correction (§5.2b) through the sync-header scheme.
 	corr := make(map[int]*psync.Correction, len(n.APs))
 	for i := range n.abstain {
 		n.abstain[i] = false
@@ -237,8 +237,8 @@ func (n *Network) postJointFrames(tx *phy.TX, frames []*phy.FrameSymbols) (t1, t
 		ps := ap.syncTo(lead.Index)
 		if mErr != nil {
 			// A slave that cannot measure its phase correction falls back
-			// to the strategy's prediction while the strategy still trusts
-			// it (inside the staleness budget); beyond that the slave
+			// to the long-term CFO prediction while it is still trusted
+			// (inside the staleness budget); beyond that the slave
 			// abstains — withholding its antennas beats firing with a
 			// garbage phase ratio, which would fill every client's null
 			// (§5.2b).
@@ -261,7 +261,7 @@ func (n *Network) postJointFrames(tx *phy.TX, frames []*phy.FrameSymbols) (t1, t
 			continue
 		}
 		// The flight recorder's phase-sync telemetry: the innovation of this
-		// packet's measured phase against the strategy's prediction is the
+		// packet's measured phase against the long-term CFO prediction is the
 		// residual phase error the π/18 nulling budget (§11.1b) bounds.
 		n.trace(c.At, KindSlaveRatio,
 			TraceAttrs{AP: ap.Index, PhaseErrRad: c.Residual, CFORadPerSample: c.CFO},
@@ -424,10 +424,10 @@ func (n *Network) DiversityTransmit(stream int, payload []byte, mcs phy.MCS) (*T
 }
 
 // slaveMeasureRatio observes the lead's sync header at t1 and runs the
-// configured sync.Strategy's Measure on it: the per-bin ratio ĥ(t1)/ĥ(0)
-// is the direct phase-offset measurement that avoids accumulating error
-// (§5.2b); the correction's Residual is the innovation against the
-// strategy's prediction, the flight recorder's phase-sync statistic (0 on
+// header scheme's Measure on it: the per-bin ratio ĥ(t1)/ĥ(0) is the
+// direct phase-offset measurement that avoids accumulating error (§5.2b);
+// the correction's Residual is the innovation against the long-term CFO
+// prediction, the flight recorder's phase-sync statistic (0 on
 // the extrapolation ablation, which measures nothing).
 func (n *Network) slaveMeasureRatio(ap *AP, t1 int64) (psync.Correction, error) {
 	ps := ap.syncTo(n.Lead().Index)

@@ -8,11 +8,10 @@ import (
 )
 
 // The testdata goldens are the exact bytes `megamimo-bench -quick
-// -workers=1 fig8` / `fig9` printed BEFORE the synchronization loop moved
-// behind the sync.Strategy interface. The header strategy is the paper's
-// scheme verbatim, so the refactored pipeline must reproduce them
-// byte-for-byte: any drift here means the extraction changed a float
-// operation, not just moved it.
+// -workers=1 fig8` / `fig9` printed before the synchronization loop moved
+// into internal/sync. sync.HeaderSync is the paper's scheme verbatim, so
+// the pipeline must reproduce them byte-for-byte: any drift here means a
+// change to the sync loop changed a float operation, not just moved it.
 
 // quickFig8 renders fig8 exactly as the CLI's -quick path does.
 func quickFig8() (string, error) {

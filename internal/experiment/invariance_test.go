@@ -113,7 +113,6 @@ func TestWorkerInvariance(t *testing.T) {
 			})
 			return []any{res, trace}, err
 		}},
-		{"syncsweep", true, func(*testing.T) (any, error) { return quickSweep() }},
 		// One network on the sharded medium: trace and series bytes.
 		{"soak", true, func(t *testing.T) (any, error) {
 			res := runSoakTo(t, soakTestConfig(t), soakDir)

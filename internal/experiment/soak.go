@@ -14,7 +14,6 @@ import (
 	"megamimo/internal/fault"
 	"megamimo/internal/metrics"
 	"megamimo/internal/obs"
-	psync "megamimo/internal/sync"
 	"megamimo/internal/tracefmt"
 	"megamimo/internal/traffic"
 	"megamimo/internal/units"
@@ -45,9 +44,6 @@ type SoakConfig struct {
 	SNRLoDB float64 `json:"snr_lo_db"`
 	SNRHiDB float64 `json:"snr_hi_db"`
 	Seed    int64   `json:"seed"`
-	// Sync names the synchronization strategy (psync.Parse spelling;
-	// empty = the paper's header scheme).
-	Sync string `json:"sync"`
 	// LoadMbps is the sustained per-client offered load.
 	LoadMbps    float64 `json:"load_mbps"`
 	PacketBytes int     `json:"packet_bytes"`
@@ -118,12 +114,9 @@ func (c SoakConfig) IdentityJSON() ([]byte, error) {
 
 // CoreConfig builds the network configuration of the cell: the sweep-cell
 // configuration at the configured topology, SNR band and seed on iid
-// Rayleigh links, and the parsed sync strategy.
-func (c SoakConfig) CoreConfig() (core.Config, error) {
-	cfg := cellConfig(rayleigh, c.APs, c.Clients, units.Decibels(c.SNRLoDB), units.Decibels(c.SNRHiDB), c.Seed)
-	var err error
-	cfg.Sync, err = psync.Parse(c.Sync)
-	return cfg, err
+// Rayleigh links.
+func (c SoakConfig) CoreConfig() core.Config {
+	return cellConfig(rayleigh, c.APs, c.Clients, units.Decibels(c.SNRLoDB), units.Decibels(c.SNRHiDB), c.Seed)
 }
 
 // SoakResult reports one soak run.
@@ -160,10 +153,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	// Rebuild path — identical for fresh and resumed runs: everything a
 	// checkpoint does not capture must come out of this path bit-for-bit.
-	ccfg, err := cfg.CoreConfig()
-	if err != nil {
-		return nil, err
-	}
+	ccfg := cfg.CoreConfig()
 	net, err := core.New(ccfg)
 	if err != nil {
 		return nil, err

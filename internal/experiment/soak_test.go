@@ -145,7 +145,7 @@ func TestSoakResumeRejectsMismatchedConfig(t *testing.T) {
 	}{
 		{"seed", func(c *SoakConfig) { c.Seed++ }},
 		{"topology", func(c *SoakConfig) { c.APs++ }},
-		{"sync", func(c *SoakConfig) { c.Sync = "airsync" }},
+		{"load", func(c *SoakConfig) { c.LoadMbps *= 2 }},
 	} {
 		t.Run(mut.name, func(t *testing.T) {
 			bad := base
@@ -212,13 +212,13 @@ func TestSoakIdentityCoversEveryField(t *testing.T) {
 // existing checkpoint's config digest: same keys, same order.
 func TestSoakIdentityJSON(t *testing.T) {
 	c := soakTestConfig(t)
-	c.DriftPPM, c.DriftAtSeconds, c.Sync = 21, 0.03, "airsync"
+	c.DriftPPM, c.DriftAtSeconds = 21, 0.03
 	c.CheckpointDir, c.TracePath = "ckpt", "trace.jsonl"
 	got, err := c.IdentityJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"aps":3,"clients":3,"snr_lo_db":18,"snr_hi_db":24,"seed":7,"sync":"airsync","load_mbps":12,"packet_bytes":200,"seconds":0.03,"faults_per_sec":400,"sample_every":4,"checkpoint_every":8,"drift_ppm":21,"drift_at_seconds":0.03}`
+	const want = `{"aps":3,"clients":3,"snr_lo_db":18,"snr_hi_db":24,"seed":7,"load_mbps":12,"packet_bytes":200,"seconds":0.03,"faults_per_sec":400,"sample_every":4,"checkpoint_every":8,"drift_ppm":21,"drift_at_seconds":0.03}`
 	if string(got) != want {
 		t.Fatalf("IdentityJSON:\n got %s\nwant %s", got, want)
 	}

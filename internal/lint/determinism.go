@@ -33,7 +33,7 @@ const rngPkg = "megamimo/internal/rng"
 
 // strictMapPkgs lists packages whose outputs must be byte-identical under
 // map-iteration reshuffling with no reduction-shape analysis: workload
-// reports, metrics exports, the sync-strategy sweep, and the streaming
+// reports, metrics exports, the phase-sync loop, and the streaming
 // telemetry pipeline (trace serialization, the online monitor, the
 // observability endpoints) are diffed verbatim across worker counts in
 // CI, so every map range there is suspect unless it is the

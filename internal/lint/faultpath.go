@@ -35,8 +35,8 @@ var faultDefPkgs = map[string]bool{
 }
 
 // faultPanicBanPkgs are the packages rule 2's panic ban covers beyond the
-// Kind-defining ones: the sync strategies run exactly when the loop is
-// degraded (header lost, lead failed over), so they share the fault
+// Kind-defining ones: the sync scheme's prediction runs exactly when the
+// loop is degraded (header lost, lead failed over), so it shares the fault
 // package's degrade-gracefully contract.
 var faultPanicBanPkgs = map[string]bool{
 	"megamimo/internal/sync": true,

@@ -9,8 +9,8 @@ import (
 // instead of panicking: they sit on user-reachable input paths (rate
 // selection from measured SNRs, modulation of frame bits, statistics over
 // experiment output, the PHY encode/decode pipeline, the fault-injection
-// schedule that chaos experiments replay, the pluggable sync strategies
-// the closed loop calls on every joint transmission, and the streaming
+// schedule that chaos experiments replay, the sync scheme the closed loop
+// calls on every joint transmission, and the streaming
 // telemetry surfaces — sinks and monitors run inside the tracer's record
 // path on every event, so a panic there kills the simulation mid-run).
 var panicPolicyPkgs = map[string]bool{

@@ -8,7 +8,7 @@ import (
 	"megamimo/internal/units"
 )
 
-// headerSync is the paper's scheme (§5.2): every joint transmission opens
+// HeaderSync is the paper's scheme (§5.2): every joint transmission opens
 // with the lead's in-band sync header; each slave measures the per-bin
 // ratio ĥ(t)/ĥ(0) against its stored reference — a direct phase
 // measurement that cannot accumulate error — and refines a long-term CFO
@@ -16,23 +16,19 @@ import (
 // is lost) extrapolates Δφ = Δω̂·Δt, and confidence decays linearly to
 // zero over the caller's staleness budget since the last good
 // measurement.
-type headerSync struct{}
+type HeaderSync struct{}
 
-// Header returns the paper's sync-header strategy.
-func Header() Strategy { return headerSync{} }
+// Header returns the paper's sync-header scheme.
+func Header() HeaderSync { return HeaderSync{} }
 
-// Name implements Strategy.
-func (headerSync) Name() string { return "header" }
-
-// Init implements Strategy: store the reference, seed the long-term CFO
-// with the capture's packet-wide estimate (a baseline of thousands of
-// samples, so the rad/sample error is orders of magnitude below a single
-// header's lag-64 estimate) and let the reference itself be the first
-// phase snapshot (phase(ĥ/ĥ) = 0 at RefAt) so the very next packet
-// already fuses a long baseline. The slope tracker deliberately survives
-// re-measurement: the sampling-offset rate is an oscillator property, not
-// a channel property.
-func (headerSync) Init(ps *Peer, ref RefCapture) {
+// Init stores the reference, seeds the long-term CFO with the capture's
+// packet-wide estimate (a baseline of thousands of samples, so the
+// rad/sample error is orders of magnitude below a single header's lag-64
+// estimate) and lets the reference itself be the first phase snapshot
+// (phase(ĥ/ĥ) = 0 at RefAt) so the very next packet already fuses a long
+// baseline. The slope tracker deliberately survives re-measurement: the
+// sampling-offset rate is an oscillator property, not a channel property.
+func (HeaderSync) Init(ps *Peer, ref RefCapture) {
 	ps.Ref = ref.Ref
 	ps.RefAt = ref.RefAt
 	ps.CFO = ref.CFO
@@ -42,12 +38,12 @@ func (headerSync) Init(ps *Peer, ref RefCapture) {
 	ps.HasPhase = true
 }
 
-// Measure implements Strategy: fit the scalar-plus-slope ratio against the
-// reference, fuse the slope and CFO trackers, and return the measured
-// correction. The residual is the innovation of this packet's measured
-// phase against the long-term CFO prediction — the residual phase error
-// the π/18 nulling budget (§11.1b) bounds.
-func (headerSync) Measure(ps *Peer, cur []complex128, at int64) (Correction, error) {
+// Measure fits the scalar-plus-slope ratio against the reference, fuses
+// the slope and CFO trackers, and returns the measured correction. The
+// residual is the innovation of this packet's measured phase against the
+// long-term CFO prediction — the residual phase error the π/18 nulling
+// budget (§11.1b) bounds.
+func (HeaderSync) Measure(ps *Peer, cur []complex128, at int64) (Correction, error) {
 	slopeMeas, q := ratioComponents(cur, ps.Ref)
 	slope := ps.trackSlope(slopeMeas, float64(at-ps.RefAt))
 	ratio := composeRatio(q, slope)
@@ -55,11 +51,11 @@ func (headerSync) Measure(ps *Peer, cur []complex128, at int64) (Correction, err
 	return Correction{Ratio: ratio, At: at, RefAt: ps.RefAt, CFO: ps.CFO, Residual: resid}, nil
 }
 
-// Predict implements Strategy: extrapolate the correction from the
-// long-term CFO estimate alone, Δφ = Δω̂·Δt on every occupied bin. It is
-// the ExtrapolatePhase ablation's correction and the bounded-staleness
-// fallback when a sync-header measurement fails.
-func (headerSync) Predict(ps *Peer, at int64) Correction {
+// Predict extrapolates the correction from the long-term CFO estimate
+// alone, Δφ = Δω̂·Δt on every occupied bin. It is the ExtrapolatePhase
+// ablation's correction and the bounded-staleness fallback when a
+// sync-header measurement fails.
+func (HeaderSync) Predict(ps *Peer, at int64) Correction {
 	ratio := make([]complex128, ofdm.NFFT)
 	phase := units.PhaseAdvance(ps.CFO, units.Samples(at-ps.RefAt))
 	for _, b := range occBins {
@@ -68,11 +64,11 @@ func (headerSync) Predict(ps *Peer, at int64) Correction {
 	return Correction{Ratio: ratio, At: at, RefAt: ps.RefAt, CFO: ps.CFO}
 }
 
-// Confidence implements Strategy: full trust right after a measurement,
-// decaying linearly to zero one sample past the staleness budget — so the
-// caller's abstain rule (confidence ≤ 0) reproduces the §5.2b bounded
-// staleness exactly: extrapolate while age ≤ budget, withhold beyond it.
-func (headerSync) Confidence(ps *Peer, at int64, budget units.Ticks) float64 {
+// Confidence is full trust right after a measurement, decaying linearly
+// to zero one sample past the staleness budget — so the caller's abstain
+// rule (confidence ≤ 0) reproduces the §5.2b bounded staleness exactly:
+// extrapolate while age ≤ budget, withhold beyond it.
+func (HeaderSync) Confidence(ps *Peer, at int64, budget units.Ticks) float64 {
 	if !ps.HasPhase || budget <= 0 {
 		return 0
 	}

@@ -1,16 +1,13 @@
-// Package sync holds the pluggable distributed phase-synchronization
-// strategies: the measure→predict→correct loop that keeps every slave AP's
-// oscillator phase locked to the lead's so the joint zero-forcing nulls
-// survive (§5). The paper's in-band sync-header scheme is one Strategy
-// among several; the others (AirSync's Kalman-tracked out-of-band
-// reference, BeamSync's periodic beam calibration) implement the same
-// contract so internal/experiment can race them head-to-head through the
-// same drift, chaos and anomaly-gate machinery.
+// Package sync holds the paper's distributed phase synchronization (§5):
+// the measure→predict→correct loop that keeps every slave AP's oscillator
+// phase locked to the lead's so the joint zero-forcing nulls survive. Each
+// slave measures the lead's in-band sync header on every packet (§5.2), a
+// direct Δφ measurement; HeaderSync is that scheme.
 //
-// A Strategy is stateless configuration; all per-(slave, lead) state lives
-// in the Peer it is handed, so one Strategy value is safe to share across
-// networks and goroutines and a run stays deterministic. The split between
-// the three verbs matters to the caller:
+// HeaderSync is stateless; all per-(slave, lead) state lives in the Peer
+// it is handed, so one value is safe to share across networks and
+// goroutines and a run stays deterministic. The split between the verbs
+// matters to the caller:
 //
 //   - Init seeds a Peer from a freshly captured reference channel.
 //   - Measure folds one received reference observation into the Peer and
@@ -24,7 +21,6 @@
 package sync
 
 import (
-	"fmt"
 	"math"
 
 	"megamimo/internal/cmplxs"
@@ -32,10 +28,8 @@ import (
 	"megamimo/internal/units"
 )
 
-// Peer is one AP's synchronization state toward one potential lead. The
-// fields are a union across strategies: the reference/CFO block is shared,
-// the Kalman block belongs to AirSync and the burst block to BeamSync.
-// Strategies own the state machine; callers only read Ref (to detect an
+// Peer is one AP's synchronization state toward one potential lead.
+// HeaderSync owns the state machine; callers only read Ref (to detect an
 // unseeded peer) and the CFO estimate for telemetry.
 type Peer struct {
 	// Ref is the reference channel ĥᵢ^peer(0), one complex gain per FFT
@@ -45,12 +39,11 @@ type Peer struct {
 	// sample: phase ratios against Ref measure the oscillator advance
 	// since exactly this instant.
 	RefAt int64
-	// CFO is the strategy's current best estimate of ω_peer − ω_self in
+	// CFO is the current best estimate of ω_peer − ω_self in
 	// rad/sample (§5.3: averaged for intra-packet tracking).
 	CFO units.RadPerSample
-	// FuseWeight is the precision weight of the CFO fusion (samples²,
-	// variance ∝ 1/baseline²) used by the header scheme's long-term
-	// average.
+	// FuseWeight is the precision weight of the long-term CFO average
+	// (samples², variance ∝ 1/baseline²).
 	FuseWeight float64
 	// LastPhase/LastAt snapshot the latest ratio phase for cross-packet
 	// CFO refinement: two phase snapshots a known (long) time apart give a
@@ -65,24 +58,9 @@ type Peer struct {
 	// asymmetric fading; the averaged rate is not.
 	SlopeRate   float64
 	SlopeWeight float64
-
-	// Kalman state (AirSync): phase/CFO mean and covariance of the
-	// continuously tracked reference. KPhase is unwrapped — it follows the
-	// accumulated oscillator advance since RefAt.
-	KPhase units.Radians
-	KCFO   units.RadPerSample
-	// P00/P01/P11 are the symmetric 2×2 covariance entries (rad²,
-	// rad²/sample, rad²/sample²).
-	P00, P01, P11 float64
-	KInit         bool
-
-	// Burst state (BeamSync): the last fused calibration burst.
-	BurstAt    int64
-	BurstPhase units.Radians
-	BurstInit  bool
 }
 
-// RefCapture is a freshly captured reference handed to Strategy.Init: the
+// RefCapture is a freshly captured reference handed to HeaderSync.Init: the
 // reference channel, its phase-reference time, the packet-wide CFO
 // estimate and the baseline that estimate was formed over.
 type RefCapture struct {
@@ -112,47 +90,9 @@ type Correction struct {
 	// CFO extrapolates the correction within the packet (§5.3).
 	CFO units.RadPerSample
 	// Residual is the innovation of this measurement against the
-	// strategy's prediction — the phase error the prediction missed by
+	// long-term CFO prediction — the phase error the prediction missed by
 	// (0 when nothing was measured or fused).
 	Residual units.Radians
-}
-
-// Strategy is one synchronization scheme. Implementations are stateless
-// configuration values; per-peer state lives in the Peer.
-type Strategy interface {
-	// Name returns the strategy's registry name (see Parse).
-	Name() string
-	// Init seeds a peer from a freshly captured reference.
-	Init(ps *Peer, ref RefCapture)
-	// Measure folds a received reference observation (per-bin channel
-	// estimate cur, phase-referenced at ether time at) into the peer and
-	// returns the correction to apply.
-	Measure(ps *Peer, cur []complex128, at int64) (Correction, error)
-	// Predict extrapolates the correction to ether time at without an
-	// observation. It must not mutate the peer.
-	Predict(ps *Peer, at int64) Correction
-	// Confidence reports how much a prediction at ether time at can be
-	// trusted given the caller's staleness budget; ≤ 0 means abstain.
-	Confidence(ps *Peer, at int64, budget units.Ticks) float64
-}
-
-// Parse resolves a strategy registry name. The empty string selects the
-// paper's header scheme.
-func Parse(name string) (Strategy, error) {
-	switch name {
-	case "", "header":
-		return Header(), nil
-	case "airsync":
-		return NewAirSync(), nil
-	case "beamsync":
-		return NewBeamSync(), nil
-	}
-	return nil, fmt.Errorf("sync: unknown strategy %q (header|airsync|beamsync)", name)
-}
-
-// Names lists the registry in presentation order.
-func Names() []string {
-	return []string{"header", "airsync", "beamsync"}
 }
 
 // occCarriers, occCarrierSet and occBins cache the static occupied-carrier
@@ -220,32 +160,20 @@ func ratioComponents(cur, ref []complex128) (float64, []complex128) {
 	return slope, q
 }
 
-// commonPhase fits the scalar phase of the product vector after removing
-// the per-carrier slope (the composeRatio fit, factored out so strategies
-// that track the scalar phase directly can reuse it).
-func commonPhase(q []complex128, slope float64) units.Radians {
+// composeRatio builds the per-bin unit-magnitude correction from the
+// product vector and a slope: the common phase is fit after removing the
+// slope, then re-applied per carrier.
+func composeRatio(q []complex128, slope float64) []complex128 {
 	var acc complex128
 	for _, k := range occCarriers {
 		acc += q[ofdm.Bin(k)] * cmplxs.Expi(units.Radians(-slope*float64(k)))
 	}
-	return cmplxs.Phase(acc)
-}
-
-// buildRatio expands a scalar phase plus per-carrier slope into the
-// per-bin unit-magnitude correction vector.
-func buildRatio(common units.Radians, slope float64) []complex128 {
+	common := cmplxs.Phase(acc)
 	ratio := make([]complex128, ofdm.NFFT)
 	for _, k := range occCarriers {
 		ratio[ofdm.Bin(k)] = cmplxs.Expi(common + units.Radians(slope*float64(k)))
 	}
 	return ratio
-}
-
-// composeRatio builds the per-bin unit-magnitude correction from the
-// product vector and a slope: the common phase is fit after removing the
-// slope, then re-applied per carrier.
-func composeRatio(q []complex128, slope float64) []complex128 {
-	return buildRatio(commonPhase(q, slope), slope)
 }
 
 // FitRatio is the single-shot form: per-packet slope, no tracking (used

@@ -174,7 +174,7 @@ func SpanStats(meta Meta, events []core.TraceEvent) []SpanStat {
 	return out
 }
 
-// Budget holds the anomaly thresholds; zero fields take the defaults.
+// Budget holds the anomaly thresholds (DefaultBudget is the paper's).
 type Budget struct {
 	// PhaseBudgetRad is the paper's nulling budget on residual phase
 	// error: π/18 rad (10°) keeps the null within ~1 dB of ideal (§11.1b).
@@ -198,24 +198,6 @@ func DefaultBudget() Budget {
 		NullDegradeDB:  3,
 		EVMDegradeDB:   6,
 	}
-}
-
-// withDefaults fills zero fields.
-func (b Budget) withDefaults() Budget {
-	d := DefaultBudget()
-	if b.PhaseBudgetRad <= 0 {
-		b.PhaseBudgetRad = d.PhaseBudgetRad
-	}
-	if b.MaxRelPPM <= 0 {
-		b.MaxRelPPM = d.MaxRelPPM
-	}
-	if b.NullDegradeDB <= 0 {
-		b.NullDegradeDB = d.NullDegradeDB
-	}
-	if b.EVMDegradeDB <= 0 {
-		b.EVMDegradeDB = d.EVMDegradeDB
-	}
-	return b
 }
 
 // Anomaly is one budget violation.

@@ -109,13 +109,13 @@ func (w *apWindow) push(r units.Radians, c units.RadPerSample, window int) {
 }
 
 // NewMonitor builds a monitor with the given run metadata and budgets
-// (zero budget fields take the defaults, as in FindAnomalies). window
-// sets the live sliding-window length; window <= 0 disables live
-// evaluation, leaving a pure incremental batch analyzer.
+// (DefaultBudget for the paper's). window sets the live sliding-window
+// length; window <= 0 disables live evaluation, leaving a pure
+// incremental batch analyzer.
 func NewMonitor(meta Meta, b Budget, window int) *Monitor {
 	return &Monitor{
 		meta:    meta,
-		b:       b.withDefaults(),
+		b:       b,
 		window:  window,
 		resid:   map[int][]units.Radians{},
 		cfoSum:  map[int]units.RadPerSample{},

@@ -5,22 +5,17 @@ import (
 	"testing"
 
 	"megamimo/internal/core"
-	psync "megamimo/internal/sync"
 	"megamimo/internal/traffic"
 	"megamimo/internal/units"
 )
 
 // fixtureTrace runs a short closed-loop MegaMIMO workload and returns its
 // recorded trace: the same construction as `megamimo-sim -workload cbr`,
-// with optional injected oscillator drift (lead −ppm, slaves +ppm) and an
-// optional sync strategy (nil = default header scheme).
-func fixtureTrace(t *testing.T, driftPPM float64, strategy psync.Strategy) (Meta, []core.TraceEvent) {
+// with optional injected oscillator drift (lead −ppm, slaves +ppm).
+func fixtureTrace(t *testing.T, driftPPM float64) (Meta, []core.TraceEvent) {
 	t.Helper()
 	cfg := core.DefaultConfig(3, 3, 18, 24)
 	cfg.Seed = 7
-	if strategy != nil {
-		cfg.Sync = strategy
-	}
 	net, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +33,7 @@ func fixtureTrace(t *testing.T, driftPPM float64, strategy psync.Strategy) (Meta
 	}
 	net.SetPrecoder(p)
 	// Rate-probe joint transmissions first (the sim's batch path): they
-	// emit sync-header/slave-ratio/decode telemetry even when a broken
-	// strategy delivers nothing, which is what the gate must catch.
+	// emit sync-header/slave-ratio/decode telemetry before any traffic.
 	for i := 0; i < 12; i++ {
 		if _, _, err := net.ProbeAndSelectRate(256); err != nil {
 			t.Fatal(err)
@@ -55,26 +49,24 @@ func fixtureTrace(t *testing.T, driftPPM float64, strategy psync.Strategy) (Meta
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A deliberately broken sync strategy can kill every MCS ("mac: no
-	// deliverable rate") — the run still leaves the trace the anomaly
-	// gate exists to diagnose, as in the sync rows of TestGateDrills.
 	if _, err := eng.Run(0.05); err != nil {
-		t.Logf("fixture run ended early (expected for broken sync): %v", err)
+		t.Fatal(err)
 	}
-	meta := Meta{
-		SampleRate: cfg.SampleRate,
-		CarrierHz:  cfg.CarrierHz,
-		APs:        3,
-		Clients:    3,
-		Sync:       net.SyncName(),
-	}
-	return meta, net.Trace().Events()
+	return MetaFor(cfg), net.Trace().Events()
 }
 
-// mistunedBeamSync is the test-only canary: BeamSync with its CFO
-// estimator believing the bursts are 100× closer together than they are,
-// so every CFO estimate is inflated 100×.
-var mistunedBeamSync = psync.BeamSync{IntervalScale: 0.01}
+// mistuneCFO is the test-only canary: a copy of the events with every
+// slave-ratio CFO estimate inflated 100×, which is what a sync estimator
+// whose CFO is off by 100× reports.
+func mistuneCFO(events []core.TraceEvent) []core.TraceEvent {
+	out := append([]core.TraceEvent(nil), events...)
+	for i := range out {
+		if out[i].Kind == core.KindSlaveRatio {
+			out[i].Attrs.CFORadPerSample *= 100
+		}
+	}
+	return out
+}
 
 // checkSet collapses anomalies to the set of check names.
 func checkSet(as []Anomaly) map[string]bool {
@@ -95,8 +87,8 @@ func trippedSet(vs []Violation) map[string]bool {
 }
 
 // monitorFixtures are the equivalence corpus: a clean run, the 21 ppm
-// oscillator-drift run the gate drills use, and a mistuned
-// BeamSync run.
+// oscillator-drift run the gate drills use, and the clean run with its
+// CFO estimates mistuned.
 func monitorFixtures(t *testing.T) map[string]struct {
 	meta   Meta
 	events []core.TraceEvent
@@ -106,9 +98,8 @@ func monitorFixtures(t *testing.T) map[string]struct {
 		meta   Meta
 		events []core.TraceEvent
 	}{}
-	cleanMeta, cleanEvs := fixtureTrace(t, 0, nil)
-	driftMeta, driftEvs := fixtureTrace(t, 21, nil)
-	misMeta, misEvs := fixtureTrace(t, 0, mistunedBeamSync)
+	cleanMeta, cleanEvs := fixtureTrace(t, 0)
+	driftMeta, driftEvs := fixtureTrace(t, 21)
 	out["clean"] = struct {
 		meta   Meta
 		events []core.TraceEvent
@@ -117,10 +108,10 @@ func monitorFixtures(t *testing.T) map[string]struct {
 		meta   Meta
 		events []core.TraceEvent
 	}{driftMeta, driftEvs}
-	out["mistuned-beamsync"] = struct {
+	out["mistuned-cfo"] = struct {
 		meta   Meta
 		events []core.TraceEvent
-	}{misMeta, misEvs}
+	}{cleanMeta, mistuneCFO(cleanEvs)}
 	return out
 }
 
@@ -130,11 +121,11 @@ func monitorFixtures(t *testing.T) map[string]struct {
 // evaluation is on.
 func TestMonitorBatchEquivalence(t *testing.T) {
 	fixtures := monitorFixtures(t)
-	for _, name := range []string{"clean", "drift-21ppm", "mistuned-beamsync"} {
+	for _, name := range []string{"clean", "drift-21ppm", "mistuned-cfo"} {
 		fx := fixtures[name]
-		want := FindAnomalies(fx.meta, fx.events, Budget{})
+		want := FindAnomalies(fx.meta, fx.events, DefaultBudget())
 		for _, window := range []int{0, DefaultMonitorWindow} {
-			m := NewMonitor(fx.meta, Budget{}, window)
+			m := NewMonitor(fx.meta, DefaultBudget(), window)
 			for _, e := range fx.events {
 				m.ConsumeTrace(e)
 			}
@@ -153,10 +144,10 @@ func TestMonitorBatchEquivalence(t *testing.T) {
 // cfo-mandate) and absolute checks match the batch check set.
 func TestMonitorOnlineVerdictMatchesBatch(t *testing.T) {
 	fixtures := monitorFixtures(t)
-	for _, name := range []string{"clean", "drift-21ppm", "mistuned-beamsync"} {
+	for _, name := range []string{"clean", "drift-21ppm", "mistuned-cfo"} {
 		fx := fixtures[name]
-		batch := FindAnomalies(fx.meta, fx.events, Budget{})
-		m := NewMonitor(fx.meta, Budget{}, DefaultMonitorWindow)
+		batch := FindAnomalies(fx.meta, fx.events, DefaultBudget())
+		m := NewMonitor(fx.meta, DefaultBudget(), DefaultMonitorWindow)
 		for _, e := range fx.events {
 			m.ConsumeTrace(e)
 		}
@@ -185,7 +176,7 @@ func TestMonitorFirstViolation(t *testing.T) {
 	fixtures := monitorFixtures(t)
 
 	fx := fixtures["drift-21ppm"]
-	m := NewMonitor(fx.meta, Budget{}, DefaultMonitorWindow)
+	m := NewMonitor(fx.meta, DefaultBudget(), DefaultMonitorWindow)
 	for _, e := range fx.events {
 		m.ConsumeTrace(e)
 	}
@@ -200,24 +191,23 @@ func TestMonitorFirstViolation(t *testing.T) {
 	if v.At <= 0 || v.At > m.LastAt() {
 		t.Errorf("first violation at t=%d outside the run (last t=%d)", v.At, m.LastAt())
 	}
-	if !checkSet(FindAnomalies(fx.meta, fx.events, Budget{}))["cfo-mandate"] {
+	if !checkSet(FindAnomalies(fx.meta, fx.events, DefaultBudget()))["cfo-mandate"] {
 		t.Error("batch misses the cfo-mandate anomaly the monitor tripped")
 	}
 
-	fx = fixtures["mistuned-beamsync"]
-	m = NewMonitor(fx.meta, Budget{}, DefaultMonitorWindow)
+	fx = fixtures["mistuned-cfo"]
+	m = NewMonitor(fx.meta, DefaultBudget(), DefaultMonitorWindow)
 	for _, e := range fx.events {
 		m.ConsumeTrace(e)
 	}
 	v, ok = m.FirstViolation()
 	if !ok {
-		t.Fatal("mistuned BeamSync run tripped nothing online")
+		t.Fatal("mistuned-CFO run tripped nothing online")
 	}
-	// The mistuned strategy corrupts decodes before its sync window fills,
-	// so the temporally-first violation may be a decode failure — but it
-	// must be a check batch analysis confirms, and the sync checks must
-	// trip too once the window has samples.
-	batch := checkSet(FindAnomalies(fx.meta, fx.events, Budget{}))
+	// The clean run's own anomalies, if any, may come first — but the first
+	// violation must be a check batch analysis confirms, and the sync
+	// checks must trip too once the window has samples.
+	batch := checkSet(FindAnomalies(fx.meta, fx.events, DefaultBudget()))
 	if !batch[v.Anomaly.Check] {
 		t.Errorf("mistuned first violation %q not confirmed by batch (%v)", v.Anomaly.Check, batch)
 	}
@@ -227,17 +217,13 @@ func TestMonitorFirstViolation(t *testing.T) {
 	}
 }
 
-// TestMistunedBeamSyncCanary proves the anomaly gate rejects a broken
-// sync strategy: even at a tiny 2 ppm injected drift, the mistuned
-// BeamSync's inflated CFO estimates blow through the ±40 ppm mandate, and
-// the run's meta names the canary.
-func TestMistunedBeamSyncCanary(t *testing.T) {
-	meta, events := fixtureTrace(t, 2, mistunedBeamSync)
-	if meta.Sync != "beamsync-mistuned" {
-		t.Errorf("meta.Sync = %q, want beamsync-mistuned", meta.Sync)
-	}
-	if got := checkSet(FindAnomalies(meta, events, Budget{})); !got["cfo-mandate"] {
-		t.Errorf("mistuned BeamSync at 2 ppm not rejected citing cfo-mandate (checks %v)", got)
+// TestMistunedCFOCanary proves the anomaly gate rejects a broken sync
+// estimator: even at a tiny 2 ppm injected drift, CFO estimates inflated
+// 100× blow through the ±40 ppm mandate.
+func TestMistunedCFOCanary(t *testing.T) {
+	meta, events := fixtureTrace(t, 2)
+	if got := checkSet(FindAnomalies(meta, mistuneCFO(events), DefaultBudget())); !got["cfo-mandate"] {
+		t.Errorf("mistuned CFO at 2 ppm not rejected citing cfo-mandate (checks %v)", got)
 	}
 }
 
@@ -245,7 +231,7 @@ func TestMistunedBeamSyncCanary(t *testing.T) {
 // sink and checks violations trip during emission, not only at the end.
 func TestMonitorAsSinkStreamsLive(t *testing.T) {
 	meta := Meta{SampleRate: 10e6, CarrierHz: 2.437e9}
-	m := NewMonitor(meta, Budget{}, 16)
+	m := NewMonitor(meta, DefaultBudget(), 16)
 	tr := &core.Tracer{}
 	tr.SetSink(m)
 	tr.Enable(4) // tiny ring: the monitor must see past the overflow

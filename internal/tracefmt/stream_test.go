@@ -86,7 +86,7 @@ func TestStreamSinkMatchesWriteJSONL(t *testing.T) {
 func TestStreamSinkHeaderFirst(t *testing.T) {
 	var buf bytes.Buffer
 	meta := Meta{SampleRate: 10e6, CarrierHz: 2.437e9, APs: 3, Clients: 3,
-		Sync: "beamsync", Overflowed: 5, OverflowAt: 1234}
+		Overflowed: 5, OverflowAt: 1234}
 	s, err := NewStreamSink(&buf, meta, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)

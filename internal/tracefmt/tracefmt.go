@@ -40,10 +40,6 @@ type Meta struct {
 	CarrierHz units.Hertz
 	// APs and Clients size the network (used for track naming).
 	APs, Clients int
-	// Sync names the synchronization strategy the run used ("" means the
-	// default header scheme). Additive in schema v1: old readers ignore it,
-	// old files simply omit it.
-	Sync string
 	// Overflowed counts events the recorder's ring displaced before export;
 	// when non-zero the trace is truncated at the head. Additive in v1.
 	Overflowed int64
@@ -54,14 +50,9 @@ type Meta struct {
 }
 
 // MetaFor is the header of a trace recorded on a network built from cfg:
-// its sample rate, carrier and size, and its sync strategy's name ("" when
-// cfg.Sync is nil, the default header scheme).
+// its sample rate, carrier and size.
 func MetaFor(cfg core.Config) Meta {
-	m := Meta{SampleRate: cfg.SampleRate, CarrierHz: cfg.CarrierHz, APs: cfg.NumAPs, Clients: cfg.NumClients}
-	if cfg.Sync != nil {
-		m.Sync = cfg.Sync.Name()
-	}
-	return m
+	return Meta{SampleRate: cfg.SampleRate, CarrierHz: cfg.CarrierHz, APs: cfg.NumAPs, Clients: cfg.NumClients}
 }
 
 // jsonEvent is the wire form of one event: flat, fixed field order
@@ -99,7 +90,6 @@ type header struct {
 	CarrierHz  units.Hertz `json:"carrier_hz"`
 	APs        int         `json:"aps"`
 	Clients    int         `json:"clients"`
-	Sync       string      `json:"sync,omitempty"`
 	Overflowed int64       `json:"overflowed,omitempty"`
 	OverflowAt int64       `json:"overflow_at,omitempty"`
 }
@@ -113,7 +103,6 @@ func headerFor(meta Meta) header {
 		CarrierHz:  meta.CarrierHz,
 		APs:        meta.APs,
 		Clients:    meta.Clients,
-		Sync:       meta.Sync,
 		Overflowed: meta.Overflowed,
 		OverflowAt: meta.OverflowAt,
 	}
@@ -126,7 +115,6 @@ func metaFrom(h header) Meta {
 		CarrierHz:  h.CarrierHz,
 		APs:        h.APs,
 		Clients:    h.Clients,
-		Sync:       h.Sync,
 		Overflowed: h.Overflowed,
 		OverflowAt: h.OverflowAt,
 	}

@@ -78,6 +78,27 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("re-serialized JSONL differs from the original bytes")
 	}
+	// Traces written before the header lost its sync key still load.
+	old := withSyncKey(t, buf.Bytes())
+	line, _, _ := bytes.Cut(old, []byte("\n"))
+	if m, err := UnmarshalHeader(line); err != nil || m != meta {
+		t.Fatalf("UnmarshalHeader(%s) = %+v, %v; want %+v", line, m, err, meta)
+	}
+	oldMeta, oldEvents, err := ReadJSONL(bytes.NewReader(old))
+	if err != nil || oldMeta != meta || !reflect.DeepEqual(oldEvents, events) {
+		t.Fatalf("ReadJSONL of a header with a sync key: meta %+v, err %v", oldMeta, err)
+	}
+}
+
+// withSyncKey inserts the "sync" header key that older writers emitted
+// (`"sync":"airsync"`, after "clients") into a serialized trace.
+func withSyncKey(t *testing.T, b []byte) []byte {
+	t.Helper()
+	out := bytes.Replace(b, []byte(`"clients":2`), []byte(`"clients":2,"sync":"airsync"`), 1)
+	if bytes.Equal(out, b) {
+		t.Fatal("no header clients key to follow with a sync key")
+	}
+	return out
 }
 
 // FuzzReadJSONL feeds arbitrary bytes to the JSONL reader. It must never
@@ -158,15 +179,17 @@ func TestChromeRoundTrip(t *testing.T) {
 	if err := WriteChrome(&buf, meta, events); err != nil {
 		t.Fatal(err)
 	}
-	gotMeta, gotEvents, err := ReadChrome(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotMeta != meta {
-		t.Fatalf("meta round-trip: got %+v, want %+v", gotMeta, meta)
-	}
-	if !reflect.DeepEqual(gotEvents, events) {
-		t.Fatalf("events round-trip mismatch:\ngot  %+v\nwant %+v", gotEvents, events)
+	for _, in := range [][]byte{buf.Bytes(), withSyncKey(t, buf.Bytes())} {
+		gotMeta, gotEvents, err := ReadChrome(bytes.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotMeta != meta {
+			t.Fatalf("meta round-trip: got %+v, want %+v", gotMeta, meta)
+		}
+		if !reflect.DeepEqual(gotEvents, events) {
+			t.Fatalf("events round-trip mismatch:\ngot  %+v\nwant %+v", gotEvents, events)
+		}
 	}
 }
 
@@ -313,7 +336,7 @@ func TestSpanStats(t *testing.T) {
 }
 
 func TestFindAnomaliesCleanTrace(t *testing.T) {
-	got := FindAnomalies(sampleMeta(), sampleEvents(), Budget{})
+	got := FindAnomalies(sampleMeta(), sampleEvents(), DefaultBudget())
 	// The synthetic trace has one "no-ack" retransmit but no max-attempts
 	// failure, phase errors well under π/18, CFO ≈ 0.04 ppm: clean.
 	if len(got) != 0 {
@@ -339,7 +362,7 @@ func TestFindAnomaliesFlagsViolations(t *testing.T) {
 		core.TraceEvent{Seq: 15, At: 510, Kind: core.KindDecode, Ph: core.PhInstant,
 			Attrs: core.TraceAttrs{Client: 0, Stream: 0, Cause: "decode"}, Msg: "FCS failed"},
 	)
-	got := FindAnomalies(meta, events, Budget{})
+	got := FindAnomalies(meta, events, DefaultBudget())
 	checks := map[string]int{}
 	for _, a := range got {
 		checks[a.Check]++
@@ -377,7 +400,7 @@ func TestFindAnomaliesEVMAndNullDegradation(t *testing.T) {
 	}
 	add(core.KindDecode, core.TraceAttrs{Stream: 0, EVMSNRdB: 18, OK: true}) // 12 dB below median
 	add(core.KindNullDepth, core.TraceAttrs{Stream: 1, NullDepthDB: 25})     // 15 dB below median
-	got := FindAnomalies(meta, events, Budget{})
+	got := FindAnomalies(meta, events, DefaultBudget())
 	checks := map[string]int{}
 	for _, a := range got {
 		checks[a.Check]++
