@@ -64,7 +64,6 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		traceOut   = flag.String("trace-out", "", "workload/chaos only: write the merged flight-recorder trace to this file (JSONL streams live)")
 		traceFmt   = flag.String("trace-format", "jsonl", "trace file format: jsonl|chrome")
-		chaosJSON  = flag.String("chaos-json", "", "chaos only: write the sweep result as deterministic JSON to this file")
 	)
 	flag.Parse()
 	format, err := tracefmt.ParseFormat(*traceFmt)
@@ -235,15 +234,6 @@ func main() {
 		})
 		if err != nil {
 			return "", err
-		}
-		if *chaosJSON != "" {
-			b, err := r.JSON()
-			if err != nil {
-				return "", err
-			}
-			if err := os.WriteFile(*chaosJSON, append(b, '\n'), 0o644); err != nil {
-				return "", err
-			}
 		}
 		return fmt.Sprintln(r), nil
 	})

@@ -5,8 +5,8 @@
 // drives the network closed-loop from per-client demand profiles and
 // reports throughput, latency and fairness for MegaMIMO vs the 802.11
 // baseline; -chaos replays a named fault-injection scenario against the
-// closed loop and reports the degradation and recovery counters; -metrics
-// dumps the runtime telemetry registry as JSON.
+// closed loop and reports the degradation and recovery counters; -prom-out
+// writes the final runtime telemetry registry as Prometheus text.
 package main
 
 import (
@@ -42,7 +42,6 @@ type runConfig struct {
 	packets         int
 	trace           bool
 	workload, chaos string
-	dumpMetrics     bool
 	traceOut        string
 	traceFormat     string
 	serveAddr       string
@@ -67,7 +66,6 @@ func parseFlags() *runConfig {
 	flag.StringVar(&c.chaos, "chaos", "", "replay a fault scenario against the closed loop: slave-crash|lead-crash|lossy|churn|mixed")
 	flag.Float64Var(&c.LoadMbps, "load", 8, "workload offered load per client (Mb/s)")
 	flag.Float64Var(&c.Seconds, "duration", 0.05, "workload window (simulated seconds)")
-	flag.BoolVar(&c.dumpMetrics, "metrics", false, "dump the runtime metrics registry as JSON on exit")
 	flag.StringVar(&c.traceOut, "trace-out", "", "write the flight-recorder trace to this file")
 	flag.StringVar(&c.traceFormat, "trace-format", "jsonl", "trace file format: jsonl|chrome")
 	flag.Float64Var(&c.DriftPPM, "drift-ppm", 0, "inject ±ppm oscillator drift: lead −ppm, slave APs +ppm (2×ppm relative); soak mode applies it at -soak-drift-at")
@@ -103,6 +101,14 @@ func (c *runConfig) validate() error {
 		return fmt.Errorf("-snr-lo %g above -snr-hi %g", c.SNRLoDB, c.SNRHiDB)
 	case c.CheckpointEvery < 0:
 		return fmt.Errorf("-checkpoint-every %d must not be negative", c.CheckpointEvery)
+	case c.workers < 0:
+		return fmt.Errorf("-workers %d must not be negative", c.workers)
+	case c.SampleEvery < 0:
+		return fmt.Errorf("-sample-every %d must not be negative", c.SampleEvery)
+	case !(c.FaultsPerSec >= 0):
+		return fmt.Errorf("-faults-per-sec %g must be a non-negative number", c.FaultsPerSec)
+	case !(c.DriftAtSeconds >= 0):
+		return fmt.Errorf("-soak-drift-at %g must be a non-negative number", c.DriftAtSeconds)
 	}
 	return nil
 }
@@ -212,9 +218,6 @@ func main() {
 	}
 	if c.trace {
 		printTimeline(net)
-	}
-	if c.dumpMetrics {
-		dumpMetrics(net)
 	}
 	tel.finish()
 }
@@ -497,9 +500,6 @@ func runWorkload(net *core.Network, cfg core.Config, c *runConfig, sampler *metr
 	if c.trace {
 		printTimeline(net)
 	}
-	if c.dumpMetrics {
-		dumpMetrics(net)
-	}
 }
 
 // chaosPlan builds the named fault scenario's schedule: the fault lands 20%
@@ -598,9 +598,6 @@ func runChaos(net *core.Network, c *runConfig, sampler *metrics.Sampler) {
 		rate = float64(del) / float64(off)
 	}
 	fmt.Printf("chaos delivery rate: %.3f (delivered %d / offered %d packets)\n", rate, del, off)
-	if c.dumpMetrics {
-		dumpMetrics(net)
-	}
 }
 
 // printTimeline prints the flight recorder, one event per line.
@@ -609,15 +606,6 @@ func printTimeline(net *core.Network) {
 	for _, e := range net.Trace().Events() {
 		fmt.Println("  " + e.String())
 	}
-}
-
-// dumpMetrics writes the runtime metrics registry to stdout as JSON.
-func dumpMetrics(net *core.Network) {
-	fmt.Println()
-	if err := net.Metrics().WriteJSON(os.Stdout); err != nil {
-		fatal(err)
-	}
-	fmt.Println()
 }
 
 func dB(x float64) float64 {

@@ -73,6 +73,13 @@ func TestSizeOutOfRangeRejected(t *testing.T) {
 		{"-snr-lo", []string{"-snr-lo", "30", "-snr-hi", "10"}},
 		{"-snr-lo", []string{"-workload", "cbr", "-snr-lo", "30", "-snr-hi", "10"}},
 		{"-checkpoint-every", []string{"-soak", "-checkpoint-every", "-5"}},
+		{"-workers", []string{"-soak", "-workers", "-3"}},
+		{"-sample-every", []string{"-workload", "cbr", "-sample-every", "-5"}},
+		{"-sample-every", []string{"-soak", "-sample-every", "-1"}},
+		{"-faults-per-sec", []string{"-soak", "-faults-per-sec", "-50"}},
+		{"-faults-per-sec", []string{"-soak", "-faults-per-sec", "NaN"}},
+		{"-soak-drift-at", []string{"-soak", "-soak-drift-at", "-1"}},
+		{"-soak-drift-at", []string{"-soak", "-soak-drift-at", "NaN"}},
 	} {
 		out, code := runSim(t, tc.args...)
 		if code != 1 || !strings.Contains(out, tc.flag) || strings.Contains(out, "panic") {
@@ -82,11 +89,25 @@ func TestSizeOutOfRangeRejected(t *testing.T) {
 	}
 }
 
+// TestSizeBoundsAccepted runs each range-checked flag at its boundary
+// value and expects a completed run.
 func TestSizeBoundsAccepted(t *testing.T) {
-	for _, size := range []int{1, phy.MaxPSDU} {
-		out, code := runSim(t, "-aps", "2", "-clients", "2", "-packets", "1", "-size", strconv.Itoa(size))
-		if code != 0 || !strings.Contains(out, "MegaMIMO throughput") {
-			t.Errorf("-size %d: exit %d; output:\n%s", size, code, out)
+	small := []string{"-aps", "2", "-clients", "2"}
+	soak := append([]string{"-soak", "-duration", "0.005"}, small...)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{append([]string{"-packets", "1", "-size", "1"}, small...), "MegaMIMO throughput"},
+		{append([]string{"-packets", "1", "-size", strconv.Itoa(phy.MaxPSDU)}, small...), "MegaMIMO throughput"},
+		{append([]string{"-workload", "cbr", "-duration", "0.005", "-sample-every", "0"}, small...), "gain under demand"},
+		{append([]string{"-workers", "0"}, soak...), "soak complete"},
+		{append([]string{"-faults-per-sec", "0"}, soak...), "soak complete"},
+		{append([]string{"-soak-drift-at", "0"}, soak...), "soak complete"},
+	} {
+		out, code := runSim(t, tc.args...)
+		if code != 0 || !strings.Contains(out, tc.want) {
+			t.Errorf("megamimo-sim %s: exit %d; output:\n%s", strings.Join(tc.args, " "), code, out)
 		}
 	}
 }

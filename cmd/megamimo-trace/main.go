@@ -67,6 +67,14 @@ func main() {
 	budget := tracefmt.DefaultBudget()
 
 	if cmd == "follow" {
+		// A zero poll busy-spins, and a zero idle exit judges a stream
+		// that may still be growing after its first read.
+		switch {
+		case *poll <= 0:
+			fatal(fmt.Errorf("-poll %s must be positive", *poll))
+		case *idleExit <= 0:
+			fatal(fmt.Errorf("-idle-exit %s must be positive", *idleExit))
+		}
 		os.Exit(follow(path, budget, *poll, *idleExit))
 	}
 	if cmd == "bisect" {

@@ -165,6 +165,10 @@ func TestGateDrills(t *testing.T) {
 			}
 		}, sim: append(slices.Clone(soakBase), "-resume", "@flipped.ckpt"), exit: 1, want: []string{"corrupted payload", "byte offset"}},
 		{name: "missing-trace", trace: []string{"anomalies", "@missing.jsonl"}, exit: 2, want: []string{"missing.jsonl"}},
+		{name: "follow-zero-poll", sim: cleanArgs, trace: []string{"-poll", "0", "-idle-exit", "300ms", "follow", "@clean-stream.jsonl"},
+			exit: 2, want: []string{"-poll"}},
+		{name: "follow-zero-idle-exit", sim: cleanArgs, trace: []string{"-idle-exit", "0", "follow", "@clean-stream.jsonl"},
+			exit: 2, want: []string{"-idle-exit"}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if row.setup != nil {

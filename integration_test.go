@@ -10,14 +10,13 @@ import (
 )
 
 // TestFullStackLifecycle drives one network through everything at once:
-// decoupled measurement of a late-joining client, wireless CSI feedback,
-// CSI quantization, joint transmission with MAC scheduling and lead
-// handover, channel aging, diversity rescue, and re-measurement.
+// decoupled measurement of a late-joining client, CSI quantization over
+// the backbone feedback path, joint transmission with MAC scheduling and
+// lead handover, channel aging, diversity rescue, and re-measurement.
 func TestFullStackLifecycle(t *testing.T) {
 	cfg := megamimo.DefaultConfig(3, 3, 18, 24)
 	cfg.Seed = 202
 	cfg.WellConditioned = true
-	cfg.WirelessFeedback = true
 	cfg.CSIQuantBits = 8
 	net, err := megamimo.NewNetwork(cfg)
 	if err != nil {
@@ -25,7 +24,7 @@ func TestFullStackLifecycle(t *testing.T) {
 	}
 
 	// Phase 1: measure clients {0,1} first; client 2 joins 20 ms later
-	// (§7 decoupled measurement), with the CSI riding the real uplink.
+	// (§7 decoupled measurement).
 	if err := net.MeasureDecoupled([][]int{{0, 1}, {2}}, 200000); err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,10 @@
 // emissions (sample streams anchored at an "ether" time), and receive
 // antennas observe the superposition of every emission after each link's
 // multipath convolution, propagation delay, the transmitter/receiver
-// oscillator rotation, optional sampling-frequency-offset resampling, and
-// additive white Gaussian noise.
+// oscillator rotation, and additive white Gaussian noise.
 //
 // The ether clock is the nominal sample rate; every impairment that makes
-// distributed MIMO hard (CFO between independent oscillators, SFO, noise)
+// distributed MIMO hard (CFO between independent oscillators, noise)
 // is applied at observation time, so the same emission looks different to
 // every receiver — exactly like the real channel.
 package air
@@ -59,9 +58,6 @@ type Config struct {
 	// antenna (the noise floor in linear units; signal scales are relative
 	// to it).
 	NoiseVar float64
-	// ModelSFO applies sampling-frequency-offset resampling from the
-	// transmit and receive oscillators.
-	ModelSFO bool
 	// Seed makes the noise reproducible.
 	Seed int64
 }
@@ -98,7 +94,7 @@ type Air struct {
 // advances its wander walk, so the reads must happen in the same order at
 // every worker count.
 type arrival struct {
-	samples   []complex128 // after transmitter SFO resampling
+	samples   []complex128
 	taps      []complex128
 	lo, hi    int64
 	oLo       int // offset of lo into the full convolution output
@@ -167,9 +163,8 @@ func (a *Air) Observe(rx int, osc *radio.Oscillator, start int64, n int) []compl
 
 // ObserveInto is Observe building the window in dst's backing array: dst
 // is grown to n plus ObserveTail samples when its capacity falls short,
-// cleared and filled. Without SFO modeling the returned window aliases
-// dst, so a caller that reuses one buffer must consume each window before
-// the next observation.
+// cleared and filled. The returned window aliases dst, so a caller that
+// reuses one buffer must consume each window before the next observation.
 func (a *Air) ObserveInto(dst []complex128, rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
 	out := a.observe(dst, rx, osc, start, n)
 	for i := range out {
@@ -186,8 +181,10 @@ func (a *Air) ObserveCleanInto(dst []complex128, rx int, osc *radio.Oscillator, 
 }
 
 // ObserveTail is the extra ether span every window builds past its n
-// samples, so receiver SFO resampling has material to interpolate into: a
-// dst for ObserveInto with capacity n+ObserveTail is never reallocated.
+// samples: a dst for ObserveInto with capacity n+ObserveTail is never
+// reallocated. The tail decides which emissions count as arrivals, and
+// resolving an arrival reads its oscillators, which advances their wander
+// walks, so changing it moves every wander-dependent result (Fig. 7).
 const ObserveTail = 2
 
 func (a *Air) observe(dst []complex128, rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
@@ -262,15 +259,6 @@ func (a *Air) observe(dst []complex128, rx int, osc *radio.Oscillator, start int
 		}
 		dsp.Release(backing)
 	}
-	if a.cfg.ModelSFO {
-		r := dsp.Resample(ether, 1/osc.SFORatio())
-		if len(r) >= n {
-			return r[:n]
-		}
-		out := make([]complex128, n)
-		copy(out, r)
-		return out
-	}
 	return ether[:n]
 }
 
@@ -298,9 +286,6 @@ func (a *Air) resolve(start int64, n int, rx int, rxOsc *radio.Oscillator, cut i
 		var r arrival
 		if l := a.links[linkKey{e.tx, rx}]; l != nil {
 			r = arrival{samples: e.samples, taps: l.Taps}
-			if a.cfg.ModelSFO {
-				r.samples = dsp.Resample(r.samples, e.osc.SFORatio())
-			}
 			need := len(r.samples) + len(r.taps) - 1
 			arrive := e.start + int64(l.Delay)
 			r.lo = max(arrive, start)

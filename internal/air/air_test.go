@@ -230,32 +230,6 @@ func TestObserveIntoReusesDirtyWindow(t *testing.T) {
 	}
 }
 
-func TestSFOStretchesWaveform(t *testing.T) {
-	cfg := Config{SampleRate: 10e6, NoiseVar: 0, ModelSFO: true, Seed: 1}
-	a := New(cfg)
-	a.SetLink(0, 1, flatLink(1))
-	// 100 ppm fast TX clock: emission plays ~1 ether sample longer per 10k.
-	tx := testOsc(0)
-	tx.PPM = 100
-	n := 20000
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = 1
-	}
-	a.Transmit(0, tx, 0, x)
-	y := a.ObserveCleanInto(nil, 1, testOsc(0), 0, n+5)
-	// Count nonzero span.
-	span := 0
-	for _, v := range y {
-		if cmplx.Abs(v) > 0.5 {
-			span++
-		}
-	}
-	if span <= n {
-		t.Fatalf("fast TX clock did not stretch emission: span %d", span)
-	}
-}
-
 func TestClearBeforeDropsOldEmissions(t *testing.T) {
 	a := newTestAir(0)
 	a.SetLink(0, 1, flatLink(1))

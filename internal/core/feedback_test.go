@@ -1,101 +1,10 @@
 package core
 
 import (
-	"math/cmplx"
 	"testing"
 
 	"megamimo/internal/rng"
 )
-
-// TestWirelessFeedbackMatchesBackbone: the uplink-delivered H must agree
-// with the Ethernet-delivered H to float32 wire precision (same estimation
-// path, same values).
-func TestWirelessFeedbackMatchesBackbone(t *testing.T) {
-	build := func(wireless bool) *Network {
-		cfg := DefaultConfig(2, 2, 20, 25)
-		cfg.Seed = 130
-		cfg.WirelessFeedback = wireless
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Measure(); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	eth := build(false)
-	air := build(true)
-	for i := range eth.Msmt.H {
-		for r := 0; r < eth.Msmt.H[i].Rows; r++ {
-			for c := 0; c < eth.Msmt.H[i].Cols; c++ {
-				a, b := eth.Msmt.H[i].At(r, c), air.Msmt.H[i].At(r, c)
-				if cmplx.Abs(a-b) > 1e-5 {
-					t.Fatalf("bin %d H[%d][%d]: %v vs %v", eth.Msmt.Bins[i], r, c, a, b)
-				}
-			}
-		}
-	}
-}
-
-// TestWirelessFeedbackEndToEnd: full protocol including the real CSI
-// uplink still beamforms.
-func TestWirelessFeedbackEndToEnd(t *testing.T) {
-	cfg := DefaultConfig(3, 3, 18, 24)
-	cfg.Seed = 131
-	cfg.WellConditioned = true
-	cfg.WirelessFeedback = true
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Measure(); err != nil {
-		t.Fatal(err)
-	}
-	p, err := ComputeZF(n.Msmt, cfg.NoiseVar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.SetPrecoder(p)
-	mcs, ok, err := n.ProbeAndSelectRate(300)
-	if err != nil || !ok {
-		t.Fatalf("rate: %v %v", ok, err)
-	}
-	src := rng.New(7)
-	payloads := [][]byte{
-		src.Bytes(make([]byte, 400)),
-		src.Bytes(make([]byte, 400)),
-		src.Bytes(make([]byte, 400)),
-	}
-	res, err := n.JointTransmit(payloads, mcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := 0
-	for _, okj := range res.OK {
-		if okj {
-			delivered++
-		}
-	}
-	if delivered < 2 {
-		t.Fatalf("only %d/3 streams after wireless-feedback measurement", delivered)
-	}
-}
-
-// TestUplinkReciprocity: the uplink link object is the downlink one.
-func TestUplinkReciprocity(t *testing.T) {
-	cfg := DefaultConfig(2, 2, 18, 24)
-	cfg.Seed = 132
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	down := n.Air.Link(n.APAntennaID(1, 0), n.ClientAntennaID(0, 0))
-	up := n.Air.Link(n.ClientAntennaID(0, 0), n.APAntennaID(1, 0))
-	if down == nil || up == nil || down != up {
-		t.Fatal("uplink is not the reciprocal downlink object")
-	}
-}
 
 // TestCSIQuantizationKnob: moderate fixed-point CSI must not break the
 // joint beamforming on the main measurement path.

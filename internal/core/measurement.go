@@ -138,11 +138,6 @@ func (n *Network) MeasureDecoupled(groups [][]int, gapSamples int64) error {
 	lead := n.Lead()
 	train := symbolWave
 	var reports []*csi.Report
-	type uplinkJob struct {
-		rep *csi.Report
-		ant int
-	}
-	var pendingUplink []uplinkJob
 	var mid0 int64
 	span := n.tracer.BeginSpan(n.now, KindMeasure, TraceAttrs{AP: lead.Index},
 		"%d measurement packets, lead AP %d", len(groups), lead.Index)
@@ -233,31 +228,13 @@ func (n *Network) MeasureDecoupled(groups [][]int, gapSamples int64) error {
 						}
 					}
 				}
-				if n.Cfg.WirelessFeedback {
-					pendingUplink = append(pendingUplink, uplinkJob{rep: rep, ant: cm})
-				} else {
-					n.Bus.Send(1000+cl.Index, lead.Index, sched.end(), rep)
-				}
+				n.Bus.Send(1000+cl.Index, lead.Index, sched.end(), rep)
 			}
 		}
 		n.now = sched.end() + 64 + gapSamples
 		n.Air.ClearBefore(n.now)
 	}
 
-	// Feedback: over the real wireless uplink when configured, otherwise
-	// over the modeled backbone.
-	if n.Cfg.WirelessFeedback {
-		asm := csi.NewAssembler()
-		for _, job := range pendingUplink {
-			got, err := n.uplinkDeliver(job.rep, job.ant, asm)
-			if err != nil {
-				return err
-			}
-			if got != nil {
-				reports = append(reports, got)
-			}
-		}
-	}
 	// Lead assembles H after the backbone feedback arrives.
 	n.now += n.Bus.LatencySamples + 1
 	msgs := n.Bus.Receive(lead.Index, n.now)

@@ -79,12 +79,6 @@ type Config struct {
 	// fed back — the Intel 5300's firmware behavior (§6: the 802.11n
 	// testbed obtains CSI from the card's quantized reports).
 	CSIQuantBits int
-	// WirelessFeedback carries CSI reports over the real wireless uplink
-	// (serialized into base-rate frames decoded by the lead AP, with
-	// retransmissions) instead of the modeled Ethernet shortcut. §5.1b:
-	// "the receivers then communicate these estimated channels back to
-	// the transmitters over the wireless channel."
-	WirelessFeedback bool
 	// WanderStd adds Wiener oscillator phase noise (rad/√sample).
 	WanderStd float64
 	// SyncStalenessSamples is the sync-abstain staleness budget: when a
@@ -381,19 +375,6 @@ func (n *Network) buildLinks(src *rng.Source) {
 			gain := cfg.NoiseVar * units.DBToLinear(APLinkSNRdB)
 			l := channel.NewLink(src.Split(0xAB0000+uint64(a*64+b)), channel.DefaultIndoor, gain, 0)
 			n.Air.SetLink(n.APAntennaID(a, 0), n.APAntennaID(b, 0), l)
-		}
-	}
-	// Uplink reciprocity: the client→AP channel is the same physical link
-	// object as the downlink, so fading and evolution stay consistent.
-	for c := 0; c < cfg.NumClients; c++ {
-		for a := 0; a < cfg.NumAPs; a++ {
-			for am := 0; am < cfg.AntennasPerAP; am++ {
-				for cm := 0; cm < cfg.AntennasPerClient; cm++ {
-					if l := n.Air.Link(n.APAntennaID(a, am), n.ClientAntennaID(c, cm)); l != nil {
-						n.Air.SetLink(n.ClientAntennaID(c, cm), n.APAntennaID(a, am), l)
-					}
-				}
-			}
 		}
 	}
 }

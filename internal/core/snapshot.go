@@ -155,17 +155,11 @@ func (n *Network) RestoreSnapshot(st *NetworkState) error {
 	return nil
 }
 
-// OscForAntenna maps a transmit antenna ID back to its owning node's
-// oscillator (nil when the ID is not part of the antenna plan). The medium
-// restore path uses it to re-bind in-flight emissions.
+// OscForAntenna maps a transmit antenna ID back to its owning AP's
+// oscillator (nil when the ID is not an AP antenna: clients never
+// transmit). The medium restore path uses it to re-bind in-flight
+// emissions.
 func (n *Network) OscForAntenna(tx int) *radio.Oscillator {
-	if tx >= clientAntBase {
-		c := (tx - clientAntBase) / n.Cfg.AntennasPerClient
-		if c >= 0 && c < len(n.Clients) {
-			return n.Clients[c].Node.Osc
-		}
-		return nil
-	}
 	if tx < 0 {
 		return nil
 	}

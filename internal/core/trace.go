@@ -31,7 +31,9 @@ const (
 	// KindDecode marks one client antenna's decode outcome with its
 	// error-vector SNR telemetry.
 	KindDecode = "decode"
-	// KindFeedback marks CSI feedback traffic (§5.1b).
+	// KindFeedback marks wireless CSI feedback traffic (§5.1b). Nothing
+	// emits it: CSI rides the modeled backbone. It stays in the v1
+	// vocabulary so v1 traces and readers are unchanged.
 	KindFeedback = "feedback"
 	// KindTraffic marks workload-engine run boundaries (internal/traffic).
 	KindTraffic = "traffic"
@@ -45,8 +47,8 @@ const (
 	KindNullDepth = "null-depth"
 	// KindRetransmit marks a packet that was not ACKed, with its cause.
 	KindRetransmit = "retransmit"
-	// KindDemand marks workload arrivals entering (or drop-tailing at) the
-	// shared queue (internal/traffic).
+	// KindDemand marks workload arrivals entering the shared queue
+	// (internal/traffic).
 	KindDemand = "demand"
 	// KindFault marks an injected or detected fault: AP crash, backend
 	// loss/delay window, sync-header corruption, a slave abstaining from a
@@ -148,7 +150,7 @@ type TraceAttrs struct {
 	// OK flags the event's outcome (decode FCS, span success).
 	OK bool
 	// Cause names a failure or retransmit reason ("no-ack",
-	// "max-attempts", "decode", "queue-cap").
+	// "max-attempts", "decode").
 	Cause string
 }
 

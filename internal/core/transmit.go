@@ -80,19 +80,27 @@ func (n *Network) MeasureAndPrecode() (*Precoder, error) {
 // enforced (used by the INR experiments). All non-nil payloads must have
 // equal length so the frames stay time aligned.
 func (n *Network) JointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, error) {
+	res, _, err := n.jointTransmit(payloads, mcs)
+	return res, err
+}
+
+// jointTransmit is JointTransmit that also returns the ether time tD at
+// which the data frames start, so callers that re-observe the frame share
+// its one timing schedule.
+func (n *Network) jointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, int64, error) {
 	streams := n.NumStreams()
 	if len(payloads) != streams {
-		return nil, fmt.Errorf("core: %d payloads for %d streams", len(payloads), streams)
+		return nil, 0, fmt.Errorf("core: %d payloads for %d streams", len(payloads), streams)
 	}
 	if n.Msmt == nil {
-		return nil, fmt.Errorf("core: JointTransmit before Measure")
+		return nil, 0, fmt.Errorf("core: JointTransmit before Measure")
 	}
 	for _, ap := range n.APs {
 		if n.crashed[ap.Index] {
 			continue
 		}
 		if ap.weights == nil {
-			return nil, fmt.Errorf("core: AP %d has no precoder rows", ap.Index)
+			return nil, 0, fmt.Errorf("core: AP %d has no precoder rows", ap.Index)
 		}
 	}
 	// Build the per-stream frames (every AP has every payload via the
@@ -112,16 +120,16 @@ func (n *Network) JointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, erro
 		}
 		f := &fs[j]
 		if err := tx.FrameSymbolsInto(f, p, mcs); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if frameLen >= 0 && f.SampleLen() != frameLen {
-			return nil, fmt.Errorf("core: stream %d frame length %d != %d (pad payloads equal)", j, f.SampleLen(), frameLen)
+			return nil, 0, fmt.Errorf("core: stream %d frame length %d != %d (pad payloads equal)", j, f.SampleLen(), frameLen)
 		}
 		frameLen = f.SampleLen()
 		frames[j] = f
 	}
 	if frameLen < 0 {
-		return nil, fmt.Errorf("core: all streams silent")
+		return nil, 0, fmt.Errorf("core: all streams silent")
 	}
 
 	span := n.tracer.BeginSpan(n.now, KindJointTx, TraceAttrs{Bits: int64(8 * payloadLen(payloads))},
@@ -129,7 +137,7 @@ func (n *Network) JointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, erro
 	_, tD, err := n.postJointFrames(tx, frames)
 	if err != nil {
 		n.tracer.EndSpanAttrs(span, n.now, TraceAttrs{Cause: "post"}, "%v", err)
-		return nil, err
+		return nil, 0, err
 	}
 
 	// 4. Clients decode their streams.
@@ -181,7 +189,7 @@ func (n *Network) JointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, erro
 	n.Air.ClearBefore(n.now)
 	n.tracer.EndSpanAttrs(span, n.now, TraceAttrs{Bits: int64(res.GoodputBits()), OK: okCount == streams},
 		"%d/%d streams delivered, airtime %d samples", okCount, streams, res.AirtimeSamples)
-	return res, nil
+	return res, tD, nil
 }
 
 // traceDecode emits one client antenna's decode-quality telemetry.
@@ -544,10 +552,7 @@ func (n *Network) NullingINR(victim int, payloadBytes int, mcs phy.MCS) (float64
 		}
 		payloads[j] = src.Bytes(make([]byte, payloadBytes))
 	}
-	// Stash the data-transmission window before running (the transmission
-	// advances the clock).
-	startBefore := n.now
-	res, err := n.JointTransmit(payloads, mcs)
+	res, tD, err := n.jointTransmit(payloads, mcs)
 	if err != nil {
 		return 0, err
 	}
@@ -557,7 +562,6 @@ func (n *Network) NullingINR(victim int, payloadBytes int, mcs phy.MCS) (float64
 	// (The CP splice carries an un-nulled linear-convolution transient —
 	// real beamforming hardware has it too — but no receiver ever looks at
 	// those samples.)
-	tD := startBefore + 64 + int64(ofdm.PreambleLen) + triggerDelaySamples
 	frameLen := int(res.AirtimeSamples) - int(ofdm.PreambleLen)
 	cl := n.Clients[victim/n.Cfg.AntennasPerClient]
 	ant := victim % n.Cfg.AntennasPerClient

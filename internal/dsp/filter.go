@@ -169,28 +169,3 @@ func CrossCorrelateInto(dst, x, ref []complex128) []complex128 {
 	}
 	return out
 }
-
-// Resample performs linear-interpolation resampling of x at a rate ratio
-// r = Fs_out/Fs_in, producing floor((len(x)-1)*r)+1 samples. A ratio just
-// below or above 1 models a sampling-frequency offset between transmitter
-// and receiver clocks; linear interpolation is accurate to well below the
-// noise floor for the sub-ppm-per-packet drifts the simulator injects.
-func Resample(x []complex128, ratio float64) []complex128 {
-	if len(x) < 2 || ratio <= 0 {
-		return nil
-	}
-	n := int(float64(len(x)-1)*ratio) + 1
-	out := make([]complex128, n)
-	step := 1 / ratio
-	for i := 0; i < n; i++ {
-		pos := float64(i) * step
-		k := int(pos)
-		if k >= len(x)-1 {
-			out[i] = x[len(x)-1]
-			continue
-		}
-		frac := complex(pos-float64(k), 0)
-		out[i] = x[k]*(1-frac) + x[k+1]*frac
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -78,44 +77,6 @@ func TestCrossCorrelatePeakAtOffset(t *testing.T) {
 	}
 	if best != off {
 		t.Fatalf("correlation peak at %d, want %d", best, off)
-	}
-}
-
-func TestResampleUnitRatio(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	x := randSignal(r, 100)
-	y := Resample(x, 1.0)
-	if len(y) != len(x) {
-		t.Fatalf("len = %d", len(y))
-	}
-	for i := range x {
-		if cmplx.Abs(y[i]-x[i]) > 1e-12 {
-			t.Fatalf("unit resample altered sample %d", i)
-		}
-	}
-}
-
-func TestResampleLinearRamp(t *testing.T) {
-	// A linear ramp is reproduced exactly by linear interpolation.
-	x := make([]complex128, 50)
-	for i := range x {
-		x[i] = complex(float64(i), 0)
-	}
-	y := Resample(x, 2.0)
-	for i := range y {
-		want := float64(i) / 2
-		if math.Abs(real(y[i])-want) > 1e-9 {
-			t.Fatalf("Resample ramp [%d] = %v, want %v", i, real(y[i]), want)
-		}
-	}
-}
-
-func TestResamplePPMDrift(t *testing.T) {
-	// 100 ppm over 10k samples ⇒ ~1 extra sample.
-	x := make([]complex128, 10000)
-	y := Resample(x, 1+100e-6)
-	if len(y)-len(x) < 0 || len(y)-len(x) > 2 {
-		t.Fatalf("drift sample count: %d -> %d", len(x), len(y))
 	}
 }
 

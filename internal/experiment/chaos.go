@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"megamimo/internal/core"
@@ -35,11 +34,6 @@ type ChaosResult struct {
 	Seconds    float64
 	Seed       int64
 	Points     []ChaosPoint
-}
-
-// JSON renders the result deterministically for the determinism gate.
-func (r *ChaosResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // chaosCounters names the fault-path counters a chaos cell reports, in the

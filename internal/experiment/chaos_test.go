@@ -40,9 +40,6 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	if s := res.String(); s == "" {
 		t.Fatal("empty table")
 	}
-	if b, err := res.JSON(); err != nil || len(b) == 0 {
-		t.Fatalf("JSON render: %v", err)
-	}
 }
 
 // TestChaosDeepEqualReplay: running the identical sweep twice end to end

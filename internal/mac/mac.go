@@ -183,16 +183,8 @@ type Scheduler struct {
 	Net   *core.Network
 	Queue Queue
 	Cont  *Contention
-	// MaxAttempts bounds retransmissions per packet.
-	MaxAttempts int
 	// MCS overrides rate adaptation when ≥ 0.
 	MCS phy.MCS
-	// AckTimeoutSamples is how long the lead waits for backbone ACKs
-	// after a joint transmission before judging the round. 0 uses the
-	// default of one bus latency plus a sample — exactly enough on a
-	// healthy backend; an ACK the fault layer delays beyond it surfaces
-	// as a late ACK in a later round's drain.
-	AckTimeoutSamples int64
 
 	adapted   phy.MCS
 	adaptedOK bool
@@ -204,8 +196,9 @@ type Scheduler struct {
 	qDepth     *metrics.Histogram
 }
 
-// DefaultMaxAttempts is the per-packet transmission bound a new Scheduler
-// starts with; the 802.11 baseline's TDMA service uses the same bound.
+// DefaultMaxAttempts is the per-packet transmission bound: a packet that
+// goes unACKed this many times leaves the queue as failed. The 802.11
+// baseline's TDMA service uses the same bound.
 const DefaultMaxAttempts = 4
 
 // NewScheduler wires a scheduler to a network whose measurement phase has
@@ -213,14 +206,13 @@ const DefaultMaxAttempts = 4
 func NewScheduler(net *core.Network, seed int64) *Scheduler {
 	m := net.Metrics()
 	return &Scheduler{
-		Net:         net,
-		Cont:        NewContention(net.Cfg.SampleRate, seed),
-		MaxAttempts: DefaultMaxAttempts,
-		MCS:         -1,
-		mRetx:       m.Counter("mac_retransmissions_total"),
-		mDelivered:  m.Counter("mac_packets_delivered_total"),
-		mFailed:     m.Counter("mac_packets_failed_total"),
-		qDepth:      m.Histogram("mac_queue_depth", QueueDepthBuckets()),
+		Net:        net,
+		Cont:       NewContention(net.Cfg.SampleRate, seed),
+		MCS:        -1,
+		mRetx:      m.Counter("mac_retransmissions_total"),
+		mDelivered: m.Counter("mac_packets_delivered_total"),
+		mFailed:    m.Counter("mac_packets_failed_total"),
+		qDepth:     m.Histogram("mac_queue_depth", QueueDepthBuckets()),
 	}
 }
 
@@ -352,11 +344,10 @@ func (s *Scheduler) Step() (*StepResult, error) {
 			s.Net.Bus.Send(1000+j/s.Net.Cfg.AntennasPerClient, lead, ackAt, Ack{Stream: j, Pkt: group[j].Seq})
 		}
 	}
-	wait := s.AckTimeoutSamples
-	if wait <= 0 {
-		wait = s.Net.Bus.LatencySamples + 1
-	}
-	s.Net.AdvanceTime(wait)
+	// The lead waits one bus latency plus a sample: exactly enough on a
+	// healthy backend; an ACK the fault layer delays beyond it surfaces as
+	// a late ACK in a later round's drain.
+	s.Net.AdvanceTime(s.Net.Bus.LatencySamples + 1)
 	acked := make(map[int64]bool)
 	var ackSeqs []int64 // arrival order, for the deterministic late-ACK pass
 	for _, m := range s.Net.Bus.Receive(lead, s.Net.Now()) {
@@ -380,7 +371,7 @@ func (s *Scheduler) Step() (*StepResult, error) {
 			res.Delivered = append(res.Delivered, p)
 			s.mDelivered.Inc()
 			deliveredBits += int64(8 * len(p.Payload))
-		} else if p.Attempts >= s.MaxAttempts {
+		} else if p.Attempts >= DefaultMaxAttempts {
 			s.Queue.Remove(p)
 			res.Failed = append(res.Failed, p)
 			s.mFailed.Inc()

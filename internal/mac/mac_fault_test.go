@@ -19,13 +19,12 @@ type delayAllPolicy struct{ extra int64 }
 func (p delayAllPolicy) Deliver(backend.Message) (bool, int64) { return false, p.extra }
 
 // TestAckLossFailsPacketsExactlyOnce: under 100% ACK loss every packet
-// exhausts MaxAttempts, lands in Failed exactly once, and the failure and
+// exhausts DefaultMaxAttempts, lands in Failed exactly once, and the failure and
 // retransmission counters agree with the per-step results.
 func TestAckLossFailsPacketsExactlyOnce(t *testing.T) {
 	n := newNet(t, 2, 2, 60)
 	s := NewScheduler(n, 3)
 	s.MCS = phy.MCS0
-	s.MaxAttempts = 3
 	s.FillQueue(1, 300, 4) // one packet per stream
 	n.Bus.SetFaultPolicy(dropAllPolicy{})
 
@@ -39,8 +38,8 @@ func TestAckLossFailsPacketsExactlyOnce(t *testing.T) {
 		delivered += len(res.Delivered)
 		for _, p := range res.Failed {
 			failedBySeq[p.Seq]++
-			if p.Attempts != s.MaxAttempts {
-				t.Fatalf("packet %d failed after %d attempts, want %d", p.Seq, p.Attempts, s.MaxAttempts)
+			if p.Attempts != DefaultMaxAttempts {
+				t.Fatalf("packet %d failed after %d attempts, want %d", p.Seq, p.Attempts, DefaultMaxAttempts)
 			}
 		}
 	}
@@ -62,9 +61,9 @@ func TestAckLossFailsPacketsExactlyOnce(t *testing.T) {
 	if got := m.Counter("mac_packets_delivered_total").Value(); got != 0 {
 		t.Fatalf("mac_packets_delivered_total = %d, want 0", got)
 	}
-	// Each packet burns MaxAttempts-1 requeues before the final failure.
-	if got := m.Counter("mac_retransmissions_total").Value(); got != 2*int64(s.MaxAttempts-1) {
-		t.Fatalf("mac_retransmissions_total = %d, want %d", got, 2*(s.MaxAttempts-1))
+	// Each packet burns DefaultMaxAttempts-1 requeues before the final failure.
+	if got := m.Counter("mac_retransmissions_total").Value(); got != 2*int64(DefaultMaxAttempts-1) {
+		t.Fatalf("mac_retransmissions_total = %d, want %d", got, 2*(DefaultMaxAttempts-1))
 	}
 }
 

@@ -101,7 +101,6 @@ func TestSchedulerRetransmitsAndGivesUp(t *testing.T) {
 	}
 	s := NewScheduler(n, 2)
 	s.MCS = phy.MCS7 // 64-QAM 3/4 over ~6 dB links: hopeless
-	s.MaxAttempts = 2
 	s.FillQueue(1, 300, 3)
 	st, err := s.Run()
 	if err != nil {
@@ -111,7 +110,7 @@ func TestSchedulerRetransmitsAndGivesUp(t *testing.T) {
 		t.Fatal("expected failures at MCS7 over 5-7 dB links")
 	}
 	if s.Queue.Len() != 0 {
-		t.Fatal("queue should drain via MaxAttempts")
+		t.Fatal("queue should drain via DefaultMaxAttempts")
 	}
 }
 

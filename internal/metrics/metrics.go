@@ -1,7 +1,8 @@
 // Package metrics is the simulator's runtime telemetry layer: counters,
 // gauges and fixed-bucket histograms instrumented at the mac/phy/core
 // boundaries (retransmissions, sync-header overhead, decode failures,
-// queue depth) and exported as deterministic JSON.
+// queue depth) and exported as deterministic Prometheus text and JSONL
+// time-series samples.
 //
 // The design constraints mirror the signal path's:
 //
@@ -11,7 +12,7 @@
 //     event. A joint transmission's allocation budget
 //     (TestJointTransmitAllocBudget) covers the instrumented path.
 //   - Deterministic output. Export walks instruments in sorted-name order,
-//     so two runs that perform the same work emit byte-identical JSON —
+//     so two runs that perform the same work emit byte-identical text —
 //     the same replayability contract the experiment engine obeys.
 //   - Single-threaded, like the Network that owns each registry. Parallel
 //     experiment cells each own their network and therefore their
@@ -19,9 +20,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 )
@@ -181,97 +179,4 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// bucketJSON is one exported histogram bucket; LE is the inclusive upper
-// bound ("+Inf" for the overflow bucket, which JSON numbers cannot carry).
-type bucketJSON struct {
-	LE string `json:"le"`
-	N  int64  `json:"n"`
-}
-
-// histJSON is one exported histogram.
-type histJSON struct {
-	Count   int64        `json:"count"`
-	Sum     float64      `json:"sum"`
-	Buckets []bucketJSON `json:"buckets"`
-}
-
-// namedValue / namedHist keep export arrays explicitly ordered, so the
-// byte stream is a pure function of the recorded values.
-type namedValue struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
-type namedCount struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
-type namedHist struct {
-	Name string   `json:"name"`
-	Hist histJSON `json:"histogram"`
-}
-
-type registryJSON struct {
-	Counters   []namedCount `json:"counters"`
-	Gauges     []namedValue `json:"gauges"`
-	Histograms []namedHist  `json:"histograms"`
-}
-
-// snapshot assembles the sorted export view.
-func (r *Registry) snapshot() registryJSON {
-	out := registryJSON{
-		Counters:   []namedCount{},
-		Gauges:     []namedValue{},
-		Histograms: []namedHist{},
-	}
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		out.Counters = append(out.Counters, namedCount{Name: name, Value: r.counters[name].v})
-	}
-	names = names[:0]
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		out.Gauges = append(out.Gauges, namedValue{Name: name, Value: r.gauges[name].v})
-	}
-	names = names[:0]
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := r.hists[name]
-		hj := histJSON{Count: h.n, Sum: h.sum, Buckets: make([]bucketJSON, len(h.counts))}
-		for i, c := range h.counts {
-			le := "+Inf"
-			if i < len(h.bounds) {
-				le = fmt.Sprintf("%g", h.bounds[i])
-			}
-			hj.Buckets[i] = bucketJSON{LE: le, N: c}
-		}
-		out.Histograms = append(out.Histograms, namedHist{Name: name, Hist: hj})
-	}
-	return out
-}
-
-// WriteJSON writes the registry as indented JSON with instruments in
-// sorted-name order — byte-identical for identical recorded state.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.snapshot())
-}
-
-// MarshalJSON implements json.Marshaler with the same deterministic view.
-func (r *Registry) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.snapshot())
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -93,7 +92,7 @@ func TestHistogramBoundsFixedAtCreation(t *testing.T) {
 	}
 }
 
-func TestJSONDeterministicAcrossInsertionOrder(t *testing.T) {
+func TestExportDeterministicAcrossInsertionOrder(t *testing.T) {
 	build := func(order []string) string {
 		r := NewRegistry()
 		for _, name := range order {
@@ -103,7 +102,7 @@ func TestJSONDeterministicAcrossInsertionOrder(t *testing.T) {
 		r.Gauge("g_a").Set(1)
 		r.Histogram("h", []float64{1, 10}).Observe(5)
 		var buf bytes.Buffer
-		if err := r.WriteJSON(&buf); err != nil {
+		if err := r.WritePrometheus(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -111,26 +110,27 @@ func TestJSONDeterministicAcrossInsertionOrder(t *testing.T) {
 	a := build([]string{"zeta", "alpha", "mid"})
 	b := build([]string{"mid", "zeta", "alpha"})
 	if a != b {
-		t.Fatalf("JSON depends on insertion order:\n%s\nvs\n%s", a, b)
+		t.Fatalf("export depends on insertion order:\n%s\nvs\n%s", a, b)
 	}
 	// Sorted-name order must be visible in the byte stream.
-	if ia, iz := strings.Index(a, `"alpha"`), strings.Index(a, `"zeta"`); ia < 0 || iz < 0 || ia > iz {
+	if ia, iz := strings.Index(a, "\nalpha "), strings.Index(a, "\nzeta "); ia < 0 || iz < 0 || ia > iz {
 		t.Fatalf("counters not name-sorted:\n%s", a)
 	}
-	// And it must round-trip as valid JSON.
-	var v any
-	if err := json.Unmarshal([]byte(a), &v); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
+	// And every line must be a TYPE comment or a `name value` sample.
+	for _, line := range strings.Split(strings.TrimSuffix(a, "\n"), "\n") {
+		if f := strings.Fields(line); !(len(f) == 4 && f[0] == "#" && f[1] == "TYPE") && len(f) != 2 {
+			t.Fatalf("malformed exposition line %q:\n%s", line, a)
+		}
 	}
 }
 
 func TestEmptyRegistryExport(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewRegistry().WriteJSON(&buf); err != nil {
+	if err := NewRegistry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"counters": []`) {
-		t.Fatalf("empty registry export: %s", buf.String())
+	if buf.Len() != 0 {
+		t.Fatalf("empty registry export: %q", buf.String())
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // WritePrometheus renders the registry in Prometheus text exposition
 // format (version 0.0.4): one `# TYPE` line per instrument, histograms
 // with *cumulative* `_bucket{le="…"}` series plus `_sum` and `_count`.
-// Like WriteJSON, output walks instruments in sorted-name order and is
-// byte-identical for identical recorded state.
+// Output walks instruments in sorted-name order and is byte-identical for
+// identical recorded state.
 //
 // Instrument names are used as metric names verbatim; the repo's
 // snake_case names are valid Prometheus identifiers by construction.

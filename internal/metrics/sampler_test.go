@@ -25,11 +25,11 @@ func TestNaNGuards(t *testing.T) {
 		t.Fatalf("NaN observation poisoned the histogram: count=%d sum=%v", h.Count(), h.Sum())
 	}
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatalf("JSON export after NaN inputs: %v", err)
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatalf("Prometheus export after NaN inputs: %v", err)
 	}
 	if strings.Contains(buf.String(), "NaN") {
-		t.Fatal("NaN leaked into JSON export")
+		t.Fatal("NaN leaked into Prometheus export")
 	}
 }
 

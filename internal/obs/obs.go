@@ -32,12 +32,10 @@ type Config struct {
 	// Meta is the run's trace metadata: /trace stamps it on the tail and
 	// the online monitor needs its rates for the cfo-mandate check.
 	Meta tracefmt.Meta
-	// Window is the monitor's sliding-window length
-	// (0 = tracefmt.DefaultMonitorWindow).
-	Window int
-	// TraceTail bounds the /trace live tail ring (0 = 4096 events).
-	TraceTail int
 }
+
+// traceTail bounds the /trace live tail ring, in events.
+const traceTail = 4096
 
 // Server serves the observability endpoints for one run.
 type Server struct {
@@ -45,7 +43,6 @@ type Server struct {
 	meta    tracefmt.Meta
 	monitor *tracefmt.Monitor
 	tail    []core.TraceEvent
-	tailCap int
 	head    int
 	prom    []byte
 	done    bool
@@ -58,22 +55,13 @@ type Server struct {
 
 // New starts a server listening on cfg.Addr. Close stops it.
 func New(cfg Config) (*Server, error) {
-	window := cfg.Window
-	if window <= 0 {
-		window = tracefmt.DefaultMonitorWindow
-	}
-	tailCap := cfg.TraceTail
-	if tailCap <= 0 {
-		tailCap = 4096
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		meta:    cfg.Meta,
-		monitor: tracefmt.NewMonitor(cfg.Meta, tracefmt.DefaultBudget(), window),
-		tailCap: tailCap,
+		monitor: tracefmt.NewMonitor(cfg.Meta, tracefmt.DefaultBudget(), tracefmt.DefaultMonitorWindow),
 		ln:      ln,
 	}
 	mux := http.NewServeMux()
@@ -107,12 +95,12 @@ func (s *Server) ConsumeTrace(e core.TraceEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.monitor.Observe(e)
-	if len(s.tail) < s.tailCap {
+	if len(s.tail) < traceTail {
 		s.tail = append(s.tail, e)
 		return
 	}
 	s.tail[s.head] = e
-	s.head = (s.head + 1) % s.tailCap
+	s.head = (s.head + 1) % traceTail
 }
 
 // PublishMetrics renders the registry's Prometheus exposition and

@@ -70,7 +70,7 @@ func TestHealthzCleanRun(t *testing.T) {
 }
 
 func TestHealthzViolation(t *testing.T) {
-	s := startServer(t, Config{Meta: tracefmt.Meta{SampleRate: 10e6, CarrierHz: 2.437e9}, Window: 16})
+	s := startServer(t, Config{Meta: tracefmt.Meta{SampleRate: 10e6, CarrierHz: 2.437e9}})
 	for i := 0; i < 20; i++ {
 		s.ConsumeTrace(core.TraceEvent{Seq: int64(i), At: int64(i * 100), Kind: core.KindSlaveRatio,
 			Attrs: core.TraceAttrs{AP: 2, PhaseErrRad: 0.9}})
@@ -133,8 +133,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // by the ring, newest events retained.
 func TestTraceEndpoint(t *testing.T) {
 	meta := tracefmt.Meta{SampleRate: 10e6, CarrierHz: 2.437e9, APs: 2, Clients: 2}
-	s := startServer(t, Config{Meta: meta, TraceTail: 4})
-	for i := 0; i < 10; i++ {
+	s := startServer(t, Config{Meta: meta})
+	const fed = traceTail + 6
+	for i := 0; i < fed; i++ {
 		s.ConsumeTrace(core.TraceEvent{Seq: int64(i), At: int64(i), Kind: core.KindTraffic})
 	}
 	code, body := get(t, s, "/trace")
@@ -148,11 +149,13 @@ func TestTraceEndpoint(t *testing.T) {
 	if gotMeta != meta {
 		t.Fatalf("/trace meta %+v, want %+v", gotMeta, meta)
 	}
-	if len(evs) != 4 {
-		t.Fatalf("/trace tail has %d events, want ring cap 4", len(evs))
+	if len(evs) != traceTail {
+		t.Fatalf("/trace tail has %d events, want ring cap %d", len(evs), traceTail)
 	}
-	if evs[0].Seq != 6 || evs[3].Seq != 9 {
-		t.Fatalf("/trace tail not the newest events: %+v", evs)
+	for i, e := range evs {
+		if want := int64(fed - traceTail + i); e.Seq != want {
+			t.Fatalf("/trace tail event %d has seq %d, want %d (the newest events in order)", i, e.Seq, want)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package radio models the analog front end the paper's USRP2 nodes
-// provide: a free-running oscillator per node (carrier-frequency offset,
-// sampling-frequency offset tied to the same crystal, optional phase
-// wander) and transmit-power/noise-figure bookkeeping.
+// provide: a free-running oscillator per node (carrier-frequency offset
+// from its crystal error, optional phase wander) and
+// transmit-power/noise-figure bookkeeping.
 //
 // The oscillator is the root cause MegaMIMO exists: every node's carrier
 // rotates at its own rate, so distributed transmitters drift apart unless
@@ -16,8 +16,8 @@ import (
 	"megamimo/internal/units"
 )
 
-// Oscillator is one node's frequency reference. CFO and SFO both derive
-// from the same crystal ppm error, as they do in real radios.
+// Oscillator is one node's frequency reference. Its carrier offset derives
+// from the crystal ppm error.
 type Oscillator struct {
 	// PPM is the crystal error in parts per million. 802.11 mandates
 	// ±20 ppm; the paper's USRP2s are well within that.
@@ -60,9 +60,6 @@ func (o *Oscillator) FreqOffsetHz() units.Hertz {
 func (o *Oscillator) CFORadPerSample() units.RadPerSample {
 	return units.HzToRadPerSample(o.FreqOffsetHz(), o.SampleRate)
 }
-
-// SFORatio returns the sample-clock ratio actual/nominal (1 + ppm·1e-6).
-func (o *Oscillator) SFORatio() float64 { return units.SFORatio(o.PPM) }
 
 // PhaseAt returns the oscillator phase at ether sample t: ω·t + θ₀ plus
 // any accumulated wander. Wander is evaluated lazily and monotonically;

@@ -17,9 +17,6 @@ func TestOscillatorOffsets(t *testing.T) {
 	if got := o.CFORadPerSample(); math.Abs(units.Ratio(got, 1)-want) > 1e-12 {
 		t.Fatalf("CFORadPerSample = %v, want %v", got, want)
 	}
-	if got := o.SFORatio(); math.Abs(got-1.000002) > 1e-12 {
-		t.Fatalf("SFORatio = %v", got)
-	}
 }
 
 func TestPhaseAtLinearWithoutWander(t *testing.T) {

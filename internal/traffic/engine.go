@@ -44,8 +44,6 @@ type Config struct {
 	// Seed drives every random draw (arrival processes, payloads) via
 	// internal/rng splits — same seed, same byte-identical run.
 	Seed int64
-	// QueueCap drop-tails the shared queue when > 0.
-	QueueCap int
 	// Faults, when non-nil, is the seeded fault schedule replayed against
 	// the run: the engine applies due events every iteration and handles
 	// the client-churn ones itself.
@@ -232,8 +230,7 @@ func (e *Engine) Prepare() error {
 	return e.sched.EnsureRate()
 }
 
-// pump admits every arrival due at or before now into the queue,
-// drop-tailing at QueueCap.
+// pump admits every arrival due at or before now into the queue.
 func (e *Engine) pump(now int64) {
 	for i, g := range e.gens {
 		for g.peek() <= now {
@@ -247,14 +244,6 @@ func (e *Engine) pump(now int64) {
 				e.mArrive.Inc()
 				bits := int64(8 * len(e.payloads[i]))
 				client := i / e.net.Cfg.AntennasPerClient
-				if e.cfg.QueueCap > 0 && e.queue.Len() >= e.cfg.QueueCap {
-					e.dropped[i]++
-					e.mDrops.Inc()
-					e.net.Trace().Emit(at, core.KindDemand,
-						core.TraceAttrs{Client: client, Stream: i, QueueDepth: e.queue.Len(), Bits: bits, Cause: "queue-cap"},
-						"stream %d arrival dropped", i)
-					continue
-				}
 				p := &mac.Packet{
 					Stream:       i,
 					Payload:      e.payloads[i],

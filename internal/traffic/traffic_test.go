@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"megamimo/internal/core"
+	"megamimo/internal/mac"
 	"megamimo/internal/metrics"
+	"megamimo/internal/phy"
 	"megamimo/internal/rng"
 )
 
@@ -142,27 +144,63 @@ func TestEngineTDMABaselineRuns(t *testing.T) {
 	}
 }
 
-func TestQueueCapDropTails(t *testing.T) {
-	n := testNetwork(t, 44)
+// TestTDMAGivesUpAfterMaxAttempts pins the 802.11 service's attempt bound:
+// a packet its link can never deliver is transmitted exactly
+// mac.DefaultMaxAttempts times, then leaves the queue and counts once as
+// failed.
+func TestTDMAGivesUpAfterMaxAttempts(t *testing.T) {
+	cfg := core.DefaultConfig(2, 2, 5, 7)
+	cfg.Seed = 61
+	n, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.MeasureAndPrecode(); err != nil {
+		t.Fatal(err)
+	}
 	streams := n.NumStreams()
 	profiles := make([]Profile, streams)
 	for i := range profiles {
-		profiles[i] = NewCBR(40e6, 1500) // far beyond capacity
+		profiles[i] = NewCBR(1e6, 256)
 	}
-	e, err := New(n, Config{System: SystemMegaMIMO, Profiles: profiles, Seed: 3, QueueCap: 4})
+	e, err := New(n, Config{System: SystemTDMA, Profiles: profiles, Seed: 4})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatal(err)
 	}
-	rep, err := e.Run(0.01)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	if err := e.Prepare(); err != nil {
+		t.Fatal(err)
 	}
-	drops := 0
-	for _, c := range rep.Clients {
-		drops += c.DroppedPackets
+	// 64-QAM 3/4 over 5-7 dB links never decodes.
+	for i := range e.links {
+		e.links[i].mcs, e.links[i].ok = phy.MCS7, true
 	}
-	if drops == 0 {
-		t.Fatal("overloaded engine with QueueCap=4 dropped nothing")
+	pkts := make([]*mac.Packet, streams)
+	for i := range pkts {
+		pkts[i] = &mac.Packet{Stream: i, Payload: e.payloads[i]}
+		e.queue.Push(pkts[i])
+	}
+	transmissions := 0
+	for e.queue.Len() > 0 {
+		if transmissions > streams*mac.DefaultMaxAttempts {
+			t.Fatalf("queue still holds %d packets after %d transmissions", e.queue.Len(), transmissions)
+		}
+		before := n.Now()
+		if err := e.serveTDMA(); err != nil {
+			t.Fatal(err)
+		}
+		if n.Now()-before <= 384 {
+			t.Fatalf("service call %d spent %d samples: no frame went on the air", transmissions, n.Now()-before)
+		}
+		transmissions++
+	}
+	if transmissions != streams*mac.DefaultMaxAttempts {
+		t.Fatalf("%d transmissions for %d undeliverable packets, want %d each", transmissions, streams, mac.DefaultMaxAttempts)
+	}
+	for i, p := range pkts {
+		if p.Delivered || p.Attempts != mac.DefaultMaxAttempts || e.failed[i] != 1 || e.delivered[i] != 0 {
+			t.Errorf("stream %d: delivered=%v attempts=%d failed=%d, want attempts %d and one failure",
+				i, p.Delivered, p.Attempts, e.failed[i], mac.DefaultMaxAttempts)
+		}
 	}
 }
 

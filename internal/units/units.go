@@ -110,10 +110,6 @@ func RadPerSampleToPPM(w RadPerSample, carrier, rate Hertz) PPM {
 	return PPM(float64(w) * float64(rate) / (2 * math.Pi) / float64(carrier) * 1e6)
 }
 
-// SFORatio returns the sample-clock ratio actual/nominal for a crystal
-// error of ppm: 1 + ppm·10⁻⁶. CFO and SFO derive from the same crystal.
-func SFORatio(ppm PPM) float64 { return 1 + float64(ppm)*1e-6 }
-
 // DBToLinear converts decibels to a linear power ratio: 10^(dB/10).
 func DBToLinear(db Decibels) float64 { return math.Pow(10, float64(db)/10) }
 

@@ -112,15 +112,6 @@ func TestDecibels(t *testing.T) {
 	}
 }
 
-func TestSFORatio(t *testing.T) {
-	if got := SFORatio(20); !closeTo(got, 1.00002) {
-		t.Errorf("SFORatio(20) = %v, want 1.00002", got)
-	}
-	if got := SFORatio(-20); !closeTo(got, 0.99998) {
-		t.Errorf("SFORatio(-20) = %v, want 0.99998", got)
-	}
-}
-
 func TestDurationTicks(t *testing.T) {
 	if got := Duration(10_000_000, 10e6); got != 1 {
 		t.Errorf("Duration(1e7 ticks @ 10 MHz) = %v s, want 1", got)
