@@ -86,7 +86,8 @@ func parseFlags() *runConfig {
 	return c
 }
 
-// validate rejects flag values outside the range a run can use.
+// validate rejects flag values outside the range a run can use, and
+// soak-only flags set outside -soak.
 func (c *runConfig) validate() error {
 	switch {
 	case c.PacketBytes < 1 || c.PacketBytes > phy.MaxPSDU:
@@ -110,7 +111,23 @@ func (c *runConfig) validate() error {
 	case !(c.DriftAtSeconds >= 0):
 		return fmt.Errorf("-soak-drift-at %g must be a non-negative number", c.DriftAtSeconds)
 	}
-	return nil
+	if c.soak {
+		return nil
+	}
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		if err == nil && soakOnlyFlags[f.Name] {
+			err = fmt.Errorf("-%s applies only with -soak", f.Name)
+		}
+	})
+	return err
+}
+
+// soakOnlyFlags are the flags only the soak harness reads. Batch, workload
+// and chaos runs refuse them rather than run without what they ask for.
+var soakOnlyFlags = map[string]bool{
+	"checkpoint-every": true, "checkpoint-dir": true, "resume": true,
+	"workers": true, "faults-per-sec": true, "soak-drift-at": true,
 }
 
 func main() {

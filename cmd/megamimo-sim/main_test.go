@@ -45,7 +45,8 @@ func runSim(t *testing.T, args ...string) (string, int) {
 
 // TestSizeOutOfRangeRejected covers every range-checked flag: each value
 // a run cannot use exits 1 with a message naming the flag, in every mode
-// that reads it, and never panics.
+// that reads it, and never panics. So does each soak-only flag set
+// outside -soak.
 func TestSizeOutOfRangeRejected(t *testing.T) {
 	tooBig := strconv.Itoa(phy.MaxPSDU + 1)
 	for _, tc := range []struct {
@@ -80,6 +81,14 @@ func TestSizeOutOfRangeRejected(t *testing.T) {
 		{"-faults-per-sec", []string{"-soak", "-faults-per-sec", "NaN"}},
 		{"-soak-drift-at", []string{"-soak", "-soak-drift-at", "-1"}},
 		{"-soak-drift-at", []string{"-soak", "-soak-drift-at", "NaN"}},
+		// Soak-only flags outside -soak, in batch, workload and chaos mode.
+		{"-faults-per-sec", []string{"-workload", "cbr", "-faults-per-sec", "400"}},
+		{"-checkpoint-every", []string{"-workload", "cbr", "-checkpoint-every", "8"}},
+		{"-checkpoint-dir", []string{"-chaos", "mixed", "-checkpoint-dir", "ckpt"}},
+		{"-resume", []string{"-resume", "soak-00000012.ckpt"}},
+		{"-workers", []string{"-workers", "1"}},
+		{"-workers", []string{"-chaos", "lead-crash", "-workers", "0"}},
+		{"-soak-drift-at", []string{"-workload", "poisson", "-drift-ppm", "21", "-soak-drift-at", "0.01"}},
 	} {
 		out, code := runSim(t, tc.args...)
 		if code != 1 || !strings.Contains(out, tc.flag) || strings.Contains(out, "panic") {

@@ -80,27 +80,27 @@ func (n *Network) MeasureAndPrecode() (*Precoder, error) {
 // enforced (used by the INR experiments). All non-nil payloads must have
 // equal length so the frames stay time aligned.
 func (n *Network) JointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, error) {
-	res, _, err := n.jointTransmit(payloads, mcs)
+	res, _, _, err := n.jointTransmit(payloads, mcs)
 	return res, err
 }
 
 // jointTransmit is JointTransmit that also returns the ether time tD at
-// which the data frames start, so callers that re-observe the frame share
-// its one timing schedule.
-func (n *Network) jointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, int64, error) {
+// which the data frames start and their length in samples, so callers that
+// re-observe the frame share its one timing schedule.
+func (n *Network) jointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, int64, int, error) {
 	streams := n.NumStreams()
 	if len(payloads) != streams {
-		return nil, 0, fmt.Errorf("core: %d payloads for %d streams", len(payloads), streams)
+		return nil, 0, 0, fmt.Errorf("core: %d payloads for %d streams", len(payloads), streams)
 	}
 	if n.Msmt == nil {
-		return nil, 0, fmt.Errorf("core: JointTransmit before Measure")
+		return nil, 0, 0, fmt.Errorf("core: JointTransmit before Measure")
 	}
 	for _, ap := range n.APs {
 		if n.crashed[ap.Index] {
 			continue
 		}
 		if ap.weights == nil {
-			return nil, 0, fmt.Errorf("core: AP %d has no precoder rows", ap.Index)
+			return nil, 0, 0, fmt.Errorf("core: AP %d has no precoder rows", ap.Index)
 		}
 	}
 	// Build the per-stream frames (every AP has every payload via the
@@ -120,16 +120,16 @@ func (n *Network) jointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, int6
 		}
 		f := &fs[j]
 		if err := tx.FrameSymbolsInto(f, p, mcs); err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		if frameLen >= 0 && f.SampleLen() != frameLen {
-			return nil, 0, fmt.Errorf("core: stream %d frame length %d != %d (pad payloads equal)", j, f.SampleLen(), frameLen)
+			return nil, 0, 0, fmt.Errorf("core: stream %d frame length %d != %d (pad payloads equal)", j, f.SampleLen(), frameLen)
 		}
 		frameLen = f.SampleLen()
 		frames[j] = f
 	}
 	if frameLen < 0 {
-		return nil, 0, fmt.Errorf("core: all streams silent")
+		return nil, 0, 0, fmt.Errorf("core: all streams silent")
 	}
 
 	span := n.tracer.BeginSpan(n.now, KindJointTx, TraceAttrs{Bits: int64(8 * payloadLen(payloads))},
@@ -137,7 +137,7 @@ func (n *Network) jointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, int6
 	_, tD, err := n.postJointFrames(tx, frames)
 	if err != nil {
 		n.tracer.EndSpanAttrs(span, n.now, TraceAttrs{Cause: "post"}, "%v", err)
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 
 	// 4. Clients decode their streams.
@@ -189,7 +189,7 @@ func (n *Network) jointTransmit(payloads [][]byte, mcs phy.MCS) (*TxResult, int6
 	n.Air.ClearBefore(n.now)
 	n.tracer.EndSpanAttrs(span, n.now, TraceAttrs{Bits: int64(res.GoodputBits()), OK: okCount == streams},
 		"%d/%d streams delivered, airtime %d samples", okCount, streams, res.AirtimeSamples)
-	return res, tD, nil
+	return res, tD, frameLen, nil
 }
 
 // traceDecode emits one client antenna's decode-quality telemetry.
@@ -552,7 +552,7 @@ func (n *Network) NullingINR(victim int, payloadBytes int, mcs phy.MCS) (float64
 		}
 		payloads[j] = src.Bytes(make([]byte, payloadBytes))
 	}
-	res, tD, err := n.jointTransmit(payloads, mcs)
+	_, tD, frameLen, err := n.jointTransmit(payloads, mcs)
 	if err != nil {
 		return 0, err
 	}
@@ -562,7 +562,6 @@ func (n *Network) NullingINR(victim int, payloadBytes int, mcs phy.MCS) (float64
 	// (The CP splice carries an un-nulled linear-convolution transient —
 	// real beamforming hardware has it too — but no receiver ever looks at
 	// those samples.)
-	frameLen := int(res.AirtimeSamples) - int(ofdm.PreambleLen)
 	cl := n.Clients[victim/n.Cfg.AntennasPerClient]
 	ant := victim % n.Cfg.AntennasPerClient
 	obs := n.observeClean(n.ClientAntennaID(cl.Index, ant), cl.Node.Osc, tD+int64(ofdm.PreambleLen), frameLen-ofdm.PreambleLen)

@@ -270,72 +270,58 @@ func cleanPath(dst []byte, llr []float64, rate Rate) bool {
 }
 
 // trellis runs the full Viterbi trellis over llr and writes the len(dst)
-// decoded data bits into dst. It is the path DecodeSoftInto takes
-// whenever cleanPath cannot certify the hard decisions.
-//
-// The trellis update runs as a butterfly over next-state pairs: states j
-// and j+32 share the predecessors 2j and 2j+1, and because generators
-// 133/171 both tap the newest and oldest register bits, all four branch
-// metrics of a butterfly are ±bm[branchIdx[j]]. That turns the inner loop
-// into 32 iterations of pure adds and compares — no reachability guard,
-// no per-branch sign decisions — which is what makes soft decoding of
-// full frames affordable on the hot path.
-func trellis(dst []byte, llr []float64, rate Rate) {
+// decoded data bits into dst, one acsKernel call per trellis step. It is
+// the path DecodeSoftInto takes whenever cleanPath cannot certify the hard
+// decisions.
+func trellis(dst []byte, llr []float64, rate Rate) { trellisWith(dst, llr, rate, acsKernel) }
+
+// trellisWith is trellis with the add-compare-select step as a parameter,
+// so tests can run the same frame through acsStep and acsKernel. Because
+// kernel is called through a func value, everything it is handed lives in
+// borrowed scratch rather than on the stack, where it would escape and
+// allocate on every call.
+func trellisWith(dst []byte, llr []float64, rate Rate, kernel func(mp, np *[numStates]float64, bm *[4]float64) uint64) {
 	total := len(dst) + constraintLen - 1
 	full := dsp.Borrow[float64](2 * total)
 	survivors := dsp.Borrow[uint64](total)
+	metrics := dsp.Borrow[float64](2*numStates + 4)
 	defer dsp.Release(full)
 	defer dsp.Release(survivors)
-	// Depuncture into per-step (A, B) LLRs.
+	defer dsp.Release(metrics)
+	// Depuncture into per-step (A, B) LLRs. A NaN LLR is an erasure like a
+	// punctured bit: left in, its sign would pick survivors, and that sign
+	// depends on which operand of an add the compiler puts first.
 	pat := rate.pattern()
-	src := 0
+	src, p := 0, 0
 	for i := range full {
-		if pat[i%len(pat)] {
-			full[i] = llr[src]
+		l := 0.0
+		if pat[p] {
+			if l = llr[src]; math.IsNaN(l) {
+				l = 0
+			}
 			src++
-		} else {
-			full[i] = 0
+		}
+		full[i] = l
+		if p++; p == len(pat) {
+			p = 0
 		}
 	}
 	// Viterbi with full traceback (packet-scale trellises are small).
-	var metricBuf [2][numStates]float64
-	mp, np := &metricBuf[0], &metricBuf[1]
+	mp := (*[numStates]float64)(metrics[:numStates])
+	np := (*[numStates]float64)(metrics[numStates : 2*numStates])
+	bm := (*[4]float64)(metrics[2*numStates:])
+	mp[0] = 0
 	for s := 1; s < numStates; s++ {
 		mp[s] = unreachable
 	}
 	for step := range survivors {
 		la, lb := full[2*step], full[2*step+1]
 		// bm[out] for out = A<<1|B; LLR>0 favors bit 0, cost is minimized.
-		var bm [4]float64
 		bm[0] = -la - lb
 		bm[1] = -la + lb
 		bm[2] = la - lb
 		bm[3] = la + lb
-		var lo, hi uint64 // survivor bits of states j and j+32
-		for j := 0; j < numStates/2; j++ {
-			a := mp[2*j]
-			b := mp[2*j+1]
-			v := bm[branchIdx[j]]
-			// in = 0 lands in state j: branch metrics +v from 2j, -v from
-			// 2j+1. The select is branchless — these comparisons are
-			// data-dependent coin flips, and a branchy select mispredicts
-			// its way to ~3× the latency. sign(m1-m0) is an exact stand-in
-			// for m1 < m0 (IEEE subtraction is zero iff the operands are
-			// equal, and ties must pick the even predecessor 2j).
-			m0, m1 := a+v, b-v
-			sel := uint64(int64(math.Float64bits(m1-m0)) >> 63)
-			mb := (math.Float64bits(m0) &^ sel) | (math.Float64bits(m1) & sel)
-			np[j] = math.Float64frombits(mb)
-			bit := uint64(1) << j
-			lo |= sel & bit
-			// in = 1 lands in state j+32 with both signs flipped.
-			m0, m1 = a-v, b+v
-			sel = uint64(int64(math.Float64bits(m1-m0)) >> 63)
-			mb = (math.Float64bits(m0) &^ sel) | (math.Float64bits(m1) & sel)
-			np[j+numStates/2] = math.Float64frombits(mb)
-			hi |= sel & bit
-		}
-		survivors[step] = lo | hi<<(numStates/2)
+		survivors[step] = kernel(mp, np, bm)
 		mp, np = np, mp
 	}
 	// Trellis is terminated: trace back from state 0. The predecessors of

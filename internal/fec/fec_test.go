@@ -432,6 +432,187 @@ func TestCleanShortcutFires(t *testing.T) {
 	}
 }
 
+// acsSpecials are the metric and branch-metric values the add-compare-
+// select must treat bit for bit alike in Go and assembly: signed zeros,
+// infinities, subnormals, values at and around the unreachable-state
+// metric, and small integers whose sums tie.
+var acsSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	5e-324, -5e-324, 1e-310, -1e-310, math.SmallestNonzeroFloat64 * 3,
+	unreachable, -unreachable, unreachable * 2, math.Nextafter(unreachable, 0),
+	math.MaxFloat64, -math.MaxFloat64, 1e308, -1e308,
+	1, -1, 2, -2, 3, -3,
+}
+
+// acsValue draws from acsSpecials, quantized integers or a Gaussian.
+func acsValue(r *rand.Rand) float64 {
+	switch r.Intn(3) {
+	case 0:
+		return acsSpecials[r.Intn(len(acsSpecials))]
+	case 1:
+		return float64(r.Intn(9) - 4)
+	}
+	return 10 * r.NormFloat64()
+}
+
+// TestACSStepMatchesGo holds acsKernel (the assembly step on amd64) to the
+// Go acsStep: the same new metric bits and the same survivor word, on
+// random states that mix every special value, and along chains of steps
+// that feed each step's metrics into the next.
+func TestACSStepMatchesGo(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	var mp, npGo, npKernel [numStates]float64
+	var bm [4]float64
+	check := func(trial int) {
+		t.Helper()
+		wantSurv := acsStep(&mp, &npGo, &bm)
+		gotSurv := acsKernel(&mp, &npKernel, &bm)
+		if gotSurv != wantSurv {
+			t.Fatalf("trial %d: survivors %#x, Go step %#x (mp %v, bm %v)", trial, gotSurv, wantSurv, mp, bm)
+		}
+		for s := range npGo {
+			if math.Float64bits(npKernel[s]) != math.Float64bits(npGo[s]) {
+				t.Fatalf("trial %d: state %d metric %v (%#x), Go step %v (%#x)", trial, s,
+					npKernel[s], math.Float64bits(npKernel[s]), npGo[s], math.Float64bits(npGo[s]))
+			}
+		}
+	}
+	for trial := 0; trial < 20000; trial++ {
+		for s := range mp {
+			mp[s] = acsValue(r)
+		}
+		for k := range bm {
+			bm[k] = acsValue(r)
+		}
+		check(trial)
+	}
+	// Chains run from the trellis's start state with trellis-shaped branch
+	// metrics, so the metrics reach the ties, overflows and NaNs that real
+	// LLR sequences produce.
+	for chain := 0; chain < 200; chain++ {
+		mp[0] = 0
+		for s := 1; s < numStates; s++ {
+			mp[s] = unreachable
+		}
+		for step := 0; step < 100; step++ {
+			la, lb := acsValue(r), acsValue(r)
+			bm = [4]float64{-la - lb, -la + lb, la - lb, la + lb}
+			check(chain*100 + step)
+			mp = npGo
+		}
+	}
+}
+
+// trellisFamily is a named LLR generator for whole-frame trellis tests.
+type trellisFamily struct {
+	name string
+	llr  func(coded []byte) []float64
+}
+
+// trellisFamilies are the clean, noisy and tie-prone frames
+// TestDecodeSoftMatchesTrellis uses, plus signed zeros, infinities,
+// subnormals and magnitudes near overflow sprinkled into a noisy frame.
+func trellisFamilies(r *rand.Rand) []trellisFamily {
+	gaussian := func(c []byte) []float64 {
+		llr := codewordLLRs(c, func() float64 { return 1 })
+		for i := range llr {
+			llr[i] = 4 * (llr[i] + 0.6*r.NormFloat64())
+		}
+		return llr
+	}
+	sprinkle := func(vals ...float64) func(c []byte) []float64 {
+		return func(c []byte) []float64 {
+			llr := gaussian(c)
+			for i := range llr {
+				if r.Intn(8) == 0 {
+					llr[i] = vals[r.Intn(len(vals))]
+				}
+			}
+			return llr
+		}
+	}
+	return []trellisFamily{
+		{"gaussian", gaussian},
+		{"quantized", func(c []byte) []float64 {
+			llr := codewordLLRs(c, func() float64 { return float64(1 + r.Intn(3)) })
+			for i := range llr {
+				switch r.Intn(10) {
+				case 0:
+					llr[i] = -llr[i]
+				case 1:
+					llr[i] = 0
+				}
+			}
+			return llr
+		}},
+		{"signed-zero", sprinkle(0, math.Copysign(0, -1))},
+		{"infinite", sprinkle(math.Inf(1), math.Inf(-1))},
+		{"subnormal", sprinkle(5e-324, -5e-324, 1e-310, -1e-310)},
+		{"huge", sprinkle(1e308, -1e308, math.MaxFloat64, -math.MaxFloat64)},
+		{"mixed", sprinkle(acsSpecials...)},
+	}
+}
+
+// TestTrellisKernelMatchesGoStep decodes whole frames through the trellis
+// twice, with acsKernel and with the Go acsStep, at every rate and over
+// every LLR family, and requires the same bits.
+func TestTrellisKernelMatchesGoStep(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for _, f := range trellisFamilies(r) {
+		for _, rate := range allRates {
+			for frame := 0; frame < 100; frame++ {
+				n := 1 + r.Intn(300)
+				llr := f.llr(Encode(randBits(r, n), rate))
+				want := make([]byte, n)
+				trellisWith(want, llr, rate, acsStep)
+				got := make([]byte, n)
+				trellisWith(got, llr, rate, acsKernel)
+				if string(got) != string(want) {
+					t.Fatalf("%s rate %s frame %d (n=%d): the kernel's trellis differs from the Go step's", f.name, rate, frame, n)
+				}
+			}
+		}
+	}
+}
+
+// TestNaNLLRDecodesAsErasure shows a NaN LLR, whatever its sign and
+// payload, decodes exactly like a zero LLR (a punctured bit) under both
+// ACS steps.
+func TestNaNLLRDecodesAsErasure(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	nans := []float64{
+		math.NaN(), math.Copysign(math.NaN(), -1),
+		math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001),
+	}
+	for _, rate := range allRates {
+		for frame := 0; frame < 200; frame++ {
+			n := 1 + r.Intn(300)
+			llr := codewordLLRs(Encode(randBits(r, n), rate), func() float64 { return 1 })
+			for i := range llr {
+				llr[i] = 4 * (llr[i] + 0.8*r.NormFloat64())
+			}
+			erased := slices.Clone(llr)
+			for k := 0; k < 1+len(llr)/10; k++ {
+				i := r.Intn(len(llr))
+				llr[i], erased[i] = nans[r.Intn(len(nans))], 0
+			}
+			want := trellisDecode(erased, n, rate)
+			got, err := DecodeSoft(llr, n, rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("rate %s frame %d (n=%d): NaN LLRs decode unlike zeros", rate, frame, n)
+			}
+			goStep := make([]byte, n)
+			trellisWith(goStep, llr, rate, acsStep)
+			if string(goStep) != string(want) {
+				t.Fatalf("rate %s frame %d (n=%d): NaN LLRs decode unlike zeros under the Go step", rate, frame, n)
+			}
+		}
+	}
+}
+
 func withLLR(llr []float64, i int, v float64) []float64 {
 	out := append([]float64(nil), llr...)
 	out[i] = v
@@ -454,6 +635,9 @@ func BenchmarkEncodeRate12(b *testing.B) {
 	}
 }
 
+// BenchmarkViterbi1500ByteFrame decodes a noiseless 1500 B frame. Its ±1
+// LLRs are ones cleanPath certifies, so it times the clean-frame shortcut
+// and never the trellis; BenchmarkTrellis1500ByteFrame times the trellis.
 func BenchmarkViterbi1500ByteFrame(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	n := 1500 * 8
@@ -470,6 +654,27 @@ func BenchmarkViterbi1500ByteFrame(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeSoft(llr, n, Rate34); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTrellis1500ByteFrame decodes a noisy rate-3/4 1500 B frame,
+// which cleanPath cannot certify, so every iteration runs the trellis.
+func BenchmarkTrellis1500ByteFrame(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	n := 1500 * 8
+	llr := codewordLLRs(Encode(randBits(r, n), Rate34), func() float64 { return 1 })
+	for i := range llr {
+		llr[i] = 4 * (llr[i] + 0.6*r.NormFloat64())
+	}
+	if shortcut(llr, n, Rate34) {
+		b.Fatal("the noisy frame takes the clean-frame shortcut")
+	}
+	dst := make([]byte, n)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := DecodeSoftInto(dst, llr, Rate34); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,6 +67,19 @@ func TestLoadDirExternalTestPackage(t *testing.T) {
 	}
 }
 
+// TestLoadDirHonorsBuildConstraints loads a package whose kernel is
+// declared once in a _amd64.go file and once in a //go:build !amd64 file:
+// only one of them may be type-checked, or the two declarations clash.
+func TestLoadDirHonorsBuildConstraints(t *testing.T) {
+	pkgs := loadTestdata(t, "buildconstraint")
+	if len(pkgs) != 1 {
+		t.Fatalf("got %d packages, want 1", len(pkgs))
+	}
+	if n := len(pkgs[0].Files); n != 2 {
+		t.Fatalf("package has %d files, want 2: the kernel for this GOARCH and its caller", n)
+	}
+}
+
 // TestLoadDirCrossPackageImport checks source-based resolution of
 // module-local imports: the violation is only detectable if the sibling
 // fixture package's units.Radians signature type-checked.

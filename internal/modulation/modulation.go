@@ -204,63 +204,6 @@ func HardDemap(s Scheme, syms []complex128) ([]byte, error) {
 	return out, nil
 }
 
-// SoftDemap produces one LLR per coded bit (positive = bit 0 more likely,
-// the convention the Viterbi decoder in internal/fec expects). noiseVar is
-// the per-symbol complex noise variance; it scales LLR confidence.
-//
-// LLRs use the max-log approximation over per-axis PAM sets, which is exact
-// for BPSK/QPSK and within a fraction of a dB for 16/64-QAM. It errors on
-// an invalid scheme.
-func SoftDemap(s Scheme, syms []complex128, noiseVar float64) ([]float64, error) {
-	if !s.Valid() {
-		return nil, fmt.Errorf("modulation: unknown scheme %v", s)
-	}
-	if noiseVar <= 0 {
-		noiseVar = 1e-9
-	}
-	out := make([]float64, 0, len(syms)*s.BitsPerSymbol())
-	for _, v := range syms {
-		switch s {
-		case BPSK:
-			out = append(out, -4*real(v)/noiseVar)
-		case QPSK:
-			out = append(out, -4*real(v)/(sqrt2*noiseVar), -4*imag(v)/(sqrt2*noiseVar))
-		case QAM16:
-			out = append(out, pamLLR(real(v)*norm16, 2, noiseVar*10)...)
-			out = append(out, pamLLR(imag(v)*norm16, 2, noiseVar*10)...)
-		case QAM64:
-			out = append(out, pamLLR(real(v)*norm64, 3, noiseVar*42)...)
-			out = append(out, pamLLR(imag(v)*norm64, 3, noiseVar*42)...)
-		}
-	}
-	return out, nil
-}
-
-// pamLLR returns max-log LLRs for one Gray-coded PAM axis with levels at
-// odd integers; y is the received value on the integer lattice and nv the
-// noise variance on that lattice.
-func pamLLR(y float64, width int, nv float64) []float64 {
-	nLevels := 1 << width
-	llr := make([]float64, width)
-	for b := 0; b < width; b++ {
-		best0, best1 := math.Inf(1), math.Inf(1)
-		for lv := 0; lv < nLevels; lv++ {
-			bits := grayBitsForLevel(lv, width)
-			x := float64(2*lv + 1 - nLevels)
-			d := (y - x) * (y - x)
-			if bits[b] == 0 {
-				if d < best0 {
-					best0 = d
-				}
-			} else if d < best1 {
-				best1 = d
-			}
-		}
-		llr[b] = (best1 - best0) / nv
-	}
-	return llr
-}
-
 // grayBitsForLevel returns the bit label of the PAM level with index lv
 // (ascending amplitude order), consistent with pamGray.
 func grayBitsForLevel(lv, width int) []byte {
@@ -268,21 +211,47 @@ func grayBitsForLevel(lv, width int) []byte {
 	return pamDeGray(x, width)
 }
 
-// grayTables[width][lv] is grayBitsForLevel(lv, width) precomputed, so the
-// scalar demap paths never allocate label slices.
-var grayTables = buildGrayTables()
+// pamCandidates[width][k][b][c] holds the two levels of bit class c (bit
+// b equal to c) that can be nearest to a y with exactly k levels at or
+// below it: the class's highest level among the lowest k and its lowest
+// level among the rest. A side without a class member repeats the other
+// side's level. fl((y−x)²) never decreases as x moves away from y on
+// either side, so the smaller of the two distances is the class's minimum
+// over all its levels, bit for bit.
+var pamCandidates = buildPamCandidates()
 
-func buildGrayTables() [4][][]byte {
-	var out [4][][]byte
+func buildPamCandidates() (out [4][9][3][2][2]float64) {
 	for width := 1; width <= 3; width++ {
-		levels := make([][]byte, 1<<width)
-		for lv := range levels {
-			levels[lv] = grayBitsForLevel(lv, width)
+		nLevels := 1 << width
+		for k := 0; k <= nLevels; k++ {
+			for b := 0; b < width; b++ {
+				for c := byte(0); c < 2; c++ {
+					below, above := -1, -1 // level indices
+					for lv := 0; lv < nLevels; lv++ {
+						switch {
+						case grayBitsForLevel(lv, width)[b] != c:
+						case lv < k:
+							below = lv
+						case above < 0:
+							above = lv
+						}
+					}
+					if below < 0 {
+						below = above
+					}
+					if above < 0 {
+						above = below
+					}
+					out[width][k][b][c] = [2]float64{pamLevel(below, width), pamLevel(above, width)}
+				}
+			}
 		}
-		out[width] = levels
 	}
 	return out
 }
+
+// pamLevel is the amplitude of the PAM level with index lv (ascending).
+func pamLevel(lv, width int) float64 { return float64(2*lv + 1 - 1<<width) }
 
 // MapInto is Map with a caller-supplied destination of exactly
 // len(bits)/BitsPerSymbol symbols; it allocates nothing.
@@ -344,10 +313,14 @@ func SlicePoint(s Scheme, v complex128) complex128 {
 	return v
 }
 
-// AppendSoftDemap appends the LLRs for one received symbol to dst and
-// returns the extended slice, matching SoftDemap's conventions (positive =
-// bit 0 more likely); it allocates nothing beyond dst growth. The scheme
-// must be valid.
+// AppendSoftDemap appends one LLR per coded bit of one received symbol to
+// dst and returns the extended slice. Positive means bit 0 is more likely,
+// the convention the Viterbi decoder in internal/fec expects. noiseVar is
+// the per-symbol complex noise variance; it scales LLR confidence.
+//
+// LLRs use the max-log approximation over per-axis PAM sets, which is exact
+// for BPSK/QPSK and within a fraction of a dB for 16/64-QAM. The call
+// allocates nothing beyond dst growth. The scheme must be valid.
 func AppendSoftDemap(dst []float64, s Scheme, v complex128, noiseVar float64) []float64 {
 	if noiseVar <= 0 {
 		noiseVar = 1e-9
@@ -367,25 +340,46 @@ func AppendSoftDemap(dst []float64, s Scheme, v complex128, noiseVar float64) []
 	return dst
 }
 
-// appendPamLLR is pamLLR appending into dst, using the precomputed Gray
-// tables so nothing allocates.
+// appendPamLLR appends the max-log LLRs of one Gray-coded PAM axis with
+// levels at odd integers: y is the received value on the integer lattice
+// and nv the noise variance on that lattice. Each bit's LLR is
+// (min over levels labelled 1 − min over levels labelled 0)/nv of the
+// squared distance fl((y−x)²). The minima come from the two pamCandidates
+// of each class, so they equal a scan over every level bit for bit: with
+// a NaN y mapped to +Inf first, no distance is NaN or −0, so the builtin
+// min returns the value a d < best scan keeps. It allocates nothing beyond
+// dst growth.
 func appendPamLLR(dst []float64, y float64, width int, nv float64) []float64 {
-	nLevels := 1 << width
+	// A scan over a NaN y meets only NaN distances, which no d < best
+	// accepts, so both minima stay +Inf; a y of +Inf gives the same.
+	if math.IsNaN(y) {
+		y = math.Inf(1)
+	}
+	cands := &pamCandidates[width][levelsAtOrBelow(y, width)]
 	for b := 0; b < width; b++ {
-		best0, best1 := math.Inf(1), math.Inf(1)
-		for lv := 0; lv < nLevels; lv++ {
-			bits := grayTables[width][lv]
-			x := float64(2*lv + 1 - nLevels)
-			d := (y - x) * (y - x)
-			if bits[b] == 0 {
-				if d < best0 {
-					best0 = d
-				}
-			} else if d < best1 {
-				best1 = d
-			}
-		}
+		c := &cands[b]
+		best0 := min((y-c[0][0])*(y-c[0][0]), (y-c[0][1])*(y-c[0][1]))
+		best1 := min((y-c[1][0])*(y-c[1][0]), (y-c[1][1])*(y-c[1][1]))
 		dst = append(dst, (best1-best0)/nv)
 	}
 	return dst
+}
+
+// levelsAtOrBelow counts the PAM levels at or below y, 0 for a NaN y. t is
+// y's position on the level index scale, where level lv sits at t = lv.
+// Rounding y+nLevels-1 never lowers it past an index, because the sum at a
+// level is an exact even integer and rounding is monotone; it can raise a
+// y just below a level onto it, which the exact comparison undoes.
+func levelsAtOrBelow(y float64, width int) int {
+	nLevels := 1 << width
+	k := 0
+	if t := (y + float64(nLevels-1)) / 2; t >= float64(nLevels) {
+		k = nLevels
+	} else if t >= 0 {
+		k = int(t) + 1
+	}
+	if k > 0 && pamLevel(k-1, width) > y {
+		k--
+	}
+	return k
 }

@@ -149,10 +149,7 @@ func TestSoftDemapSignsMatchHardDecisions(t *testing.T) {
 			bits[i] = byte(r.Intn(2))
 		}
 		syms, _ := Map(s, bits)
-		llr, err := SoftDemap(s, syms, 0.01)
-		if err != nil {
-			t.Fatal(err)
-		}
+		llr := softDemapAll(s, syms, 0.01)
 		if len(llr) != len(bits) {
 			t.Fatalf("%v: %d LLRs for %d bits", s, len(llr), len(bits))
 		}
@@ -167,14 +164,8 @@ func TestSoftDemapSignsMatchHardDecisions(t *testing.T) {
 
 func TestSoftDemapConfidenceScalesWithNoise(t *testing.T) {
 	syms, _ := Map(QAM16, []byte{1, 0, 1, 1})
-	lowNoise, err := SoftDemap(QAM16, syms, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	highNoise, err := SoftDemap(QAM16, syms, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lowNoise := softDemapAll(QAM16, syms, 0.01)
+	highNoise := softDemapAll(QAM16, syms, 1.0)
 	for i := range lowNoise {
 		if math.Abs(lowNoise[i]) <= math.Abs(highNoise[i]) {
 			t.Fatalf("LLR %d did not grow with SNR", i)
@@ -232,10 +223,12 @@ func BenchmarkSoftDemapQAM64(b *testing.B) {
 		bits[i] = byte(r.Intn(2))
 	}
 	syms, _ := Map(QAM64, bits)
+	llr := make([]float64, 0, len(bits))
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SoftDemap(QAM64, syms, 0.1); err != nil {
-			b.Fatal(err)
+	for b.Loop() {
+		llr = llr[:0]
+		for _, v := range syms {
+			llr = AppendSoftDemap(llr, QAM64, v, 0.1)
 		}
 	}
 }
@@ -264,10 +257,7 @@ func TestScalarPathsMatchSlicePaths(t *testing.T) {
 				t.Fatalf("%v SlicePoint(%v) = %v, want %v", s, v, sp, mapped[0])
 			}
 			for _, nv := range []float64{0.01, 0.3, 2} {
-				soft, err := SoftDemap(s, []complex128{v}, nv)
-				if err != nil {
-					t.Fatal(err)
-				}
+				soft := oracleSoftDemap(s, v, nv)
 				gotSoft := AppendSoftDemap(nil, s, v, nv)
 				if len(gotSoft) != len(soft) {
 					t.Fatalf("%v AppendSoftDemap len %d want %d", s, len(gotSoft), len(soft))
@@ -299,6 +289,128 @@ func TestScalarPathsMatchSlicePaths(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%v MapInto[%d] = %v, want %v", s, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// softDemapAll demaps every symbol of syms with AppendSoftDemap.
+func softDemapAll(s Scheme, syms []complex128, noiseVar float64) []float64 {
+	var llr []float64
+	for _, v := range syms {
+		llr = AppendSoftDemap(llr, s, v, noiseVar)
+	}
+	return llr
+}
+
+// oraclePamLLR is the brute-force max-log demapper of one PAM axis: for
+// each bit, the squared distance to every level, minimized per bit class
+// with d < best from +Inf. appendPamLLR must match it bit for bit.
+func oraclePamLLR(y float64, width int, nv float64) []float64 {
+	nLevels := 1 << width
+	llr := make([]float64, width)
+	for b := 0; b < width; b++ {
+		best0, best1 := math.Inf(1), math.Inf(1)
+		for lv := 0; lv < nLevels; lv++ {
+			bits := grayBitsForLevel(lv, width)
+			x := float64(2*lv + 1 - nLevels)
+			d := (y - x) * (y - x)
+			if bits[b] == 0 {
+				if d < best0 {
+					best0 = d
+				}
+			} else if d < best1 {
+				best1 = d
+			}
+		}
+		llr[b] = (best1 - best0) / nv
+	}
+	return llr
+}
+
+// oracleSoftDemap is AppendSoftDemap for one symbol over oraclePamLLR.
+func oracleSoftDemap(s Scheme, v complex128, noiseVar float64) []float64 {
+	if noiseVar <= 0 {
+		noiseVar = 1e-9
+	}
+	switch s {
+	case BPSK:
+		return []float64{-4 * real(v) / noiseVar}
+	case QPSK:
+		return []float64{-4 * real(v) / (sqrt2 * noiseVar), -4 * imag(v) / (sqrt2 * noiseVar)}
+	case QAM16:
+		return append(oraclePamLLR(real(v)*norm16, 2, noiseVar*10), oraclePamLLR(imag(v)*norm16, 2, noiseVar*10)...)
+	case QAM64:
+		return append(oraclePamLLR(real(v)*norm64, 3, noiseVar*42), oraclePamLLR(imag(v)*norm64, 3, noiseVar*42)...)
+	}
+	return nil
+}
+
+// demapInputs returns every level and decision boundary of the widest
+// PAM axis and one ulp either side, ±0, ±Inf, NaN and ±1e300, then a
+// million random y spread over the constellation, its edges and far
+// outside it.
+func demapInputs() []float64 {
+	ys := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e300, -1e300}
+	for v := -8.0; v <= 8; v++ {
+		ys = append(ys, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 1_000_000; i++ {
+		var y float64
+		switch i % 4 {
+		case 0:
+			y = 20*r.Float64() - 10
+		case 1:
+			y = 3 * r.NormFloat64()
+		case 2: // a level or boundary plus a few ulps of rounding
+			y = float64(r.Intn(17)-8) + float64(r.Intn(9)-4)*0x1p-50
+		default: // magnitudes from subnormal to near overflow
+			y = math.Ldexp(r.Float64(), r.Intn(2100)-1075)
+			if r.Intn(2) == 0 {
+				y = -y
+			}
+		}
+		ys = append(ys, y)
+	}
+	return ys
+}
+
+// TestPamLLRMatchesOracle holds appendPamLLR to the brute-force scan bit
+// for bit at widths 1–3 over demapInputs.
+func TestPamLLRMatchesOracle(t *testing.T) {
+	const nv = 0.3
+	var got []float64
+	ys := demapInputs()
+	for width := 1; width <= 3; width++ {
+		for _, y := range ys {
+			want := oraclePamLLR(y, width, nv)
+			got = appendPamLLR(got[:0], y, width, nv)
+			for b := range want {
+				if math.Float64bits(got[b]) != math.Float64bits(want[b]) {
+					t.Fatalf("width %d y=%v (%#x): bit %d LLR %v, brute force %v", width, y, math.Float64bits(y), b, got[b], want[b])
+				}
+			}
+		}
+	}
+}
+
+// TestLevelsAtOrBelowIsExact checks the level count appendPamLLR picks its
+// candidates by against a direct count over demapInputs, whose y one ulp
+// below a level are where rounding lifts the lattice estimate onto the
+// level.
+func TestLevelsAtOrBelowIsExact(t *testing.T) {
+	ys := demapInputs()
+	for width := 1; width <= 3; width++ {
+		for _, y := range ys {
+			want := 0
+			for lv := 0; lv < 1<<width; lv++ {
+				if pamLevel(lv, width) <= y {
+					want++
+				}
+			}
+			if got := levelsAtOrBelow(y, width); got != want {
+				t.Fatalf("width %d y=%v (%#x): %d levels at or below, want %d", width, y, math.Float64bits(y), got, want)
 			}
 		}
 	}
