@@ -212,7 +212,7 @@ func main() {
 			loads, nAPs, seconds = []float64{2, 8}, 2, 0.005
 		}
 		var r *experiment.WorkloadResult
-		err := traceTo(*traceOut, format, sweepMeta(nAPs), func(sink core.TraceSink) (err error) {
+		err := traced(*traceOut, format, nAPs, func(sink core.TraceSink) (err error) {
 			r, err = experiment.RunWorkload(loads, nAPs, max(2, *topos/5), traffic.Poisson, seconds, *seed, sink)
 			return err
 		})
@@ -228,7 +228,7 @@ func main() {
 			intensities, seconds = []float64{0, 600}, 0.005
 		}
 		var r *experiment.ChaosResult
-		err := traceTo(*traceOut, format, sweepMeta(nAPs), func(sink core.TraceSink) (err error) {
+		err := traced(*traceOut, format, nAPs, func(sink core.TraceSink) (err error) {
 			r, err = experiment.RunChaos(intensities, nAPs, max(2, *topos/5), seconds, *seed, sink)
 			return err
 		})
@@ -275,51 +275,25 @@ func main() {
 	}
 }
 
-// sweepMeta is the trace header of a workload or chaos sweep: every cell
-// runs the high-SNR default network with nAPs APs and as many clients.
-func sweepMeta(nAPs int) tracefmt.Meta {
-	return tracefmt.MetaFor(core.DefaultConfig(nAPs, nAPs, experiment.HighSNR.Lo, experiment.HighSNR.Hi))
-}
-
-// traceTo runs a sweep with its merged flight-recorder trace written to
-// path, or untraced when path is empty. JSONL streams live through a
-// StreamSink; the Chrome format needs the whole timeline, so its events
-// are collected first and written at the end.
-func traceTo(path string, format tracefmt.Format, meta tracefmt.Meta, run func(core.TraceSink) error) error {
+// traced runs a sweep with its merged flight-recorder trace written to
+// path, or untraced when path is empty. Every cell of a workload or chaos
+// sweep runs the high-SNR default network with nAPs APs and as many
+// clients, which is the trace's header.
+func traced(path string, format tracefmt.Format, nAPs int, run func(core.TraceSink) error) error {
 	if path == "" {
 		return run(nil)
 	}
-	if format == tracefmt.FormatChrome {
-		var events eventLog
-		if err := run(&events); err != nil {
-			return err
-		}
-		return tracefmt.WriteFile(path, format, meta, events)
-	}
-	f, err := os.Create(path)
+	meta := tracefmt.MetaFor(core.DefaultConfig(nAPs, nAPs, experiment.HighSNR.Lo, experiment.HighSNR.Hi))
+	sink, err := tracefmt.Create(path, format, meta, tracefmt.StreamOptions{})
 	if err != nil {
-		return err
-	}
-	sink, err := tracefmt.NewStreamSink(f, meta, tracefmt.StreamOptions{})
-	if err != nil {
-		_ = f.Close()
 		return err
 	}
 	err = run(sink)
 	if cerr := sink.Close(); err == nil {
 		err = cerr
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
 	return err
 }
-
-// eventLog collects a merged trace in memory. The StreamMerge feeding it
-// hands over one event at a time, so it needs no lock.
-type eventLog []core.TraceEvent
-
-func (l *eventLog) ConsumeTrace(e core.TraceEvent) { *l = append(*l, e) }
 
 func apCounts(maxAPs int) []int {
 	var out []int

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"megamimo/internal/air"
@@ -35,15 +36,15 @@ import (
 // runConfig is one invocation: every flag binds straight into it. The
 // embedded SoakConfig holds the run identity — topology, SNR band, seed,
 // load, window, storm, drift and checkpoint cadence — in
-// every mode, and its TracePath/SeriesPath are the -stream-out and
+// every mode, and its TracePath/SeriesPath are the -trace-out and
 // -series-out files; the soak harness receives it as is.
 type runConfig struct {
 	experiment.SoakConfig
 	packets         int
 	trace           bool
 	workload, chaos string
-	traceOut        string
 	traceFormat     string
+	format          tracefmt.Format // traceFormat, parsed by validate
 	serveAddr       string
 	serveWait       time.Duration
 	promOut         string
@@ -66,13 +67,12 @@ func parseFlags() *runConfig {
 	flag.StringVar(&c.chaos, "chaos", "", "replay a fault scenario against the closed loop: slave-crash|lead-crash|lossy|churn|mixed")
 	flag.Float64Var(&c.LoadMbps, "load", 8, "workload offered load per client (Mb/s)")
 	flag.Float64Var(&c.Seconds, "duration", 0.05, "workload window (simulated seconds)")
-	flag.StringVar(&c.traceOut, "trace-out", "", "write the flight-recorder trace to this file")
+	flag.StringVar(&c.TracePath, "trace-out", "", "stream the flight-recorder trace to this file as events are recorded")
 	flag.StringVar(&c.traceFormat, "trace-format", "jsonl", "trace file format: jsonl|chrome")
 	flag.Float64Var(&c.DriftPPM, "drift-ppm", 0, "inject ±ppm oscillator drift: lead −ppm, slave APs +ppm (2×ppm relative); soak mode applies it at -soak-drift-at")
 	flag.StringVar(&c.serveAddr, "serve", "", "serve /metrics /healthz /trace /debug/pprof on this address during the run")
 	flag.DurationVar(&c.serveWait, "serve-wait", 0, "keep the observability server up this long after the run completes")
-	flag.StringVar(&c.TracePath, "stream-out", "", "stream the flight recorder live to this JSONL file as events are recorded")
-	flag.IntVar(&c.SampleEvery, "sample-every", 0, "workload/chaos: snapshot the metrics registry every N service rounds (0 = 64)")
+	flag.IntVar(&c.SampleEvery, "sample-every", 0, "workload/chaos/soak: snapshot the metrics registry every N service rounds (0 = 64)")
 	flag.StringVar(&c.SeriesPath, "series-out", "", "write the sampled metrics time series as JSONL to this file")
 	flag.StringVar(&c.promOut, "prom-out", "", "write the final metrics registry as Prometheus text to this file")
 	flag.BoolVar(&c.soak, "soak", false, "run the resumable game-day soak harness (heavy load + fault storm + periodic checkpoints)")
@@ -87,7 +87,7 @@ func parseFlags() *runConfig {
 }
 
 // validate rejects flag values outside the range a run can use, and
-// soak-only flags set outside -soak.
+// flags the chosen mode would ignore.
 func (c *runConfig) validate() error {
 	switch {
 	case c.PacketBytes < 1 || c.PacketBytes > phy.MaxPSDU:
@@ -111,23 +111,54 @@ func (c *runConfig) validate() error {
 	case !(c.DriftAtSeconds >= 0):
 		return fmt.Errorf("-soak-drift-at %g must be a non-negative number", c.DriftAtSeconds)
 	}
-	if c.soak {
-		return nil
-	}
 	var err error
+	if c.format, err = tracefmt.ParseFormat(c.traceFormat); err != nil {
+		return err
+	}
+	mode := c.mode()
 	flag.Visit(func(f *flag.Flag) {
-		if err == nil && soakOnlyFlags[f.Name] {
-			err = fmt.Errorf("-%s applies only with -soak", f.Name)
+		if modes, ok := modeFlags[f.Name]; ok && err == nil && !slices.Contains(modes, mode) {
+			err = fmt.Errorf("-%s does not apply to a %s run", f.Name, mode)
 		}
 	})
+	if err == nil && c.soak && c.format == tracefmt.FormatChrome {
+		err = fmt.Errorf("-trace-format chrome does not apply to a soak run: a chrome file cannot be spliced at a resume offset")
+	}
 	return err
 }
 
-// soakOnlyFlags are the flags only the soak harness reads. Batch, workload
-// and chaos runs refuse them rather than run without what they ask for.
-var soakOnlyFlags = map[string]bool{
-	"checkpoint-every": true, "checkpoint-dir": true, "resume": true,
-	"workers": true, "faults-per-sec": true, "soak-drift-at": true,
+// mode names the run the flags select: -soak, else -chaos, else
+// -workload, else one batch of packets.
+func (c *runConfig) mode() string {
+	switch {
+	case c.soak:
+		return "soak"
+	case c.chaos != "":
+		return "chaos"
+	case c.workload != "":
+		return "workload"
+	}
+	return "batch"
+}
+
+// modeFlags lists each flag only some modes read, with the modes that
+// read it; every other flag applies in every mode. A run refuses a flag
+// its mode would ignore rather than run without what it asks for.
+var modeFlags = map[string][]string{
+	"packets":          {"batch"},
+	"trace":            {"batch", "workload"},
+	"prom-out":         {"batch", "workload", "chaos"},
+	"workload":         {"workload"},
+	"chaos":            {"chaos"},
+	"load":             {"workload", "chaos", "soak"},
+	"duration":         {"workload", "chaos", "soak"},
+	"sample-every":     {"workload", "chaos", "soak"},
+	"checkpoint-every": {"soak"},
+	"checkpoint-dir":   {"soak"},
+	"resume":           {"soak"},
+	"workers":          {"soak"},
+	"faults-per-sec":   {"soak"},
+	"soak-drift-at":    {"soak"},
 }
 
 func main() {
@@ -140,10 +171,6 @@ func main() {
 		return
 	}
 
-	format, err := tracefmt.ParseFormat(c.traceFormat)
-	if err != nil {
-		fatal(err)
-	}
 	cfg := c.CoreConfig()
 	// Batch, workload and chaos runs draw the Haar-mixing ensemble of the
 	// throughput figures; the soak keeps the iid links of CoreConfig.
@@ -154,11 +181,11 @@ func main() {
 	}
 	fmt.Printf("network: %d APs, %d clients, %.0f-%.0f dB, %.0f MHz\n",
 		c.APs, c.Clients, c.SNRLoDB, c.SNRHiDB, cfg.SampleRate/1e6)
-	tel, err := newTelemetry(net, c, format)
+	tel, err := newTelemetry(net, c)
 	if err != nil {
 		fatal(err)
 	}
-	if c.trace || c.traceOut != "" || tel.active() {
+	if c.trace || tel.file != nil || tel.server != nil {
 		net.Trace().Enable(1 << 20)
 	}
 	if c.DriftPPM != 0 {
@@ -182,7 +209,7 @@ func main() {
 		p.PowerScale, dB(p.PowerScale*p.PowerScale/cfg.NoiseVar))
 
 	if c.chaos != "" {
-		runChaos(net, c, tel.sampler)
+		runChaos(net, c, tel)
 		tel.finish()
 		return
 	}
@@ -195,11 +222,10 @@ func main() {
 
 	mcs, ok, err := net.ProbeAndSelectRate(256)
 	if err != nil || !ok {
-		// Export the flight recorder before dying: the rate probe's joint
+		// Flush the trace before dying: the rate probe's joint
 		// transmissions already traced the slave measurements, and a sync
 		// loop broken enough to kill every MCS is precisely what the
-		// trace anomaly gate exists to diagnose. The streaming surfaces
-		// flush too, so a live follower sees how far the run got.
+		// trace anomaly gate exists to diagnose.
 		tel.finish()
 		if err == nil {
 			err = fmt.Errorf("no deliverable MCS at this SNR")
@@ -289,16 +315,12 @@ func runSoak(c *runConfig) {
 }
 
 // telemetry bundles the run's observability outputs: the -trace-out
-// export, the live JSONL trace and series streams, the HTTP server, and
-// the metrics time-series sampler. A zero surface set is valid — every
-// method no-ops.
+// file, the series stream, the HTTP server, and the metrics time-series
+// sampler. A zero surface set is valid — every method no-ops.
 type telemetry struct {
 	c          *runConfig
 	net        *core.Network
-	meta       tracefmt.Meta
-	format     tracefmt.Format
-	stream     *tracefmt.StreamSink
-	streamFile *os.File
+	file       *tracefmt.FileSink
 	server     *obs.Server
 	sampler    *metrics.Sampler
 	samples    int
@@ -308,31 +330,21 @@ type telemetry struct {
 }
 
 // newTelemetry opens the requested surfaces and attaches them to the
-// network's tracer as a tee of sinks (the caller still enables the
-// recorder). The sampler streams each sample to -series-out and
-// publishes to the HTTP server, so /metrics tracks the run live at the
-// workload sampling cadence.
-func newTelemetry(net *core.Network, c *runConfig, format tracefmt.Format) (*telemetry, error) {
-	// One header for every surface, so a streamed file and a buffered
-	// -trace-out export of the same run match; overflow counters are the
-	// one buffered-only addition (the stream never truncates).
+// network's tracer (the caller still enables the recorder). A -chaos run
+// attaches the -trace-out file later, at its recovered tail. The sampler
+// streams each sample to -series-out and publishes to the HTTP server,
+// so /metrics tracks the run live at the workload sampling cadence.
+func newTelemetry(net *core.Network, c *runConfig) (*telemetry, error) {
 	meta := tracefmt.MetaFor(net.Cfg)
-	tel := &telemetry{c: c, net: net, meta: meta, format: format}
-	var sinks []core.TraceSink
+	tel := &telemetry{c: c, net: net}
 	if c.TracePath != "" {
-		f, err := os.Create(c.TracePath)
-		if err != nil {
-			return nil, err
-		}
-		s, err := tracefmt.NewStreamSink(f, meta, tracefmt.StreamOptions{
+		f, err := tracefmt.Create(c.TracePath, c.format, meta, tracefmt.StreamOptions{
 			Dropped: net.Metrics().Counter("trace_sink_dropped_total"),
 		})
 		if err != nil {
-			_ = f.Close()
 			return nil, err
 		}
-		tel.stream, tel.streamFile = s, f
-		sinks = append(sinks, s)
+		tel.file = f
 	}
 	if c.serveAddr != "" {
 		srv, err := obs.New(obs.Config{Addr: c.serveAddr, Meta: meta})
@@ -341,7 +353,6 @@ func newTelemetry(net *core.Network, c *runConfig, format tracefmt.Format) (*tel
 		}
 		tel.server = srv
 		fmt.Println(srv)
-		sinks = append(sinks, srv)
 	}
 	if c.SeriesPath != "" {
 		f, err := os.Create(c.SeriesPath)
@@ -354,10 +365,21 @@ func newTelemetry(net *core.Network, c *runConfig, format tracefmt.Format) (*tel
 		tel.sampler = metrics.NewSampler(net.Metrics())
 		tel.sampler.OnSample = tel.onSample
 	}
-	if s := core.TeeSinks(sinks...); s != nil {
-		net.Trace().SetSink(s)
-	}
+	tel.attach(c.chaos == "")
 	return tel, nil
+}
+
+// attach feeds the tracer's events to the HTTP server and, with file, to
+// the -trace-out file.
+func (tel *telemetry) attach(file bool) {
+	var sinks []core.TraceSink
+	if file && tel.file != nil {
+		sinks = append(sinks, tel.file)
+	}
+	if tel.server != nil {
+		sinks = append(sinks, tel.server)
+	}
+	tel.net.Trace().SetSink(core.TeeSinks(sinks...))
 }
 
 // onSample streams one sample to -series-out and publishes the registry
@@ -376,16 +398,12 @@ func (tel *telemetry) onSample(sm metrics.Sample) {
 	}
 }
 
-// active reports whether any surface needs the flight recorder enabled.
-func (tel *telemetry) active() bool { return tel.stream != nil || tel.server != nil }
-
-// finish flushes every surface at the end of the run: the -trace-out
-// export, the series and exposition files, the stream (fatal on a lost
-// series or stream — a partial file must not pass for a complete one),
-// and finally the HTTP server, which keeps serving the finished run's
-// state for -serve-wait before closing.
+// finish flushes every surface at the end of the run: the series and
+// exposition files, the -trace-out file (fatal on a lost series or trace
+// — a partial file must not pass for a complete one), and finally the
+// HTTP server, which keeps serving the finished run's state for
+// -serve-wait before closing.
 func (tel *telemetry) finish() {
-	tel.writeTrace()
 	if tel.sampler != nil && tel.samples == 0 {
 		// Batch runs have no service rounds to pace sampling on; take the
 		// one end-of-run point so the series is never empty.
@@ -417,15 +435,11 @@ func (tel *telemetry) finish() {
 		}
 		fmt.Printf("prometheus exposition -> %s\n", tel.c.promOut)
 	}
-	if tel.stream != nil {
-		err := tel.stream.Close()
-		if cerr := tel.streamFile.Close(); err == nil {
-			err = cerr
+	if tel.file != nil {
+		if err := tel.file.Close(); err != nil {
+			fatal(fmt.Errorf("trace-out: %w", err))
 		}
-		if err != nil {
-			fatal(fmt.Errorf("stream-out: %w", err))
-		}
-		fmt.Printf("stream: %s (%d lines dropped)\n", tel.c.TracePath, tel.stream.Dropped())
+		fmt.Printf("trace: %s (%s, %d lines dropped)\n", tel.c.TracePath, tel.c.format, tel.file.Dropped())
 	}
 	if tel.server != nil {
 		_ = tel.server.PublishMetrics(tel.net.Metrics())
@@ -435,30 +449,6 @@ func (tel *telemetry) finish() {
 			time.Sleep(tel.c.serveWait)
 		}
 		_ = tel.server.Close()
-	}
-}
-
-// writeTrace exports the flight recorder to -trace-out. When the ring
-// overflowed, the header records how many events were displaced and the
-// ether time of the first loss, so readers know the head is truncated.
-func (tel *telemetry) writeTrace() {
-	path := tel.c.traceOut
-	if path == "" {
-		return
-	}
-	meta := tel.meta
-	meta.Overflowed = tel.net.Trace().Overflowed()
-	if at, ok := tel.net.Trace().FirstOverflowAt(); ok {
-		meta.OverflowAt = at
-	}
-	events := tel.net.Trace().Events()
-	if err := tracefmt.WriteFile(path, tel.format, meta, events); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("\ntrace: %d events -> %s (%s)\n", len(events), path, tel.format)
-	if meta.Overflowed > 0 {
-		fmt.Printf("trace ring overflowed: %d events displaced (first at t=%d)\n",
-			meta.Overflowed, meta.OverflowAt)
 	}
 }
 
@@ -552,11 +542,12 @@ func chaosPlan(net *core.Network, scenario string, seconds float64, seed int64) 
 }
 
 // runChaos replays a fault scenario against the MegaMIMO closed loop: the
-// fault window runs first, then the flight recorder is restarted and a
-// steady tail runs so -trace-out captures only the recovered state (the
-// anomaly gate must pass on it). The delivery rate covers both windows —
-// packets lost to the faults stay lost.
-func runChaos(net *core.Network, c *runConfig, sampler *metrics.Sampler) {
+// fault window runs first, then the -trace-out file is attached and a
+// steady tail runs, so the file holds only the recovered state (the
+// anomaly gate must pass on it) while seq and span IDs continue the
+// run's numbering. The delivery rate covers both windows — packets lost
+// to the faults stay lost.
+func runChaos(net *core.Network, c *runConfig, tel *telemetry) {
 	plan, err := chaosPlan(net, c.chaos, c.Seconds, c.Seed)
 	if err != nil {
 		fatal(err)
@@ -578,7 +569,7 @@ func runChaos(net *core.Network, c *runConfig, sampler *metrics.Sampler) {
 		Profiles:    profiles,
 		Seed:        c.Seed + 1,
 		Faults:      plan,
-		Sampler:     sampler,
+		Sampler:     tel.sampler,
 		SampleEvery: c.SampleEvery,
 	})
 	if err != nil {
@@ -590,11 +581,9 @@ func runChaos(net *core.Network, c *runConfig, sampler *metrics.Sampler) {
 	}
 	fmt.Println()
 	fmt.Print(rep)
-	// Recovered steady tail: restart the trace ring so the exported trace
-	// holds only post-recovery events, then keep the same closed loop going.
-	if net.Trace().Enabled() {
-		net.Trace().Enable(1 << 20)
-	}
+	// Recovered steady tail: the same closed loop keeps going, traced to
+	// the file from here on.
+	tel.attach(true)
 	tail, err := eng.Run(c.Seconds / 2)
 	if err != nil {
 		fatal(err)

@@ -4,11 +4,14 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"megamimo/internal/core"
 	"megamimo/internal/phy"
+	"megamimo/internal/tracefmt"
 )
 
 // argsEnv, when set, makes the test binary run main with these
@@ -45,8 +48,8 @@ func runSim(t *testing.T, args ...string) (string, int) {
 
 // TestSizeOutOfRangeRejected covers every range-checked flag: each value
 // a run cannot use exits 1 with a message naming the flag, in every mode
-// that reads it, and never panics. So does each soak-only flag set
-// outside -soak.
+// that reads it, and never panics. So does each flag set for a mode that
+// would ignore it.
 func TestSizeOutOfRangeRejected(t *testing.T) {
 	tooBig := strconv.Itoa(phy.MaxPSDU + 1)
 	for _, tc := range []struct {
@@ -89,6 +92,20 @@ func TestSizeOutOfRangeRejected(t *testing.T) {
 		{"-workers", []string{"-workers", "1"}},
 		{"-workers", []string{"-chaos", "lead-crash", "-workers", "0"}},
 		{"-soak-drift-at", []string{"-workload", "poisson", "-drift-ppm", "21", "-soak-drift-at", "0.01"}},
+		// Flags the soak ignores, or cannot honour at a resume offset.
+		{"-prom-out", []string{"-soak", "-prom-out", "soak.prom"}},
+		{"-trace", []string{"-soak", "-trace"}},
+		{"-trace-format", []string{"-soak", "-trace-format", "chrome"}},
+		{"-workload", []string{"-soak", "-workload", "cbr"}},
+		{"-chaos", []string{"-soak", "-chaos", "mixed"}},
+		// Flags only other modes read.
+		{"-packets", []string{"-workload", "cbr", "-packets", "3"}},
+		{"-packets", []string{"-chaos", "lossy", "-packets", "3"}},
+		{"-workload", []string{"-workload", "cbr", "-chaos", "lossy"}},
+		{"-trace", []string{"-chaos", "mixed", "-trace"}},
+		{"-duration", []string{"-duration", "0.01"}},
+		{"-load", []string{"-load", "6"}},
+		{"-sample-every", []string{"-packets", "2", "-sample-every", "8"}},
 	} {
 		out, code := runSim(t, tc.args...)
 		if code != 1 || !strings.Contains(out, tc.flag) || strings.Contains(out, "panic") {
@@ -117,6 +134,39 @@ func TestSizeBoundsAccepted(t *testing.T) {
 		out, code := runSim(t, tc.args...)
 		if code != 0 || !strings.Contains(out, tc.want) {
 			t.Errorf("megamimo-sim %s: exit %d; output:\n%s", strings.Join(tc.args, " "), code, out)
+		}
+	}
+}
+
+// TestChaosTailContinuesNumbering checks a chaos run's -trace-out file,
+// which holds only the recovered tail: its seq keeps counting from the
+// fault window rather than restarting, rises strictly, and no span ID is
+// opened twice.
+func TestChaosTailContinuesNumbering(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.jsonl")
+	if out, code := runSim(t, "-chaos", "lead-crash", "-duration", "0.01", "-trace-out", path); code != 0 {
+		t.Fatalf("exit %d; output:\n%s", code, out)
+	}
+	_, events, err := tracefmt.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Fatal("the chaos tail traced no events")
+	}
+	if events[0].Seq <= 0 {
+		t.Fatalf("the tail starts at seq %d, not continuing the run's numbering", events[0].Seq)
+	}
+	opened := map[int64]bool{}
+	for i, e := range events {
+		if i > 0 && e.Seq <= events[i-1].Seq {
+			t.Fatalf("seq %d follows %d at event %d", e.Seq, events[i-1].Seq, i)
+		}
+		if e.Ph == core.PhBegin {
+			if opened[e.Span] {
+				t.Fatalf("span %d opened twice (event %d)", e.Span, i)
+			}
+			opened[e.Span] = true
 		}
 	}
 }

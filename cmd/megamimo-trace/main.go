@@ -15,7 +15,7 @@
 //	           round, joint-tx, traffic)
 //	anomalies  check the trace against the paper's budgets; exits 1 if
 //	           any violation is found, 0 on a clean trace
-//	follow     tail a streaming JSONL trace (megamimo-sim -stream-out)
+//	follow     tail a streaming JSONL trace (megamimo-sim -trace-out)
 //	           while it is written, printing each budget violation the
 //	           moment the online monitor trips it; exits 1 if any check
 //	           tripped once the stream has been idle for -idle-exit
@@ -91,14 +91,11 @@ func main() {
 		s := tracefmt.Summarize(meta, events)
 		fmt.Printf("trace: %d events, %d spans", s.Events, s.Spans)
 		if s.OpenSpans > 0 {
-			fmt.Printf(" (%d left open — ring overflow?)", s.OpenSpans)
+			fmt.Printf(" (%d left open)", s.OpenSpans)
 		}
 		fmt.Printf("\nwindow: t=%d..%d samples", s.AtMin, s.AtMax)
 		if s.DurationMs > 0 {
 			fmt.Printf(" (%.3f ms at %.0f MHz)", s.DurationMs, meta.SampleRate/1e6)
-		}
-		if meta.Overflowed > 0 {
-			fmt.Printf("\nring overflow: %d events displaced before export (first lost at t=%d)", meta.Overflowed, meta.OverflowAt)
 		}
 		fmt.Printf("\nnetwork: %d APs, %d clients\n\nevents by kind:\n", meta.APs, meta.Clients)
 		for _, kc := range s.ByKind {

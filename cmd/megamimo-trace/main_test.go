@@ -33,19 +33,19 @@ func TestMain(m *testing.M) {
 
 var (
 	cleanArgs = []string{"-aps", "3", "-clients", "3", "-workload", "cbr", "-load", "6", "-duration", "0.01", "-sample-every", "8",
-		"-trace-out", "@clean.jsonl", "-stream-out", "@clean-stream.jsonl", "-series-out", "@series.jsonl", "-prom-out", "@clean.prom"}
+		"-trace-out", "@clean.jsonl", "-series-out", "@series.jsonl", "-prom-out", "@clean.prom"}
 	chromeArgs = []string{"-aps", "3", "-clients", "3", "-workload", "cbr", "-load", "6", "-duration", "0.01",
 		"-trace-out", "@clean.chrome.json", "-trace-format", "chrome"}
 	// 21 ppm of drift puts the slaves 42 ppm off the lead carrier, outside
 	// the ±40 ppm mandate. The online check judges an AP only after 8 sync
 	// headers, which takes 0.02 s of run.
 	driftArgs = []string{"-aps", "3", "-clients", "3", "-workload", "cbr", "-load", "6", "-duration", "0.02",
-		"-drift-ppm", "21", "-trace-out", "@drift.jsonl", "-stream-out", "@drift-stream.jsonl"}
+		"-drift-ppm", "21", "-trace-out", "@drift.jsonl"}
 	// soakBase is a checkpointed soak whose second half runs under 21 ppm
 	// of drift; its first checkpoint is soak-00000012.ckpt.
 	soakBase = []string{"-soak", "-aps", "3", "-clients", "3", "-load", "12", "-size", "200", "-duration", "0.06",
 		"-sample-every", "8", "-checkpoint-every", "12", "-checkpoint-dir", "@ckpt", "-drift-ppm", "21", "-soak-drift-at", "0.03"}
-	soakArgs = append(slices.Clone(soakBase), "-stream-out", "@soak.jsonl")
+	soakArgs = append(slices.Clone(soakBase), "-trace-out", "@soak.jsonl")
 )
 
 // TestGateDrills drives megamimo-sim and megamimo-trace end to end through
@@ -120,7 +120,7 @@ func TestGateDrills(t *testing.T) {
 	}{
 		{name: "clean/summary", sim: cleanArgs, trace: []string{"summary", "@clean.jsonl"}, want: []string{"events by kind:", "joint-tx"}},
 		{name: "clean/phases", sim: cleanArgs, trace: []string{"phases", "@clean.jsonl"}, want: []string{"per slave AP"}},
-		{name: "clean/anomalies", sim: cleanArgs, trace: []string{"anomalies", "@clean-stream.jsonl"}, want: []string{"no anomalies"}},
+		{name: "clean/anomalies", sim: cleanArgs, trace: []string{"anomalies", "@clean.jsonl"}, want: []string{"no anomalies"}},
 		{name: "clean/chrome", sim: chromeArgs, check: func(t *testing.T, _ string) { checkChrome(t, read(t, "clean.chrome.json")) }},
 		{name: "clean/prometheus", sim: cleanArgs, check: func(t *testing.T, _ string) {
 			prom := read(t, "clean.prom")
@@ -128,7 +128,7 @@ func TestGateDrills(t *testing.T) {
 				t.Error(err)
 			}
 			if !strings.Contains(prom, "\ntrace_sink_dropped_total 0\n") {
-				t.Error("the clean run's stream sink dropped lines")
+				t.Error("the clean run's trace file dropped lines")
 			}
 		}},
 		{name: "clean/series", sim: cleanArgs, check: func(t *testing.T, _ string) {
@@ -143,7 +143,7 @@ func TestGateDrills(t *testing.T) {
 			}
 		}},
 		{name: "drift/anomalies", sim: driftArgs, trace: []string{"anomalies", "@drift.jsonl"}, exit: 1, want: []string{"cfo-mandate"}},
-		{name: "drift/follow", sim: driftArgs, trace: []string{"-idle-exit", "100ms", "-poll", "10ms", "follow", "@drift-stream.jsonl"},
+		{name: "drift/follow", sim: driftArgs, trace: []string{"-idle-exit", "100ms", "-poll", "10ms", "follow", "@drift.jsonl"},
 			exit: 1, want: []string{"VIOLATION", "cfo-mandate"}},
 		{name: "chaos-mixed/recovered-tail", sim: []string{"-chaos", "mixed", "-duration", "0.01", "-trace-out", "@chaos.jsonl"},
 			trace: []string{"anomalies", "@chaos.jsonl"}, want: []string{"no anomalies"}},
@@ -165,9 +165,9 @@ func TestGateDrills(t *testing.T) {
 			}
 		}, sim: append(slices.Clone(soakBase), "-resume", "@flipped.ckpt"), exit: 1, want: []string{"corrupted payload", "byte offset"}},
 		{name: "missing-trace", trace: []string{"anomalies", "@missing.jsonl"}, exit: 2, want: []string{"missing.jsonl"}},
-		{name: "follow-zero-poll", sim: cleanArgs, trace: []string{"-poll", "0", "-idle-exit", "300ms", "follow", "@clean-stream.jsonl"},
+		{name: "follow-zero-poll", sim: cleanArgs, trace: []string{"-poll", "0", "-idle-exit", "300ms", "follow", "@clean.jsonl"},
 			exit: 2, want: []string{"-poll"}},
-		{name: "follow-zero-idle-exit", sim: cleanArgs, trace: []string{"-idle-exit", "0", "follow", "@clean-stream.jsonl"},
+		{name: "follow-zero-idle-exit", sim: cleanArgs, trace: []string{"-idle-exit", "0", "follow", "@clean.jsonl"},
 			exit: 2, want: []string{"-idle-exit"}},
 	} {
 		t.Run(row.name, func(t *testing.T) {

@@ -181,7 +181,7 @@ type SpanID int64
 // TraceSink receives a live copy of every event the Tracer records, in
 // emission (seq) order, the moment it enters the ring. A sink turns the
 // flight recorder from a post-hoc ring into a streaming pipeline: the ring
-// keeps the bounded recent tail for end-of-run export while the sink sees
+// keeps the bounded recent tail for the printed timeline while the sink sees
 // the unbounded full stream (including events the ring later displaces).
 //
 // ConsumeTrace is called with the tracer's mutex held, from whatever
@@ -242,15 +242,9 @@ type Tracer struct {
 	dropped  int64
 	overflow int64
 
-	// overflowAt is the ether time of the event whose arrival displaced
-	// the first ring entry; hasOverflowAt distinguishes it from t=0.
-	overflowAt    int64
-	hasOverflowAt bool
-
 	// sink, when set, receives every validated event as it is recorded.
 	// It deliberately survives Enable: a long-lived streaming pipeline
-	// keeps observing across recording resets (e.g. the chaos steady-tail
-	// re-Enable), while the ring starts over.
+	// keeps observing across recording resets, while the ring starts over.
 	sink TraceSink
 
 	// Optional observability-of-the-observer hooks, wired by the owning
@@ -262,7 +256,7 @@ type Tracer struct {
 // Enable starts a fresh recording holding up to limit events (0 = 4096).
 // When the ring fills, the oldest events are overwritten so the most
 // recent `limit` events — the interesting tail — are always retained;
-// Overflowed reports how many were displaced.
+// the trace_overflow_total metric counts how many were displaced.
 func (t *Tracer) Enable(limit int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -278,8 +272,6 @@ func (t *Tracer) Enable(limit int) {
 	t.active = t.active[:0]
 	t.dropped = 0
 	t.overflow = 0
-	t.overflowAt = 0
-	t.hasOverflowAt = false
 }
 
 // SetSink attaches (or with nil, detaches) a live event sink. The sink
@@ -302,12 +294,10 @@ func (t *Tracer) SetSink(s TraceSink) {
 // and only holds post-resume events; the streaming sink is the
 // byte-identical surface.
 type TracerState struct {
-	Seq           int64 `json:"seq"`
-	NextSpan      int64 `json:"next_span"`
-	Dropped       int64 `json:"dropped,omitempty"`
-	Overflow      int64 `json:"overflow,omitempty"`
-	OverflowAt    int64 `json:"overflow_at,omitempty"`
-	HasOverflowAt bool  `json:"has_overflow_at,omitempty"`
+	Seq      int64 `json:"seq"`
+	NextSpan int64 `json:"next_span"`
+	Dropped  int64 `json:"dropped,omitempty"`
+	Overflow int64 `json:"overflow,omitempty"`
 }
 
 // Snapshot captures the tracer counters. It fails when any span is open:
@@ -320,12 +310,10 @@ func (t *Tracer) Snapshot() (TracerState, error) {
 		return TracerState{}, fmt.Errorf("core: tracer snapshot with %d open span(s); checkpoint only at round boundaries", len(t.active))
 	}
 	return TracerState{
-		Seq:           t.seq,
-		NextSpan:      int64(t.next),
-		Dropped:       t.dropped,
-		Overflow:      t.overflow,
-		OverflowAt:    t.overflowAt,
-		HasOverflowAt: t.hasOverflowAt,
+		Seq:      t.seq,
+		NextSpan: int64(t.next),
+		Dropped:  t.dropped,
+		Overflow: t.overflow,
 	}, nil
 }
 
@@ -343,8 +331,6 @@ func (t *Tracer) RestoreSnapshot(st TracerState) {
 	t.next = SpanID(st.NextSpan)
 	t.dropped = st.Dropped
 	t.overflow = st.Overflow
-	t.overflowAt = st.OverflowAt
-	t.hasOverflowAt = st.HasOverflowAt
 }
 
 // Enabled reports whether the tracer is recording.
@@ -380,30 +366,6 @@ func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Overflowed returns the number of events displaced by ring wrap-around
-// (also exported as the trace_overflow_total metric).
-func (t *Tracer) Overflowed() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.overflow
-}
-
-// FirstOverflowAt returns the ether time of the event whose arrival first
-// displaced a ring entry, and whether an overflow has happened at all.
-// Exports embed it in the trace Meta so a truncated recording states when
-// its head was lost instead of failing silently.
-func (t *Tracer) FirstOverflowAt() (int64, bool) {
-	if t == nil {
-		return 0, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.overflowAt, t.hasOverflowAt
 }
 
 // Emit records one instant event. Events with a kind outside the Kind*
@@ -507,10 +469,6 @@ func (t *Tracer) recordLocked(at int64, kind string, ph byte, span int64, a Trac
 		t.buf[t.head] = e
 		t.head = (t.head + 1) % t.limit
 		t.overflow++
-		if !t.hasOverflowAt {
-			t.overflowAt = e.At
-			t.hasOverflowAt = true
-		}
 		if t.overflowCtr != nil {
 			t.overflowCtr.Inc()
 		}

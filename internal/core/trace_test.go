@@ -125,8 +125,8 @@ func TestTracerRing(t *testing.T) {
 			t.Fatalf("ring slot %d = %+v, want the tail event t=%d", i, e, want)
 		}
 	}
-	if got := tr.Overflowed(); got != 12 {
-		t.Fatalf("Overflowed() = %d, want 12", got)
+	if st, err := tr.Snapshot(); err != nil || st.Overflow != 12 {
+		t.Fatalf("Snapshot().Overflow = %d (%v), want 12", st.Overflow, err)
 	}
 	if got := tr.Dropped(); got != 0 {
 		t.Fatalf("Dropped() = %d, want 0", got)
@@ -147,8 +147,8 @@ func TestTracerLimitDuringProtocol(t *testing.T) {
 		t.Fatalf("limit ignored: %d events", len(evs))
 	}
 	// The retained tail must be the *latest* events.
-	if n.Trace().Overflowed() == 0 {
-		t.Fatal("expected overflow on a 2-event ring")
+	if n.Metrics().Counter("trace_overflow_total").Value() == 0 {
+		t.Fatal("expected trace_overflow_total to count overflow on a 2-event ring")
 	}
 	if evs[0].Seq+1 != evs[1].Seq {
 		t.Fatalf("tail not contiguous: %+v", evs)
@@ -340,32 +340,5 @@ func TestTeeSinks(t *testing.T) {
 	tee.ConsumeTrace(TraceEvent{Seq: 7, Kind: KindDecode})
 	if len(a.evs) != 1 || len(b.evs) != 1 || a.evs[0].Seq != 7 || b.evs[0].Seq != 7 {
 		t.Fatalf("tee fan-out wrong: a=%d b=%d", len(a.evs), len(b.evs))
-	}
-}
-
-// TestTracerFirstOverflowAt checks the truncation-visibility satellite:
-// the ether time of the event that displaced the first ring entry is
-// recorded once, and Enable clears it.
-func TestTracerFirstOverflowAt(t *testing.T) {
-	tr := &Tracer{}
-	tr.Enable(3)
-	if _, ok := tr.FirstOverflowAt(); ok {
-		t.Fatal("fresh tracer claims an overflow")
-	}
-	for i := 0; i < 3; i++ {
-		tr.Emit(int64(100+i), KindTraffic, TraceAttrs{}, "")
-	}
-	if _, ok := tr.FirstOverflowAt(); ok {
-		t.Fatal("exactly-full ring claims an overflow")
-	}
-	tr.Emit(500, KindTraffic, TraceAttrs{}, "")
-	tr.Emit(600, KindTraffic, TraceAttrs{}, "")
-	at, ok := tr.FirstOverflowAt()
-	if !ok || at != 500 {
-		t.Fatalf("FirstOverflowAt() = %d,%v; want 500,true (first displacing event)", at, ok)
-	}
-	tr.Enable(3)
-	if _, ok := tr.FirstOverflowAt(); ok {
-		t.Fatal("Enable did not clear the overflow timestamp")
 	}
 }

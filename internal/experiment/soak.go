@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -195,7 +194,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	}
 
 	var eng *traffic.Engine
-	var ts *tracefmt.StreamSink // opened after any restore, before the first round
+	var ts *tracefmt.FileSink // opened after any restore, before the first round
 	tcfg := traffic.Config{
 		System: traffic.SystemMegaMIMO, Profiles: profiles, Seed: cfg.Seed + 1,
 		Faults: plan, Sampler: sampler, SampleEvery: cfg.SampleEvery,
@@ -255,23 +254,18 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	// Streaming surfaces attach only now, after any restore, so rebuild
 	// events never leak into the resumed stream. A fresh run's trace file
 	// opens with the format header; a resumed tail continues at the
-	// checkpoint's offset and carries none.
-	meta := tracefmt.MetaFor(ccfg)
-	var traceFile, seriesFile *os.File
-	var traceW io.Writer = io.Discard
-	if cfg.TracePath != "" {
-		if traceFile, err = os.Create(cfg.TracePath); err != nil {
-			return nil, err
-		}
-		traceW = traceFile
-	}
-	ts, err = tracefmt.NewStreamSink(traceW, meta, tracefmt.StreamOptions{Offset: traceOffset})
+	// checkpoint's offset and carries none. Without a TracePath the
+	// stream is still encoded and counted, for the checkpoints' offsets.
+	ts, err = tracefmt.Create(cfg.TracePath, tracefmt.FormatJSONL, tracefmt.MetaFor(ccfg),
+		tracefmt.StreamOptions{Offset: traceOffset})
 	if err != nil {
 		return nil, err
 	}
+	var seriesFile *os.File
 	var seriesBW *bufio.Writer
 	if cfg.SeriesPath != "" {
 		if seriesFile, err = os.Create(cfg.SeriesPath); err != nil {
+			_ = ts.Close()
 			return nil, err
 		}
 		seriesBW = bufio.NewWriter(seriesFile)
@@ -309,11 +303,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 			closeErr = err
 		}
 	}
-	for _, f := range []*os.File{traceFile, seriesFile} {
-		if f != nil {
-			if err := f.Close(); err != nil && closeErr == nil {
-				closeErr = err
-			}
+	if seriesFile != nil {
+		if err := seriesFile.Close(); err != nil && closeErr == nil {
+			closeErr = err
 		}
 	}
 	res.Report = rep

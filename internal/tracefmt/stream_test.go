@@ -3,6 +3,8 @@ package tracefmt
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -48,8 +50,9 @@ func joinedLines(t *testing.T, meta Meta, events []core.TraceEvent) []byte {
 }
 
 // TestStreamSinkMatchesWriteJSONL is the byte-identity core: streaming the
-// sample events through a StreamSink, and exporting them with WriteJSONL,
-// both produce exactly the header and event lines joined in order.
+// sample events through a StreamSink, exporting them with WriteJSONL, and
+// writing them through a JSONL FileSink all produce exactly the header and
+// event lines joined in order.
 func TestStreamSinkMatchesWriteJSONL(t *testing.T) {
 	meta, events := sampleMeta(), sampleEvents()
 	want := joinedLines(t, meta, events)
@@ -79,14 +82,25 @@ func TestStreamSinkMatchesWriteJSONL(t *testing.T) {
 		t.Fatalf("WriteJSONL differs from the marshalled lines:\nbatch: %q\nwant:  %q",
 			batch.String(), want)
 	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	fs := writeTraceFile(t, path, FormatJSONL, meta, events)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, want) {
+		t.Fatalf("FileSink differs from the marshalled lines:\nfile: %q\nwant: %q", file, want)
+	}
+	if fs.Bytes() != uint64(len(want)) || fs.Dropped() != 0 {
+		t.Fatalf("FileSink Bytes() = %d, Dropped() = %d; want %d, 0", fs.Bytes(), fs.Dropped(), len(want))
+	}
 }
 
 // TestStreamSinkHeaderFirst checks the stream is a valid trace file from
 // its first byte: header precedes any event and round-trips the Meta.
 func TestStreamSinkHeaderFirst(t *testing.T) {
 	var buf bytes.Buffer
-	meta := Meta{SampleRate: 10e6, CarrierHz: 2.437e9, APs: 3, Clients: 3,
-		Overflowed: 5, OverflowAt: 1234}
+	meta := Meta{SampleRate: 10e6, CarrierHz: 2.437e9, APs: 3, Clients: 3}
 	s, err := NewStreamSink(&buf, meta, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
 	"megamimo/internal/core"
 	"megamimo/internal/units"
@@ -40,13 +41,6 @@ type Meta struct {
 	CarrierHz units.Hertz
 	// APs and Clients size the network (used for track naming).
 	APs, Clients int
-	// Overflowed counts events the recorder's ring displaced before export;
-	// when non-zero the trace is truncated at the head. Additive in v1.
-	Overflowed int64
-	// OverflowAt is the ether time of the event whose arrival caused the
-	// first displacement (meaningful only when Overflowed > 0), so a
-	// truncated trace states when its head was lost. Additive in v1.
-	OverflowAt int64
 }
 
 // MetaFor is the header of a trace recorded on a network built from cfg:
@@ -90,8 +84,6 @@ type header struct {
 	CarrierHz  units.Hertz `json:"carrier_hz"`
 	APs        int         `json:"aps"`
 	Clients    int         `json:"clients"`
-	Overflowed int64       `json:"overflowed,omitempty"`
-	OverflowAt int64       `json:"overflow_at,omitempty"`
 }
 
 // headerFor builds the wire header for a run's Meta.
@@ -103,8 +95,6 @@ func headerFor(meta Meta) header {
 		CarrierHz:  meta.CarrierHz,
 		APs:        meta.APs,
 		Clients:    meta.Clients,
-		Overflowed: meta.Overflowed,
-		OverflowAt: meta.OverflowAt,
 	}
 }
 
@@ -115,8 +105,6 @@ func metaFrom(h header) Meta {
 		CarrierHz:  h.CarrierHz,
 		APs:        h.APs,
 		Clients:    h.Clients,
-		Overflowed: h.Overflowed,
-		OverflowAt: h.OverflowAt,
 	}
 }
 
@@ -323,27 +311,93 @@ func ParseFormat(s string) (Format, error) {
 	return "", fmt.Errorf("tracefmt: unknown format %q (want jsonl or chrome)", s)
 }
 
-// Write serializes in the given format.
-func Write(w io.Writer, format Format, meta Meta, events []core.TraceEvent) error {
-	switch format {
-	case FormatChrome:
-		return WriteChrome(w, meta, events)
-	default:
-		return WriteJSONL(w, meta, events)
-	}
+// FileSink writes one trace file while the run records it; every trace
+// file the commands write goes through it. A JSONL file streams through a
+// StreamSink, line by line. A Chrome file needs the whole timeline, so
+// its events are collected and written by Close. A FileSink is safe for
+// concurrent producers.
+type FileSink struct {
+	w      io.Writer
+	f      *os.File    // nil when the output is discarded
+	stream *StreamSink // JSONL; nil for Chrome
+	meta   Meta
+
+	mu     sync.Mutex
+	events []core.TraceEvent // Chrome: the timeline Close writes
 }
 
-// WriteFile serializes a trace to path.
-func WriteFile(path string, format Format, meta Meta, events []core.TraceEvent) error {
-	f, err := os.Create(path)
+// Create opens a trace file at path in the given format and returns its
+// sink. opts apply to the JSONL stream only. An empty path discards the
+// output but still counts Bytes, the stream position a checkpoint records.
+func Create(path string, format Format, meta Meta, opts StreamOptions) (*FileSink, error) {
+	s := &FileSink{w: io.Discard, meta: meta}
+	if path != "" {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		s.w, s.f = f, f
+	}
+	if format == FormatChrome {
+		return s, nil
+	}
+	stream, err := NewStreamSink(s.w, meta, opts)
 	if err != nil {
-		return err
+		if s.f != nil {
+			_ = s.f.Close()
+		}
+		return nil, err
 	}
-	if err := Write(f, format, meta, events); err != nil {
-		f.Close()
-		return err
+	s.stream = stream
+	return s, nil
+}
+
+// ConsumeTrace writes one JSONL line, or keeps the event for the Chrome
+// file.
+func (s *FileSink) ConsumeTrace(e core.TraceEvent) {
+	if s.stream != nil {
+		s.stream.ConsumeTrace(e)
+		return
 	}
-	return f.Close()
+	s.mu.Lock()
+	s.events = append(s.events, e)
+	s.mu.Unlock()
+}
+
+// Close flushes the JSONL stream or writes the Chrome file, closes the
+// file, and returns the first error.
+func (s *FileSink) Close() error {
+	var err error
+	if s.stream != nil {
+		err = s.stream.Close()
+	} else {
+		s.mu.Lock()
+		err = WriteChrome(s.w, s.meta, s.events)
+		s.mu.Unlock()
+	}
+	if s.f != nil {
+		if cerr := s.f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// Bytes returns the JSONL stream's logical position (StreamSink.Bytes). A
+// Chrome file has none: it is written whole at Close, and Bytes is 0.
+func (s *FileSink) Bytes() uint64 {
+	if s.stream == nil {
+		return 0
+	}
+	return s.stream.Bytes()
+}
+
+// Dropped returns the number of JSONL lines lost to a failed writer.
+func (s *FileSink) Dropped() int64 {
+	if s.stream == nil {
+		return 0
+	}
+	return s.stream.Dropped()
 }
 
 // ReadFile loads a trace in either format, sniffing which one it is: a

@@ -235,14 +235,29 @@ func TestChromeStructure(t *testing.T) {
 	}
 }
 
-func TestWriteFileReadFileSniffsFormat(t *testing.T) {
+// writeTraceFile writes events to path through a FileSink in format and
+// returns the closed sink.
+func writeTraceFile(t *testing.T, path string, format Format, meta Meta, events []core.TraceEvent) *FileSink {
+	t.Helper()
+	s, err := Create(path, format, meta, StreamOptions{})
+	if err != nil {
+		t.Fatalf("%s: %v", format, err)
+	}
+	for _, e := range events {
+		s.ConsumeTrace(e)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("%s: %v", format, err)
+	}
+	return s
+}
+
+func TestFileSinkReadFileSniffsFormat(t *testing.T) {
 	dir := t.TempDir()
 	meta, events := sampleMeta(), sampleEvents()
 	for _, f := range []Format{FormatJSONL, FormatChrome} {
 		path := filepath.Join(dir, "trace-"+string(f))
-		if err := WriteFile(path, f, meta, events); err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
+		writeTraceFile(t, path, f, meta, events)
 		gotMeta, gotEvents, err := ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
@@ -253,6 +268,60 @@ func TestWriteFileReadFileSniffsFormat(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "trace-jsonl")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFileSinkChromeMatchesWriteChrome checks the Chrome file sink writes
+// exactly WriteChrome's bytes for the events it consumed, and that the
+// file reads back equal.
+func TestFileSinkChromeMatchesWriteChrome(t *testing.T) {
+	meta, events := sampleMeta(), sampleEvents()
+	var want bytes.Buffer
+	if err := WriteChrome(&want, meta, events); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	writeTraceFile(t, path, FormatChrome, meta, events)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("chrome file differs from WriteChrome:\nfile: %q\nwant: %q", got, want.Bytes())
+	}
+	gotMeta, gotEvents, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotMeta != meta || !reflect.DeepEqual(gotEvents, events) {
+		t.Fatalf("chrome file read back %+v %+v, want %+v %+v", gotMeta, gotEvents, meta, events)
+	}
+}
+
+// TestFileSinkErrors checks Create fails on a path it cannot open, and
+// Close reports a write the file system refused.
+func TestFileSinkErrors(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "trace")
+	for _, f := range []Format{FormatJSONL, FormatChrome} {
+		if _, err := Create(missing, f, sampleMeta(), StreamOptions{}); err == nil {
+			t.Errorf("%s: Create in a missing directory returned no error", f)
+		}
+	}
+	// /dev/full accepts the open and fails every write with ENOSPC.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail writes on")
+	}
+	for _, f := range []Format{FormatJSONL, FormatChrome} {
+		s, err := Create("/dev/full", f, sampleMeta(), StreamOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for _, e := range sampleEvents() {
+			s.ConsumeTrace(e)
+		}
+		if err := s.Close(); err == nil {
+			t.Errorf("%s: Close returned nil after a failed write", f)
+		}
 	}
 }
 
