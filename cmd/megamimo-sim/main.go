@@ -116,9 +116,18 @@ func (c *runConfig) validate() error {
 		return err
 	}
 	mode := c.mode()
+	unset := func(name string) bool {
+		f := flag.Lookup(name)
+		return f.Value.String() == f.DefValue
+	}
 	flag.Visit(func(f *flag.Flag) {
-		if modes, ok := modeFlags[f.Name]; ok && err == nil && !slices.Contains(modes, mode) {
+		rule, ok := modeFlags[f.Name]
+		switch {
+		case !ok || err != nil:
+		case rule.modes != nil && !slices.Contains(rule.modes, mode):
 			err = fmt.Errorf("-%s does not apply to a %s run", f.Name, mode)
+		case rule.needs != "" && unset(rule.needs):
+			err = fmt.Errorf("-%s does nothing without -%s", f.Name, rule.needs)
 		}
 	})
 	if err == nil && c.soak && c.format == tracefmt.FormatChrome {
@@ -141,24 +150,30 @@ func (c *runConfig) mode() string {
 	return "batch"
 }
 
-// modeFlags lists each flag only some modes read, with the modes that
-// read it; every other flag applies in every mode. A run refuses a flag
-// its mode would ignore rather than run without what it asks for.
-var modeFlags = map[string][]string{
-	"packets":          {"batch"},
-	"trace":            {"batch", "workload"},
-	"prom-out":         {"batch", "workload", "chaos"},
-	"workload":         {"workload"},
-	"chaos":            {"chaos"},
-	"load":             {"workload", "chaos", "soak"},
-	"duration":         {"workload", "chaos", "soak"},
-	"sample-every":     {"workload", "chaos", "soak"},
-	"checkpoint-every": {"soak"},
-	"checkpoint-dir":   {"soak"},
-	"resume":           {"soak"},
-	"workers":          {"soak"},
-	"faults-per-sec":   {"soak"},
-	"soak-drift-at":    {"soak"},
+// modeFlags lists each flag only some runs read: the modes that read it
+// (nil for every mode), and the flag it does nothing without, if any; every
+// other flag applies to every run. A run refuses a flag it would ignore
+// rather than run without what it asks for.
+var modeFlags = map[string]struct {
+	modes []string
+	needs string
+}{
+	"packets":          {modes: []string{"batch"}},
+	"trace":            {modes: []string{"batch", "workload"}},
+	"prom-out":         {modes: []string{"batch", "workload", "chaos"}},
+	"workload":         {modes: []string{"workload"}},
+	"chaos":            {modes: []string{"chaos"}},
+	"load":             {modes: []string{"workload", "chaos", "soak"}},
+	"duration":         {modes: []string{"workload", "chaos", "soak"}},
+	"sample-every":     {modes: []string{"workload", "chaos", "soak"}},
+	"checkpoint-every": {modes: []string{"soak"}},
+	"checkpoint-dir":   {modes: []string{"soak"}},
+	"resume":           {modes: []string{"soak"}},
+	"workers":          {modes: []string{"soak"}},
+	"faults-per-sec":   {modes: []string{"soak"}},
+	"soak-drift-at":    {modes: []string{"soak"}, needs: "drift-ppm"},
+	"trace-format":     {needs: "trace-out"},
+	"serve-wait":       {needs: "serve"},
 }
 
 func main() {

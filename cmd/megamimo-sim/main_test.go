@@ -106,6 +106,11 @@ func TestSizeOutOfRangeRejected(t *testing.T) {
 		{"-duration", []string{"-duration", "0.01"}},
 		{"-load", []string{"-load", "6"}},
 		{"-sample-every", []string{"-packets", "2", "-sample-every", "8"}},
+		// Flags that do nothing without another one.
+		{"-trace-out", []string{"-aps", "2", "-clients", "2", "-packets", "1", "-trace-format", "chrome"}},
+		{"-serve", []string{"-aps", "2", "-clients", "2", "-packets", "1", "-serve-wait", "1ms"}},
+		{"-drift-ppm", []string{"-soak", "-aps", "2", "-clients", "2", "-duration", "0.005", "-soak-drift-at", "0.001"}},
+		{"-drift-ppm", []string{"-soak", "-aps", "2", "-clients", "2", "-duration", "0.005", "-drift-ppm", "0", "-soak-drift-at", "0.001"}},
 	} {
 		out, code := runSim(t, tc.args...)
 		if code != 1 || !strings.Contains(out, tc.flag) || strings.Contains(out, "panic") {
@@ -129,7 +134,7 @@ func TestSizeBoundsAccepted(t *testing.T) {
 		{append([]string{"-workload", "cbr", "-duration", "0.005", "-sample-every", "0"}, small...), "gain under demand"},
 		{append([]string{"-workers", "0"}, soak...), "soak complete"},
 		{append([]string{"-faults-per-sec", "0"}, soak...), "soak complete"},
-		{append([]string{"-soak-drift-at", "0"}, soak...), "soak complete"},
+		{append([]string{"-drift-ppm", "21", "-soak-drift-at", "0"}, soak...), "soak complete"},
 	} {
 		out, code := runSim(t, tc.args...)
 		if code != 0 || !strings.Contains(out, tc.want) {

@@ -12,6 +12,7 @@ package air
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -83,8 +84,10 @@ type Air struct {
 	// unsorted marks that an out-of-order Transmit broke the by-start
 	// ordering observe's time index relies on; the next observe re-sorts.
 	unsorted bool
-	// arrivals is observe's grow-only scratch of resolved emissions.
+	// arrivals and shards are observe's grow-only scratch of resolved
+	// emissions and their summation shards.
 	arrivals []arrival
+	shards   []shard
 }
 
 // arrival is one emission as a receiver hears it in an observation
@@ -99,6 +102,15 @@ type arrival struct {
 	lo, hi    int64
 	oLo       int // offset of lo into the full convolution output
 	rot, step complex128
+}
+
+// shard is a block of up to shardSize consecutive arrivals, the span of
+// the observation window [lo, hi) its live arrivals reach, relative to
+// the window start, and the buffer its sum over that span accumulates in.
+type shard struct {
+	arrivals []arrival
+	lo, hi   int
+	buf      []complex128
 }
 
 // shardSize is the number of consecutive emissions each observation shard
@@ -214,62 +226,97 @@ func (a *Air) observe(dst []complex128, rx int, osc *radio.Oscillator, start int
 	})
 	arrivals := a.resolve(start, n+ObserveTail, rx, osc, cut)
 	defer clear(arrivals) // drop the sample references until the next observe
-	shards := (cut + shardSize - 1) / shardSize
-	switch {
-	case shards <= 1:
-		fillShard(ether, start, arrivals)
-	default:
-		// Deterministic sharded summation: shard s accumulates emissions
-		// [s·shardSize, (s+1)·shardSize) in index order into its own
-		// buffer, and the buffers reduce in shard order. Workers only
-		// decide who computes a shard, never what is summed in which
-		// order, so one worker and sixteen produce identical bytes. The
-		// shard buffers are disjoint regions of one borrowed block, so
-		// shard workers never share a buffer.
-		m := len(ether)
-		backing := dsp.Borrow[complex128](shards * m)
-		clear(backing)
-		if w := min(Workers(), shards); w <= 1 {
-			for s := 0; s < shards; s++ {
-				fillShard(backing[s*m:(s+1)*m], start, arrivals[s*shardSize:min(cut, (s+1)*shardSize)])
-			}
-		} else {
-			var next atomic.Int32
-			var wg sync.WaitGroup
-			for g := 0; g < w; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						s := int(next.Add(1) - 1)
-						if s >= shards {
-							return
-						}
-						fillShard(backing[s*m:(s+1)*m], start, arrivals[s*shardSize:min(cut, (s+1)*shardSize)])
-					}
-				}()
-			}
-			wg.Wait()
-		}
-		for s := 0; s < shards; s++ {
-			b := backing[s*m : (s+1)*m]
-			for i := range ether {
-				ether[i] += b[i]
-			}
-		}
-		dsp.Release(backing)
+	// Deterministic sharded summation: shard s accumulates emissions
+	// [s·shardSize, (s+1)·shardSize) in index order, and the shard sums
+	// reduce into the ether in shard order. Workers only decide who
+	// computes a shard, never what is summed in which order, so one
+	// worker and sixteen produce identical bytes.
+	shards := a.partition(start, arrivals)
+	defer clear(shards) // drop the arrival and buffer references too
+	if len(shards) == 0 {
+		return ether[:n]
 	}
+	// The first shard accumulates straight into the ether; every later one
+	// into its own disjoint region of one borrowed block, cut to its span.
+	size := 0
+	for _, sh := range shards[1:] {
+		size += sh.hi - sh.lo
+	}
+	backing := dsp.Borrow[complex128](size)
+	clear(backing)
+	shards[0].buf = ether[shards[0].lo:shards[0].hi]
+	for i, rest := 1, backing; i < len(shards); i++ {
+		m := shards[i].hi - shards[i].lo
+		shards[i].buf, rest = rest[:m], rest[m:]
+	}
+	if w := min(Workers(), len(shards)); w <= 1 {
+		for _, sh := range shards {
+			fillShard(sh, start)
+		}
+	} else {
+		var next atomic.Int32
+		var wg sync.WaitGroup
+		for g := 0; g < w; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					s := int(next.Add(1) - 1)
+					if s >= len(shards) {
+						return
+					}
+					fillShard(shards[s], start)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for _, sh := range shards[1:] {
+		e := ether[sh.lo:sh.hi]
+		for i := range e {
+			e[i] += sh.buf[i]
+		}
+	}
+	dsp.Release(backing)
 	return ether[:n]
 }
 
-// fillShard accumulates arrivals into dst in index order. dst is either
-// the ether buffer itself (single-shard observations) or one shard's
-// private buffer; shard workers touch disjoint buffers only.
-func fillShard(dst []complex128, start int64, arrivals []arrival) {
-	for _, r := range arrivals {
+// partition cuts arrivals into shards of shardSize consecutive arrivals,
+// in index order, and keeps those with a live arrival, each with the span
+// of the window [lo, hi) its live arrivals reach, relative to start.
+//
+// Trimming and dropping shards is exact. Accumulators start at +0 and,
+// under round-to-nearest, a sum is −0 only when both addends are, so they
+// never hold −0; adding the +0 of a sample no arrival touched therefore
+// changes no bit, and the first shard's sum added onto the cleared ether
+// is that sum.
+func (a *Air) partition(start int64, arrivals []arrival) []shard {
+	shards := a.shards[:0]
+	for s := 0; s < len(arrivals); s += shardSize {
+		sh := shard{arrivals: arrivals[s:min(len(arrivals), s+shardSize)], lo: math.MaxInt}
+		for _, r := range sh.arrivals {
+			if r.lo < r.hi {
+				sh.lo = min(sh.lo, int(r.lo-start))
+				sh.hi = max(sh.hi, int(r.hi-start))
+			}
+		}
+		if sh.lo < sh.hi {
+			shards = append(shards, sh)
+		}
+	}
+	a.shards = shards
+	return shards
+}
+
+// fillShard accumulates a shard's arrivals into its buffer in index order.
+// The buffer is either a span of the ether itself (the first shard) or
+// the shard's private region; shard workers touch disjoint buffers only.
+func fillShard(sh shard, start int64) {
+	base := start + int64(sh.lo)
+	for _, r := range sh.arrivals {
 		if r.lo < r.hi {
 			// Convolution, carrier rotation and summation run fused.
-			dsp.ConvolveRotateAdd(dst[r.lo-start:r.hi-start], r.samples, r.taps, r.oLo, r.rot, r.step)
+			dsp.ConvolveRotateAdd(sh.buf[r.lo-base:r.hi-base], r.samples, r.taps, r.oLo, r.rot, r.step)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package air
 import (
 	"math"
 	"math/cmplx"
+	"sort"
 	"testing"
 
 	"megamimo/internal/channel"
 	"megamimo/internal/cmplxs"
+	"megamimo/internal/dsp"
 	"megamimo/internal/radio"
 	"megamimo/internal/rng"
 	"megamimo/internal/units"
@@ -300,6 +302,32 @@ func BenchmarkObserveJointTransmission(b *testing.B) {
 	}
 }
 
+// BenchmarkObserveMeasurement has a re-measurement round's shape: 37
+// packets of 490 samples from 8 transmit antennas over 3-tap links,
+// staggered across one 4,381-sample window, so each shard hears only a
+// stretch of the window.
+func BenchmarkObserveMeasurement(b *testing.B) {
+	const nTx, packets, packetLen, window = 8, 37, 490, 4381
+	src := rng.New(1)
+	a := New(Config{SampleRate: 10e6, NoiseVar: 1e-4, Seed: 3})
+	oscs := make([]*radio.Oscillator, nTx)
+	for i := range oscs {
+		oscs[i] = testOsc(units.PPM(i) - 4)
+		a.SetLink(i, 100, &channel.Link{Taps: src.ComplexNormalVec(make([]complex128, 3), 1)})
+	}
+	x := src.ComplexNormalVec(make([]complex128, packetLen), 1)
+	for p := 0; p < packets; p++ {
+		a.Transmit(p%nTx, oscs[p%nTx], int64(p*(window-packetLen)/(packets-1)), x)
+	}
+	rx := testOsc(0.3)
+	dst := make([]complex128, window+ObserveTail)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.ObserveInto(dst, 100, rx, 0, window)
+	}
+}
+
 func TestShardedObservationWorkerInvariance(t *testing.T) {
 	defer SetWorkers(0)
 	build := func() *Air {
@@ -330,6 +358,84 @@ func TestShardedObservationWorkerInvariance(t *testing.T) {
 		for i := range serial {
 			if got[i] != serial[i] {
 				t.Fatalf("workers=%d: sample %d differs from serial: %v != %v", w, i, got[i], serial[i])
+			}
+		}
+	}
+}
+
+// observeFullWindow is observe's summation with every shard summed over
+// the whole window, the empty ones included, and reduced onto a cleared
+// window in shard order: the reference TestObserveTrimmedShardsMatchFullWindow
+// holds the trimmed shards to.
+func observeFullWindow(a *Air, rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
+	ether := make([]complex128, n+ObserveTail)
+	sort.SliceStable(a.emissions, func(i, j int) bool { return a.emissions[i].start < a.emissions[j].start })
+	a.unsorted = false
+	cut := sort.Search(len(a.emissions), func(i int) bool {
+		return a.emissions[i].start >= start+int64(len(ether))
+	})
+	arrivals := a.resolve(start, len(ether), rx, osc, cut)
+	for s := 0; s < cut; s += shardSize {
+		buf := make([]complex128, len(ether))
+		for _, r := range arrivals[s:min(cut, s+shardSize)] {
+			if r.lo < r.hi {
+				dsp.ConvolveRotateAdd(buf[r.lo-start:r.hi-start], r.samples, r.taps, r.oLo, r.rot, r.step)
+			}
+		}
+		for i := range ether {
+			ether[i] += buf[i]
+		}
+	}
+	return ether[:n]
+}
+
+// TestObserveTrimmedShardsMatchFullWindow holds observe, whose shards sum
+// only over the span their arrivals reach, to full-window shards bit for
+// bit, at one worker and at four: sparse emissions of mixed lengths,
+// posted out of order, over 1- to 4-tap links with delays, from an
+// unlinked transmitter too, with shards wholly before the window, wholly
+// inside it and straddling either edge.
+func TestObserveTrimmedShardsMatchFullWindow(t *testing.T) {
+	defer SetWorkers(0)
+	build := func(seed int64) *Air {
+		a := newTestAir(0)
+		r := rng.New(seed)
+		for tx := 0; tx < 6; tx++ { // transmitter 6 has no link
+			taps := make([]complex128, 1+tx%4)
+			for i := range taps {
+				taps[i] = complex(r.Uniform(-1, 1), r.Uniform(-1, 1))
+			}
+			a.SetLink(tx, 99, &channel.Link{Taps: taps, Delay: tx * 5})
+		}
+		for i := 0; i < 60; i++ {
+			tx := (i * 5) % 7
+			start := int64(((i * 53) % 60) * 60) // 0..3540, out of order
+			samples := make([]complex128, 20+(i*97)%380)
+			for k := range samples {
+				samples[k] = complex(r.Uniform(-1, 1), r.Uniform(-1, 1))
+			}
+			a.Transmit(tx, testOsc(units.PPM(float64(tx)-3)), start, samples)
+		}
+		return a
+	}
+	for _, w := range []int{1, 4} {
+		SetWorkers(w)
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, win := range [][2]int64{{1200, 1500}, {0, 4000}, {3000, 800}, {90, 7}} {
+				start, n := win[0], int(win[1])
+				want := observeFullWindow(build(seed), 99, testOsc(1.5), start, n)
+				dirty := make([]complex128, n+ObserveTail)
+				for i := range dirty {
+					dirty[i] = complex(math.NaN(), -1)
+				}
+				got := build(seed).ObserveCleanInto(dirty, 99, testOsc(1.5), start, n)
+				for i := range want {
+					if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+						math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+						t.Fatalf("workers=%d seed %d window [%d,+%d): sample %d = %v, full-window shards %v",
+							w, seed, start, n, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}

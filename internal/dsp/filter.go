@@ -39,20 +39,6 @@ func ConvolveInto(dst, x, h []complex128) int {
 		panic("dsp: ConvolveInto destination too short")
 	}
 	nx, nh := len(x), len(h)
-	if nh == 4 && nx >= 4 {
-		// The dominant case (4-tap indoor models), fully unrolled.
-		h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
-		dst[0] += h0 * x[0]
-		dst[1] += h0*x[1] + h1*x[0]
-		dst[2] += h0*x[2] + h1*x[1] + h2*x[0]
-		for o := 3; o < nx; o++ {
-			dst[o] += h0*x[o] + h1*x[o-1] + h2*x[o-2] + h3*x[o-3]
-		}
-		dst[nx] += h1*x[nx-1] + h2*x[nx-2] + h3*x[nx-3]
-		dst[nx+1] += h2*x[nx-1] + h3*x[nx-2]
-		dst[nx+2] += h3 * x[nx-1]
-		return n
-	}
 	for o := 0; o < n; o++ {
 		tLo, tHi := o-nx+1, o+1
 		if tLo < 0 {
@@ -81,6 +67,10 @@ func ConvolveInto(dst, x, h []complex128) int {
 // must satisfy 0 ≤ oLo and oLo+len(dst) ≤ len(x)+len(h)-1; the air medium
 // clamps it to the observation overlap, so emissions mostly outside the
 // window only pay for the samples a receiver actually hears.
+//
+// The outputs whose every tap reads inside x run through
+// convolveRotateKernel; the few at either edge, where the tap sum is
+// clipped, run through the Go step.
 func ConvolveRotateAdd(dst, x, h []complex128, oLo int, rot, step complex128) {
 	if len(x) == 0 || len(h) == 0 || len(dst) == 0 {
 		return
@@ -90,64 +80,36 @@ func ConvolveRotateAdd(dst, x, h []complex128, oLo int, rot, step complex128) {
 	if oLo < 0 || oHi > nx+nh-1 {
 		panic("dsp: ConvolveRotateAdd window out of range")
 	}
-	if nh == 4 && nx >= 4 {
-		// The dominant case (4-tap indoor models), fully unrolled.
-		h0, h1, h2, h3 := h[0], h[1], h[2], h[3]
-		k, o := 0, oLo
-		for ; o < 3 && o < oHi; o++ {
-			acc := h0 * x[o]
-			if o >= 1 {
-				acc += h1 * x[o-1]
-			}
-			if o >= 2 {
-				acc += h2 * x[o-2]
-			}
-			dst[k] += acc * rot
-			rot *= step
-			k++
-		}
-		iHi := oHi
-		if iHi > nx {
-			iHi = nx
-		}
-		for ; o < iHi; o++ {
-			acc := h0*x[o] + h1*x[o-1] + h2*x[o-2] + h3*x[o-3]
-			dst[k] += acc * rot
-			rot *= step
-			k++
-		}
-		for ; o < oHi; o++ {
-			var acc complex128
-			if o-1 < nx {
-				acc += h1 * x[o-1]
-			}
-			if o-2 < nx {
-				acc += h2 * x[o-2]
-			}
-			acc += h3 * x[o-3]
-			dst[k] += acc * rot
-			rot *= step
-			k++
-		}
+	iLo, iHi := max(oLo, nh-1), min(oHi, nx)
+	if iLo >= iHi {
+		convolveRotateStep(dst, x, h, oLo, rot, step)
 		return
 	}
-	k := 0
-	for o := oLo; o < oHi; o++ {
-		tLo, tHi := o-nx+1, o+1
-		if tLo < 0 {
-			tLo = 0
-		}
-		if tHi > nh {
-			tHi = nh
-		}
-		var acc complex128
-		for t := tLo; t < tHi; t++ {
+	rot = convolveRotateStep(dst[:iLo-oLo], x, h, oLo, rot, step)
+	rot = convolveRotateKernel(dst[iLo-oLo:iHi-oLo], x[iLo-nh+1:iHi], h, rot, step)
+	convolveRotateStep(dst[iHi-oLo:], x, h, iHi, rot, step)
+}
+
+// convolveRotateStep is ConvolveRotateAdd's loop in Go, without the
+// window check: it adds output oLo+k of the convolution, rotated by rot_k,
+// to dst[k], and returns rot_len(dst). Each output's tap sum starts from
+// its first tap's product and adds the rest in tap order. It runs the
+// edges of every window, the interior off amd64 and for tap counts the
+// assembly does not cover, and is the reference the assembly is tested
+// against.
+func convolveRotateStep(dst, x, h []complex128, oLo int, rot, step complex128) complex128 {
+	nx, nh := len(x), len(h)
+	for k := range dst {
+		o := oLo + k
+		tLo, tHi := max(o-nx+1, 0), min(o+1, nh)
+		acc := h[tLo] * x[o-tLo]
+		for t := tLo + 1; t < tHi; t++ {
 			acc += h[t] * x[o-t]
 		}
 		dst[k] += acc * rot
 		rot *= step
-		k++
 	}
+	return rot
 }
 
 // CrossCorrelateInto writes c[k] = Σ_i x[i+k]·conj(ref[i]) for

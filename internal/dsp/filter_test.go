@@ -1,6 +1,8 @@
 package dsp
 
 import (
+	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -138,4 +140,146 @@ func TestConvolveRotateAddWindowBounds(t *testing.T) {
 		}
 	}()
 	ConvolveRotateAdd(make([]complex128, 5), x, h, 9, 1, 1) // 9+5 > 13
+}
+
+// crSpecials are the values the kernel comparison mixes into taps,
+// samples, dst and the rotation: signed zeros, infinities, subnormals,
+// magnitudes near overflow and small integers.
+var crSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	5e-324, -5e-324, 1e-310, -1e-310, 3e-308, -3e-308,
+	math.MaxFloat64, -math.MaxFloat64, 1e300, -1e300,
+	1, -1, 2, -0.5,
+}
+
+// crFamily draws the parts of one complex value: Gaussian, specials
+// sprinkled into Gaussians, signed zeros and ±1 only (so tap sums land on
+// zeros of either sign), or NaNs of several payloads and signs sprinkled
+// into Gaussians.
+type crFamily struct {
+	name string
+	part func(r *rand.Rand) float64
+}
+
+var crNaNs = []float64{
+	math.NaN(), math.Copysign(math.NaN(), -1),
+	math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001),
+}
+
+func crFamilies() []crFamily {
+	gauss := func(r *rand.Rand) float64 { return r.NormFloat64() }
+	return []crFamily{
+		{"gaussian", gauss},
+		{"specials", func(r *rand.Rand) float64 {
+			if r.Intn(6) == 0 {
+				return crSpecials[r.Intn(len(crSpecials))]
+			}
+			return gauss(r)
+		}},
+		{"signed-zero", func(r *rand.Rand) float64 {
+			return []float64{0, math.Copysign(0, -1), 1, -1}[r.Intn(4)]
+		}},
+		{"nan", func(r *rand.Rand) float64 {
+			if r.Intn(8) == 0 {
+				return crNaNs[r.Intn(len(crNaNs))]
+			}
+			return gauss(r)
+		}},
+	}
+}
+
+func crVec(r *rand.Rand, part func(*rand.Rand) float64, n int) []complex128 {
+	out := make([]complex128, n)
+	for i := range out {
+		out[i] = complex(part(r), part(r))
+	}
+	return out
+}
+
+// sameBits reports whether a and b are the same float64, bit for bit. A
+// NaN matches any NaN when nanAny is set: the kernel and the Go step may
+// pass on different payloads of NaN inputs (DESIGN.md §11).
+func sameBits(a, b float64, nanAny bool) bool {
+	if nanAny && math.IsNaN(a) && math.IsNaN(b) {
+		return true
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+func sameComplexBits(a, b complex128, nanAny bool) bool {
+	return sameBits(real(a), real(b), nanAny) && sameBits(imag(a), imag(b), nanAny)
+}
+
+// TestConvolveRotateKernelMatchesGo holds convolveRotateKernel (the SSE2
+// pairs on amd64 for 3 and 4 taps) to the Go step, and ConvolveRotateAdd
+// to one Go-step pass over its window, bit for bit: random taps, samples,
+// dst, rotation and step mixing ±0, ±Inf and subnormals, 1–7 taps, odd
+// and even interiors, and every window placement over short signals.
+// Inputs holding a NaN only need NaNs in the same places.
+func TestConvolveRotateKernelMatchesGo(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for _, f := range crFamilies() {
+		nanAny := f.name == "nan"
+		check := func(what string, got, want []complex128, gotRot, wantRot complex128) {
+			t.Helper()
+			for k := range want {
+				if !sameComplexBits(got[k], want[k], nanAny) {
+					t.Fatalf("%s %s: output %d = %v, Go step %v", f.name, what, k, got[k], want[k])
+				}
+			}
+			if !sameComplexBits(gotRot, wantRot, nanAny) {
+				t.Fatalf("%s %s: returned rotation %v, Go step %v", f.name, what, gotRot, wantRot)
+			}
+		}
+		for nh := 1; nh <= 7; nh++ {
+			// The interior alone, at every length up to a few pairs.
+			for trial := 0; trial < 300; trial++ {
+				n := trial % 12
+				h := crVec(r, f.part, nh)
+				x := crVec(r, f.part, n+nh-1)
+				want := crVec(r, f.part, n)
+				got := append([]complex128(nil), want...)
+				rs := crVec(r, f.part, 2)
+				wantRot := convolveRotateStep(want, x, h, nh-1, rs[0], rs[1])
+				gotRot := convolveRotateKernel(got, x, h, rs[0], rs[1])
+				check(fmt.Sprintf("nh=%d n=%d trial %d", nh, n, trial), got, want, gotRot, wantRot)
+			}
+			// Every window of the full convolution of short signals.
+			for nx := 1; nx <= 9; nx++ {
+				for lo := 0; lo < nx+nh-1; lo++ {
+					for hi := lo; hi <= nx+nh-1; hi++ {
+						h := crVec(r, f.part, nh)
+						x := crVec(r, f.part, nx)
+						want := crVec(r, f.part, hi-lo)
+						got := append([]complex128(nil), want...)
+						rs := crVec(r, f.part, 2)
+						wantRot := convolveRotateStep(want, x, h, lo, rs[0], rs[1])
+						ConvolveRotateAdd(got, x, h, lo, rs[0], rs[1])
+						check(fmt.Sprintf("nh=%d nx=%d window [%d,%d)", nh, nx, lo, hi), got, want, wantRot, wantRot)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkConvolveRotateAdd times a 490-sample emission heard whole, as
+// a re-measurement round's packets are, at the tap counts of the
+// simulated links (3: the Haar-mixed links; 4: the indoor profile) and a
+// longer one that runs the Go step.
+func BenchmarkConvolveRotateAdd(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	x := randSignal(r, 490)
+	rot, step := cmplx.Exp(complex(0, 0.3)), cmplx.Exp(complex(0, 0.01))
+	for _, nh := range []int{3, 4, 7} {
+		b.Run(fmt.Sprintf("taps=%d", nh), func(b *testing.B) {
+			h := randSignal(r, nh)
+			dst := make([]complex128, len(x)+nh-1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ConvolveRotateAdd(dst, x, h, 0, rot, step)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/output")
+		})
+	}
 }

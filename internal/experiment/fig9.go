@@ -12,12 +12,12 @@ import (
 // Fig9Point is one (bin, #APs) cell: total network throughput for both
 // systems, median across topologies.
 type Fig9Point struct {
-	Bin          string
-	APs          int
-	MegaMIMObps  float64
-	Dot11bps     float64
-	MedianGain   float64
-	PerClientGae []float64 // all per-client gains pooled across topologies (feeds Fig 10)
+	Bin           string
+	APs           int
+	MegaMIMObps   float64
+	Dot11bps      float64
+	MedianGain    float64
+	PerClientGain []float64 // all per-client gains pooled across topologies (feeds Fig 10)
 }
 
 // Fig9Result holds the scaling curves; Fig10 reads the pooled per-client
@@ -119,11 +119,11 @@ func RunFig9(apCounts []int, topologies, txRounds int, seed int64) (*Fig9Result,
 				}
 			}
 			pt := Fig9Point{
-				Bin:          bin.Name,
-				APs:          nAPs,
-				MegaMIMObps:  stats.Median(mmTotals),
-				Dot11bps:     stats.Median(blTotals),
-				PerClientGae: gains,
+				Bin:           bin.Name,
+				APs:           nAPs,
+				MegaMIMObps:   stats.Median(mmTotals),
+				Dot11bps:      stats.Median(blTotals),
+				PerClientGain: gains,
 			}
 			if len(gains) > 0 {
 				pt.MedianGain = stats.Median(gains)
@@ -170,7 +170,7 @@ func Fig10From(r *Fig9Result) *Fig10Result {
 		if out.Gains[p.Bin] == nil {
 			out.Gains[p.Bin] = map[int][]float64{}
 		}
-		out.Gains[p.Bin][p.APs] = append(out.Gains[p.Bin][p.APs], p.PerClientGae...)
+		out.Gains[p.Bin][p.APs] = append(out.Gains[p.Bin][p.APs], p.PerClientGain...)
 	}
 	return out
 }
