@@ -178,11 +178,7 @@ func (a *Air) Observe(rx int, osc *radio.Oscillator, start int64, n int) []compl
 // cleared and filled. The returned window aliases dst, so a caller that
 // reuses one buffer must consume each window before the next observation.
 func (a *Air) ObserveInto(dst []complex128, rx int, osc *radio.Oscillator, start int64, n int) []complex128 {
-	out := a.observe(dst, rx, osc, start, n)
-	for i := range out {
-		out[i] += a.noise.ComplexNormal(a.cfg.NoiseVar)
-	}
-	return out
+	return a.noise.AddComplexNormal(a.observe(dst, rx, osc, start, n), a.cfg.NoiseVar)
 }
 
 // ObserveCleanInto is ObserveInto without the noise term; the experiment

@@ -270,7 +270,7 @@ func TestRayleighLinkEndToEndSNR(t *testing.T) {
 	l := channel.NewLink(src, channel.Params{NTaps: 1, DecaySamples: 1}, gain, 0)
 	a.SetLink(0, 1, l)
 	n := 50000
-	x := src.ComplexNormalVec(make([]complex128, n), 1)
+	x := src.AddComplexNormal(make([]complex128, n), 1)
 	a.Transmit(0, testOsc(1), 0, x)
 	y := a.Observe(1, testOsc(-1), 0, n)
 	var p float64
@@ -289,7 +289,7 @@ func BenchmarkObserveJointTransmission(b *testing.B) {
 	a := New(Config{SampleRate: 10e6, NoiseVar: 1e-4, Seed: 3})
 	nAPs := 10
 	oscs := make([]*radio.Oscillator, nAPs)
-	x := src.ComplexNormalVec(make([]complex128, 4000), 1)
+	x := src.AddComplexNormal(make([]complex128, 4000), 1)
 	for i := 0; i < nAPs; i++ {
 		oscs[i] = testOsc(units.PPM(i) - 5)
 		a.SetLink(i, 100, channel.NewLink(src.Split(uint64(i)), channel.DefaultIndoor, 0.01, 0))
@@ -313,9 +313,9 @@ func BenchmarkObserveMeasurement(b *testing.B) {
 	oscs := make([]*radio.Oscillator, nTx)
 	for i := range oscs {
 		oscs[i] = testOsc(units.PPM(i) - 4)
-		a.SetLink(i, 100, &channel.Link{Taps: src.ComplexNormalVec(make([]complex128, 3), 1)})
+		a.SetLink(i, 100, &channel.Link{Taps: src.AddComplexNormal(make([]complex128, 3), 1)})
 	}
-	x := src.ComplexNormalVec(make([]complex128, packetLen), 1)
+	x := src.AddComplexNormal(make([]complex128, packetLen), 1)
 	for p := 0; p < packets; p++ {
 		a.Transmit(p%nTx, oscs[p%nTx], int64(p*(window-packetLen)/(packets-1)), x)
 	}

@@ -24,8 +24,8 @@ func TestQuickSuperpositionLinearity(t *testing.T) {
 		o0 := testOsc(units.PPM(src.Uniform(-2, 2)))
 		o1 := testOsc(units.PPM(src.Uniform(-2, 2)))
 		or := testOsc(units.PPM(src.Uniform(-2, 2)))
-		x0 := src.ComplexNormalVec(make([]complex128, 200), 1)
-		x1 := src.ComplexNormalVec(make([]complex128, 150), 1)
+		x0 := src.AddComplexNormal(make([]complex128, 200), 1)
+		x1 := src.AddComplexNormal(make([]complex128, 150), 1)
 
 		both := mk()
 		both.Transmit(0, o0, 0, x0)
@@ -56,7 +56,7 @@ func TestQuickSuperpositionLinearity(t *testing.T) {
 func TestQuickObservationHomogeneity(t *testing.T) {
 	f := func(seed int64) bool {
 		src := rng.New(seed)
-		x := src.ComplexNormalVec(make([]complex128, 120), 1)
+		x := src.AddComplexNormal(make([]complex128, 120), 1)
 		scaled := make([]complex128, len(x))
 		k := complex(src.Uniform(0.1, 3), src.Uniform(-1, 1))
 		for i := range x {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/cmplx"
 
 	"megamimo/internal/cmplxs"
@@ -500,9 +501,30 @@ func (n *Network) estimateSymbolChannel(dst, win []complex128, idx, refIdx int, 
 		return err
 	}
 	for _, b := range bins {
-		dst[b] = freq[b] / ref[b]
+		dst[b] = divUnit(freq[b], ref[b])
 	}
 	return nil
+}
+
+// divUnit returns n/m bit for bit as Go's complex division does, without
+// its runtime call when m is ±1 ± 0i, as every occupied LTF bin is. For
+// such an m the division takes its |real(m)| ≥ |imag(m)| branch with
+// ratio = imag(m)/real(m) a zero, denom = real(m)+ratio·imag(m) =
+// real(m), and dividing by ±1 is multiplying by it. When both parts come
+// out NaN the division repairs infinities and zeros, so that case, and
+// any other m, takes the division itself.
+func divUnit(n, m complex128) complex128 {
+	r := real(m)
+	if imag(m) != 0 || math.Float64bits(math.Abs(r)) != math.Float64bits(1) {
+		return n / m
+	}
+	ratio := imag(m) * r
+	e := (real(n) + imag(n)*ratio) * r
+	f := (imag(n) - real(n)*ratio) * r
+	if math.IsNaN(e) && math.IsNaN(f) {
+		return n / m
+	}
+	return complex(e, f)
 }
 
 // estimateSlots returns k 64-bin channel-estimate slots from the

@@ -24,7 +24,7 @@ func TestQuantizeZeroBitsIsCopy(t *testing.T) {
 
 func TestQuantizeErrorBound(t *testing.T) {
 	src := rng.New(1)
-	h := src.ComplexNormalVec(make([]complex128, 64), 1)
+	h := src.AddComplexNormal(make([]complex128, 64), 1)
 	for _, bits := range []int{4, 8, 12} {
 		q := Quantize(h, bits)
 		var fs float64
@@ -43,7 +43,7 @@ func TestQuantizeErrorBound(t *testing.T) {
 
 func TestQuantizeMoreBitsIsFiner(t *testing.T) {
 	src := rng.New(2)
-	h := src.ComplexNormalVec(make([]complex128, 64), 1)
+	h := src.AddComplexNormal(make([]complex128, 64), 1)
 	e4 := MaxQuantError(h, Quantize(h, 4))
 	e10 := MaxQuantError(h, Quantize(h, 10))
 	if e10 >= e4 {
@@ -77,7 +77,7 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestQuantizeReportInPlace(t *testing.T) {
 	src := rng.New(3)
-	r := &Report{H: [][]complex128{src.ComplexNormalVec(make([]complex128, 16), 1)}}
+	r := &Report{H: [][]complex128{src.AddComplexNormal(make([]complex128, 16), 1)}}
 	orig := append([]complex128(nil), r.H[0]...)
 	QuantizeReport(r, 4)
 	if MaxQuantError(orig, r.H[0]) == 0 {

@@ -21,41 +21,6 @@ func Convolve(x, h []complex128) []complex128 {
 	return out
 }
 
-// ConvolveInto writes the convolution of x and h into dst, which must have
-// length ≥ len(x)+len(h)-1, accumulating into existing contents (so several
-// transmitters can be summed onto one receive buffer). It returns the
-// number of samples touched.
-//
-// The kernel runs output-oriented: one pass over dst accumulating every
-// tap, rather than one full pass over dst per tap. For the short tap
-// vectors of indoor channel models that roughly halves the memory
-// traffic, which is what this loop is bound by.
-func ConvolveInto(dst, x, h []complex128) int {
-	n := len(x) + len(h) - 1
-	if len(x) == 0 || len(h) == 0 {
-		return 0
-	}
-	if len(dst) < n {
-		panic("dsp: ConvolveInto destination too short")
-	}
-	nx, nh := len(x), len(h)
-	for o := 0; o < n; o++ {
-		tLo, tHi := o-nx+1, o+1
-		if tLo < 0 {
-			tLo = 0
-		}
-		if tHi > nh {
-			tHi = nh
-		}
-		var acc complex128
-		for t := tLo; t < tHi; t++ {
-			acc += h[t] * x[o-t]
-		}
-		dst[o] += acc
-	}
-	return n
-}
-
 // ConvolveRotateAdd fuses the multipath convolution with the carrier
 // rotation and the medium summation: for k in [0, len(dst)) it accumulates
 //
@@ -66,7 +31,8 @@ func ConvolveInto(dst, x, h []complex128) int {
 // buffer in one pass with no intermediate convolution scratch. The window
 // must satisfy 0 ≤ oLo and oLo+len(dst) ≤ len(x)+len(h)-1; the air medium
 // clamps it to the observation overlap, so emissions mostly outside the
-// window only pay for the samples a receiver actually hears.
+// window only pay for the samples a receiver actually hears. dst must not
+// share storage with x or h.
 //
 // The outputs whose every tap reads inside x run through
 // convolveRotateKernel; the few at either edge, where the tap sum is

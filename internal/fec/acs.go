@@ -5,8 +5,8 @@ import "math"
 // acsStep is one trellis step's add-compare-select in Go: from the path
 // metrics mp and the branch metrics bm it writes the 64 new path metrics
 // into np and returns the survivor word (bit s set = state s kept its odd
-// predecessor). It is the only step on architectures without an assembly
-// acsKernel, and the reference the assembly is tested against.
+// predecessor). It is the step acsKernel runs without AVX2 and off amd64,
+// and the reference the assembly is tested against.
 //
 // The update runs as a butterfly over next-state pairs: states j and j+32
 // share the predecessors 2j and 2j+1, and because generators 133/171 both

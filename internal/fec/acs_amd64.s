@@ -1,77 +1,85 @@
 #include "textflag.h"
 
-// func acsKernel(mp, np *[64]float64, bm *[4]float64) uint64
+// func acsAVX2(mp, np *[64]float64, bm *[4]float64) uint64
 //
-// Each iteration runs the butterflies of next-state pairs j and j+1
-// (j even, 30 down to 0) in the two lanes of an XMM register:
+// Group g (0..7) runs the butterflies of next-state pairs j = 4g..4g+3 in
+// the four lanes of a YMM register:
 //
-//	X0 = [a_j, a_j+1]   X2 = [b_j, b_j+1]   X3 = [v_j, v_j+1]
+//	Y2 = [a_4g .. a_4g+3]   Y3 = [b_4g .. b_4g+3]   V = [v_4g .. v_4g+3]
 //
-// with a_j = mp[2j], b_j = mp[2j+1] and v_j = bm[branchIdx[j]]. As in
-// acsStep, m0 = a±v, m1 = b∓v and d = m1-m0; a lane keeps m1 exactly when
-// d's sign bit is set. SSE2 has no 64-bit arithmetic shift, so the select
-// mask is PSRAL $31 (each dword becomes its sign) and PSHUFD $0xF5 (each
-// lane copies its high dword's), and MOVMSKPD reads the same sign bits as
-// the survivor bits. Walking j downwards lets the survivor words grow by a
-// shift of 2 and an OR.
-TEXT ·acsKernel(SB), NOSPLIT, $0-32
-	MOVQ mp+0(FP), SI
-	MOVQ np+8(FP), DI
-	MOVQ bm+16(FP), BX
-	LEAQ ·branchIdx(SB), R10
-	XORQ AX, AX // survivor bits of states 0..31
-	XORQ DX, DX // survivor bits of states 32..63
-	MOVQ $30, CX
+// with a_j = mp[2j], b_j = mp[2j+1] and v_j = bm[branchIdx[j]]. Two
+// 128-bit loads with an insert each give [a_4g, b_4g, a_4g+2, b_4g+2] and
+// [a_4g+1, b_4g+1, a_4g+3, b_4g+3]; the in-lane unpacks then yield a and b
+// in state order. V is VPERMPD of bm with the immediate
+// Σ branchIdx[4g+k] << 2k, which takes only four values (0x88, 0x77,
+// 0xDD, 0x22), so the four permutations are made once, before the groups.
+//
+// As in acsStep, m0 = a±v, m1 = b∓v and d = m1-m0, each with the same
+// operands in the same order; a lane keeps m1 exactly when d's sign bit is
+// set, which is what VBLENDVPD selects on and VMOVMSKPD reads off as the
+// survivor bits.
+#define GROUP(g, V) \
+	VMOVUPD     (g*64)(SI), X0;          \
+	VINSERTF128 $1, (g*64+32)(SI), Y0, Y0; \
+	VMOVUPD     (g*64+16)(SI), X1;       \
+	VINSERTF128 $1, (g*64+48)(SI), Y1, Y1; \
+	VUNPCKLPD   Y1, Y0, Y2;              \
+	VUNPCKHPD   Y1, Y0, Y3;              \
+	VADDPD      V, Y2, Y4;               \
+	VSUBPD      V, Y3, Y5;               \
+	VSUBPD      Y4, Y5, Y6;              \
+	VBLENDVPD   Y6, Y5, Y4, Y7;          \
+	VMOVUPD     Y7, (g*32)(DI);          \
+	VMOVMSKPD   Y6, R8;                  \
+	SHLQ        $(g*4), R8;              \
+	ORQ         R8, AX;                  \
+	VSUBPD      V, Y2, Y2;               \
+	VADDPD      V, Y3, Y3;               \
+	VSUBPD      Y2, Y3, Y6;              \
+	VBLENDVPD   Y6, Y3, Y2, Y7;          \
+	VMOVUPD     Y7, (256+g*32)(DI);      \
+	VMOVMSKPD   Y6, R8;                  \
+	SHLQ        $(32+g*4), R8;           \
+	ORQ         R8, AX
 
-loop:
-	MOVQ     CX, R8
-	SHLQ     $4, R8               // byte offset of mp[2j]
-	MOVUPD   (SI)(R8*1), X0       // [a_j, b_j]
-	MOVUPD   16(SI)(R8*1), X1     // [a_j+1, b_j+1]
-	MOVAPD   X0, X2
-	UNPCKLPD X1, X0               // [a_j, a_j+1]
-	UNPCKHPD X1, X2               // [b_j, b_j+1]
-	MOVBQZX  (R10)(CX*1), R9
-	MOVBQZX  1(R10)(CX*1), R11
-	MOVSD    (BX)(R9*8), X3
-	MOVHPD   (BX)(R11*8), X3      // [v_j, v_j+1]
+TEXT ·acsAVX2(SB), NOSPLIT, $0-32
+	MOVQ    mp+0(FP), SI
+	MOVQ    np+8(FP), DI
+	MOVQ    bm+16(FP), BX
+	VMOVUPD (BX), Y15
+	VPERMPD $0x88, Y15, Y11
+	VPERMPD $0x77, Y15, Y12
+	VPERMPD $0xDD, Y15, Y13
+	VPERMPD $0x22, Y15, Y14
+	XORQ    AX, AX
 
-	// in = 0: states j, j+1.
-	MOVAPD   X0, X4
-	ADDPD    X3, X4               // m0 = a + v
-	MOVAPD   X2, X5
-	SUBPD    X3, X5               // m1 = b - v
-	MOVAPD   X5, X6
-	SUBPD    X4, X6               // d = m1 - m0
-	MOVMSKPD X6, R9
-	PSRAL    $31, X6
-	PSHUFD   $0xF5, X6, X6        // sel
-	ANDPD    X6, X5               // m1 & sel
-	ANDNPD   X4, X6               // m0 &^ sel
-	ORPD     X5, X6
-	MOVUPD   X6, (DI)(CX*8)
-	SHLQ     $2, AX
-	ORQ      R9, AX
+	GROUP(0, Y11)
+	GROUP(1, Y12)
+	GROUP(2, Y12)
+	GROUP(3, Y11)
+	GROUP(4, Y13)
+	GROUP(5, Y14)
+	GROUP(6, Y14)
+	GROUP(7, Y13)
 
-	// in = 1: states j+32, j+33, both signs flipped.
-	SUBPD    X3, X0               // m0 = a - v
-	ADDPD    X3, X2               // m1 = b + v
-	MOVAPD   X2, X6
-	SUBPD    X0, X6               // d = m1 - m0
-	MOVMSKPD X6, R9
-	PSRAL    $31, X6
-	PSHUFD   $0xF5, X6, X6        // sel
-	ANDPD    X6, X2               // m1 & sel
-	ANDNPD   X0, X6               // m0 &^ sel
-	ORPD     X2, X6
-	MOVUPD   X6, 256(DI)(CX*8)
-	SHLQ     $2, DX
-	ORQ      R9, DX
-
-	SUBQ $2, CX
-	JGE  loop
-
-	SHLQ $32, DX
-	ORQ  DX, AX
+	VZEROUPPER
 	MOVQ AX, ret+24(FP)
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL   $0, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
 	RET

@@ -5,6 +5,7 @@
 package fec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -88,6 +89,31 @@ var outputs [numStates][2]byte
 // branches by sign flips of the branch metric.
 var branchIdx [numStates / 2]byte // outputs[2j][0] for butterfly pair j
 
+// encodeTable[state][x] holds the 16 mother-code bits the encoder emits
+// from state for the 8 input bits of x, input i in bit i of x: A of input
+// i in bit 2i, B in bit 2i+1. The state after them is x>>2, the last six
+// inputs.
+var encodeTable [numStates][256]uint16
+
+// keptBits are the mother-code bits of one byte of an encodeTable word
+// that a puncture pattern keeps, spread one bit per byte from the low
+// byte up, and their count.
+type keptBits struct {
+	bits uint64
+	n    uint8
+}
+
+// punctureTable[rate][p/2][y] is what rate's pattern keeps of the 8
+// mother-code bits y (first in bit 0) when the first of them falls at
+// pattern position p. Bytes of mother code start at even positions only.
+var punctureTable [3][3][256]keptBits
+
+// hardNext[state][3·dA+dB] is the state after the one input from state
+// whose mother-code bits A and B agree with the hard decisions dA and dB
+// (2 for a punctured bit), or -1 if neither input does. No pattern
+// punctures both bits of an input, so 3·2+2 is -1 too.
+var hardNext [numStates][9]int8
+
 func init() {
 	for s := 0; s < numStates; s++ {
 		for in := 0; in < 2; in++ {
@@ -99,6 +125,46 @@ func init() {
 	}
 	for j := 0; j < numStates/2; j++ {
 		branchIdx[j] = outputs[2*j][0]
+	}
+	for s := 0; s < numStates; s++ {
+		for x := 0; x < 256; x++ {
+			state := s
+			for i := 0; i < 8; i++ {
+				bit := x >> i & 1
+				out := outputs[state][bit]
+				encodeTable[s][x] |= uint16(out>>1)<<(2*i) | uint16(out&1)<<(2*i+1)
+				state = (state >> 1) | (bit << (constraintLen - 2))
+			}
+		}
+	}
+	for s := range hardNext {
+		for h := range hardNext[s] {
+			hardNext[s][h] = -1
+			dA, dB := byte(h/3), byte(h%3)
+			if dA == 2 && dB == 2 {
+				continue
+			}
+			for in := 0; in < 2; in++ {
+				out := outputs[s][in]
+				if (dA == 2 || dA == out>>1) && (dB == 2 || dB == out&1) {
+					hardNext[s][h] = int8(s>>1 | in<<(constraintLen-2))
+				}
+			}
+		}
+	}
+	for _, rate := range []Rate{Rate12, Rate23, Rate34} {
+		pat := rate.pattern()
+		for p := 0; p < len(pat); p += 2 {
+			for y := 0; y < 256; y++ {
+				e := &punctureTable[rate][p/2][y]
+				for j := 0; j < 8; j++ {
+					if pat[(p+j)%len(pat)] {
+						e.bits |= uint64(y>>j&1) << (8 * e.n)
+						e.n++
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -115,32 +181,59 @@ func parity(x int) byte {
 // into a fresh slice; see AppendEncode.
 func Encode(data []byte, rate Rate) []byte { return AppendEncode(nil, data, rate) }
 
-// AppendEncode convolutionally encodes data bits (0/1 values) at the given
-// rate, appends the EncodedLen(len(data), rate) punctured coded bits to dst
-// and returns the extended slice. The encoder appends constraintLen-1 zero
-// tail bits to terminate the trellis, matching what Decode assumes, and
-// punctures as it encodes. dst grows at most once, so a dst with room for
-// the coded bits makes the call allocation-free.
+// AppendEncode convolutionally encodes data bits (0/1 values; only the
+// low bit of each byte counts) at the given rate, appends the
+// EncodedLen(len(data), rate) punctured coded bits to dst and returns the
+// extended slice. The encoder appends constraintLen-1 zero tail bits to
+// terminate the trellis, matching what Decode assumes, and punctures as it
+// encodes. dst grows at most once, so a dst with room for the coded bits
+// makes the call allocation-free.
+//
+// It encodes 8 input bits per encodeTable lookup and writes each half of
+// the 16 mother-code bits through a puncture table, 8 bytes at a time;
+// only the last chunks, within 16 bytes of the end, go bit by bit.
 func AppendEncode(dst, data []byte, rate Rate) []byte {
 	pat := rate.pattern()
-	if need := len(dst) + EncodedLen(len(data), rate); cap(dst) < need {
+	start, need := len(dst), len(dst)+EncodedLen(len(data), rate)
+	if cap(dst) < need {
 		dst = append(make([]byte, 0, need), dst...)
 	}
-	state, p := 0, 0
-	for i := 0; i < len(data)+constraintLen-1; i++ {
-		var bit byte
-		if i < len(data) {
-			bit = data[i] & 1
+	dst = dst[:need]
+	out := dst[start:]
+	kept := &punctureTable[rate]
+	total := len(data) + constraintLen - 1
+	state, p, k := 0, 0, 0
+	for i := 0; i < total; i += 8 {
+		var x byte // input bits i..i+7, input i in bit 0
+		if i+8 <= len(data) {
+			x = byte((binary.LittleEndian.Uint64(data[i:]) & 0x0101010101010101) * 0x0102040810204080 >> 56)
+		} else {
+			for j := i; j < min(i+8, len(data)); j++ {
+				x |= (data[j] & 1) << (j - i)
+			}
 		}
-		out := outputs[state][bit]
-		if pat[p] {
-			dst = append(dst, out>>1)
+		w := encodeTable[state][x]
+		state = int(x >> 2)
+		if i+8 <= total && k+16 <= len(out) {
+			lo := &kept[p/2][w&0xff]
+			binary.LittleEndian.PutUint64(out[k:], lo.bits)
+			k += int(lo.n)
+			p = (p + 8) % len(pat)
+			hi := &kept[p/2][w>>8]
+			binary.LittleEndian.PutUint64(out[k:], hi.bits)
+			k += int(hi.n)
+			p = (p + 8) % len(pat)
+			continue
 		}
-		if pat[p+1] {
-			dst = append(dst, out&1)
+		for j := 0; j < 2*min(8, total-i); j++ {
+			if pat[p] {
+				out[k] = byte(w>>j) & 1
+				k++
+			}
+			if p++; p == len(pat) {
+				p = 0
+			}
 		}
-		p = (p + 2) % len(pat)
-		state = (state >> 1) | (int(bit) << (constraintLen - 2))
 	}
 	return dst
 }
@@ -236,34 +329,35 @@ func cleanPath(dst []byte, llr []float64, rate Rate) bool {
 	minAbs, sum := math.Inf(1), 0.0
 	state, src, p := 0, 0, 0
 	for step := 0; step < total; step++ {
-		out := outputs[state][0] // input 1 flips both bits
-		in := byte(2)            // not yet decided
-		for k := 1; k >= 0; k-- {
-			kept := pat[p]
-			p = (p + 1) % len(pat)
-			if !kept {
-				continue
+		h := 0 // hard decisions of A and B, 2 for a punctured bit
+		for range 2 {
+			d := 2
+			if pat[p] {
+				l := llr[src]
+				src++
+				a := math.Abs(l)
+				if !(a > 0 && a <= math.MaxFloat64) {
+					return false
+				}
+				if a < minAbs {
+					minAbs = a
+				}
+				sum += a
+				// l is finite and non-zero here, so its sign bit says
+				// exactly whether l < 0.
+				d = int(math.Float64bits(l) >> 63)
 			}
-			l := llr[src]
-			src++
-			a := math.Abs(l)
-			if !(a > 0 && a <= math.MaxFloat64) {
-				return false
+			if p++; p == len(pat) {
+				p = 0
 			}
-			minAbs, sum = min(minAbs, a), sum+a
-			b := out >> k & 1 // the input bit this coded bit implies
-			if l < 0 {
-				b ^= 1
-			}
-			if in != 2 && in != b {
-				return false
-			}
-			in = b
+			h = 3*h + d
+		}
+		if state = int(hardNext[state][h]); state < 0 {
+			return false
 		}
 		if step < len(dst) {
-			dst[step] = in
+			dst[step] = byte(state >> (constraintLen - 2))
 		}
-		state = state>>1 | int(in)<<(constraintLen-2)
 	}
 	ku := float64(total+1) * 0x1p-53
 	return state == 0 && sum <= unreachable && minAbs > 2*ku/(1-ku)*sum
@@ -282,30 +376,10 @@ func trellis(dst []byte, llr []float64, rate Rate) { trellisWith(dst, llr, rate,
 // allocate on every call.
 func trellisWith(dst []byte, llr []float64, rate Rate, kernel func(mp, np *[numStates]float64, bm *[4]float64) uint64) {
 	total := len(dst) + constraintLen - 1
-	full := dsp.Borrow[float64](2 * total)
 	survivors := dsp.Borrow[uint64](total)
 	metrics := dsp.Borrow[float64](2*numStates + 4)
-	defer dsp.Release(full)
 	defer dsp.Release(survivors)
 	defer dsp.Release(metrics)
-	// Depuncture into per-step (A, B) LLRs. A NaN LLR is an erasure like a
-	// punctured bit: left in, its sign would pick survivors, and that sign
-	// depends on which operand of an add the compiler puts first.
-	pat := rate.pattern()
-	src, p := 0, 0
-	for i := range full {
-		l := 0.0
-		if pat[p] {
-			if l = llr[src]; math.IsNaN(l) {
-				l = 0
-			}
-			src++
-		}
-		full[i] = l
-		if p++; p == len(pat) {
-			p = 0
-		}
-	}
 	// Viterbi with full traceback (packet-scale trellises are small).
 	mp := (*[numStates]float64)(metrics[:numStates])
 	np := (*[numStates]float64)(metrics[numStates : 2*numStates])
@@ -314,8 +388,26 @@ func trellisWith(dst []byte, llr []float64, rate Rate, kernel func(mp, np *[numS
 	for s := 1; s < numStates; s++ {
 		mp[s] = unreachable
 	}
+	pat := rate.pattern()
+	src, p := 0, 0
 	for step := range survivors {
-		la, lb := full[2*step], full[2*step+1]
+		// Depuncture the step's A and B LLRs. A NaN LLR is an erasure
+		// like a punctured bit: left in, its sign would pick survivors,
+		// and that sign depends on which operand of an add the compiler
+		// puts first.
+		var ab [2]float64
+		for k := range ab {
+			if pat[p] {
+				if l := llr[src]; !math.IsNaN(l) {
+					ab[k] = l
+				}
+				src++
+			}
+			if p++; p == len(pat) {
+				p = 0
+			}
+		}
+		la, lb := ab[0], ab[1]
 		// bm[out] for out = A<<1|B; LLR>0 favors bit 0, cost is minimized.
 		bm[0] = -la - lb
 		bm[1] = -la + lb

@@ -54,10 +54,23 @@ func twoPassEncode(data []byte, rate Rate) []byte {
 	return out
 }
 
+// TestAppendEncodeMatchesTwoPass holds the table-driven AppendEncode to
+// the two-pass encoder at every rate: every length up to 64 bits on bytes
+// with stray high bits, random lengths up to 600 bits with and without a
+// prefix in dst, and a 12000-bit frame.
 func TestAppendEncodeMatchesTwoPass(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	prefix := []byte{1, 0, 1}
 	for _, rate := range allRates {
+		for n := 0; n <= 64; n++ {
+			for trial := 0; trial < 20; trial++ {
+				data := make([]byte, n)
+				r.Read(data)
+				if got, want := AppendEncode(nil, data, rate), twoPassEncode(data, rate); !slices.Equal(got, want) {
+					t.Fatalf("rate %s n=%d: AppendEncode differs from the two-pass encoder on %v", rate, n, data)
+				}
+			}
+		}
 		for trial := 0; trial < 200; trial++ {
 			data := randBits(r, r.Intn(600))
 			want := twoPassEncode(data, rate)
@@ -67,6 +80,42 @@ func TestAppendEncodeMatchesTwoPass(t *testing.T) {
 			got := AppendEncode(slices.Clone(prefix), data, rate)
 			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
 				t.Fatalf("rate %s n=%d: AppendEncode clobbered or misplaced its prefix", rate, len(data))
+			}
+		}
+		data := randBits(r, 12000)
+		if got, want := AppendEncode(nil, data, rate), twoPassEncode(data, rate); !slices.Equal(got, want) {
+			t.Fatalf("rate %s n=12000: AppendEncode differs from the two-pass encoder", rate)
+		}
+	}
+}
+
+// TestEncodeTableMatchesTwoPass checks every encodeTable entry: the six
+// inputs that lead into state, then the byte, through the two-pass encoder
+// at rate 1/2 (nothing punctured) must give the entry's 16 mother-code
+// bits, and the encoder must then be in state x>>2.
+func TestEncodeTableMatchesTwoPass(t *testing.T) {
+	for state := 0; state < numStates; state++ {
+		for x := 0; x < 256; x++ {
+			var in []byte
+			for i := 0; i < constraintLen-1; i++ { // state's oldest input first
+				in = append(in, byte(state>>i&1))
+			}
+			for i := 0; i < 8; i++ {
+				in = append(in, byte(x>>i&1))
+			}
+			mother := twoPassEncode(in, Rate12)[2*(constraintLen-1):]
+			w := encodeTable[state][x]
+			for j := 0; j < 16; j++ {
+				if byte(w>>j)&1 != mother[j] {
+					t.Fatalf("state %d byte %#x: mother bit %d is %d, the two-pass encoder gives %d", state, x, j, w>>j&1, mother[j])
+				}
+			}
+			next := 0
+			for _, b := range in[len(in)-(constraintLen-1):] {
+				next = next>>1 | int(b)<<(constraintLen-2)
+			}
+			if next != x>>2 {
+				t.Fatalf("state %d byte %#x: ends in state %d, not %d", state, x, next, x>>2)
 			}
 		}
 	}
@@ -307,6 +356,97 @@ func shortcut(llr []float64, n int, rate Rate) bool {
 	return cleanPath(make([]byte, n), llr, rate)
 }
 
+// perBitCleanPath is the bit-serial cleanPath its state table replaced,
+// kept as its oracle: it re-derives each input bit from the generator
+// outputs of the state so far and the hard decision of each kept LLR.
+func perBitCleanPath(dst []byte, llr []float64, rate Rate) bool {
+	total := len(dst) + constraintLen - 1
+	pat := rate.pattern()
+	minAbs, sum := math.Inf(1), 0.0
+	state, src, p := 0, 0, 0
+	for step := 0; step < total; step++ {
+		out := outputs[state][0] // input 1 flips both bits
+		in := byte(2)            // not yet decided
+		for k := 1; k >= 0; k-- {
+			kept := pat[p]
+			p = (p + 1) % len(pat)
+			if !kept {
+				continue
+			}
+			l := llr[src]
+			src++
+			a := math.Abs(l)
+			if !(a > 0 && a <= math.MaxFloat64) {
+				return false
+			}
+			minAbs, sum = min(minAbs, a), sum+a
+			b := out >> k & 1 // the input bit this coded bit implies
+			if l < 0 {
+				b ^= 1
+			}
+			if in != 2 && in != b {
+				return false
+			}
+			in = b
+		}
+		if step < len(dst) {
+			dst[step] = in
+		}
+		state = state>>1 | int(in)<<(constraintLen-2)
+	}
+	ku := float64(total+1) * 0x1p-53
+	return state == 0 && sum <= unreachable && minAbs > 2*ku/(1-ku)*sum
+}
+
+// TestCleanPathMatchesPerBit holds cleanPath to the bit-serial oracle on
+// every rate and every whole-frame LLR family, clean frames included: the
+// same verdict, and on a certified frame the same bits.
+func TestCleanPathMatchesPerBit(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	families := append(trellisFamilies(r),
+		trellisFamily{"clean", func(c []byte) []float64 { return codewordLLRs(c, func() float64 { return 0.25 + 4*r.Float64() }) }},
+		trellisFamily{"clean-one-flip", func(c []byte) []float64 {
+			llr := codewordLLRs(c, func() float64 { return 1 })
+			i := r.Intn(len(llr))
+			llr[i] = -llr[i]
+			return llr
+		}},
+		// Two magnitudes of the order of the certificate's bound, so the
+		// verdict turns on tracking the exact minimum.
+		trellisFamily{"two-near-bound", func(c []byte) []float64 {
+			llr := codewordLLRs(c, func() float64 { return 1 })
+			bound := 2 * float64(len(c)) * 0x1p-53 * float64(len(c))
+			for range 2 {
+				i := r.Intn(len(llr))
+				llr[i] *= bound * (0.25 + 2*r.Float64())
+			}
+			return llr
+		}})
+	for _, f := range families {
+		for _, rate := range allRates {
+			certified := 0
+			for frame := 0; frame < 200; frame++ {
+				n := r.Intn(300)
+				llr := f.llr(Encode(randBits(r, n), rate))
+				got, want := make([]byte, n), make([]byte, n)
+				ok := cleanPath(got, llr, rate)
+				if wantOK := perBitCleanPath(want, llr, rate); ok != wantOK {
+					t.Fatalf("%s rate %s frame %d (n=%d): cleanPath says %v, the per-bit oracle %v", f.name, rate, frame, n, ok, wantOK)
+				}
+				if ok {
+					certified++
+					if string(got) != string(want) {
+						t.Fatalf("%s rate %s frame %d (n=%d): cleanPath certifies other bits than the per-bit oracle", f.name, rate, frame, n)
+					}
+				}
+			}
+			if f.name == "clean" && certified == 0 {
+				t.Errorf("rate %s: no clean frame was certified", rate)
+			}
+		}
+	}
+}
+
 // TestDecodeSoftMatchesTrellis pins the clean-frame shortcut to the
 // trellis bit for bit: whatever inputs cleanPath certifies, the trellis
 // decodes to the same bits. The LLR families cover clean and noisy
@@ -455,10 +595,11 @@ func acsValue(r *rand.Rand) float64 {
 	return 10 * r.NormFloat64()
 }
 
-// TestACSStepMatchesGo holds acsKernel (the assembly step on amd64) to the
-// Go acsStep: the same new metric bits and the same survivor word, on
-// random states that mix every special value, and along chains of steps
-// that feed each step's metrics into the next.
+// TestACSStepMatchesGo holds acsKernel (the AVX2 step where the CPU has
+// it) to the Go acsStep: the same new metric bits and the same survivor
+// word, on random states that mix every special value, and along chains
+// of steps that feed each step's metrics into the next, ±Inf LLRs among
+// them.
 func TestACSStepMatchesGo(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	var mp, npGo, npKernel [numStates]float64
@@ -489,13 +630,26 @@ func TestACSStepMatchesGo(t *testing.T) {
 	// Chains run from the trellis's start state with trellis-shaped branch
 	// metrics, so the metrics reach the ties, overflows and NaNs that real
 	// LLR sequences produce.
-	for chain := 0; chain < 200; chain++ {
+	// The second half of the chains draws ±Inf for a third of the LLRs, as
+	// a saturated demapper would: their branch metrics are infinite or
+	// NaN (Inf−Inf), and so, within a few steps, are many path metrics.
+	infLLR := func(r *rand.Rand) float64 {
+		if r.Intn(3) == 0 {
+			return math.Inf(1 - 2*r.Intn(2))
+		}
+		return acsValue(r)
+	}
+	for chain := 0; chain < 400; chain++ {
+		llr := acsValue
+		if chain >= 200 {
+			llr = infLLR
+		}
 		mp[0] = 0
 		for s := 1; s < numStates; s++ {
 			mp[s] = unreachable
 		}
 		for step := 0; step < 100; step++ {
-			la, lb := acsValue(r), acsValue(r)
+			la, lb := llr(r), llr(r)
 			bm = [4]float64{-la - lb, -la + lb, la - lb, la + lb}
 			check(chain*100 + step)
 			mp = npGo
@@ -627,11 +781,17 @@ func scaled(llr []float64, k float64) []float64 {
 	return out
 }
 
-func BenchmarkEncodeRate12(b *testing.B) {
-	data := randBits(rand.New(rand.NewSource(1)), 12000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Encode(data, Rate12)
+// BenchmarkEncode1500ByteFrame encodes a 1500 B frame at each rate into
+// a presized buffer.
+func BenchmarkEncode1500ByteFrame(b *testing.B) {
+	data := randBits(rand.New(rand.NewSource(1)), 8*1500)
+	for i, rate := range allRates {
+		b.Run([]string{"rate12", "rate23", "rate34"}[i], func(b *testing.B) {
+			buf := make([]byte, 0, EncodedLen(len(data), rate))
+			for b.Loop() {
+				AppendEncode(buf[:0], data, rate)
+			}
+		})
 	}
 }
 
@@ -659,9 +819,10 @@ func BenchmarkViterbi1500ByteFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkTrellis1500ByteFrame decodes a noisy rate-3/4 1500 B frame,
-// which cleanPath cannot certify, so every iteration runs the trellis.
-func BenchmarkTrellis1500ByteFrame(b *testing.B) {
+// noisy1500ByteFrame returns the LLRs of a noisy rate-3/4 1500 B frame
+// and its bit count; cleanPath cannot certify it, so every decode runs
+// the trellis.
+func noisy1500ByteFrame(b *testing.B) ([]float64, int) {
 	r := rand.New(rand.NewSource(1))
 	n := 1500 * 8
 	llr := codewordLLRs(Encode(randBits(r, n), Rate34), func() float64 { return 1 })
@@ -671,11 +832,28 @@ func BenchmarkTrellis1500ByteFrame(b *testing.B) {
 	if shortcut(llr, n, Rate34) {
 		b.Fatal("the noisy frame takes the clean-frame shortcut")
 	}
+	return llr, n
+}
+
+// BenchmarkTrellis1500ByteFrame decodes a noisy 1500 B frame through the
+// trellis with acsKernel.
+func BenchmarkTrellis1500ByteFrame(b *testing.B) {
+	llr, n := noisy1500ByteFrame(b)
 	dst := make([]byte, n)
 	b.ReportAllocs()
 	for b.Loop() {
 		if err := DecodeSoftInto(dst, llr, Rate34); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTrellisGoStep1500ByteFrame is BenchmarkTrellis1500ByteFrame
+// with the Go acsStep, the step a CPU without AVX2 runs.
+func BenchmarkTrellisGoStep1500ByteFrame(b *testing.B) {
+	llr, n := noisy1500ByteFrame(b)
+	dst := make([]byte, n)
+	for b.Loop() {
+		trellisWith(dst, llr, Rate34, acsStep)
 	}
 }

@@ -29,7 +29,7 @@ var aliasRules = map[string]aliasRule{
 	"(*megamimo/internal/dsp.FFTPlan).Forward": elementwise2,
 	"(*megamimo/internal/dsp.FFTPlan).Inverse": elementwise2,
 
-	"megamimo/internal/dsp.ConvolveInto": {dst: []int{0}, src: []int{1, 2}, strict: true},
+	"megamimo/internal/dsp.ConvolveRotateAdd": {dst: []int{0}, src: []int{1, 2}, strict: true},
 }
 
 // AliasingAnalyzer flags in-place cmplxs/dsp kernel calls whose destination

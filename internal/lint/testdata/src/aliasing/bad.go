@@ -14,9 +14,9 @@ func shiftedOverlap(x, b []complex128) {
 	cmplxs.Rotate(x[1:], x, 0.1, 0.01)   // want "overlapping source"
 }
 
-// convolveAliased violates ConvolveInto's strict disjointness contract.
+// convolveAliased violates ConvolveRotateAdd's strict disjointness contract.
 func convolveAliased(x, h []complex128) {
-	dsp.ConvolveInto(x, x, h) // want "disjoint"
+	dsp.ConvolveRotateAdd(x, x, h, 0, 1, 1) // want "disjoint"
 }
 
 // fftShifted partially overlaps an FFT's dst and src windows.

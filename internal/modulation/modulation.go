@@ -65,49 +65,10 @@ var (
 	sqrt2  = math.Sqrt(2)
 )
 
-// pamGray maps b bits (MSB first) to a Gray-coded PAM level in
-// {-(2^b - 1), ..., -1, 1, ..., 2^b - 1} following the 802.11 tables.
-func pamGray(bits []byte) float64 {
-	switch len(bits) {
-	case 1:
-		return float64(2*int(bits[0]) - 1) // 0→-1, 1→+1
-	case 2:
-		// 802.11: 00→-3, 01→-1, 11→+1, 10→+3
-		switch bits[0]<<1 | bits[1] {
-		case 0b00:
-			return -3
-		case 0b01:
-			return -1
-		case 0b11:
-			return 1
-		default:
-			return 3
-		}
-	case 3:
-		// 802.11 64-QAM: 000→-7, 001→-5, 011→-3, 010→-1, 110→+1, 111→+3, 101→+5, 100→+7
-		switch bits[0]<<2 | bits[1]<<1 | bits[2] {
-		case 0b000:
-			return -7
-		case 0b001:
-			return -5
-		case 0b011:
-			return -3
-		case 0b010:
-			return -1
-		case 0b110:
-			return 1
-		case 0b111:
-			return 3
-		case 0b101:
-			return 5
-		default:
-			return 7
-		}
-	}
-	panic("modulation: bad PAM width")
-}
-
-// pamDeGray inverts pamGray by nearest-level slicing.
+// pamDeGray slices v to the nearest Gray-coded PAM level of the given
+// width (bits per axis) and returns that level's bit label, MSB first,
+// following the 802.11 tables: 0→-1, 1→+1; 00→-3, 01→-1, 11→+1, 10→+3;
+// 000→-7, 001→-5, 011→-3, 010→-1, 110→+1, 111→+3, 101→+5, 100→+7.
 func pamDeGray(v float64, width int) []byte {
 	switch width {
 	case 1:
@@ -155,25 +116,9 @@ func Map(s Scheme, bits []byte) ([]complex128, error) {
 	if !s.Valid() {
 		return nil, fmt.Errorf("modulation: unknown scheme %v", s)
 	}
-	bps := s.BitsPerSymbol()
-	if len(bits)%bps != 0 {
-		return nil, fmt.Errorf("modulation: %d bits not a multiple of %d", len(bits), bps)
-	}
-	out := make([]complex128, len(bits)/bps)
-	for i := range out {
-		chunk := bits[i*bps : (i+1)*bps]
-		switch s {
-		case BPSK:
-			out[i] = complex(pamGray(chunk[:1]), 0)
-		case QPSK:
-			out[i] = complex(pamGray(chunk[:1])/sqrt2, pamGray(chunk[1:])/sqrt2)
-		case QAM16:
-			out[i] = complex(pamGray(chunk[:2])/norm16, pamGray(chunk[2:])/norm16)
-		case QAM64:
-			out[i] = complex(pamGray(chunk[:3])/norm64, pamGray(chunk[3:])/norm64)
-		default:
-			return nil, fmt.Errorf("modulation: unknown scheme %v", s)
-		}
+	out := make([]complex128, len(bits)/s.BitsPerSymbol())
+	if err := MapInto(out, s, bits); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -253,8 +198,43 @@ func buildPamCandidates() (out [4][9][3][2][2]float64) {
 // pamLevel is the amplitude of the PAM level with index lv (ascending).
 func pamLevel(lv, width int) float64 { return float64(2*lv + 1 - 1<<width) }
 
+// points[s][label] is scheme s's constellation point for the bit label
+// (first bit most significant): each axis's PAM level over the scheme's
+// normalization, the in-phase axis from the label's first half.
+var points = buildPoints()
+
+func buildPoints() (out [4][]complex128) {
+	for s := BPSK; s <= QAM64; s++ {
+		width := (s.BitsPerSymbol() + 1) / 2 // bits per axis
+		level := make([]float64, 1<<width)   // PAM level by axis label
+		for lv := range level {
+			label := 0
+			for _, b := range grayBitsForLevel(lv, width) {
+				label = label<<1 | int(b)
+			}
+			level[label] = pamLevel(lv, width)
+		}
+		out[s] = make([]complex128, 1<<s.BitsPerSymbol())
+		for label := range out[s] {
+			i, q := level[label>>width], level[label&(1<<width-1)]
+			switch s {
+			case BPSK:
+				out[s][label] = complex(level[label], 0)
+			case QPSK:
+				out[s][label] = complex(i/sqrt2, q/sqrt2)
+			case QAM16:
+				out[s][label] = complex(i/norm16, q/norm16)
+			case QAM64:
+				out[s][label] = complex(i/norm64, q/norm64)
+			}
+		}
+	}
+	return out
+}
+
 // MapInto is Map with a caller-supplied destination of exactly
-// len(bits)/BitsPerSymbol symbols; it allocates nothing.
+// len(bits)/BitsPerSymbol symbols; it allocates nothing. Only the low bit
+// of each byte of bits counts.
 func MapInto(dst []complex128, s Scheme, bits []byte) error {
 	if !s.Valid() {
 		return fmt.Errorf("modulation: unknown scheme %v", s)
@@ -266,18 +246,13 @@ func MapInto(dst []complex128, s Scheme, bits []byte) error {
 	if len(dst) != len(bits)/bps {
 		return fmt.Errorf("modulation: destination holds %d symbols, want %d", len(dst), len(bits)/bps)
 	}
+	pts := points[s]
 	for i := range dst {
-		chunk := bits[i*bps : (i+1)*bps]
-		switch s {
-		case BPSK:
-			dst[i] = complex(pamGray(chunk[:1]), 0)
-		case QPSK:
-			dst[i] = complex(pamGray(chunk[:1])/sqrt2, pamGray(chunk[1:])/sqrt2)
-		case QAM16:
-			dst[i] = complex(pamGray(chunk[:2])/norm16, pamGray(chunk[2:])/norm16)
-		case QAM64:
-			dst[i] = complex(pamGray(chunk[:3])/norm64, pamGray(chunk[3:])/norm64)
+		label := 0
+		for _, b := range bits[i*bps : (i+1)*bps] {
+			label = label<<1 | int(b&1)
 		}
+		dst[i] = pts[label]
 	}
 	return nil
 }

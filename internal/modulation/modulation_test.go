@@ -426,3 +426,68 @@ func TestScalarDemapAllocFree(t *testing.T) {
 		t.Errorf("scalar demap path allocates %.1f times per run", n)
 	}
 }
+
+// pamGray maps b bits (MSB first) to a Gray-coded PAM level in
+// {-(2^b - 1), ..., -1, 1, ..., 2^b - 1} by the 802.11 tables. It and
+// perSymbolMap are the per-symbol mapper MapInto's table replaced, kept as
+// its oracle.
+func pamGray(bits []byte) float64 {
+	switch len(bits) {
+	case 1:
+		return float64(2*int(bits[0]) - 1) // 0→-1, 1→+1
+	case 2:
+		// 802.11: 00→-3, 01→-1, 11→+1, 10→+3
+		return [4]float64{-3, -1, 3, 1}[bits[0]<<1|bits[1]]
+	case 3:
+		// 802.11 64-QAM: 000→-7, 001→-5, 011→-3, 010→-1, 110→+1, 111→+3, 101→+5, 100→+7
+		return [8]float64{-7, -5, -1, -3, 7, 5, 1, 3}[bits[0]<<2|bits[1]<<1|bits[2]]
+	}
+	panic("modulation: bad PAM width")
+}
+
+// perSymbolMap maps one symbol's bits, MSB first.
+func perSymbolMap(s Scheme, chunk []byte) complex128 {
+	switch s {
+	case BPSK:
+		return complex(pamGray(chunk[:1]), 0)
+	case QPSK:
+		return complex(pamGray(chunk[:1])/sqrt2, pamGray(chunk[1:])/sqrt2)
+	case QAM16:
+		return complex(pamGray(chunk[:2])/norm16, pamGray(chunk[2:])/norm16)
+	case QAM64:
+		return complex(pamGray(chunk[:3])/norm64, pamGray(chunk[3:])/norm64)
+	}
+	panic("modulation: bad scheme")
+}
+
+// TestMapIntoMatchesPerSymbol maps every label of every scheme, once with
+// clean 0/1 bits and once with stray high bits set, and requires the
+// per-symbol mapper's points bit for bit.
+func TestMapIntoMatchesPerSymbol(t *testing.T) {
+	for s := BPSK; s <= QAM64; s++ {
+		bps := s.BitsPerSymbol()
+		var bits, stray []byte
+		var want []complex128
+		for label := 0; label < 1<<bps; label++ {
+			chunk := make([]byte, bps)
+			for b := range chunk {
+				chunk[b] = byte(label>>(bps-1-b)) & 1
+				stray = append(stray, chunk[b]|byte(label+b)<<1)
+			}
+			bits = append(bits, chunk...)
+			want = append(want, perSymbolMap(s, chunk))
+		}
+		for name, in := range map[string][]byte{"clean": bits, "stray high bits": stray} {
+			got := make([]complex128, len(want))
+			if err := MapInto(got, s, in); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("%v %s label %d: MapInto = %v, per-symbol mapper %v", s, name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

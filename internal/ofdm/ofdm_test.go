@@ -189,7 +189,7 @@ func TestDetectCleanPacketAtKnownOffset(t *testing.T) {
 
 func TestDetectRejectsNoise(t *testing.T) {
 	s := rng.New(4)
-	rx := s.ComplexNormalVec(make([]complex128, 2000), 1)
+	rx := s.AddComplexNormal(make([]complex128, 2000), 1)
 	if _, err := Detect(rx, 0.8); err == nil {
 		t.Fatal("detected a packet in pure noise")
 	}
@@ -382,7 +382,7 @@ func TestDetectMatchesArrayOracle(t *testing.T) {
 	var streams []stream
 	for i := 0; i < 60; i++ {
 		n := 300 + r.Intn(2000)
-		streams = append(streams, stream{"noise", noise.ComplexNormalVec(make([]complex128, n), 1)})
+		streams = append(streams, stream{"noise", noise.AddComplexNormal(make([]complex128, n), 1)})
 		off := r.Intn(1000)
 		cfo := units.RadPerSample(0.04 * (r.Float64() - 0.5))
 		nv := []float64{0, 1e-3, 0.1, 1}[r.Intn(4)]

@@ -256,11 +256,12 @@ func estimateNoiseFromLTF(rx []complex128, sync *ofdm.Sync) float64 {
 	if l1+2*ofdm.NFFT > len(rx) {
 		return 1e-6
 	}
+	// Derotate the CFO between the repetitions before differencing.
+	//lint:ignore units complex exponential takes the bare scalar at this derotation
+	derot := cmplx.Exp(complex(0, float64(units.PhaseAdvance(-sync.CFO, ofdm.NFFT))))
 	var acc float64
 	for i := 0; i < ofdm.NFFT; i++ {
-		// Derotate the CFO between the repetitions before differencing.
-		//lint:ignore units complex exponential takes the bare scalar at this derotation
-		d := rx[l1+i] - rx[l1+ofdm.NFFT+i]*cmplx.Exp(complex(0, float64(units.PhaseAdvance(-sync.CFO, ofdm.NFFT))))
+		d := rx[l1+i] - rx[l1+ofdm.NFFT+i]*derot
 		acc += real(d)*real(d) + imag(d)*imag(d)
 	}
 	nv := acc / (2 * ofdm.NFFT)

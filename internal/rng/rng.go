@@ -145,12 +145,14 @@ func (s *Source) ComplexNormal(variance float64) complex128 {
 	return complex(sd*s.r.NormFloat64(), sd*s.r.NormFloat64())
 }
 
-// ComplexNormalVec fills dst with iid circular complex Gaussians of the
-// given total variance and returns dst.
-func (s *Source) ComplexNormalVec(dst []complex128, variance float64) []complex128 {
+// AddComplexNormal adds an iid circular complex Gaussian of the given
+// total variance to every element of dst and returns dst. It leaves the
+// same values and the same stream position as adding ComplexNormal to
+// each element in turn, with the standard deviation taken once.
+func (s *Source) AddComplexNormal(dst []complex128, variance float64) []complex128 {
 	sd := math.Sqrt(variance / 2)
 	for i := range dst {
-		dst[i] = complex(sd*s.r.NormFloat64(), sd*s.r.NormFloat64())
+		dst[i] += complex(sd*s.r.NormFloat64(), sd*s.r.NormFloat64())
 	}
 	return dst
 }

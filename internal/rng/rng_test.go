@@ -70,9 +70,9 @@ func TestComplexNormalStats(t *testing.T) {
 	}
 }
 
-func TestComplexNormalVec(t *testing.T) {
+func TestAddComplexNormal(t *testing.T) {
 	s := New(2)
-	v := s.ComplexNormalVec(make([]complex128, 50000), 1.0)
+	v := s.AddComplexNormal(make([]complex128, 50000), 1.0)
 	var p float64
 	for _, x := range v {
 		p += real(x)*real(x) + imag(x)*imag(x)
@@ -237,6 +237,37 @@ func TestSplitIntoMatchesSplit(t *testing.T) {
 		}
 		if w, g := want.Split(3).Float64(), got.Split(3).Float64(); w != g {
 			t.Fatalf("id %#x: grandchild draws %v, Split's draws %v", id, g, w)
+		}
+	}
+}
+
+// TestAddComplexNormalMatchesPerSample holds AddComplexNormal to a loop
+// adding ComplexNormal to each element: the same bits in every element,
+// from a dst with signed zeros and infinities in it, and the same next
+// draw after it.
+func TestAddComplexNormalMatchesPerSample(t *testing.T) {
+	base := []complex128{0, complex(math.Copysign(0, -1), 1), complex(math.Inf(1), -2), 3.5 - 1i}
+	for _, variance := range []float64{0, 1e-9, 0.5, 2, 1e6} {
+		for n := 0; n <= 40; n++ {
+			want, got := make([]complex128, n), make([]complex128, n)
+			for i := range want {
+				want[i] = base[i%len(base)]
+				got[i] = want[i]
+			}
+			ref, s := New(int64(n)), New(int64(n))
+			for i := range want {
+				want[i] += ref.ComplexNormal(variance)
+			}
+			s.AddComplexNormal(got, variance)
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("variance %v n=%d: element %d is %v, the per-sample loop gives %v", variance, n, i, got[i], want[i])
+				}
+			}
+			if a, b := s.Float64(), ref.Float64(); a != b {
+				t.Fatalf("variance %v n=%d: next draw %v, after the per-sample loop %v", variance, n, a, b)
+			}
 		}
 	}
 }

@@ -106,3 +106,44 @@ func TestQuickSelfInverseAnySeed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// perBitApply is the bit-serial scrambler Apply's table replaced, kept as
+// its oracle: it scrambles bits in place from state and returns the state
+// it ends in.
+func perBitApply(state byte, bits []byte) byte {
+	for i := range bits {
+		b := ((state >> 6) ^ (state >> 3)) & 1
+		state = ((state << 1) | b) & 0x7f
+		bits[i] = (bits[i] & 1) ^ b
+	}
+	return state
+}
+
+// TestApplyMatchesPerBit holds Apply to the bit-serial LFSR from every
+// non-zero state over every length up to a little past two periods, on
+// bytes with stray high bits: the same output and the same final state.
+func TestApplyMatchesPerBit(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for state := byte(1); state < 128; state++ {
+		for n := 0; n <= 2*period+20; n++ {
+			data := make([]byte, n)
+			r.Read(data)
+			want := append([]byte(nil), data...)
+			wantState := perBitApply(state, want)
+			s := New(state)
+			if got := s.Apply(data); string(got) != string(want) {
+				t.Fatalf("state %#x n=%d: Apply differs from the per-bit LFSR", state, n)
+			}
+			if s.state != wantState {
+				t.Fatalf("state %#x n=%d: Apply ends in state %#x, the per-bit LFSR in %#x", state, n, s.state, wantState)
+			}
+		}
+	}
+}
+
+func BenchmarkApply1500Bytes(b *testing.B) {
+	bits := make([]byte, 8*1500)
+	for b.Loop() {
+		New(0x5d).Apply(bits)
+	}
+}
