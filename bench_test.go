@@ -10,7 +10,6 @@ package megamimo
 
 import (
 	"math"
-	"megamimo/internal/units"
 	"runtime"
 	"testing"
 
@@ -18,6 +17,7 @@ import (
 	"megamimo/internal/experiment"
 	"megamimo/internal/phy"
 	"megamimo/internal/stats"
+	"megamimo/internal/units"
 )
 
 // BenchmarkFig6Misalignment regenerates the SNR-reduction-vs-misalignment
@@ -167,128 +167,6 @@ func BenchmarkFig13Dot11nFairness(b *testing.B) {
 	b.ReportMetric(median, "median-gain-x")
 }
 
-// BenchmarkAblationPredictVsMeasure contrasts the paper's direct
-// per-packet phase measurement against frequency-offset extrapolation
-// (§1's motivating example): the INR at a nulled client after ~50 ms of
-// extrapolation versus with the real protocol.
-func BenchmarkAblationPredictVsMeasure(b *testing.B) {
-	b.ReportAllocs()
-	run := func(extrapolate bool, seed int64) float64 {
-		cfg := core.DefaultConfig(3, 3, 18, 24)
-		cfg.Seed = seed
-		cfg.WellConditioned = true
-		cfg.ExtrapolatePhase = extrapolate
-		n, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := n.Measure(); err != nil {
-			b.Fatal(err)
-		}
-		p, err := core.ComputeZF(n.Msmt, cfg.NoiseVar)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n.SetPrecoder(p)
-		// Let 50 ms pass (500k samples at 10 MHz) before transmitting —
-		// well inside the channel coherence time, far beyond what offset
-		// extrapolation tolerates.
-		n.AdvanceTime(500000)
-		inr, err := n.NullingINR(0, 700, phy.MCS0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return 10 * math.Log10(inr)
-	}
-	var measured, extrapolated float64
-	for i := 0; i < b.N; i++ {
-		measured = run(false, int64(i)+23)
-		extrapolated = run(true, int64(i)+23)
-	}
-	b.ReportMetric(measured, "INR-dB-measured")
-	b.ReportMetric(extrapolated, "INR-dB-extrapolated")
-}
-
-// BenchmarkAblationZFRegularization contrasts pure zero-forcing with the
-// MMSE-regularized inverse on the simulated channel ensemble (DESIGN.md
-// §4: the regularizer recovers the conditioning the paper's physical
-// channels had).
-func BenchmarkAblationZFRegularization(b *testing.B) {
-	b.ReportAllocs()
-	run := func(lambda float64, seed int64) float64 {
-		cfg := core.DefaultConfig(6, 6, 18, 24)
-		cfg.Seed = seed
-		n, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := n.Measure(); err != nil {
-			b.Fatal(err)
-		}
-		p, err := core.ComputeZF(n.Msmt, lambda)
-		if err != nil {
-			return 0
-		}
-		n.SetPrecoder(p)
-		mcs, ok, err := n.ProbeAndSelectRate(256)
-		if err != nil || !ok {
-			return 0
-		}
-		payloads := make([][]byte, 6)
-		for j := range payloads {
-			payloads[j] = make([]byte, 1500)
-		}
-		res, err := n.JointTransmit(payloads, mcs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.GoodputBits() / units.Duration(units.Ticks(res.AirtimeSamples), cfg.SampleRate) / 1e6
-	}
-	var pure, mmse float64
-	for i := 0; i < b.N; i++ {
-		pure = run(0, int64(i)+29)
-		mmse = run(1e-3*6, int64(i)+29)
-	}
-	b.ReportMetric(pure, "Mbps-pureZF")
-	b.ReportMetric(mmse, "Mbps-MMSE")
-}
-
-// BenchmarkAblationMeasurementRounds contrasts 2 vs 8 interleaved
-// measurement rounds (§5.1's noise averaging) via the nulling INR.
-func BenchmarkAblationMeasurementRounds(b *testing.B) {
-	b.ReportAllocs()
-	run := func(rounds int, seed int64) float64 {
-		cfg := core.DefaultConfig(4, 4, 18, 24)
-		cfg.Seed = seed
-		cfg.WellConditioned = true
-		cfg.MeasurementRounds = rounds
-		n, err := core.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := n.Measure(); err != nil {
-			b.Fatal(err)
-		}
-		p, err := core.ComputeZF(n.Msmt, cfg.NoiseVar)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n.SetPrecoder(p)
-		inr, err := n.NullingINR(0, 700, phy.MCS0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return 10 * math.Log10(inr)
-	}
-	var r2, r8 float64
-	for i := 0; i < b.N; i++ {
-		r2 = run(2, int64(i)+31)
-		r8 = run(8, int64(i)+31)
-	}
-	b.ReportMetric(r2, "INR-dB-2rounds")
-	b.ReportMetric(r8, "INR-dB-8rounds")
-}
-
 // BenchmarkJointTransmit4x4 is a plain performance benchmark of the whole
 // signal path (measurement excluded): four streams, 1500-byte frames.
 func BenchmarkJointTransmit4x4(b *testing.B) {
@@ -301,11 +179,9 @@ func BenchmarkJointTransmit4x4(b *testing.B) {
 	if err := n.Measure(); err != nil {
 		b.Fatal(err)
 	}
-	p, err := core.ComputeZF(n.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := n.Precode(cfg.NoiseVar); err != nil {
 		b.Fatal(err)
 	}
-	n.SetPrecoder(p)
 	payloads := make([][]byte, 4)
 	for j := range payloads {
 		payloads[j] = make([]byte, 1500)
@@ -332,11 +208,9 @@ func precodedNetwork(t *testing.T, aps int) *core.Network {
 	if err := n.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.ComputeZF(n.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := n.Precode(cfg.NoiseVar); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPrecoder(p)
 	return n
 }
 

@@ -79,6 +79,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: megamimo-bench [flags] "+strings.Join(figures, "|"))
 		os.Exit(2)
 	}
+	// The trace flags only reach the workload and chaos sweeps, and one
+	// file cannot hold both: "all" would truncate the first with the second.
+	traceFmtSet := false
+	flag.Visit(func(f *flag.Flag) { traceFmtSet = traceFmtSet || f.Name == "trace-format" })
+	switch {
+	case *traceOut != "" && which != "workload" && which != "chaos":
+		fmt.Fprintf(os.Stderr, "megamimo-bench: -trace-out applies only to workload or chaos, not %s\n", which)
+		os.Exit(2)
+	case traceFmtSet && *traceOut == "":
+		fmt.Fprintln(os.Stderr, "megamimo-bench: -trace-format does nothing without -trace-out")
+		os.Exit(2)
+	}
 	// The user's values are checked before -quick overrides them.
 	for _, c := range []struct {
 		flag     string

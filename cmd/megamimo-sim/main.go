@@ -215,11 +215,10 @@ func main() {
 	fmt.Printf("measurement: H is %d×%d on %d subcarriers (reference t=%d)\n",
 		net.Msmt.H[0].Rows, net.Msmt.H[0].Cols, len(net.Msmt.Bins), net.Msmt.RefMid)
 
-	p, err := core.ComputeZF(net.Msmt, cfg.NoiseVar)
+	p, err := net.Precode(cfg.NoiseVar)
 	if err != nil {
 		fatal(err)
 	}
-	net.SetPrecoder(p)
 	fmt.Printf("precoder: zero-forcing, power scale k=%.3f (per-client signal %.1f dB over noise)\n",
 		p.PowerScale, dB(p.PowerScale*p.PowerScale/cfg.NoiseVar))
 

@@ -77,6 +77,8 @@ func main() {
 		}
 		os.Exit(follow(path, budget, *poll, *idleExit))
 	}
+	// Every flag paces follow: refuse one the other commands would ignore.
+	flag.Visit(func(f *flag.Flag) { fatal(fmt.Errorf("-%s applies only to follow, not %s", f.Name, cmd)) })
 	if cmd == "bisect" {
 		os.Exit(bisect(path, flag.Arg(2), budget))
 	}

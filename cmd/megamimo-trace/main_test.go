@@ -169,6 +169,10 @@ func TestGateDrills(t *testing.T) {
 			exit: 2, want: []string{"-poll"}},
 		{name: "follow-zero-idle-exit", sim: cleanArgs, trace: []string{"-idle-exit", "0", "follow", "@clean.jsonl"},
 			exit: 2, want: []string{"-idle-exit"}},
+		{name: "summary-follow-flags", sim: cleanArgs, trace: []string{"-poll", "0", "-idle-exit", "0", "summary", "@clean.jsonl"},
+			exit: 2, want: []string{"-idle-exit applies only to follow"}},
+		{name: "anomalies-poll", sim: cleanArgs, trace: []string{"-poll", "10ms", "anomalies", "@clean.jsonl"},
+			exit: 2, want: []string{"-poll applies only to follow"}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			if row.setup != nil {

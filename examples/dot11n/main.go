@@ -30,11 +30,9 @@ func main() {
 	if err := net.MeasureDot11n(); err != nil {
 		log.Fatal(err)
 	}
-	p, err := megamimo.ComputeZF(net.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := net.Precode(cfg.NoiseVar); err != nil {
 		log.Fatal(err)
 	}
-	net.SetPrecoder(p)
 
 	mcs, ok, err := net.ProbeAndSelectRate(256)
 	if err != nil || !ok {

@@ -25,11 +25,9 @@ func main() {
 	if err := net.Measure(); err != nil {
 		log.Fatal(err)
 	}
-	p, err := megamimo.ComputeZF(net.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := net.Precode(cfg.NoiseVar); err != nil {
 		log.Fatal(err)
 	}
-	net.SetPrecoder(p)
 	mcs, ok, err := net.ProbeAndSelectRate(300)
 	if err != nil || !ok {
 		log.Fatalf("rate adaptation failed: %v", err)
@@ -53,11 +51,9 @@ func main() {
 			if err := net.Measure(); err != nil {
 				log.Fatal(err)
 			}
-			p, err := megamimo.ComputeZF(net.Msmt, cfg.NoiseVar)
-			if err != nil {
+			if _, err := net.Precode(cfg.NoiseVar); err != nil {
 				log.Fatal(err)
 			}
-			net.SetPrecoder(p)
 			if mcs, ok, err = net.ProbeAndSelectRate(300); err != nil || !ok {
 				log.Fatalf("re-adaptation failed: %v", err)
 			}

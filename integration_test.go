@@ -1,6 +1,9 @@
 package megamimo_test
 
 import (
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"testing"
 
 	"megamimo"
@@ -28,11 +31,9 @@ func TestFullStackLifecycle(t *testing.T) {
 	if err := net.MeasureDecoupled([][]int{{0, 1}, {2}}, 200000); err != nil {
 		t.Fatal(err)
 	}
-	p, err := megamimo.ComputeZF(net.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := net.Precode(cfg.NoiseVar); err != nil {
 		t.Fatal(err)
 	}
-	net.SetPrecoder(p)
 
 	// Phase 2: drain a queue through the MAC with per-packet lead
 	// nomination and async ACKs.
@@ -55,11 +56,9 @@ func TestFullStackLifecycle(t *testing.T) {
 	if err := net.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := megamimo.ComputeZF(net.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := net.Precode(cfg.NoiseVar); err != nil {
 		t.Fatal(err)
 	}
-	net.SetPrecoder(p2)
 	mcs, ok, err := net.ProbeAndSelectRate(300)
 	if err != nil || !ok {
 		t.Fatalf("re-adaptation: %v %v", ok, err)
@@ -85,5 +84,34 @@ func TestFullStackLifecycle(t *testing.T) {
 	}
 	if !dres.OK[0] {
 		t.Fatal("diversity transmission failed after the full lifecycle")
+	}
+}
+
+// TestExamplesRun builds the programs under examples/ and runs each one,
+// requiring exit 0 and the line that shows it did its job.
+func TestExamplesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs every example")
+	}
+	dir := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", dir, "megamimo/examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, c := range []struct{ name, want string }{
+		{"quickstart", `(?m)^client 1: delivered `},
+		{"conference", `(?m)^ +8 +[0-9.]+ +[0-9.]+ +[0-9.]+x$`},
+		{"dot11n", `(?m)^client 1 stream 1: delivered=true$`},
+		{"mobility", `(?m)^ +-- re-measured, re-adapted to .* --$`},
+		{"deadspot", `(?m)^8 APs: .* delivered `},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(dir, c.name)).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+			if !regexp.MustCompile(c.want).Match(out) {
+				t.Errorf("output lacks a line matching %s:\n%s", c.want, out)
+			}
+		})
 	}
 }

@@ -83,10 +83,7 @@ func TestMeasureDecoupledValidation(t *testing.T) {
 	}
 }
 
-func TestComputeZFValidation(t *testing.T) {
-	if _, err := ComputeZF(nil, 0); err == nil {
-		t.Fatal("nil measurement accepted")
-	}
+func TestPrecodeValidation(t *testing.T) {
 	// More streams than antennas cannot be zero-forced.
 	cfg := DefaultConfig(1, 2, 18, 24)
 	cfg.Seed = 155
@@ -94,10 +91,13 @@ func TestComputeZFValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := n.Precode(0); err == nil {
+		t.Fatal("precode before any measurement accepted")
+	}
 	if err := n.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ComputeZF(n.Msmt, 0); err == nil {
+	if _, err := n.Precode(0); err == nil {
 		t.Fatal("overloaded spatial dimensions accepted")
 	}
 }

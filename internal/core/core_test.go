@@ -291,7 +291,7 @@ func TestZFPrecoderDiagonalizesMeasuredChannel(t *testing.T) {
 	if err := n.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ComputeZF(n.Msmt, 0)
+	p, err := n.Precode(0)
 	if err != nil {
 		t.Fatal(err)
 	}

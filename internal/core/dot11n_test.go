@@ -65,11 +65,9 @@ func TestDot11nJointTransmitFourStreams(t *testing.T) {
 	if err := n.MeasureDot11n(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ComputeZF(n.Msmt, 0)
-	if err != nil {
+	if _, err := n.Precode(0); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPrecoder(p)
 	mcs, ok, err := n.ProbeAndSelectRate(300)
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +132,9 @@ func TestDot11nCSIQuantizationTolerated(t *testing.T) {
 			copy(row, csi.Quantize(row, 8))
 		}
 	}
-	p, err := ComputeZF(n.Msmt, 0)
-	if err != nil {
+	if _, err := n.Precode(0); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPrecoder(p)
 	src := rng.New(43)
 	payloads := make([][]byte, 4)
 	for j := range payloads {

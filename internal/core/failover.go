@@ -140,9 +140,6 @@ func (n *Network) weightsForMask(mask uint64) (*maskedWeights, error) {
 	if n.Msmt == nil {
 		return nil, fmt.Errorf("core: no measurement to rebuild a degraded precoder from")
 	}
-	if n.zf == nil {
-		n.zf = NewZFCache()
-	}
 	if e := n.zf.entries[mask]; e != nil && e.src == n.Msmt && e.mw != nil {
 		return e.mw, nil
 	}

@@ -20,11 +20,9 @@ func TestCSIQuantizationKnob(t *testing.T) {
 	if err := n.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ComputeZF(n.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := n.Precode(cfg.NoiseVar); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPrecoder(p)
 	mcs, ok, err := n.ProbeAndSelectRate(300)
 	if err != nil || !ok {
 		t.Fatalf("rate: %v %v", ok, err)

@@ -24,11 +24,9 @@ func TestLeadHandoverKeepsBeamforming(t *testing.T) {
 	if err := n.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ComputeZF(n.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := n.Precode(cfg.NoiseVar); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPrecoder(p)
 	mcs, ok, err := n.ProbeAndSelectRate(300)
 	if err != nil || !ok {
 		t.Fatalf("rate: %v %v", ok, err)
@@ -71,11 +69,9 @@ func TestLeadHandoverNullsHold(t *testing.T) {
 	if err := n.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ComputeZF(n.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := n.Precode(cfg.NoiseVar); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPrecoder(p)
 	inr0, err := n.NullingINR(0, 400, phy.MCS0)
 	if err != nil {
 		t.Fatal(err)

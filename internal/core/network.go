@@ -300,6 +300,7 @@ func New(cfg Config) (*Network, error) {
 		estBuf: make([]complex128, symLen),
 		freqs:  [2][]complex128{make([]complex128, ofdm.NFFT), make([]complex128, ofdm.NFFT)},
 		evolve: rng.New(0),
+		zf:     NewZFCache(),
 	}
 	n.sync = psync.Header()
 	n.initMetrics()

@@ -26,32 +26,6 @@ type Precoder struct {
 	Streams, TxAnts int
 }
 
-// ComputeZF builds the zero-forcing precoder W = k·H⁻¹ (pseudo-inverse
-// when H is not square) from a channel measurement. lambda regularizes the
-// inverse (0 = pure ZF; the stream noise variance yields an MMSE-flavored
-// precoder useful at low SNR).
-func ComputeZF(m *Measurement, lambda float64) (*Precoder, error) {
-	if m == nil || len(m.H) == 0 {
-		return nil, fmt.Errorf("core: no measurement to precode from")
-	}
-	streams, txAnts := m.H[0].Rows, m.H[0].Cols
-	if txAnts < streams {
-		return nil, fmt.Errorf("core: %d tx antennas cannot serve %d streams", txAnts, streams)
-	}
-	p := &Precoder{Bins: m.Bins, W: make([]*matrix.M, len(m.H)), Streams: streams, TxAnts: txAnts}
-	for i, h := range m.H {
-		w, err := h.PseudoInverse(lambda)
-		if err != nil {
-			return nil, fmt.Errorf("core: bin %d: %w", m.Bins[i], err)
-		}
-		p.W[i] = w
-	}
-	if err := p.normalizePower(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // normalizePower applies the per-antenna power constraint: it sets
 // PowerScale so the antenna with the highest average power across bins
 // transmits at unit power, and scales every W by it.

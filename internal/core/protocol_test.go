@@ -111,11 +111,9 @@ func TestDecoupledMeasurementStillBeamforms(t *testing.T) {
 	if err := n.MeasureDecoupled([][]int{{0}, {1}}, 300000); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ComputeZF(n.Msmt, 0)
-	if err != nil {
+	if _, err := n.Precode(0); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPrecoder(p)
 	src := rng.New(7)
 	payloads := [][]byte{src.Bytes(make([]byte, 600)), src.Bytes(make([]byte, 600))}
 	delivered := 0
@@ -148,11 +146,9 @@ func TestDecoupledMatchesJointMeasurementQuality(t *testing.T) {
 	if err := dec.MeasureDecoupled([][]int{{0, 1}, {2}}, 100000); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ComputeZF(dec.Msmt, 0)
-	if err != nil {
+	if _, err := dec.Precode(0); err != nil {
 		t.Fatal(err)
 	}
-	dec.SetPrecoder(p)
 	inrD, err := dec.NullingINR(0, 400, phy.MCS2)
 	if err != nil {
 		t.Fatal(err)

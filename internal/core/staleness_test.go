@@ -22,11 +22,9 @@ func TestStaleChannelOnlyHurtsItsOwnClient(t *testing.T) {
 	if err := n.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ComputeZF(n.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := n.Precode(cfg.NoiseVar); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPrecoder(p)
 	mcs, ok, err := n.ProbeAndSelectRate(300)
 	if err != nil || !ok {
 		t.Fatalf("rate: %v %v", ok, err)
@@ -89,11 +87,9 @@ func TestRemeasureRestoresStaleClient(t *testing.T) {
 	if err := n.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := ComputeZF(n.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := n.Precode(cfg.NoiseVar); err != nil {
 		t.Fatal(err)
 	}
-	n.SetPrecoder(p)
 	mcs, ok, err := n.ProbeAndSelectRate(300)
 	if err != nil || !ok {
 		t.Fatalf("rate: %v %v", ok, err)

@@ -45,11 +45,11 @@ func (r *TxResult) GoodputBits() float64 {
 	return bits
 }
 
-// SetPrecoder distributes precoder rows to every AP over the backbone
+// setPrecoder distributes precoder rows to every AP over the backbone
 // (logical distribution — the lead computes W and each AP keeps its rows).
 // An AP whose columns already have the precoder's shape has them cleared
 // and refilled in place.
-func (n *Network) SetPrecoder(p *Precoder) {
+func (n *Network) setPrecoder(p *Precoder) {
 	aa := n.Cfg.AntennasPerAP
 	for _, ap := range n.APs {
 		if len(ap.weights) != aa || len(ap.weights[0]) != p.Streams {
@@ -375,7 +375,7 @@ func (n *Network) postJointFrames(tx *phy.TX, frames []*phy.FrameSymbols) (t1, t
 // one stream's receiver (§8): each antenna weights the signal by h*/|h|
 // per subcarrier, so the received amplitudes add — an N² SNR gain that
 // rescues clients no single AP can reach. It installs the diversity
-// precoder, so call SetPrecoder (or MeasureAndPrecode) before returning to
+// precoder, so call Precode (or MeasureAndPrecode) before returning to
 // multiplexed transmission.
 func (n *Network) DiversityTransmit(stream int, payload []byte, mcs phy.MCS) (*TxResult, error) {
 	if n.Msmt == nil {
@@ -385,7 +385,7 @@ func (n *Network) DiversityTransmit(stream int, payload []byte, mcs phy.MCS) (*T
 	if err != nil {
 		return nil, err
 	}
-	n.SetPrecoder(p)
+	n.setPrecoder(p)
 	tx := n.tx
 	f := new(phy.FrameSymbols)
 	defer f.Release()

@@ -8,10 +8,10 @@ import (
 	"megamimo/internal/matrix"
 )
 
-// This file makes zero-forcing incremental. ComputeZF re-inverts every
-// occupied bin from scratch; between consecutive measurements of the same
-// network the channel rows drift by small deltas (oscillator phase, slow
-// fading), so the Gram inverse of the previous round is one or two rank-1
+// This file holds the one zero-forcing implementation, and makes it
+// incremental. Between consecutive measurements of the same network the
+// channel rows drift by small deltas (oscillator phase, slow fading), so
+// the Gram inverse of the previous round is one or two rank-1
 // Sherman–Morrison updates away from the new one. A ZFCache keeps the
 // per-bin inverses — for the full array and for every degraded
 // participation mask — and updates them in place, falling back to a full
@@ -59,9 +59,8 @@ type zfEntry struct {
 }
 
 // ZFCache holds incremental zero-forcing state for one network: one entry
-// per participation mask (zfFullMask for the whole array), unifying the
-// steady-state precoder path with the N−1 degraded-round rebuilds that
-// previously kept their own per-measurement cache. It also owns the
+// per participation mask (zfFullMask for the whole array), serving both the
+// steady-state precoder and the N−1 degraded-round rebuilds. It also owns the
 // scratch every refresh reuses: the Gram matrix, the inverse and
 // elimination workspaces of a full inversion, and the Sherman–Morrison
 // working copies and row vectors.
@@ -83,8 +82,8 @@ func NewZFCache() *ZFCache {
 
 // Compute returns the zero-forcing precoder for m, reusing the cached
 // per-bin Gram inverses when the channel moved only slightly since the
-// previous call. The result matches ComputeZF(m, lambda) to floating-point
-// accuracy (the property tests bound the difference at 1e-9).
+// previous call. The result matches a full re-inversion of every bin to
+// floating-point accuracy (the property tests bound the difference at 1e-9).
 func (c *ZFCache) Compute(m *Measurement, lambda float64) (*Precoder, error) {
 	e, err := c.entry(zfFullMask, m, lambda)
 	if err != nil {
@@ -93,21 +92,19 @@ func (c *ZFCache) Compute(m *Measurement, lambda float64) (*Precoder, error) {
 	return e.pre, nil
 }
 
-// Precode computes the zero-forcing precoder for the current measurement
-// through the network's incremental cache and installs it on every AP. It
-// is the cached equivalent of ComputeZF + SetPrecoder: the first call (and
-// any call after a large channel change) pays the full per-bin inversions,
-// while steady-state re-measurements cost two rank-1 updates per changed
-// channel row.
+// Precode computes the zero-forcing precoder W = k·H⁻¹ (pseudo-inverse when
+// H is not square) for the current measurement through the network's
+// incremental cache and installs it on every AP. lambda regularizes the
+// inverse: 0 is pure ZF, the stream noise variance gives an MMSE-flavored
+// precoder useful at low SNR. The first call (and any call after a large
+// channel change) pays the full per-bin inversions, while steady-state
+// re-measurements cost two rank-1 updates per changed channel row.
 func (n *Network) Precode(lambda float64) (*Precoder, error) {
-	if n.zf == nil {
-		n.zf = NewZFCache()
-	}
 	p, err := n.zf.Compute(n.Msmt, lambda)
 	if err != nil {
 		return nil, err
 	}
-	n.SetPrecoder(p)
+	n.setPrecoder(p)
 	return p, nil
 }
 
@@ -312,10 +309,10 @@ func (c *ZFCache) shermanMorrison(gi, hOld, hNew *matrix.M, updates *int) bool {
 	return true
 }
 
-// precoderFromInverses assembles W = k·Hᴴ·(H·Hᴴ+λI)⁻¹ per bin with the
-// same per-antenna power normalization as ComputeZF. (For any λ this right
-// form equals ComputeZF's left form (HᴴH+λI)⁻¹Hᴴ mathematically; only
-// floating-point rounding differs.)
+// precoderFromInverses assembles W = k·Hᴴ·(H·Hᴴ+λI)⁻¹ per bin and applies
+// the per-antenna power normalization. (For any λ this right form equals
+// the left form (HᴴH+λI)⁻¹Hᴴ mathematically; only floating-point rounding
+// differs.)
 func precoderFromInverses(m *Measurement, gi []*matrix.M) (*Precoder, error) {
 	streams, txAnts := m.H[0].Rows, m.H[0].Cols
 	p := &Precoder{Bins: m.Bins, W: make([]*matrix.M, len(m.H)), Streams: streams, TxAnts: txAnts}

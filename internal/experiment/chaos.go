@@ -57,7 +57,7 @@ type chaosCell struct {
 // cell. At 4 APs it offers 24 Mb/s against about 92 Mb/s of high-bin
 // MegaMIMO capacity (Fig. 9), so MegaMIMO's column reports the offered
 // load less what the faults drop, not its capacity. The 802.11 baseline
-// saturates at this load and delivers about 0.8 of it (ROADMAP item 4).
+// saturates at this load and delivers about 0.8 of it (see ROADMAP).
 const chaosLoadMbpsPerClient = 6.0
 
 // RunChaos sweeps fault intensity and reports how each system degrades.

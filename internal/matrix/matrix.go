@@ -226,36 +226,6 @@ func (m *M) InverseInto(inv, scratch *M) error {
 	return nil
 }
 
-// PseudoInverse returns the regularized right/left pseudo-inverse of m.
-// For a square well-conditioned matrix with lambda = 0 it equals Inverse.
-// lambda is the Tikhonov regularizer added to the Gram matrix diagonal;
-// a beamformer uses the noise power here to get an MMSE precoder.
-func (m *M) PseudoInverse(lambda float64) (*M, error) {
-	h := m.H()
-	if m.Rows >= m.Cols {
-		// Left pseudo-inverse: (AᴴA + λI)⁻¹ Aᴴ.
-		gram := h.Mul(m)
-		for i := 0; i < gram.Rows; i++ {
-			gram.Set(i, i, gram.At(i, i)+complex(lambda, 0))
-		}
-		gi, err := gram.Inverse()
-		if err != nil {
-			return nil, err
-		}
-		return gi.Mul(h), nil
-	}
-	// Right pseudo-inverse: Aᴴ (AAᴴ + λI)⁻¹.
-	gram := m.Mul(h)
-	for i := 0; i < gram.Rows; i++ {
-		gram.Set(i, i, gram.At(i, i)+complex(lambda, 0))
-	}
-	gi, err := gram.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	return h.Mul(gi), nil
-}
-
 // String renders the matrix for debugging.
 func (m *M) String() string {
 	var b strings.Builder

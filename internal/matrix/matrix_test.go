@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"errors"
-	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -15,14 +14,6 @@ func randomMatrix(r *rand.Rand, n int) *M {
 		m.Data[i] = complex(r.NormFloat64(), r.NormFloat64())
 	}
 	return m
-}
-
-func frobenius(m *M) float64 {
-	var acc float64
-	for _, v := range m.Data {
-		acc += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(acc)
 }
 
 func TestIdentityMul(t *testing.T) {
@@ -118,70 +109,6 @@ func TestHermitian(t *testing.T) {
 	}
 	if !a.H().H().Equalish(a, 0) {
 		t.Fatal("Hᴴ != A")
-	}
-}
-
-func TestPseudoInverseSquareMatchesInverse(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	a := randomMatrix(r, 6)
-	pinv, err := a.PseudoInverse(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv, err := a.Inverse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pinv.Equalish(inv, 1e-6) {
-		t.Fatal("pinv(A) != inv(A) for square A")
-	}
-}
-
-func TestPseudoInverseTall(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	a := New(6, 3)
-	for i := range a.Data {
-		a.Data[i] = complex(r.NormFloat64(), r.NormFloat64())
-	}
-	pinv, err := a.PseudoInverse(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Left inverse: pinv(A)·A = I (3x3).
-	if !pinv.Mul(a).Equalish(Identity(3), 1e-8) {
-		t.Fatalf("pinv·A != I:\n%v", pinv.Mul(a))
-	}
-}
-
-func TestPseudoInverseWide(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	a := New(3, 6)
-	for i := range a.Data {
-		a.Data[i] = complex(r.NormFloat64(), r.NormFloat64())
-	}
-	pinv, err := a.PseudoInverse(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Right inverse: A·pinv(A) = I (3x3).
-	if !a.Mul(pinv).Equalish(Identity(3), 1e-8) {
-		t.Fatalf("A·pinv != I:\n%v", a.Mul(pinv))
-	}
-}
-
-func TestPseudoInverseRegularizationShrinks(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	a := randomMatrix(r, 4)
-	p0, err := a.PseudoInverse(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := a.PseudoInverse(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frobenius(p1) >= frobenius(p0) {
-		t.Fatalf("regularized norm %v >= unregularized %v", frobenius(p1), frobenius(p0))
 	}
 }
 

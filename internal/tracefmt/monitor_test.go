@@ -27,11 +27,9 @@ func fixtureTrace(t *testing.T, driftPPM float64) (Meta, []core.TraceEvent) {
 	if err := net.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.ComputeZF(net.Msmt, cfg.NoiseVar)
-	if err != nil {
+	if _, err := net.Precode(cfg.NoiseVar); err != nil {
 		t.Fatal(err)
 	}
-	net.SetPrecoder(p)
 	// Rate-probe joint transmissions first (the sim's batch path): they
 	// emit sync-header/slave-ratio/decode telemetry before any traffic.
 	for i := 0; i < 12; i++ {

@@ -11,8 +11,9 @@
 //     medium. Measure runs the channel-measurement phase; JointTransmit
 //     delivers one packet per client concurrently; DiversityTransmit
 //     coherently combines every AP toward one client.
-//   - Rate control: ComputeZF builds the zero-forcing precoder and
-//     ProbeAndSelectRate mirrors the paper's effective-SNR link adaptation.
+//   - Rate control: Precode builds and installs the zero-forcing precoder
+//     and ProbeAndSelectRate mirrors the paper's effective-SNR link
+//     adaptation.
 //   - Experiments: RunFig6 … Fig13From regenerate every figure of the
 //     paper's evaluation section.
 //
@@ -70,12 +71,6 @@ func DefaultConfig(nAPs, nClients int, snrLo, snrHi units.Decibels) Config {
 
 // NewNetwork builds the network: nodes, oscillators, channels, backbone.
 func NewNetwork(cfg Config) (*Network, error) { return core.New(cfg) }
-
-// ComputeZF builds the zero-forcing precoder W = k·H⁻¹ from a measurement;
-// lambda regularizes the inversion (0 = pure ZF).
-func ComputeZF(m *Measurement, lambda float64) (*Precoder, error) {
-	return core.ComputeZF(m, lambda)
-}
 
 // ComputeDiversity builds the §8 coherent-combining precoder for one
 // stream.

@@ -68,7 +68,7 @@ func TestPublicAPIPrecoders(t *testing.T) {
 	if err := net.Measure(); err != nil {
 		t.Fatal(err)
 	}
-	zf, err := megamimo.ComputeZF(net.Msmt, 0)
+	zf, err := net.Precode(0)
 	if err != nil {
 		t.Fatal(err)
 	}
