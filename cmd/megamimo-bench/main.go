@@ -10,7 +10,8 @@
 // methodology (20 topologies per point, 10 APs max) and take minutes.
 // Use -quick for a fast smoke run. Experiments fan their independent cells
 // across -workers goroutines; the output is byte-identical at any worker
-// count.
+// count. No figure writes a flight-recorder trace: a trace holds one
+// network, and megamimo-sim -trace-out records one closed-loop run.
 package main
 
 import (
@@ -25,9 +26,7 @@ import (
 	"time"
 
 	"megamimo/internal/air"
-	"megamimo/internal/core"
 	"megamimo/internal/experiment"
-	"megamimo/internal/tracefmt"
 	"megamimo/internal/traffic"
 	"megamimo/internal/units"
 )
@@ -62,33 +61,14 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit per-figure metrics as JSON instead of tables")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceOut   = flag.String("trace-out", "", "workload/chaos only: write the merged flight-recorder trace to this file (JSONL streams live)")
-		traceFmt   = flag.String("trace-format", "jsonl", "trace file format: jsonl|chrome")
 	)
 	flag.Parse()
-	format, err := tracefmt.ParseFormat(*traceFmt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace-format: %v\n", err)
-		os.Exit(2)
-	}
 	which := flag.Arg(0)
 	if flag.NArg() != 1 || !slices.Contains(figures, which) {
 		if flag.NArg() == 1 {
 			fmt.Fprintf(os.Stderr, "megamimo-bench: unknown figure %q\n", which)
 		}
 		fmt.Fprintln(os.Stderr, "usage: megamimo-bench [flags] "+strings.Join(figures, "|"))
-		os.Exit(2)
-	}
-	// The trace flags only reach the workload and chaos sweeps, and one
-	// file cannot hold both: "all" would truncate the first with the second.
-	traceFmtSet := false
-	flag.Visit(func(f *flag.Flag) { traceFmtSet = traceFmtSet || f.Name == "trace-format" })
-	switch {
-	case *traceOut != "" && which != "workload" && which != "chaos":
-		fmt.Fprintf(os.Stderr, "megamimo-bench: -trace-out applies only to workload or chaos, not %s\n", which)
-		os.Exit(2)
-	case traceFmtSet && *traceOut == "":
-		fmt.Fprintln(os.Stderr, "megamimo-bench: -trace-format does nothing without -trace-out")
 		os.Exit(2)
 	}
 	// The user's values are checked before -quick overrides them.
@@ -223,11 +203,7 @@ func main() {
 		if *quick {
 			loads, nAPs, seconds = []float64{2, 8}, 2, 0.005
 		}
-		var r *experiment.WorkloadResult
-		err := traced(*traceOut, format, nAPs, func(sink core.TraceSink) (err error) {
-			r, err = experiment.RunWorkload(loads, nAPs, max(2, *topos/5), traffic.Poisson, seconds, *seed, sink)
-			return err
-		})
+		r, err := experiment.RunWorkload(loads, nAPs, max(2, *topos/5), traffic.Poisson, seconds, *seed)
 		if err != nil {
 			return "", err
 		}
@@ -239,11 +215,7 @@ func main() {
 		if *quick {
 			intensities, seconds = []float64{0, 600}, 0.005
 		}
-		var r *experiment.ChaosResult
-		err := traced(*traceOut, format, nAPs, func(sink core.TraceSink) (err error) {
-			r, err = experiment.RunChaos(intensities, nAPs, max(2, *topos/5), seconds, *seed, sink)
-			return err
-		})
+		r, err := experiment.RunChaos(intensities, nAPs, max(2, *topos/5), seconds, *seed)
 		if err != nil {
 			return "", err
 		}
@@ -285,26 +257,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// traced runs a sweep with its merged flight-recorder trace written to
-// path, or untraced when path is empty. Every cell of a workload or chaos
-// sweep runs the high-SNR default network with nAPs APs and as many
-// clients, which is the trace's header.
-func traced(path string, format tracefmt.Format, nAPs int, run func(core.TraceSink) error) error {
-	if path == "" {
-		return run(nil)
-	}
-	meta := tracefmt.MetaFor(core.DefaultConfig(nAPs, nAPs, experiment.HighSNR.Lo, experiment.HighSNR.Hi))
-	sink, err := tracefmt.Create(path, format, meta, tracefmt.StreamOptions{})
-	if err != nil {
-		return err
-	}
-	err = run(sink)
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 func apCounts(maxAPs int) []int {

@@ -1,6 +1,6 @@
 // Command megamimo-trace analyzes flight-recorder traces written by
-// megamimo-sim and megamimo-bench (-trace-out), in either JSONL or Chrome
-// trace-event format.
+// megamimo-sim -trace-out, one network per file, in either JSONL or
+// Chrome trace-event format.
 //
 // Usage:
 //

@@ -157,7 +157,7 @@ type TraceAttrs struct {
 // TraceEvent is one structured protocol event.
 type TraceEvent struct {
 	// Seq is the tracer-assigned emission sequence number (gap-free per
-	// recording until the ring overflows; merged traces renumber).
+	// recording until the ring overflows).
 	Seq int64
 	// At is the ether sample time the event refers to.
 	At int64

@@ -57,19 +57,21 @@ type chaosCell struct {
 // cell. At 4 APs it offers 24 Mb/s against about 92 Mb/s of high-bin
 // MegaMIMO capacity (Fig. 9), so MegaMIMO's column reports the offered
 // load less what the faults drop, not its capacity. The 802.11 baseline
-// saturates at this load and delivers about 0.8 of it (see ROADMAP).
+// saturates at this load and delivers about 0.8 of it. This load cannot
+// see a sync error: a π/18 rotation planted on slave AP 1's per-packet
+// correction moves the full-size sweep's 0 faults/s MegaMIMO column from
+// 24.6 to 24.9 Mb/s, while at 40 Mb/s per client (backlogged) it moves
+// it from 51.6 to 34.8 Mb/s, and at 600 faults/s from 40.8 to 30.9 Mb/s
+// (see ROADMAP).
 const chaosLoadMbpsPerClient = 6.0
 
 // RunChaos sweeps fault intensity and reports how each system degrades.
 // Cells run on the parallel engine; every seed is a pure function of the
 // cell's (intensity, topology) coordinates, and every in-cell random fault
 // decision is a hash of the plan seed and a message identity, so the sweep
-// is byte-identical at any worker count. A non-nil trace receives the
-// merged flight-recorder stream, as in RunWorkload.
-func RunChaos(intensities []float64, nAPs, topologies int, seconds float64, seed int64, trace core.TraceSink) (*ChaosResult, error) {
-	merge := mergeCells(trace, len(intensities)*topologies)
+// is byte-identical at any worker count.
+func RunChaos(intensities []float64, nAPs, topologies int, seconds float64, seed int64) (*ChaosResult, error) {
 	cells, err := MapNamed("chaos", len(intensities)*topologies, func(i int) (chaosCell, error) {
-		defer merge.CloseCell(i)
 		ii := i / topologies
 		topo := i % topologies
 		topoSeed := seed + int64(topo)*7919
@@ -78,7 +80,7 @@ func RunChaos(intensities []float64, nAPs, topologies int, seconds float64, seed
 		// Both systems replay the same seeded fault schedule.
 		plan := func(n *core.Network) *fault.Plan { return fault.Storm(n, planSeed, seconds, intensities[ii]) }
 		profile := traffic.NewCBR(chaosLoadMbpsPerClient*1e6, PayloadBytes)
-		mm, bl, n, err := closedLoop(nAPs, profile, seconds, topoSeed, engSeed, merge.Cell(i), plan)
+		mm, bl, n, err := closedLoop(nAPs, profile, seconds, topoSeed, engSeed, plan)
 		if err != nil {
 			return chaosCell{}, err
 		}

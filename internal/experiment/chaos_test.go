@@ -12,7 +12,7 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload pipeline")
 	}
-	res, err := RunChaos([]float64{0, 600}, 4, 1, 0.02, 11, nil)
+	res, err := RunChaos([]float64{0, 600}, 4, 1, 0.02, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func TestChaosDeepEqualReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload pipeline")
 	}
-	a, err := RunChaos([]float64{300}, 3, 1, 0.01, 5, nil)
+	a, err := RunChaos([]float64{300}, 3, 1, 0.01, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChaos([]float64{300}, 3, 1, 0.01, 5, nil)
+	b, err := RunChaos([]float64{300}, 3, 1, 0.01, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"megamimo/internal/core"
 	"megamimo/internal/fault"
 	"megamimo/internal/phy"
-	"megamimo/internal/tracefmt"
 	"megamimo/internal/traffic"
 	"megamimo/internal/units"
 )
@@ -100,18 +99,16 @@ func jointRounds(n *core.Network, mcs phy.MCS, rounds int) (airtime int64, bits 
 
 // closedLoop runs one closed-loop cell over the high-SNR Haar topology of
 // nAPs APs and as many clients drawn from topoSeed, once per system:
-// MegaMIMO, traced into sink when non-nil, then the 802.11 baseline on an
-// identically seeded network, untraced (it has no joint rounds to record).
+// MegaMIMO, then the 802.11 baseline on an identically seeded network.
 // Each run measures and precodes its network, then serves every stream
 // profile for seconds under the fault schedule plan draws on it (nil plan
 // = none). The MegaMIMO network is returned for its counters.
-func closedLoop(nAPs int, profile traffic.Profile, seconds float64, topoSeed, engSeed int64, sink core.TraceSink, plan func(*core.Network) *fault.Plan) (mm, bl *traffic.Report, mmNet *core.Network, err error) {
-	run := func(sys traffic.System, sink core.TraceSink) (*traffic.Report, *core.Network, error) {
+func closedLoop(nAPs int, profile traffic.Profile, seconds float64, topoSeed, engSeed int64, plan func(*core.Network) *fault.Plan) (mm, bl *traffic.Report, mmNet *core.Network, err error) {
+	run := func(sys traffic.System) (*traffic.Report, *core.Network, error) {
 		n, err := network(haar, nAPs, nAPs, HighSNR.Lo, HighSNR.Hi, topoSeed, nil)
 		if err != nil {
 			return nil, nil, err
 		}
-		attachTrace(n, sink)
 		if _, err := n.MeasureAndPrecode(); err != nil {
 			return nil, nil, err
 		}
@@ -129,37 +126,13 @@ func closedLoop(nAPs int, profile traffic.Profile, seconds float64, topoSeed, en
 		rep, err := eng.Run(seconds)
 		return rep, n, err
 	}
-	if mm, mmNet, err = run(traffic.SystemMegaMIMO, sink); err != nil {
+	if mm, mmNet, err = run(traffic.SystemMegaMIMO); err != nil {
 		return nil, nil, nil, err
 	}
-	if bl, _, err = run(traffic.SystemTDMA, nil); err != nil {
+	if bl, _, err = run(traffic.SystemTDMA); err != nil {
 		return nil, nil, nil, err
 	}
 	return mm, bl, mmNet, nil
-}
-
-// traceRing is the flight-recorder ring size of a traced sweep cell. The
-// ring only bounds the recorder's memory: the cell's sink sees every event.
-const traceRing = 1 << 18
-
-// mergeCells returns the StreamMerge that interleaves a sweep's per-cell
-// traces into out in cell-index order, or nil (every cell untraced) when
-// out is nil.
-func mergeCells(out core.TraceSink, cells int) *tracefmt.StreamMerge {
-	if out == nil {
-		return nil
-	}
-	return tracefmt.NewStreamMerge(out, cells)
-}
-
-// attachTrace starts n's flight recorder feeding sink; a nil sink leaves
-// the network untraced.
-func attachTrace(n *core.Network, sink core.TraceSink) {
-	if sink == nil {
-		return
-	}
-	n.Trace().SetSink(sink)
-	n.Trace().Enable(traceRing)
 }
 
 // Table renders aligned rows for terminal output.

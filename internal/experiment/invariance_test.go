@@ -11,7 +11,9 @@ import (
 
 	"megamimo/internal/air"
 	"megamimo/internal/core"
+	"megamimo/internal/fault"
 	"megamimo/internal/tracefmt"
+	"megamimo/internal/traffic"
 	"megamimo/internal/units"
 )
 
@@ -77,6 +79,38 @@ func streamTrace(nAPs int, fn func(core.TraceSink) error) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
+// stormCell runs the MegaMIMO half of a chaos cell built by hand: nine APs
+// and clients on the high-SNR Haar topology serving CBR demand under a
+// 600 faults/s storm, the flight recorder feeding sink when it is non-nil.
+func stormCell(sink core.TraceSink) (*traffic.Report, error) {
+	const nAPs, seconds, seed = 9, 0.01, 77
+	n, err := network(haar, nAPs, nAPs, HighSNR.Lo, HighSNR.Hi, seed, nil)
+	if err != nil {
+		return nil, err
+	}
+	if sink != nil {
+		n.Trace().SetSink(sink)
+		n.Trace().Enable(1 << 10)
+	}
+	if _, err := n.MeasureAndPrecode(); err != nil {
+		return nil, err
+	}
+	cfg := traffic.Config{
+		System:   traffic.SystemMegaMIMO,
+		Profiles: make([]traffic.Profile, n.NumStreams()),
+		Seed:     seed,
+		Faults:   fault.Storm(n, seed, seconds, 600),
+	}
+	for i := range cfg.Profiles {
+		cfg.Profiles[i] = traffic.NewCBR(chaosLoadMbpsPerClient*1e6, PayloadBytes)
+	}
+	eng, err := traffic.New(n, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Run(seconds)
+}
+
 // TestWorkerInvariance runs every experiment runner but the workload
 // sweep at one and at four workers. Rows marked full need the whole measurement pipeline and skip
 // under -short.
@@ -100,18 +134,34 @@ func TestWorkerInvariance(t *testing.T) {
 		{"ablations", true, func(*testing.T) (any, error) { return RunAblations(2, 1) }},
 		{"robustness", true, func(*testing.T) (any, error) { return RunRobustness([]units.PPM{2, 20}, 2, 1) }},
 		{"amortization", true, func(*testing.T) (any, error) { return RunAmortization([]int{1, 4}, 2, 1) }},
-		// The workload sweep's row, with its trace, is
-		// TestWorkloadDeterministicAcrossWorkers in workload_test.go.
-		// The fault storm, the degraded rounds and the merged trace. Nine
-		// APs transmitting jointly fill three shards of the medium, the
-		// fewest at which the order of the shard reduction shows.
-		{"chaos", true, func(*testing.T) (any, error) {
-			var res *ChaosResult
+		// The workload sweep's row is TestWorkloadDeterministicAcrossWorkers
+		// in workload_test.go.
+		// The chaos sweep, and one of its cells traced by hand
+		// (stormCell): the fault storm, the degraded rounds and one
+		// network's trace. Nine APs transmitting jointly fill three shards
+		// of the medium, the fewest at which the order of the shard
+		// reduction shows. Tracing must not perturb the cell.
+		{"chaos", true, func(*testing.T) (any, error) { return RunChaos([]float64{0, 600}, 9, 1, 0.01, 77) }},
+		{"traced-cell", true, func(t *testing.T) (any, error) {
+			var rep *traffic.Report
 			trace, err := streamTrace(9, func(sink core.TraceSink) (err error) {
-				res, err = RunChaos([]float64{0, 600}, 9, 1, 0.01, 77, sink)
+				rep, err = stormCell(sink)
 				return err
 			})
-			return []any{res, trace}, err
+			if err != nil {
+				return nil, err
+			}
+			if bytes.Count(trace, []byte("\n")) < 2 {
+				t.Fatal("cell trace recorded no events")
+			}
+			untraced, err := stormCell(nil)
+			if err != nil {
+				return nil, err
+			}
+			if !reflect.DeepEqual(rep, untraced) {
+				t.Errorf("tracing changed the cell's report:\ntraced:   %+v\nuntraced: %+v", rep, untraced)
+			}
+			return []any{rep, trace}, nil
 		}},
 		// One network on the sharded medium: trace and series bytes.
 		{"soak", true, func(t *testing.T) (any, error) {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"megamimo/internal/core"
 	"megamimo/internal/stats"
 	"megamimo/internal/traffic"
 )
@@ -42,21 +41,14 @@ type workloadCell struct {
 // across random topologies. Cells run on the parallel engine; each cell's
 // seeds depend only on its (load, topology) coordinates, so the result is
 // byte-identical at any worker count.
-//
-// A non-nil trace receives every cell's MegaMIMO flight-recorder events,
-// merged in cell-index order by a StreamMerge while the cells run, so the
-// merged stream is byte-identical at any worker count too. A nil trace
-// runs the sweep untraced.
-func RunWorkload(loadsMbps []float64, nAPs, topologies int, kind traffic.Kind, seconds float64, seed int64, trace core.TraceSink) (*WorkloadResult, error) {
-	merge := mergeCells(trace, len(loadsMbps)*topologies)
+func RunWorkload(loadsMbps []float64, nAPs, topologies int, kind traffic.Kind, seconds float64, seed int64) (*WorkloadResult, error) {
 	cells, err := MapNamed("workload", len(loadsMbps)*topologies, func(i int) (workloadCell, error) {
-		defer merge.CloseCell(i)
 		loadIdx := i / topologies
 		topo := i % topologies
 		topoSeed := seed + int64(topo)*7919
 		engSeed := seed + int64(loadIdx)*104729 + int64(topo)*7919
 		profile := traffic.ProfileFor(kind, loadsMbps[loadIdx]*1e6, PayloadBytes)
-		mm, bl, _, err := closedLoop(nAPs, profile, seconds, topoSeed, engSeed, merge.Cell(i), nil)
+		mm, bl, _, err := closedLoop(nAPs, profile, seconds, topoSeed, engSeed, nil)
 		return workloadCell{mm: mm, bl: bl}, err
 	})
 	if err != nil {

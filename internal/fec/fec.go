@@ -256,21 +256,6 @@ func EncodedLen(n int, rate Rate) int {
 	return motherLen/len(pat)*perPeriod + partial
 }
 
-// DecodeHard runs Viterbi over hard-decision coded bits and returns the
-// decoded data (without the tail). codedLen must equal EncodedLen(n, rate)
-// for the n the caller expects.
-func DecodeHard(coded []byte, n int, rate Rate) ([]byte, error) {
-	llr := make([]float64, len(coded))
-	for i, b := range coded {
-		if b&1 == 0 {
-			llr[i] = 1 // bit 0 likely
-		} else {
-			llr[i] = -1
-		}
-	}
-	return DecodeSoft(llr, n, rate)
-}
-
 // DecodeSoft runs Viterbi over per-bit LLRs (positive = bit 0) and returns
 // the n decoded data bits. Punctured positions are reinserted as zero-LLR
 // erasures before trellis traversal. The returned slice is freshly

@@ -167,7 +167,7 @@ func TestNoiselessRoundTrip(t *testing.T) {
 		for _, n := range []int{1, 2, 10, 96, 500} {
 			data := randBits(r, n)
 			coded := Encode(data, rate)
-			dec, err := DecodeHard(coded, n, rate)
+			dec, err := decodeHard(coded, n, rate)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestHardDecodingCorrectsBitErrors(t *testing.T) {
 	for i := 0; i < len(coded); i += 53 {
 		coded[i] ^= 1
 	}
-	dec, err := DecodeHard(coded, n, Rate12)
+	dec, err := decodeHard(coded, n, Rate12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestSoftBeatsHardAtModerateNoise(t *testing.T) {
 			}
 			soft[i] = 2 * v / (sigma * sigma)
 		}
-		hd, err := DecodeHard(hard, n, Rate12)
+		hd, err := decodeHard(hard, n, Rate12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestPuncturedRatesDecodeUnderLightNoise(t *testing.T) {
 }
 
 func TestDecodeLengthValidation(t *testing.T) {
-	if _, err := DecodeHard(make([]byte, 10), 100, Rate12); err == nil {
+	if _, err := DecodeSoft(make([]float64, 10), 100, Rate12); err == nil {
 		t.Fatal("no error for wrong coded length")
 	}
 }
@@ -315,7 +315,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i := range raw {
 			data[i] = raw[i] & 1
 		}
-		dec, err := DecodeHard(Encode(data, rate), len(data), rate)
+		dec, err := decodeHard(Encode(data, rate), len(data), rate)
 		if err != nil {
 			return false
 		}
@@ -856,4 +856,18 @@ func BenchmarkTrellisGoStep1500ByteFrame(b *testing.B) {
 	for b.Loop() {
 		trellisWith(dst, llr, Rate34, acsStep)
 	}
+}
+
+// decodeHard is the hard-decision decoder the tests hold DecodeSoft
+// against: each coded bit becomes a ±1 LLR (positive = bit 0).
+func decodeHard(coded []byte, n int, rate Rate) ([]byte, error) {
+	llr := make([]float64, len(coded))
+	for i, b := range coded {
+		if b&1 == 0 {
+			llr[i] = 1
+		} else {
+			llr[i] = -1
+		}
+	}
+	return DecodeSoft(llr, n, rate)
 }

@@ -105,18 +105,6 @@ func (it *Interleaver) InterleaveInto(dst, bits []byte) error {
 	return nil
 }
 
-// Deinterleave inverts Interleave on one block.
-func (it *Interleaver) Deinterleave(bits []byte) ([]byte, error) {
-	if len(bits) != it.ncbps {
-		return nil, fmt.Errorf("interleave: block of %d bits, want %d", len(bits), it.ncbps)
-	}
-	out := make([]byte, len(bits))
-	for j, b := range bits {
-		out[it.inv[j]] = b
-	}
-	return out, nil
-}
-
 // DeinterleaveLLRInto inverts the permutation on one block of soft values
 // into a caller-supplied destination of exactly ncbps values; it allocates
 // nothing. dst must not alias llr.

@@ -123,32 +123,6 @@ func Map(s Scheme, bits []byte) ([]complex128, error) {
 	return out, nil
 }
 
-// HardDemap slices symbols back to bits by nearest constellation point. It
-// errors on an invalid scheme.
-func HardDemap(s Scheme, syms []complex128) ([]byte, error) {
-	if !s.Valid() {
-		return nil, fmt.Errorf("modulation: unknown scheme %v", s)
-	}
-	bps := s.BitsPerSymbol()
-	out := make([]byte, 0, len(syms)*bps)
-	for _, v := range syms {
-		switch s {
-		case BPSK:
-			out = append(out, pamDeGray(real(v), 1)...)
-		case QPSK:
-			out = append(out, pamDeGray(real(v)*sqrt2, 1)...)
-			out = append(out, pamDeGray(imag(v)*sqrt2, 1)...)
-		case QAM16:
-			out = append(out, pamDeGray(real(v)*norm16, 2)...)
-			out = append(out, pamDeGray(imag(v)*norm16, 2)...)
-		case QAM64:
-			out = append(out, pamDeGray(real(v)*norm64, 3)...)
-			out = append(out, pamDeGray(imag(v)*norm64, 3)...)
-		}
-	}
-	return out, nil
-}
-
 // grayBitsForLevel returns the bit label of the PAM level with index lv
 // (ascending amplitude order), consistent with pamGray.
 func grayBitsForLevel(lv, width int) []byte {
@@ -272,7 +246,7 @@ func slicePAM(v float64, width int) float64 {
 }
 
 // SlicePoint returns the constellation point nearest to v — the one-symbol
-// equivalent of HardDemap followed by Map, without the intermediate bit
+// equivalent of slicing to bits and mapping them back, without the intermediate bit
 // slices. The scheme must be valid (callers validate once per frame).
 func SlicePoint(s Scheme, v complex128) complex128 {
 	switch s {

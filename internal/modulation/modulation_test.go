@@ -1,6 +1,7 @@
 package modulation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -35,7 +36,7 @@ func TestMapHardDemapRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := HardDemap(s, syms)
+		back, err := hardDemap(s, syms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestHardDemapWithSmallNoise(t *testing.T) {
 		for i := range syms {
 			syms[i] += complex(r.NormFloat64()*0.02, r.NormFloat64()*0.02)
 		}
-		back, err := HardDemap(s, syms)
+		back, err := hardDemap(s, syms)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +187,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := HardDemap(s, syms)
+		back, err := hardDemap(s, syms)
 		if err != nil {
 			return false
 		}
@@ -245,7 +246,7 @@ func TestScalarPathsMatchSlicePaths(t *testing.T) {
 	}
 	for _, s := range schemes {
 		for _, v := range pts {
-			hd, err := HardDemap(s, []complex128{v})
+			hd, err := hardDemap(s, []complex128{v})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -490,4 +491,31 @@ func TestMapIntoMatchesPerSymbol(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hardDemap slices symbols back to bits by nearest constellation point,
+// the oracle the Map and SoftDemap tests check against. It errors on an
+// invalid scheme.
+func hardDemap(s Scheme, syms []complex128) ([]byte, error) {
+	if !s.Valid() {
+		return nil, fmt.Errorf("modulation: unknown scheme %v", s)
+	}
+	bps := s.BitsPerSymbol()
+	out := make([]byte, 0, len(syms)*bps)
+	for _, v := range syms {
+		switch s {
+		case BPSK:
+			out = append(out, pamDeGray(real(v), 1)...)
+		case QPSK:
+			out = append(out, pamDeGray(real(v)*sqrt2, 1)...)
+			out = append(out, pamDeGray(imag(v)*sqrt2, 1)...)
+		case QAM16:
+			out = append(out, pamDeGray(real(v)*norm16, 2)...)
+			out = append(out, pamDeGray(imag(v)*norm16, 2)...)
+		case QAM64:
+			out = append(out, pamDeGray(real(v)*norm64, 3)...)
+			out = append(out, pamDeGray(imag(v)*norm64, 3)...)
+		}
+	}
+	return out, nil
 }

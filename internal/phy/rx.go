@@ -209,19 +209,26 @@ func (r *RX) DecodeAt(rx []complex128, sync *ofdm.Sync) (*RxFrame, error) {
 	return out, nil
 }
 
-// parseSignal decodes the already-equalized SIGNAL symbol.
+// parseSignal decodes the already-equalized SIGNAL symbol through the data
+// field's soft path, fed hard ±1 LLRs (positive = bit 0): the BPSK slicer
+// reads real(v) >= 0 as bit 1 and anything else, NaN included, as bit 0.
 func parseSignal(eqd []complex128) (MCS, int, error) {
-	hard, err := modulation.HardDemap(modulation.BPSK, eqd)
-	if err != nil {
+	var llr, coded [ofdm.NData]float64
+	if len(eqd) != len(llr) {
+		return 0, 0, fmt.Errorf("%w: %d equalized bins, want %d", ErrBadSignal, len(eqd), len(llr))
+	}
+	for i, v := range eqd {
+		if real(v) >= 0 {
+			llr[i] = -1
+		} else {
+			llr[i] = 1
+		}
+	}
+	if err := interleave.MustCached(ofdm.NData, 1).DeinterleaveLLRInto(coded[:], llr[:]); err != nil {
 		return 0, 0, err
 	}
-	il := interleave.MustCached(48, 1)
-	coded, err := il.Deinterleave(hard)
-	if err != nil {
-		return 0, 0, err
-	}
-	bits, err := fec.DecodeHard(coded, 18, fec.Rate12)
-	if err != nil {
+	var bits [18]byte
+	if err := fec.DecodeSoftInto(bits[:], coded[:], fec.Rate12); err != nil {
 		return 0, 0, err
 	}
 	var par byte
