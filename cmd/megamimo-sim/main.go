@@ -1,12 +1,14 @@
-// Command megamimo-sim runs one configurable MegaMIMO network end to end
-// with a verbose protocol trace: measurement, precoding, rate adaptation
-// and a batch of joint transmissions, reporting per-stream delivery and
-// throughput against the 802.11 baseline. With -workload it instead
-// drives the network closed-loop from per-client demand profiles and
-// reports throughput, latency and fairness for MegaMIMO vs the 802.11
-// baseline; -chaos replays a named fault-injection scenario against the
-// closed loop and reports the degradation and recovery counters; -prom-out
-// writes the final runtime telemetry registry as Prometheus text.
+// Command megamimo-sim runs one configurable MegaMIMO network end to end:
+// measurement, precoding, rate adaptation and a batch of joint
+// transmissions, reporting per-stream delivery and throughput against the
+// 802.11 baseline. With -workload it instead drives the network
+// closed-loop from per-client demand profiles and reports throughput,
+// latency and fairness for MegaMIMO vs the 802.11 baseline; -chaos replays
+// a named fault-injection scenario against the closed loop and reports the
+// degradation and recovery counters; -prom-out writes the final runtime
+// telemetry registry as Prometheus text. -trace-out streams the flight
+// recorder as JSONL, which megamimo-trace prints as a timeline or converts
+// to Chrome trace-event format.
 package main
 
 import (
@@ -41,10 +43,7 @@ import (
 type runConfig struct {
 	experiment.SoakConfig
 	packets         int
-	trace           bool
 	workload, chaos string
-	traceFormat     string
-	format          tracefmt.Format // traceFormat, parsed by validate
 	serveAddr       string
 	serveWait       time.Duration
 	promOut         string
@@ -62,13 +61,11 @@ func parseFlags() *runConfig {
 	flag.IntVar(&c.packets, "packets", 8, "packets per client")
 	flag.IntVar(&c.PacketBytes, "size", 1500, "payload bytes")
 	flag.Int64Var(&c.Seed, "seed", 1, "random seed")
-	flag.BoolVar(&c.trace, "trace", false, "print the protocol event timeline")
 	flag.StringVar(&c.workload, "workload", "", "drive a demand workload instead of a fixed batch: cbr|poisson|onoff|heavy")
 	flag.StringVar(&c.chaos, "chaos", "", "replay a fault scenario against the closed loop: slave-crash|lead-crash|lossy|churn|mixed")
 	flag.Float64Var(&c.LoadMbps, "load", 8, "workload offered load per client (Mb/s)")
 	flag.Float64Var(&c.Seconds, "duration", 0.05, "workload window (simulated seconds)")
 	flag.StringVar(&c.TracePath, "trace-out", "", "stream the flight-recorder trace to this file as events are recorded")
-	flag.StringVar(&c.traceFormat, "trace-format", "jsonl", "trace file format: jsonl|chrome")
 	flag.Float64Var(&c.DriftPPM, "drift-ppm", 0, "inject ±ppm oscillator drift: lead −ppm, slave APs +ppm (2×ppm relative); soak mode applies it at -soak-drift-at")
 	flag.StringVar(&c.serveAddr, "serve", "", "serve /metrics /healthz /trace /debug/pprof on this address during the run")
 	flag.DurationVar(&c.serveWait, "serve-wait", 0, "keep the observability server up this long after the run completes")
@@ -112,9 +109,6 @@ func (c *runConfig) validate() error {
 		return fmt.Errorf("-soak-drift-at %g must be a non-negative number", c.DriftAtSeconds)
 	}
 	var err error
-	if c.format, err = tracefmt.ParseFormat(c.traceFormat); err != nil {
-		return err
-	}
 	mode := c.mode()
 	unset := func(name string) bool {
 		f := flag.Lookup(name)
@@ -130,9 +124,6 @@ func (c *runConfig) validate() error {
 			err = fmt.Errorf("-%s does nothing without -%s", f.Name, rule.needs)
 		}
 	})
-	if err == nil && c.soak && c.format == tracefmt.FormatChrome {
-		err = fmt.Errorf("-trace-format chrome does not apply to a soak run: a chrome file cannot be spliced at a resume offset")
-	}
 	return err
 }
 
@@ -159,7 +150,6 @@ var modeFlags = map[string]struct {
 	needs string
 }{
 	"packets":          {modes: []string{"batch"}},
-	"trace":            {modes: []string{"batch", "workload"}},
 	"prom-out":         {modes: []string{"batch", "workload", "chaos"}},
 	"workload":         {modes: []string{"workload"}},
 	"chaos":            {modes: []string{"chaos"}},
@@ -172,7 +162,6 @@ var modeFlags = map[string]struct {
 	"workers":          {modes: []string{"soak"}},
 	"faults-per-sec":   {modes: []string{"soak"}},
 	"soak-drift-at":    {modes: []string{"soak"}, needs: "drift-ppm"},
-	"trace-format":     {needs: "trace-out"},
 	"serve-wait":       {needs: "serve"},
 }
 
@@ -200,7 +189,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if c.trace || tel.file != nil || tel.server != nil {
+	if tel.file != nil || tel.server != nil {
 		net.Trace().Enable(1 << 20)
 	}
 	if c.DriftPPM != 0 {
@@ -273,9 +262,6 @@ func main() {
 	if bl > 0 {
 		fmt.Printf("gain: %.1fx with %d APs\n", st.ThroughputBps(cfg.SampleRate)/bl, c.APs)
 	}
-	if c.trace {
-		printTimeline(net)
-	}
 	tel.finish()
 }
 
@@ -334,7 +320,7 @@ func runSoak(c *runConfig) {
 type telemetry struct {
 	c          *runConfig
 	net        *core.Network
-	file       *tracefmt.FileSink
+	file       *tracefmt.StreamSink
 	server     *obs.Server
 	sampler    *metrics.Sampler
 	samples    int
@@ -352,7 +338,7 @@ func newTelemetry(net *core.Network, c *runConfig) (*telemetry, error) {
 	meta := tracefmt.MetaFor(net.Cfg)
 	tel := &telemetry{c: c, net: net}
 	if c.TracePath != "" {
-		f, err := tracefmt.Create(c.TracePath, c.format, meta, tracefmt.StreamOptions{
+		f, err := tracefmt.Create(c.TracePath, meta, tracefmt.StreamOptions{
 			Dropped: net.Metrics().Counter("trace_sink_dropped_total"),
 		})
 		if err != nil {
@@ -453,7 +439,7 @@ func (tel *telemetry) finish() {
 		if err := tel.file.Close(); err != nil {
 			fatal(fmt.Errorf("trace-out: %w", err))
 		}
-		fmt.Printf("trace: %s (%s, %d lines dropped)\n", tel.c.TracePath, tel.c.format, tel.file.Dropped())
+		fmt.Printf("trace: %s (%d lines dropped)\n", tel.c.TracePath, tel.file.Dropped())
 	}
 	if tel.server != nil {
 		_ = tel.server.PublishMetrics(tel.net.Metrics())
@@ -517,9 +503,6 @@ func runWorkload(net *core.Network, cfg core.Config, c *runConfig, sampler *metr
 	fmt.Print(bl)
 	if bl.AggregateDeliveredBps > 0 {
 		fmt.Printf("\ngain under demand: %.1fx\n", mm.AggregateDeliveredBps/bl.AggregateDeliveredBps)
-	}
-	if c.trace {
-		printTimeline(net)
 	}
 }
 
@@ -618,14 +601,6 @@ func runChaos(net *core.Network, c *runConfig, tel *telemetry) {
 		rate = float64(del) / float64(off)
 	}
 	fmt.Printf("chaos delivery rate: %.3f (delivered %d / offered %d packets)\n", rate, del, off)
-}
-
-// printTimeline prints the flight recorder, one event per line.
-func printTimeline(net *core.Network) {
-	fmt.Println("\nprotocol timeline:")
-	for _, e := range net.Trace().Events() {
-		fmt.Println("  " + e.String())
-	}
 }
 
 func dB(x float64) float64 {

@@ -92,22 +92,18 @@ func TestSizeOutOfRangeRejected(t *testing.T) {
 		{"-workers", []string{"-workers", "1"}},
 		{"-workers", []string{"-chaos", "lead-crash", "-workers", "0"}},
 		{"-soak-drift-at", []string{"-workload", "poisson", "-drift-ppm", "21", "-soak-drift-at", "0.01"}},
-		// Flags the soak ignores, or cannot honour at a resume offset.
+		// Flags the soak ignores.
 		{"-prom-out", []string{"-soak", "-prom-out", "soak.prom"}},
-		{"-trace", []string{"-soak", "-trace"}},
-		{"-trace-format", []string{"-soak", "-trace-format", "chrome"}},
 		{"-workload", []string{"-soak", "-workload", "cbr"}},
 		{"-chaos", []string{"-soak", "-chaos", "mixed"}},
 		// Flags only other modes read.
 		{"-packets", []string{"-workload", "cbr", "-packets", "3"}},
 		{"-packets", []string{"-chaos", "lossy", "-packets", "3"}},
 		{"-workload", []string{"-workload", "cbr", "-chaos", "lossy"}},
-		{"-trace", []string{"-chaos", "mixed", "-trace"}},
 		{"-duration", []string{"-duration", "0.01"}},
 		{"-load", []string{"-load", "6"}},
 		{"-sample-every", []string{"-packets", "2", "-sample-every", "8"}},
 		// Flags that do nothing without another one.
-		{"-trace-out", []string{"-aps", "2", "-clients", "2", "-packets", "1", "-trace-format", "chrome"}},
 		{"-serve", []string{"-aps", "2", "-clients", "2", "-packets", "1", "-serve-wait", "1ms"}},
 		{"-drift-ppm", []string{"-soak", "-aps", "2", "-clients", "2", "-duration", "0.005", "-soak-drift-at", "0.001"}},
 		{"-drift-ppm", []string{"-soak", "-aps", "2", "-clients", "2", "-duration", "0.005", "-drift-ppm", "0", "-soak-drift-at", "0.001"}},
@@ -116,6 +112,26 @@ func TestSizeOutOfRangeRejected(t *testing.T) {
 		if code != 1 || !strings.Contains(out, tc.flag) || strings.Contains(out, "panic") {
 			t.Errorf("megamimo-sim %s: exit %d, want 1 with a %s error; output:\n%s",
 				strings.Join(tc.args, " "), code, tc.flag, out)
+		}
+	}
+}
+
+// TestTraceViewFlagsUndefined checks the trace has one output, the
+// -trace-out JSONL file: the printed timeline and the Chrome format are
+// megamimo-trace commands over it, so -trace and -trace-format exit 2 as
+// undefined flags.
+func TestTraceViewFlagsUndefined(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-trace", []string{"-trace"}},
+		{"-trace-format", []string{"-trace-out", filepath.Join(t.TempDir(), "t.json"), "-trace-format", "chrome"}},
+	} {
+		out, code := runSim(t, tc.args...)
+		if want := "flag provided but not defined: " + tc.flag; code != 2 || !strings.Contains(out, want) {
+			t.Errorf("megamimo-sim %s: exit %d, want 2 naming %q; output:\n%s",
+				strings.Join(tc.args, " "), code, want, out)
 		}
 	}
 }

@@ -1,10 +1,11 @@
-// Command megamimo-trace analyzes flight-recorder traces written by
-// megamimo-sim -trace-out, one network per file, in either JSONL or
-// Chrome trace-event format.
+// Command megamimo-trace analyzes and presents flight-recorder traces
+// written by megamimo-sim -trace-out, one network per JSONL file:
+//
+//	megamimo-sim -trace-out run.jsonl && megamimo-trace chrome run.jsonl > run.json
 //
 // Usage:
 //
-//	megamimo-trace [flags] summary|phases|spans|anomalies|follow <trace-file>
+//	megamimo-trace [flags] summary|phases|spans|anomalies|timeline|chrome|follow <trace-file>
 //
 // Subcommands:
 //
@@ -15,6 +16,9 @@
 //	           round, joint-tx, traffic)
 //	anomalies  check the trace against the paper's budgets; exits 1 if
 //	           any violation is found, 0 on a clean trace
+//	timeline   print the protocol timeline, one event per line
+//	chrome     write the trace in Chrome trace-event format to stdout,
+//	           for Perfetto or chrome://tracing
 //	follow     tail a streaming JSONL trace (megamimo-sim -trace-out)
 //	           while it is written, printing each budget violation the
 //	           moment the online monitor trips it; exits 1 if any check
@@ -29,6 +33,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
@@ -49,7 +54,7 @@ func main() {
 		idleExit = flag.Duration("idle-exit", 5*time.Second, "follow: exit after the stream has been idle this long")
 	)
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: megamimo-trace [flags] summary|phases|spans|anomalies|follow <trace-file>")
+		fmt.Fprintln(os.Stderr, "usage: megamimo-trace [flags] summary|phases|spans|anomalies|timeline|chrome|follow <trace-file>")
 		fmt.Fprintln(os.Stderr, "       megamimo-trace [flags] bisect <checkpoint-dir> <trace-file>")
 		flag.PrintDefaults()
 	}
@@ -143,6 +148,20 @@ func main() {
 			fmt.Println("  " + a.String())
 		}
 		os.Exit(1)
+
+	case "timeline":
+		w := bufio.NewWriter(os.Stdout)
+		for _, e := range events {
+			fmt.Fprintln(w, "  "+e.String())
+		}
+		if err := w.Flush(); err != nil {
+			fatal(err)
+		}
+
+	case "chrome":
+		if err := tracefmt.WriteChrome(os.Stdout, meta, events); err != nil {
+			fatal(err)
+		}
 
 	default:
 		flag.Usage()

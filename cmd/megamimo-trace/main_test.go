@@ -34,8 +34,6 @@ func TestMain(m *testing.M) {
 var (
 	cleanArgs = []string{"-aps", "3", "-clients", "3", "-workload", "cbr", "-load", "6", "-duration", "0.01", "-sample-every", "8",
 		"-trace-out", "@clean.jsonl", "-series-out", "@series.jsonl", "-prom-out", "@clean.prom"}
-	chromeArgs = []string{"-aps", "3", "-clients", "3", "-workload", "cbr", "-load", "6", "-duration", "0.01",
-		"-trace-out", "@clean.chrome.json", "-trace-format", "chrome"}
 	// 21 ppm of drift puts the slaves 42 ppm off the lead carrier, outside
 	// the ±40 ppm mandate. The online check judges an AP only after 8 sync
 	// headers, which takes 0.02 s of run.
@@ -103,6 +101,11 @@ func TestGateDrills(t *testing.T) {
 		}
 		return string(b)
 	}
+	runTrace := func(t *testing.T, args []string) (string, int) {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), argsEnv+"="+strings.Join(expand(args), "\n"))
+		return run(t, cmd)
+	}
 	soak := func(t *testing.T) {
 		if out, code := runSim(t, soakArgs); code != 0 {
 			t.Fatalf("soak: exit %d\n%s", code, out)
@@ -121,7 +124,23 @@ func TestGateDrills(t *testing.T) {
 		{name: "clean/summary", sim: cleanArgs, trace: []string{"summary", "@clean.jsonl"}, want: []string{"events by kind:", "joint-tx"}},
 		{name: "clean/phases", sim: cleanArgs, trace: []string{"phases", "@clean.jsonl"}, want: []string{"per slave AP"}},
 		{name: "clean/anomalies", sim: cleanArgs, trace: []string{"anomalies", "@clean.jsonl"}, want: []string{"no anomalies"}},
-		{name: "clean/chrome", sim: chromeArgs, check: func(t *testing.T, _ string) { checkChrome(t, read(t, "clean.chrome.json")) }},
+		{name: "clean/chrome", sim: cleanArgs, trace: []string{"chrome", "@clean.jsonl"}, check: checkChrome},
+		{name: "clean/timeline", sim: cleanArgs, trace: []string{"timeline", "@clean.jsonl"}, check: func(t *testing.T, out string) {
+			summary, _ := runTrace(t, []string{"summary", "@clean.jsonl"})
+			if lines, events := strings.Count(out, "\n"), match(t, summary, `trace: (\d+) events`); float64(lines) != events {
+				t.Errorf("timeline prints %d lines for %v events", lines, events)
+			}
+		}},
+		{name: "clean/summary-of-chrome", setup: func(t *testing.T) {
+			runSim(t, cleanArgs)
+			out, code := runTrace(t, []string{"chrome", "@clean.jsonl"})
+			if code != 0 {
+				t.Fatalf("chrome: exit %d\n%s", code, out)
+			}
+			if err := os.WriteFile(path("clean.chrome.json"), []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, trace: []string{"summary", "@clean.chrome.json"}, exit: 2, want: []string{"header schema"}},
 		{name: "clean/prometheus", sim: cleanArgs, check: func(t *testing.T, _ string) {
 			prom := read(t, "clean.prom")
 			if err := checkPrometheus(prom, "core_joint_tx_total", "trace_sink_dropped_total"); err != nil {
@@ -187,9 +206,7 @@ func TestGateDrills(t *testing.T) {
 				if code != 0 {
 					t.Fatalf("megamimo-sim: exit %d\n%s", code, out)
 				}
-				cmd := exec.Command(os.Args[0])
-				cmd.Env = append(os.Environ(), argsEnv+"="+strings.Join(expand(row.trace), "\n"))
-				out, code = run(t, cmd)
+				out, code = runTrace(t, row.trace)
 			}
 			if code != row.exit || strings.Contains(out, "panic") {
 				t.Errorf("exit %d, want %d without a panic; output:\n%s", code, row.exit, out)

@@ -222,11 +222,12 @@ type Network struct {
 	// estBuf is estimateSymbolChannel's derotated symbol and freqs the two
 	// 64-bin buffers the measurement path demodulates into; estSlots is
 	// the grow-only per-round estimate arena estimateSlots hands out.
-	// evolve is the generator EvolveClientLinks reseeds.
+	// child is the scratch generator buildLinks and EvolveClientLinks
+	// reseed (SplitInto) for each sub-stream that dies with its draw.
 	estBuf   []complex128
 	freqs    [2][]complex128
 	estSlots [][]complex128
-	evolve   *rng.Source
+	child    *rng.Source
 
 	// Msmt is the latest channel-measurement state (H estimate and the
 	// reference time); nil until Measure runs.
@@ -299,7 +300,7 @@ func New(cfg Config) (*Network, error) {
 		dem:    ofdm.NewDemodulator(),
 		estBuf: make([]complex128, symLen),
 		freqs:  [2][]complex128{make([]complex128, ofdm.NFFT), make([]complex128, ofdm.NFFT)},
-		evolve: rng.New(0),
+		child:  rng.New(0),
 		zf:     NewZFCache(),
 	}
 	n.sync = psync.Header()
@@ -336,12 +337,14 @@ func New(cfg Config) (*Network, error) {
 }
 
 // buildLinks draws every AP→client link inside the SNR band and the
-// lead→slave reference links.
+// lead→slave reference links. Each link, and the Haar mix, draws from its
+// own sub-stream of src, reseeded into n.child: none outlives its draw.
 func (n *Network) buildLinks(src *rng.Source) {
 	cfg := n.Cfg
+	split := func(id uint64) *rng.Source { return src.SplitInto(n.child, id) }
 	var mix *matrix.M
 	if cfg.WellConditioned {
-		mix = haarMixing(src.Split(0x4AA2), n.NumStreams(), n.NumTxAntennas())
+		mix = haarMixing(split(0x4AA2), n.NumStreams(), n.NumTxAntennas())
 	}
 	for c := 0; c < cfg.NumClients; c++ {
 		//lint:ignore units rng draws are dimensionless; the SNR band re-enters as the drawn mean in dB
@@ -354,12 +357,12 @@ func (n *Network) buildLinks(src *rng.Source) {
 						gain := cfg.NoiseVar * pow10(meanSNR/10)
 						row := c*cfg.AntennasPerClient + cm
 						col := a*cfg.AntennasPerAP + am
-						l = mixedLink(src.Split(linkSeed(a, am, c, cm)), gain, mix.At(row, col), n.NumTxAntennas())
+						l = mixedLink(split(linkSeed(a, am, c, cm)), gain, mix.At(row, col), n.NumTxAntennas())
 					} else {
 						//lint:ignore units rng draws are dimensionless; the spread bound re-enters as dB around the mean
 						snr := meanSNR + src.Uniform(-float64(cfg.LinkSpreadDB), float64(cfg.LinkSpreadDB))
 						gain := cfg.NoiseVar * pow10(snr/10)
-						l = channel.NewLink(src.Split(linkSeed(a, am, c, cm)), channel.DefaultIndoor, gain, 0)
+						l = channel.NewLink(split(linkSeed(a, am, c, cm)), channel.DefaultIndoor, gain, 0)
 					}
 					n.Air.SetLink(n.APAntennaID(a, am), n.ClientAntennaID(c, cm), l)
 				}
@@ -374,7 +377,7 @@ func (n *Network) buildLinks(src *rng.Source) {
 				continue
 			}
 			gain := cfg.NoiseVar * units.DBToLinear(APLinkSNRdB)
-			l := channel.NewLink(src.Split(0xAB0000+uint64(a*64+b)), channel.DefaultIndoor, gain, 0)
+			l := channel.NewLink(split(0xAB0000+uint64(a*64+b)), channel.DefaultIndoor, gain, 0)
 			n.Air.SetLink(n.APAntennaID(a, 0), n.APAntennaID(b, 0), l)
 		}
 	}
@@ -539,7 +542,7 @@ func (n *Network) SetLead(index int) error {
 // elapsed time to ρ). Used to study measurement staleness: §9 notes stale
 // channel state to one client corrupts only that client's packets.
 func (n *Network) EvolveClientLinks(client int, rho float64) {
-	src := n.rng.SplitInto(n.evolve, 0xE701+uint64(client)<<8+uint64(n.now))
+	src := n.rng.SplitInto(n.child, 0xE701+uint64(client)<<8+uint64(n.now))
 	for a := 0; a < n.Cfg.NumAPs; a++ {
 		for am := 0; am < n.Cfg.AntennasPerAP; am++ {
 			for cm := 0; cm < n.Cfg.AntennasPerClient; cm++ {

@@ -181,8 +181,9 @@ type SpanID int64
 // TraceSink receives a live copy of every event the Tracer records, in
 // emission (seq) order, the moment it enters the ring. A sink turns the
 // flight recorder from a post-hoc ring into a streaming pipeline: the ring
-// keeps the bounded recent tail for the printed timeline while the sink sees
-// the unbounded full stream (including events the ring later displaces).
+// keeps the bounded recent tail for in-process readers (Events) while the
+// sink sees the unbounded full stream (including events the ring later
+// displaces).
 //
 // ConsumeTrace is called with the tracer's mutex held, from whatever
 // goroutine emitted the event (a Network is single-threaded, so for one
@@ -478,7 +479,8 @@ func (t *Tracer) recordLocked(at int64, kind string, ph byte, span int64, a Trac
 	}
 }
 
-// String renders one event for the human timeline (-trace).
+// String renders one event for the human timeline: one line of
+// megamimo-trace timeline, which prints a -trace-out file.
 func (e TraceEvent) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "t=%-12d %-12s", e.At, e.Kind)

@@ -194,7 +194,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	}
 
 	var eng *traffic.Engine
-	var ts *tracefmt.FileSink // opened after any restore, before the first round
+	var ts *tracefmt.StreamSink // opened after any restore, before the first round
 	tcfg := traffic.Config{
 		System: traffic.SystemMegaMIMO, Profiles: profiles, Seed: cfg.Seed + 1,
 		Faults: plan, Sampler: sampler, SampleEvery: cfg.SampleEvery,
@@ -253,10 +253,10 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 
 	// Streaming surfaces attach only now, after any restore, so rebuild
 	// events never leak into the resumed stream. A fresh run's trace file
-	// opens with the format header; a resumed tail continues at the
+	// opens with the schema header; a resumed tail continues at the
 	// checkpoint's offset and carries none. Without a TracePath the
 	// stream is still encoded and counted, for the checkpoints' offsets.
-	ts, err = tracefmt.Create(cfg.TracePath, tracefmt.FormatJSONL, tracefmt.MetaFor(ccfg),
+	ts, err = tracefmt.Create(cfg.TracePath, tracefmt.MetaFor(ccfg),
 		tracefmt.StreamOptions{Offset: traceOffset})
 	if err != nil {
 		return nil, err

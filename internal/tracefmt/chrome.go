@@ -10,11 +10,11 @@ import (
 	"megamimo/internal/units"
 )
 
-// Chrome trace-event export: one process ("megamimo"), one thread track
-// per AP and per client plus a "network" track for protocol-wide spans,
-// microsecond timestamps derived from the ether sample clock. The file
-// loads directly in Perfetto or chrome://tracing; every event's full
-// attribute block rides in args, so ReadChrome recovers the exact trace.
+// Chrome trace-event view of a JSONL trace (megamimo-trace chrome): one
+// process ("megamimo"), one thread track per AP and per client plus a
+// "network" track for protocol-wide spans, microsecond timestamps derived
+// from the ether sample clock. The file loads directly in Perfetto or
+// chrome://tracing; every event's full attribute block rides in args.
 
 // Thread-track numbering: tid 0 is the network-wide track, APs are
 // 1+index, clients are clientTIDBase+index.
@@ -125,45 +125,4 @@ func WriteChrome(w io.Writer, meta Meta, events []core.TraceEvent) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// ReadChrome recovers the trace from a Chrome-format file written by
-// WriteChrome, using the full event copies carried in args.
-func ReadChrome(r io.Reader) (Meta, []core.TraceEvent, error) {
-	var raw struct {
-		TraceEvents []struct {
-			Name string          `json:"name"`
-			Ph   string          `json:"ph"`
-			Args json.RawMessage `json:"args"`
-		} `json:"traceEvents"`
-		OtherData header `json:"otherData"`
-	}
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&raw); err != nil {
-		return Meta{}, nil, fmt.Errorf("tracefmt: chrome trace: %w", err)
-	}
-	if raw.OtherData.Schema != schemaName {
-		return Meta{}, nil, fmt.Errorf("tracefmt: chrome otherData schema %q, want %q", raw.OtherData.Schema, schemaName)
-	}
-	if raw.OtherData.Version != SchemaVersion {
-		return Meta{}, nil, fmt.Errorf("tracefmt: schema version %d, reader supports %d", raw.OtherData.Version, SchemaVersion)
-	}
-	meta := metaFrom(raw.OtherData)
-	var events []core.TraceEvent
-	for i, ce := range raw.TraceEvents {
-		if ce.Ph == "M" {
-			continue
-		}
-		var j jsonEvent
-		if err := json.Unmarshal(ce.Args, &j); err != nil {
-			return Meta{}, nil, fmt.Errorf("tracefmt: chrome event %d args: %w", i, err)
-		}
-		e, err := fromJSON(j)
-		if err != nil {
-			return Meta{}, nil, fmt.Errorf("tracefmt: chrome event %d: %w", i, err)
-		}
-		events = append(events, e)
-	}
-	sort.Slice(events, func(a, b int) bool { return events[a].Seq < events[b].Seq })
-	return meta, events, nil
 }

@@ -26,8 +26,9 @@ type StreamOptions struct {
 // StreamSink is the JSONL trace writer, a core.TraceSink that writes
 // synchronously: ConsumeTrace encodes each event with MarshalEvent and
 // writes the line to a buffered writer under the sink's mutex. WriteJSONL
-// is the same sink over a finished slice. The ether clock is simulated,
-// so writing on the record path distorts nothing.
+// is the same sink over a finished slice, and Create opens one on a trace
+// file; every trace file the commands write goes through it. The ether
+// clock is simulated, so writing on the record path distorts nothing.
 //
 // The stream's logical position (Bytes) advances by every encoded line,
 // even after the writer has failed, so a position recorded mid-run is a
@@ -41,6 +42,7 @@ type StreamSink struct {
 	dropCtr *metrics.Counter
 	err     error
 	closed  bool
+	file    io.Closer // the file Create opened, closed by Close; nil otherwise
 }
 
 // NewStreamSink starts a stream on w: the header line for meta first,
@@ -98,14 +100,19 @@ func (s *StreamSink) Bytes() uint64 {
 	return s.n
 }
 
-// Close flushes the stream and returns the first error it hit (encode,
-// write, or flush).
+// Close flushes the stream, closes the file Create opened, and returns
+// the first error it hit (encode, write, flush, or close).
 func (s *StreamSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.closed = true
 	if ferr := s.bw.Flush(); ferr != nil && s.err == nil {
 		s.err = ferr
+	}
+	if s.file != nil {
+		if cerr := s.file.Close(); cerr != nil && s.err == nil {
+			s.err = cerr
+		}
 	}
 	return s.err
 }

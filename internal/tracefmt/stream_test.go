@@ -32,7 +32,7 @@ func joinedLines(t *testing.T, meta Meta, events []core.TraceEvent) []byte {
 
 // TestStreamSinkMatchesWriteJSONL is the byte-identity core: streaming the
 // sample events through a StreamSink, exporting them with WriteJSONL, and
-// writing them through a JSONL FileSink all produce exactly the header and
+// writing them to a file through Create all produce exactly the header and
 // event lines joined in order.
 func TestStreamSinkMatchesWriteJSONL(t *testing.T) {
 	meta, events := sampleMeta(), sampleEvents()
@@ -64,16 +64,16 @@ func TestStreamSinkMatchesWriteJSONL(t *testing.T) {
 			batch.String(), want)
 	}
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	fs := writeTraceFile(t, path, FormatJSONL, meta, events)
+	fs := writeTraceFile(t, path, meta, events)
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(file, want) {
-		t.Fatalf("FileSink differs from the marshalled lines:\nfile: %q\nwant: %q", file, want)
+		t.Fatalf("trace file differs from the marshalled lines:\nfile: %q\nwant: %q", file, want)
 	}
 	if fs.Bytes() != uint64(len(want)) || fs.Dropped() != 0 {
-		t.Fatalf("FileSink Bytes() = %d, Dropped() = %d; want %d, 0", fs.Bytes(), fs.Dropped(), len(want))
+		t.Fatalf("file sink Bytes() = %d, Dropped() = %d; want %d, 0", fs.Bytes(), fs.Dropped(), len(want))
 	}
 }
 

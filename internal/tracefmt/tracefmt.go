@@ -1,7 +1,8 @@
 // Package tracefmt serializes the core flight recorder's structured trace
-// (core.TraceEvent) to its two on-disk formats — deterministic JSONL and
-// Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) — and
-// provides the trace-analysis primitives behind cmd/megamimo-trace:
+// (core.TraceEvent) to its one on-disk format, deterministic JSONL,
+// converts a trace to Chrome trace-event JSON (loadable in Perfetto /
+// chrome://tracing), and provides the trace-analysis primitives behind
+// cmd/megamimo-trace:
 // per-kind summaries, per-slave phase-synchronization statistics, span
 // durations, and anomaly detection against the paper's budgets.
 //
@@ -17,15 +18,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"megamimo/internal/core"
 	"megamimo/internal/units"
 )
 
-// SchemaVersion is the trace-format version both exporters stamp and both
-// readers require. Bump it together with core.TraceAttrs and the
-// tracefields analyzer's schema table.
+// SchemaVersion is the trace-format version the JSONL header and the
+// Chrome view's otherData stamp, and the reader requires. Bump it together
+// with core.TraceAttrs and the tracefields analyzer's schema table.
 const SchemaVersion = 1
 
 // schemaName identifies the format in headers.
@@ -52,8 +52,7 @@ func MetaFor(cfg core.Config) Meta {
 // jsonEvent is the wire form of one event: flat, fixed field order
 // (declaration order drives encoding/json), zero-valued attributes
 // omitted. One marshaled jsonEvent per JSONL line; the same struct rides
-// in the Chrome events' args, which is what makes the Chrome file
-// losslessly re-readable.
+// in the Chrome events' args, so the Chrome view carries every attribute.
 type jsonEvent struct {
 	Seq             int64              `json:"seq"`
 	At              int64              `json:"at"`
@@ -275,10 +274,10 @@ func UnmarshalHeader(line []byte) (Meta, error) {
 		return Meta{}, fmt.Errorf("tracefmt: bad header line: %w", err)
 	}
 	if h.Schema != schemaName {
-		return Meta{}, fmt.Errorf("tracefmt: schema %q, want %q", h.Schema, schemaName)
+		return Meta{}, fmt.Errorf("tracefmt: header schema %q, want %q", h.Schema, schemaName)
 	}
 	if h.Version != SchemaVersion {
-		return Meta{}, fmt.Errorf("tracefmt: schema version %d, reader supports %d", h.Version, SchemaVersion)
+		return Meta{}, fmt.Errorf("tracefmt: header schema version %d, reader supports %d", h.Version, SchemaVersion)
 	}
 	return metaFrom(h), nil
 }
@@ -293,127 +292,33 @@ func UnmarshalEvent(line []byte) (core.TraceEvent, error) {
 	return fromJSON(j)
 }
 
-// Format names a trace serialization.
-type Format string
-
-// The supported trace formats.
-const (
-	FormatJSONL  Format = "jsonl"
-	FormatChrome Format = "chrome"
-)
-
-// ParseFormat validates a -trace-format flag value.
-func ParseFormat(s string) (Format, error) {
-	switch Format(s) {
-	case FormatJSONL, FormatChrome:
-		return Format(s), nil
+// Create opens a JSONL trace file at path and returns the stream that
+// writes it; Close flushes the stream and closes the file. An empty path
+// discards the output but still counts Bytes, the stream position a
+// checkpoint records.
+func Create(path string, meta Meta, opts StreamOptions) (*StreamSink, error) {
+	if path == "" {
+		return NewStreamSink(io.Discard, meta, opts)
 	}
-	return "", fmt.Errorf("tracefmt: unknown format %q (want jsonl or chrome)", s)
-}
-
-// FileSink writes one trace file while the run records it; every trace
-// file the commands write goes through it. A JSONL file streams through a
-// StreamSink, line by line. A Chrome file needs the whole timeline, so
-// its events are collected and written by Close. A FileSink is safe for
-// concurrent producers.
-type FileSink struct {
-	w      io.Writer
-	f      *os.File    // nil when the output is discarded
-	stream *StreamSink // JSONL; nil for Chrome
-	meta   Meta
-
-	mu     sync.Mutex
-	events []core.TraceEvent // Chrome: the timeline Close writes
-}
-
-// Create opens a trace file at path in the given format and returns its
-// sink. opts apply to the JSONL stream only. An empty path discards the
-// output but still counts Bytes, the stream position a checkpoint records.
-func Create(path string, format Format, meta Meta, opts StreamOptions) (*FileSink, error) {
-	s := &FileSink{w: io.Discard, meta: meta}
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		s.w, s.f = f, f
-	}
-	if format == FormatChrome {
-		return s, nil
-	}
-	stream, err := NewStreamSink(s.w, meta, opts)
+	f, err := os.Create(path)
 	if err != nil {
-		if s.f != nil {
-			_ = s.f.Close()
-		}
 		return nil, err
 	}
-	s.stream = stream
+	s, err := NewStreamSink(f, meta, opts)
+	if err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	s.file = f
 	return s, nil
 }
 
-// ConsumeTrace writes one JSONL line, or keeps the event for the Chrome
-// file.
-func (s *FileSink) ConsumeTrace(e core.TraceEvent) {
-	if s.stream != nil {
-		s.stream.ConsumeTrace(e)
-		return
-	}
-	s.mu.Lock()
-	s.events = append(s.events, e)
-	s.mu.Unlock()
-}
-
-// Close flushes the JSONL stream or writes the Chrome file, closes the
-// file, and returns the first error.
-func (s *FileSink) Close() error {
-	var err error
-	if s.stream != nil {
-		err = s.stream.Close()
-	} else {
-		s.mu.Lock()
-		err = WriteChrome(s.w, s.meta, s.events)
-		s.mu.Unlock()
-	}
-	if s.f != nil {
-		if cerr := s.f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// Bytes returns the JSONL stream's logical position (StreamSink.Bytes). A
-// Chrome file has none: it is written whole at Close, and Bytes is 0.
-func (s *FileSink) Bytes() uint64 {
-	if s.stream == nil {
-		return 0
-	}
-	return s.stream.Bytes()
-}
-
-// Dropped returns the number of JSONL lines lost to a failed writer.
-func (s *FileSink) Dropped() int64 {
-	if s.stream == nil {
-		return 0
-	}
-	return s.stream.Dropped()
-}
-
-// ReadFile loads a trace in either format, sniffing which one it is: a
-// Chrome file is one JSON object containing "traceEvents"; a JSONL file
-// begins with the schema header line.
+// ReadFile loads a JSONL trace file.
 func ReadFile(path string) (Meta, []core.TraceEvent, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Meta{}, nil, err
 	}
-	head := data
-	if len(head) > 256 {
-		head = head[:256]
-	}
-	if bytes.Contains(head, []byte(`"traceEvents"`)) {
-		return ReadChrome(bytes.NewReader(data))
-	}
-	return ReadJSONL(bytes.NewReader(data))
+	defer f.Close()
+	return ReadJSONL(f)
 }

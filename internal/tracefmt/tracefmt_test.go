@@ -173,22 +173,30 @@ func TestJSONLRejectsWrongSchemaVersion(t *testing.T) {
 	}
 }
 
+// TestChromeRoundTrip checks the Chrome view is a function of the JSONL
+// file: converting a trace read back from its JSONL bytes (with or without
+// the older writers' header sync key) writes exactly the Chrome bytes of
+// the original events.
 func TestChromeRoundTrip(t *testing.T) {
 	meta, events := sampleMeta(), sampleEvents()
-	var buf bytes.Buffer
-	if err := WriteChrome(&buf, meta, events); err != nil {
+	var want, jsonl bytes.Buffer
+	if err := WriteChrome(&want, meta, events); err != nil {
 		t.Fatal(err)
 	}
-	for _, in := range [][]byte{buf.Bytes(), withSyncKey(t, buf.Bytes())} {
-		gotMeta, gotEvents, err := ReadChrome(bytes.NewReader(in))
+	if err := WriteJSONL(&jsonl, meta, events); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range [][]byte{jsonl.Bytes(), withSyncKey(t, jsonl.Bytes())} {
+		gotMeta, gotEvents, err := ReadJSONL(bytes.NewReader(in))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotMeta != meta {
-			t.Fatalf("meta round-trip: got %+v, want %+v", gotMeta, meta)
+		var got bytes.Buffer
+		if err := WriteChrome(&got, gotMeta, gotEvents); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(gotEvents, events) {
-			t.Fatalf("events round-trip mismatch:\ngot  %+v\nwant %+v", gotEvents, events)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("chrome view of the JSONL trace differs:\ngot  %q\nwant %q", got.Bytes(), want.Bytes())
 		}
 	}
 }
@@ -235,66 +243,35 @@ func TestChromeStructure(t *testing.T) {
 	}
 }
 
-// writeTraceFile writes events to path through a FileSink in format and
-// returns the closed sink.
-func writeTraceFile(t *testing.T, path string, format Format, meta Meta, events []core.TraceEvent) *FileSink {
+// writeTraceFile writes events to path through Create and returns the
+// closed sink.
+func writeTraceFile(t *testing.T, path string, meta Meta, events []core.TraceEvent) *StreamSink {
 	t.Helper()
-	s, err := Create(path, format, meta, StreamOptions{})
+	s, err := Create(path, meta, StreamOptions{})
 	if err != nil {
-		t.Fatalf("%s: %v", format, err)
+		t.Fatal(err)
 	}
 	for _, e := range events {
 		s.ConsumeTrace(e)
 	}
 	if err := s.Close(); err != nil {
-		t.Fatalf("%s: %v", format, err)
+		t.Fatal(err)
 	}
 	return s
 }
 
+// TestFileSinkReadFileSniffsFormat checks a trace file written through
+// Create reads back equal through ReadFile.
 func TestFileSinkReadFileSniffsFormat(t *testing.T) {
-	dir := t.TempDir()
 	meta, events := sampleMeta(), sampleEvents()
-	for _, f := range []Format{FormatJSONL, FormatChrome} {
-		path := filepath.Join(dir, "trace-"+string(f))
-		writeTraceFile(t, path, f, meta, events)
-		gotMeta, gotEvents, err := ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		if gotMeta != meta || !reflect.DeepEqual(gotEvents, events) {
-			t.Fatalf("%s: round-trip through file mismatched", f)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, "trace-jsonl")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFileSinkChromeMatchesWriteChrome checks the Chrome file sink writes
-// exactly WriteChrome's bytes for the events it consumed, and that the
-// file reads back equal.
-func TestFileSinkChromeMatchesWriteChrome(t *testing.T) {
-	meta, events := sampleMeta(), sampleEvents()
-	var want bytes.Buffer
-	if err := WriteChrome(&want, meta, events); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "trace.json")
-	writeTraceFile(t, path, FormatChrome, meta, events)
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("chrome file differs from WriteChrome:\nfile: %q\nwant: %q", got, want.Bytes())
-	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	writeTraceFile(t, path, meta, events)
 	gotMeta, gotEvents, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotMeta != meta || !reflect.DeepEqual(gotEvents, events) {
-		t.Fatalf("chrome file read back %+v %+v, want %+v %+v", gotMeta, gotEvents, meta, events)
+		t.Fatalf("round-trip through file mismatched: %+v %+v", gotMeta, gotEvents)
 	}
 }
 
@@ -302,37 +279,22 @@ func TestFileSinkChromeMatchesWriteChrome(t *testing.T) {
 // Close reports a write the file system refused.
 func TestFileSinkErrors(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-dir", "trace")
-	for _, f := range []Format{FormatJSONL, FormatChrome} {
-		if _, err := Create(missing, f, sampleMeta(), StreamOptions{}); err == nil {
-			t.Errorf("%s: Create in a missing directory returned no error", f)
-		}
+	if _, err := Create(missing, sampleMeta(), StreamOptions{}); err == nil {
+		t.Error("Create in a missing directory returned no error")
 	}
 	// /dev/full accepts the open and fails every write with ENOSPC.
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full to fail writes on")
 	}
-	for _, f := range []Format{FormatJSONL, FormatChrome} {
-		s, err := Create("/dev/full", f, sampleMeta(), StreamOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		for _, e := range sampleEvents() {
-			s.ConsumeTrace(e)
-		}
-		if err := s.Close(); err == nil {
-			t.Errorf("%s: Close returned nil after a failed write", f)
-		}
+	s, err := Create("/dev/full", sampleMeta(), StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestParseFormat(t *testing.T) {
-	for _, s := range []string{"jsonl", "chrome"} {
-		if _, err := ParseFormat(s); err != nil {
-			t.Errorf("ParseFormat(%q): %v", s, err)
-		}
+	for _, e := range sampleEvents() {
+		s.ConsumeTrace(e)
 	}
-	if _, err := ParseFormat("csv"); err == nil {
-		t.Error("ParseFormat accepted csv")
+	if err := s.Close(); err == nil {
+		t.Error("Close returned nil after a failed write")
 	}
 }
 
