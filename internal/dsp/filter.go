@@ -81,12 +81,22 @@ func convolveRotateStep(dst, x, h []complex128, oLo int, rot, step complex128) c
 // CrossCorrelateInto writes c[k] = Σ_i x[i+k]·conj(ref[i]) for
 // k in [0, len(x)-len(ref)] into dst, which must hold that many values,
 // and returns the filled prefix: the sliding correlation used for packet
-// detection against a known preamble.
+// detection against a known preamble. It runs through
+// crossCorrelateKernel.
 func CrossCorrelateInto(dst, x, ref []complex128) []complex128 {
 	if len(ref) == 0 || len(x) < len(ref) {
 		return nil
 	}
 	out := dst[:len(x)-len(ref)+1]
+	crossCorrelateKernel(out, x, ref)
+	return out
+}
+
+// crossCorrelateStep is CrossCorrelateInto's loop in Go: out[k] is the
+// tap sum of x[k+i]·conj(ref[i]), started from +0 and added in tap order.
+// It runs everywhere without AVX2 and the outputs the assembly leaves,
+// and is the reference the assembly is tested against.
+func crossCorrelateStep(out, x, ref []complex128) {
 	for k := range out {
 		var acc complex128
 		win := x[k : k+len(ref)]
@@ -95,5 +105,4 @@ func CrossCorrelateInto(dst, x, ref []complex128) []complex128 {
 		}
 		out[k] = acc
 	}
-	return out
 }

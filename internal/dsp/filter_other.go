@@ -7,3 +7,9 @@ package dsp
 func convolveRotateKernel(dst, x, h []complex128, rot, step complex128) complex128 {
 	return convolveRotateStep(dst, x, h, len(h)-1, rot, step)
 }
+
+// crossCorrelateKernel is CrossCorrelateInto's loop. Without an assembly
+// version for this architecture it is the Go step.
+func crossCorrelateKernel(out, x, ref []complex128) {
+	crossCorrelateStep(out, x, ref)
+}

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"megamimo/internal/dsp"
 )
 
 // TestAVX2KernelDispatched fails when the kernel reports AVX2 to user
@@ -27,9 +29,9 @@ func TestAVX2KernelDispatched(t *testing.T) {
 	}
 	dispatched := reflect.ValueOf(acsKernel).Pointer() == reflect.ValueOf(acsAVX2).Pointer()
 	if reported && !dispatched {
-		t.Fatalf("the CPU reports AVX2 (hasAVX2 = %v) but the trellis runs the Go step", hasAVX2())
+		t.Fatalf("the CPU reports AVX2 (dsp.HasAVX2 = %v) but the trellis runs the Go step", dsp.HasAVX2())
 	}
-	if dispatched != hasAVX2() {
-		t.Fatalf("acsKernel is the AVX2 step: %v, but hasAVX2 = %v", dispatched, hasAVX2())
+	if dispatched != dsp.HasAVX2() {
+		t.Fatalf("acsKernel is the AVX2 step: %v, but dsp.HasAVX2 = %v", dispatched, dsp.HasAVX2())
 	}
 }

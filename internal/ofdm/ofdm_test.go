@@ -293,7 +293,7 @@ func arrayDetect(rx []complex128, threshold float64) (*Sync, error) {
 	}
 	win2 := slices.Clone(rx[searchLo:min(searchHi+NFFT, len(rx))])
 	cmplxs.Rotate(win2, win2, 0, -coarseCFO)
-	xc := dsp.CrossCorrelateInto(make([]complex128, len(win2)-len(ltfRef)+1), win2, ltfRef)
+	xc := goCrossCorrelate(win2, ltfRef)
 	bestPos, bestVal := -1, 0.0
 	for i := 0; i+NFFT < len(xc); i++ {
 		v := cmplx.Abs(xc[i]) + cmplx.Abs(xc[i+NFFT])
@@ -317,6 +317,32 @@ func arrayDetect(rx []complex128, threshold float64) (*Sync, error) {
 	k := math.Round(units.Ratio(units.PhaseAdvance(coarseCFO-fineCFO, NFFT), 2*math.Pi))
 	cfo := fineCFO + units.RadiansOver(units.Radians(2*math.Pi*k), NFFT)
 	return &Sync{PayloadStart: payload, CFO: cfo, LTFStart: ltf1 - LTFGuard, Metric: best}, nil
+}
+
+// goCrossCorrelate is the fine-timing correlation in Go,
+// c[k] = Σ_i x[k+i]·conj(ref[i]) summed from +0 in tap order, so
+// arrayDetect times frames with the Go loop whichever kernel dsp
+// dispatches.
+func goCrossCorrelate(x, ref []complex128) []complex128 {
+	out := make([]complex128, len(x)-len(ref)+1)
+	for k := range out {
+		var acc complex128
+		for i, r := range ref {
+			acc += x[k+i] * cmplx.Conj(r)
+		}
+		out[k] = acc
+	}
+	return out
+}
+
+// sameSync reports whether two detections are the same, bit for bit.
+func sameSync(a, b *Sync) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.PayloadStart == b.PayloadStart && a.LTFStart == b.LTFStart &&
+		math.Float64bits(float64(a.CFO)) == math.Float64bits(float64(b.CFO)) &&
+		math.Float64bits(a.Metric) == math.Float64bits(b.Metric)
 }
 
 // autoCorrelateLag returns a[k] = Σ_{i=k..k+win-1} x[i]·conj(x[i+lag]) for
@@ -402,20 +428,12 @@ func TestDetectMatchesArrayOracle(t *testing.T) {
 		stream{"all zero", make([]complex128, 1000)},
 		stream{"too short", withPacket(PreambleLen+SymbolLen-1, 0, 0, 0)},
 		stream{"shortest", withPacket(PreambleLen+SymbolLen, 0, 0, 0)})
-	same := func(a, b *Sync) bool {
-		if a == nil || b == nil {
-			return a == b
-		}
-		return a.PayloadStart == b.PayloadStart && a.LTFStart == b.LTFStart &&
-			math.Float64bits(float64(a.CFO)) == math.Float64bits(float64(b.CFO)) &&
-			math.Float64bits(a.Metric) == math.Float64bits(b.Metric)
-	}
 	found := map[string]int{}
 	for _, th := range []float64{0.2, 0.5, 0.9} {
 		for i, s := range streams {
 			got, err := Detect(s.rx, th)
 			want, wantErr := arrayDetect(s.rx, th)
-			if err != wantErr || !same(got, want) {
+			if err != wantErr || !sameSync(got, want) {
 				t.Fatalf("threshold %v stream %d (%s): Detect = %+v, %v; oracle = %+v, %v",
 					th, i, s.name, got, err, want, wantErr)
 			}
@@ -430,6 +448,41 @@ func TestDetectMatchesArrayOracle(t *testing.T) {
 			t.Errorf("no %q stream was detected; the oracle comparison only saw errors", name)
 		}
 	}
+}
+
+// TestDetectFineTimingMatchesGoLoop holds Detect, whose fine timing runs
+// through dsp's dispatched correlation kernel, to arrayDetect, which
+// correlates with the Go loop: the same LTF and payload start, CFO and
+// plateau metric, bit for bit, on frames with a random CFO and phase and
+// SNRs from −3 to 30 dB, where near-tied correlation pairs would expose a
+// kernel that moved a last bit.
+func TestDetectFineTimingMatchesGoLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	noise := rng.New(32)
+	detected := 0
+	const trials = 200
+	for trial := 0; trial < trials; trial++ {
+		frame, _ := buildFrame(r, 1+r.Intn(3))
+		off := r.Intn(600)
+		rx := make([]complex128, off+len(frame)+r.Intn(100))
+		copy(rx[off:], frame)
+		cmplxs.Rotate(rx, rx, units.Radians(2*math.Pi*r.Float64()), units.RadPerSample(0.04*(r.Float64()-0.5)))
+		snrDB := -3 + 33*r.Float64()
+		noise.AddComplexNormal(rx, math.Pow(10, -snrDB/10))
+		got, err := Detect(rx, 0.5)
+		want, wantErr := arrayDetect(rx, 0.5)
+		if err != wantErr || !sameSync(got, want) {
+			t.Fatalf("trial %d (%.1f dB): Detect = %+v, %v; Go loop = %+v, %v",
+				trial, snrDB, got, err, want, wantErr)
+		}
+		if err == nil {
+			detected++
+		}
+	}
+	if detected < trials/2 {
+		t.Fatalf("only %d of %d frames detected; the comparison mostly saw errors", detected, trials)
+	}
+	t.Logf("%d of %d frames detected", detected, trials)
 }
 
 func TestChannelEstimateFlatChannel(t *testing.T) {

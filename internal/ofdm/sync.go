@@ -104,10 +104,15 @@ func Detect(rx []complex128, threshold float64) (*Sync, error) {
 	cmplxs.Rotate(win2, win2, 0, -coarseCFO)
 	xc := dsp.CrossCorrelateInto(xcBuf[:], win2, ltfTimeRef)
 	// The LTF long symbol appears twice, 64 samples apart; find the pair
-	// with the largest combined magnitude.
+	// with the largest combined magnitude, taking each |xc| once.
+	var magBuf [fineSpan - NFFT + 1]float64
+	mag := magBuf[:len(xc)]
+	for i, v := range xc {
+		mag[i] = cmplx.Abs(v)
+	}
 	bestPos, bestVal := -1, 0.0
-	for i := 0; i+NFFT < len(xc); i++ {
-		v := cmplx.Abs(xc[i]) + cmplx.Abs(xc[i+NFFT])
+	for i := 0; i+NFFT < len(mag); i++ {
+		v := mag[i] + mag[i+NFFT]
 		if v > bestVal {
 			bestVal, bestPos = v, i
 		}

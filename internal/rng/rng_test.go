@@ -271,3 +271,55 @@ func TestAddComplexNormalMatchesPerSample(t *testing.T) {
 		}
 	}
 }
+
+// schrageSeedrand is the Lehmer step in math/rand's Schrage factorization,
+// the oracle for seedrand.
+func schrageSeedrand(x int32) int32 {
+	const (
+		a  = 48271
+		q  = 44488
+		rr = 3399
+	)
+	hi := x / q
+	lo := x % q
+	x = a*lo - rr*hi
+	if x < 0 {
+		x += int32max
+	}
+	return x
+}
+
+// TestSeedrandMatchesSchrage holds the division-free Lehmer step to the
+// Schrage factorization: on the ends of the domain and around Schrage's
+// q, on both sides of every x where 48271·x crosses a multiple of the
+// modulus, on two million strided values, and, without -short, on every
+// x in [1, 2³¹−1).
+func TestSeedrandMatchesSchrage(t *testing.T) {
+	check := func(x int32) {
+		if got, want := seedrand(x), schrageSeedrand(x); got != want {
+			t.Fatalf("seedrand(%d) = %d, Schrage %d", x, got, want)
+		}
+	}
+	for _, x := range []int32{1, 2, 3, 44487, 44488, 44489, 88976, 89482311, 1 << 30, int32max - 2, int32max - 1} {
+		check(x)
+	}
+	// Where 48271·x crosses a multiple of the modulus, the result wraps
+	// to near 0.
+	for k := int64(1); k < 48271; k++ {
+		if x := k * int32max / 48271; x > 0 {
+			check(int32(x))
+			check(int32(x + 1))
+		}
+	}
+	for x := int64(1); x < int32max; x += 997 {
+		check(int32(x))
+	}
+	if testing.Short() {
+		return
+	}
+	for x := int32(1); x < int32max; x++ {
+		if seedrand(x) != schrageSeedrand(x) {
+			check(x)
+		}
+	}
+}
