@@ -49,3 +49,21 @@ func poison(buf any) {
 		}
 	}
 }
+
+// GoFFTPlan is MustFFTPlan without fft64AVX2's tables: its transforms run
+// reorder and butterflies on every CPU.
+func GoFFTPlan(n int) *FFTPlan {
+	p := MustFFTPlan(n)
+	p.planes = nil
+	return p
+}
+
+// GoFFT64 makes the shared 64-point plan run reorder and butterflies until
+// the returned function restores it, so tests can hold callers of
+// MustPlanFor(64) to the Go steps.
+func GoFFT64() (restore func()) {
+	p := MustPlanFor(64)
+	saved := p.planes
+	p.planes = nil
+	return func() { p.planes = saved }
+}

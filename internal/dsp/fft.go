@@ -18,12 +18,45 @@ import (
 // tw[h-1 : 2h-1]. The butterfly loops therefore run stride-1 with no
 // direction branch, and the k = 0 butterfly (w = 1) is peeled so the
 // common term costs two adds instead of a complex multiply.
+//
+// A 64-point plan on a CPU with AVX2 runs each transform as one call to
+// fft64AVX2 instead, with the same twiddles in plane form; reorder and
+// butterflies serve every other size and CPU and are its test oracle.
 type FFTPlan struct {
 	n    int
 	logn int
 	rev  []int32 // bit-reversal permutation
 	twF  []complex128
 	twI  []complex128
+	// planes holds fft64AVX2's twiddles, forward then inverse. NewFFTPlan
+	// sets it only for n = 64 where fftAVX2 holds, and every transform
+	// runs the kernel exactly when it is set.
+	planes *[2]fftPlanes
+}
+
+// fftPlanes is one direction's twiddles for fft64AVX2, split into real and
+// imaginary planes so each YMM row holds four butterflies' factors: stage
+// 4's w[0], w[1], w[0], w[1] at index 0, then stage size 2h's h factors at
+// index h for h = 4, 8, 16, 32. Every factor is the Go steps' own value.
+// pre is the inverse's 1/64 prescale, and 0, no prescale, for the forward
+// transform.
+type fftPlanes struct {
+	re, im [64]float64
+	pre    float64
+}
+
+func newFFTPlanes(tw []complex128, pre float64) fftPlanes {
+	p := fftPlanes{pre: pre}
+	set := func(i int, w complex128) { p.re[i], p.im[i] = real(w), imag(w) }
+	for i := range 4 {
+		set(i, tw[1+i%2])
+	}
+	for h := 4; h <= 32; h <<= 1 {
+		for k := range h {
+			set(h+k, tw[h-1+k])
+		}
+	}
+	return p
 }
 
 // NewFFTPlan returns a plan for size n, which must be a power of two ≥ 2.
@@ -46,6 +79,9 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 			p.twI[half-1+k] = complex(c, -s)
 		}
 	}
+	if n == 64 && fftAVX2 {
+		p.planes = &[2]fftPlanes{newFFTPlanes(p.twF, 0), newFFTPlanes(p.twI, 1.0/64)}
+	}
 	return p, nil
 }
 
@@ -65,64 +101,49 @@ func (p *FFTPlan) Size() int { return p.n }
 // Forward computes the DFT of src into dst (both length n). dst and src may
 // alias. The transform is unnormalized: Forward∘Inverse = identity because
 // Inverse divides by n.
-func (p *FFTPlan) Forward(dst, src []complex128) {
-	p.check(dst, src)
-	p.reorder(dst, src)
-	p.butterflies(dst[:p.n], p.twF)
-}
+func (p *FFTPlan) Forward(dst, src []complex128) { p.transform(dst, src, 0, 0, false) }
 
 // Inverse computes the inverse DFT of src into dst, scaled by 1/n. The
 // scaling rides along with the bit-reversal copy, so the whole inverse is
 // the same number of passes as the forward transform.
-func (p *FFTPlan) Inverse(dst, src []complex128) {
-	p.check(dst, src)
-	scale := complex(1/float64(p.n), 0)
-	if &dst[0] == &src[0] {
-		for i, j := range p.rev {
-			if i < int(j) {
-				dst[i], dst[j] = dst[j], dst[i]
-			}
-		}
-		for i := range dst[:p.n] {
-			dst[i] *= scale
-		}
-	} else {
-		for i, j := range p.rev {
-			dst[i] = src[j] * scale
-		}
-	}
-	p.butterflies(dst[:p.n], p.twI)
+func (p *FFTPlan) Inverse(dst, src []complex128) { p.transform(dst, src, 1, 0, false) }
+
+// ForwardScaled is Forward followed by dst[i] *= complex(scale, 0) for
+// every bin: Go's complex product, so a −0 or an infinite part comes out
+// as that product's, not a real scaling's. It is how the OFDM modem
+// applies its √n normalization, in the same call as the transform.
+func (p *FFTPlan) ForwardScaled(dst, src []complex128, scale float64) {
+	p.transform(dst, src, 0, scale, true)
 }
 
-// ForwardBatch computes independent DFTs of every n-length frame packed
-// contiguously in src into dst (len(src) must be a multiple of n; dst and
-// src may alias). It is a plain per-frame loop over Forward: a convenience
-// for callers that keep every symbol of a frame in one contiguous arena,
-// not a faster transform.
-func (p *FFTPlan) ForwardBatch(dst, src []complex128) {
-	p.checkBatch(dst, src)
-	for off := 0; off < len(src); off += p.n {
-		p.Forward(dst[off:off+p.n], src[off:off+p.n])
-	}
+// InverseScaled is Inverse followed by dst[i] *= complex(scale, 0).
+func (p *FFTPlan) InverseScaled(dst, src []complex128, scale float64) {
+	p.transform(dst, src, 1, scale, true)
 }
 
-// InverseBatch is ForwardBatch for the scaled inverse transform.
-func (p *FFTPlan) InverseBatch(dst, src []complex128) {
-	p.checkBatch(dst, src)
-	for off := 0; off < len(src); off += p.n {
-		p.Inverse(dst[off:off+p.n], src[off:off+p.n])
-	}
-}
-
-func (p *FFTPlan) check(dst, src []complex128) {
+// transform runs direction dir (0 forward, 1 inverse) of src into dst,
+// then multiplies every output by complex(post, 0) if scaled.
+func (p *FFTPlan) transform(dst, src []complex128, dir int, post float64, scaled bool) {
 	if len(src) != p.n || len(dst) < p.n {
 		panic("dsp: FFT buffer length mismatch")
 	}
-}
-
-func (p *FFTPlan) checkBatch(dst, src []complex128) {
-	if len(src)%p.n != 0 || len(dst) < len(src) {
-		panic("dsp: FFT batch length mismatch")
+	if p.planes != nil {
+		fft64AVX2((*[64]complex128)(dst), (*[64]complex128)(src), &p.planes[dir], post, scaled)
+		return
+	}
+	dst = dst[:p.n]
+	if dir == 0 {
+		p.reorder(dst, src)
+		p.butterflies(dst, p.twF)
+	} else {
+		p.reorderInverse(dst, src)
+		p.butterflies(dst, p.twI)
+	}
+	if scaled {
+		s := complex(post, 0)
+		for i := range dst {
+			dst[i] *= s
+		}
 	}
 }
 
@@ -138,6 +159,22 @@ func (p *FFTPlan) reorder(dst, src []complex128) {
 	} else {
 		for i, j := range p.rev {
 			dst[i] = src[j]
+		}
+	}
+}
+
+// reorderInverse is reorder with the inverse transform's 1/n scaling, a
+// complex product per sample.
+func (p *FFTPlan) reorderInverse(dst, src []complex128) {
+	scale := complex(1/float64(p.n), 0)
+	if &dst[0] == &src[0] {
+		p.reorder(dst, src)
+		for i := range dst {
+			dst[i] *= scale
+		}
+	} else {
+		for i, j := range p.rev {
+			dst[i] = src[j] * scale
 		}
 	}
 }
@@ -168,21 +205,4 @@ func (p *FFTPlan) butterflies(dst []complex128, tw []complex128) {
 			}
 		}
 	}
-}
-
-// FFT is a convenience wrapper that allocates a result and a plan for
-// one-off transforms (tests, setup paths).
-func FFT(src []complex128) []complex128 {
-	p := MustFFTPlan(len(src))
-	dst := make([]complex128, len(src))
-	p.Forward(dst, src)
-	return dst
-}
-
-// IFFT is the inverse convenience wrapper for FFT.
-func IFFT(src []complex128) []complex128 {
-	p := MustFFTPlan(len(src))
-	dst := make([]complex128, len(src))
-	p.Inverse(dst, src)
-	return dst
 }

@@ -23,6 +23,20 @@ func naiveDFT(x []complex128) []complex128 {
 	return out
 }
 
+// FFT returns the DFT of src through a plan built for the call.
+func FFT(src []complex128) []complex128 {
+	dst := make([]complex128, len(src))
+	MustFFTPlan(len(src)).Forward(dst, src)
+	return dst
+}
+
+// IFFT is FFT's scaled inverse.
+func IFFT(src []complex128) []complex128 {
+	dst := make([]complex128, len(src))
+	MustFFTPlan(len(src)).Inverse(dst, src)
+	return dst
+}
+
 func randSignal(r *rand.Rand, n int) []complex128 {
 	x := make([]complex128, n)
 	for i := range x {
@@ -33,7 +47,7 @@ func randSignal(r *rand.Rand, n int) []complex128 {
 
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for _, n := range []int{2, 4, 8, 16, 64, 128} {
+	for n := 2; n <= 1024; n <<= 1 {
 		x := randSignal(r, n)
 		got := FFT(x)
 		want := naiveDFT(x)
@@ -172,13 +186,21 @@ func TestQuickFFTShiftTheorem(t *testing.T) {
 	}
 }
 
+// BenchmarkFFT64 times one 64-point forward transform as dispatched
+// (fft64AVX2 where the CPU has AVX2) and through the Go steps.
 func BenchmarkFFT64(b *testing.B) {
-	p := MustFFTPlan(64)
 	x := randSignal(rand.New(rand.NewSource(1)), 64)
 	dst := make([]complex128, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.Forward(dst, x)
+	for _, bc := range []struct {
+		name string
+		plan *FFTPlan
+	}{{"dispatched", MustFFTPlan(64)}, {"go", GoFFTPlan(64)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.plan.Forward(dst, x)
+			}
+		})
 	}
 }
 

@@ -13,3 +13,12 @@ func convolveRotateKernel(dst, x, h []complex128, rot, step complex128) complex1
 func crossCorrelateKernel(out, x, ref []complex128) {
 	crossCorrelateStep(out, x, ref)
 }
+
+// fftAVX2 is false: NewFFTPlan builds no kernel tables for this
+// architecture, so every transform runs reorder and butterflies and
+// fft64AVX2 is never called.
+const fftAVX2 = false
+
+func fft64AVX2(dst, src *[64]complex128, tw *fftPlanes, post float64, scaled bool) {
+	panic("dsp: no FFT kernel for this architecture")
+}

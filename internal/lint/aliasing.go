@@ -26,8 +26,10 @@ var aliasRules = map[string]aliasRule{
 	"megamimo/internal/cmplxs.Scale":  elementwise2,
 	"megamimo/internal/cmplxs.Rotate": elementwise2,
 
-	"(*megamimo/internal/dsp.FFTPlan).Forward": elementwise2,
-	"(*megamimo/internal/dsp.FFTPlan).Inverse": elementwise2,
+	"(*megamimo/internal/dsp.FFTPlan).Forward":       elementwise2,
+	"(*megamimo/internal/dsp.FFTPlan).Inverse":       elementwise2,
+	"(*megamimo/internal/dsp.FFTPlan).ForwardScaled": elementwise2,
+	"(*megamimo/internal/dsp.FFTPlan).InverseScaled": elementwise2,
 
 	"megamimo/internal/dsp.ConvolveRotateAdd": {dst: []int{0}, src: []int{1, 2}, strict: true},
 }

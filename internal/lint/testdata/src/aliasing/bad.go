@@ -21,5 +21,6 @@ func convolveAliased(x, h []complex128) {
 
 // fftShifted partially overlaps an FFT's dst and src windows.
 func fftShifted(p *dsp.FFTPlan, x []complex128) {
-	p.Forward(x[1:], x[:len(x)-1]) // want "overlapping source"
+	p.Forward(x[1:], x[:len(x)-1])          // want "overlapping source"
+	p.InverseScaled(x[2:], x[:len(x)-2], 8) // want "overlapping source"
 }

@@ -79,20 +79,15 @@ func PilotPolarity(n int) float64 { return pilotPolarity[n%127] }
 
 // Modulator converts 48-point data-subcarrier vectors into 80-sample
 // time-domain OFDM symbols. It is allocation-free per symbol after reuse
-// of the internal scratch buffers; Symbol returns freshly allocated output.
+// of the internal frequency buffer; Symbol returns freshly allocated output.
 type Modulator struct {
-	plan    *dsp.FFTPlan
-	freq    []complex128
-	scratch []complex128
+	plan *dsp.FFTPlan
+	freq []complex128
 }
 
 // NewModulator returns a Modulator.
 func NewModulator() *Modulator {
-	return &Modulator{
-		plan:    dsp.MustPlanFor(NFFT),
-		freq:    make([]complex128, NFFT),
-		scratch: make([]complex128, NFFT),
-	}
+	return &Modulator{plan: dsp.MustPlanFor(NFFT), freq: make([]complex128, NFFT)}
 }
 
 // Symbol builds one OFDM symbol: data is the 48 data-subcarrier values,
@@ -148,28 +143,22 @@ func (m *Modulator) symbolFromFreq() []complex128 {
 }
 
 func (m *Modulator) symbolFromFreqInto(dst []complex128) {
-	m.plan.Inverse(m.scratch, m.freq)
 	// IFFT of unit-power subcarriers yields samples with power 52/64²;
 	// rescale by √NFFT so occupied-carrier power maps 1:1 to sample power
 	// (times occupancy fraction). This keeps SNR bookkeeping simple.
-	scale := complex(math.Sqrt(NFFT), 0)
-	for i := 0; i < NFFT; i++ {
-		m.scratch[i] *= scale
-	}
-	copy(dst[CPLen:SymbolLen], m.scratch)
-	copy(dst[:CPLen], m.scratch[NFFT-CPLen:])
+	m.plan.InverseScaled(dst[CPLen:SymbolLen], m.freq, math.Sqrt(NFFT))
+	copy(dst[:CPLen], dst[SymbolLen-CPLen:SymbolLen])
 }
 
 // Demodulator converts received 80-sample symbols back to the frequency
 // domain.
 type Demodulator struct {
-	plan    *dsp.FFTPlan
-	scratch []complex128
+	plan *dsp.FFTPlan
 }
 
 // NewDemodulator returns a Demodulator.
 func NewDemodulator() *Demodulator {
-	return &Demodulator{plan: dsp.MustPlanFor(NFFT), scratch: make([]complex128, NFFT)}
+	return &Demodulator{plan: dsp.MustPlanFor(NFFT)}
 }
 
 // FreqInto writes the 64 frequency bins of one received symbol (CP
@@ -183,20 +172,14 @@ func (d *Demodulator) FreqInto(dst, samples []complex128) error {
 	if len(dst) < NFFT {
 		return fmt.Errorf("ofdm: destination holds %d bins, want ≥ %d", len(dst), NFFT)
 	}
-	d.plan.Forward(d.scratch, samples[CPLen:SymbolLen])
-	scale := complex(1/math.Sqrt(NFFT), 0)
-	for i := 0; i < NFFT; i++ {
-		dst[i] = d.scratch[i] * scale
-	}
+	d.plan.ForwardScaled(dst, samples[CPLen:SymbolLen], 1/math.Sqrt(NFFT))
 	return nil
 }
 
 // FreqBatchInto demodulates count consecutive symbols starting at samples
-// into dst (count×NFFT bins, symbol s at dst[s*NFFT:]): the CP-stripped
-// symbol bodies are packed contiguously into dst and transformed with a
-// single batched FFT, so a whole frame's data field demodulates in one
-// call. Per-bin results are bit-identical to count FreqInto calls. dst must
-// not alias samples.
+// into dst (count×NFFT bins, symbol s at dst[s*NFFT:]), so a whole frame's
+// data field demodulates in one call. Per-bin results are bit-identical to
+// count FreqInto calls. dst must not alias samples.
 func (d *Demodulator) FreqBatchInto(dst, samples []complex128, count int) error {
 	if count <= 0 {
 		return fmt.Errorf("ofdm: batch of %d symbols", count)
@@ -208,12 +191,7 @@ func (d *Demodulator) FreqBatchInto(dst, samples []complex128, count int) error 
 		return fmt.Errorf("ofdm: destination holds %d bins, want ≥ %d", len(dst), count*NFFT)
 	}
 	for s := 0; s < count; s++ {
-		copy(dst[s*NFFT:(s+1)*NFFT], samples[s*SymbolLen+CPLen:(s+1)*SymbolLen])
-	}
-	d.plan.ForwardBatch(dst[:count*NFFT], dst[:count*NFFT])
-	scale := complex(1/math.Sqrt(NFFT), 0)
-	for i := range dst[:count*NFFT] {
-		dst[i] *= scale
+		d.plan.ForwardScaled(dst[s*NFFT:(s+1)*NFFT], samples[s*SymbolLen+CPLen:(s+1)*SymbolLen], 1/math.Sqrt(NFFT))
 	}
 	return nil
 }

@@ -451,11 +451,14 @@ func TestDetectMatchesArrayOracle(t *testing.T) {
 }
 
 // TestDetectFineTimingMatchesGoLoop holds Detect, whose fine timing runs
-// through dsp's dispatched correlation kernel, to arrayDetect, which
-// correlates with the Go loop: the same LTF and payload start, CFO and
-// plateau metric, bit for bit, on frames with a random CFO and phase and
-// SNRs from −3 to 30 dB, where near-tied correlation pairs would expose a
-// kernel that moved a last bit.
+// through dsp's dispatched correlation kernel and whose plateau search
+// skips samples by metricBelow, to arrayDetect, which correlates with the
+// Go loop and computes every sample's metric: the same LTF and payload
+// start, CFO and plateau metric, bit for bit, on frames with a random CFO
+// and phase and SNRs from −3 to 30 dB, where near-tied correlation pairs
+// would expose a kernel that moved a last bit. Each frame runs again at a
+// random threshold in [0.3, 0.9] and scaled by a random power of ten up to
+// 10^±150.
 func TestDetectFineTimingMatchesGoLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	noise := rng.New(32)
@@ -478,11 +481,75 @@ func TestDetectFineTimingMatchesGoLoop(t *testing.T) {
 		if err == nil {
 			detected++
 		}
+		threshold := 0.3 + 0.6*r.Float64()
+		scale := math.Pow(10, float64(r.Intn(301)-150))
+		scaled := slices.Clone(rx)
+		for i := range scaled {
+			scaled[i] *= complex(scale, 0)
+		}
+		got, err = Detect(scaled, threshold)
+		want, wantErr = arrayDetect(scaled, threshold)
+		if err != wantErr || !sameSync(got, want) {
+			t.Fatalf("trial %d (%.1f dB, threshold %.3f, scale %g): Detect = %+v, %v; Go loop = %+v, %v",
+				trial, snrDB, threshold, scale, got, err, want, wantErr)
+		}
 	}
 	if detected < trials/2 {
 		t.Fatalf("only %d of %d frames detected; the comparison mostly saw errors", detected, trials)
 	}
 	t.Logf("%d of %d frames detected", detected, trials)
+}
+
+// TestDetectPlateauPrefilter holds Detect's plateau search, which skips
+// the samples metricBelow rules out, to arrayDetect's, which computes every
+// sample's metric, over thresholds 0.3–0.9 and signal scales 1e-150…1e150:
+// the scales move every square the prefilter compares through the range
+// where it must give up and take the exact path. Then it checks
+// metricBelow's claim directly on metrics within a few ulps of the limit.
+func TestDetectPlateauPrefilter(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	noise := rng.New(34)
+	for trial := 0; trial < 20; trial++ {
+		frame, _ := buildFrame(r, 1)
+		off := r.Intn(400)
+		rx := make([]complex128, off+len(frame)+50)
+		copy(rx[off:], frame)
+		cmplxs.Rotate(rx, rx, units.Radians(2*math.Pi*r.Float64()), units.RadPerSample(0.04*(r.Float64()-0.5)))
+		noise.AddComplexNormal(rx, math.Pow(10, -(-3+23*r.Float64())/10))
+		for exp := -150; exp <= 150; exp += 30 {
+			scaled := slices.Clone(rx)
+			for i := range scaled {
+				scaled[i] *= complex(math.Pow(10, float64(exp)), 0)
+			}
+			for threshold := 0.3; threshold < 0.95; threshold += 0.1 {
+				got, err := Detect(scaled, threshold)
+				want, wantErr := arrayDetect(scaled, threshold)
+				if err != wantErr || !sameSync(got, want) {
+					t.Fatalf("trial %d, scale 1e%d, threshold %.1f: Detect = %+v, %v; exact metric = %+v, %v",
+						trial, exp, threshold, got, err, want, wantErr)
+				}
+			}
+		}
+	}
+
+	skipped := 0
+	for i := 0; i < 100000; i++ {
+		exp := float64(r.Intn(601) - 300)
+		auto := complex(r.NormFloat64(), r.NormFloat64()) * complex(math.Pow(10, exp), 0)
+		d := math.Pow(10, exp+4*r.NormFloat64())
+		m := cmplx.Abs(auto) / d
+		for _, lim := range []float64{m * (1 + float64(r.Intn(21)-10)*0x1p-52), m * (1 + 2e-9), 2 * m, -2 * m} {
+			if metricBelow(auto, d, lim) {
+				if !(m < lim) {
+					t.Fatalf("metricBelow(%v, %v, %v) skips a sample whose metric %v is not below the limit", auto, d, lim, m)
+				}
+				skipped++
+			}
+		}
+	}
+	if skipped < 50000 {
+		t.Fatalf("metricBelow skipped %d of 400000 samples; it should rule out most of those in range", skipped)
+	}
 }
 
 func TestChannelEstimateFlatChannel(t *testing.T) {
@@ -553,7 +620,8 @@ func TestChannelEstimateMultipath(t *testing.T) {
 	// phase ramp that Detect may introduce; compare magnitudes).
 	ref := make([]complex128, NFFT)
 	copy(ref, taps)
-	H := dsp.FFT(ref)
+	H := make([]complex128, NFFT)
+	dsp.MustPlanFor(NFFT).Forward(H, ref)
 	// Tolerance covers the estimator's deliberate cross-bin smoothing bias.
 	for _, k := range OccupiedCarriers() {
 		if math.Abs(cmplx.Abs(h[Bin(k)])-cmplx.Abs(H[Bin(k)])) > 0.06 {

@@ -57,11 +57,7 @@ func LTFFreq() []complex128 {
 func STF() []complex128 {
 	plan := dsp.MustPlanFor(NFFT)
 	t := make([]complex128, NFFT)
-	plan.Inverse(t, stfFreq())
-	scale := complex(math.Sqrt(NFFT), 0)
-	for i := range t {
-		t[i] *= scale
-	}
+	plan.InverseScaled(t, stfFreq(), math.Sqrt(NFFT))
 	out := make([]complex128, STFLen)
 	for i := range out {
 		out[i] = t[i%NFFT]
@@ -74,11 +70,7 @@ func STF() []complex128 {
 func LTF() []complex128 {
 	plan := dsp.MustPlanFor(NFFT)
 	t := make([]complex128, NFFT)
-	plan.Inverse(t, LTFFreq())
-	scale := complex(math.Sqrt(NFFT), 0)
-	for i := range t {
-		t[i] *= scale
-	}
+	plan.InverseScaled(t, LTFFreq(), math.Sqrt(NFFT))
 	out := make([]complex128, LTFLen)
 	copy(out[:LTFGuard], t[NFFT-LTFGuard:])
 	copy(out[LTFGuard:LTFGuard+NFFT], t)

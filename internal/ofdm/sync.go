@@ -68,10 +68,19 @@ func Detect(rx []complex128, threshold float64) (*Sync, error) {
 		// Normalize by windowed energy to get a scale-free metric. The
 		// energy round-trips through its window mean because detection
 		// results are pinned bit for bit to that operation order. A NaN
-		// energy yields a NaN metric, which clears any threshold.
+		// energy yields a NaN metric, which clears any threshold. Samples
+		// that provably cannot pass skip the magnitude and the division.
 		m := 0.0
 		if e := energy / span * span; !(e <= 0) {
-			m = cmplx.Abs(auto) / (e * win / span)
+			d := e * win / span
+			lim := threshold
+			if coarse >= 0 {
+				lim = best
+			}
+			if metricBelow(auto, d, lim) {
+				continue
+			}
+			m = cmplx.Abs(auto) / d
 		}
 		if coarse < 0 {
 			if m <= threshold {
@@ -152,6 +161,22 @@ func Detect(rx []complex128, threshold float64) (*Sync, error) {
 // symbol, so the window and its cross-correlation live on the stack.
 const fineSpan = STFLen + LTFGuard + 4*NFFT
 
+// metricBelow reports that the plateau metric |auto|/d is below lim, so
+// Detect may skip the sample, by comparing |auto|² with (lim·d)² under a
+// relative margin of 1e-9: orders of magnitude above the few ulps the
+// squares, cmplx.Abs and the division can move either side, so a skipped
+// sample's exact metric is below lim too. It answers false, and Detect
+// computes the exact metric, wherever that proof does not hold: lim ≤ 0, a
+// NaN or infinite operand, a square that overflows, or |auto|² below
+// 2⁻⁹⁰⁰, where an underflowed square would lose its relative precision.
+func metricBelow(auto complex128, d, lim float64) bool {
+	const margin, tiny = 1 - 1e-9, 0x1p-900
+	a2 := power(auto)
+	b := lim * d
+	b2 := b * b
+	return lim > 0 && a2 >= tiny && b2 <= math.MaxFloat64 && a2 < b2*margin
+}
+
 // power is |v|², the per-sample energy.
 func power(v complex128) float64 {
 	return real(v)*real(v) + imag(v)*imag(v)
@@ -189,13 +214,12 @@ func EstimateChannelLTF(rx []complex128, sync *Sync) ([]complex128, error) {
 		// repeated channel snapshots (MegaMIMO's slave ratio) compare
 		// phases to millirad accuracy.
 		cmplxs.Rotate(buf, buf, units.PhaseAdvance(-sync.CFO, units.Samples(start-ltf1)), -sync.CFO)
-		plan.Forward(freq, buf)
-		scale := complex(1/math.Sqrt(NFFT), 0)
+		plan.ForwardScaled(freq, buf, 1/math.Sqrt(NFFT))
 		for k := range freq {
 			if ref[k] == 0 {
 				continue
 			}
-			h[k] += freq[k] * scale / ref[k]
+			h[k] += freq[k] / ref[k]
 		}
 	}
 	for k := range h {

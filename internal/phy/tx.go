@@ -244,7 +244,7 @@ func (tx *TX) SynthesizeWithGainInto(dst []complex128, f *FrameSymbols, gain []c
 // SynthesizeJointInto builds one AP antenna's combined joint-transmission
 // waveform directly in the frequency domain: the per-stream precoder gains
 // multiply each stream's symbol bins, the gained bins of all streams sum
-// per symbol, and ONE batched IFFT converts the whole frame — instead of a
+// per symbol, and one IFFT per symbol converts the sum — instead of a
 // full per-stream synthesis followed by a time-domain sum. The preamble
 // comes from the summed gains (the transform is linear, so gaining the
 // preamble by Σ_j g_j equals summing per-stream gained preambles). gains[j]
@@ -281,8 +281,7 @@ func (tx *TX) SynthesizeJointInto(dst []complex128, frames []*FrameSymbols, gain
 		//lint:ignore panic-policy documented precondition, a caller bug rather than bad input
 		panic(fmt.Sprintf("phy: destination holds %d samples, frame needs %d", len(dst), frameLen))
 	}
-	// All accumulated symbol bins of the frame, transformed with a single
-	// batched IFFT.
+	// All accumulated symbol bins of the frame, one IFFT per symbol.
 	comb := dsp.Borrow[complex128](nsym * ofdm.NFFT)
 	defer dsp.Release(comb)
 	clear(comb)
@@ -308,15 +307,10 @@ func (tx *TX) SynthesizeJointInto(dst []complex128, frames []*FrameSymbols, gain
 	}
 	tx.synthPreambleWithGainInto(dst[:ofdm.PreambleLen], gainSum)
 	plan := dsp.MustPlanFor(ofdm.NFFT)
-	plan.InverseBatch(comb, comb)
-	scale := complex(math.Sqrt(ofdm.NFFT), 0)
 	off := ofdm.PreambleLen
 	for s := 0; s < nsym; s++ {
-		body := comb[s*ofdm.NFFT : (s+1)*ofdm.NFFT]
 		out := dst[off : off+ofdm.SymbolLen]
-		for i, v := range body {
-			out[ofdm.CPLen+i] = v * scale
-		}
+		plan.InverseScaled(out[ofdm.CPLen:], comb[s*ofdm.NFFT:(s+1)*ofdm.NFFT], math.Sqrt(ofdm.NFFT))
 		copy(out[:ofdm.CPLen], out[ofdm.SymbolLen-ofdm.CPLen:])
 		off += ofdm.SymbolLen
 	}
@@ -337,11 +331,7 @@ func preambleFreqBase() (stf, ltf []complex128) {
 		// period-64 window of the STF.
 		plan := dsp.MustPlanFor(ofdm.NFFT)
 		f := make([]complex128, ofdm.NFFT)
-		plan.Forward(f, ofdm.STF()[:ofdm.NFFT])
-		scale := complex(1/math.Sqrt(ofdm.NFFT), 0)
-		for i := range f {
-			f[i] *= scale
-		}
+		plan.ForwardScaled(f, ofdm.STF()[:ofdm.NFFT], 1/math.Sqrt(ofdm.NFFT))
 		basePreambleFreq.stf = f
 		basePreambleFreq.ltf = ofdm.LTFFreq()
 	})
@@ -363,13 +353,8 @@ func (tx *TX) synthPreambleWithGainInto(dst []complex128, gain []complex128) {
 		}
 	}
 	plan := dsp.MustPlanFor(ofdm.NFFT)
-	scale := complex(math.Sqrt(ofdm.NFFT), 0)
-	plan.Inverse(tx.stfT, tx.stfF)
-	plan.Inverse(tx.ltfT, tx.ltfF)
-	for i := 0; i < ofdm.NFFT; i++ {
-		tx.stfT[i] *= scale
-		tx.ltfT[i] *= scale
-	}
+	plan.InverseScaled(tx.stfT, tx.stfF, math.Sqrt(ofdm.NFFT))
+	plan.InverseScaled(tx.ltfT, tx.ltfF, math.Sqrt(ofdm.NFFT))
 	n := 0
 	for i := 0; i < ofdm.STFLen; i++ {
 		dst[n] = tx.stfT[i%ofdm.NFFT]
