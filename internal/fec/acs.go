@@ -2,11 +2,48 @@ package fec
 
 import "math"
 
+// chunkSteps is the most trellis steps one kernel call runs: trellis
+// depunctures that many steps of A and B LLRs at a time into a 4 KB stack
+// buffer, so no frame needs a buffer of its whole mother code. It is a
+// whole number of periods of every puncturing pattern (1, 2 and 3 steps),
+// so every chunk starts at a pattern's first position.
+const chunkSteps = 252
+
+// kernel names a trellis kernel. Each runs a chunk of trellis steps with
+// the same signature: from the path metrics m and the depunctured LLRs ab
+// (A of step i at ab[2i], B at ab[2i+1], no NaN among them) it writes
+// step i's survivor word to surv[i], for len(surv) ≤ chunkSteps steps,
+// and leaves the new path metrics in m. All three write the same bits.
+type kernel uint8
+
+const (
+	goKernel     kernel = iota // acsChunkGo, every CPU
+	avx2Kernel                 // acsChunkAVX2, amd64 with AVX2
+	avx512Kernel               // acsChunkAVX512, amd64 with AVX-512 F and DQ
+)
+
+// acsChunkGo is the chunk kernel in Go: the branch metrics of each step,
+// then acsStep. It runs where neither assembly kernel can.
+func acsChunkGo(m *[numStates]float64, surv []uint64, ab *[2 * chunkSteps]float64) {
+	var spare [numStates]float64
+	mp, np := m, &spare
+	for i := range surv {
+		la, lb := ab[2*i], ab[2*i+1]
+		// bm[out] for out = A<<1|B; LLR>0 favors bit 0, cost is minimized.
+		bm := [4]float64{-la - lb, -la + lb, la - lb, la + lb}
+		surv[i] = acsStep(mp, np, &bm)
+		mp, np = np, mp
+	}
+	if mp != m {
+		*m = *mp
+	}
+}
+
 // acsStep is one trellis step's add-compare-select in Go: from the path
 // metrics mp and the branch metrics bm it writes the 64 new path metrics
 // into np and returns the survivor word (bit s set = state s kept its odd
-// predecessor). It is the step acsKernel runs without AVX2 and off amd64,
-// and the reference the assembly is tested against.
+// predecessor). acsChunkGo runs it, and it is the reference the assembly
+// kernels are tested against.
 //
 // The update runs as a butterfly over next-state pairs: states j and j+32
 // share the predecessors 2j and 2j+1, and because generators 133/171 both

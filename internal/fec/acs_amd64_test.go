@@ -2,7 +2,6 @@ package fec
 
 import (
 	"os"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -10,28 +9,48 @@ import (
 	"megamimo/internal/dsp"
 )
 
-// TestAVX2KernelDispatched fails when the kernel reports AVX2 to user
-// space but the trellis runs the Go step, so a broken CPUID or XGETBV
-// check cannot fall back to Go unnoticed. The CPU flags come from Linux's
-// /proc/cpuinfo, which lists avx2 only when the kernel also saves YMM
-// state; elsewhere the test is skipped.
+// hostKernels lists the kernels this CPU can run, the Go one first.
+func hostKernels() []kernel {
+	ks := []kernel{goKernel}
+	if dsp.HasAVX2() {
+		ks = append(ks, avx2Kernel)
+	}
+	if dsp.HasAVX512() {
+		ks = append(ks, avx512Kernel)
+	}
+	return ks
+}
+
+// TestAVX2KernelDispatched fails when the kernel reports AVX2 or AVX-512
+// to user space but the trellis runs a narrower kernel, so a broken CPUID
+// or XGETBV check cannot fall back unnoticed. The CPU flags come from
+// Linux's /proc/cpuinfo, which lists avx2, avx512f and avx512dq only when
+// the kernel also saves their register state; elsewhere the test is
+// skipped.
 func TestAVX2KernelDispatched(t *testing.T) {
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("no CPU flags to check against: %v", err)
 	}
-	reported := false
+	var flags []string
 	for _, line := range strings.Split(string(info), "\n") {
-		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			reported = slices.Contains(strings.Fields(flags), "avx2")
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags = strings.Fields(list)
 			break
 		}
 	}
-	dispatched := reflect.ValueOf(acsKernel).Pointer() == reflect.ValueOf(acsAVX2).Pointer()
-	if reported && !dispatched {
-		t.Fatalf("the CPU reports AVX2 (dsp.HasAVX2 = %v) but the trellis runs the Go step", dsp.HasAVX2())
+	want := goKernel
+	switch {
+	case slices.Contains(flags, "avx2") && slices.Contains(flags, "avx512f") && slices.Contains(flags, "avx512dq"):
+		want = avx512Kernel
+	case slices.Contains(flags, "avx2"):
+		want = avx2Kernel
 	}
-	if dispatched != dsp.HasAVX2() {
-		t.Fatalf("acsKernel is the AVX2 step: %v, but dsp.HasAVX2 = %v", dispatched, dsp.HasAVX2())
+	if trellisKernel < want {
+		t.Fatalf("the CPU reports the %s kernel's features (dsp.HasAVX2 = %v, dsp.HasAVX512 = %v) but the trellis runs the %s kernel",
+			kernelNames[want], dsp.HasAVX2(), dsp.HasAVX512(), kernelNames[trellisKernel])
+	}
+	if got := hostKernels(); trellisKernel != got[len(got)-1] {
+		t.Fatalf("the trellis runs the %s kernel, but dsp.HasAVX2 = %v and dsp.HasAVX512 = %v", kernelNames[trellisKernel], dsp.HasAVX2(), dsp.HasAVX512())
 	}
 }

@@ -114,6 +114,10 @@ var punctureTable [3][3][256]keptBits
 // punctures both bits of an input, so 3·2+2 is -1 too.
 var hardNext [numStates][9]int8
 
+// keptAt[rate] lists the positions within one period of rate's pattern
+// that the pattern keeps, in order.
+var keptAt [3][]int
+
 func init() {
 	for s := 0; s < numStates; s++ {
 		for in := 0; in < 2; in++ {
@@ -154,6 +158,11 @@ func init() {
 	}
 	for _, rate := range []Rate{Rate12, Rate23, Rate34} {
 		pat := rate.pattern()
+		for p, kept := range pat {
+			if kept {
+				keptAt[rate] = append(keptAt[rate], p)
+			}
+		}
 		for p := 0; p < len(pat); p += 2 {
 			for y := 0; y < 256; y++ {
 				e := &punctureTable[rate][p/2][y]
@@ -349,57 +358,44 @@ func cleanPath(dst []byte, llr []float64, rate Rate) bool {
 }
 
 // trellis runs the full Viterbi trellis over llr and writes the len(dst)
-// decoded data bits into dst, one acsKernel call per trellis step. It is
-// the path DecodeSoftInto takes whenever cleanPath cannot certify the hard
-// decisions.
-func trellis(dst []byte, llr []float64, rate Rate) { trellisWith(dst, llr, rate, acsKernel) }
-
-// trellisWith is trellis with the add-compare-select step as a parameter,
-// so tests can run the same frame through acsStep and acsKernel. Because
-// kernel is called through a func value, everything it is handed lives in
-// borrowed scratch rather than on the stack, where it would escape and
-// allocate on every call.
-func trellisWith(dst []byte, llr []float64, rate Rate, kernel func(mp, np *[numStates]float64, bm *[4]float64) uint64) {
+// decoded data bits into dst, one trellisKernel call per chunk of up to
+// chunkSteps steps. It is the path DecodeSoftInto takes whenever cleanPath
+// cannot certify the hard decisions.
+func trellis(dst []byte, llr []float64, rate Rate) {
 	total := len(dst) + constraintLen - 1
-	survivors := dsp.Borrow[uint64](total)
-	metrics := dsp.Borrow[float64](2*numStates + 4)
-	defer dsp.Release(survivors)
-	defer dsp.Release(metrics)
 	// Viterbi with full traceback (packet-scale trellises are small).
-	mp := (*[numStates]float64)(metrics[:numStates])
-	np := (*[numStates]float64)(metrics[numStates : 2*numStates])
-	bm := (*[4]float64)(metrics[2*numStates:])
-	mp[0] = 0
+	survivors := dsp.Borrow[uint64](total)
+	defer dsp.Release(survivors)
+	var m [numStates]float64
 	for s := 1; s < numStates; s++ {
-		mp[s] = unreachable
+		m[s] = unreachable
 	}
-	pat := rate.pattern()
-	src, p := 0, 0
-	for step := range survivors {
-		// Depuncture the step's A and B LLRs. A NaN LLR is an erasure
+	var ab [2 * chunkSteps]float64
+	pat, kept := rate.pattern(), keptAt[rate]
+	src := 0
+	for start := 0; start < total; start += chunkSteps {
+		surv := survivors[start:min(start+chunkSteps, total)]
+		// Depuncture the chunk's A and B LLRs. Each chunk starts at the
+		// pattern's first position, so the punctured slots of ab stay 0
+		// and only the kept ones are written. A NaN LLR is an erasure
 		// like a punctured bit: left in, its sign would pick survivors,
 		// and that sign depends on which operand of an add the compiler
 		// puts first.
-		var ab [2]float64
-		for k := range ab {
-			if pat[p] {
-				if l := llr[src]; !math.IsNaN(l) {
-					ab[k] = l
+		n := 2 * len(surv)
+		for base := 0; base < n; base += len(pat) {
+			for _, at := range kept {
+				if base+at >= n {
+					break
 				}
+				l := llr[src]
+				if math.IsNaN(l) {
+					l = 0
+				}
+				ab[base+at] = l
 				src++
 			}
-			if p++; p == len(pat) {
-				p = 0
-			}
 		}
-		la, lb := ab[0], ab[1]
-		// bm[out] for out = A<<1|B; LLR>0 favors bit 0, cost is minimized.
-		bm[0] = -la - lb
-		bm[1] = -la + lb
-		bm[2] = la - lb
-		bm[3] = la + lb
-		survivors[step] = kernel(mp, np, bm)
-		mp, np = np, mp
+		acsChunk(trellisKernel, &m, surv, &ab)
 	}
 	// Trellis is terminated: trace back from state 0. The predecessors of
 	// state s are (s<<1)&63 and that | 1.
@@ -409,6 +405,7 @@ func trellisWith(dst []byte, llr []float64, rate Rate, kernel func(mp, np *[numS
 		if step < len(dst) {
 			dst[step] = byte(state >> (constraintLen - 2))
 		}
-		state = (state<<1)&(numStates-1) | int(survivors[step]>>state&1)
+		// state < 64; the mask tells the compiler so.
+		state = (state<<1)&(numStates-1) | int(survivors[step]>>(state&(numStates-1))&1)
 	}
 }

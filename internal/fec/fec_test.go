@@ -595,64 +595,36 @@ func acsValue(r *rand.Rand) float64 {
 	return 10 * r.NormFloat64()
 }
 
-// TestACSStepMatchesGo holds acsKernel (the AVX2 step where the CPU has
-// it) to the Go acsStep: the same new metric bits and the same survivor
-// word, on random states that mix every special value, and along chains
-// of steps that feed each step's metrics into the next, ±Inf LLRs among
-// them.
+// TestACSStepMatchesGo holds every kernel the host can run, given a
+// one-step chunk, to the Go acsStep: the same new metric bits and the same
+// survivor word, on random metrics and LLRs that mix every special value.
+// ±Inf LLRs among them make infinite branch metrics, and NaN ones where
+// they meet (Inf−Inf).
 func TestACSStepMatchesGo(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	var mp, npGo, npKernel [numStates]float64
-	var bm [4]float64
-	check := func(trial int) {
-		t.Helper()
-		wantSurv := acsStep(&mp, &npGo, &bm)
-		gotSurv := acsKernel(&mp, &npKernel, &bm)
-		if gotSurv != wantSurv {
-			t.Fatalf("trial %d: survivors %#x, Go step %#x (mp %v, bm %v)", trial, gotSurv, wantSurv, mp, bm)
-		}
-		for s := range npGo {
-			if math.Float64bits(npKernel[s]) != math.Float64bits(npGo[s]) {
-				t.Fatalf("trial %d: state %d metric %v (%#x), Go step %v (%#x)", trial, s,
-					npKernel[s], math.Float64bits(npKernel[s]), npGo[s], math.Float64bits(npGo[s]))
-			}
-		}
-	}
+	var ab [2 * chunkSteps]float64
 	for trial := 0; trial < 20000; trial++ {
+		var mp, np [numStates]float64
 		for s := range mp {
 			mp[s] = acsValue(r)
 		}
-		for k := range bm {
-			bm[k] = acsValue(r)
-		}
-		check(trial)
-	}
-	// Chains run from the trellis's start state with trellis-shaped branch
-	// metrics, so the metrics reach the ties, overflows and NaNs that real
-	// LLR sequences produce.
-	// The second half of the chains draws ±Inf for a third of the LLRs, as
-	// a saturated demapper would: their branch metrics are infinite or
-	// NaN (Inf−Inf), and so, within a few steps, are many path metrics.
-	infLLR := func(r *rand.Rand) float64 {
-		if r.Intn(3) == 0 {
-			return math.Inf(1 - 2*r.Intn(2))
-		}
-		return acsValue(r)
-	}
-	for chain := 0; chain < 400; chain++ {
-		llr := acsValue
-		if chain >= 200 {
-			llr = infLLR
-		}
-		mp[0] = 0
-		for s := 1; s < numStates; s++ {
-			mp[s] = unreachable
-		}
-		for step := 0; step < 100; step++ {
-			la, lb := llr(r), llr(r)
-			bm = [4]float64{-la - lb, -la + lb, la - lb, la + lb}
-			check(chain*100 + step)
-			mp = npGo
+		la, lb := acsValue(r), acsValue(r)
+		ab[0], ab[1] = la, lb
+		bm := [4]float64{-la - lb, -la + lb, la - lb, la + lb}
+		want := acsStep(&mp, &np, &bm)
+		for _, k := range hostKernels() {
+			m := mp
+			var got [1]uint64
+			acsChunk(k, &m, got[:], &ab)
+			if got[0] != want {
+				t.Fatalf("trial %d: %s kernel survivors %#x, Go step %#x (mp %v, la %v, lb %v)", trial, kernelNames[k], got[0], want, mp, la, lb)
+			}
+			for s := range np {
+				if math.Float64bits(m[s]) != math.Float64bits(np[s]) {
+					t.Fatalf("trial %d: %s kernel state %d metric %v (%#x), Go step %v (%#x)", trial, kernelNames[k], s,
+						m[s], math.Float64bits(m[s]), np[s], math.Float64bits(np[s]))
+				}
+			}
 		}
 	}
 }
@@ -708,21 +680,28 @@ func trellisFamilies(r *rand.Rand) []trellisFamily {
 }
 
 // TestTrellisKernelMatchesGoStep decodes whole frames through the trellis
-// twice, with acsKernel and with the Go acsStep, at every rate and over
-// every LLR family, and requires the same bits.
+// with every kernel the host can run and through trellisWith with the Go
+// acsStep, at every rate and over every LLR family, and requires the same
+// bits. One frame in ten is long enough to cross chunk boundaries.
 func TestTrellisKernelMatchesGoStep(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	for _, f := range trellisFamilies(r) {
-		for _, rate := range allRates {
-			for frame := 0; frame < 100; frame++ {
-				n := 1 + r.Intn(300)
-				llr := f.llr(Encode(randBits(r, n), rate))
-				want := make([]byte, n)
-				trellisWith(want, llr, rate, acsStep)
-				got := make([]byte, n)
-				trellisWith(got, llr, rate, acsKernel)
-				if string(got) != string(want) {
-					t.Fatalf("%s rate %s frame %d (n=%d): the kernel's trellis differs from the Go step's", f.name, rate, frame, n)
+	for _, k := range hostKernels() {
+		withKernel(t, k)
+		r := rand.New(rand.NewSource(22))
+		for _, f := range trellisFamilies(r) {
+			for _, rate := range allRates {
+				for frame := 0; frame < 100; frame++ {
+					n := 1 + r.Intn(300)
+					if frame%10 == 0 {
+						n = 1 + r.Intn(4*chunkSteps)
+					}
+					llr := f.llr(Encode(randBits(r, n), rate))
+					want := make([]byte, n)
+					trellisWith(want, llr, rate, acsStep)
+					got := make([]byte, n)
+					trellis(got, llr, rate)
+					if string(got) != string(want) {
+						t.Fatalf("%s rate %s frame %d (n=%d): the %s kernel's trellis differs from the Go step's", f.name, rate, frame, n, kernelNames[k])
+					}
 				}
 			}
 		}
@@ -836,7 +815,7 @@ func noisy1500ByteFrame(b *testing.B) ([]float64, int) {
 }
 
 // BenchmarkTrellis1500ByteFrame decodes a noisy 1500 B frame through the
-// trellis with acsKernel.
+// trellis with the kernel the CPU dispatches.
 func BenchmarkTrellis1500ByteFrame(b *testing.B) {
 	llr, n := noisy1500ByteFrame(b)
 	dst := make([]byte, n)
@@ -848,14 +827,30 @@ func BenchmarkTrellis1500ByteFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkTrellisGoStep1500ByteFrame is BenchmarkTrellis1500ByteFrame
-// with the Go acsStep, the step a CPU without AVX2 runs.
-func BenchmarkTrellisGoStep1500ByteFrame(b *testing.B) {
+// benchmarkTrellisKernel is BenchmarkTrellis1500ByteFrame with kernel k,
+// skipped where the CPU cannot run it.
+func benchmarkTrellisKernel(b *testing.B, k kernel) {
+	if !slices.Contains(hostKernels(), k) {
+		b.Skipf("the CPU cannot run the %s kernel", kernelNames[k])
+	}
+	withKernel(b, k)
 	llr, n := noisy1500ByteFrame(b)
 	dst := make([]byte, n)
 	for b.Loop() {
-		trellisWith(dst, llr, Rate34, acsStep)
+		trellis(dst, llr, Rate34)
 	}
+}
+
+func BenchmarkTrellisAVX512Kernel1500ByteFrame(b *testing.B) {
+	benchmarkTrellisKernel(b, avx512Kernel)
+}
+
+func BenchmarkTrellisAVX2Kernel1500ByteFrame(b *testing.B) {
+	benchmarkTrellisKernel(b, avx2Kernel)
+}
+
+func BenchmarkTrellisGoKernel1500ByteFrame(b *testing.B) {
+	benchmarkTrellisKernel(b, goKernel)
 }
 
 // decodeHard is the hard-decision decoder the tests hold DecodeSoft
