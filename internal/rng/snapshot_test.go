@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -21,6 +22,10 @@ func TestStreamMatchesMathRand(t *testing.T) {
 			}
 			if g, w := s.Norm(), r.NormFloat64(); g != w {
 				t.Fatalf("seed %d step %d: Norm = %v, want %v", seed, i, g, w)
+			}
+			sd := math.Sqrt(0.7 / 2)
+			if g, w := s.ComplexNormal(0.7), complex(sd*r.NormFloat64(), sd*r.NormFloat64()); g != w {
+				t.Fatalf("seed %d step %d: ComplexNormal = %v, want %v", seed, i, g, w)
 			}
 			if g, w := s.Intn(97), r.Intn(97); g != w {
 				t.Fatalf("seed %d step %d: Intn = %d, want %d", seed, i, g, w)
