@@ -5,14 +5,19 @@
 // closed-loop from per-client demand profiles and reports throughput,
 // latency and fairness for MegaMIMO vs the 802.11 baseline; -chaos replays
 // a named fault-injection scenario against the closed loop and reports the
-// degradation and recovery counters; -prom-out writes the final runtime
-// telemetry registry as Prometheus text. -trace-out streams the flight
-// recorder as JSONL, which megamimo-trace prints as a timeline or converts
-// to Chrome trace-event format.
+// degradation and recovery counters; -soak runs the resumable game-day
+// soak with periodic checkpoints.
+//
+// Every mode writes its telemetry through one obs.Telemetry: -trace-out
+// streams the flight recorder as JSONL (megamimo-trace prints it as a
+// timeline or converts it to Chrome trace-event format), -series-out
+// streams the sampled metrics series, and -serve exposes both live over
+// HTTP until -serve-wait after the run. -prom-out writes the final
+// metrics registry as Prometheus text.
 package main
 
 import (
-	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"math"
@@ -37,9 +42,9 @@ import (
 
 // runConfig is one invocation: every flag binds straight into it. The
 // embedded SoakConfig holds the run identity — topology, SNR band, seed,
-// load, window, storm, drift and checkpoint cadence — in
-// every mode, and its TracePath/SeriesPath are the -trace-out and
-// -series-out files; the soak harness receives it as is.
+// load, window, storm, drift and checkpoint cadence — in every mode; its
+// TracePath/SeriesPath are the -trace-out and -series-out files and its
+// Server the -serve server. The soak harness receives it as is.
 type runConfig struct {
 	experiment.SoakConfig
 	packets         int
@@ -170,26 +175,68 @@ func main() {
 	if err := c.validate(); err != nil {
 		fatal(err)
 	}
-	if c.soak {
-		runSoak(c)
-		return
+	if c.serveAddr != "" {
+		srv, err := obs.New(obs.Config{Addr: c.serveAddr, Meta: tracefmt.MetaFor(c.CoreConfig())})
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println(srv)
+		c.Server = srv
 	}
+	run := runNetwork
+	if c.soak {
+		run = runSoak
+	}
+	if err := run(c); err != nil {
+		fatal(err)
+	}
+	if c.Server != nil {
+		if c.serveWait > 0 {
+			fmt.Printf("observability server up for another %s\n", c.serveWait)
+			time.Sleep(c.serveWait)
+		}
+		_ = c.Server.Close()
+	}
+}
 
+// runNetwork builds, measures and precodes one network and runs it in
+// the chaos, workload or batch mode. Its telemetry opens with the network
+// and is flushed however the run ends: a sync loop broken enough to kill
+// every MCS is what the trace anomaly gate exists to diagnose.
+func runNetwork(c *runConfig) (err error) {
 	cfg := c.CoreConfig()
 	// Batch, workload and chaos runs draw the Haar-mixing ensemble of the
 	// throughput figures; the soak keeps the iid links of CoreConfig.
 	cfg.WellConditioned = true
 	net, err := core.New(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("network: %d APs, %d clients, %.0f-%.0f dB, %.0f MHz\n",
 		c.APs, c.Clients, c.SNRLoDB, c.SNRHiDB, cfg.SampleRate/1e6)
-	tel, err := newTelemetry(net, c)
-	if err != nil {
-		fatal(err)
+	out := obs.Outputs{TracePath: c.TracePath, SeriesPath: c.SeriesPath, Server: c.Server}
+	if c.TracePath != "" {
+		out.Trace.Dropped = net.Metrics().Counter("trace_sink_dropped_total")
 	}
-	if tel.file != nil || tel.server != nil {
+	tel, err := obs.Open(net, out)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if ferr := finish(c, net, tel); err == nil {
+			err = ferr
+		}
+	}()
+	// The sampler streams each point to -series-out and publishes the
+	// registry to the server, so /metrics tracks the run live. A -chaos
+	// run tees the -trace-out file in only for its recovered tail.
+	var sampler *metrics.Sampler
+	if c.SeriesPath != "" || c.Server != nil {
+		sampler = metrics.NewSampler(net.Metrics())
+		sampler.OnSample = tel.OnSample
+	}
+	tel.Tee(c.TracePath != "" && c.chaos == "")
+	if c.TracePath != "" || c.Server != nil {
 		net.Trace().Enable(1 << 20)
 	}
 	if c.DriftPPM != 0 {
@@ -199,41 +246,42 @@ func main() {
 	}
 
 	if err := net.Measure(); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("measurement: H is %d×%d on %d subcarriers (reference t=%d)\n",
 		net.Msmt.H[0].Rows, net.Msmt.H[0].Cols, len(net.Msmt.Bins), net.Msmt.RefMid)
-
 	p, err := net.Precode(cfg.NoiseVar)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("precoder: zero-forcing, power scale k=%.3f (per-client signal %.1f dB over noise)\n",
-		p.PowerScale, dB(p.PowerScale*p.PowerScale/cfg.NoiseVar))
+		p.PowerScale, units.LinearToDB(p.PowerScale*p.PowerScale/cfg.NoiseVar))
 
-	if c.chaos != "" {
-		runChaos(net, c, tel)
-		tel.finish()
-		return
+	switch {
+	case c.chaos != "":
+		return runChaos(net, c, sampler, tel)
+	case c.workload != "":
+		return runWorkload(net, cfg, c, sampler)
 	}
-
-	if c.workload != "" {
-		runWorkload(net, cfg, c, tel.sampler)
-		tel.finish()
-		return
+	err = runBatch(net, cfg, c)
+	if sampler != nil {
+		// Batch runs have no service rounds to pace sampling on; take the
+		// one end-of-run point so the series is never empty.
+		sampler.Sample(net.Now())
 	}
+	return err
+}
 
+// runBatch rate-adapts the network, sends -packets packets per client
+// through the MAC scheduler and compares the throughput with the 802.11
+// equal-share baseline.
+func runBatch(net *core.Network, cfg core.Config, c *runConfig) error {
 	mcs, ok, err := net.ProbeAndSelectRate(256)
-	if err != nil || !ok {
-		// Flush the trace before dying: the rate probe's joint
-		// transmissions already traced the slave measurements, and a sync
-		// loop broken enough to kill every MCS is precisely what the
-		// trace anomaly gate exists to diagnose.
-		tel.finish()
-		if err == nil {
-			err = fmt.Errorf("no deliverable MCS at this SNR")
-		}
-		fatal(err)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return fmt.Errorf("no deliverable MCS at this SNR")
 	}
 	fmt.Printf("rate adaptation: %v\n", mcs)
 
@@ -242,7 +290,7 @@ func main() {
 	sched.FillQueue(c.packets, c.PacketBytes, c.Seed+7)
 	st, err := sched.Run()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("\njoint transmissions: %d (airtime %.2f ms)\n",
 		st.Transmissions, units.Duration(units.Ticks(st.AirtimeSamples), cfg.SampleRate)*1e3)
@@ -252,7 +300,7 @@ func main() {
 
 	bl, per, err := baseline.New(net).EqualShareThroughput(c.PacketBytes)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("802.11 equal-share baseline: %.1f Mb/s total (per client:", bl/1e6)
 	for _, v := range per {
@@ -262,7 +310,33 @@ func main() {
 	if bl > 0 {
 		fmt.Printf("gain: %.1fx with %d APs\n", st.ThroughputBps(cfg.SampleRate)/bl, c.APs)
 	}
-	tel.finish()
+	return nil
+}
+
+// finish closes the run's telemetry (an error there fails the run: a
+// partial file must not pass for a complete one) and writes the
+// -prom-out exposition, reporting each output.
+func finish(c *runConfig, net *core.Network, tel *obs.Telemetry) error {
+	if err := tel.Close(); err != nil {
+		return err
+	}
+	if c.SeriesPath != "" {
+		fmt.Printf("metrics series: %d samples -> %s\n", tel.Samples(), c.SeriesPath)
+	}
+	if c.promOut != "" {
+		var prom bytes.Buffer
+		if err := net.Metrics().WritePrometheus(&prom); err != nil {
+			return err
+		}
+		if err := os.WriteFile(c.promOut, prom.Bytes(), 0o666); err != nil {
+			return err
+		}
+		fmt.Printf("prometheus exposition -> %s\n", c.promOut)
+	}
+	if c.TracePath != "" {
+		fmt.Printf("trace: %s (%d lines dropped)\n", c.TracePath, tel.Trace.Dropped())
+	}
+	return nil
 }
 
 // runSoak drives experiment.RunSoak from the CLI: the long-horizon
@@ -270,20 +344,12 @@ func main() {
 // restored tail of one. On resume it prints the checkpoint's logical
 // stream offsets, so a caller can splice the tail files onto an
 // uninterrupted run's output at exactly the right byte.
-func runSoak(c *runConfig) {
+func runSoak(c *runConfig) error {
 	air.SetWorkers(c.workers)
-	if c.serveAddr != "" {
-		srv, err := obs.New(obs.Config{Addr: c.serveAddr, Meta: tracefmt.MetaFor(c.CoreConfig())})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(srv)
-		c.Server = srv
-	}
 	if c.Resume != "" {
 		st, _, err := checkpoint.ReadAny(c.Resume)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("soak: resuming %s from round %d (t=%d, trace offset %d, series offset %d)\n",
 			c.Resume, st.Rounds, st.Now, st.TraceBytes, st.SeriesBytes)
@@ -298,168 +364,23 @@ func runSoak(c *runConfig) {
 		}
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(res.Report)
 	fmt.Printf("\nsoak complete: %d rounds, %d checkpoints, trace %d bytes, series %d bytes\n",
-		res.Rounds, len(res.Checkpoints), res.TraceBytes, res.SeriesBytes)
-	if c.Server != nil {
-		c.Server.MarkDone()
-		if c.serveWait > 0 {
-			fmt.Printf("observability server up for another %s\n", c.serveWait)
-			time.Sleep(c.serveWait)
-		}
-		_ = c.Server.Close()
-	}
-}
-
-// telemetry bundles the run's observability outputs: the -trace-out
-// file, the series stream, the HTTP server, and the metrics time-series
-// sampler. A zero surface set is valid — every method no-ops.
-type telemetry struct {
-	c          *runConfig
-	net        *core.Network
-	file       *tracefmt.StreamSink
-	server     *obs.Server
-	sampler    *metrics.Sampler
-	samples    int
-	series     *bufio.Writer
-	seriesFile *os.File
-	seriesErr  error
-}
-
-// newTelemetry opens the requested surfaces and attaches them to the
-// network's tracer (the caller still enables the recorder). A -chaos run
-// attaches the -trace-out file later, at its recovered tail. The sampler
-// streams each sample to -series-out and publishes to the HTTP server,
-// so /metrics tracks the run live at the workload sampling cadence.
-func newTelemetry(net *core.Network, c *runConfig) (*telemetry, error) {
-	meta := tracefmt.MetaFor(net.Cfg)
-	tel := &telemetry{c: c, net: net}
-	if c.TracePath != "" {
-		f, err := tracefmt.Create(c.TracePath, meta, tracefmt.StreamOptions{
-			Dropped: net.Metrics().Counter("trace_sink_dropped_total"),
-		})
-		if err != nil {
-			return nil, err
-		}
-		tel.file = f
-	}
-	if c.serveAddr != "" {
-		srv, err := obs.New(obs.Config{Addr: c.serveAddr, Meta: meta})
-		if err != nil {
-			return nil, err
-		}
-		tel.server = srv
-		fmt.Println(srv)
-	}
-	if c.SeriesPath != "" {
-		f, err := os.Create(c.SeriesPath)
-		if err != nil {
-			return nil, err
-		}
-		tel.series, tel.seriesFile = bufio.NewWriter(f), f
-	}
-	if c.SeriesPath != "" || tel.server != nil {
-		tel.sampler = metrics.NewSampler(net.Metrics())
-		tel.sampler.OnSample = tel.onSample
-	}
-	tel.attach(c.chaos == "")
-	return tel, nil
-}
-
-// attach feeds the tracer's events to the HTTP server and, with file, to
-// the -trace-out file.
-func (tel *telemetry) attach(file bool) {
-	var sinks []core.TraceSink
-	if file && tel.file != nil {
-		sinks = append(sinks, tel.file)
-	}
-	if tel.server != nil {
-		sinks = append(sinks, tel.server)
-	}
-	tel.net.Trace().SetSink(core.TeeSinks(sinks...))
-}
-
-// onSample streams one sample to -series-out and publishes the registry
-// to the HTTP server.
-func (tel *telemetry) onSample(sm metrics.Sample) {
-	tel.samples++
-	if tel.series != nil && tel.seriesErr == nil {
-		line, err := metrics.MarshalSample(sm)
-		if err == nil {
-			_, err = tel.series.Write(line)
-		}
-		tel.seriesErr = err
-	}
-	if tel.server != nil {
-		_ = tel.server.PublishMetrics(tel.net.Metrics())
-	}
-}
-
-// finish flushes every surface at the end of the run: the series and
-// exposition files, the -trace-out file (fatal on a lost series or trace
-// — a partial file must not pass for a complete one), and finally the
-// HTTP server, which keeps serving the finished run's state for
-// -serve-wait before closing.
-func (tel *telemetry) finish() {
-	if tel.sampler != nil && tel.samples == 0 {
-		// Batch runs have no service rounds to pace sampling on; take the
-		// one end-of-run point so the series is never empty.
-		tel.sampler.Sample(tel.net.Now())
-	}
-	if tel.series != nil {
-		err := tel.seriesErr
-		if ferr := tel.series.Flush(); err == nil {
-			err = ferr
-		}
-		if cerr := tel.seriesFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fatal(fmt.Errorf("series-out: %w", err))
-		}
-		fmt.Printf("metrics series: %d samples -> %s\n", tel.samples, tel.c.SeriesPath)
-	}
-	if tel.c.promOut != "" {
-		f, err := os.Create(tel.c.promOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tel.net.Metrics().WritePrometheus(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("prometheus exposition -> %s\n", tel.c.promOut)
-	}
-	if tel.file != nil {
-		if err := tel.file.Close(); err != nil {
-			fatal(fmt.Errorf("trace-out: %w", err))
-		}
-		fmt.Printf("trace: %s (%d lines dropped)\n", tel.c.TracePath, tel.file.Dropped())
-	}
-	if tel.server != nil {
-		_ = tel.server.PublishMetrics(tel.net.Metrics())
-		tel.server.MarkDone()
-		if tel.c.serveWait > 0 {
-			fmt.Printf("observability server up for another %s\n", tel.c.serveWait)
-			time.Sleep(tel.c.serveWait)
-		}
-		_ = tel.server.Close()
-	}
+		res.Report.Rounds, len(res.Checkpoints), res.TraceBytes, res.SeriesBytes)
+	return nil
 }
 
 // runWorkload drives the measured network closed-loop from per-client
 // demand profiles: MegaMIMO on the primary network, the 802.11 baseline
 // on a second network built from the same seed (identical topology and
 // channels), so both systems face the same demand.
-func runWorkload(net *core.Network, cfg core.Config, c *runConfig, sampler *metrics.Sampler) {
+func runWorkload(net *core.Network, cfg core.Config, c *runConfig, sampler *metrics.Sampler) error {
 	kind, err := traffic.ParseKind(c.workload)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	profiles := make([]traffic.Profile, net.NumStreams())
 	for i := range profiles {
@@ -471,21 +392,21 @@ func runWorkload(net *core.Network, cfg core.Config, c *runConfig, sampler *metr
 	}
 	eng, err := traffic.New(net, tcfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("\nworkload: %s arrivals, %.1f Mb/s per client, %.3fs window\n\n", kind, c.LoadMbps, c.Seconds)
 	mm, err := eng.Run(c.Seconds)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Print(mm)
 
 	blNet, err := core.New(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if _, err := blNet.MeasureAndPrecode(); err != nil {
-		fatal(err)
+		return err
 	}
 	tcfg.System = traffic.SystemTDMA
 	// The sampler reads the MegaMIMO network's registry; detach it before
@@ -493,17 +414,18 @@ func runWorkload(net *core.Network, cfg core.Config, c *runConfig, sampler *metr
 	tcfg.Sampler = nil
 	blEng, err := traffic.New(blNet, tcfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	bl, err := blEng.Run(c.Seconds)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(bl)
 	if bl.AggregateDeliveredBps > 0 {
 		fmt.Printf("\ngain under demand: %.1fx\n", mm.AggregateDeliveredBps/bl.AggregateDeliveredBps)
 	}
+	return nil
 }
 
 // chaosPlan builds the named fault scenario's schedule: the fault lands 20%
@@ -544,10 +466,10 @@ func chaosPlan(net *core.Network, scenario string, seconds float64, seed int64) 
 // anomaly gate must pass on it) while seq and span IDs continue the
 // run's numbering. The delivery rate covers both windows — packets lost
 // to the faults stay lost.
-func runChaos(net *core.Network, c *runConfig, tel *telemetry) {
+func runChaos(net *core.Network, c *runConfig, sampler *metrics.Sampler, tel *obs.Telemetry) error {
 	plan, err := chaosPlan(net, c.chaos, c.Seconds, c.Seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("\nchaos scenario %q: %d fault events over %.3fs\n", c.chaos, len(plan.Events), c.Seconds)
 	for i, ev := range plan.Events {
@@ -566,24 +488,24 @@ func runChaos(net *core.Network, c *runConfig, tel *telemetry) {
 		Profiles:    profiles,
 		Seed:        c.Seed + 1,
 		Faults:      plan,
-		Sampler:     tel.sampler,
+		Sampler:     sampler,
 		SampleEvery: c.SampleEvery,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rep, err := eng.Run(c.Seconds)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println()
 	fmt.Print(rep)
 	// Recovered steady tail: the same closed loop keeps going, traced to
 	// the file from here on.
-	tel.attach(true)
+	tel.Tee(c.TracePath != "")
 	tail, err := eng.Run(c.Seconds / 2)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	m := net.Metrics()
 	counter := func(name string) int64 { return m.Counter(name).Value() }
@@ -601,13 +523,7 @@ func runChaos(net *core.Network, c *runConfig, tel *telemetry) {
 		rate = float64(del) / float64(off)
 	}
 	fmt.Printf("chaos delivery rate: %.3f (delivered %d / offered %d packets)\n", rate, del, off)
-}
-
-func dB(x float64) float64 {
-	if x <= 0 {
-		return -999
-	}
-	return 10 * math.Log10(x)
+	return nil
 }
 
 func fatal(err error) {

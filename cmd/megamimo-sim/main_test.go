@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -189,5 +193,141 @@ func TestChaosTailContinuesNumbering(t *testing.T) {
 			}
 			opened[e.Span] = true
 		}
+	}
+}
+
+// TestSeriesWriteFailure checks that a -series-out file the run cannot
+// write fails the run, in the workload and the soak mode alike: exit 1
+// with an error naming the series, never 0 with a short file.
+func TestSeriesWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for _, args := range [][]string{
+		{"-aps", "3", "-clients", "3", "-workload", "cbr", "-load", "6", "-duration", "0.01", "-sample-every", "1"},
+		{"-soak", "-aps", "2", "-clients", "2", "-duration", "0.01", "-sample-every", "1"},
+	} {
+		args = append(args, "-series-out", "/dev/full")
+		out, code := runSim(t, args...)
+		if code != 1 || !strings.Contains(out, "metrics series") || !strings.Contains(out, "/dev/full") {
+			t.Errorf("megamimo-sim %s: exit %d, want 1 naming the series output; output:\n%s",
+				strings.Join(args, " "), code, out)
+		}
+	}
+}
+
+// servedRun starts megamimo-sim with args plus -serve on an ephemeral
+// loopback port and a long -serve-wait, reads its stdout up to the line
+// announcing that wait (the run is over and every output written), and
+// returns the server's address and the lines read. The child is killed
+// when the test ends.
+func servedRun(t *testing.T, args ...string) (string, []string) {
+	t.Helper()
+	args = append(args, "-serve", "127.0.0.1:0", "-serve-wait", "30s")
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), argsEnv+"="+strings.Join(args, "\n"))
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
+	var addr string
+	var lines []string
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() {
+		line := sc.Text()
+		lines = append(lines, line)
+		if rest, ok := strings.CutPrefix(line, "observability: http://"); ok {
+			addr, _, _ = strings.Cut(rest, " ")
+		}
+		if strings.HasPrefix(line, "observability server up for another") {
+			if addr == "" {
+				t.Fatalf("no observability banner before the run ended:\n%s", strings.Join(lines, "\n"))
+			}
+			return addr, lines
+		}
+	}
+	t.Fatalf("megamimo-sim %s ended before serving the finished run:\n%s\nstderr:\n%s",
+		strings.Join(args, " "), strings.Join(lines, "\n"), stderr.String())
+	return "", nil
+}
+
+// fetch GETs path from the server at addr.
+func fetch(t *testing.T, addr, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestServeProbe drives the -serve endpoints of finished runs: a clean
+// workload run answers /healthz 200, and 21 ppm of drift each way (42 ppm
+// relative, outside the ±40 ppm mandate) answers 503 citing cfo-mandate;
+// /trace opens with the trace header and /metrics carries the joint
+// transmission counter. A served soak reports itself done at its last
+// checkpoint.
+func TestServeProbe(t *testing.T) {
+	workload := []string{"-aps", "3", "-clients", "3", "-workload", "cbr", "-load", "6", "-duration", "0.02"}
+	for _, tc := range []struct {
+		drift      string
+		wantStatus int
+	}{
+		{"0", http.StatusOK},
+		{"21", http.StatusServiceUnavailable},
+	} {
+		addr, _ := servedRun(t, append(workload, "-drift-ppm", tc.drift)...)
+		code, health := fetch(t, addr, "/healthz")
+		if code != tc.wantStatus || !strings.Contains(health, `"done": true`) {
+			t.Errorf("-drift-ppm %s: /healthz %d, want %d and done:\n%s", tc.drift, code, tc.wantStatus, health)
+		}
+		if tc.wantStatus != http.StatusOK && !strings.Contains(health, `"cfo-mandate"`) {
+			t.Errorf("-drift-ppm %s: /healthz does not cite cfo-mandate:\n%s", tc.drift, health)
+		}
+		if _, trace := fetch(t, addr, "/trace"); !strings.HasPrefix(trace, `{"schema":"megamimo-trace"`) {
+			t.Errorf("-drift-ppm %s: /trace does not open with the trace header: %.120q", tc.drift, trace)
+		}
+		if _, prom := fetch(t, addr, "/metrics"); !strings.Contains(prom, "\ncore_joint_tx_total ") {
+			t.Errorf("-drift-ppm %s: /metrics has no core_joint_tx_total line:\n%s", tc.drift, prom)
+		}
+	}
+
+	addr, lines := servedRun(t, "-soak", "-aps", "3", "-clients", "3", "-load", "12", "-size", "200",
+		"-duration", "0.05", "-faults-per-sec", "400", "-sample-every", "4",
+		"-checkpoint-every", "16", "-checkpoint-dir", t.TempDir())
+	var last string
+	for _, line := range lines {
+		if p, ok := strings.CutPrefix(line, "checkpoint: "); ok {
+			last = p
+		}
+	}
+	if last == "" {
+		t.Fatalf("the served soak wrote no checkpoint:\n%s", strings.Join(lines, "\n"))
+	}
+	var health struct {
+		Done           bool   `json:"done"`
+		LastCheckpoint string `json:"last_checkpoint"`
+	}
+	_, body := fetch(t, addr, "/healthz")
+	if err := json.Unmarshal([]byte(body), &health); err != nil {
+		t.Fatalf("/healthz: %v\n%s", err, body)
+	}
+	if !health.Done || health.LastCheckpoint != last {
+		t.Errorf("soak /healthz reports done=%v at checkpoint %q, want done at %q:\n%s",
+			health.Done, health.LastCheckpoint, last, body)
 	}
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"megamimo/internal/fault"
 	"megamimo/internal/metrics"
 	"megamimo/internal/obs"
-	"megamimo/internal/tracefmt"
 	"megamimo/internal/traffic"
 	"megamimo/internal/units"
 )
@@ -126,10 +124,6 @@ type SoakResult struct {
 	Checkpoints []string
 	// TraceBytes/SeriesBytes are the final logical stream positions.
 	TraceBytes, SeriesBytes uint64
-	// Rounds is the service-round count at exit.
-	Rounds int
-	// Resumed reports whether the run restored from a checkpoint.
-	Resumed bool
 }
 
 // RunSoak drives the game-day soak: build the cell, apply the load and
@@ -187,21 +181,17 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		net.SetAPDrift(units.PPM(cfg.DriftPPM))
 	}
 
-	res := &SoakResult{Resumed: resumeSt != nil}
-	var traceOffset, seriesN uint64
-	if resumeSt != nil {
-		traceOffset, seriesN = resumeSt.TraceBytes, resumeSt.SeriesBytes
-	}
+	res := &SoakResult{}
 
 	var eng *traffic.Engine
-	var ts *tracefmt.StreamSink // opened after any restore, before the first round
+	var tel *obs.Telemetry // opened after any restore, before the first round
 	tcfg := traffic.Config{
 		System: traffic.SystemMegaMIMO, Profiles: profiles, Seed: cfg.Seed + 1,
 		Faults: plan, Sampler: sampler, SampleEvery: cfg.SampleEvery,
 		OnRound: func(rounds int) error {
 			applyDrift()
 			if cfg.CheckpointEvery > 0 && rounds%cfg.CheckpointEvery == 0 {
-				st, err := checkpoint.Capture(net, eng, ts.Bytes(), seriesN)
+				st, err := checkpoint.Capture(net, eng, tel.Trace.Bytes(), tel.SeriesBytes())
 				if err != nil {
 					return err
 				}
@@ -213,9 +203,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 				mWrites.Inc()
 				mBytes.Add(nb)
 				res.Checkpoints = append(res.Checkpoints, path)
-				if cfg.Server != nil {
-					cfg.Server.PublishCheckpoint(path, net.Now())
-				}
+				cfg.Server.PublishCheckpoint(path, net.Now())
 			}
 			if cfg.StopAfterRounds > 0 && rounds >= cfg.StopAfterRounds {
 				return ErrInterrupted
@@ -227,7 +215,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		return nil, err
 	}
 
+	out := obs.Outputs{TracePath: cfg.TracePath, SeriesPath: cfg.SeriesPath, Server: cfg.Server}
 	if resumeSt != nil {
+		out.Trace.Offset, out.SeriesOffset = resumeSt.TraceBytes, resumeSt.SeriesBytes
 		// The probe inside Prepare replays deterministically; everything
 		// it mutated is then overwritten from the checkpoint.
 		if err := eng.Prepare(); err != nil {
@@ -246,48 +236,20 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		}
 		mWrites.Inc()
 		mBytes.Add(fi.Size())
-		if cfg.Server != nil {
-			cfg.Server.PublishCheckpoint(cfg.Resume, resumeSt.Now)
-		}
+		cfg.Server.PublishCheckpoint(cfg.Resume, resumeSt.Now)
 	}
 
 	// Streaming surfaces attach only now, after any restore, so rebuild
 	// events never leak into the resumed stream. A fresh run's trace file
 	// opens with the schema header; a resumed tail continues at the
-	// checkpoint's offset and carries none. Without a TracePath the
-	// stream is still encoded and counted, for the checkpoints' offsets.
-	ts, err = tracefmt.Create(cfg.TracePath, tracefmt.MetaFor(ccfg),
-		tracefmt.StreamOptions{Offset: traceOffset})
-	if err != nil {
+	// checkpoint's offsets and carries none. Without a TracePath or
+	// SeriesPath each stream is still encoded and counted, for the
+	// checkpoints' offsets.
+	if tel, err = obs.Open(net, out); err != nil {
 		return nil, err
 	}
-	var seriesFile *os.File
-	var seriesBW *bufio.Writer
-	if cfg.SeriesPath != "" {
-		if seriesFile, err = os.Create(cfg.SeriesPath); err != nil {
-			_ = ts.Close()
-			return nil, err
-		}
-		seriesBW = bufio.NewWriter(seriesFile)
-	}
-	sampler.OnSample = func(sm metrics.Sample) {
-		line, err := metrics.MarshalSample(sm)
-		if err != nil {
-			return
-		}
-		seriesN += uint64(len(line))
-		if seriesBW != nil {
-			_, _ = seriesBW.Write(line)
-		}
-		if cfg.Server != nil {
-			_ = cfg.Server.PublishMetrics(net.Metrics())
-		}
-	}
-	sinks := []core.TraceSink{core.TraceSink(ts)}
-	if cfg.Server != nil {
-		sinks = append(sinks, cfg.Server)
-	}
-	net.Trace().SetSink(core.TeeSinks(sinks...))
+	tel.Tee(true)
+	sampler.OnSample = tel.OnSample
 
 	var rep *traffic.Report
 	var runErr error
@@ -297,22 +259,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		rep, runErr = eng.Run(cfg.Seconds)
 	}
 
-	closeErr := ts.Close()
-	if seriesBW != nil {
-		if err := seriesBW.Flush(); err != nil && closeErr == nil {
-			closeErr = err
-		}
-	}
-	if seriesFile != nil {
-		if err := seriesFile.Close(); err != nil && closeErr == nil {
-			closeErr = err
-		}
-	}
+	closeErr := tel.Close()
 	res.Report = rep
-	res.TraceBytes, res.SeriesBytes = ts.Bytes(), seriesN
-	if rep != nil {
-		res.Rounds = rep.Rounds
-	}
+	res.TraceBytes, res.SeriesBytes = tel.Trace.Bytes(), tel.SeriesBytes()
 	if runErr != nil {
 		res.Report = nil
 		return res, runErr

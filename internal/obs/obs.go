@@ -13,6 +13,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -108,30 +109,24 @@ func (s *Server) ConsumeTrace(e core.TraceEvent) {
 // registry (e.g. a metrics.Sampler OnSample hook); handlers serve the
 // published bytes and never touch the registry itself.
 func (s *Server) PublishMetrics(reg *metrics.Registry) error {
-	var buf []byte
-	w := &appendWriter{buf: &buf}
-	if err := reg.WritePrometheus(w); err != nil {
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.prom = buf
+	s.prom = buf.Bytes()
 	s.mu.Unlock()
 	return nil
-}
-
-// appendWriter collects writes into a byte slice.
-type appendWriter struct{ buf *[]byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	*w.buf = append(*w.buf, p...)
-	return len(p), nil
 }
 
 // PublishCheckpoint records the run's latest durable checkpoint (path
 // and the ether time it captured). /healthz reports both, plus the
 // checkpoint's age against the last observed event — the bound on how
-// much simulated time a resume would replay.
+// much simulated time a resume would replay. A nil server ignores it.
 func (s *Server) PublishCheckpoint(path string, at int64) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	s.ckPath, s.ckAt = path, at
 	s.mu.Unlock()
