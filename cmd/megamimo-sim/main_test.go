@@ -196,22 +196,31 @@ func TestChaosTailContinuesNumbering(t *testing.T) {
 	}
 }
 
-// TestSeriesWriteFailure checks that a -series-out file the run cannot
-// write fails the run, in the workload and the soak mode alike: exit 1
-// with an error naming the series, never 0 with a short file.
+// TestSeriesWriteFailure checks that a -series-out or -trace-out file
+// the run cannot write fails the run, in every mode that writes it: exit 1
+// with an error naming the stream and the file, never 0 with a short
+// file. One tracefmt.LineWriter writes both streams.
 func TestSeriesWriteFailure(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	for _, args := range [][]string{
-		{"-aps", "3", "-clients", "3", "-workload", "cbr", "-load", "6", "-duration", "0.01", "-sample-every", "1"},
-		{"-soak", "-aps", "2", "-clients", "2", "-duration", "0.01", "-sample-every", "1"},
+	workload := []string{"-aps", "3", "-clients", "3", "-workload", "cbr", "-load", "6", "-duration", "0.01", "-sample-every", "1"}
+	soak := []string{"-soak", "-aps", "2", "-clients", "2", "-duration", "0.01", "-sample-every", "1"}
+	batch := []string{"-aps", "3", "-clients", "3", "-packets", "4"}
+	for _, tc := range []struct {
+		args   []string
+		stream string
+	}{
+		{append(workload, "-series-out", "/dev/full"), "metrics series"},
+		{append(soak, "-series-out", "/dev/full"), "metrics series"},
+		{append(batch, "-trace-out", "/dev/full"), "trace stream"},
+		{append(workload, "-trace-out", "/dev/full"), "trace stream"},
+		{append(soak, "-trace-out", "/dev/full"), "trace stream"},
 	} {
-		args = append(args, "-series-out", "/dev/full")
-		out, code := runSim(t, args...)
-		if code != 1 || !strings.Contains(out, "metrics series") || !strings.Contains(out, "/dev/full") {
-			t.Errorf("megamimo-sim %s: exit %d, want 1 naming the series output; output:\n%s",
-				strings.Join(args, " "), code, out)
+		out, code := runSim(t, tc.args...)
+		if code != 1 || !strings.Contains(out, tc.stream) || !strings.Contains(out, "/dev/full") {
+			t.Errorf("megamimo-sim %s: exit %d, want 1 naming the %s; output:\n%s",
+				strings.Join(tc.args, " "), code, tc.stream, out)
 		}
 	}
 }

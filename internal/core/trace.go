@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -59,40 +60,28 @@ const (
 	KindRecovery = "recovery"
 )
 
-// validKinds is the closed set ValidKind and emit check against.
-var validKinds = map[string]bool{
-	KindMeasure:    true,
-	KindSyncHeader: true,
-	KindSlaveRatio: true,
-	KindJointTx:    true,
-	KindDecode:     true,
-	KindFeedback:   true,
-	KindTraffic:    true,
-	KindMetrics:    true,
-	KindRound:      true,
-	KindNullDepth:  true,
-	KindRetransmit: true,
-	KindDemand:     true,
-	KindFault:      true,
-	KindRecovery:   true,
+// kinds is the trace vocabulary in sorted order.
+var kinds = []string{
+	KindDecode, KindDemand, KindFault, KindFeedback, KindJointTx,
+	KindMeasure, KindMetrics, KindNullDepth, KindRecovery,
+	KindRetransmit, KindRound, KindSlaveRatio, KindSyncHeader,
+	KindTraffic,
 }
+
+// validKinds is the closed set ValidKind and emit check against.
+var validKinds = func() map[string]bool {
+	m := make(map[string]bool, len(kinds))
+	for _, k := range kinds {
+		m[k] = true
+	}
+	return m
+}()
 
 // ValidKind reports whether kind belongs to the trace vocabulary.
 func ValidKind(kind string) bool { return validKinds[kind] }
 
 // Kinds returns the full trace vocabulary in sorted order.
-func Kinds() []string {
-	out := make([]string, 0, len(validKinds))
-	for _, k := range []string{
-		KindDecode, KindDemand, KindFault, KindFeedback, KindJointTx,
-		KindMeasure, KindMetrics, KindNullDepth, KindRecovery,
-		KindRetransmit, KindRound, KindSlaveRatio, KindSyncHeader,
-		KindTraffic,
-	} {
-		out = append(out, k)
-	}
-	return out
-}
+func Kinds() []string { return slices.Clone(kinds) }
 
 // Event phases: instant events and span boundaries. The values follow the
 // Chrome trace-event format so the exporter maps them directly.
@@ -107,9 +96,11 @@ const (
 
 // TraceAttrs is the fixed, machine-readable attribute block carried by
 // every trace event — schema v1 of the flight-recorder format (described
-// in DESIGN.md §8 and frozen by the tracefields lint analyzer; adding or
-// retyping a field requires bumping tracefmt.SchemaVersion and the
-// analyzer's schema table together).
+// in DESIGN.md §8 and frozen by the tracefields lint analyzer). Each
+// field's json tag is its one wire name: tracefmt embeds the struct in
+// its JSONL and Chrome records, with zero values omitted. Adding or
+// retyping a field means editing this struct, the analyzer's schema table
+// and tracefmt.SchemaVersion together.
 //
 // There is deliberately no map: the schema is closed so exports are
 // byte-stable and tooling never discovers surprise keys. Fields are
@@ -118,40 +109,40 @@ const (
 // events); everything else keeps its zero value.
 type TraceAttrs struct {
 	// AP is the access-point index the event concerns.
-	AP int
+	AP int `json:"ap,omitempty"`
 	// Client is the client index the event concerns.
-	Client int
+	Client int `json:"client,omitempty"`
 	// Stream is the destination stream (client antenna) index.
-	Stream int
+	Stream int `json:"stream,omitempty"`
 	// Pkt is the MAC packet sequence number.
-	Pkt int64
+	Pkt int64 `json:"pkt,omitempty"`
 	// QueueDepth is the shared downlink queue occupancy.
-	QueueDepth int
+	QueueDepth int `json:"queue_depth,omitempty"`
 	// Bits counts payload bits involved in the event.
-	Bits int64
+	Bits int64 `json:"bits,omitempty"`
 	// PhaseErrRad is the residual phase error in radians: on slave-ratio
 	// events, the innovation of the measured inter-oscillator phase
 	// against the long-term CFO prediction — the quantity the paper's
 	// π/18 nulling budget bounds.
-	PhaseErrRad units.Radians
+	PhaseErrRad units.Radians `json:"phase_err_rad,omitempty"`
 	// CFORadPerSample is a carrier-frequency-offset estimate in radians
 	// per ether sample (slave→lead on slave-ratio events, residual after
 	// correction on decode events).
-	CFORadPerSample units.RadPerSample
+	CFORadPerSample units.RadPerSample `json:"cfo_rad_per_sample,omitempty"`
 	// EVMSNRdB is the post-equalization error-vector SNR in dB.
-	EVMSNRdB units.Decibels
+	EVMSNRdB units.Decibels `json:"evm_snr_db,omitempty"`
 	// MinSubSNRdB is the worst per-subcarrier error-vector SNR in dB —
 	// the compact per-subcarrier EVM summary (a collapsed null shows up
 	// here first).
-	MinSubSNRdB units.Decibels
+	MinSubSNRdB units.Decibels `json:"min_sub_snr_db,omitempty"`
 	// NullDepthDB is the zero-forcing null depth in dB (−INR; larger is
 	// deeper).
-	NullDepthDB units.Decibels
+	NullDepthDB units.Decibels `json:"null_depth_db,omitempty"`
 	// OK flags the event's outcome (decode FCS, span success).
-	OK bool
+	OK bool `json:"ok,omitempty"`
 	// Cause names a failure or retransmit reason ("no-ack",
 	// "max-attempts", "decode").
-	Cause string
+	Cause string `json:"cause,omitempty"`
 }
 
 // TraceEvent is one structured protocol event.

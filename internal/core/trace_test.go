@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -163,6 +164,9 @@ func TestTraceKindConstantsAreValid(t *testing.T) {
 	}
 	if len(Kinds()) != 14 {
 		t.Errorf("Kinds() lists %d kinds, want 14", len(Kinds()))
+	}
+	if !slices.IsSorted(Kinds()) {
+		t.Errorf("Kinds() is not sorted: %v", Kinds())
 	}
 	if ValidKind("") || ValidKind("Joint-Tx") || ValidKind("joint_tx") {
 		t.Error("ValidKind accepted a kind outside the vocabulary")

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
-	"os"
 
 	"megamimo/internal/core"
 	"megamimo/internal/metrics"
@@ -18,7 +16,8 @@ type Outputs struct {
 	TracePath string
 	Trace     tracefmt.StreamOptions
 	// SeriesPath is the metrics series, one metrics.MarshalSample line per
-	// sample, counted from SeriesOffset with or without a file.
+	// sample, written by a tracefmt.LineWriter counted from SeriesOffset
+	// with or without a file.
 	SeriesPath   string
 	SeriesOffset uint64
 	// Server, when set, receives the tee'd events, the registry at each
@@ -29,18 +28,17 @@ type Outputs struct {
 // Telemetry is the streaming telemetry of one network's run: the trace
 // stream, the metrics series and the optional HTTP server, wired to the
 // network's tracer (Tee) and to a metrics.Sampler (OnSample) and closed
-// together (Close). It lives on the simulation goroutine.
+// together (Close). Both streams count their logical position the same
+// way, through one tracefmt.LineWriter each. It lives on the simulation
+// goroutine.
 type Telemetry struct {
 	// Trace is the trace stream; its Bytes is the logical position.
 	Trace *tracefmt.StreamSink
 
-	net        *core.Network
-	server     *Server
-	series     *bufio.Writer // nil without a SeriesPath
-	seriesFile *os.File
-	seriesN    uint64
-	seriesErr  error
-	samples    int
+	net       *core.Network
+	server    *Server
+	seriesOut *tracefmt.LineWriter
+	samples   int
 }
 
 // Open creates out's files for net's run; nothing is attached until Tee.
@@ -51,15 +49,12 @@ func Open(net *core.Network, out Outputs) (*Telemetry, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Telemetry{Trace: trace, net: net, server: out.Server, seriesN: out.SeriesOffset}
-	if out.SeriesPath != "" {
-		if t.seriesFile, err = os.Create(out.SeriesPath); err != nil {
-			_ = trace.Close()
-			return nil, err
-		}
-		t.series = bufio.NewWriter(t.seriesFile)
+	series, err := tracefmt.CreateLineWriter(out.SeriesPath, out.SeriesOffset)
+	if err != nil {
+		_ = trace.Close()
+		return nil, err
 	}
-	return t, nil
+	return &Telemetry{Trace: trace, net: net, server: out.Server, seriesOut: series}, nil
 }
 
 // Tee feeds the network's trace events to the server and, with trace, to
@@ -82,16 +77,7 @@ func (t *Telemetry) Tee(trace bool) {
 // by Close.
 func (t *Telemetry) OnSample(sm metrics.Sample) {
 	t.samples++
-	line, err := metrics.MarshalSample(sm)
-	if err == nil {
-		t.seriesN += uint64(len(line))
-		if t.series != nil && t.seriesErr == nil {
-			_, err = t.series.Write(line)
-		}
-	}
-	if t.seriesErr == nil {
-		t.seriesErr = err
-	}
+	t.seriesOut.WriteLine(metrics.MarshalSample(sm))
 	if t.server != nil {
 		// A failed render keeps the last exposition; the run never
 		// depends on its observer.
@@ -100,7 +86,7 @@ func (t *Telemetry) OnSample(sm metrics.Sample) {
 }
 
 // SeriesBytes is the series' logical position.
-func (t *Telemetry) SeriesBytes() uint64 { return t.seriesN }
+func (t *Telemetry) SeriesBytes() uint64 { return t.seriesOut.Bytes() }
 
 // Samples counts the samples OnSample received.
 func (t *Telemetry) Samples() int { return t.samples }
@@ -112,15 +98,7 @@ func (t *Telemetry) Samples() int { return t.samples }
 // Close.
 func (t *Telemetry) Close() error {
 	terr := t.Trace.Close()
-	serr := t.seriesErr
-	if t.series != nil {
-		if ferr := t.series.Flush(); serr == nil {
-			serr = ferr
-		}
-		if cerr := t.seriesFile.Close(); serr == nil {
-			serr = cerr
-		}
-	}
+	serr := t.seriesOut.Close()
 	if t.server != nil {
 		_ = t.server.PublishMetrics(t.net.Metrics())
 		t.server.MarkDone()

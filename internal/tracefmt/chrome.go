@@ -97,7 +97,7 @@ func WriteChrome(w io.Writer, meta Meta, events []core.TraceEvent) error {
 
 	out := chromeTrace{
 		DisplayTimeUnit: "ms",
-		OtherData:       headerFor(meta),
+		OtherData:       header{Schema: schemaName, Version: SchemaVersion, Meta: meta},
 	}
 	out.TraceEvents = append(out.TraceEvents, chromeEvent{
 		Name: "process_name", Ph: "M", Pid: 0, Args: metaName{Name: "megamimo"},

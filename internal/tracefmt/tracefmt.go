@@ -8,7 +8,12 @@
 //
 // The serialized schema is versioned (SchemaVersion); the field set is
 // frozen by the tracefields lint analyzer, so a reader of version-1 files
-// never meets surprise attributes.
+// never meets surprise attributes. Every wire name is declared once, as a
+// json tag on core.TraceAttrs (the attributes) or on Meta (the header's
+// run fields); the wire structs here embed them, so a tagged attribute
+// reaches the JSONL line, the Chrome args and the reader without an edit
+// in this package. LineWriter, the counted line writer under StreamSink,
+// also writes the metrics series.
 package tracefmt
 
 import (
@@ -25,22 +30,25 @@ import (
 
 // SchemaVersion is the trace-format version the JSONL header and the
 // Chrome view's otherData stamp, and the reader requires. Bump it together
-// with core.TraceAttrs and the tracefields analyzer's schema table.
+// with core.TraceAttrs (or Meta) and the tracefields analyzer's schema
+// table.
 const SchemaVersion = 1
 
 // schemaName identifies the format in headers.
 const schemaName = "megamimo-trace"
 
 // Meta describes the run a trace came from — everything the analyzers
-// need to convert sample times and CFO estimates into physical units.
+// need to convert sample times and CFO estimates into physical units. Its
+// json tags are the header's wire names.
 type Meta struct {
 	// SampleRate is the ether sample rate (Hz); ether timestamps divide by
 	// it to give seconds.
-	SampleRate units.Hertz
+	SampleRate units.Hertz `json:"sample_rate"`
 	// CarrierHz is the RF carrier, used to express CFO estimates in ppm.
-	CarrierHz units.Hertz
+	CarrierHz units.Hertz `json:"carrier_hz"`
 	// APs and Clients size the network (used for track naming).
-	APs, Clients int
+	APs     int `json:"aps"`
+	Clients int `json:"clients"`
 }
 
 // MetaFor is the header of a trace recorded on a network built from cfg:
@@ -49,68 +57,34 @@ func MetaFor(cfg core.Config) Meta {
 	return Meta{SampleRate: cfg.SampleRate, CarrierHz: cfg.CarrierHz, APs: cfg.NumAPs, Clients: cfg.NumClients}
 }
 
-// jsonEvent is the wire form of one event: flat, fixed field order
-// (declaration order drives encoding/json), zero-valued attributes
-// omitted. One marshaled jsonEvent per JSONL line; the same struct rides
-// in the Chrome events' args, so the Chrome view carries every attribute.
+// jsonEvent is the wire form of one event: the envelope around the
+// attribute block, whose tagged fields encoding/json flattens in place
+// between span and msg. Declaration order drives the key order and zero
+// values are omitted. One marshaled jsonEvent per JSONL line; the same
+// struct rides in the Chrome events' args, so the Chrome view carries
+// every attribute.
 type jsonEvent struct {
-	Seq             int64              `json:"seq"`
-	At              int64              `json:"at"`
-	Kind            string             `json:"kind"`
-	Ph              string             `json:"ph"`
-	Span            int64              `json:"span,omitempty"`
-	AP              int                `json:"ap,omitempty"`
-	Client          int                `json:"client,omitempty"`
-	Stream          int                `json:"stream,omitempty"`
-	Pkt             int64              `json:"pkt,omitempty"`
-	QueueDepth      int                `json:"queue_depth,omitempty"`
-	Bits            int64              `json:"bits,omitempty"`
-	PhaseErrRad     units.Radians      `json:"phase_err_rad,omitempty"`
-	CFORadPerSample units.RadPerSample `json:"cfo_rad_per_sample,omitempty"`
-	EVMSNRdB        units.Decibels     `json:"evm_snr_db,omitempty"`
-	MinSubSNRdB     units.Decibels     `json:"min_sub_snr_db,omitempty"`
-	NullDepthDB     units.Decibels     `json:"null_depth_db,omitempty"`
-	OK              bool               `json:"ok,omitempty"`
-	Cause           string             `json:"cause,omitempty"`
-	Msg             string             `json:"msg,omitempty"`
+	Seq  int64  `json:"seq"`
+	At   int64  `json:"at"`
+	Kind string `json:"kind"`
+	Ph   string `json:"ph"`
+	Span int64  `json:"span,omitempty"`
+	core.TraceAttrs
+	Msg string `json:"msg,omitempty"`
 }
 
-// header is the first JSONL line (and the Chrome file's otherData).
+// header is the first JSONL line (and the Chrome file's otherData): the
+// schema name and version, then the run's Meta.
 type header struct {
-	Schema     string      `json:"schema"`
-	Version    int         `json:"version"`
-	SampleRate units.Hertz `json:"sample_rate"`
-	CarrierHz  units.Hertz `json:"carrier_hz"`
-	APs        int         `json:"aps"`
-	Clients    int         `json:"clients"`
-}
-
-// headerFor builds the wire header for a run's Meta.
-func headerFor(meta Meta) header {
-	return header{
-		Schema:     schemaName,
-		Version:    SchemaVersion,
-		SampleRate: meta.SampleRate,
-		CarrierHz:  meta.CarrierHz,
-		APs:        meta.APs,
-		Clients:    meta.Clients,
-	}
-}
-
-// metaFrom recovers the Meta from a validated wire header.
-func metaFrom(h header) Meta {
-	return Meta{
-		SampleRate: h.SampleRate,
-		CarrierHz:  h.CarrierHz,
-		APs:        h.APs,
-		Clients:    h.Clients,
-	}
+	Schema  string `json:"schema"`
+	Version int    `json:"version"`
+	Meta
 }
 
 // MarshalHeader renders the Meta as the one-line JSONL header, trailing
 // newline included.
 func MarshalHeader(meta Meta) ([]byte, error) {
-	b, err := json.Marshal(headerFor(meta))
+	b, err := json.Marshal(header{Schema: schemaName, Version: SchemaVersion, Meta: meta})
 	if err != nil {
 		return nil, err
 	}
@@ -157,27 +131,7 @@ func phByte(s string) (byte, error) {
 
 // toJSON flattens one event to its wire form.
 func toJSON(e core.TraceEvent) jsonEvent {
-	return jsonEvent{
-		Seq:             e.Seq,
-		At:              e.At,
-		Kind:            e.Kind,
-		Ph:              phString(e.Ph),
-		Span:            e.Span,
-		AP:              e.Attrs.AP,
-		Client:          e.Attrs.Client,
-		Stream:          e.Attrs.Stream,
-		Pkt:             e.Attrs.Pkt,
-		QueueDepth:      e.Attrs.QueueDepth,
-		Bits:            e.Attrs.Bits,
-		PhaseErrRad:     e.Attrs.PhaseErrRad,
-		CFORadPerSample: e.Attrs.CFORadPerSample,
-		EVMSNRdB:        e.Attrs.EVMSNRdB,
-		MinSubSNRdB:     e.Attrs.MinSubSNRdB,
-		NullDepthDB:     e.Attrs.NullDepthDB,
-		OK:              e.Attrs.OK,
-		Cause:           e.Attrs.Cause,
-		Msg:             e.Msg,
-	}
+	return jsonEvent{Seq: e.Seq, At: e.At, Kind: e.Kind, Ph: phString(e.Ph), Span: e.Span, TraceAttrs: e.Attrs, Msg: e.Msg}
 }
 
 // fromJSON rebuilds the core event, validating its kind against the
@@ -190,29 +144,7 @@ func fromJSON(j jsonEvent) (core.TraceEvent, error) {
 	if err != nil {
 		return core.TraceEvent{}, err
 	}
-	return core.TraceEvent{
-		Seq:  j.Seq,
-		At:   j.At,
-		Kind: j.Kind,
-		Ph:   ph,
-		Span: j.Span,
-		Attrs: core.TraceAttrs{
-			AP:              j.AP,
-			Client:          j.Client,
-			Stream:          j.Stream,
-			Pkt:             j.Pkt,
-			QueueDepth:      j.QueueDepth,
-			Bits:            j.Bits,
-			PhaseErrRad:     j.PhaseErrRad,
-			CFORadPerSample: j.CFORadPerSample,
-			EVMSNRdB:        j.EVMSNRdB,
-			MinSubSNRdB:     j.MinSubSNRdB,
-			NullDepthDB:     j.NullDepthDB,
-			OK:              j.OK,
-			Cause:           j.Cause,
-		},
-		Msg: j.Msg,
-	}, nil
+	return core.TraceEvent{Seq: j.Seq, At: j.At, Kind: j.Kind, Ph: ph, Span: j.Span, Attrs: j.TraceAttrs, Msg: j.Msg}, nil
 }
 
 // WriteJSONL writes the versioned header line followed by one event per
@@ -279,7 +211,7 @@ func UnmarshalHeader(line []byte) (Meta, error) {
 	if h.Version != SchemaVersion {
 		return Meta{}, fmt.Errorf("tracefmt: header schema version %d, reader supports %d", h.Version, SchemaVersion)
 	}
-	return metaFrom(h), nil
+	return h.Meta, nil
 }
 
 // UnmarshalEvent parses one JSONL event line, validating its kind — the
@@ -290,27 +222,6 @@ func UnmarshalEvent(line []byte) (core.TraceEvent, error) {
 		return core.TraceEvent{}, err
 	}
 	return fromJSON(j)
-}
-
-// Create opens a JSONL trace file at path and returns the stream that
-// writes it; Close flushes the stream and closes the file. An empty path
-// discards the output but still counts Bytes, the stream position a
-// checkpoint records.
-func Create(path string, meta Meta, opts StreamOptions) (*StreamSink, error) {
-	if path == "" {
-		return NewStreamSink(io.Discard, meta, opts)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewStreamSink(f, meta, opts)
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	s.file = f
-	return s, nil
 }
 
 // ReadFile loads a JSONL trace file.
